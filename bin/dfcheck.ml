@@ -103,32 +103,38 @@ let print_text_metrics ~metrics =
 
 (* The one place a report becomes terminal output: `check', `spec check'
    and (through Report_json.of_outcome directly) the serve engine all
-   agree on the JSON shape and the exit code. *)
+   agree on the JSON shape and the exit code.  An instance the checker
+   rejects (validation, or a routing function refusing the network) is a
+   usage error, as it is for serve. *)
 let run_check_report ~name ~replay ~certificate ~json ~domains ~trace ~metrics
     net algo =
   obs_setup ~trace ~metrics;
-  let report = Checker.check ~domains net algo in
-  if json then
-    print_endline
-      (Dfr_util.Json.to_string_pretty
-         (Report_json.of_outcome
-            ?metrics:(if metrics then Some (Obs.metrics_json ()) else None)
-            net algo report))
-  else if certificate then Certificate.print net algo report
-  else begin
-    Format.printf "%s on %s:@.  %a@." name (Net.name net)
-      (Checker.pp_verdict net) report.Checker.verdict;
-    print_text_metrics ~metrics
-  end;
-  (match report.Checker.verdict with
-  | Checker.Deadlock_possible failure when replay ->
-    (match Dfr_scenario.Scenario.replay net algo failure with
-    | Some true -> Format.printf "  replay: deadlock confirmed in simulation@."
-    | Some false -> Format.printf "  replay: configuration drained (not confirmed)@."
-    | None -> Format.printf "  replay: nothing to replay for this failure@.")
-  | _ -> ());
-  obs_teardown ~trace;
-  Report_json.exit_code report.Checker.verdict
+  match Checker.check_result ~domains net algo with
+  | Error msg ->
+    prerr_endline msg;
+    2
+  | Ok report ->
+    if json then
+      print_endline
+        (Dfr_util.Json.to_string_pretty
+           (Report_json.of_outcome
+              ?metrics:(if metrics then Some (Obs.metrics_json ()) else None)
+              net algo report))
+    else if certificate then Certificate.print net algo report
+    else begin
+      Format.printf "%s on %s:@.  %a@." name (Net.name net)
+        (Checker.pp_verdict net) report.Checker.verdict;
+      print_text_metrics ~metrics
+    end;
+    (match report.Checker.verdict with
+    | Checker.Deadlock_possible failure when replay ->
+      (match Dfr_scenario.Scenario.replay net algo failure with
+      | Some true -> Format.printf "  replay: deadlock confirmed in simulation@."
+      | Some false -> Format.printf "  replay: configuration drained (not confirmed)@."
+      | None -> Format.printf "  replay: nothing to replay for this failure@.")
+    | _ -> ());
+    obs_teardown ~trace;
+    Report_json.exit_code report.Checker.verdict
 
 (* ------------------------------------------------------------------ *)
 (* list                                                                *)
@@ -167,10 +173,14 @@ let check_run name topo replay certificate json domains trace metrics =
   | Error msg ->
     prerr_endline msg;
     2
-  | Ok e ->
-    let net = Registry.network_for e topo in
-    run_check_report ~name:e.Registry.name ~replay ~certificate ~json ~domains
-      ~trace ~metrics net e.Registry.algo
+  | Ok e -> (
+    match Registry.network_for e topo with
+    | exception Invalid_argument msg ->
+      prerr_endline msg;
+      2
+    | net ->
+      run_check_report ~name:e.Registry.name ~replay ~certificate ~json ~domains
+        ~trace ~metrics net e.Registry.algo)
 
 let check_cmd =
   let replay =

@@ -33,7 +33,11 @@ val build :
   ?dense_closures:bool ->
   State_space.t ->
   t
-(** [witness_cap] bounds the witnesses retained per edge (default 32).
+(** Each destination's continuation closures are computed over that
+    destination's own reachable buffers, so per-destination work is sized
+    by its states rather than by the network; every emitted edge is
+    recorded in O(1) (DESIGN.md §3).
+    [witness_cap] bounds the witnesses retained per edge (default 32).
     [domains] (default 1) fans the per-destination continuation closures
     out over OCaml 5 domains; the per-destination work is independent, the
     merge is deterministic, and the result is identical to the serial

@@ -15,31 +15,15 @@ type slice = {
   rdc : int list array option;
 }
 
-type storage =
-  | Dense_tab of {
-      reachable : bool array; (* buf * num_nodes + dest *)
-      outputs : int list array; (* only meaningful for reachable states *)
-      waits : int list array;
-      reduced : int list array option;
-    }
-  | Sparse_tab of slice array (* per dest *)
-
 type t = {
   net : Net.t;
   algo : Algo.t;
   num_buffers : int;
   num_nodes : int;
-  storage : storage;
+  slices : slice array; (* per dest *)
   move_graphs : Dfr_graph.Csr.t option array; (* per dest, lazy *)
 }
 
-(* Above this many (buffer, destination) entries the flat arrays are
-   replaced by per-destination slices.  4M entries of three word-sized
-   arrays is ~100 MB of table — roughly where the dense layout stops being
-   free and the O(log states) slice lookup starts being worth it. *)
-let dense_threshold = 1 lsl 22
-
-let index t ~buf ~dest = (buf * t.num_nodes) + dest
 let net t = t.net
 let algo t = t.algo
 let num_buffers t = t.num_buffers
@@ -56,127 +40,37 @@ let slice_find s buf =
   done;
   !found
 
-let is_reachable t ~buf ~dest =
-  match t.storage with
-  | Dense_tab d -> d.reachable.(index t ~buf ~dest)
-  | Sparse_tab slices -> slice_find slices.(dest) buf >= 0
-
+let is_reachable t ~buf ~dest = slice_find t.slices.(dest) buf >= 0
 let arrived t ~buf ~dest = Buf.head_node (Net.buffer t.net buf) = dest
 
-let outputs t ~buf ~dest =
-  match t.storage with
-  | Dense_tab d ->
-    if d.reachable.(index t ~buf ~dest) then d.outputs.(index t ~buf ~dest)
-    else []
-  | Sparse_tab slices ->
-    let s = slices.(dest) in
-    let i = slice_find s buf in
-    if i >= 0 then s.outs.(i) else []
+(* [field] of the state (buf, dest), or [[]] when it is unreachable *)
+let lookup field t ~buf ~dest =
+  let s = t.slices.(dest) in
+  let i = slice_find s buf in
+  if i >= 0 then (field s).(i) else []
 
-let waits t ~buf ~dest =
-  match t.storage with
-  | Dense_tab d ->
-    if d.reachable.(index t ~buf ~dest) then d.waits.(index t ~buf ~dest)
-    else []
-  | Sparse_tab slices ->
-    let s = slices.(dest) in
-    let i = slice_find s buf in
-    if i >= 0 then s.wts.(i) else []
+let outputs = lookup (fun s -> s.outs)
+let waits = lookup (fun s -> s.wts)
 
 let reduced_waits t =
-  match t.storage with
-  | Dense_tab d ->
-    Option.map
-      (fun arr ~buf ~dest ->
-        if d.reachable.(index t ~buf ~dest) then arr.(index t ~buf ~dest)
-        else [])
-      d.reduced
-  | Sparse_tab slices ->
-    if Array.exists (fun s -> s.rdc <> None) slices then
-      Some
-        (fun ~buf ~dest ->
-          let s = slices.(dest) in
-          match s.rdc with
-          | None -> []
-          | Some arr ->
-            let i = slice_find s buf in
-            if i >= 0 then arr.(i) else [])
-    else None
+  if Array.exists (fun s -> s.rdc <> None) t.slices then
+    Some
+      (fun ~buf ~dest ->
+        let s = t.slices.(dest) in
+        match s.rdc with
+        | None -> []
+        | Some arr ->
+          let i = slice_find s buf in
+          if i >= 0 then arr.(i) else [])
+  else None
 
-(* One destination's column of the dense table: clear it, then BFS from
-   the injection buffers.  A state's stored content is a pure function
-   of (net, algo, buf, dest) and a destination's reachability never
-   consults another destination's states, so columns can be built in any
-   order — or concurrently, the writes being disjoint — and the table is
-   identical to the historical single-queue BFS over all columns at
-   once.  Shared by the (possibly parallel) cold build and by
-   [with_updated_dests]' dirty-column rebuilds. *)
-let dense_column net algo ~num_buffers ~num_nodes ~reachable ~outputs ~waits
-    ~reduced dest =
-  let idx buf = (buf * num_nodes) + dest in
-  for buf = 0 to num_buffers - 1 do
-    let i = idx buf in
-    reachable.(i) <- false;
-    outputs.(i) <- [];
-    waits.(i) <- [];
-    match reduced with Some arr -> arr.(i) <- [] | None -> ()
-  done;
-  let queue = Queue.create () in
-  let visit buf =
-    let i = idx buf in
-    if not reachable.(i) then begin
-      reachable.(i) <- true;
-      Queue.add buf queue
-    end
-  in
-  for src = 0 to num_nodes - 1 do
-    if src <> dest then visit (Buf.id (Net.injection net src))
-  done;
-  while not (Queue.is_empty queue) do
-    let buf = Queue.pop queue in
-    let b = Net.buffer net buf in
-    if Buf.head_node b <> dest then begin
-      let i = idx buf in
-      let outs =
-        List.filter
-          (fun o -> Buf.is_transit (Net.buffer net o))
-          (algo.Algo.route net b ~dest)
-      in
-      outputs.(i) <- outs;
-      waits.(i) <- algo.Algo.waits net b ~dest;
-      (match (reduced, algo.Algo.reduced_waits) with
-      | Some arr, Some rw -> arr.(i) <- rw net b ~dest
-      | _ -> ());
-      List.iter visit outs
-    end
-  done
-
-let build_dense ?(domains = 1) net algo ~num_buffers ~num_nodes =
-  let size = num_buffers * num_nodes in
-  let reachable = Array.make size false in
-  let outputs = Array.make size [] in
-  let waits = Array.make size [] in
-  let reduced = Option.map (fun _ -> Array.make size []) algo.Algo.reduced_waits in
-  let n_dom = max 1 (min domains num_nodes) in
-  Dfr_util.Domain_pool.parallel ~domains:n_dom (fun k ->
-      let start, stop =
-        Dfr_util.Domain_pool.chunk ~n:num_nodes ~domains:n_dom k
-      in
-      for dest = start to stop - 1 do
-        dense_column net algo ~num_buffers ~num_nodes ~reachable ~outputs ~waits
-          ~reduced dest
-      done);
-  Obs.count "space.states"
-    (Array.fold_left (fun acc r -> if r then acc + 1 else acc) 0 reachable);
-  Dense_tab { reachable; outputs; waits; reduced }
-
-(* Same closure, one destination at a time: the BFS for a destination only
-   ever revisits its own states, so a size-B scratch reused across
-   destinations replaces the B*N flat arrays entirely.  The single-slice
-   function is shared with [with_updated_dests], which re-runs it for just
-   the dirty destinations — a slice is a pure function of (net, algo,
-   dest), so a rebuilt slice is identical to what a cold build produces. *)
-let sparse_slice net algo ~num_nodes ~seen ~out_scratch ~wait_scratch
+(* One destination's slice: BFS from the injection buffers.  The BFS for a
+   destination only ever revisits its own states, so a size-B scratch
+   reused across destinations is all the working memory it needs.  Shared
+   with [with_updated_dests], which re-runs it for just the dirty
+   destinations — a slice is a pure function of (net, algo, dest), so a
+   rebuilt slice is identical to what a cold build produces. *)
+let build_slice net algo ~num_nodes ~seen ~out_scratch ~wait_scratch
     ~red_scratch dest =
   let touched = ref [] in
   let queue = Queue.create () in
@@ -225,37 +119,23 @@ let sparse_slice net algo ~num_nodes ~seen ~out_scratch ~wait_scratch
     !touched;
   slice
 
-(* Destinations partition across domains: each worker owns a contiguous
-   chunk and a private size-B scratch, and writes only its own slices —
-   a slice is a pure function of (net, algo, dest), so the filled array
-   is identical whatever the chunking.  The states counter is a sum of
-   per-slice sizes, hence domain-count-invariant. *)
-let build_sparse ?(domains = 1) net algo ~num_buffers ~num_nodes =
-  let empty = { bufs = [||]; outs = [||]; wts = [||]; rdc = None } in
-  let slices = Array.make num_nodes empty in
-  let n_dom = max 1 (min domains num_nodes) in
-  Dfr_util.Domain_pool.parallel ~domains:n_dom (fun k ->
-      let seen = Array.make num_buffers false in
-      let out_scratch = Array.make num_buffers [] in
-      let wait_scratch = Array.make num_buffers [] in
-      let red_scratch =
-        Option.map (fun _ -> Array.make num_buffers []) algo.Algo.reduced_waits
-      in
-      let start, stop =
-        Dfr_util.Domain_pool.chunk ~n:num_nodes ~domains:n_dom k
-      in
-      for dest = start to stop - 1 do
-        slices.(dest) <-
-          sparse_slice net algo ~num_nodes ~seen ~out_scratch ~wait_scratch
-            ~red_scratch dest
-      done);
-  let states =
-    Array.fold_left (fun acc s -> acc + Array.length s.bufs) 0 slices
+(* [build_slice] with a private size-B scratch for each listed
+   destination in turn *)
+let build_slices net algo ~num_buffers ~num_nodes ~into dests =
+  let seen = Array.make num_buffers false in
+  let out_scratch = Array.make num_buffers [] in
+  let wait_scratch = Array.make num_buffers [] in
+  let red_scratch =
+    Option.map (fun _ -> Array.make num_buffers []) algo.Algo.reduced_waits
   in
-  Obs.count "space.states" states;
-  Sparse_tab slices
+  List.iter
+    (fun dest ->
+      into.(dest) <-
+        build_slice net algo ~num_nodes ~seen ~out_scratch ~wait_scratch
+          ~red_scratch dest)
+    dests
 
-let build ?(storage = `Auto) ?(domains = 1) net algo =
+let build ?(domains = 1) net algo =
   Obs.span "space.build" @@ fun () ->
   (match Obs.span "space.validate" (fun () -> Algo.validate ~domains algo net)
    with
@@ -263,68 +143,52 @@ let build ?(storage = `Auto) ?(domains = 1) net algo =
   | Error msg -> invalid_arg ("State_space.build: " ^ msg));
   let num_buffers = Net.num_buffers net in
   let num_nodes = Net.num_nodes net in
-  let sparse =
-    match storage with
-    | `Dense -> false
-    | `Sparse -> true
-    | `Auto -> num_buffers * num_nodes > dense_threshold
+  (* Destinations partition across domains: each worker owns a contiguous
+     chunk and writes only its own slices, so the filled array is
+     identical whatever the chunking.  The states counter is a sum of
+     per-slice sizes, hence domain-count-invariant. *)
+  let slices =
+    Array.make num_nodes { bufs = [||]; outs = [||]; wts = [||]; rdc = None }
   in
-  let storage =
-    if sparse then build_sparse ~domains net algo ~num_buffers ~num_nodes
-    else build_dense ~domains net algo ~num_buffers ~num_nodes
-  in
+  let n_dom = max 1 (min domains num_nodes) in
+  Dfr_util.Domain_pool.parallel ~domains:n_dom (fun k ->
+      let start, stop = Dfr_util.Domain_pool.chunk ~n:num_nodes ~domains:n_dom k in
+      build_slices net algo ~num_buffers ~num_nodes ~into:slices
+        (List.init (stop - start) (fun i -> start + i)));
+  Obs.count "space.states"
+    (Array.fold_left (fun acc s -> acc + Array.length s.bufs) 0 slices);
   {
     net;
     algo;
     num_buffers;
     num_nodes;
-    storage;
+    slices;
     move_graphs = Array.make num_nodes None;
   }
 
-let is_sparse t = match t.storage with Sparse_tab _ -> true | Dense_tab _ -> false
-
+(* gather + sort yields the (buf ascending, dest ascending) order every
+   downstream state list is reported in *)
 let iter_reachable t f =
-  match t.storage with
-  | Dense_tab d ->
-    for buf = 0 to t.num_buffers - 1 do
-      for dest = 0 to t.num_nodes - 1 do
-        if d.reachable.((buf * t.num_nodes) + dest) then f ~buf ~dest
-      done
-    done
-  | Sparse_tab slices ->
-    (* gather + sort restores the (buf ascending, dest ascending) order of
-       the dense scan, so downstream state lists are layout-independent *)
-    let total = Array.fold_left (fun acc s -> acc + Array.length s.bufs) 0 slices in
-    let keys = Array.make (max total 1) 0 in
-    let k = ref 0 in
-    Array.iteri
-      (fun dest s ->
-        Array.iter
-          (fun buf ->
-            keys.(!k) <- (buf * t.num_nodes) + dest;
-            incr k)
-          s.bufs)
-      slices;
-    Array.sort (fun (a : int) b -> compare a b) keys;
-    for i = 0 to total - 1 do
-      f ~buf:(keys.(i) / t.num_nodes) ~dest:(keys.(i) mod t.num_nodes)
-    done
+  let total = Array.fold_left (fun acc s -> acc + Array.length s.bufs) 0 t.slices in
+  let keys = Array.make total 0 in
+  let k = ref 0 in
+  Array.iteri
+    (fun dest s ->
+      Array.iter
+        (fun buf ->
+          keys.(!k) <- (buf * t.num_nodes) + dest;
+          incr k)
+        s.bufs)
+    t.slices;
+  Array.sort (fun (a : int) b -> compare a b) keys;
+  Array.iter (fun key -> f ~buf:(key / t.num_nodes) ~dest:(key mod t.num_nodes)) keys
 
 let build_move_graph t ~dest =
   let g = Dfr_graph.Digraph.create t.num_buffers in
-  (match t.storage with
-  | Dense_tab d ->
-    for buf = 0 to t.num_buffers - 1 do
-      let i = (buf * t.num_nodes) + dest in
-      if d.reachable.(i) then
-        List.iter (fun o -> Dfr_graph.Digraph.add_edge g buf o) d.outputs.(i)
-    done
-  | Sparse_tab slices ->
-    let s = slices.(dest) in
-    Array.iteri
-      (fun i buf -> List.iter (fun o -> Dfr_graph.Digraph.add_edge g buf o) s.outs.(i))
-      s.bufs);
+  let s = t.slices.(dest) in
+  Array.iteri
+    (fun i buf -> List.iter (fun o -> Dfr_graph.Digraph.add_edge g buf o) s.outs.(i))
+    s.bufs;
   Dfr_graph.Digraph.freeze g
 
 (* The quiet accessor exists for counter determinism: structural passes
@@ -341,12 +205,10 @@ let move_graph_quiet t ~dest =
     frozen
 
 (* A cached graph when one exists, otherwise a fresh build that is NOT
-   retained.  The BWG construction visits each destination exactly once,
-   so caching there would pin N CSRs — O(B) offsets each — for the rest of
-   the run; classification materializes the cache later only if a cycle
-   actually needs walking.  Reads of a partially populated cache are safe
-   from worker domains because entries are only ever written by the serial
-   phases. *)
+   retained: a single-visit pass would otherwise pin N CSRs — O(B)
+   offsets each — for the rest of the run.  Reads of a partially
+   populated cache are safe from worker domains because entries are only
+   ever written by the serial phases. *)
 let move_graph_view t ~dest =
   match t.move_graphs.(dest) with
   | Some g -> g
@@ -374,15 +236,7 @@ let materialize_move_graphs ?(domains = 1) t =
         ignore (move_graph_quiet t ~dest)
       done)
 
-let reachable_with t ~dest =
-  match t.storage with
-  | Dense_tab d ->
-    let acc = ref [] in
-    for buf = t.num_buffers - 1 downto 0 do
-      if d.reachable.((buf * t.num_nodes) + dest) then acc := buf :: !acc
-    done;
-    !acc
-  | Sparse_tab slices -> Array.to_list slices.(dest).bufs
+let reachable_with t ~dest = Array.to_list t.slices.(dest).bufs
 
 type dest_view = {
   view_bufs : int array;
@@ -391,22 +245,8 @@ type dest_view = {
 }
 
 let dest_view t ~dest =
-  match t.storage with
-  | Sparse_tab slices ->
-    let s = slices.(dest) in
-    { view_bufs = s.bufs; view_outs = s.outs; view_wts = s.wts }
-  | Dense_tab d ->
-    let acc = ref [] in
-    for buf = t.num_buffers - 1 downto 0 do
-      if d.reachable.((buf * t.num_nodes) + dest) then acc := buf :: !acc
-    done;
-    let bufs = Array.of_list !acc in
-    let idx b = (b * t.num_nodes) + dest in
-    {
-      view_bufs = bufs;
-      view_outs = Array.map (fun b -> d.outputs.(idx b)) bufs;
-      view_wts = Array.map (fun b -> d.waits.(idx b)) bufs;
-    }
+  let s = t.slices.(dest) in
+  { view_bufs = s.bufs; view_outs = s.outs; view_wts = s.wts }
 
 (* Rebuild only the named destinations' tables under a new algorithm,
    sharing everything else.  A destination's slice (and move graph) is a
@@ -420,107 +260,53 @@ let dest_view t ~dest =
    calls — precisely the cost this function exists to avoid. *)
 let with_updated_dests t algo ~dests =
   Obs.span "space.update" @@ fun () ->
-  let num_buffers = t.num_buffers and num_nodes = t.num_nodes in
   let dests = List.sort_uniq compare dests in
   List.iter
     (fun d ->
-      if d < 0 || d >= num_nodes then
+      if d < 0 || d >= t.num_nodes then
         invalid_arg "State_space.with_updated_dests: destination out of range")
     dests;
   let hint = algo.Algo.reduced_waits <> None in
   (* a hint cannot be introduced incrementally: the clean destinations'
      reduced tables were never computed *)
-  (match t.storage with
-  | Dense_tab d ->
-    if hint && d.reduced = None then
-      invalid_arg
-        "State_space.with_updated_dests: cannot introduce a reduced-waits hint"
-  | Sparse_tab slices ->
-    if hint && Array.exists (fun s -> s.rdc = None) slices then
-      invalid_arg
-        "State_space.with_updated_dests: cannot introduce a reduced-waits hint");
-  let storage =
-    match t.storage with
-    | Sparse_tab slices ->
-      let slices' = Array.copy slices in
-      (* a hint the new algorithm no longer carries must not survive in the
-         shared slices either, or [reduced_waits] would diverge from a
-         cold build of [algo] *)
-      if not hint then
-        Array.iteri
-          (fun i s -> if s.rdc <> None then slices'.(i) <- { s with rdc = None })
-          slices';
-      let seen = Array.make num_buffers false in
-      let out_scratch = Array.make num_buffers [] in
-      let wait_scratch = Array.make num_buffers [] in
-      let red_scratch =
-        Option.map (fun _ -> Array.make num_buffers []) algo.Algo.reduced_waits
-      in
-      List.iter
-        (fun dest ->
-          Obs.count "space.dest.rebuilds" 1;
-          slices'.(dest) <-
-            sparse_slice t.net algo ~num_nodes ~seen ~out_scratch ~wait_scratch
-              ~red_scratch dest)
-        dests;
-      Sparse_tab slices'
-    | Dense_tab d ->
-      let reachable = Array.copy d.reachable in
-      let outputs = Array.copy d.outputs in
-      let waits = Array.copy d.waits in
-      let reduced = if hint then Option.map Array.copy d.reduced else None in
-      List.iter
-        (fun dest ->
-          Obs.count "space.dest.rebuilds" 1;
-          dense_column t.net algo ~num_buffers ~num_nodes ~reachable ~outputs
-            ~waits ~reduced dest)
-        dests;
-      Dense_tab { reachable; outputs; waits; reduced }
+  if hint && Array.exists (fun s -> s.rdc = None) t.slices then
+    invalid_arg
+      "State_space.with_updated_dests: cannot introduce a reduced-waits hint";
+  (* a hint the new algorithm no longer carries must not survive in the
+     shared slices either, or [reduced_waits] would diverge from a cold
+     build of [algo] *)
+  let slices =
+    if hint then Array.copy t.slices
+    else Array.map (fun s -> if s.rdc = None then s else { s with rdc = None }) t.slices
   in
+  if dests <> [] then Obs.count "space.dest.rebuilds" (List.length dests);
+  build_slices t.net algo ~num_buffers:t.num_buffers ~num_nodes:t.num_nodes
+    ~into:slices dests;
   let move_graphs = Array.copy t.move_graphs in
   List.iter (fun dest -> move_graphs.(dest) <- None) dests;
-  { t with algo; storage; move_graphs }
+  { t with algo; slices; move_graphs }
 
-(* One destination's reachable buffers, in ascending order — the
-   per-destination strand of [iter_reachable] the parallel scans chunk
-   over. *)
-let iter_reachable_dest t ~dest f =
-  match t.storage with
-  | Dense_tab d ->
-    for buf = 0 to t.num_buffers - 1 do
-      if d.reachable.((buf * t.num_nodes) + dest) then f ~buf
-    done
-  | Sparse_tab slices -> Array.iter (fun buf -> f ~buf) slices.(dest).bufs
-
-(* Filter scan over the reachable states.  Serial it is exactly the
-   [iter_reachable] order; parallel it chunks by destination over the
-   shared pool (a destination's states never depend on another's) and a
-   final sort on the dense key restores the (buf ascending, dest
-   ascending) order — the surviving states are few (usually none), so the
-   sort costs nothing and the output is layout- and domain-count-
-   invariant. *)
+(* Filter scan over the reachable states, chunked by destination over
+   the shared pool (a destination's states never depend on another's);
+   a final sort on the (buf, dest) key puts the survivors in
+   [iter_reachable] order — they are few (usually none), so the sort
+   costs nothing and the output is domain-count-invariant. *)
 let filter_reachable ?(domains = 1) t pred =
-  if domains <= 1 then begin
-    let acc = ref [] in
-    iter_reachable t (fun ~buf ~dest ->
-        if pred ~buf ~dest then acc := (buf, dest) :: !acc);
-    List.rev !acc
-  end
-  else begin
-    let per = Array.make t.num_nodes [] in
-    Dfr_util.Domain_pool.parallel ~domains (fun k ->
-        let lo, hi = Dfr_util.Domain_pool.chunk ~n:t.num_nodes ~domains k in
-        for dest = lo to hi - 1 do
-          let acc = ref [] in
-          iter_reachable_dest t ~dest (fun ~buf ->
-              if pred ~buf ~dest then acc := (buf, dest) :: !acc);
-          per.(dest) <- List.rev !acc
-        done);
-    List.sort
-      (fun (b1, d1) (b2, d2) ->
-        compare ((b1 * t.num_nodes) + d1) ((b2 * t.num_nodes) + d2))
-      (List.concat (Array.to_list per))
-  end
+  let per = Array.make t.num_nodes [] in
+  let n_dom = max 1 (min domains t.num_nodes) in
+  Dfr_util.Domain_pool.parallel ~domains:n_dom (fun k ->
+      let lo, hi = Dfr_util.Domain_pool.chunk ~n:t.num_nodes ~domains:n_dom k in
+      for dest = lo to hi - 1 do
+        let acc = ref [] in
+        Array.iter
+          (fun buf -> if pred ~buf ~dest then acc := (buf, dest) :: !acc)
+          t.slices.(dest).bufs;
+        per.(dest) <- List.rev !acc
+      done);
+  List.sort
+    (fun (b1, d1) (b2, d2) ->
+      compare ((b1 * t.num_nodes) + d1) ((b2 * t.num_nodes) + d2))
+    (List.concat (Array.to_list per))
 
 let stuck_states ?domains t =
   filter_reachable ?domains t (fun ~buf ~dest ->

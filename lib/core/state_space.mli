@@ -14,25 +14,20 @@ open Dfr_routing
 
 type t
 
-val build :
-  ?storage:[ `Auto | `Dense | `Sparse ] -> ?domains:int -> Net.t -> Algo.t -> t
+val build : ?domains:int -> Net.t -> Algo.t -> t
 (** Raises [Invalid_argument] when [Algo.validate] rejects the pair.
 
-    [storage] picks the state-table layout: [`Dense] keeps flat
-    [buffers * nodes] arrays, [`Sparse] stores per-destination slices of
-    the actually-reachable states, and [`Auto] (the default) switches to
-    sparse once the flat table would exceed ~4M entries.  The two layouts
-    are observationally identical (tested); sparse is what lets
-    10^4-10^5-buffer instances fit in memory.
+    The table is stored as one slice per destination holding just that
+    destination's reachable states, so its size is O(states), not
+    O(buffers * nodes) — what lets 10^4-10^5-buffer instances fit in
+    memory, and what makes a destination's states a field read
+    ({!dest_view}).
 
     [domains] fans both serial phases of the build out over the shared
     {!Dfr_util.Domain_pool}: the [Algo.validate] sweep partitions by
     buffer, the reachability BFS by destination (a destination's states
     never depend on another's).  The resulting table — and the error
     message on a rejected pair — is identical to the serial build's. *)
-
-val is_sparse : t -> bool
-(** Whether the sparse per-destination layout is in use. *)
 
 val net : t -> Net.t
 val algo : t -> Algo.t
@@ -72,10 +67,9 @@ val move_graph_quiet : t -> dest:int -> Dfr_graph.Csr.t
 
 val move_graph_view : t -> dest:int -> Dfr_graph.Csr.t
 (** The cached graph when present, otherwise a fresh build that is {e not}
-    retained (and no counters).  Single-visit passes — the BWG closure
-    walks each destination exactly once — use this so the cache never pins
-    N per-destination CSRs at once; at 10^5 buffers that cache alone would
-    dwarf the state table. *)
+    retained (and no counters).  Single-visit passes use this so the cache
+    never pins N per-destination CSRs at once; at 10^5 buffers that cache
+    alone would dwarf the state table. *)
 
 val materialize_move_graphs : ?domains:int -> t -> unit
 (** Populate the move-graph cache for every destination (required before
@@ -101,8 +95,8 @@ type dest_view = {
 
 val dest_view : t -> dest:int -> dest_view
 (** One destination's reachable states and routing relation as parallel
-    arrays.  On the sparse layout this aliases the internal slice (do not
-    mutate); on the dense layout it is extracted fresh per call. *)
+    arrays, in O(1): the arrays alias the internal slice (do not
+    mutate). *)
 
 val with_updated_dests : t -> Algo.t -> dests:int list -> t
 (** A state space for the new algorithm that rebuilds only the slices (and

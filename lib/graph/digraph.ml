@@ -40,6 +40,18 @@ let succ g u =
   check g u;
   List.rev g.adj.(u)
 
+(* adjacency is stored newest-first: recursing before the call restores
+   insertion order without allocating a reversed copy *)
+let iter_succ f g u =
+  check g u;
+  let rec go = function
+    | [] -> ()
+    | v :: tl ->
+      go tl;
+      f v
+  in
+  go g.adj.(u)
+
 let iter_edges f g =
   for u = 0 to g.n - 1 do
     List.iter (fun v -> f u v) (List.rev g.adj.(u))

@@ -33,6 +33,9 @@ val mem_edge : t -> int -> int -> bool
 val succ : t -> int -> int list
 (** Successors of a vertex, in insertion order. *)
 
+val iter_succ : (int -> unit) -> t -> int -> unit
+(** [succ] without building the list: same order, no allocation. *)
+
 val iter_edges : (int -> int -> unit) -> t -> unit
 val fold_edges : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a
 val edges : t -> (int * int) list

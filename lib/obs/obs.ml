@@ -169,15 +169,22 @@ let peak_rss_kb () =
   with Sys_error _ | Scanf.Scan_failure _ | Failure _ -> None
 
 (* Writing "5" to clear_refs resets VmHWM to the current RSS, so peaks
-   can be attributed to one phase of a run.  Linux-only; returns whether
-   the reset took. *)
+   can be attributed to one phase of a run.  Linux-only.  A write that
+   succeeds is not enough to trust the next reading — the kernel may
+   ignore it, and the watermark can only fall to whatever is still
+   resident — so the result is whether VmHWM, re-read, actually dropped. *)
 let reset_peak_rss () =
-  try
-    let oc = open_out "/proc/self/clear_refs" in
-    output_string oc "5\n";
-    close_out oc;
-    true
-  with Sys_error _ -> false
+  let before = peak_rss_kb () in
+  match open_out "/proc/self/clear_refs" with
+  | exception Sys_error _ -> false
+  | oc -> (
+    (try
+       output_string oc "5\n";
+       close_out oc
+     with Sys_error _ -> close_out_noerr oc);
+    match (before, peak_rss_kb ()) with
+    | Some b, Some a -> a < b
+    | _ -> false)
 
 let mem_json () =
   let gc = Gc.quick_stat () in

@@ -86,7 +86,11 @@ val peak_rss_kb : unit -> int option
 val reset_peak_rss : unit -> bool
 (** Reset the kernel's peak-RSS watermark to the current RSS (write
     ["5"] to [/proc/self/clear_refs]) so {!peak_rss_kb} measures one
-    phase of a run.  Returns [false] when the platform refuses. *)
+    phase of a run.  Returns whether the watermark, re-read after the
+    write, actually dropped: [false] when the platform refuses, and also
+    when the peak already equals the current RSS — a later
+    {!peak_rss_kb} then still includes whatever the process holds
+    resident now. *)
 
 val mem_json : unit -> Dfr_util.Json.t
 (** Snapshot of process memory: [peak_rss_kb] (when available) plus

@@ -6,6 +6,7 @@ type family =
   | Mesh_family of { vcs : int }
   | Torus_family of { vcs : int }
   | Mesh_saf_family of { classes : int }
+  | Hop_class_family
   | Vct_family of { classes : int }
   | Fullmesh_family
   | Dragonfly_family
@@ -63,7 +64,7 @@ let all =
       (Some true) "Pifarre et al.'s Two-Buffer store-and-forward mesh routing";
     entry "single-buffer" (Mesh_saf_family { classes = 1 }) Mesh_saf.single_buffer
       (Some false) "one-buffer greedy store-and-forward routing (control)";
-    entry "hop-class" (Mesh_saf_family { classes = 7 }) Mesh_saf.hop_class
+    entry "hop-class" Hop_class_family Mesh_saf.hop_class
       (Some true) "Gunther's hop-ordered store-and-forward buffer classes";
     entry "two-buffer-vct" (Vct_family { classes = 2 }) Mesh_saf.two_buffer
       (Some true) "Two-Buffer routing over virtual cut-through switching";
@@ -85,7 +86,7 @@ let names () = List.map (fun e -> e.name) all
 let default_topology e =
   match e.family with
   | Hypercube_family -> Some (Topology.hypercube 3)
-  | Mesh_family _ | Mesh_saf_family _ | Vct_family _ ->
+  | Mesh_family _ | Mesh_saf_family _ | Hop_class_family | Vct_family _ ->
     Some (Topology.mesh [| 4; 4 |])
   | Torus_family _ -> Some (Topology.torus [| 4; 4 |])
   | Fullmesh_family -> Some (Topology.fullmesh 5)
@@ -100,6 +101,10 @@ let network_for e topo =
   | Mesh_family { vcs }, Some t -> Net.wormhole t ~vcs
   | Torus_family { vcs }, Some t -> Net.wormhole t ~vcs
   | Mesh_saf_family { classes }, Some t -> Net.store_and_forward t ~classes
+  | Hop_class_family, Some t ->
+    (* one class per hop; never fewer than the 7 the 4x4 default has
+       always used, so every instance that fitted before is unchanged *)
+    Net.store_and_forward t ~classes:(max 7 (Mesh_saf.diameter t + 1))
   | Vct_family { classes }, Some t -> Net.virtual_cut_through t ~classes
   | Fullmesh_family, Some t -> Net.wormhole t ~vcs:1
   | (Dragonfly_family | Fattree_family), Some t -> Net.wormhole t ~vcs:2

@@ -10,6 +10,9 @@ type family =
   | Mesh_family of { vcs : int }  (** wormhole mesh *)
   | Torus_family of { vcs : int }
   | Mesh_saf_family of { classes : int }
+  | Hop_class_family
+      (** store-and-forward mesh with one class per hop:
+          [max 7 (diameter + 1)] classes *)
   | Vct_family of { classes : int }
   | Fullmesh_family  (** wormhole, 1 VC, fully connected *)
   | Dragonfly_family  (** wormhole, 2 VCs, palmtree dragonfly *)

@@ -41,6 +41,14 @@ expect 2 no-such-subcommand
 expect 2 check -a efa --no-such-flag
 expect 2 spec check /dev/null
 
+# hop-class takes one buffer class per hop, so larger meshes get more
+# classes instead of a routing-time crash
+expect 0 check -a hop-class -t mesh:5x4
+expect 0 check -a hop-class -t mesh:6x6
+# an instance the routing function refuses is a usage error, not an
+# uncaught exception (exit 125)
+expect 2 check -a two-buffer -t torus:4x4
+
 # hotspot nodes are range-checked before injection: a negative or
 # too-large node is a usage error, never a wild array index
 expect 2 simulate -a ecube -t hypercube:2 -p hotspot:-3 --horizon 50

@@ -626,37 +626,6 @@ let test_closure_matches_for_saf () =
   check Alcotest.bool "same graph" true
     (Dfr_graph.Digraph.equal (Bwg.graph a) (Bwg.graph b))
 
-let test_sparse_state_table_matches_dense () =
-  (* the sparse per-destination state table only kicks in automatically
-     above ~4M (buffer, dest) pairs, so force it on small networks and
-     demand the identical BWG and acyclicity as the dense layout *)
-  List.iter
-    (fun (e : Registry.entry) ->
-      let net = Registry.network_for e None in
-      let dense = State_space.build ~storage:`Dense net e.Registry.algo in
-      let sparse = State_space.build ~storage:`Sparse net e.Registry.algo in
-      let bd = Bwg.build dense and bs = Bwg.build sparse in
-      check Alcotest.bool
-        (e.Registry.name ^ " sparse = dense BWG")
-        true
-        (Dfr_graph.Digraph.equal (Bwg.graph bd) (Bwg.graph bs));
-      check Alcotest.bool
-        (e.Registry.name ^ " sparse = dense acyclicity")
-        (Bwg.is_acyclic bd) (Bwg.is_acyclic bs);
-      (* reachability agrees state by state *)
-      let buffers = Net.num_buffers net and nodes = Net.num_nodes net in
-      for buf = 0 to buffers - 1 do
-        for dest = 0 to nodes - 1 do
-          if
-            State_space.is_reachable dense ~buf ~dest
-            <> State_space.is_reachable sparse ~buf ~dest
-          then
-            Alcotest.failf "%s: reachability differs at buf %d dest %d"
-              e.Registry.name buf dest
-        done
-      done)
-    Registry.all
-
 let test_hybrid_closures_match_dense () =
   (* the hybrid sparse/dense closure rows are an allocation strategy, not a
      semantics change: forcing every row dense must yield the identical
@@ -697,8 +666,6 @@ let suite =
       Alcotest.test_case "VCT matches SAF" `Quick test_vct_matches_saf_verdicts;
       Alcotest.test_case "closure ablation is unsound" `Quick test_closure_ablation_unsound;
       Alcotest.test_case "closure no-op for SAF" `Quick test_closure_matches_for_saf;
-      Alcotest.test_case "sparse state table = dense" `Quick
-        test_sparse_state_table_matches_dense;
       Alcotest.test_case "hybrid closures = dense closures" `Quick
         test_hybrid_closures_match_dense;
       Alcotest.test_case "witness cap respected" `Quick test_witness_cap_respected;
@@ -1178,8 +1145,9 @@ let test_scaled_audit () =
   let bigger (e : Registry.entry) =
     match e.Registry.family with
     | Registry.Hypercube_family -> Some (Topology.hypercube 4)
-    | Registry.Mesh_family _ | Registry.Mesh_saf_family _ | Registry.Vct_family _
-      -> Some (Topology.mesh [| 5; 5 |])
+    | Registry.Mesh_family _ | Registry.Mesh_saf_family _
+    | Registry.Hop_class_family | Registry.Vct_family _ ->
+      Some (Topology.mesh [| 5; 5 |])
     | Registry.Torus_family _ -> Some (Topology.torus [| 5; 5 |])
     | Registry.Fullmesh_family -> Some (Topology.fullmesh 7)
     | Registry.Dragonfly_family -> Some (Topology.dragonfly ~a:2 ~h:2 ())
@@ -1190,20 +1158,12 @@ let test_scaled_audit () =
     (fun (e : Registry.entry) ->
       match (e.Registry.expected_deadlock_free, bigger e) with
       | Some expected, Some topo ->
-        (* hop-class needs diameter+1 classes: skip sizes it cannot fit *)
-        let fits =
-          match e.Registry.family with
-          | Registry.Mesh_saf_family { classes } ->
-            e.Registry.name <> "hop-class" || classes > Mesh_saf.diameter topo
-          | _ -> true
-        in
-        if fits then
-          let net = Registry.network_for e (Some topo) in
-          check
-            (Alcotest.option Alcotest.bool)
-            (e.Registry.name ^ " scaled verdict")
-            (Some expected)
-            (deadlock_free (Checker.verdict net e.Registry.algo))
+        let net = Registry.network_for e (Some topo) in
+        check
+          (Alcotest.option Alcotest.bool)
+          (e.Registry.name ^ " scaled verdict")
+          (Some expected)
+          (deadlock_free (Checker.verdict net e.Registry.algo))
       | _ -> ())
     Registry.all
 

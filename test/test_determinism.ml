@@ -114,11 +114,11 @@ let test_validate_parallel () =
     [ 2; 4 ]
 
 (* the state space itself: reachability, outputs and waits per
-   (buffer, dest) must match the serial build, under both storages *)
-let check_space_identical name ~storage net algo =
+   (buffer, dest) must match the serial build *)
+let check_space_identical name net algo =
   with_cap 4 @@ fun () ->
-  let s1 = State_space.build ~storage ~domains:1 net algo in
-  let s4 = State_space.build ~storage ~domains:4 net algo in
+  let s1 = State_space.build ~domains:1 net algo in
+  let s4 = State_space.build ~domains:4 net algo in
   for buf = 0 to State_space.num_buffers s1 - 1 do
     for dest = 0 to State_space.num_nodes s1 - 1 do
       if
@@ -133,15 +133,9 @@ let check_space_identical name ~storage net algo =
   check Alcotest.bool (name ^ ": same stuck states") true
     (State_space.stuck_states s1 = State_space.stuck_states s4)
 
-let test_space_dense () =
-  check_space_identical "dense efa 3-cube" ~storage:`Dense cube3
-    Hypercube_wormhole.efa
-
-let test_space_sparse () =
-  check_space_identical "sparse efa 3-cube" ~storage:`Sparse cube3
-    Hypercube_wormhole.efa;
-  check_space_identical "sparse two-buffer 3x3" ~storage:`Sparse saf33
-    Mesh_saf.two_buffer
+let test_space_parallel () =
+  check_space_identical "efa 3-cube" cube3 Hypercube_wormhole.efa;
+  check_space_identical "two-buffer 3x3" saf33 Mesh_saf.two_buffer
 
 (* ---- end to end: the whole catalogue, byte for byte ---- *)
 
@@ -189,8 +183,7 @@ let suite =
     Alcotest.test_case "verdict: efa 3-cube" `Quick test_verdict_efa_3cube;
     Alcotest.test_case "verdict: registry sweep" `Slow test_verdict_registry;
     Alcotest.test_case "validate: parallel sweep" `Quick test_validate_parallel;
-    Alcotest.test_case "space: dense parallel build" `Quick test_space_dense;
-    Alcotest.test_case "space: sparse parallel build" `Quick test_space_sparse;
+    Alcotest.test_case "space: parallel build" `Quick test_space_parallel;
     Alcotest.test_case "reports: catalogue across domains" `Slow
       test_report_catalogue;
     QCheck_alcotest.to_alcotest prop_report_domains_invariant;

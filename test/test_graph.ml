@@ -29,6 +29,9 @@ let test_digraph_basic () =
   check Alcotest.bool "mem" true (Digraph.mem_edge g 0 1);
   check Alcotest.bool "not mem" false (Digraph.mem_edge g 1 0);
   check (Alcotest.list Alcotest.int) "succ order" [ 1; 2 ] (Digraph.succ g 0);
+  let visited = ref [] in
+  Digraph.iter_succ (fun v -> visited := v :: !visited) g 0;
+  check (Alcotest.list Alcotest.int) "iter_succ order" [ 1; 2 ] (List.rev !visited);
   Digraph.remove_edge g 0 1;
   check Alcotest.int "after remove" 1 (Digraph.num_edges g);
   check Alcotest.bool "removed" false (Digraph.mem_edge g 0 1)

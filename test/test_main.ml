@@ -9,6 +9,7 @@ let () =
       ("network", Test_network.suite);
       ("routing", Test_routing.suite);
       ("core", Test_core.suite);
+      ("closure", Test_closure.suite);
       ("determinism", Test_determinism.suite);
       ("incoherent-example", Test_incoherent.suite);
       ("spec", Test_spec.suite);

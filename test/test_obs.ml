@@ -81,31 +81,27 @@ let test_counters_deterministic () =
       check Alcotest.bool (name ^ ": counters nonempty") true (serial <> []))
     [ "efa"; "two-buffer" ]
 
-(* same invariance for the phases this PR parallelized directly —
-   validate, the per-destination BFS (under both storages) and the
-   move-graph materialization — without the checker around them *)
-let space_counters ~storage domains =
+(* same invariance for the parallel phases of the state-space build —
+   validate, the per-destination BFS and the move-graph
+   materialization — without the checker around them *)
+let space_counters domains =
   with_cap 4 @@ fun () ->
   let e = Option.get (Registry.find "efa") in
   let net = Registry.network_for e None in
   Obs.enable ();
-  let space = State_space.build ~storage ~domains net e.Registry.algo in
+  let space = State_space.build ~domains net e.Registry.algo in
   State_space.materialize_move_graphs ~domains space;
   let cs = Obs.counters () in
   Obs.disable ();
   cs
 
 let test_space_counters_deterministic () =
-  List.iter
-    (fun (label, storage) ->
-      let serial = space_counters ~storage 1 in
-      let parallel = space_counters ~storage 4 in
-      check
-        Alcotest.(list (pair string int))
-        (label ^ ": space counters agree across domains")
-        serial parallel;
-      check Alcotest.bool (label ^ ": counters nonempty") true (serial <> []))
-    [ ("dense", `Dense); ("sparse", `Sparse) ]
+  let serial = space_counters 1 in
+  let parallel = space_counters 4 in
+  check
+    Alcotest.(list (pair string int))
+    "space counters agree across domains" serial parallel;
+  check Alcotest.bool "counters nonempty" true (serial <> [])
 
 let test_trace_exports_valid_json () =
   let e = Option.get (Registry.find "efa") in
@@ -202,9 +198,42 @@ let test_timestamps_monotonic () =
   check Alcotest.bool "epochWallUs absent when disabled" true
     (Json.member "epochWallUs" (Obs.trace_json ()) = None)
 
+(* touch [mb] MB and drop it again; a separate function so nothing on the
+   caller's stack keeps the block alive *)
+let[@inline never] raise_watermark mb =
+  Bytes.length (Sys.opaque_identity (Bytes.make (mb * 1024 * 1024) 'x'))
+
+(* The reset must report what the next reading will show: raise the
+   watermark with a large block, release it, reset, and the result is
+   whether VmHWM fell.  Where /proc/self/clear_refs is writable the block
+   was given back to the OS, so the watermark must have fallen. *)
+let test_reset_peak_rss_honest () =
+  match Obs.peak_rss_kb () with
+  | None -> check Alcotest.bool "no VmHWM, no reset" false (Obs.reset_peak_rss ())
+  | Some _ ->
+    let mb = 64 in
+    ignore (raise_watermark mb : int);
+    let peak = Option.get (Obs.peak_rss_kb ()) in
+    Gc.full_major ();
+    let dropped = Obs.reset_peak_rss () in
+    let after = Option.get (Obs.peak_rss_kb ()) in
+    check Alcotest.bool "result = whether the watermark fell" (after < peak) dropped;
+    let writable =
+      try
+        close_out (open_out "/proc/self/clear_refs");
+        true
+      with Sys_error _ -> false
+    in
+    if writable then begin
+      check Alcotest.bool "released block lowers the watermark" true dropped;
+      check Alcotest.bool "by most of the block" true (peak - after > mb * 1024 / 2)
+    end
+
 let suite =
   [
     Alcotest.test_case "span nesting and depth" `Quick test_span_nesting;
+    Alcotest.test_case "reset_peak_rss reports a real drop" `Quick
+      test_reset_peak_rss_honest;
     Alcotest.test_case "counters deterministic across domains" `Quick
       test_counters_deterministic;
     Alcotest.test_case "space counters deterministic across domains" `Quick
