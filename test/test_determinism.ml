@@ -133,9 +133,34 @@ let check_space_identical name net algo =
   check Alcotest.bool (name ^ ": same stuck states") true
     (State_space.stuck_states s1 = State_space.stuck_states s4)
 
-let test_space_parallel () =
-  check_space_identical "efa 3-cube" cube3 Hypercube_wormhole.efa;
-  check_space_identical "two-buffer 3x3" saf33 Mesh_saf.two_buffer
+(* the parallel build from the state space through the BWG over it, once
+   with the closure rows forced into the dense bitmap representation and
+   once with the default hybrid sparse/dense rows *)
+let check_parallel_build name ~dense_closures net algo =
+  check_space_identical name net algo;
+  with_cap 4 @@ fun () ->
+  let serial = Bwg.build ~dense_closures (State_space.build ~domains:1 net algo) in
+  let parallel =
+    Bwg.build ~domains:4 ~dense_closures (State_space.build ~domains:4 net algo)
+  in
+  let gs = Bwg.graph serial in
+  check Alcotest.bool (name ^ ": same graph") true
+    (Dfr_graph.Digraph.equal gs (Bwg.graph parallel));
+  Dfr_graph.Digraph.iter_edges
+    (fun q1 q2 ->
+      if Bwg.witnesses serial q1 q2 <> Bwg.witnesses parallel q1 q2 then
+        Alcotest.failf "%s: witnesses of %d->%d differ" name q1 q2)
+    gs
+
+let test_space_dense () =
+  check_parallel_build "dense efa 3-cube" ~dense_closures:true cube3
+    Hypercube_wormhole.efa
+
+let test_space_sparse () =
+  check_parallel_build "sparse efa 3-cube" ~dense_closures:false cube3
+    Hypercube_wormhole.efa;
+  check_parallel_build "sparse two-buffer 3x3" ~dense_closures:false saf33
+    Mesh_saf.two_buffer
 
 (* ---- end to end: the whole catalogue, byte for byte ---- *)
 
@@ -183,7 +208,8 @@ let suite =
     Alcotest.test_case "verdict: efa 3-cube" `Quick test_verdict_efa_3cube;
     Alcotest.test_case "verdict: registry sweep" `Slow test_verdict_registry;
     Alcotest.test_case "validate: parallel sweep" `Quick test_validate_parallel;
-    Alcotest.test_case "space: parallel build" `Quick test_space_parallel;
+    Alcotest.test_case "space: dense parallel build" `Quick test_space_dense;
+    Alcotest.test_case "space: sparse parallel build" `Quick test_space_sparse;
     Alcotest.test_case "reports: catalogue across domains" `Slow
       test_report_catalogue;
     QCheck_alcotest.to_alcotest prop_report_domains_invariant;
