@@ -9,59 +9,104 @@
      simulate      flit-level simulation with a synthetic workload
      scenario      fault-plan campaigns, adversarial traffic, latency bounds
      serve         batched NDJSON checking service (stdio or TCP)
-     client        one-shot scripting client for a TCP serve instance *)
+     client        one-shot scripting client for a TCP serve instance
+
+   Every operation serve exposes too (resolving an instance, checking,
+   delta re-checks, campaigns, the catalogue) is Dfr_ops.Ops; this file
+   keeps argv terms, text rendering, file output and exit codes. *)
 
 open Cmdliner
-open Dfr_topology
 open Dfr_network
 open Dfr_routing
 open Dfr_core
 open Dfr_sim
 open Dfr_serve
+module Json = Dfr_util.Json
+module Obs = Dfr_obs.Obs
+module Ops = Dfr_ops.Ops
+
+(* Exit codes (kept machine-checkable, see test/cli_exit_codes.sh):
+     0  deadlock-free / success
+     1  deadlock found (or, for audit, a catalogue mismatch)
+     2  usage error: unknown algorithm, malformed spec, bad command line,
+        an instance the subcommand cannot run
+     3  verdict Unknown (a cap or budget was hit)
+   The verdict->code mapping itself lives in Report_json.exit_code so the
+   serve protocol reports the same numbers. *)
+
+(* The runner every subcommand body goes through: an Ops error ([ok]),
+   and the two exceptions Checker.check_result maps — validation or a
+   routing function refusing the instance — are usage errors. *)
+let run_op f =
+  try f ()
+  with Invalid_argument msg | Failure msg ->
+    prerr_endline msg;
+    2
+
+let ok = function Ok v -> v | Error e -> failwith (Ops.message e)
+let cmd info term = Cmd.v info Term.(const run_op $ term)
 
 (* ------------------------------------------------------------------ *)
 (* shared argument parsing                                             *)
-
-let parse_topology s =
-  (* shared with the spec language's `topology' clause *)
-  match Topology.of_string s with
-  | Ok t -> Ok t
-  | Error msg -> Error (`Msg msg)
-
-let topology_conv =
-  Arg.conv ((fun s -> parse_topology s), fun fmt t -> Format.fprintf fmt "%s" (Topology.name t))
 
 let topo_arg =
   let doc =
     "Topology: hypercube:N, mesh:AxBx..., torus:AxBx... or ring:N.  Defaults \
      to a small topology fitting the algorithm."
   in
-  Arg.(value & opt (some topology_conv) None & info [ "t"; "topology" ] ~doc)
+  Arg.(value & opt (some string) None & info [ "t"; "topology" ] ~doc)
 
 let algo_arg =
   let doc = "Routing algorithm (see `dfcheck list')." in
   Arg.(required & opt (some string) None & info [ "a"; "algorithm" ] ~doc)
 
-let lookup name =
-  match Registry.find name with
-  | Some e -> Ok e
-  | None ->
-    Error
-      (Printf.sprintf "unknown algorithm %S; known: %s" name
-         (String.concat ", " (Registry.names ())))
+let named_arg =
+  Term.(const (fun algo topology -> Ops.Named { algo; topology }) $ algo_arg $ topo_arg)
 
-(* Exit codes (kept machine-checkable, see test/cli_exit_codes.sh):
-     0  deadlock-free / success
-     1  deadlock found (or, for audit, a catalogue mismatch)
-     2  usage error: unknown algorithm, malformed spec, bad command line
-     3  verdict Unknown (a cap or budget was hit)
-   The verdict->code mapping itself lives in Report_json.exit_code so the
-   serve protocol reports the same numbers. *)
+let spec_file_arg =
+  let doc = "Network/routing specification (.dfr file; see DESIGN.md for the grammar)." in
+  Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
+
+let spec_arg = Term.(const (fun file -> Ops.Spec (Ops.File file)) $ spec_file_arg)
+let json_arg doc = Arg.(value & flag & info [ "json" ] ~doc)
+
+let output_arg =
+  Arg.(value & opt (some string) None & info [ "o"; "output" ] ~doc:"Output DOT file.")
+
+let domains_arg =
+  let positive =
+    Arg.conv
+      ( (fun s ->
+          match int_of_string_opt s with
+          | Some n when n >= 1 -> Ok n
+          | _ -> Error (`Msg (Printf.sprintf "expected an integer >= 1, got %S" s))),
+        Format.pp_print_int )
+  in
+  Arg.(
+    value & opt positive 1
+    & info [ "domains" ] ~docv:"N"
+        ~doc:
+          "Run the parallel phases on $(docv) >= 1 OCaml domains; the output \
+           is byte-identical at any $(docv).")
+
+(* the synthetic-workload shape shared by simulate and scenario *)
+let load_arg =
+  let rate =
+    Arg.(value & opt float 0.05 & info [ "r"; "rate" ] ~doc:"Packets per node per cycle.")
+  in
+  let length =
+    Arg.(value & opt int 8 & info [ "l"; "length" ] ~doc:"Packet length in flits.")
+  in
+  let horizon =
+    Arg.(value & opt int 2000 & info [ "horizon" ] ~doc:"Injection horizon in cycles.")
+  in
+  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"PRNG seed.") in
+  Term.(
+    const (fun rate length horizon seed -> { Ops.rate; length; horizon; seed })
+    $ rate $ length $ horizon $ seed)
 
 (* ------------------------------------------------------------------ *)
 (* observability: --trace / --metrics on the checking subcommands      *)
-
-module Obs = Dfr_obs.Obs
 
 let trace_arg =
   Arg.(
@@ -92,57 +137,28 @@ let obs_teardown ~trace =
 (* the report parser ignores unknown fields, so appending is compatible *)
 let with_metrics ~metrics doc =
   match (metrics, doc) with
-  | true, Dfr_util.Json.Obj fields ->
-    Dfr_util.Json.Obj (fields @ [ ("metrics", Obs.metrics_json ()) ])
+  | true, Json.Obj fields -> Json.Obj (fields @ [ ("metrics", Obs.metrics_json ()) ])
   | _ -> doc
 
 let print_text_metrics ~metrics =
   if metrics then
-    Printf.printf "metrics:\n%s\n"
-      (Dfr_util.Json.to_string_pretty (Obs.metrics_json ()))
+    Printf.printf "metrics:\n%s\n" (Json.to_string_pretty (Obs.metrics_json ()))
 
-(* The one place a report becomes terminal output: `check', `spec check'
-   and (through Report_json.of_outcome directly) the serve engine all
-   agree on the JSON shape and the exit code.  An instance the checker
-   rejects (validation, or a routing function refusing the network) is a
-   usage error, as it is for serve. *)
-let run_check_report ~name ~replay ~certificate ~json ~domains ~trace ~metrics
-    net algo =
-  obs_setup ~trace ~metrics;
-  match Checker.check_result ~domains net algo with
-  | Error msg ->
-    prerr_endline msg;
-    2
-  | Ok report ->
-    if json then
-      print_endline
-        (Dfr_util.Json.to_string_pretty
-           (Report_json.of_outcome
-              ?metrics:(if metrics then Some (Obs.metrics_json ()) else None)
-              net algo report))
-    else if certificate then Certificate.print net algo report
-    else begin
-      Format.printf "%s on %s:@.  %a@." name (Net.name net)
-        (Checker.pp_verdict net) report.Checker.verdict;
-      print_text_metrics ~metrics
-    end;
-    (match report.Checker.verdict with
-    | Checker.Deadlock_possible failure when replay ->
-      (match Dfr_scenario.Scenario.replay net algo failure with
-      | Some true -> Format.printf "  replay: deadlock confirmed in simulation@."
-      | Some false -> Format.printf "  replay: configuration drained (not confirmed)@."
-      | None -> Format.printf "  replay: nothing to replay for this failure@.")
-    | _ -> ());
-    obs_teardown ~trace;
-    Report_json.exit_code report.Checker.verdict
+let write_or_print output what content =
+  match output with
+  | None -> print_string content
+  | Some file ->
+    let oc = open_out file in
+    output_string oc content;
+    close_out oc;
+    Printf.printf "wrote %s (%s)\n" file what
 
 (* ------------------------------------------------------------------ *)
 (* list                                                                *)
 
 let list_cmd =
-  let run json =
-    if json then
-      print_endline (Dfr_util.Json.to_string_pretty (Protocol.catalogue_json ()))
+  let run json () =
+    if json then print_endline (Json.to_string_pretty (Ops.catalogue ()))
     else
       List.iter
         (fun (e : Registry.entry) ->
@@ -156,89 +172,135 @@ let list_cmd =
     0
   in
   let json =
-    Arg.(value & flag
-         & info [ "json" ]
-             ~doc:
-               "Print the catalogue as JSON (the same document a serve \
-                instance returns for op $(b,catalogue)).")
+    json_arg
+      "Print the catalogue as JSON (the same document a serve instance \
+       returns for op $(b,catalogue))."
   in
-  Cmd.v (Cmd.info "list" ~doc:"List the routing algorithms in the catalogue")
+  cmd
+    (Cmd.info "list" ~doc:"List the routing algorithms in the catalogue")
     Term.(const run $ json)
 
 (* ------------------------------------------------------------------ *)
-(* check                                                               *)
+(* check / spec check                                                  *)
 
-let check_run name topo replay certificate json domains trace metrics =
-  match lookup name with
-  | Error msg ->
-    prerr_endline msg;
-    2
-  | Ok e -> (
-    match Registry.network_for e topo with
-    | exception Invalid_argument msg ->
-      prerr_endline msg;
-      2
-    | net ->
-      run_check_report ~name:e.Registry.name ~replay ~certificate ~json ~domains
-        ~trace ~metrics net e.Registry.algo)
+(* The one place a report becomes terminal output, for catalogue and
+   spec instances alike. *)
+let check_run source replay certificate json domains trace metrics () =
+  let inst = ok (Ops.instance source) in
+  let net = inst.Ops.net and algo = inst.Ops.algo in
+  let name =
+    match source with Ops.Named { algo = a; _ } -> a | Ops.Spec _ -> algo.Algo.name
+  in
+  obs_setup ~trace ~metrics;
+  let report = ok (Ops.check ~domains inst) in
+  if json then
+    print_endline
+      (Json.to_string_pretty
+         (Report_json.of_outcome
+            ?metrics:(if metrics then Some (Obs.metrics_json ()) else None)
+            net algo report))
+  else if certificate then Certificate.print net algo report
+  else begin
+    Format.printf "%s on %s:@.  %a@." name (Net.name net) (Checker.pp_verdict net)
+      report.Checker.verdict;
+    print_text_metrics ~metrics
+  end;
+  (match report.Checker.verdict with
+  | Checker.Deadlock_possible failure when replay -> (
+    match Dfr_scenario.Scenario.replay net algo failure with
+    | Some true -> Format.printf "  replay: deadlock confirmed in simulation@."
+    | Some false -> Format.printf "  replay: configuration drained (not confirmed)@."
+    | None -> Format.printf "  replay: nothing to replay for this failure@.")
+  | _ -> ());
+  obs_teardown ~trace;
+  Report_json.exit_code report.Checker.verdict
+
+let replay_arg =
+  Arg.(value & flag & info [ "replay" ] ~doc:"Replay a deadlock verdict in the simulator.")
+
+let certificate_arg =
+  Arg.(value & flag & info [ "certificate" ] ~doc:"Print a full proof certificate.")
 
 let check_cmd =
-  let replay =
-    Arg.(value & flag & info [ "replay" ] ~doc:"Replay a deadlock verdict in the simulator.")
-  in
-  let certificate =
-    Arg.(value & flag
-         & info [ "certificate" ] ~doc:"Print a full proof certificate.")
-  in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Print the report as JSON.")
-  in
-  let domains =
-    Arg.(value & opt int 1
-         & info [ "domains" ]
+  cmd
+    (Cmd.info "check" ~doc:"Decide deadlock freedom with the BWG checker")
+    Term.(
+      const check_run $ named_arg $ replay_arg $ certificate_arg
+      $ json_arg "Print the report as JSON." $ domains_arg $ trace_arg $ metrics_arg)
+
+(* `spec check --base OLD.dfr NEW.dfr`: build an incremental session on
+   the base, re-derive only the destinations the edit touched, and print
+   the JSON report — byte-identical to a cold `spec check --json` of the
+   edited file (Incr's contract).  The delta summary goes to stderr so
+   stdout stays a parseable report either way; CI greps its wording. *)
+let spec_check_delta ~base_file ~file ~domains ~trace ~metrics =
+  let base = ok (Ops.compile (Ops.File base_file)) in
+  let edit = ok (Ops.compile (Ops.File file)) in
+  obs_setup ~trace ~metrics;
+  let live, _ = ok (Ops.session ~domains base) in
+  let d = ok (Ops.delta ~domains (Some live) edit) in
+  let res = d.Ops.result in
+  (match d.Ops.path with
+  | Ops.Cold why ->
+    Printf.eprintf "delta: %s; checking cold\n%!"
+      (match why with
+      | Ops.Incompatible reason -> "base incompatible: " ^ reason
+      | Ops.Refused msg -> msg
+      | Ops.No_session -> "no base session")
+  | Ops.Fast | Ops.Replay ->
+    Printf.eprintf "delta: %s path, %d/%d destinations re-derived\n%!"
+      (Ops.path_name d.Ops.path) res.Incr.dirty_dests
+      (res.Incr.dirty_dests + res.Incr.reused_dests));
+  print_endline (Json.to_string_pretty res.Incr.report);
+  obs_teardown ~trace;
+  res.Incr.exit_code
+
+let spec_check_cmd =
+  let base =
+    Arg.(value & opt (some file) None
+         & info [ "base" ] ~docv:"BASE"
              ~doc:
-               "Build the BWG and classify its cycles in parallel with this \
-                many OCaml domains.")
+               "Check incrementally against $(docv), an earlier version of \
+                the spec: only destinations whose routing the edit touched \
+                are re-derived.  Prints the JSON report (bit-identical to a \
+                cold $(b,--json) check) on stdout and a delta summary on \
+                stderr; $(b,--replay) and $(b,--certificate) are ignored.")
   in
-  Cmd.v (Cmd.info "check" ~doc:"Decide deadlock freedom with the BWG checker")
-    Term.(const check_run $ algo_arg $ topo_arg $ replay $ certificate $ json
-          $ domains $ trace_arg $ metrics_arg)
+  let run file base replay certificate json domains trace metrics () =
+    match base with
+    | Some base_file -> spec_check_delta ~base_file ~file ~domains ~trace ~metrics
+    | None ->
+      check_run (Ops.Spec (Ops.File file)) replay certificate json domains trace
+        metrics ()
+  in
+  cmd
+    (Cmd.info "check" ~doc:"Decide deadlock freedom for a spec-defined network")
+    Term.(
+      const run $ spec_file_arg $ base $ replay_arg $ certificate_arg
+      $ json_arg "Print the report as JSON." $ domains_arg $ trace_arg $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
-(* bwg: DOT export                                                     *)
+(* bwg / spec bwg: DOT export                                          *)
 
-let bwg_run name topo output =
-  match lookup name with
-  | Error msg ->
-    prerr_endline msg;
-    2
-  | Ok e ->
-    let net = Registry.network_for e topo in
-    let space = State_space.build net e.Registry.algo in
-    let bwg = Bwg.build space in
-    let dot = Bwg.to_dot bwg in
-    (match output with
-    | None -> print_string dot
-    | Some file ->
-      let oc = open_out file in
-      output_string oc dot;
-      close_out oc;
-      Printf.printf "wrote %s (%d vertices, %d edges)\n" file
-        (Dfr_graph.Digraph.num_vertices (Bwg.graph bwg))
-        (Dfr_graph.Digraph.num_edges (Bwg.graph bwg)));
-    0
+let bwg_run source output () =
+  let inst = ok (Ops.instance source) in
+  let bwg = Bwg.build (State_space.build inst.Ops.net inst.Ops.algo) in
+  let g = Bwg.graph bwg in
+  write_or_print output
+    (Printf.sprintf "%d vertices, %d edges" (Dfr_graph.Digraph.num_vertices g)
+       (Dfr_graph.Digraph.num_edges g))
+    (Bwg.to_dot bwg);
+  0
 
 let bwg_cmd =
-  let output =
-    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~doc:"Output DOT file.")
-  in
-  Cmd.v (Cmd.info "bwg" ~doc:"Export the buffer waiting graph as Graphviz DOT")
-    Term.(const bwg_run $ algo_arg $ topo_arg $ output)
+  cmd
+    (Cmd.info "bwg" ~doc:"Export the buffer waiting graph as Graphviz DOT")
+    Term.(const bwg_run $ named_arg $ output_arg)
 
 (* ------------------------------------------------------------------ *)
 (* adaptiveness (Figure 3)                                             *)
 
-let adaptiveness_run max_n =
+let adaptiveness_run max_n () =
   let algos = [ "ecube"; "duato"; "efa" ] in
   Printf.printf "# Degree of adaptiveness (Figure 3), buffer-level paths\n";
   Printf.printf "%-12s" "dimension";
@@ -263,24 +325,26 @@ let adaptiveness_cmd =
   let max_n =
     Arg.(value & opt int 12 & info [ "max-dim" ] ~doc:"Largest hypercube dimension.")
   in
-  Cmd.v
+  cmd
     (Cmd.info "adaptiveness" ~doc:"Reproduce Figure 3 (degree of adaptiveness)")
     Term.(const adaptiveness_run $ max_n)
 
 (* ------------------------------------------------------------------ *)
 (* matrix: proof techniques side by side (E6)                          *)
 
-let matrix_run topo =
+let matrix_run topology () =
   Printf.printf "%-24s %-12s %-14s %-12s %s\n" "algorithm" "dally-seitz"
     "duato-cond" "bwg(paper)" "network";
   List.iter
     (fun (e : Registry.entry) ->
-      let net = Registry.network_for e topo in
-      let space = State_space.build net e.Registry.algo in
+      let { Ops.net; algo } =
+        ok (Ops.instance (Ops.Named { algo = e.Registry.name; topology }))
+      in
+      let space = State_space.build net algo in
       let ds = if Cdg.deadlock_free space then "certified" else "-" in
       let dc = if Duato_condition.deadlock_free space then "certified" else "-" in
       let bwg =
-        match Checker.verdict net e.Registry.algo with
+        match Checker.verdict net algo with
         | Checker.Deadlock_free _ -> "certified"
         | Checker.Deadlock_possible _ -> "deadlock"
         | Checker.Unknown _ -> "unknown"
@@ -291,7 +355,7 @@ let matrix_run topo =
   0
 
 let matrix_cmd =
-  Cmd.v
+  cmd
     (Cmd.info "matrix"
        ~doc:"Verdict matrix: every algorithm under three proof techniques")
     Term.(const matrix_run $ topo_arg)
@@ -312,103 +376,67 @@ let parse_pattern = function
 
 let pattern_conv = Arg.conv (parse_pattern, fun fmt _ -> Format.fprintf fmt "<pattern>")
 
-let simulate_run name topo pattern rate length horizon seed router json trace
-    metrics =
-  match lookup name with
-  | Error msg ->
-    prerr_endline msg;
+let simulate_run source pattern load router json trace metrics () =
+  let { Ops.net; algo } = ok (Ops.instance source) in
+  let nodes = Net.num_nodes net in
+  (* user-supplied hotspot nodes are range-checked here so a bad value
+     is a usage error (exit 2), not an out-of-bounds injection *)
+  match pattern with
+  | Traffic.Hotspot h when h < 0 || h >= nodes ->
+    Printf.eprintf "hotspot node %d out of range 0..%d for %s\n" h (nodes - 1)
+      (Net.name net);
     2
-  | Ok e -> (
-    let net = Registry.network_for e topo in
-    let nodes = Net.num_nodes net in
-    (* user-supplied hotspot nodes are range-checked here so a bad value
-       is a usage error (exit 2), not an out-of-bounds injection *)
-    match pattern with
-    | Traffic.Hotspot h when h < 0 || h >= nodes ->
-      Printf.eprintf "hotspot node %d out of range 0..%d for %s\n" h (nodes - 1)
-        (Net.name net);
-      2
-    | _ ->
+  | _ ->
+    (* validated up front, so a refused instance does not depend on which
+       route calls the workload happens to make *)
+    (match Algo.validate algo net with Ok () -> () | Error msg -> invalid_arg msg);
     obs_setup ~trace ~metrics;
     let t =
       match Net.topology net with
       | Some t -> t
       | None -> failwith "simulate: custom networks not supported"
     in
+    let { Ops.rate; length; horizon; seed } = load in
     let traffic = Traffic.generate t ~pattern ~rate ~length ~horizon ~seed in
     if not json then
       Printf.printf "workload: %d packets over %d cycles\n" (Traffic.count traffic)
         horizon;
-    let deadlocked, doc =
+    let r =
       match Net.switching net with
-      | Net.Wormhole when router ->
-        let o = Router_sim.run net e.Registry.algo traffic in
-        if not json then Format.printf "%a@." Router_sim.pp_outcome o;
-        (Router_sim.is_deadlocked o, Sim_report.router o ~nodes)
-      | Net.Wormhole ->
-        let o = Wormhole_sim.run net e.Registry.algo traffic in
-        if not json then Format.printf "%a@." Wormhole_sim.pp_outcome o;
-        (Wormhole_sim.is_deadlocked o, Sim_report.wormhole o ~nodes)
-      | Net.Store_and_forward | Net.Virtual_cut_through ->
-        let o = Saf_sim.run net e.Registry.algo traffic in
-        if not json then Format.printf "%a@." Saf_sim.pp_outcome o;
-        (Saf_sim.is_deadlocked o, Sim_report.saf o ~nodes)
+      | Net.Wormhole when router -> Sim.of_router ~nodes (Router_sim.run net algo traffic)
+      | _ -> Sim.run net algo traffic
     in
     if json then
-      print_endline (Dfr_util.Json.to_string_pretty (with_metrics ~metrics doc))
-    else print_text_metrics ~metrics;
+      print_endline (Json.to_string_pretty (with_metrics ~metrics r.Sim.report))
+    else begin
+      print_endline r.Sim.text;
+      print_text_metrics ~metrics
+    end;
     obs_teardown ~trace;
-    if deadlocked then 1 else 0)
+    if r.Sim.deadlocked then 1 else 0
 
 let simulate_cmd =
   let pattern =
     Arg.(value & opt pattern_conv Traffic.Uniform & info [ "p"; "pattern" ] ~doc:"Traffic pattern.")
   in
-  let rate =
-    Arg.(value & opt float 0.05 & info [ "r"; "rate" ] ~doc:"Packets per node per cycle.")
-  in
-  let length = Arg.(value & opt int 8 & info [ "l"; "length" ] ~doc:"Packet length in flits.") in
-  let horizon =
-    Arg.(value & opt int 2000 & info [ "horizon" ] ~doc:"Injection horizon in cycles.")
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"PRNG seed.") in
   let router =
     Arg.(value & flag
          & info [ "router" ]
              ~doc:"Use the pipelined credit-based router model instead of \
                    the plain flit simulator.")
   in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Print the outcome as JSON.")
-  in
-  Cmd.v (Cmd.info "simulate" ~doc:"Run the flit-level simulator on a workload")
-    Term.(const simulate_run $ algo_arg $ topo_arg $ pattern $ rate $ length
-          $ horizon $ seed $ router $ json $ trace_arg $ metrics_arg)
+  cmd
+    (Cmd.info "simulate" ~doc:"Run the flit-level simulator on a workload")
+    Term.(
+      const simulate_run $ named_arg $ pattern $ load_arg $ router
+      $ json_arg "Print the outcome as JSON." $ trace_arg $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
 (* scenario: fault campaigns, adversarial traffic, latency bounds      *)
 
-(* also the spec section's loader, hoisted here because scenario shares it *)
-let with_spec file k =
-  match Dfr_spec.Spec.load_file file with
-  | Error e ->
-    prerr_endline (Dfr_spec.Spec.error_to_string ~file e);
-    2
-  | Ok spec -> k spec
-
-module Fault = Dfr_scenario.Fault
-module Degrade = Dfr_scenario.Degrade
-module Latency = Dfr_scenario.Latency
 module Scenario = Dfr_scenario.Scenario
 
-type scenario_traffic =
-  | T_none
-  | T_pattern of Traffic.pattern  (** open-loop Bernoulli arrivals *)
-  | T_bursty of int  (** leaky-bucket bursts of this depth, uniform dests *)
-  | T_storm of int list  (** multi-hotspot storm at these destinations *)
-  | T_permutation
-  | T_seeking  (** scripted packets aimed at the final verdict's witness *)
-
+(* [None] is --traffic none *)
 let parse_scenario_traffic s =
   let ints csv =
     let parts = String.split_on_char ',' csv in
@@ -422,20 +450,20 @@ let parse_scenario_traffic s =
     go [] parts
   in
   match s with
-  | "none" -> Ok T_none
-  | "permutation" -> Ok T_permutation
-  | "seeking" -> Ok T_seeking
+  | "none" -> Ok None
+  | "permutation" -> Ok (Some Ops.Permutation)
+  | "seeking" -> Ok (Some Ops.Seeking)
   | s when String.length s > 7 && String.sub s 0 7 = "bursty:" -> (
     match int_of_string_opt (String.sub s 7 (String.length s - 7)) with
-    | Some b -> Ok (T_bursty b)
+    | Some b -> Ok (Some (Ops.Bursty b))
     | None -> Error (`Msg "bursty:BURST"))
   | s when String.length s > 6 && String.sub s 0 6 = "storm:" -> (
     match ints (String.sub s 6 (String.length s - 6)) with
-    | Some ds -> Ok (T_storm ds)
+    | Some ds -> Ok (Some (Ops.Storm ds))
     | None -> Error (`Msg "storm:D1,D2,..."))
   | s -> (
     match parse_pattern s with
-    | Ok p -> Ok (T_pattern p)
+    | Ok p -> Ok (Some (Ops.Pattern p))
     | Error _ ->
       Error
         (`Msg
@@ -465,223 +493,35 @@ let print_campaign_text (c : Scenario.campaign) =
     c.Scenario.outcomes;
   Format.printf "overall exit %d@." c.Scenario.exit_code
 
-(* The degraded instance left standing after the whole plan — what the
-   traffic and latency stages run against. *)
-let final_instance (c : Scenario.campaign) net algo plan =
-  match Fault.expand plan net with
-  | Error msg -> Error msg
-  | Ok steps -> (
-    match steps with
-    | [] -> Ok (net, algo)
-    | _ -> (
-      match
-        Degrade.apply c.Scenario.space
-          (List.map (fun (s : Fault.step) -> s.Fault.fault) steps)
-      with
-      | Error msg -> Error msg
-      | Ok (Degrade.Filtered { algo = algo'; _ }) -> Ok (net, algo')
-      | Ok (Degrade.Rebuilt { net = net'; algo = algo'; _ }) -> Ok (net', algo')))
-
-(* Build the requested workload against the (possibly degraded) final
-   instance.  Generator validation errors (zero-length packets, an empty
-   or out-of-range storm destination set) raise [Invalid_argument], which
-   the caller maps to a usage error — exit 2, pinned by
-   test/cli_exit_codes.sh. *)
-let scenario_workload ~traffic ~rate ~length ~horizon ~seed ~report fnet =
-  let topo () =
-    match Net.topology fnet with
-    | Some t -> t
-    | None ->
-      invalid_arg
-        "this traffic kind needs a topology-backed network (the plan's node \
-         kills rebuild a custom network)"
+let scenario_run mode plan spec algo topology cold domains traffic load latency
+    json trace metrics () =
+  let source =
+    match (spec, algo) with
+    | Some file, None -> Ops.Spec (Ops.File file)
+    | None, Some algo -> Ops.Named { algo; topology }
+    | _ -> failwith "dfcheck scenario: give exactly one of --spec FILE or -a NAME"
   in
-  match traffic with
-  | T_none -> None
-  | T_pattern p ->
-    Some (Traffic.generate (topo ()) ~pattern:p ~rate ~length ~horizon ~seed)
-  | T_bursty burst ->
-    Some
-      (Traffic.bursty (topo ()) ~pattern:Traffic.Uniform ~burst ~rate ~length
-         ~horizon ~seed)
-  | T_storm dests ->
-    Some (Traffic.storm (topo ()) ~dests ~rate ~length ~horizon ~seed)
-  | T_permutation -> Some (Traffic.permutation (topo ()) ~count:1 ~length ~seed)
-  | T_seeking -> (
-    let report = Lazy.force report in
-    match report.Checker.verdict with
-    | Checker.Deadlock_possible failure -> (
-      match
-        Scenario.seeking_traffic report.Checker.space ~length failure
-      with
-      | Some t -> Some t
-      | None ->
-        invalid_arg
-          "the final verdict's failure carries no packet configuration to \
-           aim traffic at")
-    | _ ->
-      invalid_arg
-        "--traffic seeking needs a deadlock verdict on the final degraded \
-         instance")
-
-let scenario_exec ~mode ~plan_file ~spec_file ~algo_name ~topo ~cold ~domains
-    ~traffic ~rate ~length ~horizon ~seed ~latency ~json ~trace ~metrics =
-  let with_instance k =
-    match (spec_file, algo_name) with
-    | Some file, None ->
-      with_spec file (fun spec ->
-          k spec.Dfr_spec.Spec.net spec.Dfr_spec.Spec.algo)
-    | None, Some name -> (
-      match lookup name with
-      | Error msg ->
-        prerr_endline msg;
-        2
-      | Ok e -> k (Registry.network_for e topo) e.Registry.algo)
-    | _ ->
-      prerr_endline
-        "dfcheck scenario: give exactly one of --spec FILE or -a NAME";
-      2
+  let inst = ok (Ops.instance source) in
+  obs_setup ~trace ~metrics;
+  let traffic = Option.map (fun w -> (w, load)) traffic in
+  let s =
+    match Ops.scenario ~cold ?traffic ~latency ~domains ~mode inst (Ops.File plan) with
+    | Ok s -> s
+    | Error e -> failwith ("dfcheck scenario: " ^ Ops.message e)
   in
-  if domains < 1 then begin
-    prerr_endline "dfcheck scenario: --domains must be >= 1";
-    2
-  end
-  else
-    with_instance (fun net algo ->
-        match Fault.load_file plan_file with
-        | Error msg ->
-          prerr_endline ("dfcheck scenario: " ^ msg);
-          2
-        | Ok plan -> (
-          obs_setup ~trace ~metrics;
-          let finish code =
-            obs_teardown ~trace;
-            code
-          in
-          match Scenario.campaign ~domains ~cold ~mode net algo plan with
-          | exception Invalid_argument msg ->
-            prerr_endline ("dfcheck scenario: " ^ msg);
-            finish 2
-          | Error msg ->
-            prerr_endline ("dfcheck scenario: " ^ msg);
-            finish 2
-          | Ok c ->
-            let extras () =
-              if traffic = T_none && not latency then
-                Ok ([], c.Scenario.exit_code)
-              else
-                match final_instance c net algo plan with
-                | Error msg -> Error msg
-                | Ok (fnet, falgo) -> (
-                  (* one cold check of the final instance feeds the
-                     seeking workload and the latency analyzer *)
-                  let freport = lazy (Checker.check ~domains fnet falgo) in
-                  match
-                    scenario_workload ~traffic ~rate ~length ~horizon ~seed
-                      ~report:freport fnet
-                  with
-                  | exception Invalid_argument msg -> Error msg
-                  | workload ->
-                    let sim =
-                      Option.map
-                        (fun w ->
-                          match Net.switching fnet with
-                          | Net.Wormhole -> (
-                            let o = Wormhole_sim.run fnet falgo w in
-                            ( Wormhole_sim.is_deadlocked o,
-                              Sim_report.wormhole o ~nodes:(Net.num_nodes fnet),
-                              match o with
-                              | Wormhole_sim.Completed stats ->
-                                Some (Stats.percentile_latency stats 1.0)
-                              | _ -> None ))
-                          | Net.Store_and_forward | Net.Virtual_cut_through ->
-                            let o = Saf_sim.run fnet falgo w in
-                            ( Saf_sim.is_deadlocked o,
-                              Sim_report.saf o ~nodes:(Net.num_nodes fnet),
-                              None ))
-                        workload
-                    in
-                    let lat =
-                      if not latency then None
-                      else begin
-                        let report = Lazy.force freport in
-                        let bounds =
-                          match report.Checker.verdict with
-                          | Checker.Deadlock_free _ ->
-                            Latency.analyze report.Checker.space
-                              report.Checker.bwg
-                              (Option.value workload ~default:[])
-                          | _ ->
-                            {
-                              Latency.defined = false;
-                              reason =
-                                Some
-                                  "the final degraded instance is not \
-                                   deadlock-free";
-                              packets = 0;
-                              components = 0;
-                              largest_component = 0;
-                              p50 = 0;
-                              p99 = 0;
-                              p100 = 0;
-                            }
-                        in
-                        Some bounds
-                      end
-                    in
-                    let fields =
-                      (match sim with
-                      | None -> []
-                      | Some (_, doc, _) -> [ ("traffic", doc) ])
-                      @
-                      match (lat, sim) with
-                      | None, _ -> []
-                      | Some b, Some (_, _, Some observed) ->
-                        [
-                          ( "latency",
-                            Dfr_util.Json.Obj
-                              ((match Latency.to_json b with
-                               | Dfr_util.Json.Obj fs -> fs
-                               | j -> [ ("bounds", j) ])
-                              @ [
-                                  ("observed_p100", Dfr_util.Json.Int observed);
-                                  ( "sound",
-                                    Dfr_util.Json.Bool
-                                      ((not b.Latency.defined)
-                                      || b.Latency.p100 >= observed) );
-                                ]) );
-                        ]
-                      | Some b, _ -> [ ("latency", Latency.to_json b) ]
-                    in
-                    let sim_exit =
-                      match sim with Some (true, _, _) -> 1 | _ -> 0
-                    in
-                    Ok (fields, max c.Scenario.exit_code sim_exit))
-            in
-            (match extras () with
-            | Error msg ->
-              prerr_endline ("dfcheck scenario: " ^ msg);
-              finish 2
-            | Ok (extra, exit_code) ->
-              (if json then
-                 let doc =
-                   match Scenario.campaign_to_json c with
-                   | Dfr_util.Json.Obj fields ->
-                     Dfr_util.Json.Obj (fields @ extra)
-                   | j -> j
-                 in
-                 print_endline
-                   (Dfr_util.Json.to_string_pretty (with_metrics ~metrics doc))
-               else begin
-                 print_campaign_text c;
-                 List.iter
-                   (fun (k, v) ->
-                     Format.printf "%s:@.%s@." k
-                       (Dfr_util.Json.to_string_pretty v))
-                   extra;
-                 print_text_metrics ~metrics
-               end);
-              finish exit_code)))
+  if json then print_endline (Json.to_string_pretty (with_metrics ~metrics s.Ops.doc))
+  else begin
+    print_campaign_text s.Ops.campaign;
+    List.iter
+      (fun k ->
+        Option.iter
+          (fun v -> Format.printf "%s:@.%s@." k (Json.to_string_pretty v))
+          (Json.member k s.Ops.doc))
+      [ "traffic"; "latency" ];
+    print_text_metrics ~metrics
+  end;
+  obs_teardown ~trace;
+  s.Ops.exit_code
 
 let scenario_cmd =
   let plan_arg =
@@ -712,15 +552,10 @@ let scenario_cmd =
              incremental session.  Same bytes, k times the cost — the \
              determinism tests diff the two.")
   in
-  let domains =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~doc:"Checker parallelism, as in `check'.")
-  in
   let traffic =
     Arg.(
       value
-      & opt scenario_traffic_conv T_none
+      & opt scenario_traffic_conv None
       & info [ "traffic" ] ~docv:"KIND"
           ~doc:
             "Workload to simulate on the final degraded instance: \
@@ -728,19 +563,6 @@ let scenario_cmd =
              $(b,hotspot:N)|$(b,bursty:B)|$(b,storm:D1,D2,...)|\
              $(b,permutation)|$(b,seeking)|$(b,none).")
   in
-  let rate =
-    Arg.(
-      value & opt float 0.05
-      & info [ "r"; "rate" ] ~doc:"Packets per node per cycle.")
-  in
-  let length =
-    Arg.(value & opt int 8 & info [ "l"; "length" ] ~doc:"Packet length in flits.")
-  in
-  let horizon =
-    Arg.(
-      value & opt int 2000 & info [ "horizon" ] ~doc:"Injection horizon in cycles.")
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"PRNG seed.") in
   let latency =
     Arg.(
       value & flag
@@ -750,19 +572,11 @@ let scenario_cmd =
              final degraded instance, cross-checked against the simulated \
              p100 when both exist.")
   in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Print the campaign as JSON.")
-  in
-  let run mode plan_file spec_file algo_name topo cold domains traffic rate
-      length horizon seed latency json trace metrics =
-    scenario_exec ~mode ~plan_file ~spec_file ~algo_name ~topo ~cold ~domains
-      ~traffic ~rate ~length ~horizon ~seed ~latency ~json ~trace ~metrics
-  in
   let term mode =
     Term.(
-      const (run mode) $ plan_arg $ spec_arg $ algo_name $ topo_arg $ cold
-      $ domains $ traffic $ rate $ length $ horizon $ seed $ latency $ json
-      $ trace_arg $ metrics_arg)
+      const (scenario_run mode) $ plan_arg $ spec_arg $ algo_name $ topo_arg $ cold
+      $ domains_arg $ traffic $ load_arg $ latency
+      $ json_arg "Print the campaign as JSON." $ trace_arg $ metrics_arg)
   in
   Cmd.group
     (Cmd.info "scenario"
@@ -773,13 +587,13 @@ let scenario_cmd =
           degraded network with adversarial traffic and worst-case latency \
           bounds.")
     [
-      Cmd.v
+      cmd
         (Cmd.info "sweep"
            ~doc:
              "Check every fault of the plan independently against the \
               baseline (k faults, one incremental session).")
         (term `Sweep);
-      Cmd.v
+      cmd
         (Cmd.info "run"
            ~doc:
              "Replay the plan's timeline: faults accumulate, one re-check \
@@ -790,155 +604,40 @@ let scenario_cmd =
 (* ------------------------------------------------------------------ *)
 (* spec: user-supplied .dfr networks, no recompilation needed          *)
 
-let spec_file_arg =
-  let doc = "Network/routing specification (.dfr file; see DESIGN.md for the grammar)." in
-  Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
-
-(* `spec check --base OLD.dfr NEW.dfr`: build an incremental session on
-   the base, re-derive only the destinations the edit touched, and print
-   the JSON report — byte-identical to a cold `spec check --json` of the
-   edited file (Incr's contract).  The delta summary goes to stderr so
-   stdout stays a parseable report either way. *)
-let spec_check_delta ~base_file ~file ~domains ~trace ~metrics =
-  with_spec base_file (fun bspec ->
-      with_spec file (fun spec ->
-          obs_setup ~trace ~metrics;
-          let finish code =
-            obs_teardown ~trace;
-            code
-          in
-          let cold reason =
-            Printf.eprintf "delta: %s; checking cold\n%!" reason;
-            let report =
-              Checker.check ~domains spec.Dfr_spec.Spec.net spec.Dfr_spec.Spec.algo
-            in
-            print_endline
-              (Dfr_util.Json.to_string_pretty
-                 (Report_json.of_outcome spec.Dfr_spec.Spec.net
-                    spec.Dfr_spec.Spec.algo report));
-            finish (Report_json.exit_code report.Checker.verdict)
-          in
-          let bval = bspec.Dfr_spec.Spec.elaborated.Dfr_spec.Elaborate.spec in
-          let eval = spec.Dfr_spec.Spec.elaborated.Dfr_spec.Elaborate.spec in
-          match Dfr_spec.Diff.diff bval eval with
-          | Dfr_spec.Diff.Incompatible reason -> cold ("base incompatible: " ^ reason)
-          | Dfr_spec.Diff.Frontier f ->
-            let session, _ =
-              Incr.create ~domains bspec.Dfr_spec.Spec.net bspec.Dfr_spec.Spec.algo
-            in
-            (match Incr.update session spec.Dfr_spec.Spec.algo ~dirty:f.Dfr_spec.Diff.dirty with
-            | exception Invalid_argument msg -> cold msg
-            | res ->
-              Printf.eprintf "delta: %s, %d/%d destinations re-derived\n%!"
-                (match res.Incr.path with
-                | Incr.Fast -> "fast path"
-                | Incr.Replay -> "replay path")
-                res.Incr.dirty_dests
-                (res.Incr.dirty_dests + res.Incr.reused_dests);
-              print_endline (Dfr_util.Json.to_string_pretty res.Incr.report);
-              finish res.Incr.exit_code)))
-
-let spec_check_run file base replay certificate json domains trace metrics =
-  match base with
-  | Some base_file -> spec_check_delta ~base_file ~file ~domains ~trace ~metrics
-  | None ->
-    with_spec file (fun spec ->
-        let net = spec.Dfr_spec.Spec.net and algo = spec.Dfr_spec.Spec.algo in
-        run_check_report ~name:algo.Algo.name ~replay ~certificate ~json ~domains
-          ~trace ~metrics net algo)
-
-let spec_check_cmd =
-  let replay =
-    Arg.(value & flag & info [ "replay" ] ~doc:"Replay a deadlock verdict in the simulator.")
-  in
-  let certificate =
-    Arg.(value & flag & info [ "certificate" ] ~doc:"Print a full proof certificate.")
-  in
-  let json = Arg.(value & flag & info [ "json" ] ~doc:"Print the report as JSON.") in
-  let base =
-    Arg.(value & opt (some file) None
-         & info [ "base" ] ~docv:"BASE"
-             ~doc:
-               "Check incrementally against $(docv), an earlier version of \
-                the spec: only destinations whose routing the edit touched \
-                are re-derived.  Prints the JSON report (bit-identical to a \
-                cold $(b,--json) check) on stdout and a delta summary on \
-                stderr; $(b,--replay) and $(b,--certificate) are ignored.")
-  in
-  let domains =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ]
-          ~doc:
-            "Build the BWG and classify its cycles in parallel with this many OCaml domains.")
-  in
-  Cmd.v
-    (Cmd.info "check" ~doc:"Decide deadlock freedom for a spec-defined network")
-    Term.(const spec_check_run $ spec_file_arg $ base $ replay $ certificate $ json
-          $ domains $ trace_arg $ metrics_arg)
-
-let write_or_print output what content =
-  match output with
-  | None -> print_string content
-  | Some file ->
-    let oc = open_out file in
-    output_string oc content;
-    close_out oc;
-    Printf.printf "wrote %s (%s)\n" file what
-
-let spec_bwg_run file output =
-  with_spec file (fun spec ->
-      let net = spec.Dfr_spec.Spec.net and algo = spec.Dfr_spec.Spec.algo in
-      let space = State_space.build net algo in
-      let bwg = Bwg.build space in
-      let g = Bwg.graph bwg in
-      write_or_print output
-        (Printf.sprintf "%d vertices, %d edges" (Dfr_graph.Digraph.num_vertices g)
-           (Dfr_graph.Digraph.num_edges g))
-        (Bwg.to_dot bwg);
-      0)
-
 let spec_bwg_cmd =
-  let output =
-    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~doc:"Output DOT file.")
-  in
-  Cmd.v
+  cmd
     (Cmd.info "bwg" ~doc:"Export a spec-defined network's buffer waiting graph as DOT")
-    Term.(const spec_bwg_run $ spec_file_arg $ output)
+    Term.(const bwg_run $ spec_arg $ output_arg)
 
-let spec_dot_run file bwg_prime output =
-  with_spec file (fun spec ->
-      if bwg_prime then begin
-        (* the overlay needs a synthesized BWG': full BWG with the kept
-           wait edges solid and the removed ones dashed *)
-        let net = spec.Dfr_spec.Spec.net and algo = spec.Dfr_spec.Spec.algo in
-        let space = State_space.build net algo in
-        match Dfr_synth.Synth.synthesize space with
-        | Dfr_synth.Synth.Synthesized s ->
-          write_or_print output
-            (Printf.sprintf "BWG' overlay, %d wait entries removed"
-               (List.length s.Dfr_synth.Synth.removed))
-            (Dfr_synth.Synth.bwg_prime_dot s);
-          0
-        | Dfr_synth.Synth.Already_free _ -> assert false
-        | Dfr_synth.Synth.Unsat msg ->
-          Printf.eprintf "no BWG' exists: %s\n" msg;
-          1
-        | Dfr_synth.Synth.Gave_up msg ->
-          Printf.eprintf "synthesis gave up: %s\n" msg;
-          3
-      end
-      else begin
-        write_or_print output
-          (Printf.sprintf "%d nodes" (Net.num_nodes spec.Dfr_spec.Spec.net))
-          (Dfr_spec.Spec.to_dot spec);
-        0
-      end)
+let spec_dot_run file bwg_prime output () =
+  let spec = ok (Ops.compile (Ops.File file)) in
+  if bwg_prime then begin
+    (* the overlay needs a synthesized BWG': full BWG with the kept
+       wait edges solid and the removed ones dashed *)
+    let space = State_space.build spec.Dfr_spec.Spec.net spec.Dfr_spec.Spec.algo in
+    match Dfr_synth.Synth.synthesize space with
+    | Dfr_synth.Synth.Synthesized s ->
+      write_or_print output
+        (Printf.sprintf "BWG' overlay, %d wait entries removed"
+           (List.length s.Dfr_synth.Synth.removed))
+        (Dfr_synth.Synth.bwg_prime_dot s);
+      0
+    | Dfr_synth.Synth.Already_free _ -> assert false
+    | Dfr_synth.Synth.Unsat msg ->
+      Printf.eprintf "no BWG' exists: %s\n" msg;
+      1
+    | Dfr_synth.Synth.Gave_up msg ->
+      Printf.eprintf "synthesis gave up: %s\n" msg;
+      3
+  end
+  else begin
+    write_or_print output
+      (Printf.sprintf "%d nodes" (Net.num_nodes spec.Dfr_spec.Spec.net))
+      (Dfr_spec.Spec.to_dot spec);
+    0
+  end
 
 let spec_dot_cmd =
-  let output =
-    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~doc:"Output DOT file.")
-  in
   let bwg_prime =
     Arg.(value & flag
          & info [ "bwg-prime" ]
@@ -948,9 +647,9 @@ let spec_dot_cmd =
                 solid, removed ones dashed (exit 1 when no BWG' exists, 3 \
                 when synthesis gives up).")
   in
-  Cmd.v
+  cmd
     (Cmd.info "dot" ~doc:"Export a spec-defined network's channel graph as DOT")
-    Term.(const spec_dot_run $ spec_file_arg $ bwg_prime $ output)
+    Term.(const spec_dot_run $ spec_file_arg $ bwg_prime $ output_arg)
 
 let spec_cmd =
   Cmd.group
@@ -963,26 +662,28 @@ let spec_cmd =
 (* ------------------------------------------------------------------ *)
 (* audit: the whole catalogue, optionally as JSON                      *)
 
-let audit_run json domains trace metrics =
+let audit_run json domains trace metrics () =
   obs_setup ~trace ~metrics;
   let reports =
     List.map
       (fun (e : Registry.entry) ->
-        let net = Registry.network_for e None in
-        (e, net, Checker.check ~domains net e.Registry.algo))
+        let inst =
+          ok (Ops.instance (Ops.Named { algo = e.Registry.name; topology = None }))
+        in
+        (e, inst.Ops.net, ok (Ops.check ~domains inst)))
       Registry.all
   in
   if json then begin
     let items =
       List.map
         (fun ((e : Registry.entry), net, report) ->
-          Dfr_util.Json.Obj
+          Json.Obj
             [
-              ("name", Dfr_util.Json.String e.Registry.name);
+              ("name", Json.String e.Registry.name);
               ( "expected",
                 match e.Registry.expected_deadlock_free with
-                | Some b -> Dfr_util.Json.Bool b
-                | None -> Dfr_util.Json.Null );
+                | Some b -> Json.Bool b
+                | None -> Json.Null );
               ("report", Report_json.of_report net e.Registry.algo report);
             ])
         reports
@@ -991,12 +692,10 @@ let audit_run json domains trace metrics =
       (* --metrics changes the top level from a list to an object so the
          aggregate counters have somewhere to live *)
       if metrics then
-        Dfr_util.Json.Obj
-          [ ("audit", Dfr_util.Json.List items);
-            ("metrics", Obs.metrics_json ()) ]
-      else Dfr_util.Json.List items
+        Json.Obj [ ("audit", Json.List items); ("metrics", Obs.metrics_json ()) ]
+      else Json.List items
     in
-    print_endline (Dfr_util.Json.to_string_pretty doc)
+    print_endline (Json.to_string_pretty doc)
   end
   else
     List.iter
@@ -1026,23 +725,17 @@ let audit_run json domains trace metrics =
   if mismatches = [] then 0 else 1
 
 let audit_cmd =
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the audit as JSON.")
-  in
-  let domains =
-    Arg.(value & opt int 1
-         & info [ "domains" ]
-             ~doc:"Run each check in parallel with this many OCaml domains.")
-  in
-  Cmd.v
+  cmd
     (Cmd.info "audit"
        ~doc:"Check the entire catalogue against its expected verdicts")
-    Term.(const audit_run $ json $ domains $ trace_arg $ metrics_arg)
+    Term.(
+      const audit_run $ json_arg "Emit the audit as JSON." $ domains_arg $ trace_arg
+      $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
 (* fuzz: differential campaign of checker vs. simulators               *)
 
-let fuzz_run trials seed max_nodes domains out_dir trace metrics =
+let fuzz_run trials seed max_nodes domains out_dir trace metrics () =
   obs_setup ~trace ~metrics;
   let summary =
     Dfr_fuzz.Fuzz.run
@@ -1095,24 +788,19 @@ let fuzz_cmd =
          & info [ "max-nodes" ]
              ~doc:"Largest generated network, in nodes (>= 4).")
   in
-  let domains =
-    Arg.(value & opt int 1
-         & info [ "domains" ]
-             ~doc:"Spread trials over this many OCaml domains.")
-  in
   let out_dir =
     Arg.(value & opt (some string) None
          & info [ "out" ] ~docv:"DIR"
              ~doc:"Write each shrunk disagreement as a .dfr spec into $(docv).")
   in
-  Cmd.v
+  cmd
     (Cmd.info "fuzz"
        ~doc:
          "Differential fuzzing: random routing relations, checker verdicts \
           confronted with adversarial simulator schedules and witness replay; \
           disagreements are shrunk and printed as .dfr specs")
     Term.(
-      const fuzz_run $ trials $ seed $ max_nodes $ domains $ out_dir $ trace_arg
+      const fuzz_run $ trials $ seed $ max_nodes $ domains_arg $ out_dir $ trace_arg
       $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -1301,23 +989,18 @@ let synth_report ~label ~mode ~certify ~json ~output ~metrics net
           (if all_ok then spec_code else 3))
 
 let synth_run mode name spec_file random_n seed max_nodes budget domains
-    minimize json output trace metrics =
+    minimize json output trace metrics () =
   let mode_str =
     match mode with `Bwg -> "bwg" | `Repair -> "repair" | `Optimal -> "optimal"
   in
+  let problem label source =
+    let inst = ok (Ops.instance source) in
+    [ (label, inst.Ops.net, inst.Ops.algo) ]
+  in
   let problems =
     match (name, spec_file, random_n) with
-    | Some a, None, None -> (
-      match lookup a with
-      | Error msg -> Error msg
-      | Ok e ->
-        let net = Registry.network_for e None in
-        Ok [ (a, net, e.Registry.algo) ])
-    | None, Some file, None -> (
-      match Dfr_spec.Spec.load_file file with
-      | Error e -> Error (Dfr_spec.Spec.error_to_string ~file e)
-      | Ok spec ->
-        Ok [ (file, spec.Dfr_spec.Spec.net, spec.Dfr_spec.Spec.algo) ])
+    | Some a, None, None -> problem a (Ops.Named { algo = a; topology = None })
+    | None, Some file, None -> problem file (Ops.Spec (Ops.File file))
     | None, None, Some n when n > 0 ->
       (* the fuzz generator as a design source: a deterministic stream of
          multi-wait designs; undeliverable draws are skipped, not counted *)
@@ -1332,39 +1015,34 @@ let synth_run mode name spec_file random_n seed max_nodes budget domains
               (i + 1) (attempts + 1)
           else draw acc i (attempts + 1)
       in
-      Ok (draw [] 0 0)
+      draw [] 0 0
     | _ ->
-      Error
+      failwith
         "exactly one problem source is required: -a NAME, --spec FILE or \
          --random N"
   in
-  match problems with
-  | Error msg ->
-    prerr_endline msg;
-    2
-  | Ok problems ->
-    obs_setup ~trace ~metrics;
-    let codes =
-      List.map
-        (fun (label, net, algo) ->
-          let outcome =
-            match mode with
-            | `Repair -> Synth.repair ~budget ~domains net algo
-            | `Bwg | `Optimal -> (
-              match State_space.build net algo with
-              | exception Invalid_argument msg ->
-                Synth.Gave_up ("invalid algorithm/network pair: " ^ msg)
-              | space ->
-                Synth.synthesize ~budget ~domains
-                  ~minimize:(minimize || mode = `Optimal)
-                  space)
-          in
-          synth_report ~label ~mode:mode_str ~certify:(mode = `Optimal) ~json
-            ~output ~metrics net outcome)
-        problems
-    in
-    obs_teardown ~trace;
-    List.fold_left max 0 codes
+  obs_setup ~trace ~metrics;
+  let codes =
+    List.map
+      (fun (label, net, algo) ->
+        let outcome =
+          match mode with
+          | `Repair -> Synth.repair ~budget ~domains net algo
+          | `Bwg | `Optimal -> (
+            match State_space.build net algo with
+            | exception Invalid_argument msg ->
+              Synth.Gave_up ("invalid algorithm/network pair: " ^ msg)
+            | space ->
+              Synth.synthesize ~budget ~domains
+                ~minimize:(minimize || mode = `Optimal)
+                space)
+        in
+        synth_report ~label ~mode:mode_str ~certify:(mode = `Optimal) ~json
+          ~output ~metrics net outcome)
+      problems
+  in
+  obs_teardown ~trace;
+  List.fold_left max 0 codes
 
 let synth_cmd =
   let mode =
@@ -1412,13 +1090,6 @@ let synth_cmd =
     Arg.(value & opt int 4000
          & info [ "budget" ] ~doc:"Search budget in BWG rebuilds.")
   in
-  let domains =
-    Arg.(value & opt int 1
-         & info [ "domains" ]
-             ~doc:
-               "Per-candidate BWG build parallelism; outcomes are \
-                bit-for-bit independent of it.")
-  in
   let minimize =
     Arg.(value & flag
          & info [ "minimize" ]
@@ -1426,15 +1097,12 @@ let synth_cmd =
                "Greedily restore removals that turn out unnecessary (mode \
                 bwg; repair and optimal always minimize).")
   in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Print the result as JSON.")
-  in
   let output =
     Arg.(value & opt (some string) None
          & info [ "o"; "output" ] ~docv:"FILE"
              ~doc:"Write the synthesized .dfr spec to $(docv).")
   in
-  Cmd.v
+  cmd
     (Cmd.info "synth"
        ~doc:
          "Synthesize deadlock-free designs: find a BWG' automatically \
@@ -1455,13 +1123,14 @@ let synth_cmd =
          ])
     Term.(
       const synth_run $ mode $ algo_name $ spec_file $ random_n $ seed $ max_nodes
-      $ budget $ domains $ minimize $ json $ output $ trace_arg $ metrics_arg)
+      $ budget $ domains_arg $ minimize $ json_arg "Print the result as JSON." $ output
+      $ trace_arg $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
 (* serve: the batched NDJSON checking service                          *)
 
 let serve_run port workers queue cache cache_entry_bytes timeout_ms domains
-    sessions trace metrics =
+    sessions trace metrics () =
   if
     workers < 1 || queue < 1 || domains < 0 || cache < 0 || cache_entry_bytes < 0
     || timeout_ms < 0 || sessions < 0
@@ -1486,8 +1155,7 @@ let serve_run port workers queue cache cache_entry_bytes timeout_ms domains
     Engine.shutdown engine;
     (* stdout is the protocol stream, so metrics go to stderr here *)
     if metrics then
-      Printf.eprintf "metrics:\n%s\n%!"
-        (Dfr_util.Json.to_string_pretty (Obs.metrics_json ()));
+      Printf.eprintf "metrics:\n%s\n%!" (Json.to_string_pretty (Obs.metrics_json ()));
     obs_teardown ~trace;
     code
   end
@@ -1546,7 +1214,7 @@ let serve_cmd =
                 (0 disables the delta path; such requests then re-check \
                 cold).")
   in
-  Cmd.v
+  cmd
     (Cmd.info "serve"
        ~doc:
          "Serve checking requests over an NDJSON protocol: one JSON request \
@@ -1566,8 +1234,8 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let client_run op port spec algo topo ms raw =
-  let module J = Dfr_util.Json in
+let client_run op port spec algo topo ms raw () =
+  let module J = Json in
   let request =
     match op with
     | `Ping | `Catalogue | `Stats | `Shutdown ->
@@ -1673,7 +1341,7 @@ let client_cmd =
          & info [ "raw" ]
              ~doc:"Print the response as the single NDJSON line received.")
   in
-  Cmd.v
+  cmd
     (Cmd.info "client"
        ~doc:
          "Send one request to a `dfcheck serve --port' instance and print the \

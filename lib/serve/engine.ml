@@ -1,7 +1,7 @@
 open Dfr_util
-open Dfr_routing
 open Dfr_core
 module Obs = Dfr_obs.Obs
+module Ops = Dfr_ops.Ops
 
 type config = {
   workers : int;
@@ -30,22 +30,18 @@ let default_config =
    hits. *)
 type entry = { report : Json.t; exit_code : int }
 
-(* An incremental session, addressed by the digest of the spec it
-   currently answers for.  The record is mutable and the LRU has no
-   remove, so after an update moves the session to the edit's digest the
-   old binding still aliases it — [current] detects and ignores such
-   stale bindings. *)
-type session = {
-  mutable incr : Incr.t;
-  mutable validated : Dfr_spec.Validate.t;
-  mutable current : string;
-}
+(* A live incremental session, addressed by the digest of the spec it
+   currently answers for.  The LRU has no remove, so when a session moves
+   on (an update answers for the edit's digest) or is retired, the old
+   binding stays behind — [current] detects and ignores such stale
+   bindings. *)
+type session = { live : Ops.session; mutable current : string }
 
 type outcome = Checked of entry | Slept of int
 
 type pending = {
   digest : string option; (* Some for checks, None for sleeps *)
-  promise : (outcome, string) result Pool.promise;
+  promise : (outcome, Ops.error) result Pool.promise;
   deadline : float option;
   cached : bool; (* answered by an earlier in-flight request's work *)
 }
@@ -58,7 +54,7 @@ type t = {
   pool : Pool.t;
   cache : entry Cache.t;
   sessions : session Cache.t;
-  inflight : (string, (outcome, string) result Pool.promise) Hashtbl.t;
+  inflight : (string, (outcome, Ops.error) result Pool.promise) Hashtbl.t;
       (* digest -> promise of the first, still-running request for it *)
   named_digests : (string, string) Hashtbl.t;
       (* "algo@topology" -> digest; registry contents are fixed for the
@@ -125,27 +121,31 @@ let deadline_of t =
    reprint refuses networks whose channels are not identity-unique (none
    ship in the registry, but a custom entry could).  Falling back to a
    digest of the tagged source keeps the cache correct — it only costs
-   cross-surface sharing for that request. *)
-let digest_fallback tag = Digest.to_hex (Digest.string ("fallback:" ^ tag))
+   cross-surface sharing for that request.  The reprint calls the routing
+   function, so one that refuses the network (a named algorithm on a
+   topology it does not support) lands here too, and the check itself
+   reports the refusal. *)
+let digest t (source : Ops.source) (i : Ops.instance) =
+  let printed kind key =
+    let fallback () = Digest.to_hex (Digest.string ("fallback:" ^ kind ^ key)) in
+    match Dfr_spec.Printer.digest i.Ops.net i.Ops.algo with
+    | Ok d -> d
+    | Error _ -> fallback ()
+    | exception (Invalid_argument _ | Failure _) -> fallback ()
+  in
+  match source with
+  | Ops.Named { algo; topology } -> (
+    let key = algo ^ "@" ^ Option.value topology ~default:"" in
+    match Hashtbl.find_opt t.named_digests key with
+    | Some d -> d
+    | None ->
+      let d = printed "registry:" key in
+      Hashtbl.add t.named_digests key d;
+      d)
+  (* the protocol only ever carries inline text *)
+  | Ops.Spec (Ops.Text src | Ops.File src) -> printed "spec:" src
 
-let digest_of_spec (spec : Dfr_spec.Spec.t) ~source =
-  match Dfr_spec.Printer.digest spec.Dfr_spec.Spec.net spec.Dfr_spec.Spec.algo with
-  | Ok d -> d
-  | Error _ -> digest_fallback ("spec:" ^ source)
-
-let digest_of_named t ~key net algo =
-  match Hashtbl.find_opt t.named_digests key with
-  | Some d -> d
-  | None ->
-    let d =
-      match Dfr_spec.Printer.digest net algo with
-      | Ok d -> d
-      | Error _ -> digest_fallback ("registry:" ^ key)
-    in
-    Hashtbl.add t.named_digests key d;
-    d
-
-let submit_check t ~id ~digest net algo =
+let submit_check t ~id ~digest inst =
   match Cache.find t.cache digest with
   | Some entry ->
     Obs.count "serve.cache.hits" 1;
@@ -162,15 +162,13 @@ let submit_check t ~id ~digest net algo =
       let domains = t.config.domains in
       let job () =
         Obs.span "serve.check" @@ fun () ->
-        match Checker.check_result ~domains net algo with
-        | Ok report ->
-          Ok
-            (Checked
-               {
-                 report = Report_json.of_outcome net algo report;
-                 exit_code = Report_json.exit_code report.Checker.verdict;
-               })
-        | Error msg -> Error msg
+        Ops.check ~domains inst
+        |> Result.map (fun report ->
+               Checked
+                 {
+                   report = Report_json.of_outcome inst.Ops.net inst.Ops.algo report;
+                   exit_code = Report_json.exit_code report.Checker.verdict;
+                 })
       in
       match Pool.try_submit t.pool job with
       | None ->
@@ -188,20 +186,37 @@ let submit_check t ~id ~digest net algo =
 (* Incremental re-checks run synchronously on the orchestrator: the whole
    point of the delta path is sub-millisecond latency, and a mutable
    session must not be shared with a worker anyway.  A session miss (or
-   an incompatible edit) falls back to a cold [Incr.create] inline —
+   an edit the session cannot take) falls back to a cold session inline —
    costly, but it seeds the session later deltas reuse. *)
 let check_delta t ~id ~base ~spec =
   Obs.span "serve.check_delta" @@ fun () ->
-  match Dfr_spec.Spec.compile_string spec with
-  | Error e ->
+  let refuse e =
     Obs.count "serve.errors" 1;
-    Protocol.error_response ~id ~kind:"spec" (Dfr_spec.Spec.error_to_string e)
+    Protocol.refusal ~id e
+  in
+  match Ops.compile (Ops.Text spec) with
+  | Error e -> refuse e
   | Ok compiled -> (
-    let digest = digest_of_spec compiled ~source:spec in
-    let net = compiled.Dfr_spec.Spec.net in
-    let algo = compiled.Dfr_spec.Spec.algo in
-    let validated = compiled.Dfr_spec.Spec.elaborated.Dfr_spec.Elaborate.spec in
-    let answer ~mode (res : Incr.result) =
+    let live =
+      match Cache.find t.sessions base with
+      | Some s when s.current = base -> Some s
+      | _ -> None
+    in
+    let domains = t.config.domains in
+    match Ops.delta ~domains (Option.map (fun s -> s.live) live) compiled with
+    | Error e -> refuse e
+    | Ok d ->
+      let res = d.Ops.result in
+      let digest =
+        digest t (Ops.Spec (Ops.Text spec))
+          { Ops.net = compiled.Dfr_spec.Spec.net; algo = compiled.Dfr_spec.Spec.algo }
+      in
+      (* a session that took the edit now answers for [digest]; one whose
+         update was refused is retired rather than proven untouched *)
+      (match (live, d.Ops.path) with
+      | Some s, (Ops.Fast | Ops.Replay | Ops.Cold (Ops.Refused _)) -> s.current <- ""
+      | _ -> ());
+      Cache.add t.sessions digest { live = d.Ops.session; current = digest };
       (* the delta verdict is the cold verdict, so plain checks of the
          edited spec may hit the cache on these bytes *)
       if not (Cache.mem t.cache digest) then begin
@@ -209,6 +224,7 @@ let check_delta t ~id ~base ~spec =
         let bytes = String.length (Json.to_string entry.report) in
         Cache.add ~bytes t.cache digest entry
       end;
+      let mode = Ops.path_name d.Ops.path in
       Obs.count ("serve.delta." ^ mode) 1;
       Protocol.check_delta_response ~id ~digest ~exit_code:res.Incr.exit_code
         ~report:res.Incr.report
@@ -219,94 +235,26 @@ let check_delta t ~id ~base ~spec =
                ("mode", Json.String mode);
                ("dirty_dests", Json.Int res.Incr.dirty_dests);
                ("reused_dests", Json.Int res.Incr.reused_dests);
-             ])
-    in
-    let cold () =
-      match Incr.create ~domains:t.config.domains net algo with
-      | exception Invalid_argument msg ->
-        Obs.count "serve.errors" 1;
-        Protocol.error_response ~id ~kind:"check" msg
-      | incr, res ->
-        Cache.add t.sessions digest { incr; validated; current = digest };
-        answer ~mode:"cold" res
-    in
-    match Cache.find t.sessions base with
-    | Some sess when sess.current = base -> (
-      match Dfr_spec.Diff.diff sess.validated validated with
-      | Dfr_spec.Diff.Incompatible _ -> cold ()
-      | Dfr_spec.Diff.Frontier f -> (
-        match Incr.update sess.incr algo ~dirty:f.Dfr_spec.Diff.dirty with
-        | exception Invalid_argument _ ->
-          (* e.g. the edit introduces a reduced-waits hint the session
-             was built without; the session is untouched but easier to
-             retire than to prove so *)
-          sess.current <- "";
-          cold ()
-        | res ->
-          sess.validated <- validated;
-          sess.current <- digest;
-          Cache.add t.sessions digest sess;
-          answer
-            ~mode:(match res.Incr.path with Incr.Fast -> "fast" | Incr.Replay -> "replay")
-            res))
-    | _ -> cold ())
+             ]))
 
 (* Fault campaigns run synchronously on the orchestrator, like the delta
    path: the campaign drives its own incremental session, which must not
-   be shared with a worker.  The response embeds the campaign envelope
+   be shared with a worker.  The response embeds the campaign document
    verbatim — byte-identical at any worker/domain configuration. *)
-let scenario t ~id ~spec ~algo ~topology ~plan ~sweep =
+let scenario t ~id ~source ~plan ~sweep =
   Obs.span "serve.scenario" @@ fun () ->
-  let instance =
-    match (spec, algo) with
-    | Some spec, _ -> (
-      match Dfr_spec.Spec.compile_string spec with
-      | Error e -> Error ("spec", Dfr_spec.Spec.error_to_string e)
-      | Ok c -> Ok (c.Dfr_spec.Spec.net, c.Dfr_spec.Spec.algo))
-    | None, Some name -> (
-      match Registry.find name with
-      | None -> Error ("bad_request", Printf.sprintf "unknown algorithm %S" name)
-      | Some e -> (
-        match
-          match topology with
-          | None -> Ok None
-          | Some s -> Result.map Option.some (Dfr_topology.Topology.of_string s)
-        with
-        | Error msg -> Error ("bad_request", msg)
-        | Ok topo -> (
-          match Registry.network_for e topo with
-          | exception Invalid_argument msg -> Error ("bad_request", msg)
-          | net -> Ok (net, e.Registry.algo))))
-    | None, None -> Error ("bad_request", "scenario needs a spec or an algo")
-  in
-  match instance with
-  | Error (kind, msg) ->
+  let mode = if sweep then `Sweep else `Sequence in
+  match
+    Result.bind (Ops.instance source) (fun inst ->
+        Ops.scenario ~domains:t.config.domains ~mode inst (Ops.Text plan))
+  with
+  | Error e ->
     Obs.count "serve.errors" 1;
-    Protocol.error_response ~id ~kind msg
-  | Ok (net, algo) -> (
-    match Dfr_scenario.Fault.parse plan with
-    | Error msg ->
-      Obs.count "serve.errors" 1;
-      Protocol.error_response ~id ~kind:"bad_request" ("plan: " ^ msg)
-    | Ok plan -> (
-      let mode = if sweep then `Sweep else `Sequence in
-      match
-        Dfr_scenario.Scenario.campaign ~domains:t.config.domains ~mode net algo
-          plan
-      with
-      | exception Invalid_argument msg ->
-        Obs.count "serve.errors" 1;
-        Protocol.error_response ~id ~kind:"check" msg
-      | Error msg ->
-        Obs.count "serve.errors" 1;
-        Protocol.error_response ~id ~kind:"bad_request" msg
-      | Ok c ->
-        Obs.count "serve.scenarios" 1;
-        Protocol.ok_response ~id ~op:"scenario"
-          [
-            ("exit", Json.Int c.Dfr_scenario.Scenario.exit_code);
-            ("campaign", Dfr_scenario.Scenario.campaign_to_json c);
-          ]))
+    Protocol.refusal ~id e
+  | Ok s ->
+    Obs.count "serve.scenarios" 1;
+    Protocol.ok_response ~id ~op:"scenario"
+      [ ("exit", Json.Int s.Ops.exit_code); ("campaign", s.Ops.doc) ]
 
 let dispatch t ~id (req : Protocol.request) =
   match req with
@@ -314,7 +262,7 @@ let dispatch t ~id (req : Protocol.request) =
   | Protocol.Catalogue ->
     ready
       (Protocol.ok_response ~id ~op:"catalogue"
-         [ ("algorithms", Protocol.catalogue_json ()) ])
+         [ ("algorithms", Ops.catalogue ()) ])
   | Protocol.Stats ->
     ready (Protocol.ok_response ~id ~op:"stats" [ ("stats", stats_json t) ])
   | Protocol.Shutdown ->
@@ -336,43 +284,13 @@ let dispatch t ~id (req : Protocol.request) =
     | Some promise ->
       gauge_depth t;
       Waiting { digest = None; promise; deadline = deadline_of t; cached = false })
-  | Protocol.Check_named { algo; topology } -> (
-    match Registry.find algo with
-    | None ->
-      ready
-        (Protocol.error_response ~id ~kind:"bad_request"
-           (Printf.sprintf "unknown algorithm %S; try op \"catalogue\"" algo))
-    | Some e -> (
-      let topo_result =
-        match topology with
-        | None -> Ok None
-        | Some s -> (
-          match Dfr_topology.Topology.of_string s with
-          | Ok topo -> Ok (Some topo)
-          | Error msg -> Error msg)
-      in
-      match topo_result with
-      | Error msg -> ready (Protocol.error_response ~id ~kind:"bad_request" msg)
-      | Ok topo -> (
-        match Registry.network_for e topo with
-        | exception Invalid_argument msg ->
-          ready (Protocol.error_response ~id ~kind:"bad_request" msg)
-        | net ->
-          let key = algo ^ "@" ^ Option.value topology ~default:"" in
-          let digest = digest_of_named t ~key net e.Registry.algo in
-          submit_check t ~id ~digest net e.Registry.algo)))
+  | Protocol.Check source -> (
+    match Ops.instance source with
+    | Error e -> ready (Protocol.refusal ~id e)
+    | Ok inst -> submit_check t ~id ~digest:(digest t source inst) inst)
   | Protocol.Check_delta { base; spec } -> ready (check_delta t ~id ~base ~spec)
-  | Protocol.Scenario { spec; algo; topology; plan; sweep } ->
-    ready (scenario t ~id ~spec ~algo ~topology ~plan ~sweep)
-  | Protocol.Check_spec { spec } -> (
-    match Dfr_spec.Spec.compile_string spec with
-    | Error e ->
-      ready
-        (Protocol.error_response ~id ~kind:"spec" (Dfr_spec.Spec.error_to_string e))
-    | Ok compiled ->
-      let digest = digest_of_spec compiled ~source:spec in
-      submit_check t ~id ~digest
-        compiled.Dfr_spec.Spec.net compiled.Dfr_spec.Spec.algo)
+  | Protocol.Scenario { source; plan; sweep } ->
+    ready (scenario t ~id ~source ~plan ~sweep)
 
 let handle_line t line =
   Obs.span "serve.request" @@ fun () ->
@@ -413,9 +331,9 @@ let settle t ~id (p : pending) result =
       ~report:entry.report
   | Ok (Ok (Slept ms)) ->
     Protocol.ok_response ~id ~op:"sleep" [ ("ms", Json.Int ms) ]
-  | Ok (Error msg) ->
+  | Ok (Error e) ->
     Obs.count "serve.errors" 1;
-    Protocol.error_response ~id ~kind:"check" msg
+    Protocol.refusal ~id e
   | Error exn ->
     Obs.count "serve.errors" 1;
     Protocol.error_response ~id ~kind:"internal" (Printexc.to_string exn)

@@ -1,18 +1,9 @@
 open Dfr_util
-open Dfr_topology
-open Dfr_routing
 
 type request =
-  | Check_spec of { spec : string }
-  | Check_named of { algo : string; topology : string option }
+  | Check of Dfr_ops.Ops.source
   | Check_delta of { base : string; spec : string }
-  | Scenario of {
-      spec : string option;
-      algo : string option;
-      topology : string option;
-      plan : string;
-      sweep : bool;
-    }
+  | Scenario of { source : Dfr_ops.Ops.source; plan : string; sweep : bool }
   | Catalogue
   | Stats
   | Ping
@@ -22,6 +13,17 @@ type request =
 type parsed = { id : Json.t option; req : request }
 
 let max_sleep_ms = 60_000
+
+(* an inline spec wins over a named algorithm *)
+let source doc =
+  match Option.bind (Json.member "spec" doc) Json.to_str with
+  | Some spec -> Some (Dfr_ops.Ops.Spec (Dfr_ops.Ops.Text spec))
+  | None ->
+    Option.map
+      (fun algo ->
+        let topology = Option.bind (Json.member "topology" doc) Json.to_str in
+        Dfr_ops.Ops.Named { algo; topology })
+      (Option.bind (Json.member "algo" doc) Json.to_str)
 
 let parse line =
   match Json.of_string line with
@@ -34,14 +36,9 @@ let parse line =
       match Option.bind (Json.member "op" doc) Json.to_str with
       | None -> err "missing or non-string \"op\""
       | Some "check" -> (
-        match Option.bind (Json.member "spec" doc) Json.to_str with
-        | Some spec -> Ok { id; req = Check_spec { spec } }
-        | None -> (
-          match Option.bind (Json.member "algo" doc) Json.to_str with
-          | Some algo ->
-            let topology = Option.bind (Json.member "topology" doc) Json.to_str in
-            Ok { id; req = Check_named { algo; topology } }
-          | None -> err "op \"check\" needs a \"spec\" or an \"algo\" field"))
+        match source doc with
+        | Some source -> Ok { id; req = Check source }
+        | None -> err "op \"check\" needs a \"spec\" or an \"algo\" field")
       | Some "check_delta" -> (
         match
           ( Option.bind (Json.member "base" doc) Json.to_str,
@@ -64,13 +61,9 @@ let parse line =
           match sweep with
           | Error msg -> err msg
           | Ok sweep -> (
-            let spec = Option.bind (Json.member "spec" doc) Json.to_str in
-            let algo = Option.bind (Json.member "algo" doc) Json.to_str in
-            let topology = Option.bind (Json.member "topology" doc) Json.to_str in
-            match (spec, algo) with
-            | None, None ->
-              err "op \"scenario\" needs a \"spec\" or an \"algo\" field"
-            | _ -> Ok { id; req = Scenario { spec; algo; topology; plan; sweep } })))
+            match source doc with
+            | None -> err "op \"scenario\" needs a \"spec\" or an \"algo\" field"
+            | Some source -> Ok { id; req = Scenario { source; plan; sweep } })))
       | Some "catalogue" -> Ok { id; req = Catalogue }
       | Some "stats" -> Ok { id; req = Stats }
       | Some "ping" -> Ok { id; req = Ping }
@@ -102,6 +95,15 @@ let error_response ~id ~kind msg =
              [ ("kind", Json.String kind); ("message", Json.String msg) ] );
        ])
 
+let refusal ~id (e : Dfr_ops.Ops.error) =
+  let kind, msg =
+    match e with
+    | Dfr_ops.Ops.Bad_request m -> ("bad_request", m)
+    | Dfr_ops.Ops.Bad_spec m -> ("spec", m)
+    | Dfr_ops.Ops.Check_failed m -> ("check", m)
+  in
+  error_response ~id ~kind msg
+
 let check_response ~id ~cached ~digest ~exit_code ~report =
   ok_response ~id ~op:"check"
     [
@@ -119,22 +121,3 @@ let check_delta_response ~id ~digest ~exit_code ~report ~delta =
       ("report", report);
       ("delta", delta);
     ]
-
-let catalogue_json () =
-  Json.List
-    (List.map
-       (fun (e : Registry.entry) ->
-         Json.Obj
-           [
-             ("name", Json.String e.Registry.name);
-             ( "expected_deadlock_free",
-               match e.Registry.expected_deadlock_free with
-               | Some b -> Json.Bool b
-               | None -> Json.Null );
-             ("description", Json.String e.Registry.description);
-             ( "default_topology",
-               match Registry.default_topology e with
-               | Some t -> Json.String (Topology.name t)
-               | None -> Json.Null );
-           ])
-       Registry.all)

@@ -22,21 +22,20 @@
 open Dfr_util
 
 type request =
-  | Check_spec of { spec : string }  (** inline .dfr source *)
-  | Check_named of { algo : string; topology : string option }
-      (** a registry algorithm, optionally on an explicit topology *)
+  | Check of Dfr_ops.Ops.source
+      (** inline .dfr source ([Spec (Text _)]; it wins when both fields
+          are present) or a registry algorithm, optionally on an explicit
+          topology *)
   | Check_delta of { base : string; spec : string }
       (** re-check an edited spec against the incremental session for
           [base] (the digest a previous check/check_delta response
           reported); falls back to a cold build on a session miss *)
   | Scenario of {
-      spec : string option;  (** inline .dfr source, or... *)
-      algo : string option;  (** ...a registry algorithm *)
-      topology : string option;
+      source : Dfr_ops.Ops.source;  (** as for [Check] *)
       plan : string;  (** inline fault-plan text ({!Dfr_scenario.Fault}) *)
       sweep : bool;  (** ["mode"]: [true] = "sweep" (default), "sequence" *)
-    }  (** run a fault campaign; the response's ["campaign"] field is the
-           {!Dfr_scenario.Scenario.campaign_to_json} envelope *)
+    }  (** run a fault campaign; the response's ["campaign"] field is
+           {!Dfr_ops.Ops.scenario}'s document *)
   | Catalogue
   | Stats
   | Ping
@@ -59,6 +58,10 @@ val parse : string -> (parsed, Json.t option * string) result
 val ok_response : id:Json.t option -> op:string -> (string * Json.t) list -> Json.t
 val error_response : id:Json.t option -> kind:string -> string -> Json.t
 
+val refusal : id:Json.t option -> Dfr_ops.Ops.error -> Json.t
+(** The error response for an {!Dfr_ops.Ops.error}: kind [bad_request],
+    [spec] or [check]. *)
+
 val check_response :
   id:Json.t option -> cached:bool -> digest:string -> exit_code:int -> report:Json.t -> Json.t
 
@@ -68,8 +71,3 @@ val check_delta_response :
     plus a ["delta"] object [{"base", "mode", "dirty_dests",
     "reused_dests"}] where ["mode"] is ["fast"], ["replay"] or
     ["cold"]. *)
-
-val catalogue_json : unit -> Json.t
-(** The machine-readable registry: name, expected verdict, description
-    and default topology per algorithm.  Shared by [dfcheck list --json]
-    and the serve [catalogue] response so the two cannot drift. *)

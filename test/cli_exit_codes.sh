@@ -48,6 +48,19 @@ expect 0 check -a hop-class -t mesh:6x6
 # an instance the routing function refuses is a usage error, not an
 # uncaught exception (exit 125)
 expect 2 check -a two-buffer -t torus:4x4
+# ...for every subcommand that takes an instance
+expect 2 bwg -a efa -t mesh:3x3
+expect 2 bwg -a two-buffer -t torus:4x4
+expect 2 simulate -a two-buffer -t torus:4x4 --horizon 10
+expect 2 simulate -a duato-incoherent --horizon 10
+expect 2 matrix -t torus:4x4
+# simulate validates before injecting: the refusal must not depend on
+# whether a packet happens to reach the route call that refuses the mesh
+expect 2 simulate -a efa -t mesh:3x3 --horizon 10
+
+# --domains counts domains: 0 and below are usage errors everywhere
+expect 2 check -a efa --domains=0
+expect 2 fuzz --trials 2 --domains=0
 
 # hotspot nodes are range-checked before injection: a negative or
 # too-large node is a usage error, never a wild array index

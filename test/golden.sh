@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Byte-for-byte regression check of `dfcheck check --json` against
-# committed reports.
+# committed reports, and of the same instances served by `dfcheck serve`.
 #
 #   bash test/golden.sh path/to/dfcheck.exe test/golden          # catalogue
 #   bash test/golden.sh path/to/dfcheck.exe test/golden/large    # 6k buffers
@@ -12,16 +12,30 @@
 # dragonfly:4x2x9`).  Exit codes are ignored: deadlocking instances exit 1
 # and the report bytes are what is pinned.  Regenerate a file by running
 # the same command line and redirecting stdout into it.
+#
+# The serve leg sends every instance through one `dfcheck serve` session;
+# each response's `.report` must equal the golden file.  Both sides go
+# through `jq -c .`, which keeps key order, so the compact wire form is
+# compared with the pretty file as the same document.
 set -u
 dfcheck=$1
 dir=$2
 fail=0
 n=0
+requests=()
 for want in "$dir"/*.json; do
   base=$(basename "$want" .json)
   case "$base" in
-  *@*) args=(-a "${base%%@*}" -t "$(printf '%s' "${base#*@}" | tr _ :)") ;;
-  *) args=(-a "$base") ;;
+  *@*)
+    algo=${base%%@*}
+    topo=$(printf '%s' "${base#*@}" | tr _ :)
+    args=(-a "$algo" -t "$topo")
+    requests+=("$(jq -nc --arg a "$algo" --arg t "$topo" '{op: "check", algo: $a, topology: $t}')")
+    ;;
+  *)
+    args=(-a "$base")
+    requests+=("$(jq -nc --arg a "$base" '{op: "check", algo: $a}')")
+    ;;
   esac
   n=$((n + 1))
   if ! "$dfcheck" check "${args[@]}" --json 2>/dev/null | cmp -s - "$want"; then
@@ -33,5 +47,15 @@ if [ "$n" -eq 0 ]; then
   echo "FAIL: no golden reports in $dir"
   exit 1
 fi
-[ "$fail" -eq 0 ] && echo "ok: $n golden reports in $dir"
+mapfile -t responses < <(printf '%s\n' "${requests[@]}" | "$dfcheck" serve 2>/dev/null)
+i=0
+for want in "$dir"/*.json; do
+  got=$(printf '%s' "${responses[$i]:-}" | jq -c .report 2>/dev/null)
+  if [ "$got" != "$(jq -c . "$want")" ]; then
+    echo "FAIL: serve ${requests[$i]} differs from $want"
+    fail=1
+  fi
+  i=$((i + 1))
+done
+[ "$fail" -eq 0 ] && echo "ok: $n golden reports in $dir, from check --json and serve"
 exit $fail

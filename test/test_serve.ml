@@ -319,18 +319,21 @@ let test_engine_malformed_isolated () =
             "{\"op\":\"nope\",\"id\":9}";
             "{\"op\":\"check\",\"spec\":\"network bad {\"}";
             "{\"op\":\"check\",\"algo\":\"no-such-algorithm\"}";
+            (* the routing function refuses the network it is given *)
+            "{\"op\":\"check\",\"algo\":\"efa\",\"topology\":\"mesh:3x3\"}";
             "{\"op\":\"ping\",\"id\":10}";
           ]
       with
-      | [ r1; r2; r3; r4; r5 ] ->
+      | [ r1; r2; r3; r4; r6; r5 ] ->
         check Alcotest.string "garbage -> parse" "parse" (error_kind r1);
         check Alcotest.string "unknown op -> parse" "parse" (error_kind r2);
         check Alcotest.string "id recovered" "9" (J.to_string (member "id" r2));
         check Alcotest.string "bad spec -> spec" "spec" (error_kind r3);
         check Alcotest.string "unknown algo -> bad_request" "bad_request"
           (error_kind r4);
+        check Alcotest.string "refused topology -> check" "check" (error_kind r6);
         check Alcotest.bool "server survives it all" true (is_ok r5)
-      | _ -> Alcotest.fail "five responses expected")
+      | _ -> Alcotest.fail "six responses expected")
 
 let test_engine_queue_full () =
   let config =

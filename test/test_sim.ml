@@ -154,8 +154,7 @@ let run_wh ?(seed = 1) ?(capacity = 4) net algo traffic =
    a literal nan for the mean latency, making the whole JSON unparseable *)
 let test_empty_stats_report_json () =
   let module Json = Dfr_util.Json in
-  let o = run_wh cube3 Hypercube_wormhole.efa [] in
-  let doc = Sim_report.wormhole o ~nodes:8 in
+  let doc = (Sim.run cube3 Hypercube_wormhole.efa []).Sim.report in
   let s = Json.to_string doc in
   (match Json.of_string s with
   | Error e -> Alcotest.failf "report does not re-parse: %s\n%s" e s
