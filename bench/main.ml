@@ -1,15 +1,12 @@
 (* Benchmark harness.
 
-   `dune exec bench/main.exe`            -- all experiment tables + micro suite
+   `dune exec bench/main.exe`            -- every suite
    `dune exec bench/main.exe -- fig3`    -- one experiment
-                  (fig3 fig12 thm4 thm5 thm6 matrix perf micro all)
+                  (fig3 fig12 thm4 thm5 thm6 matrix perf obs all)
 
    The experiment tables regenerate every figure of the paper (DESIGN.md
-   section 4); the Bechamel micro suite is experiment E8 (cost of the
-   analyses themselves). *)
+   section 4); `obs` gates the cost of disabled instrumentation probes. *)
 
-open Bechamel
-open Toolkit
 open Dfr_topology
 open Dfr_network
 open Dfr_routing
@@ -18,90 +15,6 @@ open Dfr_core
 (* all wall-time measurements use the monotonic clock: an NTP step
    mid-bench must not corrupt a published BENCH_*.json figure *)
 module Mono = Dfr_util.Monotime
-
-(* --------------------------- E8: micro benchmarks ------------------- *)
-
-let cube3 = Net.wormhole (Topology.hypercube 3) ~vcs:2
-let cube4 = Net.wormhole (Topology.hypercube 4) ~vcs:2
-let mesh44 = Net.store_and_forward (Topology.mesh [| 4; 4 |]) ~classes:2
-let space3 = State_space.build cube3 Hypercube_wormhole.efa
-let relaxed2 =
-  State_space.build (Net.wormhole (Topology.hypercube 2) ~vcs:2)
-    Hypercube_wormhole.efa_relaxed
-let bwg_relaxed2 = Bwg.build relaxed2
-let relaxed2_cycles = fst (Bwg.cycles bwg_relaxed2)
-
-let micro_tests =
-  [
-    Test.make ~name:"state-space/efa-3cube"
-      (Staged.stage (fun () -> State_space.build cube3 Hypercube_wormhole.efa));
-    Test.make ~name:"bwg-build/efa-3cube"
-      (Staged.stage (fun () -> Bwg.build space3));
-    Test.make ~name:"checker/efa-3cube"
-      (Staged.stage (fun () -> Checker.verdict cube3 Hypercube_wormhole.efa));
-    Test.make ~name:"checker/efa-4cube"
-      (Staged.stage (fun () -> Checker.verdict cube4 Hypercube_wormhole.efa));
-    Test.make ~name:"checker/two-buffer-4x4"
-      (Staged.stage (fun () -> Checker.verdict mesh44 Mesh_saf.two_buffer));
-    Test.make ~name:"knot/efa-relaxed-2cube"
-      (Staged.stage (fun () -> Deadlock_config.find relaxed2));
-    Test.make ~name:"cycles/efa-relaxed-2cube"
-      (Staged.stage (fun () -> Bwg.cycles bwg_relaxed2));
-    Test.make ~name:"classify/efa-relaxed-2cube"
-      (Staged.stage (fun () ->
-           Cycle_class.first_true_cycle bwg_relaxed2 relaxed2_cycles));
-    Test.make ~name:"adaptiveness/efa-sweep-10"
-      (Staged.stage (fun () ->
-           Dfr_adaptiveness.Hypercube_adaptiveness.sweep
-             Dfr_adaptiveness.Hypercube_adaptiveness.efa_rule ~max_n:10));
-  ]
-
-(* Same-machine seed-commit (PR 0) numbers for the micro suite, measured
-   on an otherwise idle machine.  The JSON emitter below compares against
-   this table so a run records its speedups without needing a JSON
-   parser (Dfr_util.Json only emits). *)
-let baseline_pr0 =
-  [
-    ("dfr/adaptiveness/efa-sweep-10", 73_585_000.0);
-    ("dfr/bwg-build/efa-3cube", 163_234.0);
-    ("dfr/checker/efa-3cube", 479_568.2);
-    ("dfr/checker/efa-4cube", 5_362_000.0);
-    ("dfr/checker/two-buffer-4x4", 1_908_000.0);
-    ("dfr/classify/efa-relaxed-2cube", 1_400.8);
-    ("dfr/cycles/efa-relaxed-2cube", 32_364.9);
-    ("dfr/knot/efa-relaxed-2cube", 5_712.0);
-    ("dfr/state-space/efa-3cube", 293_803.6);
-  ]
-
-let bench_json = "BENCH_1.json"
-
-let write_bench_json rows =
-  let module J = Dfr_util.Json in
-  let results = List.map (fun (name, ns) -> (name, J.Float ns)) rows in
-  let baseline = List.map (fun (name, ns) -> (name, J.Float ns)) baseline_pr0 in
-  let speedups =
-    List.filter_map
-      (fun (name, ns) ->
-        match List.assoc_opt name baseline_pr0 with
-        | Some b when ns > 0.0 -> Some (name, J.Float (b /. ns))
-        | _ -> None)
-      rows
-  in
-  let doc =
-    J.Obj
-      [
-        ("suite", J.String "micro");
-        ("unit", J.String "ns/run");
-        ("results", J.Obj results);
-        ("baseline_pr0", J.Obj baseline);
-        ("speedup_vs_pr0", J.Obj speedups);
-      ]
-  in
-  let oc = open_out bench_json in
-  output_string oc (J.to_string_pretty doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\nwrote %s\n%!" bench_json
 
 (* ------------- observability: disabled-probe overhead + stages -------- *)
 
@@ -120,6 +33,8 @@ let median samples =
    100k-sample probe cost and a counted number of probes is stable. *)
 let run_obs () =
   Printf.printf "\n=== observability: disabled-probe overhead, stage breakdown ===\n%!";
+  let cube3 = Net.wormhole (Topology.hypercube 3) ~vcs:2 in
+  let space3 = State_space.build cube3 Hypercube_wormhole.efa in
   Obs.disable ();
   let per_probe_ns =
     let batch = 100_000 in
@@ -196,7 +111,8 @@ let bench5_json = "BENCH_5.json"
    efa-3cube) is measured against the engine directly: same handle/await
    surface the stdio and TCP loops drive, no transport noise.  Cold
    samples each use a fresh engine so the cache and the digest memo start
-   empty; the worker pool is already up, so spawn cost is excluded. *)
+   empty; pool workers outlive engines, so only the first sample pays for
+   spawning one, and the median drops it. *)
 let run_serve () =
   Printf.printf "\n=== E15: serve — cold vs cached check latency ===\n%!";
   let module J = Dfr_util.Json in
@@ -740,35 +656,6 @@ let run_synth () =
   close_out oc;
   Printf.printf "wrote %s\n%!" bench7_json
 
-let run_micro () =
-  Printf.printf "\n=== E8: micro benchmarks (Bechamel, monotonic clock) ===\n%!";
-  let test = Test.make_grouped ~name:"dfr" ~fmt:"%s/%s" micro_tests in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
-  in
-  let raw = Benchmark.all cfg instances test in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name r acc -> (name, r) :: acc) results [] in
-  let estimated =
-    List.filter_map
-      (fun (name, r) ->
-        match Analyze.OLS.estimates r with
-        | Some [ ns ] -> Some (name, ns)
-        | _ -> None)
-      (List.sort compare rows)
-  in
-  List.iter
-    (fun (name, ns) ->
-      if ns > 1e6 then Printf.printf "%-40s %12.3f ms/run\n" name (ns /. 1e6)
-      else Printf.printf "%-40s %12.1f ns/run\n" name ns)
-    estimated;
-  write_bench_json estimated;
-  run_obs ()
-
 (* ------------- E18: incremental re-checking --------------------------- *)
 
 let bench8_json = "BENCH_8.json"
@@ -1134,7 +1021,7 @@ let () =
   | "mesh-adaptiveness" -> Experiments.mesh_adaptiveness ()
   | "turns" -> Experiments.turn_tables ()
   | "parallel" -> Experiments.parallel_bwg ()
-  | "micro" -> run_micro ()
+  | "obs" -> run_obs ()
   | "serve" -> run_serve ()
   | "scale" -> run_scale ()
   | "domains" -> run_domains ()
@@ -1143,7 +1030,7 @@ let () =
   | "scenario" -> run_scenario ()
   | "all" ->
     Experiments.all ();
-    run_micro ();
+    run_obs ();
     run_serve ();
     run_scale ();
     run_domains ();
@@ -1152,6 +1039,6 @@ let () =
     run_scenario ()
   | other ->
     Printf.eprintf
-      "unknown experiment %S (fig3 fig12 thm4 thm5 thm6 matrix perf ablations micro serve scale domains synth incr scenario all)\n"
+      "unknown experiment %S (fig3 fig12 thm4 thm5 thm6 matrix perf ablations obs serve scale domains synth incr scenario all)\n"
       other;
     exit 1

@@ -1129,14 +1129,14 @@ let synth_cmd =
 (* ------------------------------------------------------------------ *)
 (* serve: the batched NDJSON checking service                          *)
 
-let serve_run port workers queue cache cache_entry_bytes timeout_ms domains
-    sessions trace metrics () =
+let serve_run port queue cache cache_entry_bytes timeout_ms domains sessions trace
+    metrics () =
   if
-    workers < 1 || queue < 1 || domains < 0 || cache < 0 || cache_entry_bytes < 0
-    || timeout_ms < 0 || sessions < 0
+    queue < 1 || domains < 0 || cache < 0 || cache_entry_bytes < 0 || timeout_ms < 0
+    || sessions < 0
   then begin
     prerr_endline
-      "dfcheck serve: --workers and --queue must be >= 1; --domains, --cache, \
+      "dfcheck serve: --queue must be >= 1; --domains, --cache, \
        --cache-entry-bytes, --timeout-ms and --sessions must be >= 0";
     2
   end
@@ -1144,7 +1144,7 @@ let serve_run port workers queue cache cache_entry_bytes timeout_ms domains
     obs_setup ~trace ~metrics;
     let engine =
       Engine.create
-        { Engine.workers; capacity = queue; cache_capacity = cache;
+        { Engine.capacity = queue; cache_capacity = cache;
           cache_entry_bytes; timeout_ms; domains; sessions }
     in
     let code =
@@ -1169,22 +1169,21 @@ let serve_cmd =
                 on stderr).  Without this flag the session runs on \
                 stdin/stdout.")
   in
-  let workers =
-    Arg.(value & opt int 1
-         & info [ "workers" ]
-             ~doc:"Domain workers running checks concurrently.")
-  in
   let queue =
     Arg.(value & opt int 64
          & info [ "queue" ]
              ~doc:
                "Maximum outstanding checks (queued or running); beyond it \
-                requests are refused with a $(b,queue_full) error.")
+                requests are refused with a $(b,queue_full) error.  Checks \
+                run on the shared domain pool, as many at once as the \
+                machine's cores allow.")
   in
   let cache =
     Arg.(value & opt int 256
          & info [ "cache" ]
-             ~doc:"Verdict-cache capacity in entries (0 disables caching).")
+             ~doc:
+               "Verdict-cache capacity in entries (0 disables caching); also \
+                bounds the memo of named-problem digests.")
   in
   let cache_entry_bytes =
     Arg.(value & opt int Engine.default_config.Engine.cache_entry_bytes
@@ -1222,7 +1221,7 @@ let serve_cmd =
           Verdicts are cached by a digest of the elaborated problem, so \
           re-checking the same spec (or a named problem equal to it) is \
           answered without recomputation.")
-    Term.(const serve_run $ port $ workers $ queue $ cache $ cache_entry_bytes
+    Term.(const serve_run $ port $ queue $ cache $ cache_entry_bytes
           $ timeout_ms $ domains $ sessions $ trace_arg $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)

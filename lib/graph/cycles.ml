@@ -223,12 +223,10 @@ let csr_row g u =
   let start, stop = Csr.row g u in
   Array.init (stop - start) (fun i -> Csr.target g (start + i))
 
-let enumerate_with_csr ?limits g ~on_truncate =
+let enumerate_with ?limits g ~on_truncate =
+  let g = Digraph.freeze g in
   enumerate_with_rows ?limits ~n:(Csr.num_vertices g) ~row:(csr_row g)
     ~on_truncate ()
-
-let enumerate_with ?limits g ~on_truncate =
-  enumerate_with_csr ?limits (Digraph.freeze g) ~on_truncate
 
 let enumerate ?limits g =
   enumerate_with ?limits g ~on_truncate:(fun () -> ())
@@ -238,24 +236,9 @@ let enumerate_checked ?limits g =
   let cs = enumerate_with ?limits g ~on_truncate:(fun () -> hit := true) in
   (cs, not !hit)
 
-let enumerate_csr ?limits g =
-  enumerate_with_csr ?limits g ~on_truncate:(fun () -> ())
-
-let enumerate_checked_csr ?limits g =
-  let hit = ref false in
-  let cs = enumerate_with_csr ?limits g ~on_truncate:(fun () -> hit := true) in
-  (cs, not !hit)
-
 let enumerate_checked_rows ?limits ~n ~row () =
   let hit = ref false in
   let cs =
     enumerate_with_rows ?limits ~n ~row ~on_truncate:(fun () -> hit := true) ()
   in
   (cs, not !hit)
-
-let truncated ?limits g =
-  let hit = ref false in
-  ignore (enumerate_with ?limits g ~on_truncate:(fun () -> hit := true));
-  !hit
-
-let count_bounded ?limits g = List.length (enumerate ?limits g)

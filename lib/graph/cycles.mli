@@ -24,25 +24,12 @@ val enumerate_checked : ?limits:limits -> Digraph.t -> int list list * bool
     ([false] when the cycle cap stopped it early; length-capped cycles are
     silently skipped either way). *)
 
-val enumerate_csr : ?limits:limits -> Csr.t -> int list list
-(** CSR-native {!enumerate} — use when the caller already holds a frozen
-    graph. *)
-
-val enumerate_checked_csr : ?limits:limits -> Csr.t -> int list list * bool
-
 val enumerate_checked_rows :
   ?limits:limits -> n:int -> row:(int -> int array) -> unit -> int list list * bool
 (** Enumerate over an *implicit* graph: [row v] must return the successors
     of [v] as a strictly ascending, duplicate-free array, and must be
     deterministic (it is called more than once per vertex).  Equivalent to
-    freezing the relation into a CSR and calling {!enumerate_checked_csr}
-    — same cycles, same order — but only the strongly connected cores are
-    ever materialized, so a BWG with 10^5 vertices and a tiny cyclic core
-    scans in O(V + E) time and O(core) extra space. *)
-
-val truncated : ?limits:limits -> Digraph.t -> bool
-(** Whether [enumerate] with the same limits stopped early (so the returned
-    list may be incomplete). *)
-
-val count_bounded : ?limits:limits -> Digraph.t -> int
-(** Number of cycles found under the caps. *)
+    building the relation as a {!Digraph.t} and calling
+    {!enumerate_checked} — same cycles, same order — but only the strongly
+    connected cores are ever materialized, so a BWG with 10^5 vertices and
+    a tiny cyclic core scans in O(V + E) time and O(core) extra space. *)

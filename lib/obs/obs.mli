@@ -5,7 +5,7 @@
     [gauge]) first reads one atomic word and returns immediately when no
     collector is installed, so instrumented code paths cost a few
     nanoseconds per probe when tracing is disabled (asserted to be < 2%
-    of the bwg-build benchmark by [bench micro]).
+    of a BWG build by [bench/main.exe obs]).
 
     When enabled ({!enable}), probes record into a process-global
     collector that is safe to use from multiple OCaml domains:

@@ -4,7 +4,6 @@ module Obs = Dfr_obs.Obs
 module Ops = Dfr_ops.Ops
 
 type config = {
-  workers : int;
   capacity : int;
   cache_capacity : int;
   cache_entry_bytes : int;
@@ -15,7 +14,6 @@ type config = {
 
 let default_config =
   {
-    workers = 1;
     capacity = 64;
     cache_capacity = 256;
     cache_entry_bytes = 1 lsl 20;
@@ -41,7 +39,7 @@ type outcome = Checked of entry | Slept of int
 
 type pending = {
   digest : string option; (* Some for checks, None for sleeps *)
-  promise : (outcome, Ops.error) result Pool.promise;
+  promise : (outcome, Ops.error) result Domain_pool.promise;
   deadline : float option;
   cached : bool; (* answered by an earlier in-flight request's work *)
 }
@@ -51,22 +49,27 @@ type slot = { id : Json.t option; mutable state : slot_state }
 
 type t = {
   config : config;
-  pool : Pool.t;
   cache : entry Cache.t;
   sessions : session Cache.t;
-  inflight : (string, (outcome, Ops.error) result Pool.promise) Hashtbl.t;
+  inflight : (string, (outcome, Ops.error) result Domain_pool.promise) Hashtbl.t;
       (* digest -> promise of the first, still-running request for it *)
-  named_digests : (string, string) Hashtbl.t;
-      (* "algo@topology" -> digest; registry contents are fixed for the
-         process lifetime, so this memo never invalidates *)
+  digests : string Cache.t;
+      (* "algo@topology" -> digest; an LRU because the topology parser
+         accepts many spellings of one instance *)
+  admission_m : Mutex.t;
+  finished : Condition.t;
+  mutable outstanding : int;
+      (* admitted jobs not yet finished, queued or running; the only
+         state a pool worker writes, under [admission_m] *)
   mutable requests : int;
   mutable stop : bool;
 }
 
 let create config =
+  if config.capacity < 1 then invalid_arg "Engine.create: capacity >= 1";
   if config.domains < 0 then invalid_arg "Engine.create: domains >= 0";
   (* domains = 0 means "size from the machine": the shared pool's cap,
-     which set_cap/DFR_DOMAINS already bound to the core count *)
+     the core count unless set_cap overrides it *)
   let config =
     if config.domains = 0 then
       { config with domains = Dfr_util.Domain_pool.cap () }
@@ -74,13 +77,15 @@ let create config =
   in
   {
     config;
-    pool = Pool.create ~workers:config.workers ~capacity:config.capacity;
     cache =
       Cache.create ~max_entry_bytes:config.cache_entry_bytes
         ~capacity:config.cache_capacity ();
     sessions = Cache.create ~capacity:config.sessions ();
     inflight = Hashtbl.create 64;
-    named_digests = Hashtbl.create 64;
+    digests = Cache.create ~capacity:config.cache_capacity ();
+    admission_m = Mutex.create ();
+    finished = Condition.create ();
+    outstanding = 0;
     requests = 0;
     stop = false;
   }
@@ -88,7 +93,20 @@ let create config =
 let shutdown_requested t = t.stop
 let requests t = t.requests
 let domains t = t.config.domains
-let shutdown t = Pool.shutdown t.pool
+
+let outstanding t =
+  Mutex.lock t.admission_m;
+  let n = t.outstanding in
+  Mutex.unlock t.admission_m;
+  n
+
+(* a timed-out job still runs and still holds its slot; wait it out *)
+let shutdown t =
+  Mutex.lock t.admission_m;
+  while t.outstanding > 0 do
+    Condition.wait t.finished t.admission_m
+  done;
+  Mutex.unlock t.admission_m
 
 let stats_json t =
   Json.Obj
@@ -96,12 +114,12 @@ let stats_json t =
       ("requests", Json.Int t.requests);
       ("cache", Cache.stats_json t.cache);
       ("sessions", Cache.stats_json t.sessions);
+      ("digests", Cache.stats_json t.digests);
       ( "pool",
         Json.Obj
           [
-            ("workers", Json.Int (Pool.workers t.pool));
-            ("capacity", Json.Int (Pool.capacity t.pool));
-            ("outstanding", Json.Int (Pool.outstanding t.pool));
+            ("capacity", Json.Int t.config.capacity);
+            ("outstanding", Json.Int (outstanding t));
           ] );
     ]
 
@@ -109,7 +127,36 @@ let stats_json t =
 (* dispatch                                                            *)
 
 let ready j = Ready j
-let gauge_depth t = Obs.gauge "serve.queue.depth" (float_of_int (Pool.outstanding t.pool))
+let gauge_depth t = Obs.gauge "serve.queue.depth" (float_of_int (outstanding t))
+
+(* Admission counts outstanding jobs, and a job gives its slot back
+   before its promise is fulfilled: whoever observes a completion also
+   observes the freed slot.  Admission therefore depends on which
+   earlier jobs have finished, never on how far the pool has got with
+   its backlog, and [queue_full] is reproducible. *)
+let admit t job =
+  Mutex.lock t.admission_m;
+  let admitted = t.outstanding < t.config.capacity in
+  if admitted then t.outstanding <- t.outstanding + 1;
+  Mutex.unlock t.admission_m;
+  if not admitted then None
+  else begin
+    let release () =
+      Mutex.lock t.admission_m;
+      t.outstanding <- t.outstanding - 1;
+      Condition.broadcast t.finished;
+      Mutex.unlock t.admission_m
+    in
+    let promise = Domain_pool.async (fun () -> Fun.protect ~finally:release job) in
+    gauge_depth t;
+    Some promise
+  end
+
+let queue_full t ~id =
+  Obs.count "serve.queue_full" 1;
+  ready
+    (Protocol.error_response ~id ~kind:"queue_full"
+       (Printf.sprintf "server at capacity (%d outstanding checks)" t.config.capacity))
 
 (* Deadlines are monotonic-clock instants: an NTP step of the wall clock
    must neither spuriously expire an in-flight request nor extend it. *)
@@ -136,11 +183,11 @@ let digest t (source : Ops.source) (i : Ops.instance) =
   match source with
   | Ops.Named { algo; topology } -> (
     let key = algo ^ "@" ^ Option.value topology ~default:"" in
-    match Hashtbl.find_opt t.named_digests key with
+    match Cache.find t.digests key with
     | Some d -> d
     | None ->
       let d = printed "registry:" key in
-      Hashtbl.add t.named_digests key d;
+      Cache.add t.digests key d;
       d)
   (* the protocol only ever carries inline text *)
   | Ops.Spec (Ops.Text src | Ops.File src) -> printed "spec:" src
@@ -170,22 +217,16 @@ let submit_check t ~id ~digest inst =
                    exit_code = Report_json.exit_code report.Checker.verdict;
                  })
       in
-      match Pool.try_submit t.pool job with
-      | None ->
-        Obs.count "serve.queue_full" 1;
-        ready
-          (Protocol.error_response ~id ~kind:"queue_full"
-             (Printf.sprintf "server at capacity (%d outstanding checks)"
-                (Pool.capacity t.pool)))
+      match admit t job with
+      | None -> queue_full t ~id
       | Some promise ->
         Hashtbl.replace t.inflight digest promise;
-        gauge_depth t;
         Waiting
           { digest = Some digest; promise; deadline = deadline_of t; cached = false }))
 
 (* Incremental re-checks run synchronously on the orchestrator: the whole
    point of the delta path is sub-millisecond latency, and a mutable
-   session must not be shared with a worker anyway.  A session miss (or
+   session must not be shared with a pool job anyway.  A session miss (or
    an edit the session cannot take) falls back to a cold session inline —
    costly, but it seeds the session later deltas reuse. *)
 let check_delta t ~id ~base ~spec =
@@ -239,8 +280,8 @@ let check_delta t ~id ~base ~spec =
 
 (* Fault campaigns run synchronously on the orchestrator, like the delta
    path: the campaign drives its own incremental session, which must not
-   be shared with a worker.  The response embeds the campaign document
-   verbatim — byte-identical at any worker/domain configuration. *)
+   be shared with a pool job.  The response embeds the campaign document
+   verbatim — byte-identical at any pool cap or domain count. *)
 let scenario t ~id ~source ~plan ~sweep =
   Obs.span "serve.scenario" @@ fun () ->
   let mode = if sweep then `Sweep else `Sequence in
@@ -274,15 +315,9 @@ let dispatch t ~id (req : Protocol.request) =
       Unix.sleepf (float_of_int ms /. 1000.);
       Ok (Slept ms)
     in
-    match Pool.try_submit t.pool job with
-    | None ->
-      Obs.count "serve.queue_full" 1;
-      ready
-        (Protocol.error_response ~id ~kind:"queue_full"
-           (Printf.sprintf "server at capacity (%d outstanding checks)"
-              (Pool.capacity t.pool)))
+    match admit t job with
+    | None -> queue_full t ~id
     | Some promise ->
-      gauge_depth t;
       Waiting { digest = None; promise; deadline = deadline_of t; cached = false })
   | Protocol.Check source -> (
     match Ops.instance source with
@@ -352,7 +387,7 @@ let poll t slot =
   match slot.state with
   | Ready j -> Some j
   | Waiting p -> (
-    match Pool.poll p.promise with
+    match Domain_pool.poll p.promise with
     | Some result ->
       let j = settle t ~id:slot.id p result in
       slot.state <- Ready j;
@@ -371,7 +406,7 @@ let await t slot =
   | Waiting p -> (
     match p.deadline with
     | None ->
-      let j = settle t ~id:slot.id p (Pool.await p.promise) in
+      let j = settle t ~id:slot.id p (Domain_pool.await p.promise) in
       slot.state <- Ready j;
       j
     | Some _ ->

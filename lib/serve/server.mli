@@ -8,7 +8,7 @@
     the loop multiplexes between new input and completed work, so a
     client that waits for each response before sending the next request
     never deadlocks, while a client that streams requests gets pipelined
-    execution across the worker pool.
+    execution across the shared domain pool.
 
     Robustness: a malformed line is answered with an error object and the
     session continues; a line longer than {!max_line_bytes} terminates

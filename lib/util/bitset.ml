@@ -134,54 +134,6 @@ module Dense = struct
     !acc
 
   let elements s = List.rev (fold (fun i acc -> i :: acc) s [])
-
-  (* Many same-width rows in one flat word array: the allocation pattern
-     of per-component reachability closures (one row per SCC), where
-     creating hundreds of individual [t] values would dominate. *)
-  module Matrix = struct
-    type t = { rows : int; len : int; nw : int; words : int array }
-
-    let create ~rows ~len =
-      if rows < 0 || len < 0 then invalid_arg "Bitset.Dense.Matrix.create";
-      let nw = (len + bits - 1) / bits in
-      { rows; len; nw; words = Array.make (rows * nw) 0 }
-
-    let rows m = m.rows
-    let length m = m.len
-
-    let check m r i =
-      if r < 0 || r >= m.rows || i < 0 || i >= m.len then
-        invalid_arg "Bitset.Dense.Matrix: out of range"
-
-    let add m r i =
-      check m r i;
-      let w = (r * m.nw) + (i / bits) in
-      m.words.(w) <- m.words.(w) lor (1 lsl (i mod bits))
-
-    let mem m r i =
-      check m r i;
-      m.words.((r * m.nw) + (i / bits)) land (1 lsl (i mod bits)) <> 0
-
-    let union_rows m ~into ~src =
-      if into < 0 || into >= m.rows || src < 0 || src >= m.rows then
-        invalid_arg "Bitset.Dense.Matrix.union_rows";
-      let a = into * m.nw and b = src * m.nw in
-      for k = 0 to m.nw - 1 do
-        m.words.(a + k) <- m.words.(a + k) lor m.words.(b + k)
-      done
-
-    let iter_row f m r =
-      if r < 0 || r >= m.rows then invalid_arg "Bitset.Dense.Matrix.iter_row";
-      let off = r * m.nw in
-      for w = 0 to m.nw - 1 do
-        let mask = ref m.words.(off + w) in
-        let base = w * bits in
-        while !mask <> 0 do
-          f (base + bit_index (!mask land - !mask));
-          mask := !mask land (!mask - 1)
-        done
-      done
-  end
 end
 
 (* Rows that pick their representation per row by density.  The BWG

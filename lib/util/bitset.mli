@@ -62,31 +62,6 @@ module Dense : sig
 
   val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
   val elements : t -> int list
-
-  (** Many same-width rows packed into one flat word array.  This is the
-      allocation shape of the BWG builder's per-component closures: one
-      [Matrix.create] per destination instead of one heap object per
-      component. *)
-  module Matrix : sig
-    type t
-
-    val create : rows:int -> len:int -> t
-    (** All bits clear. *)
-
-    val rows : t -> int
-    val length : t -> int
-
-    val add : t -> int -> int -> unit
-    (** [add m r i] sets bit [i] of row [r]. *)
-
-    val mem : t -> int -> int -> bool
-
-    val union_rows : t -> into:int -> src:int -> unit
-    (** Word-parallel [lor] of row [src] into row [into]. *)
-
-    val iter_row : (int -> unit) -> t -> int -> unit
-    (** Set bits of one row, ascending. *)
-  end
 end
 
 (** Rows that pick their representation per row by density: a sorted int
@@ -101,8 +76,7 @@ end
     bit-for-bit independent of which representation a row happens to be
     in. *)
 module Hybrid : sig
-  (** Many same-length rows, the closure-pass container (mirrors
-      {!Dense.Matrix}). *)
+  (** Many same-length rows, the closure-pass container. *)
   module Rows : sig
     type t
 

@@ -1,13 +1,16 @@
 (** A process-wide pool of reusable worker domains.
 
-    [Domain.spawn] costs roughly a thread creation plus a stop-the-world
+    Spawning a domain costs roughly a thread creation plus a stop-the-world
     handshake with every running domain — cheap once, ruinous when paid
     per phase per check.  Before this pool existed the checker spawned
     fresh domains for every BWG build, every classification scan and
     every fuzz campaign, so a single [--domains 4] check on a large
     instance paid the spawn tax three times over.  The pool parks worker
-    domains between phases instead: the first [parallel] call spawns
-    what it needs, every later call reuses them.
+    domains between phases instead: the first call spawns what it needs,
+    every later call reuses them.  It is the only place the library
+    spawns domains: the checker's phases fan out over it with
+    {!parallel}, and [dfcheck serve] runs each admitted check on it with
+    {!async}.
 
     Determinism contract: the pool never decides {e what} work an index
     performs, only {e where} it runs.  Callers partition their work by
@@ -19,23 +22,25 @@
     {e between} indices, because the pool is free to run several of
     them sequentially on one domain.
 
-    The pool also clamps concurrency to the machine: at most {!cap}
-    indices are ever in flight at once (default
-    [Domain.recommended_domain_count ()]).  Oversubscribing cores with
-    OCaml domains is actively harmful — every minor collection
-    handshakes with all running domains, so extra domains on a shared
-    core add latency instead of hiding it.  Requested indices beyond
-    the cap still run, just sequentially on the caller. *)
+    The pool also clamps concurrency to the machine, across the whole
+    process: at most [cap () - 1] workers are busy at once (default
+    {!cap} is [Domain.recommended_domain_count ()]), whether they run
+    async jobs, [parallel] indices, or [parallel] indices of calls made
+    inside async jobs.  Oversubscribing cores with OCaml domains is
+    actively harmful — every minor collection handshakes with all
+    running domains, so extra domains on a shared core add latency
+    instead of hiding it.  Work beyond the cap still runs: [parallel]
+    indices sequentially on their caller, async jobs from a backlog. *)
 
 val parallel : domains:int -> (int -> unit) -> unit
 (** [parallel ~domains f] runs [f k] for every [k] in
     [0 .. domains - 1] and returns once all calls have finished.
     [f 0] always runs on the calling domain; the other indices run on
     parked pool workers, spawned on first use and reused afterwards.
-    When fewer workers are free than requested — a concurrent or nested
-    [parallel] call holds them, or the pool is at its size cap — the
-    unassigned indices run sequentially on the calling domain after
-    [f 0]; every index runs exactly once regardless.
+    When fewer workers are free than requested — other callers or async
+    jobs hold them up to the busy cap, which leaves no worker at all at
+    cap 1 — the unassigned indices run sequentially on the calling
+    domain after [f 0]; every index runs exactly once regardless.
 
     If one or more calls raise, the exception of the smallest index is
     re-raised after every call has completed, and the pool remains
@@ -48,9 +53,29 @@ val chunk : n:int -> domains:int -> int -> int * int
     one, earlier chunks take the remainder).  Chunks of out-of-range
     [k] are empty. *)
 
+type 'a promise
+(** The single-assignment result of an {!async} job. *)
+
+val async : (unit -> 'a) -> 'a promise
+(** [async f] runs [f ()] on a pool worker and returns at once.  While
+    the busy cap is reached the job waits in a FIFO backlog that workers
+    drain as they finish.  Unlike {!parallel}, an async job always gets
+    a worker, even at cap 1.  If [f] raises, the exception becomes the
+    promise's result and the worker keeps serving.  A worker is reparked
+    before its job's promise is fulfilled, so consecutive
+    [await (async f)] calls reuse it.  Never {!await} from inside a pool
+    job: the awaited job may be queued behind it. *)
+
+val poll : 'a promise -> ('a, exn) result option
+(** Non-blocking completion test. *)
+
+val await : 'a promise -> ('a, exn) result
+(** Block until the job has completed. *)
+
 val cap : unit -> int
-(** Maximum indices in flight per [parallel] call:
-    [Domain.recommended_domain_count ()] unless overridden. *)
+(** The concurrency cap: at most [cap () - 1] busy workers process-wide,
+    but at least one for async jobs.  [Domain.recommended_domain_count ()]
+    unless overridden. *)
 
 val set_cap : int option -> unit
 (** [set_cap (Some n)] overrides the concurrency cap ([n >= 1], subject
@@ -65,5 +90,5 @@ val spawned : unit -> int
     [parallel ~domains:n] calls must not double it. *)
 
 val max_workers : int
-(** Size cap on the pool (the OCaml runtime tops out around 128
-    domains; the cap leaves headroom for callers' own domains). *)
+(** Most worker domains the pool ever spawns, whatever {!cap} says (the
+    OCaml runtime tops out around 128 domains). *)

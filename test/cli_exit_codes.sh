@@ -73,7 +73,7 @@ expect 0 fuzz --trials 10 --seed 7 --max-nodes 6
 
 # the serve/client surface
 expect 0 list --json
-expect 2 serve --workers 0
+expect 2 serve --queue 0
 expect 2 serve --cache=-1
 expect 2 client ping                 # --port is required
 expect 2 client check --port 1      # needs --spec or -a before connecting

@@ -1,8 +1,8 @@
-(* The serving subsystem: LRU verdict cache, bounded worker pool,
-   protocol parsing, and the engine's end-to-end behaviour — cache
-   hits bit-for-bit identical to the original response, deterministic
-   queue_full backpressure, malformed-request isolation, timeouts,
-   and byte-determinism across --domains settings. *)
+(* The serving subsystem: LRU verdict cache, protocol parsing, and the
+   engine's end-to-end behaviour — cache hits bit-for-bit identical to
+   the original response, deterministic queue_full backpressure,
+   malformed-request isolation, timeouts, and byte-determinism across
+   pool caps and --domains settings. *)
 
 open Dfr_serve
 module J = Dfr_util.Json
@@ -77,59 +77,6 @@ let test_cache_entry_byte_cap () =
   let u = Cache.create ~capacity:1 () in
   Cache.add ~bytes:max_int u "big" 1;
   check Alcotest.bool "no cap by default" true (Cache.mem u "big")
-
-(* ---------------- pool ---------------- *)
-
-let test_pool_backpressure () =
-  let p = Pool.create ~workers:1 ~capacity:1 in
-  let gate = Mutex.create () in
-  Mutex.lock gate;
-  let j1 =
-    match
-      Pool.try_submit p (fun () ->
-          Mutex.lock gate;
-          Mutex.unlock gate;
-          42)
-    with
-    | Some pr -> pr
-    | None -> Alcotest.fail "first job refused"
-  in
-  (* the slot is held until completion, so the second submit is refused
-     no matter how far the worker has got *)
-  (match Pool.try_submit p (fun () -> 0) with
-  | Some _ -> Alcotest.fail "admission above capacity"
-  | None -> ());
-  check Alcotest.int "outstanding" 1 (Pool.outstanding p);
-  Mutex.unlock gate;
-  (match Pool.await j1 with
-  | Ok n -> check Alcotest.int "result" 42 n
-  | Error e -> Alcotest.failf "job failed: %s" (Printexc.to_string e));
-  (* await returning implies the slot is free again *)
-  (match Pool.try_submit p (fun () -> 7) with
-  | Some pr -> (
-    match Pool.await pr with
-    | Ok n -> check Alcotest.int "freed slot" 7 n
-    | Error _ -> Alcotest.fail "second job failed")
-  | None -> Alcotest.fail "slot not released");
-  Pool.shutdown p;
-  Pool.shutdown p (* idempotent *)
-
-let test_pool_exception () =
-  let p = Pool.create ~workers:1 ~capacity:2 in
-  (match Pool.try_submit p (fun () -> failwith "boom") with
-  | None -> Alcotest.fail "refused"
-  | Some pr -> (
-    match Pool.await pr with
-    | Error (Failure msg) when msg = "boom" -> ()
-    | Error e -> Alcotest.failf "wrong exn: %s" (Printexc.to_string e)
-    | Ok () -> Alcotest.fail "exception swallowed"));
-  (* the worker survived: it can still run work *)
-  (match Pool.try_submit p (fun () -> "alive") with
-  | Some pr ->
-    check Alcotest.(result string reject) "worker survives" (Ok "alive")
-      (match Pool.await pr with Ok s -> Ok s | Error _ -> Error ())
-  | None -> Alcotest.fail "refused after exception");
-  Pool.shutdown p
 
 (* ---------------- protocol ---------------- *)
 
@@ -244,9 +191,9 @@ let test_engine_cross_surface_digest () =
           (J.to_string (member "digest" by_spec))
       | _ -> Alcotest.fail "two responses expected")
 
-let stats_cache e =
+let stats e name =
   let resp = Engine.await e (Engine.handle_line e "{\"op\":\"stats\"}") in
-  member "cache" (member "stats" resp)
+  member name (member "stats" resp)
 
 let test_engine_lru_and_counters () =
   let config = { Engine.default_config with Engine.cache_capacity = 1 } in
@@ -264,13 +211,32 @@ let test_engine_lru_and_counters () =
         check Alcotest.bool "second is a hit" true (is_cached r2);
         check Alcotest.bool "other problem misses" false (is_cached r3);
         check Alcotest.bool "evicted problem misses" false (is_cached r4);
-        let cache = stats_cache e in
+        let cache = stats e "cache" in
         check Alcotest.string "hits" "1" (J.to_string (member "hits" cache));
         check Alcotest.string "misses" "3" (J.to_string (member "misses" cache));
         check Alcotest.string "evictions" "2"
           (J.to_string (member "evictions" cache));
         check Alcotest.string "size" "1" (J.to_string (member "size" cache))
       | _ -> Alcotest.fail "four responses expected")
+
+(* the topology parser accepts many spellings of one instance; the memo
+   from named problems to digests is bounded by the cache capacity *)
+let test_engine_digest_memo_bounded () =
+  let config = { Engine.default_config with Engine.cache_capacity = 4 } in
+  with_engine ~config (fun e ->
+      let spellings =
+        List.init 10 (fun k -> "hypercube:" ^ String.make k '0' ^ "2")
+      in
+      let responses = run_seq e (List.map (named "efa") spellings) in
+      List.iter (fun r -> check Alcotest.bool "answered ok" true (is_ok r)) responses;
+      let digests =
+        List.sort_uniq compare
+          (List.map (fun r -> J.to_string (member "digest" r)) responses)
+      in
+      check Alcotest.int "one digest for every spelling" 1 (List.length digests);
+      match member "size" (stats e "digests") with
+      | J.Int n -> check Alcotest.bool "memo holds at most 4 entries" true (n <= 4)
+      | _ -> Alcotest.fail "memo size missing")
 
 let test_engine_entry_byte_cap () =
   (* a report bigger than the per-entry cap is served but never cached,
@@ -282,7 +248,7 @@ let test_engine_entry_byte_cap () =
         check Alcotest.bool "first ok" true (is_ok r1);
         check Alcotest.bool "second ok" true (is_ok r2);
         check Alcotest.bool "re-request recomputes" false (is_cached r2);
-        let cache = stats_cache e in
+        let cache = stats e "cache" in
         check Alcotest.string "rejects counted" "2"
           (J.to_string (member "oversize_rejects" cache));
         check Alcotest.string "nothing stored" "0"
@@ -302,7 +268,7 @@ let test_engine_coalescing () =
         check Alcotest.string "same report"
           (J.to_string (member "report" first))
           (J.to_string (member "report" second));
-        let cache = stats_cache e in
+        let cache = stats e "cache" in
         (* both lookups happened before anything was cached *)
         check Alcotest.string "both were misses" "2"
           (J.to_string (member "misses" cache));
@@ -336,9 +302,7 @@ let test_engine_malformed_isolated () =
       | _ -> Alcotest.fail "six responses expected")
 
 let test_engine_queue_full () =
-  let config =
-    { Engine.default_config with Engine.workers = 1; capacity = 1 }
-  in
+  let config = { Engine.default_config with Engine.capacity = 1 } in
   with_engine ~config (fun e ->
       let slow = Engine.handle_line e "{\"op\":\"sleep\",\"ms\":200}" in
       (* the single slot is taken: the next request is refused at once *)
@@ -359,6 +323,25 @@ let test_engine_timeout () =
   with_engine ~config (fun e ->
       let resp = Engine.await e (Engine.handle_line e "{\"op\":\"sleep\",\"ms\":300}") in
       check Alcotest.string "deadline enforced" "timeout" (error_kind resp))
+
+(* a deadline answers the client but cannot stop the job, so the job
+   keeps its admission slot until it really finishes *)
+let test_engine_timeout_keeps_slot () =
+  let config =
+    { Engine.default_config with Engine.capacity = 1; timeout_ms = 30 }
+  in
+  with_engine ~config (fun e ->
+      let slow = Engine.await e (Engine.handle_line e "{\"op\":\"sleep\",\"ms\":300}") in
+      check Alcotest.string "answered timeout" "timeout" (error_kind slow);
+      let next = Engine.await e (Engine.handle_line e "{\"op\":\"sleep\",\"ms\":0}") in
+      check Alcotest.string "the sleeper still holds the slot" "queue_full"
+        (error_kind next);
+      Unix.sleepf 0.4;
+      let later = Engine.await e (Engine.handle_line e "{\"op\":\"sleep\",\"ms\":0}") in
+      check Alcotest.bool "admitted once the sleeper finished" true (is_ok later));
+  Alcotest.check_raises "no slots at all is rejected"
+    (Invalid_argument "Engine.create: capacity >= 1") (fun () ->
+      ignore (Engine.create { Engine.default_config with Engine.capacity = 0 }))
 
 let test_engine_shutdown_guard () =
   with_engine (fun e ->
@@ -504,15 +487,19 @@ let test_engine_deterministic_across_domains () =
       "{\"op\":\"check\",\"algo\":\"no-such-algorithm\",\"id\":6}";
     ]
   in
-  let run config =
-    with_engine ~config (fun e ->
-        String.concat "\n" (List.map J.to_string (run_seq e script)))
+  let run cap domains =
+    Dfr_util.Domain_pool.set_cap (Some cap);
+    Fun.protect ~finally:(fun () -> Dfr_util.Domain_pool.set_cap None) (fun () ->
+        with_engine ~config:{ Engine.default_config with Engine.domains }
+          (fun e -> String.concat "\n" (List.map J.to_string (run_seq e script))))
   in
-  let base = run Engine.default_config in
-  let parallel =
-    run { Engine.default_config with Engine.workers = 2; domains = 2 }
-  in
-  check Alcotest.string "byte-identical transcript" base parallel
+  let base = run 1 1 in
+  List.iter
+    (fun (cap, domains) ->
+      check Alcotest.string
+        (Printf.sprintf "byte-identical transcript at cap %d, domains %d" cap domains)
+        base (run cap domains))
+    [ (1, 2); (2, 1); (2, 2); (4, 1); (4, 2) ]
 
 (* satellite: an unspecified --domains (config 0) auto-sizes from the
    machine at create time; the stored value is the pool cap, never 0 *)
@@ -585,10 +572,6 @@ let suite =
       test_cache_entry_byte_cap;
     Alcotest.test_case "cache: capacity 0 disables storage" `Quick
       test_cache_disabled;
-    Alcotest.test_case "pool: deterministic bounded admission" `Quick
-      test_pool_backpressure;
-    Alcotest.test_case "pool: a raising job spares the worker" `Quick
-      test_pool_exception;
     Alcotest.test_case "protocol: parse and id recovery" `Quick
       test_protocol_parse;
     Alcotest.test_case "engine: cache hit replays the report bit-for-bit"
@@ -597,6 +580,8 @@ let suite =
       test_engine_cross_surface_digest;
     Alcotest.test_case "engine: LRU eviction and hit/miss counters" `Quick
       test_engine_lru_and_counters;
+    Alcotest.test_case "engine: the digest memo is bounded" `Quick
+      test_engine_digest_memo_bounded;
     Alcotest.test_case "engine: oversized reports are served uncached" `Quick
       test_engine_entry_byte_cap;
     Alcotest.test_case "engine: identical in-flight checks coalesce" `Quick
@@ -606,6 +591,8 @@ let suite =
     Alcotest.test_case "engine: queue_full backpressure is deterministic"
       `Quick test_engine_queue_full;
     Alcotest.test_case "engine: per-request deadline" `Quick test_engine_timeout;
+    Alcotest.test_case "engine: a timed-out job keeps its admission slot"
+      `Quick test_engine_timeout_keeps_slot;
     Alcotest.test_case "engine: shutdown refuses late arrivals" `Quick
       test_engine_shutdown_guard;
     Alcotest.test_case "engine: transcript is domain-count independent" `Quick

@@ -150,53 +150,6 @@ let prop_dense_matches_list_set =
       && Bitset.Dense.cardinal s = List.length ref_set
       && List.for_all (Bitset.Dense.mem s) ref_set)
 
-let test_matrix_rows_independent () =
-  let m = Bitset.Dense.Matrix.create ~rows:3 ~len:70 in
-  check Alcotest.int "rows" 3 (Bitset.Dense.Matrix.rows m);
-  check Alcotest.int "length" 70 (Bitset.Dense.Matrix.length m);
-  Bitset.Dense.Matrix.add m 0 5;
-  Bitset.Dense.Matrix.add m 2 5;
-  Bitset.Dense.Matrix.add m 2 65;
-  check Alcotest.bool "row 0 has 5" true (Bitset.Dense.Matrix.mem m 0 5);
-  check Alcotest.bool "row 1 clear" false (Bitset.Dense.Matrix.mem m 1 5);
-  check Alcotest.bool "row 2 has 65" true (Bitset.Dense.Matrix.mem m 2 65)
-
-let test_matrix_union_iter () =
-  let m = Bitset.Dense.Matrix.create ~rows:2 ~len:130 in
-  List.iter (Bitset.Dense.Matrix.add m 0) [ 0; 63 ];
-  List.iter (Bitset.Dense.Matrix.add m 1) [ 63; 129 ];
-  Bitset.Dense.Matrix.union_rows m ~into:0 ~src:1;
-  let row r =
-    let acc = ref [] in
-    Bitset.Dense.Matrix.iter_row (fun i -> acc := i :: !acc) m r;
-    List.rev !acc
-  in
-  check (Alcotest.list Alcotest.int) "union ascending" [ 0; 63; 129 ] (row 0);
-  check (Alcotest.list Alcotest.int) "src untouched" [ 63; 129 ] (row 1)
-
-let prop_matrix_matches_dense =
-  QCheck.Test.make ~name:"Matrix rows behave like independent Dense sets"
-    ~count:200
-    QCheck.(
-      list_of_size (Gen.int_range 0 80)
-        (pair (int_range 0 3) (int_range 0 149)))
-    (fun adds ->
-      let m = Bitset.Dense.Matrix.create ~rows:4 ~len:150 in
-      let refs = Array.init 4 (fun _ -> Bitset.Dense.create 150) in
-      List.iter
-        (fun (r, i) ->
-          Bitset.Dense.Matrix.add m r i;
-          Bitset.Dense.add refs.(r) i)
-        adds;
-      let row r =
-        let acc = ref [] in
-        Bitset.Dense.Matrix.iter_row (fun i -> acc := i :: !acc) m r;
-        List.rev !acc
-      in
-      List.for_all
-        (fun r -> row r = Bitset.Dense.elements refs.(r))
-        [ 0; 1; 2; 3 ])
-
 (* ---------------- hybrid sparse/dense rows ---------------- *)
 
 let hybrid_row t r =
@@ -339,8 +292,6 @@ let suite =
     Alcotest.test_case "bitset subsets" `Quick test_bitset_subsets;
     Alcotest.test_case "dense basics" `Quick test_dense_basic;
     Alcotest.test_case "dense union" `Quick test_dense_union;
-    Alcotest.test_case "matrix rows independent" `Quick test_matrix_rows_independent;
-    Alcotest.test_case "matrix union/iter" `Quick test_matrix_union_iter;
     Alcotest.test_case "hybrid promotion and storage" `Quick test_hybrid_promotion;
     Alcotest.test_case "prng deterministic" `Quick test_prng_deterministic;
     Alcotest.test_case "prng split independence" `Quick test_prng_split_independent;
@@ -353,7 +304,6 @@ let suite =
     qtest prop_bitset_union_cardinal;
     qtest prop_bitset_fold_ascending;
     qtest prop_dense_matches_list_set;
-    qtest prop_matrix_matches_dense;
     qtest prop_hybrid_rows_differential;
     qtest prop_prng_int_bounds;
     qtest prop_prng_float_bounds;
@@ -657,6 +607,66 @@ let test_pool_capped_serial_order () =
   check (Alcotest.list Alcotest.int) "caller runs indices in order"
     [ 0; 1; 2; 3; 4 ] (List.rev !order)
 
+let await_ok p =
+  match Domain_pool.await p with
+  | Ok v -> v
+  | Error e -> Alcotest.failf "async job raised %s" (Printexc.to_string e)
+
+let test_async_result_and_exception () =
+  with_cap 2 @@ fun () ->
+  check Alcotest.int "value reaches the promise" 42
+    (await_ok (Domain_pool.async (fun () -> 42)));
+  (match Domain_pool.await (Domain_pool.async (fun () -> raise (Boom 7))) with
+  | Error (Boom 7) -> ()
+  | Error e -> Alcotest.failf "wrong exception: %s" (Printexc.to_string e)
+  | Ok () -> Alcotest.fail "exception was swallowed");
+  (* the worker was reparked before the promise was fulfilled *)
+  let n0 = Domain_pool.spawned () in
+  check Alcotest.string "the worker keeps serving" "alive"
+    (await_ok (Domain_pool.async (fun () -> "alive")));
+  check Alcotest.int "and is reused" n0 (Domain_pool.spawned ())
+
+let test_async_backlog_at_cap_1 () =
+  (* cap 1 leaves [parallel] no worker, but an async job gets one; a
+     second job waits in the backlog until the first is done *)
+  with_cap 1 @@ fun () ->
+  let gate = Mutex.create () in
+  Mutex.lock gate;
+  let first_done = Atomic.make false in
+  let first =
+    Domain_pool.async (fun () ->
+        Mutex.lock gate;
+        Mutex.unlock gate;
+        Atomic.set first_done true)
+  in
+  let second = Domain_pool.async (fun () -> Atomic.get first_done) in
+  check Alcotest.bool "second waits behind the running first" true
+    (Option.is_none (Domain_pool.poll second));
+  Mutex.unlock gate;
+  await_ok first;
+  check Alcotest.bool "second ran after first" true (await_ok second)
+
+let test_async_shares_cap () =
+  (* cap 3 allows two busy workers process-wide: the async jobs and the
+     [parallel] calls inside them share them *)
+  with_cap 3 @@ fun () ->
+  let live = Atomic.make 0 and peak = Atomic.make 0 in
+  let rec raise_peak n =
+    let p = Atomic.get peak in
+    if n > p && not (Atomic.compare_and_set peak p n) then raise_peak n
+  in
+  let index _ =
+    raise_peak (Atomic.fetch_and_add live 1 + 1);
+    Unix.sleepf 0.005;
+    Atomic.decr live
+  in
+  let jobs =
+    List.init 4 (fun _ ->
+        Domain_pool.async (fun () -> Domain_pool.parallel ~domains:3 index))
+  in
+  List.iter await_ok jobs;
+  check Alcotest.bool "at most two indices at once" true (Atomic.get peak <= 2)
+
 let prop_chunk_partitions =
   QCheck.Test.make ~name:"chunk tiles [0,n) in order, balanced" ~count:300
     QCheck.(pair (int_range 0 500) (int_range 1 32))
@@ -686,6 +696,12 @@ let suite =
         test_pool_reuse;
       Alcotest.test_case "pool re-raises smallest index" `Quick
         test_pool_exception;
+      Alcotest.test_case "pool async: value and exception reach the promise"
+        `Quick test_async_result_and_exception;
+      Alcotest.test_case "pool async: a queued job waits for a worker" `Quick
+        test_async_backlog_at_cap_1;
+      Alcotest.test_case "pool async: jobs and their parallel calls share the cap"
+        `Quick test_async_shares_cap;
       Alcotest.test_case "pool cap 1 is ordered serial" `Quick
         test_pool_capped_serial_order;
       qtest prop_chunk_partitions;
