@@ -186,12 +186,13 @@ let list_cmd =
 (* The one place a report becomes terminal output, for catalogue and
    spec instances alike. *)
 let check_run source replay certificate json domains trace metrics () =
+  (* before the instance, so a spec's front-end spans are recorded *)
+  obs_setup ~trace ~metrics;
   let inst = ok (Ops.instance source) in
   let net = inst.Ops.net and algo = inst.Ops.algo in
   let name =
     match source with Ops.Named { algo = a; _ } -> a | Ops.Spec _ -> algo.Algo.name
   in
-  obs_setup ~trace ~metrics;
   let report = ok (Ops.check ~domains inst) in
   if json then
     print_endline

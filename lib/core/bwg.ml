@@ -361,6 +361,10 @@ let cycles ?limits t =
   Cycles.enumerate_checked_rows ?limits ~n:(Digraph.num_vertices t.graph)
     ~row:(succ_row t) ()
 
+let fold_cycles ?limits t f init =
+  Cycles.fold_rows ?limits ~n:(Digraph.num_vertices t.graph) ~row:(succ_row t) f
+    init
+
 let unconnected_states ?domains t =
   State_space.filter_reachable ?domains t.space (fun ~buf ~dest ->
       (not (State_space.arrived t.space ~buf ~dest))

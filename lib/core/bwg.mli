@@ -105,6 +105,15 @@ val cycles : ?limits:Dfr_graph.Cycles.limits -> t -> int list list * bool
 (** Elementary cycles and whether enumeration was exhaustive (false = the
     cap was hit and cycles may be missing). *)
 
+val fold_cycles :
+  ?limits:Dfr_graph.Cycles.limits ->
+  t ->
+  (int list -> 'a -> 'a Dfr_graph.Cycles.step) ->
+  'a ->
+  'a * bool
+(** The cycles of {!cycles}, in the same order, streamed to [f], which may
+    stop the enumeration early ({!Dfr_graph.Cycles.fold_rows}). *)
+
 val unconnected_states : ?domains:int -> t -> (int * int) list
 (** Reachable, unarrived, non-delivery states whose waiting set under
     [wait_sets] is empty.  The algorithm is wait-connected for this graph

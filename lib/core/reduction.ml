@@ -10,31 +10,55 @@ type outcome =
 
 (* No True Cycles in [bwg]?  Returns [Ok (Some witness)] when a True Cycle
    exists, [Ok None] when provably none does, [Error reason] when a cap was
-   hit. *)
+   hit.  With no True Cycle found, a truncated enumeration is the reason
+   even if some classification was capped too, as in [Checker.decide]:
+   the missing cycles are the larger gap. *)
 let true_cycle_status ?cycle_limits ?class_limits ?(shortest_first = false) bwg
     =
-  let cycles, cycles_exhaustive = Bwg.cycles ?limits:cycle_limits bwg in
-  let cycles =
-    (* shortest cycles have the fewest witness packets, so a caller
-       learning blocking clauses from the witness gets the tightest
-       clause; stable sort keeps determinism *)
-    if shortest_first then
-      List.stable_sort
-        (fun a b -> compare (List.length a) (List.length b))
-        cycles
-    else cycles
+  let open Dfr_graph.Cycles in
+  (* classify one cycle: stop at a True one, else remember whether a
+     False verdict only meant "no realization within the caps" *)
+  let step c (_, uncertain) =
+    match Cycle_class.classify ?limits:class_limits bwg c with
+    | Cycle_class.True_cycle packets -> Stop (Some (c, packets), uncertain)
+    | Cycle_class.False_resource_cycle { exhaustive } ->
+      Continue (None, uncertain || not exhaustive)
   in
-  let rec go uncertain = function
-    | [] -> if uncertain then Error "cycle classification hit its caps" else Ok None
-    | c :: rest -> (
-      match Cycle_class.classify ?limits:class_limits bwg c with
-      | Cycle_class.True_cycle packets -> Ok (Some (c, packets))
-      | Cycle_class.False_resource_cycle { exhaustive } ->
-        go (uncertain || not exhaustive) rest)
+  let enumerated = ref 0 in
+  let (witness, uncertain), cycles_exhaustive =
+    if shortest_first then begin
+      (* shortest cycles have the fewest witness packets, so a caller
+         learning blocking clauses from the witness gets the tightest
+         clause; stable sort keeps determinism.  Sorting needs them all. *)
+      let cycles, exhaustive = Bwg.cycles ?limits:cycle_limits bwg in
+      enumerated := List.length cycles;
+      let rec go acc = function
+        | [] -> acc
+        | c :: rest -> (
+          match step c acc with Continue acc -> go acc rest | Stop acc -> acc)
+      in
+      ( go (None, false)
+          (List.stable_sort
+             (fun a b -> compare (List.length a) (List.length b))
+             cycles),
+        exhaustive )
+    end
+    else
+      (* enumeration order: classify each cycle as Johnson's search
+         closes it and end the search at the first True Cycle, which is
+         all a Theorem-3 probe needs *)
+      Bwg.fold_cycles ?limits:cycle_limits bwg
+        (fun c acc ->
+          incr enumerated;
+          step c acc)
+        (None, false)
   in
-  match go (not cycles_exhaustive) cycles with
-  | Ok None when not cycles_exhaustive -> Error "cycle enumeration truncated"
-  | r -> r
+  Obs.count "reduction.cycles.enumerated" !enumerated;
+  match witness with
+  | Some w -> Ok (Some w)
+  | None when not cycles_exhaustive -> Error "cycle enumeration truncated"
+  | None when uncertain -> Error "cycle classification hit its caps"
+  | None -> Ok None
 
 let verify_hint ?cycle_limits ?class_limits space =
   match State_space.reduced_waits space with

@@ -34,10 +34,15 @@ val true_cycle_status :
 (** One freedom probe of a candidate BWG': [Ok (Some (cycle, packets))]
     is a True Cycle with its witness packets; [Ok None] means every cycle
     was exhaustively classified False; [Error reason] means a cap was hit
-    before a verdict.  [shortest_first] classifies shortest cycles first,
-    which gives callers that learn from the witness the tightest one.
-    This is the probe both {!search} and the synthesis engine
-    ({!Dfr_synth.Synth}) drive. *)
+    before a verdict: ["cycle enumeration truncated"] when the cycle cap
+    cut the enumeration short, otherwise ["cycle classification hit its
+    caps"].  By default cycles are classified in enumeration order as
+    they stream out of {!Bwg.fold_cycles}, and the enumeration stops at
+    the first True Cycle.  [shortest_first] enumerates them all and
+    classifies shortest cycles first, which gives callers that learn from
+    the witness the tightest one.  Either way the cycles enumerated are
+    counted as [reduction.cycles.enumerated].  This is the probe both
+    {!search} and the synthesis engine ({!Dfr_synth.Synth}) drive. *)
 
 val verify_hint :
   ?cycle_limits:Dfr_graph.Cycles.limits ->

@@ -2,6 +2,8 @@ type limits = { max_cycles : int; max_length : int }
 
 let default_limits = { max_cycles = 10_000; max_length = 64 }
 
+type 'a step = Continue of 'a | Stop of 'a
+
 exception Done
 
 (* Johnson's algorithm restricted to one SCC at a time, over an *implicit*
@@ -17,8 +19,12 @@ exception Done
    on the frozen CSR: roots are visited in ascending global order, and a
    sub-CSR row restricted to the root's SCC enumerates the same allowed
    successors in the same ascending order as the full row did under the
-   [allowed] mask. *)
-let enumerate_with_rows ?(limits = default_limits) ~n ~row ~on_truncate () =
+   [allowed] mask.
+
+   Each cycle goes to [f] the moment the search closes it, so a caller
+   that only needs the first cycle with some property stops the search
+   there instead of paying for the rest of the cap. *)
+let fold_rows ?(limits = default_limits) ~n ~row f init =
   (* --- pass 1: SCCs of the implicit graph (iterative Tarjan) --- *)
   let index = Array.make n (-1) in
   let lowlink = Array.make n 0 in
@@ -97,8 +103,9 @@ let enumerate_with_rows ?(limits = default_limits) ~n ~row ~on_truncate () =
     live.(v) <- size.(comp.(v)) >= 2 || has_self_loop v
   done;
   (* --- pass 3: Johnson rounds, roots ascending, inside per-SCC sub-CSRs --- *)
-  let result = ref [] in
+  let acc = ref init in
   let found = ref 0 in
+  let capped = ref false in
   (* memoized per-component machinery: (members, local csr, scratch) *)
   let sub = Array.make !comp_count None in
   let subgraph c =
@@ -173,10 +180,14 @@ let enumerate_with_rows ?(limits = default_limits) ~n ~row ~on_truncate () =
         end
       in
       let emit () =
-        result := List.rev_map (fun v -> members.(v)) !cstack :: !result;
         incr found;
+        (match f (List.rev_map (fun v -> members.(v)) !cstack) !acc with
+        | Continue a -> acc := a
+        | Stop a ->
+          acc := a;
+          raise Done);
         if !found >= limits.max_cycles then begin
-          on_truncate ();
+          capped := true;
           raise Done
         end
       in
@@ -217,28 +228,20 @@ let enumerate_with_rows ?(limits = default_limits) ~n ~row ~on_truncate () =
        end
      done
    with Done -> ());
-  List.rev !result
+  (!acc, not !capped)
+
+let enumerate_checked_rows ?limits ~n ~row () =
+  let cs, exhaustive =
+    fold_rows ?limits ~n ~row (fun c cs -> Continue (c :: cs)) []
+  in
+  (List.rev cs, exhaustive)
 
 let csr_row g u =
   let start, stop = Csr.row g u in
   Array.init (stop - start) (fun i -> Csr.target g (start + i))
 
-let enumerate_with ?limits g ~on_truncate =
-  let g = Digraph.freeze g in
-  enumerate_with_rows ?limits ~n:(Csr.num_vertices g) ~row:(csr_row g)
-    ~on_truncate ()
-
-let enumerate ?limits g =
-  enumerate_with ?limits g ~on_truncate:(fun () -> ())
-
 let enumerate_checked ?limits g =
-  let hit = ref false in
-  let cs = enumerate_with ?limits g ~on_truncate:(fun () -> hit := true) in
-  (cs, not !hit)
+  let g = Digraph.freeze g in
+  enumerate_checked_rows ?limits ~n:(Csr.num_vertices g) ~row:(csr_row g) ()
 
-let enumerate_checked_rows ?limits ~n ~row () =
-  let hit = ref false in
-  let cs =
-    enumerate_with_rows ?limits ~n ~row ~on_truncate:(fun () -> hit := true) ()
-  in
-  (cs, not !hit)
+let enumerate ?limits g = fst (enumerate_checked ?limits g)

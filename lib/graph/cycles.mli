@@ -33,3 +33,21 @@ val enumerate_checked_rows :
     {!enumerate_checked} — same cycles, same order — but only the strongly
     connected cores are ever materialized, so a BWG with 10^5 vertices and
     a tiny cyclic core scans in O(V + E) time and O(core) extra space. *)
+
+type 'a step = Continue of 'a | Stop of 'a
+
+val fold_rows :
+  ?limits:limits ->
+  n:int ->
+  row:(int -> int array) ->
+  (int list -> 'a -> 'a step) ->
+  'a ->
+  'a * bool
+(** The streaming enumerator every function above is built on: hands the
+    cycles {!enumerate_checked_rows} lists, in the same order, to [f] one
+    at a time as the search closes them.  [f] returns [Continue acc] to
+    go on or [Stop acc] to end the enumeration at that cycle, skipping the
+    rest of the search, so stopping after k cycles has seen exactly the
+    first k.  The flag is [false] exactly when the cycle cap ended the
+    enumeration (as in {!enumerate_checked_rows}); a [Stop] leaves it
+    [true]. *)

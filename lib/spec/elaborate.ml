@@ -56,6 +56,62 @@ let sel_matches buf_of_channel b = function
   | Validate.In ci -> Buf.id b = buf_of_channel.(ci)
   | Validate.Inj n -> ( match Buf.kind b with Buf.Injection m -> m = n | _ -> false)
 
+(* First-match resolution: a rule applies to state (b, dest) when its
+   selector matches b and its [to] clause, if any, names dest; the first
+   such rule in declaration order wins.  [Indexed] answers each state in
+   O(1) from an index built once in O(rules): every rule is filed under
+   its selector's target (the one buffer of [in C] or [inj N], the node
+   of [at N], one shared slot for [at *]) and its [to] node or "any",
+   and each (slot, key) keeps only its earliest rule.  The first match of
+   (b, dest) is then the earliest of six entries: b's own slot, its head
+   node's slot and the shared slot, each under dest and under "any".
+   [Linear] scans every rule per state; it is the reference the
+   differential tests compare the index against. *)
+type resolution = Indexed | Linear
+
+let resolver resolution net buf_of_channel rules =
+  let rules = Array.of_list rules in
+  match resolution with
+  | Linear ->
+    fun b dest ->
+      Array.find_opt
+        (fun (r : Validate.rule) ->
+          sel_matches buf_of_channel b r.Validate.sel
+          && match r.Validate.dst with None -> true | Some d -> d = dest)
+        rules
+  | Indexed ->
+    let num_buffers = Net.num_buffers net and num_nodes = Net.num_nodes net in
+    (* slots: buffer ids, then one per node, then [at *]; key -1 = any *)
+    let node_slot n = num_buffers + n and all_slot = num_buffers + num_nodes in
+    let key slot dest = (slot * (num_nodes + 1)) + dest + 1 in
+    let first = Hashtbl.create (Array.length rules) in
+    Array.iteri
+      (fun i (r : Validate.rule) ->
+        let slot =
+          match r.Validate.sel with
+          | Validate.In ci -> buf_of_channel.(ci)
+          | Validate.Inj n -> Buf.id (Net.injection net n)
+          | Validate.At n -> node_slot n
+          | Validate.At_all -> all_slot
+        in
+        let k = key slot (Option.value r.Validate.dst ~default:(-1)) in
+        if not (Hashtbl.mem first k) then Hashtbl.add first k i)
+      rules;
+    fun b dest ->
+      let best = ref max_int in
+      let probe slot =
+        List.iter
+          (fun d ->
+            match Hashtbl.find_opt first (key slot d) with
+            | Some i when i < !best -> best := i
+            | _ -> ())
+          [ dest; -1 ]
+      in
+      probe (Buf.id b);
+      probe (node_slot (Buf.head_node b));
+      probe all_slot;
+      if !best = max_int then None else Some rules.(!best)
+
 let describe_state net b dest =
   Printf.sprintf "%s dest %d" (Net.describe_buffer net (Buf.id b)) dest
 
@@ -94,7 +150,7 @@ let rule_outputs (s : Validate.t) net buf_of_channel triple_index (r : Validate.
             (List.init s.Validate.vcs Fun.id))
       (Topology.minimal_moves topo ~src:head ~dst:dest)
 
-let run (s : Validate.t) =
+let run ?(resolution = Indexed) (s : Validate.t) =
   let net = build_net s in
   let buf_of_channel = buffer_ids s net in
   let triple_index = Hashtbl.create 64 in
@@ -107,27 +163,23 @@ let run (s : Validate.t) =
   let num_nodes = Net.num_nodes net in
   let route_tbl = Array.make_matrix num_buffers num_nodes [] in
   let wait_tbl = Array.make_matrix num_buffers num_nodes [] in
-  let route_rules = List.filter (fun r -> r.Validate.kind = Ast.Route) s.Validate.rules in
-  let wait_rules = List.filter (fun r -> r.Validate.kind = Ast.Wait) s.Validate.rules in
-  let first_match rules b dest =
-    List.find_opt
-      (fun r ->
-        sel_matches buf_of_channel b r.Validate.sel
-        && match r.Validate.dst with None -> true | Some d -> d = dest)
-      rules
+  let first_match kind =
+    resolver resolution net buf_of_channel
+      (List.filter (fun r -> r.Validate.kind = kind) s.Validate.rules)
   in
+  let route_rule = first_match Ast.Route and wait_rule = first_match Ast.Wait in
   Array.iter
     (fun b ->
       if not (Buf.is_delivery b) then
         for dest = 0 to num_nodes - 1 do
           if Buf.head_node b <> dest then begin
             let route =
-              match first_match route_rules b dest with
+              match route_rule b dest with
               | Some r -> rule_outputs s net buf_of_channel triple_index r b dest
               | None -> []
             in
             route_tbl.(Buf.id b).(dest) <- route;
-            match first_match wait_rules b dest with
+            match wait_rule b dest with
             | None -> wait_tbl.(Buf.id b).(dest) <- route
             | Some r ->
               let waits = rule_outputs s net buf_of_channel triple_index r b dest in
@@ -143,23 +195,41 @@ let run (s : Validate.t) =
           end
         done)
     (Net.buffers net);
-  (* every destination must be reachable from every source *)
+  (* every destination must be reachable from every source: per
+     destination, one backward search along the route table from the
+     buffers whose head is that destination marks every buffer that can
+     deliver there ([delivers.(id) = d]); pairs are listed by destination,
+     then source *)
   let unreachable = ref [] in
+  let preds = Array.make num_buffers [] in
+  let delivers = Array.make num_buffers (-1) in
+  let rec drain d = function
+    | [] -> ()
+    | w :: stack ->
+      drain d
+        (List.fold_left
+           (fun stack p ->
+             if delivers.(p) = d then stack
+             else begin
+               delivers.(p) <- d;
+               p :: stack
+             end)
+           stack preds.(w))
+  in
   for d = num_nodes - 1 downto 0 do
-    for src = num_nodes - 1 downto 0 do
-      if src <> d then begin
-        let seen = Array.make num_buffers false in
-        let arrived = ref false in
-        let rec visit id =
-          if (not seen.(id)) && not !arrived then begin
-            seen.(id) <- true;
-            if Buf.head_node (Net.buffer net id) = d then arrived := true
-            else List.iter visit route_tbl.(id).(d)
-          end
-        in
-        visit (Buf.id (Net.injection net src));
-        if not !arrived then unreachable := (src, d) :: !unreachable
+    Array.fill preds 0 num_buffers [];
+    let heads = ref [] in
+    for id = 0 to num_buffers - 1 do
+      if Buf.head_node (Net.buffer net id) = d then begin
+        delivers.(id) <- d;
+        heads := id :: !heads
       end
+      else List.iter (fun w -> preds.(w) <- id :: preds.(w)) route_tbl.(id).(d)
+    done;
+    drain d !heads;
+    for src = num_nodes - 1 downto 0 do
+      if src <> d && delivers.(Buf.id (Net.injection net src)) <> d then
+        unreachable := (src, d) :: !unreachable
     done
   done;
   (match !unreachable with
@@ -199,4 +269,5 @@ let run (s : Validate.t) =
   in
   { spec = s; net; algo; channel_infos }
 
-let check s = try Ok (run s) with Error (pos, msg) -> Error (pos, msg)
+let check ?resolution s =
+  try Ok (run ?resolution s) with Error (pos, msg) -> Error (pos, msg)

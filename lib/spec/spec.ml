@@ -3,6 +3,7 @@
 
 open Dfr_network
 open Dfr_routing
+module Obs = Dfr_obs.Obs
 
 type error = { pos : Ast.pos; msg : string }
 
@@ -21,9 +22,9 @@ let error_to_string ?file { pos; msg } =
 let ( let* ) r f = match r with Ok v -> f v | Error (pos, msg) -> Error { pos; msg }
 
 let compile_string src =
-  let* ast = Parser.parse_string src in
-  let* resolved = Validate.check ast in
-  let* elaborated = Elaborate.check resolved in
+  let* ast = Obs.span "spec.parse" (fun () -> Parser.parse_string src) in
+  let* resolved = Obs.span "spec.validate" (fun () -> Validate.check ast) in
+  let* elaborated = Obs.span "spec.elaborate" (fun () -> Elaborate.check resolved) in
   Ok
     {
       name = resolved.Validate.name;

@@ -1219,3 +1219,56 @@ let suite =
       Alcotest.test_case "report json rejects garbage" `Quick
         test_report_json_rejects_garbage;
     ]
+
+(* ---------------- Theorem-3 probe: reasons for Unknown ---------------- *)
+
+let probe_bwg name =
+  let e = Option.get (Registry.find name) in
+  Bwg.build (State_space.build (Registry.network_for e None) e.Registry.algo)
+
+let status_reason = function
+  | Ok None -> "free"
+  | Ok (Some _) -> "true cycle"
+  | Error reason -> reason
+
+(* With no True Cycle found, a cut-short enumeration is the reason, even
+   when a classification was capped too; only an exhaustive enumeration
+   whose classifications ran into their caps says so.  Both the streaming
+   and the shortest-first path. *)
+let test_true_cycle_status_reasons () =
+  let one_cycle = { Dfr_graph.Cycles.max_cycles = 1; max_length = 64 } in
+  let tiny_class =
+    { Cycle_class.max_paths_per_edge = 1; max_path_length = 2; max_assignments = 1 }
+  in
+  (* unrestricted-mesh: the first enumerated cycle is a False Resource
+     Cycle, classified exhaustively *)
+  let mesh = probe_bwg "unrestricted-mesh" in
+  (match Cycle_class.classify mesh (List.hd (fst (Bwg.cycles ~limits:one_cycle mesh))) with
+  | Cycle_class.False_resource_cycle { exhaustive = true } -> ()
+  | _ -> Alcotest.fail "expected an exhaustive False first cycle");
+  (* two-buffer: 98 cycles, all enumerated; the tiny classification caps
+     find no realization of any *)
+  let two = probe_bwg "two-buffer" in
+  List.iter
+    (fun shortest_first ->
+      let status ?cycle_limits ?class_limits bwg =
+        status_reason
+          (Reduction.true_cycle_status ?cycle_limits ?class_limits ~shortest_first bwg)
+      in
+      let label what = Printf.sprintf "%s (shortest_first %b)" what shortest_first in
+      check Alcotest.string (label "truncated enumeration")
+        "cycle enumeration truncated" (status ~cycle_limits:one_cycle mesh);
+      check Alcotest.string (label "truncation outranks classification caps")
+        "cycle enumeration truncated"
+        (status ~cycle_limits:one_cycle ~class_limits:tiny_class mesh);
+      check Alcotest.string (label "classification caps")
+        "cycle classification hit its caps" (status ~class_limits:tiny_class two);
+      check Alcotest.string (label "True Cycle") "true cycle" (status two))
+    [ false; true ]
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "true_cycle_status: truncation vs classification caps"
+        `Quick test_true_cycle_status_reasons;
+    ]

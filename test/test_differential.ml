@@ -12,6 +12,7 @@
 
    Plus the spec printer's round-trip property on generated cases. *)
 
+open Dfr_network
 open Dfr_routing
 open Dfr_core
 open Dfr_fuzz
@@ -190,3 +191,240 @@ let suite =
     Alcotest.test_case "printer round-trips the incoherent example" `Quick
       test_printer_roundtrip_registry;
   ]
+
+(* ---------------- streaming Theorem-3 probe vs. eager reference ---------------- *)
+
+(* The probe as it was before cycles streamed: enumerate every cycle up
+   to the caps, then classify them in enumeration order and stop at the
+   first True Cycle. *)
+let eager_true_cycle_status ?cycle_limits ?class_limits bwg =
+  let cycles, cycles_exhaustive = Bwg.cycles ?limits:cycle_limits bwg in
+  let rec go uncertain = function
+    | [] ->
+      if not cycles_exhaustive then Error "cycle enumeration truncated"
+      else if uncertain then Error "cycle classification hit its caps"
+      else Ok None
+    | c :: rest -> (
+      match Cycle_class.classify ?limits:class_limits bwg c with
+      | Cycle_class.True_cycle packets -> Ok (Some (c, packets))
+      | Cycle_class.False_resource_cycle { exhaustive } ->
+        go (uncertain || not exhaustive) rest)
+  in
+  go false cycles
+
+let probe_limits =
+  let tiny_class =
+    { Cycle_class.max_paths_per_edge = 1; max_path_length = 2; max_assignments = 1 }
+  in
+  [
+    (Some { Dfr_graph.Cycles.max_cycles = 500; max_length = 64 }, None);
+    (Some { Dfr_graph.Cycles.max_cycles = 3; max_length = 8 }, None);
+    (Some { Dfr_graph.Cycles.max_cycles = 500; max_length = 64 }, Some tiny_class);
+  ]
+
+let same_status what bwg =
+  List.iter
+    (fun (cycle_limits, class_limits) ->
+      if
+        Reduction.true_cycle_status ?cycle_limits ?class_limits bwg
+        <> eager_true_cycle_status ?cycle_limits ?class_limits bwg
+      then Alcotest.failf "%s: streaming probe differs from the eager one" what)
+    probe_limits
+
+let test_streaming_probe_catalogue () =
+  List.iter
+    (fun (e : Registry.entry) ->
+      let net = Registry.network_for e None in
+      let bwg = Bwg.build (State_space.build net e.Registry.algo) in
+      if not (Bwg.is_acyclic bwg) then same_status e.Registry.name bwg)
+    Registry.all
+
+(* generated cases, each probed on its full BWG and on two candidate BWG's
+   with random nonempty wait subsets, the shape Reduction.search builds *)
+let test_streaming_probe_generated () =
+  List.iter
+    (fun seed ->
+      let rng = Dfr_util.Prng.create seed in
+      let net, algo = Case.to_net_algo (Gen.case rng ~max_nodes:8) in
+      let space = State_space.build net algo in
+      let restricted () =
+        let tbl = Hashtbl.create 64 in
+        State_space.iter_reachable space (fun ~buf ~dest ->
+            Hashtbl.replace tbl (buf, dest)
+              (Gen.subset rng (State_space.waits space ~buf ~dest)));
+        fun ~buf ~dest -> Option.value (Hashtbl.find_opt tbl (buf, dest)) ~default:[]
+      in
+      List.iteri
+        (fun i bwg ->
+          if not (Bwg.is_acyclic bwg) then
+            same_status (Printf.sprintf "seed %d bwg %d" seed i) bwg)
+        [
+          Bwg.build space;
+          Bwg.build ~wait_sets:(restricted ()) space;
+          Bwg.build ~wait_sets:(restricted ()) space;
+        ])
+    (List.init 40 (fun i -> 7100 + i))
+
+(* ---------------- indexed vs. linear first-match elaboration ---------------- *)
+
+let elaborate resolution text =
+  match Dfr_spec.Parser.parse_string text with
+  | Error e -> Error e
+  | Ok ast -> (
+    match Dfr_spec.Validate.check ast with
+    | Error e -> Error e
+    | Ok v -> Dfr_spec.Elaborate.check ~resolution v)
+
+(* Both resolutions must elaborate [text] to the same route and wait
+   tables, or fail with the same first error; returns whether it
+   elaborated. *)
+let same_elaboration what text =
+  match
+    ( elaborate Dfr_spec.Elaborate.Indexed text,
+      elaborate Dfr_spec.Elaborate.Linear text )
+  with
+  | Ok a, Ok b ->
+    let net = a.Dfr_spec.Elaborate.net in
+    let table (e : Dfr_spec.Elaborate.t) f =
+      Array.to_list (Net.buffers e.Dfr_spec.Elaborate.net)
+      |> List.concat_map (fun buf ->
+             List.init (Net.num_nodes net) (fun dest ->
+                 f e.Dfr_spec.Elaborate.algo e.Dfr_spec.Elaborate.net buf ~dest))
+    in
+    let route (algo : Algo.t) = algo.Algo.route
+    and waits (algo : Algo.t) = algo.Algo.waits in
+    if table a route <> table b route then Alcotest.failf "%s: route tables differ" what;
+    if table a waits <> table b waits then Alcotest.failf "%s: wait tables differ" what;
+    true
+  | Error (pa, ma), Error (pb, mb) ->
+    if (pa, ma) <> (pb, mb) then
+      Alcotest.failf "%s: first errors differ: %d:%d %s / %d:%d %s" what
+        pa.Dfr_spec.Ast.line pa.Dfr_spec.Ast.col ma pb.Dfr_spec.Ast.line
+        pb.Dfr_spec.Ast.col mb;
+    false
+  | Ok _, Error (_, m) | Error (_, m), Ok _ ->
+    Alcotest.failf "%s: only one resolution failed: %s" what m
+
+let test_index_examples_and_reprints () =
+  let dir = Filename.concat ".." "examples/specs" in
+  Array.iter
+    (fun f ->
+      if Filename.check_suffix f ".dfr" then
+        ignore
+          (same_elaboration f
+             (In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all)))
+    (Sys.readdir dir);
+  List.iter
+    (fun (e : Registry.entry) ->
+      let net = Registry.network_for e None in
+      match Dfr_spec.Printer.to_string net e.Registry.algo with
+      | Ok text ->
+        if not (same_elaboration e.Registry.name text) then
+          Alcotest.failf "%s: reprint does not elaborate" e.Registry.name
+      | Error msg -> Alcotest.failf "%s unprintable: %s" e.Registry.name msg)
+    Registry.all
+
+(* Random rules spliced into a base spec: every selector form, with and
+   without [to D], outputs drawn mostly from channels leaving the
+   selected head node (so many specs elaborate) and sometimes from
+   anywhere (so positioned errors occur too).  Bases are wormhole
+   topology specs, whose [minimal] outputs make a trailing [at *]
+   fallback deliver everything, and reprints of generated cases (any
+   switching mode), whose own rules are all [in C] / [inj N]. *)
+let random_rules_spec rng ~topology =
+  let module P = Dfr_util.Prng in
+  let base =
+    if topology then
+      Printf.sprintf "switching wormhole\nwaiting any\ntopology %s\nvcs 2\n%s"
+        (P.pick rng [ "mesh:2x2"; "mesh:2x3"; "ring:4"; "hypercube:2"; "torus:3x3" ])
+        (if P.bernoulli rng 0.8 then "route at * to * : minimal\n" else "")
+    else
+      match Case.to_spec (Gen.case rng ~max_nodes:6) with
+      | Ok text -> text
+      | Error msg -> Alcotest.failf "generated case unprintable: %s" msg
+  in
+  let lines = String.split_on_char '\n' base in
+  let is_rule l =
+    String.starts_with ~prefix:"route " l || String.starts_with ~prefix:"wait " l
+  in
+  let header = List.filter (fun l -> not (is_rule l)) lines in
+  let rules = List.filter is_rule lines in
+  let v =
+    match Dfr_spec.Parser.parse_string (String.concat "\n" header) with
+    | Ok ast -> (
+      match Dfr_spec.Validate.check ast with
+      | Ok v -> v
+      | Error (_, m) -> Alcotest.failf "base does not validate: %s" m)
+    | Error (_, m) -> Alcotest.failf "base does not parse: %s" m
+  in
+  let n = v.Dfr_spec.Validate.num_nodes in
+  let chans = Array.to_list v.Dfr_spec.Validate.channels in
+  let from node =
+    List.filter (fun (c : Dfr_spec.Validate.channel) -> c.Dfr_spec.Validate.csrc = node) chans
+  in
+  let names cs =
+    match cs with
+    | [] -> "none"
+    | _ ->
+      let pick = Gen.subset rng cs in
+      String.concat " " (List.map (fun (c : Dfr_spec.Validate.channel) -> c.Dfr_spec.Validate.cname) pick)
+  in
+  let random_rule () =
+    let node = P.int rng n in
+    let sel, head =
+      match P.int rng 4 with
+      | 0 -> (Printf.sprintf "at %d" node, Some node)
+      | 1 -> ("at *", None)
+      | 2 ->
+        let c = P.pick rng chans in
+        (Printf.sprintf "in %s" c.Dfr_spec.Validate.cname, Some c.Dfr_spec.Validate.cdst)
+      | _ -> (Printf.sprintf "inj %d" node, Some node)
+    in
+    let dst = if P.bool rng then Printf.sprintf "%d" (P.int rng n) else "*" in
+    let outs =
+      match (P.int rng 10, head) with
+      | 0, _ -> "none"
+      | (1 | 2 | 3), _ when topology -> if P.bool rng then "minimal" else "minimal vc 0"
+      | 4, _ | _, None -> names chans
+      | _, Some h -> names (from h)
+    in
+    Printf.sprintf "%s %s to %s : %s"
+      (if P.bernoulli rng 0.7 then "route" else "wait")
+      sel dst outs
+  in
+  (* splice k random rules into the base's rule list at random places *)
+  let rec splice k rules =
+    if k = 0 then rules
+    else
+      let i = P.int rng (List.length rules + 1) in
+      splice (k - 1)
+        (List.filteri (fun j _ -> j < i) rules
+        @ (random_rule () :: List.filteri (fun j _ -> j >= i) rules))
+  in
+  String.concat "\n" (header @ splice (1 + P.int rng 10) rules) ^ "\n"
+
+let test_index_generated () =
+  let ok = ref 0 and failed = ref 0 in
+  List.iter
+    (fun seed ->
+      let rng = Dfr_util.Prng.create seed in
+      let text = random_rules_spec rng ~topology:(seed mod 2 = 0) in
+      if same_elaboration (Printf.sprintf "seed %d:\n%s" seed text) text then incr ok
+      else incr failed)
+    (List.init 300 (fun i -> 8100 + i));
+  (* the corpus must exercise both outcomes *)
+  check Alcotest.bool "some generated specs elaborate" true (!ok > 0);
+  check Alcotest.bool "some generated specs fail" true (!failed > 0)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "streaming True-Cycle probe = eager (catalogue)" `Quick
+        test_streaming_probe_catalogue;
+      Alcotest.test_case "streaming True-Cycle probe = eager (generated)" `Quick
+        test_streaming_probe_generated;
+      Alcotest.test_case "indexed rule resolution = linear (examples, reprints)"
+        `Quick test_index_examples_and_reprints;
+      Alcotest.test_case "indexed rule resolution = linear (generated)" `Quick
+        test_index_generated;
+    ]

@@ -602,3 +602,100 @@ let suite =
         test_reach_counted_disables;
       prop_reach_matches_naive;
     ]
+
+(* ---------------- streaming cycle enumeration ---------------- *)
+
+(* random digraphs where self-loops are common: each vertex gets one with
+   probability 1/3 on top of the random edges (which may add more) *)
+let arbitrary_digraph_loops =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 8 >>= fun n ->
+      list_size (int_range 0 24) (pair (int_range 0 (n - 1)) (int_range 0 (n - 1)))
+      >>= fun edges ->
+      list_repeat n (int_range 0 2) >>= fun loops ->
+      return
+        ( n,
+          edges
+          @ List.concat (List.mapi (fun v l -> if l = 0 then [ (v, v) ] else []) loops) ))
+  in
+  QCheck.make gen ~print:(fun (n, es) ->
+      Printf.sprintf "n=%d edges=[%s]" n
+        (String.concat "; " (List.map (fun (u, v) -> Printf.sprintf "%d->%d" u v) es)))
+
+let take k l = List.filteri (fun i _ -> i < k) l
+
+(* every cycle, collected through the fold without ever stopping *)
+let collect ?limits ~n ~row () =
+  let cs, exhaustive =
+    Cycles.fold_rows ?limits ~n ~row (fun c cs -> Cycles.Continue (c :: cs)) []
+  in
+  (List.rev cs, exhaustive)
+
+(* An independent order oracle: a plain depth-first walk of the simple
+   paths from each root through larger vertices, successors ascending,
+   closing a cycle whenever an edge returns to the root.  Johnson's
+   blocking only prunes branches that close no cycle, so without a length
+   cap it must emit the same cycles in the same order. *)
+let plain_dfs_cycles n succ =
+  let out = ref [] in
+  for s = 0 to n - 1 do
+    let on_path = Array.make n false in
+    let rec walk v path =
+      on_path.(v) <- true;
+      List.iter
+        (fun w ->
+          if w = s then out := List.rev path :: !out
+          else if w > s && not on_path.(w) then walk w (w :: path))
+        (succ v);
+      on_path.(v) <- false
+    in
+    walk s [ s ]
+  done;
+  List.rev !out
+
+let prop_fold_rows_order =
+  QCheck.Test.make ~name:"streamed cycles = plain DFS oracle order" ~count:200
+    arbitrary_digraph_loops (fun (n, es) ->
+      let c = Digraph.freeze (Digraph.of_edges n es) in
+      let row v = Array.of_list (Csr.succ c v) in
+      let limits = { Cycles.max_cycles = max_int; max_length = n } in
+      collect ~limits ~n ~row () = (plain_dfs_cycles n (Csr.succ c), true))
+
+let prop_fold_rows_caps =
+  QCheck.Test.make
+    ~name:"streamed cycles = enumerate_checked_rows at every cap, stops exact"
+    ~count:200 arbitrary_digraph_loops (fun (n, es) ->
+      let c = Digraph.freeze (Digraph.of_edges n es) in
+      let row v = Array.of_list (Csr.succ c v) in
+      let all, all_exhaustive = Cycles.enumerate_checked_rows ~n ~row () in
+      let count = List.length all in
+      let same limits =
+        collect ~limits ~n ~row () = Cycles.enumerate_checked_rows ~limits ~n ~row ()
+      in
+      (* the cycle cap: the first k cycles, flagged truncated iff k <= count *)
+      let capped k =
+        let limits = { Cycles.default_limits with max_cycles = k } in
+        same limits && collect ~limits ~n ~row () = (take k all, k > count)
+      in
+      (* a caller's Stop after k cycles has seen exactly the first k *)
+      let stopped k =
+        let seen, exhaustive =
+          Cycles.fold_rows ~n ~row
+            (fun cy cs ->
+              let cs = cy :: cs in
+              if List.length cs >= k then Cycles.Stop cs else Cycles.Continue cs)
+            []
+        in
+        List.rev seen = take k all && exhaustive
+      in
+      all_exhaustive
+      && List.for_all capped (List.sort_uniq compare [ 1; 2; max 1 count; count + 1 ])
+      && List.for_all
+           (fun max_length -> same { Cycles.default_limits with max_length })
+           [ 1; 2; 3 ]
+      && same { Cycles.max_cycles = 2; max_length = 2 }
+      && List.for_all stopped (List.init count (fun i -> i + 1)))
+
+let suite =
+  suite @ [ qtest prop_fold_rows_order; qtest prop_fold_rows_caps ]

@@ -212,7 +212,14 @@ let test_error_unreachable_destination () =
     go 0
   in
   check Alcotest.bool "mentions undeliverable pairs" true
-    (contains msg "cannot deliver")
+    (contains msg "cannot deliver");
+  (* eleven undeliverable pairs: the count, the first five by destination
+     then source, and the ellipsis *)
+  let e = compile_err "nodes 4\nchannel a : 0 -> 1\nroute at 0 to * : a\n" in
+  check Alcotest.string "full message"
+    "1:1: routing cannot deliver 11 source/destination pairs: 1 -> 0, 2 -> 0, \
+     3 -> 0, 2 -> 1, 3 -> 1, ..."
+    (Spec.error_to_string e)
 
 let test_error_lexer_position () =
   let e = compile_err "nodes 2\nchannel ? : 0 -> 1\n" in
@@ -241,3 +248,59 @@ let suite =
       test_error_unreachable_destination;
     Alcotest.test_case "error: lexer position" `Quick test_error_lexer_position;
   ]
+
+(* ---------------- search-path goldens ---------------- *)
+
+(* The printer drops a catalogue entry's BWG' hint, so a Theorem-3
+   instance reprinted as a spec reaches Reduction.search, which no
+   catalogue golden does.  golden/search/ALGO@TOPO.json (topology with
+   `:` spelled `_`) is the `spec check --json` report of ALGO's reprint
+   on TOPO; the reprint is built here rather than committed.  On a
+   mismatch the report this build renders is written next to the test
+   binary as ALGO@TOPO.actual.json. *)
+let search_dir = Filename.concat "golden" "search"
+
+let test_search_goldens () =
+  let files =
+    List.filter
+      (fun f -> Filename.check_suffix f ".json")
+      (Array.to_list (Sys.readdir search_dir))
+  in
+  check Alcotest.bool "search goldens present" true (files <> []);
+  List.iter
+    (fun file ->
+      let base = Filename.chop_suffix file ".json" in
+      let algo, topo =
+        match String.index_opt base '@' with
+        | Some i ->
+          ( String.sub base 0 i,
+            String.map
+              (fun c -> if c = '_' then ':' else c)
+              (String.sub base (i + 1) (String.length base - i - 1)) )
+        | None -> Alcotest.failf "%s: expected ALGO@TOPO.json" file
+      in
+      let e = Option.get (Registry.find algo) in
+      let topo = Result.get_ok (Dfr_topology.Topology.of_string topo) in
+      let net = Registry.network_for e (Some topo) in
+      let text = Result.get_ok (Printer.to_string net e.Registry.algo) in
+      let s =
+        match Spec.compile_string text with
+        | Ok s -> s
+        | Error err -> Alcotest.failf "%s: %s" file (Spec.error_to_string err)
+      in
+      let report = Checker.check s.Spec.net s.Spec.algo in
+      let got = Report_json.to_string s.Spec.net s.Spec.algo report ^ "\n" in
+      let want =
+        In_channel.with_open_bin (Filename.concat search_dir file) In_channel.input_all
+      in
+      if got <> want then begin
+        let actual = base ^ ".actual.json" in
+        Out_channel.with_open_bin actual (fun oc -> output_string oc got);
+        Alcotest.failf "%s: report differs from the golden (this build's is in %s)"
+          file actual
+      end)
+    files
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "search-path goldens (hintless reprints)" `Quick test_search_goldens ]
