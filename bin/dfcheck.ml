@@ -388,9 +388,10 @@ let simulate_run source pattern load router json trace metrics () =
       (Net.name net);
     2
   | _ ->
-    (* validated up front, so a refused instance does not depend on which
-       route calls the workload happens to make *)
-    (match Algo.validate algo net with Ok () -> () | Error msg -> invalid_arg msg);
+    (* validated up front by the state-space build [check] runs, so an
+       instance simulates iff it checks, whichever route calls the
+       workload happens to make *)
+    ignore (State_space.build net algo : State_space.t);
     obs_setup ~trace ~metrics;
     let t =
       match Net.topology net with

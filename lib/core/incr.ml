@@ -402,12 +402,14 @@ let update t algo ~dirty =
       if d < 0 || d >= num_nodes then
         invalid_arg "Incr.update: destination out of range")
     dirty;
-  t.n_updates <- t.n_updates + 1;
   (* old views must be taken before the slices are replaced *)
   let old_views =
     List.map (fun d -> (d, State_space.dest_view t.space ~dest:d)) dirty
   in
   let space' = State_space.with_updated_dests t.space algo ~dests:dirty in
+  (* counted only once the rebuild accepted the edit: a refused edit
+     leaves the session untouched *)
+  t.n_updates <- t.n_updates + 1;
   t.space <- space';
   t.algo <- algo;
   List.iter

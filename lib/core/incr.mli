@@ -61,8 +61,8 @@ val create :
     destination, merged graph, and the initial verdict.  The limits are
     pinned for the session's lifetime so every replayed verdict runs the
     pipeline under the same caps as the session's own cold baseline.
-    Raises [Invalid_argument] when [Algo.validate] rejects the pair
-    (as {!State_space.build} does). *)
+    Raises [Invalid_argument] when {!State_space.build} refuses the
+    pair. *)
 
 val update : t -> Algo.t -> dirty:int list -> result
 (** Re-check after an edit touching only the listed destinations.
@@ -70,12 +70,14 @@ val update : t -> Algo.t -> dirty:int list -> result
     untouched and empties no→yes no waiting set is patched in O(cached
     emissions); anything else re-runs that destination's emission
     closure.  The caller warrants the frontier (see module doc); spec
-    edits get it from {!Dfr_spec.Diff.diff}.  The new algorithm is not
-    re-validated — compiled specs are validated by elaboration, and
-    programmatic callers must pass algorithms [Algo.validate] accepts.
-    Raises [Invalid_argument] on an out-of-range destination or when the
-    edit introduces a [reduced_waits] hint the session was built
-    without. *)
+    edits get it from {!Dfr_spec.Diff.diff}.  The dirty destinations'
+    reachable states are validated as a cold build validates them
+    ({!State_space.with_updated_dests}).  Raises [Invalid_argument] on an
+    out-of-range destination, when the edit is malformed on a reachable
+    state (with the message a cold {!State_space.build} of it gives), or
+    when it introduces a [reduced_waits] hint the session was built
+    without; a refused edit leaves the session, its counters included,
+    as it was. *)
 
 val net : t -> Net.t
 val algo : t -> Algo.t

@@ -69,10 +69,17 @@ let reduced_waits t =
    reused across destinations is all the working memory it needs.  Shared
    with [with_updated_dests], which re-runs it for just the dirty
    destinations — a slice is a pure function of (net, algo, dest), so a
-   rebuilt slice is identical to what a cold build produces. *)
+   rebuilt slice is identical to what a cold build produces.
+
+   Every state the BFS routes is checked against the routing contract
+   ([Algo.state_problems]) on the raw route list, waits and hint it reads
+   anyway, so only reachable states are validated — the states the BWG
+   and Theorems 1–3 read.  The destination's problems come back beside
+   the slice, as (buffer, problems) pairs. *)
 let build_slice net algo ~num_nodes ~seen ~out_scratch ~wait_scratch
     ~red_scratch dest =
   let touched = ref [] in
+  let problems = ref [] in
   let queue = Queue.create () in
   let visit buf =
     if not seen.(buf) then begin
@@ -88,15 +95,21 @@ let build_slice net algo ~num_nodes ~seen ~out_scratch ~wait_scratch
     let buf = Queue.pop queue in
     let b = Net.buffer net buf in
     if Buf.head_node b <> dest then begin
-      let outs =
-        List.filter
-          (fun o -> Buf.is_transit (Net.buffer net o))
-          (algo.Algo.route net b ~dest)
+      let route = algo.Algo.route net b ~dest in
+      let waits = algo.Algo.waits net b ~dest in
+      let reduced_waits =
+        Option.map (fun rw -> rw net b ~dest) algo.Algo.reduced_waits
       in
+      (match
+         Algo.state_problems net b ~dest ~outputs:route ~waits ~reduced_waits
+       with
+      | [] -> ()
+      | ps -> problems := (buf, ps) :: !problems);
+      let outs = List.filter (fun o -> Buf.is_transit (Net.buffer net o)) route in
       out_scratch.(buf) <- outs;
-      wait_scratch.(buf) <- algo.Algo.waits net b ~dest;
-      (match (red_scratch, algo.Algo.reduced_waits) with
-      | Some arr, Some rw -> arr.(buf) <- rw net b ~dest
+      wait_scratch.(buf) <- waits;
+      (match (red_scratch, reduced_waits) with
+      | Some arr, Some rw -> arr.(buf) <- rw
       | _ -> ());
       List.iter visit outs
     end
@@ -117,11 +130,11 @@ let build_slice net algo ~num_nodes ~seen ~out_scratch ~wait_scratch
       wait_scratch.(b) <- [];
       match red_scratch with Some arr -> arr.(b) <- [] | None -> ())
     !touched;
-  slice
+  (slice, !problems)
 
 (* [build_slice] with a private size-B scratch for each listed
-   destination in turn *)
-let build_slices net algo ~num_buffers ~num_nodes ~into dests =
+   destination in turn, filling [into] and [problems] *)
+let build_slices net algo ~num_buffers ~num_nodes ~into ~problems dests =
   let seen = Array.make num_buffers false in
   let out_scratch = Array.make num_buffers [] in
   let wait_scratch = Array.make num_buffers [] in
@@ -130,17 +143,33 @@ let build_slices net algo ~num_buffers ~num_nodes ~into dests =
   in
   List.iter
     (fun dest ->
-      into.(dest) <-
+      let slice, ps =
         build_slice net algo ~num_nodes ~seen ~out_scratch ~wait_scratch
-          ~red_scratch dest)
+          ~red_scratch dest
+      in
+      into.(dest) <- slice;
+      problems.(dest) <- ps)
     dests
+
+(* One rejection for the whole build, raised after every destination's
+   BFS: the states sort by (buffer, destination), so the problems keep
+   [Algo.validate]'s order and the message is the same whatever chunking
+   [--domains] chose. *)
+let refuse_malformed ~num_nodes problems =
+  let keyed = ref [] in
+  Array.iteri
+    (fun dest ps ->
+      List.iter (fun (buf, p) -> keyed := ((buf * num_nodes) + dest, p) :: !keyed) ps)
+    problems;
+  if !keyed <> [] then
+    invalid_arg
+      ("State_space.build: "
+      ^ String.concat "; "
+          (List.concat_map snd
+             (List.sort (fun ((a : int), _) (b, _) -> compare a b) !keyed)))
 
 let build ?(domains = 1) net algo =
   Obs.span "space.build" @@ fun () ->
-  (match Obs.span "space.validate" (fun () -> Algo.validate ~domains algo net)
-   with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("State_space.build: " ^ msg));
   let num_buffers = Net.num_buffers net in
   let num_nodes = Net.num_nodes net in
   (* Destinations partition across domains: each worker owns a contiguous
@@ -150,11 +179,13 @@ let build ?(domains = 1) net algo =
   let slices =
     Array.make num_nodes { bufs = [||]; outs = [||]; wts = [||]; rdc = None }
   in
+  let problems = Array.make num_nodes [] in
   let n_dom = max 1 (min domains num_nodes) in
   Dfr_util.Domain_pool.parallel ~domains:n_dom (fun k ->
       let start, stop = Dfr_util.Domain_pool.chunk ~n:num_nodes ~domains:n_dom k in
-      build_slices net algo ~num_buffers ~num_nodes ~into:slices
+      build_slices net algo ~num_buffers ~num_nodes ~into:slices ~problems
         (List.init (stop - start) (fun i -> start + i)));
+  refuse_malformed ~num_nodes problems;
   Obs.count "space.states"
     (Array.fold_left (fun acc s -> acc + Array.length s.bufs) 0 slices);
   {
@@ -253,11 +284,9 @@ let dest_view t ~dest =
    pure function of (net, algo restricted to that dest), so as long as the
    caller's dirty set covers every destination whose applicable rules
    changed — Diff.diff computes exactly that set for spec edits — the
-   result is indistinguishable from a cold build of [algo].  No
-   [Algo.validate] pass runs here: the callers hold pre-validated
-   algorithms (Elaborate validates every compiled spec; the bench path
-   warrants its own edits), and a full validation sweep is O(B * N) route
-   calls — precisely the cost this function exists to avoid. *)
+   result is indistinguishable from a cold build of [algo], rejection
+   included: the rebuilt destinations' reachable states are checked by
+   the same BFS, and the clean ones were checked when they were built. *)
 let with_updated_dests t algo ~dests =
   Obs.span "space.update" @@ fun () ->
   let dests = List.sort_uniq compare dests in
@@ -280,8 +309,10 @@ let with_updated_dests t algo ~dests =
     else Array.map (fun s -> if s.rdc = None then s else { s with rdc = None }) t.slices
   in
   if dests <> [] then Obs.count "space.dest.rebuilds" (List.length dests);
+  let problems = Array.make t.num_nodes [] in
   build_slices t.net algo ~num_buffers:t.num_buffers ~num_nodes:t.num_nodes
-    ~into:slices dests;
+    ~into:slices ~problems dests;
+  refuse_malformed ~num_nodes:t.num_nodes problems;
   let move_graphs = Array.copy t.move_graphs in
   List.iter (fun dest -> move_graphs.(dest) <- None) dests;
   { t with algo; slices; move_graphs }

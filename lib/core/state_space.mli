@@ -15,7 +15,13 @@ open Dfr_routing
 type t
 
 val build : ?domains:int -> Net.t -> Algo.t -> t
-(** Raises [Invalid_argument] when [Algo.validate] rejects the pair.
+(** Raises [Invalid_argument] when {!Algo.state_problems} finds a problem
+    at a reachable state.  The BFS checks every state it routes, so only
+    reachable states are validated: a relation malformed on unreachable
+    states alone builds.  The message is ["State_space.build: "] and the
+    problems joined by ["; "] in (buffer, destination) order — exactly
+    what {!Algo.validate} reports for those states.  A routing or waiting
+    function that raises on a reachable state propagates its exception.
 
     The table is stored as one slice per destination holding just that
     destination's reachable states, so its size is O(states), not
@@ -23,11 +29,11 @@ val build : ?domains:int -> Net.t -> Algo.t -> t
     memory, and what makes a destination's states a field read
     ({!dest_view}).
 
-    [domains] fans both serial phases of the build out over the shared
-    {!Dfr_util.Domain_pool}: the [Algo.validate] sweep partitions by
-    buffer, the reachability BFS by destination (a destination's states
-    never depend on another's).  The resulting table — and the error
-    message on a rejected pair — is identical to the serial build's. *)
+    [domains] fans the reachability BFS out over the shared
+    {!Dfr_util.Domain_pool}, partitioned by destination (a destination's
+    states never depend on another's).  The resulting table — and the
+    error message on a rejected relation — is identical to the serial
+    build's. *)
 
 val net : t -> Net.t
 val algo : t -> Algo.t
@@ -104,13 +110,13 @@ val with_updated_dests : t -> Algo.t -> dests:int list -> t
     destinations, sharing every other destination's structures with [t].
     Sound when the algorithms agree on every destination outside [dests] —
     the caller (Diff / Incr) is responsible for that frontier; the result
-    is then indistinguishable from [build net algo].  [Algo.validate] is
-    deliberately {e not} re-run (callers hold pre-validated algorithms;
-    re-validating would cost the full O(B·N) sweep this function avoids).
-    Raises [Invalid_argument] on an out-of-range destination, or when
-    [algo] carries a [reduced_waits] hint and [t] was built without one
-    (the clean destinations' hint tables cannot be filled in
-    retroactively). *)
+    is then indistinguishable from [build net algo].  So is a refusal: the
+    rebuilt destinations' reachable states are checked as {!build} checks
+    them, and a problem raises [Invalid_argument] with the message a cold
+    [build] of [algo] gives.  Also raises [Invalid_argument] on an
+    out-of-range destination, or when [algo] carries a [reduced_waits]
+    hint and [t] was built without one (the clean destinations' hint
+    tables cannot be filled in retroactively). *)
 
 val filter_reachable :
   ?domains:int -> t -> (buf:int -> dest:int -> bool) -> (int * int) list

@@ -35,82 +35,58 @@ let rec has_dup = function
   | [] -> false
   | x :: rest -> List.mem x rest || has_dup rest
 
-(* Validation visits every (buffer, destination) state independently, so
-   the sweep partitions cleanly across domains: each worker takes a
-   contiguous chunk of the buffer array and accumulates its problems
-   per buffer; the merge walks buffers in index order, which is exactly
-   the order the serial sweep reports in — the error string is
-   byte-identical whatever [domains] says.  The [route]/[waits]
-   closures are called concurrently under [domains > 1]; every
-   algorithm in this repository (catalogue, elaborated specs, fuzz
-   cases) reads only tables frozen at construction, so the calls are
-   safe from any domain. *)
-let validate ?(domains = 1) t net =
-  let check_state acc b dest =
-    let report fmt = Printf.ksprintf (fun s -> acc := s :: !acc) fmt in
-    let outputs = t.route net b ~dest in
-    let waits = t.waits net b ~dest in
-    let head = Buf.head_node b in
-    if has_dup outputs then
-      report "duplicate outputs for %s dest %d" (Net.describe_buffer net (Buf.id b)) dest;
-    let check_out id =
-      let out = Net.buffer net id in
-      if Buf.is_injection out then
-        report "output %s is an injection buffer" (Net.describe_buffer net id);
-      if Buf.is_delivery out && Buf.head_node out <> dest then
-        report "output %s is a foreign delivery buffer" (Net.describe_buffer net id);
-      match Buf.kind out with
-      | Buf.Channel { src; _ } when src <> head ->
-        report "output %s not adjacent to head node %d" (Net.describe_buffer net id) head
-      | _ -> ()
-    in
-    List.iter check_out outputs;
-    List.iter
-      (fun w ->
-        if not (List.mem w outputs) then
-          report "wait buffer %s not in outputs (%s dest %d)"
-            (Net.describe_buffer net w)
-            (Net.describe_buffer net (Buf.id b))
-            dest)
-      waits;
-    match t.reduced_waits with
-    | None -> ()
-    | Some rw ->
-      List.iter
-        (fun w ->
-          if not (List.mem w waits) then
-            report "reduced wait %s not in waits (%s dest %d)"
-              (Net.describe_buffer net w)
-              (Net.describe_buffer net (Buf.id b))
-              dest)
-        (rw net b ~dest)
+let state_problems net b ~dest ~outputs ~waits ~reduced_waits =
+  let problems = ref [] in
+  let report fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
+  let head = Buf.head_node b in
+  if has_dup outputs then
+    report "duplicate outputs for %s dest %d" (Net.describe_buffer net (Buf.id b)) dest;
+  let check_out id =
+    let out = Net.buffer net id in
+    if Buf.is_injection out then
+      report "output %s is an injection buffer" (Net.describe_buffer net id);
+    if Buf.is_delivery out && Buf.head_node out <> dest then
+      report "output %s is a foreign delivery buffer" (Net.describe_buffer net id);
+    match Buf.kind out with
+    | Buf.Channel { src; _ } when src <> head ->
+      report "output %s not adjacent to head node %d" (Net.describe_buffer net id) head
+    | _ -> ()
   in
-  let consider acc b =
-    match Buf.kind b with
-    | Buf.Delivery _ -> ()
-    | Buf.Injection n ->
+  List.iter check_out outputs;
+  List.iter
+    (fun w ->
+      if not (List.mem w outputs) then
+        report "wait buffer %s not in outputs (%s dest %d)" (Net.describe_buffer net w)
+          (Net.describe_buffer net (Buf.id b))
+          dest)
+    waits;
+  Option.iter
+    (List.iter (fun w ->
+         if not (List.mem w waits) then
+           report "reduced wait %s not in waits (%s dest %d)" (Net.describe_buffer net w)
+             (Net.describe_buffer net (Buf.id b))
+             dest))
+    reduced_waits;
+  List.rev !problems
+
+(* The serial all-pairs reference: every (buffer, destination) state in
+   buffer-major order, reachable or not.  The checker validates only
+   reachable states, inside [State_space.build]'s BFS; this sweep is
+   what the tests compare that against. *)
+let validate t net =
+  let problems = ref [] in
+  Array.iter
+    (fun b ->
       for dest = 0 to Net.num_nodes net - 1 do
-        if dest <> n then check_state acc b dest
-      done
-    | Buf.Channel _ | Buf.Node_buffer _ ->
-      for dest = 0 to Net.num_nodes net - 1 do
-        if dest <> Buf.head_node b then check_state acc b dest
-      done
-  in
-  let bufs = Net.buffers net in
-  let n = Array.length bufs in
-  (* per-buffer problem lists (each in reverse report order), filled by
-     disjoint chunks; the ordered merge below is the serial sweep's
-     report order *)
-  let per_buf = Array.make n [] in
-  let n_dom = max 1 (min domains n) in
-  Dfr_util.Domain_pool.parallel ~domains:n_dom (fun k ->
-      let start, stop = Dfr_util.Domain_pool.chunk ~n ~domains:n_dom k in
-      for i = start to stop - 1 do
-        let acc = ref [] in
-        consider acc bufs.(i);
-        per_buf.(i) <- !acc
-      done);
-  match Array.fold_right (fun ps acc -> List.rev_append ps acc) per_buf [] with
-  | [] -> Ok ()
-  | ps -> Error (String.concat "; " ps)
+        if (not (Buf.is_delivery b)) && Buf.head_node b <> dest then begin
+          let outputs = t.route net b ~dest in
+          let waits = t.waits net b ~dest in
+          let reduced_waits = Option.map (fun rw -> rw net b ~dest) t.reduced_waits in
+          problems :=
+            List.rev_append
+              (state_problems net b ~dest ~outputs ~waits ~reduced_waits)
+              !problems
+        end
+      done)
+    (Net.buffers net);
+  match List.rev !problems with [] -> Ok () | ps -> Error (String.concat "; " ps)

@@ -64,15 +64,28 @@ val wait_everywhere : t -> t
 (** Same relation, but waiting on every permitted output ([Any_wait],
     hint discarded).  Used by ablation experiments. *)
 
-val validate : ?domains:int -> t -> Net.t -> (unit, string) result
-(** Checks the structural contract on every (transit or injection buffer,
-    destination) pair: waits ⊆ route, reduced waits ⊆ waits, no output is a
-    delivery buffer of another node, no output repeats, and every output
-    buffer is adjacent (its source endpoint is the packet's head node).
+val state_problems :
+  Net.t ->
+  Buf.t ->
+  dest:int ->
+  outputs:int list ->
+  waits:int list ->
+  reduced_waits:int list option ->
+  string list
+(** The structural contract at one routed state (a transit or injection
+    buffer whose head is not at [dest]), given the raw [route] list, the
+    waits and, when the algorithm carries one, the hint's value there: no
+    output repeats, no output is an injection buffer or another node's
+    delivery buffer, every channel output is adjacent (its source
+    endpoint is the packet's head node), waits ⊆ outputs and reduced
+    waits ⊆ waits.  Returns the problems in that order; [[]] when the
+    state is well formed.  [State_space.build] runs it on every reachable
+    state. *)
 
-    With [domains > 1] the sweep fans the buffer array out over the
-    shared {!Dfr_util.Domain_pool}; the reported error string is
-    byte-identical to the serial sweep's.  The algorithm's closures are
-    then called from several domains concurrently, which is safe for
-    every algorithm built from construction-time tables (all catalogue,
-    spec-elaborated and fuzz algorithms). *)
+val validate : t -> Net.t -> (unit, string) result
+(** {!state_problems} on every routed (buffer, destination) pair,
+    reachable or not, in buffer-major then destination order; the error
+    joins the problems with ["; "].  The checker never calls it — it
+    validates reachable states only — so this serial sweep is the
+    reference the tests compare that against, and the catalogue's
+    all-pairs well-formedness check. *)

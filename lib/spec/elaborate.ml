@@ -249,11 +249,6 @@ let run ?(resolution = Indexed) (s : Validate.t) =
       ~waits:(fun _ b ~dest -> wait_tbl.(Buf.id b).(dest))
       ()
   in
-  (* belt and braces: the structural contract the engine would enforce
-     anyway, surfaced as a positioned error instead of an exception *)
-  (match Algo.validate algo net with
-  | Ok () -> ()
-  | Error msg -> error s.Validate.size_pos "internal elaboration error: %s" msg);
   let channel_infos =
     Array.to_list
       (Array.mapi

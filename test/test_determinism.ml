@@ -82,35 +82,31 @@ let test_verdict_registry () =
 
 (* ---- the phases parallelized by the domain pool, individually ---- *)
 
-(* Algo.validate sweeps (buffer, dest) pairs; the parallel sweep must
-   produce the same Ok, and — harder — the same Error string with the
-   problems in the same buffer order *)
+(* State_space.build validates reachable states inside its
+   per-destination BFS and raises once, after every destination: the
+   rejection must list the problems in the same (buffer, dest) order
+   however the destinations were chunked *)
 let test_validate_parallel () =
   with_cap 4 @@ fun () ->
-  List.iter
-    (fun (e : Registry.entry) ->
-      let net = Registry.network_for e None in
-      let serial = Algo.validate e.Registry.algo net in
-      List.iter
-        (fun d ->
-          if Algo.validate ~domains:d e.Registry.algo net <> serial then
-            Alcotest.failf "%s: validate differs at domains=%d" e.Registry.name
-              d)
-        [ 2; 4; 16 ])
-    Registry.all;
-  (* a broken relation: every buffer misroutes, so the error message
-     aggregates many problems and any merge-order slip shows up *)
+  (* a broken relation: every buffer misroutes, so each injection state
+     is malformed and the message interleaves problems from every
+     destination — any merge-order slip shows up *)
   let broken =
     Algo.make ~name:"broken" ~wait:Algo.Any_wait
       ~route:(fun _ b ~dest:_ -> [ Buf.id b ])
       ()
   in
-  let serial = Algo.validate broken cube2 in
-  check Alcotest.bool "broken algo is rejected" true (Result.is_error serial);
+  let message d =
+    match State_space.build ~domains:d cube2 broken with
+    | _ -> Alcotest.failf "broken algo accepted at domains=%d" d
+    | exception Invalid_argument msg -> msg
+  in
+  let serial = message 1 in
   List.iter
     (fun d ->
-      if Algo.validate ~domains:d broken cube2 <> serial then
-        Alcotest.failf "broken: error string differs at domains=%d" d)
+      check Alcotest.string
+        (Printf.sprintf "broken: error string at domains=%d" d)
+        serial (message d))
     [ 2; 4 ]
 
 (* the state space itself: reachability, outputs and waits per

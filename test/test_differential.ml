@@ -428,3 +428,281 @@ let suite =
       Alcotest.test_case "indexed rule resolution = linear (generated)" `Quick
         test_index_generated;
     ]
+
+(* ---------------- reachable-state validation vs. the all-pairs sweep ---------------- *)
+
+(* The checker validates only the states its BFS reaches (State_space.build
+   runs Algo.state_problems inside the BFS); Algo.validate is the serial
+   all-pairs sweep it replaced.  On every relation the sweep accepts the
+   two must agree on the report; on a relation malformed at one state, the
+   build must refuse exactly when that state is reachable. *)
+
+let routed b ~dest = (not (Buf.is_delivery b)) && Buf.head_node b <> dest
+
+(* Reachability as the paper defines it, independent of State_space: a
+   worklist over (buffer, dest) states seeded at every other node's
+   injection buffer and closed under the transit outputs of the route
+   relation. *)
+let reference_reachable net (algo : Algo.t) =
+  let n = Net.num_nodes net in
+  let seen = Hashtbl.create 256 in
+  let rec go = function
+    | [] -> ()
+    | (buf, dest) :: rest when Hashtbl.mem seen (buf, dest) -> go rest
+    | (buf, dest) :: rest ->
+      Hashtbl.add seen (buf, dest) ();
+      let b = Net.buffer net buf in
+      let next =
+        if Buf.head_node b = dest then []
+        else
+          List.filter_map
+            (fun o -> if Buf.is_transit (Net.buffer net o) then Some (o, dest) else None)
+            (algo.Algo.route net b ~dest)
+      in
+      go (next @ rest)
+  in
+  go
+    (List.concat_map
+       (fun src ->
+         List.filter_map
+           (fun dest ->
+             if dest = src then None else Some (Buf.id (Net.injection net src), dest))
+           (List.init n Fun.id))
+       (List.init n Fun.id));
+  fun ~buf ~dest -> Hashtbl.mem seen (buf, dest)
+
+let report_bytes net algo =
+  Report_json.to_string net algo (Checker.check net algo) ^ "\n"
+
+(* (a) catalogue: every committed golden report (generated before the
+   checks moved into the BFS) is reproduced by a relation the sweep
+   accepts *)
+let golden_dir = "golden"
+
+let test_validated_catalogue_same_reports () =
+  let files =
+    List.filter
+      (fun f -> Filename.check_suffix f ".json")
+      (Array.to_list (Sys.readdir golden_dir))
+  in
+  check Alcotest.bool "catalogue goldens present" true (List.length files >= 26);
+  List.iter
+    (fun file ->
+      let base = Filename.chop_suffix file ".json" in
+      let name, topo =
+        match String.index_opt base '@' with
+        | None -> (base, None)
+        | Some i ->
+          ( String.sub base 0 i,
+            Some
+              (Result.get_ok
+                 (Dfr_topology.Topology.of_string
+                    (String.map
+                       (fun c -> if c = '_' then ':' else c)
+                       (String.sub base (i + 1) (String.length base - i - 1))))) )
+      in
+      let e = Option.get (Registry.find name) in
+      let net = Registry.network_for e topo in
+      (match Algo.validate e.Registry.algo net with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "%s: the sweep refuses it: %s" file msg);
+      let want =
+        In_channel.with_open_bin (Filename.concat golden_dir file) In_channel.input_all
+      in
+      if report_bytes net e.Registry.algo <> want then
+        Alcotest.failf "%s: report differs from the golden" file)
+    files
+
+(* (a) generated cases: the sweep accepts them, the build does too, and
+   the state table the report is computed from is the reference one —
+   reachable set, transit outputs and waits, state by state *)
+let prop_validated_cases_same_table =
+  QCheck.Test.make ~name:"accepted generated relations build the reference table"
+    ~count:200 QCheck.small_nat (fun seed ->
+      let rng = Dfr_util.Prng.create (31_000 + seed) in
+      let net, algo = Case.to_net_algo (Gen.case rng ~max_nodes:8) in
+      QCheck.assume (Algo.validate algo net = Ok ());
+      let space = State_space.build net algo in
+      let reachable = reference_reachable net algo in
+      Array.for_all
+        (fun b ->
+          let buf = Buf.id b in
+          List.for_all
+            (fun dest ->
+              let r = reachable ~buf ~dest in
+              let same_relation () =
+                State_space.outputs space ~buf ~dest
+                = List.filter
+                    (fun o -> Buf.is_transit (Net.buffer net o))
+                    (algo.Algo.route net b ~dest)
+                && State_space.waits space ~buf ~dest = algo.Algo.waits net b ~dest
+              in
+              State_space.is_reachable space ~buf ~dest = r
+              && ((not (r && routed b ~dest)) || same_relation ()))
+            (List.init (Net.num_nodes net) Fun.id))
+        (Net.buffers net))
+
+(* (b) one planted fault that leaves the reachable set unchanged — a wait
+   outside the outputs, a duplicated output, or an injection-buffer
+   output — at a random routed (buffer, dest) *)
+type fault = Stray_wait | Dup_output | Injection_output
+
+let plant (algo : Algo.t) net ~buf ~dest fault =
+  let at b d = Buf.id b = buf && d = dest in
+  match fault with
+  | Stray_wait ->
+    let route = algo.Algo.route net (Net.buffer net buf) ~dest in
+    let stray =
+      List.find (fun x -> not (List.mem x route)) (List.init (Net.num_buffers net) Fun.id)
+    in
+    { algo with
+      Algo.waits =
+        (fun net b ~dest:d ->
+          let ws = algo.Algo.waits net b ~dest:d in
+          if at b d then ws @ [ stray ] else ws) }
+  | Dup_output | Injection_output ->
+    let extra route =
+      match (fault, route) with
+      | Dup_output, o :: _ -> [ o ]
+      | _ -> [ Buf.id (Net.injection net 0) ]
+    in
+    { algo with
+      Algo.route =
+        (fun net b ~dest:d ->
+          let r = algo.Algo.route net b ~dest:d in
+          if at b d then r @ extra r else r) }
+
+let planted_hits = ref (0, 0) (* reachable, unreachable *)
+
+let prop_planted_fault =
+  QCheck.Test.make ~name:"a planted fault is refused iff its state is reachable"
+    ~count:300 QCheck.small_nat (fun seed ->
+      let rng = Dfr_util.Prng.create (32_000 + seed) in
+      let net, algo = Case.to_net_algo (Gen.case rng ~max_nodes:8) in
+      QCheck.assume (Algo.validate algo net = Ok ());
+      let states =
+        List.concat_map
+          (fun b ->
+            List.filter_map
+              (fun dest -> if routed b ~dest then Some (Buf.id b, dest) else None)
+              (List.init (Net.num_nodes net) Fun.id))
+          (Array.to_list (Net.buffers net))
+      in
+      let buf, dest = Dfr_util.Prng.pick rng states in
+      let fault = Dfr_util.Prng.pick rng [ Stray_wait; Dup_output; Injection_output ] in
+      let bad = plant algo net ~buf ~dest fault in
+      let sweep =
+        match Algo.validate bad net with
+        | Error msg -> msg
+        | Ok () -> QCheck.Test.fail_report "the sweep missed the planted fault"
+      in
+      let reachable = reference_reachable net algo ~buf ~dest in
+      let r, u = !planted_hits in
+      planted_hits := if reachable then (r + 1, u) else (r, u + 1);
+      match State_space.build net bad with
+      | _ -> not reachable
+      | exception Invalid_argument msg ->
+        reachable && msg = "State_space.build: " ^ sweep)
+
+let test_planted_faults () =
+  planted_hits := (0, 0);
+  QCheck.Test.check_exn prop_planted_fault;
+  let r, u = !planted_hits in
+  check Alcotest.bool
+    (Printf.sprintf "both outcomes planted (%d reachable, %d unreachable)" r u)
+    true
+    (r > 0 && u > 0)
+
+(* (b) order: with every routed state malformed (its first output
+   repeated), the rejection is the sweep's message over exactly the
+   reachable states, in the sweep's (buffer, dest) order, whatever the
+   domain count *)
+let test_rejection_order () =
+  Dfr_util.Domain_pool.set_cap (Some 4);
+  Fun.protect ~finally:(fun () -> Dfr_util.Domain_pool.set_cap None) @@ fun () ->
+  List.iter
+    (fun name ->
+      let e = Option.get (Registry.find name) in
+      let net = Registry.network_for e None in
+      let algo = e.Registry.algo in
+      let reachable = reference_reachable net algo in
+      let dup_where keep =
+        {
+          algo with
+          Algo.route =
+            (fun net b ~dest ->
+              match algo.Algo.route net b ~dest with
+              | o :: _ as r when keep b ~dest -> r @ [ o ]
+              | r -> r);
+        }
+      in
+      let everywhere = dup_where (fun _ ~dest:_ -> true) in
+      let sweep_everywhere = Algo.validate everywhere net in
+      let sweep_reachable =
+        Algo.validate (dup_where (fun b ~dest -> reachable ~buf:(Buf.id b) ~dest)) net
+      in
+      check Alcotest.bool (name ^ ": unreachable states are malformed too") true
+        (sweep_everywhere <> sweep_reachable);
+      let want =
+        match sweep_reachable with
+        | Error msg -> "State_space.build: " ^ msg
+        | Ok () -> Alcotest.failf "%s: no reachable state was corrupted" name
+      in
+      List.iter
+        (fun domains ->
+          match State_space.build ~domains net everywhere with
+          | _ -> Alcotest.failf "%s: accepted at domains=%d" name domains
+          | exception Invalid_argument msg ->
+            check Alcotest.string
+              (Printf.sprintf "%s: message at domains=%d" name domains)
+              want msg)
+        [ 1; 2; 4 ])
+    [ "ecube"; "dragonfly-minimal"; "two-buffer" ]
+
+(* (c) a catalogue algorithm corrupted on one unreachable state: the
+   sweep refuses it, the checker does not, and the report is the
+   uncorrupted one *)
+let test_unreachable_corruption_checks () =
+  let corrupted = ref 0 in
+  List.iter
+    (fun (e : Registry.entry) ->
+      let net = Registry.network_for e None in
+      let algo = e.Registry.algo in
+      let space = State_space.build net algo in
+      let unreachable =
+        List.find_map
+          (fun b ->
+            List.find_map
+              (fun dest ->
+                if routed b ~dest && not (State_space.is_reachable space ~buf:(Buf.id b) ~dest)
+                then Some (Buf.id b, dest)
+                else None)
+              (List.init (Net.num_nodes net) Fun.id))
+          (Array.to_list (Net.buffers net))
+      in
+      Option.iter
+        (fun (buf, dest) ->
+          incr corrupted;
+          let bad = plant algo net ~buf ~dest Injection_output in
+          check Alcotest.bool (e.Registry.name ^ ": the sweep refuses it") true
+            (Result.is_error (Algo.validate bad net));
+          check Alcotest.string (e.Registry.name ^ ": uncorrupted report")
+            (report_bytes net algo) (report_bytes net bad))
+        unreachable)
+    Registry.all;
+  check Alcotest.bool "some catalogue entries have unreachable states" true
+    (!corrupted > 0)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "accepted catalogue relations reproduce the goldens" `Quick
+        test_validated_catalogue_same_reports;
+      QCheck_alcotest.to_alcotest prop_validated_cases_same_table;
+      Alcotest.test_case "planted faults refused iff reachable" `Quick
+        test_planted_faults;
+      Alcotest.test_case "rejections list reachable problems in sweep order" `Quick
+        test_rejection_order;
+      Alcotest.test_case "corruption on an unreachable state still checks" `Quick
+        test_unreachable_corruption_checks;
+    ]

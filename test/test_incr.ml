@@ -345,6 +345,61 @@ let test_update_bad_dest () =
     (Invalid_argument "Incr.update: destination out of range") (fun () ->
       ignore (Incr.update session algo ~dirty:[ -1 ]))
 
+(* a refused edit leaves the session as it was: a malformed
+   single-destination edit on a reachable state raises the cold build's
+   message, no counter moves, and the next valid edit still renders cold
+   bytes *)
+let test_refused_edit_untouched () =
+  let e = Option.get (Registry.find "double-y") in
+  let net = Registry.network_for e (Registry.default_topology e) in
+  let algo = { e.Registry.algo with Algo.reduced_waits = None } in
+  let session, _ = Incr.create net algo in
+  let before = Incr.counters session in
+  let edest, ebuf =
+    match multi_wait_state session with
+    | Some (buf, dest) -> (dest, buf)
+    | None -> Alcotest.fail "double-y has no multi-wait state"
+  in
+  let at b ~dest = Buf.id b = ebuf && dest = edest in
+  (* the state's first output, repeated *)
+  let bad =
+    {
+      algo with
+      Algo.route =
+        (fun net b ~dest ->
+          let r = algo.Algo.route net b ~dest in
+          if at b ~dest then r @ [ List.hd r ] else r);
+    }
+  in
+  let cold_msg =
+    match State_space.build net bad with
+    | _ -> Alcotest.fail "a cold build accepts the malformed edit"
+    | exception Invalid_argument msg -> msg
+  in
+  Alcotest.check_raises "update raises the cold message" (Invalid_argument cold_msg)
+    (fun () -> ignore (Incr.update session bad ~dirty:[ edest ]));
+  (* a hint the session was built without is refused the same way *)
+  (match
+     Incr.update session
+       { algo with Algo.reduced_waits = Some algo.Algo.waits }
+       ~dirty:[ edest ]
+   with
+  | _ -> Alcotest.fail "a hint introduction was accepted"
+  | exception Invalid_argument _ -> ());
+  check Alcotest.bool "counters unchanged" true (Incr.counters session = before);
+  check Alcotest.bool "algorithm unchanged" true (Incr.algo session == algo);
+  let narrowed =
+    Algo.with_waits algo ~name:algo.Algo.name (fun net b ~dest ->
+        let ws = algo.Algo.waits net b ~dest in
+        if at b ~dest then [ List.hd ws ] else ws)
+  in
+  let res = Incr.update session narrowed ~dirty:[ edest ] in
+  let cold_s, cold_c = cold net narrowed in
+  check Alcotest.string "next edit = cold" cold_s (Dfr_util.Json.to_string res.Incr.report);
+  check Alcotest.int "next edit exit = cold" cold_c res.Incr.exit_code;
+  check Alcotest.int "one update counted" (before.Incr.updates + 1)
+    (Incr.counters session).Incr.updates
+
 let suite =
   [
     Alcotest.test_case "diff identity" `Quick test_diff_identity;
@@ -353,5 +408,7 @@ let suite =
     Alcotest.test_case "fast path wait edit" `Quick test_fast_path_wait_edit;
     Alcotest.test_case "replay path deadlock" `Quick test_replay_path_deadlock;
     Alcotest.test_case "update bad dest" `Quick test_update_bad_dest;
+    Alcotest.test_case "refused edit leaves the session untouched" `Quick
+      test_refused_edit_untouched;
     qtest edit_replay;
   ]

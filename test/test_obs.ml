@@ -82,7 +82,7 @@ let test_counters_deterministic () =
     [ "efa"; "two-buffer" ]
 
 (* same invariance for the parallel phases of the state-space build —
-   validate, the per-destination BFS and the move-graph
+   the per-destination BFS, which also validates, and the move-graph
    materialization — without the checker around them *)
 let space_counters domains =
   with_cap 4 @@ fun () ->
