@@ -810,13 +810,13 @@ let fuzz_cmd =
 
 module Synth = Dfr_synth.Synth
 
-let synth_entry_json net (e : Synth.entry) =
+let synth_entry_json net (e : Reduction.removed) =
   let module J = Dfr_util.Json in
   J.Obj
     [
-      ("head", J.Int e.Synth.head);
-      ("dest", J.Int e.Synth.dest);
-      ("target", J.Int e.Synth.target);
+      ("head", J.Int e.Reduction.head);
+      ("dest", J.Int e.Reduction.dest);
+      ("target", J.Int e.Reduction.target);
       ("text", J.String (Synth.describe_entry net e));
     ]
 

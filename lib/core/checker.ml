@@ -190,8 +190,9 @@ let decide ?cycle_limits ?class_limits ?reduction_budget ?(domains = 1) ~stuck
                         }))
               | _ -> (
                 match
-                  Reduction.search ?cycle_limits ?class_limits
-                    ?budget:reduction_budget space
+                  fst
+                    (Reduction.search ?cycle_limits ?class_limits
+                       ?budget:reduction_budget ~domains space)
                 with
                 | Reduction.Reduced (_, removed) ->
                   finish
@@ -203,10 +204,8 @@ let decide ?cycle_limits ?class_limits ?reduction_budget ?(domains = 1) ~stuck
                             full_bwg_cycles = List.length cycles;
                           }))
                 | Reduction.Impossible ->
-                  if cycles_exhaustive then
-                    finish (Deadlock_possible (No_reduction { cycle; packets }))
-                  else
-                    finish (Unknown "cycle enumeration truncated during reduction")
+                  (* exact: the search refuted every wait-connected BWG' *)
+                  finish (Deadlock_possible (No_reduction { cycle; packets }))
                 | Reduction.Gave_up reason -> finish (Unknown reason))))
           | `All_false (examined, uncertain) ->
             if uncertain || not cycles_exhaustive then

@@ -63,9 +63,11 @@ val check :
   Net.t ->
   Algo.t ->
   report
-(** [domains] parallelizes the BWG construction and the cycle
-    classification scan over OCaml 5 domains (default 1; see
-    {!Bwg.build}).  Verdicts are bit-for-bit identical to the serial
+(** [domains] parallelizes the BWG constructions (the full BWG and each
+    {!Reduction.search} probe) and the cycle classification scan over
+    OCaml 5 domains (default 1; see {!Bwg.build}).  [reduction_budget]
+    caps the search's BWG rebuilds.  Verdicts are bit-for-bit identical
+    to the serial
     run: the classification fan-out still reports the True Cycle of
     minimal index in the shortest-first order. *)
 

@@ -9,20 +9,27 @@
     routing relation (which buffers may be {e used}) is untouched, exactly
     as the paper prescribes.
 
-    The search mirrors the paper's design methodology: find a True Cycle,
-    branch on which of its edges to dissolve (an edge dies only when every
-    wait entry generating it is removed), keep wait-connectivity as an
-    invariant, backtrack.  It is exponential in the worst case — the paper
-    says as much — so a budget caps it. *)
+    {!search} mirrors the paper's design methodology: find a True Cycle,
+    dissolve one of its edges (an edge dies only when every wait entry
+    generating it is removed), keep wait-connectivity as an invariant,
+    backtrack.  Underneath it is {!Clause_search}: every True Cycle's
+    witness entries become an exact blocking clause, and the clause's
+    single entries are the complete fallback after the edge cuts, so the
+    search either finds a BWG' or proves that none exists.  It is
+    exponential in the worst case — the paper says as much — so a budget
+    caps it. *)
 
 type removed = { head : int; dest : int; target : int }
+(** [synth --mode repair] uses the same record for a route entry: a packet
+    destined [dest] in [head] may move to [target]. *)
 
 type outcome =
   | Reduced of Bwg.t * removed list
       (** a verified BWG': wait-connected, no True Cycles *)
   | Impossible
-      (** exhaustive search: every wait-connected BWG' has a True Cycle,
-          so by Theorem 3 the algorithm deadlocks *)
+      (** the search ran out of candidates with every probe conclusive:
+          every wait-connected BWG' has a True Cycle, so by Theorem 3 the
+          algorithm deadlocks *)
   | Gave_up of string  (** a cap was hit; no conclusion *)
 
 val true_cycle_status :
@@ -41,8 +48,9 @@ val true_cycle_status :
     the first True Cycle.  [shortest_first] enumerates them all and
     classifies shortest cycles first, which gives callers that learn from
     the witness the tightest one.  Either way the cycles enumerated are
-    counted as [reduction.cycles.enumerated].  This is the probe both
-    {!search} and the synthesis engine ({!Dfr_synth.Synth}) drive. *)
+    counted as [reduction.cycles.enumerated].  {!search} and
+    {!verify_hint} use the streaming default; [synth --mode repair] and
+    maximality certificates sort shortest first. *)
 
 val verify_hint :
   ?cycle_limits:Dfr_graph.Cycles.limits ->
@@ -59,7 +67,17 @@ val search :
   ?cycle_limits:Dfr_graph.Cycles.limits ->
   ?class_limits:Cycle_class.limits ->
   ?budget:int ->
+  ?domains:int ->
   State_space.t ->
-  outcome
-(** Automatic search from the full waiting rule.  [budget] bounds the
-    number of BWG rebuilds (default 2000). *)
+  outcome * Clause_search.stats
+(** Automatic search from the full waiting rule, over the wait entries of
+    the reachable states.  Each probe rebuilds the candidate BWG (counted
+    as [reduction.attempts]; [budget], default 2000, caps them) and runs
+    the streaming {!true_cycle_status}.  At a True Cycle it first tries
+    the edge cuts, edges in cycle order, each removing every live entry
+    that generates the edge (destinations ascending) and allowed only if
+    every state it touches keeps a wait; then the cycle's witness
+    entries one at a time, most active first.  [Reduced]'s removals are in
+    decision order.  A probe that hits a cap is backtracked over, and the
+    search then ends in [Gave_up], never [Impossible].  [domains]
+    parallelizes each BWG build. *)

@@ -1,26 +1,20 @@
-(* The synthesis engine: one backtracking search over removable entries
-   (wait entries in BWG' synthesis, route entries in repair), CDCL-style.
+(* The synthesis front ends over Clause_search, the conflict-driven
+   search shared with the checker.
 
-   The searched object is a boolean assignment "entry live / removed".
-   A probe builds the candidate BWG and asks for a True Cycle
-   (Reduction.true_cycle_status, shortest first).  Every True Cycle's
-   witness packets name the entries that generate its edges; as long as
-   all of them are live the same cycle recurs, so the set becomes a
-   blocking clause "remove at least one".  The search branches over the
-   clause's entries (most-active first, id ties — deterministic), prunes
-   any candidate violating a learned clause without rebuilding, and keeps
-   two invariants by construction: wait-connectivity (never remove the
-   last live entry of a state) and, in repair mode, deliverability from
-   every injection (a decremental per-destination Reach query).
+   BWG' synthesis (mode 1) is Reduction.search itself, behind synth's own
+   pre-checks: it probes candidate BWGs with the streaming True-Cycle
+   probe, learns a blocking clause from every True Cycle's witness
+   entries, tries edge cuts (remove every live entry generating one
+   cycle edge) before the clause's single entries, and never removes a
+   state's last wait.  With routes fixed the clauses
+   are exact, so an exhausted search is an honest Unsat, which is
+   Theorem 3's necessity direction.
 
-   Soundness of the clause implication differs by mode.  With routes
-   fixed (synthesize) occupancy and reachability never change, the
-   True-Cycle property is monotone in the kept entries, and the clause is
-   exact — an exhausted search is an honest Unsat, which is Theorem 3's
-   necessity direction.  Removing route entries (repair) shrinks
-   reachability, a clause can outlive its cycle's realizability, so
-   exhaustion only says Gave_up; the final candidate is instead
-   re-verified end to end by the checker. *)
+   Repair (mode 2) drives the same engine over copy assignments, with a
+   deliverability-guarded assign (a decremental per-destination Reach
+   query) and the shortest-first probe.  Reassignments change occupancy,
+   so its clauses can outlive their cycles: exhaustion only says Gave_up,
+   and the final candidate is re-verified end to end by the checker. *)
 
 open Dfr_network
 open Dfr_routing
@@ -31,8 +25,6 @@ module Dot = Dfr_graph.Dot
 module Reach = Dfr_graph.Reach
 module Obs = Dfr_obs.Obs
 module Printer = Dfr_spec.Printer
-
-type entry = { head : int; dest : int; target : int }
 
 type stats = {
   rebuilds : int;
@@ -46,9 +38,8 @@ type stats = {
 type success = {
   space : State_space.t;
   bwg : Bwg.t;
-  full_bwg : Bwg.t option;
   algo : Algo.t;
-  removed : entry list;
+  removed : Reduction.removed list;
   widened : int;
   spec : (string, string) result;
   stats : stats;
@@ -60,414 +51,132 @@ type outcome =
   | Unsat of string
   | Gave_up of string
 
-let describe_entry net { head; dest; target } =
+let describe_entry net { Reduction.head; dest; target } =
   Printf.sprintf "%s -> %s for dest %d"
     (Net.describe_buffer net head)
     (Net.describe_buffer net target)
     dest
 
-(* ------------------------------------------------------------------ *)
-(* mutable search counters, frozen into [stats] on exit               *)
-
-type mstats = {
-  mutable m_rebuilds : int;
-  mutable m_decisions : int;
-  mutable m_conflicts : int;
-  mutable m_learned : int;
-  mutable m_pruned : int;
-  mutable m_restored : int;
-}
-
-let mstats_zero () =
+(* the search's counters plus a pass that probes [extra] more times and
+   hands back [restored] removals *)
+let stats_of (s : Clause_search.stats) ~extra ~restored =
   {
-    m_rebuilds = 0;
-    m_decisions = 0;
-    m_conflicts = 0;
-    m_learned = 0;
-    m_pruned = 0;
-    m_restored = 0;
+    rebuilds = s.rebuilds + extra;
+    decisions = s.decisions;
+    conflicts = s.conflicts;
+    learned = s.learned;
+    pruned = s.pruned;
+    restored;
   }
 
-let freeze m =
-  {
-    rebuilds = m.m_rebuilds;
-    decisions = m.m_decisions;
-    conflicts = m.m_conflicts;
-    learned = m.m_learned;
-    pruned = m.m_pruned;
-    restored = m.m_restored;
-  }
+let emit st =
+  Obs.count "synth.rebuilds" st.rebuilds;
+  Obs.count "synth.decisions" st.decisions;
+  Obs.count "synth.conflicts" st.conflicts;
+  Obs.count "synth.clauses.learned" st.learned;
+  Obs.count "synth.pruned" st.pruned;
+  Obs.count "synth.restored" st.restored
 
-let emit m =
-  Obs.count "synth.rebuilds" m.m_rebuilds;
-  Obs.count "synth.decisions" m.m_decisions;
-  Obs.count "synth.conflicts" m.m_conflicts;
-  Obs.count "synth.clauses.learned" m.m_learned;
-  Obs.count "synth.pruned" m.m_pruned;
-  Obs.count "synth.restored" m.m_restored
+(* [keep ~buf ~dest target]: the entry is not in [removed] *)
+let kept_by removed =
+  let out = Hashtbl.create 64 in
+  List.iter (fun r -> Hashtbl.replace out r ()) removed;
+  fun ~buf ~dest target -> not (Hashtbl.mem out { Reduction.head = buf; dest; target })
 
-(* ------------------------------------------------------------------ *)
-(* learned-clause store: clause = sorted array of entry ids, "at least
-   one must be removed".  [dead] counts the removed entries per clause,
-   maintained on every remove/restore, so "some clause violated" (all
-   entries live) is a scan over an int array.  [activity] counts how
-   often an entry appears in discovered cycles; branching follows it. *)
-
-module Clauses = struct
-  type t = {
-    mutable arr : int array array;
-    mutable branch : int array array;
-        (* per clause: the subset branched over.  Equal to the clause in
-           synthesize; in repair it is the wait-edge entries only, so the
-           fan-out is the cycle length, not the total path length. *)
-    mutable dead : int array;
-    mutable n : int;
-    occ : int list array; (* entry id -> clauses containing it *)
-    activity : int array;
-    seen : (string, unit) Hashtbl.t;
-  }
-
-  let create num_entries =
-    {
-      arr = Array.make 16 [||];
-      branch = Array.make 16 [||];
-      dead = Array.make 16 0;
-      n = 0;
-      occ = Array.make (max 1 num_entries) [];
-      activity = Array.make (max 1 num_entries) 0;
-      seen = Hashtbl.create 64;
-    }
-
-  let key c = String.concat "," (List.map string_of_int (Array.to_list c))
-
-  let ensure t =
-    if t.n = Array.length t.arr then begin
-      let cap = 2 * t.n in
-      let arr = Array.make cap [||] in
-      Array.blit t.arr 0 arr 0 t.n;
-      t.arr <- arr;
-      let branch = Array.make cap [||] in
-      Array.blit t.branch 0 branch 0 t.n;
-      t.branch <- branch;
-      let dead = Array.make cap 0 in
-      Array.blit t.dead 0 dead 0 t.n;
-      t.dead <- dead
-    end
-
-  (* returns true when the clause is new *)
-  let learn t ~live ~branch_ids entry_ids =
-    let c = Array.of_list (List.sort_uniq compare entry_ids) in
-    let b = Array.of_list (List.sort_uniq compare branch_ids) in
-    Array.iter (fun e -> t.activity.(e) <- t.activity.(e) + 1) c;
-    let k = key c in
-    if Hashtbl.mem t.seen k then false
-    else begin
-      Hashtbl.add t.seen k ();
-      ensure t;
-      let dead =
-        Array.fold_left (fun acc e -> if live.(e) then acc else acc + 1) 0 c
-      in
-      t.arr.(t.n) <- c;
-      t.branch.(t.n) <- b;
-      t.dead.(t.n) <- dead;
-      Array.iter (fun e -> t.occ.(e) <- t.n :: t.occ.(e)) c;
-      t.n <- t.n + 1;
-      true
-    end
-
-  let on_remove t e = List.iter (fun i -> t.dead.(i) <- t.dead.(i) + 1) t.occ.(e)
-
-  let on_restore t e =
-    List.iter (fun i -> t.dead.(i) <- t.dead.(i) - 1) t.occ.(e)
-
-  (* first violated clause, as (preferred branch set, full clause) *)
-  let violated t =
-    let rec go i =
-      if i >= t.n then None
-      else if t.dead.(i) = 0 then Some (t.branch.(i), t.arr.(i))
-      else go (i + 1)
-    in
-    go 0
-end
-
-(* ------------------------------------------------------------------ *)
-(* the mode-independent solver                                         *)
-
-exception Stop of string
-
-type engine = {
-  entries : entry array;
-  state_of : int array; (* entry id -> state index *)
-  live : bool array;
-  live_count : int array; (* per state: live entries left *)
-  clauses : Clauses.t;
-  st : mstats;
-  budget : int;
-  max_decisions : int;
-      (* hang guard: clause-pruned subtrees cost no rebuilds, so the
-         rebuild budget alone cannot bound them *)
-  probe :
-    unit -> ((int list * Cycle_class.packet list) option, string) result;
-  clause_of :
-    Cycle_class.packet list -> (int list * int list, string) result;
-      (* packets -> (clause entries, branch entries) *)
-}
-
-let remove eng e =
-  eng.live.(e) <- false;
-  eng.live_count.(eng.state_of.(e)) <- eng.live_count.(eng.state_of.(e)) - 1;
-  Clauses.on_remove eng.clauses e
-
-let restore eng e =
-  Clauses.on_restore eng.clauses e;
-  eng.live_count.(eng.state_of.(e)) <- eng.live_count.(eng.state_of.(e)) + 1;
-  eng.live.(e) <- true
-
-(* DFS.  Returns true when a True-Cycle-free assignment was reached (the
-   live array is left at it); false when this subtree is exhausted. *)
-let rec solve eng =
-  match Clauses.violated eng.clauses with
-  | Some (preferred, clause) ->
-    eng.st.m_pruned <- eng.st.m_pruned + 1;
-    branch eng ~preferred clause
-  | None -> (
-    if eng.st.m_rebuilds >= eng.budget then
-      raise
-        (Stop
-           (Printf.sprintf "search budget of %d BWG rebuilds exhausted"
-              eng.budget));
-    eng.st.m_rebuilds <- eng.st.m_rebuilds + 1;
-    match eng.probe () with
-    | Error reason -> raise (Stop reason)
-    | Ok None -> true
-    | Ok (Some (_cycle, packets)) -> (
-      eng.st.m_conflicts <- eng.st.m_conflicts + 1;
-      match eng.clause_of packets with
-      | Error msg -> raise (Stop msg)
-      | Ok (entry_ids, branch_ids) ->
-        if Clauses.learn eng.clauses ~live:eng.live ~branch_ids entry_ids
-        then eng.st.m_learned <- eng.st.m_learned + 1;
-        branch eng
-          ~preferred:(Array.of_list (List.sort_uniq compare branch_ids))
-          (Array.of_list (List.sort_uniq compare entry_ids))))
-
-(* Branch over the clause in two tiers: the preferred subset first (in
-   repair, the wait-edge entries — cutting one is the move most likely to
-   kill the whole cycle family, and the tier keeps the fan-out at the
-   cycle length), then the remaining clause entries as a completeness
-   fallback.  Within a tier, most-active first, id ties. *)
-and branch eng ~preferred clause =
-  let by_activity =
-    List.stable_sort (fun a b ->
-        match
-          compare eng.clauses.Clauses.activity.(b)
-            eng.clauses.Clauses.activity.(a)
-        with
-        | 0 -> compare a b
-        | c -> c)
-  in
-  let in_preferred = Array.to_list preferred in
-  let rest =
-    List.filter
-      (fun e -> not (List.mem e in_preferred))
-      (Array.to_list clause)
-  in
-  let order = by_activity in_preferred @ by_activity rest in
-  List.exists
-    (fun e ->
-      eng.live.(e)
-      && eng.live_count.(eng.state_of.(e)) > 1
-      &&
-      (if eng.st.m_decisions >= eng.max_decisions then
-         raise
-           (Stop
-              (Printf.sprintf "decision limit of %d exhausted"
-                 eng.max_decisions));
-       eng.st.m_decisions <- eng.st.m_decisions + 1;
-       remove eng e;
-       let ok = solve eng in
-       if not ok then restore eng e;
-       ok))
-    order
-
-(* Greedy 1-minimization: restore each removal in ascending entry order
-   and keep the restoration whenever the candidate stays True-Cycle-free.
-   Because the True-Cycle property is monotone in the kept entries, one
-   ascending pass yields a 1-minimal removed set — exactly the shape
-   {!certify} wants (re-admitting any single survivor deadlocks). *)
-let minimize_pass eng =
-  Obs.span "synth.minimize" @@ fun () ->
-  for e = 0 to Array.length eng.entries - 1 do
-    if not eng.live.(e) then begin
-      restore eng e;
-      eng.st.m_rebuilds <- eng.st.m_rebuilds + 1;
-      match eng.probe () with
-      | Ok None -> eng.st.m_restored <- eng.st.m_restored + 1
-      | Ok (Some _) | Error _ -> remove eng e
-    end
-  done
-
-let removed_of eng =
-  let acc = ref [] in
-  for e = Array.length eng.entries - 1 downto 0 do
-    if not eng.live.(e) then acc := eng.entries.(e) :: !acc
-  done;
-  List.sort compare !acc
+(* the full waiting rule of [space] without [removed] *)
+let wait_sets_without space removed =
+  let keep = kept_by removed in
+  fun ~buf ~dest -> List.filter (keep ~buf ~dest) (State_space.waits space ~buf ~dest)
 
 (* ------------------------------------------------------------------ *)
 (* mode 1: BWG' synthesis (waits shrink, routes fixed)                 *)
+
+(* Greedy 1-minimization: restore each removal in ascending order and
+   keep the restoration whenever the candidate stays True-Cycle-free.
+   Because the True-Cycle property is monotone in the kept entries, one
+   pass yields a 1-minimal removed set — exactly the shape {!certify}
+   wants (re-admitting any single survivor deadlocks). *)
+let minimize_pass ?cycle_limits ?class_limits ~domains space removed =
+  Obs.span "synth.minimize" @@ fun () ->
+  let free removed =
+    let bwg = Bwg.build ~wait_sets:(wait_sets_without space removed) ~domains space in
+    match Reduction.true_cycle_status ?cycle_limits ?class_limits bwg with
+    | Ok None -> true
+    | Ok (Some _) | Error _ -> false
+  in
+  (* [kept]: removals confirmed so far, newest first *)
+  let rec go kept = function
+    | [] -> List.rev kept
+    | r :: rest -> go (if free (List.rev_append kept rest) then kept else r :: kept) rest
+  in
+  go [] removed
 
 let synthesize ?cycle_limits ?class_limits ?(budget = 4000) ?(domains = 1)
     ?(minimize = false) space =
   Obs.span "synth.solve" @@ fun () ->
   let net = State_space.net space in
   let algo = State_space.algo space in
-  match State_space.stuck_states space with
-  | _ :: _ ->
+  let unconnected () =
+    State_space.filter_reachable space (fun ~buf ~dest ->
+        (not (State_space.arrived space ~buf ~dest))
+        && (not (Buf.is_delivery (Net.buffer net buf)))
+        && State_space.waits space ~buf ~dest = [])
+    <> []
+  in
+  if State_space.stuck_states space <> [] then
     Unsat
       "the routing relation dead-ends in stuck states; no waiting rule can \
        restore lost packets"
-  | [] ->
-    (* entry table over reachable, unarrived transit/injection states *)
-    let num_states = ref 0 in
-    let state_index = Hashtbl.create 256 in
-    let entry_list = ref [] in
-    let unconnected = ref false in
-    State_space.iter_reachable space (fun ~buf ~dest ->
-        if
-          (not (State_space.arrived space ~buf ~dest))
-          && not (Buf.is_delivery (Net.buffer net buf))
-        then
-          match State_space.waits space ~buf ~dest with
-          | [] -> unconnected := true
-          | ws ->
-            let si = !num_states in
-            incr num_states;
-            Hashtbl.replace state_index (buf, dest) si;
-            List.iter
-              (fun target ->
-                entry_list := ({ head = buf; dest; target }, si) :: !entry_list)
-              ws);
-    if !unconnected then
+  else if unconnected () then
+    Unsat
+      "not wait-connected: a reachable state already has an empty waiting \
+       set under the full rule"
+  else if Option.is_some (Deadlock_config.find space) then
+    Unsat
+      "a deadlocked single-buffer configuration (knot) exists: every \
+       wait-connected BWG' keeps a True Cycle"
+  else
+    let outcome, s =
+      Reduction.search ?cycle_limits ?class_limits ~budget ~domains space
+    in
+    match outcome with
+    | Reduction.Gave_up msg ->
+      emit (stats_of s ~extra:0 ~restored:0);
+      Gave_up msg
+    | Reduction.Impossible ->
+      emit (stats_of s ~extra:0 ~restored:0);
       Unsat
-        "not wait-connected: a reachable state already has an empty waiting \
-         set under the full rule"
-    else begin
-      let tagged = Array.of_list (List.rev !entry_list) in
-      let entries = Array.map fst tagged in
-      let state_of = Array.map snd tagged in
-      let n = Array.length entries in
-      let live = Array.make (max 1 n) true in
-      let live_count = Array.make (max 1 !num_states) 0 in
-      Array.iter (fun si -> live_count.(si) <- live_count.(si) + 1) state_of;
-      let state_entries = Array.make (max 1 !num_states) [] in
-      for e = n - 1 downto 0 do
-        state_entries.(state_of.(e)) <- e :: state_entries.(state_of.(e))
-      done;
-      let id_of = Hashtbl.create 256 in
-      Array.iteri
-        (fun i en -> Hashtbl.replace id_of (en.head, en.dest, en.target) i)
-        entries;
-      match Deadlock_config.find space with
-      | Some _ ->
-        Unsat
-          "a deadlocked single-buffer configuration (knot) exists: every \
-           wait-connected BWG' keeps a True Cycle"
-      | None ->
-        let wait_sets ~buf ~dest =
-          match Hashtbl.find_opt state_index (buf, dest) with
-          | None -> []
-          | Some si ->
-            List.filter_map
-              (fun e -> if live.(e) then Some entries.(e).target else None)
-              state_entries.(si)
-        in
-        let full_bwg = ref None in
-        let st = mstats_zero () in
-        let probe () =
-          let bwg =
-            Obs.span "synth.attempt" (fun () ->
-                Bwg.build ~wait_sets ~domains space)
-          in
-          if Option.is_none !full_bwg then full_bwg := Some bwg;
-          Reduction.true_cycle_status ?cycle_limits ?class_limits
-            ~shortest_first:true bwg
-        in
-        let clause_of packets =
-          let ids =
-            List.fold_left
-              (fun acc (p : Cycle_class.packet) ->
-                match acc with
-                | Error _ -> acc
-                | Ok ids -> (
-                  match List.rev p.Cycle_class.path with
-                  | [] -> Error "internal: witness packet with an empty path"
-                  | head :: _ -> (
-                    match
-                      Hashtbl.find_opt id_of
-                        (head, p.Cycle_class.dest, p.Cycle_class.waits_for)
-                    with
-                    | Some i -> Ok (i :: ids)
-                    | None ->
-                      Error
-                        "internal: witness wait entry missing from the entry \
-                         table")))
-              (Ok []) packets
-          in
-          Result.map (fun ids -> (ids, ids)) ids
-        in
-        let eng =
-          {
-            entries;
-            state_of;
-            live;
-            live_count;
-            clauses = Clauses.create n;
-            st;
-            budget;
-            max_decisions = 256 * budget;
-            probe;
-            clause_of;
-          }
-        in
-        (match solve eng with
-        | exception Stop msg ->
-          emit st;
-          Gave_up msg
-        | false ->
-          emit st;
-          Unsat
-            "exhaustive search: every wait-connected BWG' has a True Cycle \
-             (Theorem 3 necessity)"
-        | true ->
-          if minimize then minimize_pass eng;
-          (* one final rebuild so the reported BWG matches the (possibly
-             minimized) table *)
-          let bwg = Bwg.build ~wait_sets ~domains space in
-          let keep = Array.copy live in
-          let waits_fun _net b ~dest =
-            match Hashtbl.find_opt state_index (Buf.id b, dest) with
-            | None -> algo.Algo.waits net b ~dest
-            | Some si ->
-              List.filter_map
-                (fun e -> if keep.(e) then Some entries.(e).target else None)
-                state_entries.(si)
-          in
-          let algo' = Algo.with_waits algo waits_fun in
-          let spec = Printer.to_string net algo' in
-          emit st;
-          Synthesized
-            {
-              space;
-              bwg;
-              full_bwg = !full_bwg;
-              algo = algo';
-              removed = removed_of eng;
-              widened = 0;
-              spec;
-              stats = freeze st;
-            })
-    end
+        "exhaustive search: every wait-connected BWG' has a True Cycle \
+         (Theorem 3 necessity)"
+    | Reduction.Reduced (bwg, removed) ->
+      let found = List.sort compare removed in
+      let removed, bwg =
+        if minimize then
+          let removed = minimize_pass ?cycle_limits ?class_limits ~domains space found in
+          (removed, Bwg.build ~wait_sets:(wait_sets_without space removed) ~domains space)
+        else (found, bwg)
+      in
+      let keep = kept_by removed in
+      let algo' =
+        Algo.with_waits algo (fun net b ~dest ->
+            List.filter (keep ~buf:(Buf.id b) ~dest) (algo.Algo.waits net b ~dest))
+      in
+      let stats =
+        stats_of s
+          ~extra:(if minimize then List.length found else 0)
+          ~restored:(List.length found - List.length removed)
+      in
+      emit stats;
+      Synthesized
+        {
+          space;
+          bwg;
+          algo = algo';
+          removed;
+          widened = 0;
+          spec = Printer.to_string net algo';
+          stats;
+        }
 
 (* ------------------------------------------------------------------ *)
 (* mode 2: restriction repair (routes shrink, from a widened relation)  *)
@@ -528,91 +237,6 @@ type fvar = {
   f_choices : int array; (* the copy group, ascending *)
   mutable f_value : int; (* index into f_choices *)
 }
-
-module VClauses = struct
-  type lit = { lv : int; lval : int } (* variable index, choice index *)
-
-  type t = {
-    mutable arr : lit array array; (* full clause *)
-    mutable branch : lit array array; (* preferred branch subset *)
-    mutable sat : int array; (* literals with current value <> lval *)
-    mutable n : int;
-    occ : (int * int) list array; (* var -> (clause, lval) *)
-    activity : int array; (* per variable *)
-    seen : (string, unit) Hashtbl.t;
-  }
-
-  let create num_vars =
-    {
-      arr = Array.make 16 [||];
-      branch = Array.make 16 [||];
-      sat = Array.make 16 0;
-      n = 0;
-      occ = Array.make (max 1 num_vars) [];
-      activity = Array.make (max 1 num_vars) 0;
-      seen = Hashtbl.create 64;
-    }
-
-  let lit_compare a b =
-    match compare a.lv b.lv with 0 -> compare a.lval b.lval | c -> c
-
-  let key c =
-    String.concat ","
-      (List.map (fun l -> Printf.sprintf "%d=%d" l.lv l.lval)
-         (Array.to_list c))
-
-  let ensure t =
-    if t.n = Array.length t.arr then begin
-      let cap = 2 * t.n in
-      let grow a fill =
-        let a' = Array.make cap fill in
-        Array.blit a 0 a' 0 t.n;
-        a'
-      in
-      t.arr <- grow t.arr [||];
-      t.branch <- grow t.branch [||];
-      t.sat <- grow t.sat 0
-    end
-
-  (* returns true when the clause is new *)
-  let learn t ~vars ~branch_lits lits =
-    let c = Array.of_list (List.sort_uniq lit_compare lits) in
-    let b = Array.of_list (List.sort_uniq lit_compare branch_lits) in
-    Array.iter (fun l -> t.activity.(l.lv) <- t.activity.(l.lv) + 1) c;
-    let k = key c in
-    if Hashtbl.mem t.seen k then false
-    else begin
-      Hashtbl.add t.seen k ();
-      ensure t;
-      let sat =
-        Array.fold_left
-          (fun acc l -> if vars.(l.lv).f_value <> l.lval then acc + 1 else acc)
-          0 c
-      in
-      t.arr.(t.n) <- c;
-      t.sat.(t.n) <- sat;
-      t.branch.(t.n) <- b;
-      Array.iter (fun l -> t.occ.(l.lv) <- (t.n, l.lval) :: t.occ.(l.lv)) c;
-      t.n <- t.n + 1;
-      true
-    end
-
-  let on_change t v ~old_val ~new_val =
-    List.iter
-      (fun (i, lval) ->
-        if lval = old_val then t.sat.(i) <- t.sat.(i) + 1
-        else if lval = new_val then t.sat.(i) <- t.sat.(i) - 1)
-      t.occ.(v)
-
-  (* first violated clause, as (preferred branch set, full clause) *)
-  let violated t =
-    let rec go i =
-      if i >= t.n then None
-      else if t.sat.(i) = 0 then Some (t.branch.(i), t.arr.(i))
-      else go (i + 1)
-    in
-    go 0
-end
 
 let repair_search ?cycle_limits ?class_limits ~budget ~domains net algo =
   let num_nodes = Net.num_nodes net in
@@ -679,7 +303,6 @@ let repair_search ?cycle_limits ?class_limits ~budget ~domains net algo =
         done)
     (Net.buffers net);
   let vars = Array.of_list (List.rev !vars) in
-  let n = Array.length vars in
   (* keep sets: during the search each variable contributes exactly its
      assigned copy; the re-admission pass afterwards widens them *)
   let keep = Array.map (fun v -> Array.make (Array.length v.f_choices) false) vars in
@@ -738,9 +361,6 @@ let repair_search ?cycle_limits ?class_limits ~budget ~domains net algo =
           if i <> v.f_value then Reach.disable_edge reach.(v.f_dest) v.f_head t)
         v.f_choices)
     vars;
-  let st = mstats_zero () in
-  let clauses = VClauses.create n in
-  let decided = Array.make (max 1 n) false in
   (* reassign vi to [value]; false (and no change) when deliverability
      from some injection would break *)
   let assign vi value =
@@ -751,7 +371,6 @@ let repair_search ?cycle_limits ?class_limits ~budget ~domains net algo =
       Reach.enable_edge r v.f_head v.f_choices.(value);
       Reach.disable_edge r v.f_head v.f_choices.(v.f_value);
       if Reach.reaches_all r ~sources:sources.(v.f_dest) then begin
-        VClauses.on_change clauses vi ~old_val:v.f_value ~new_val:value;
         keep.(vi).(v.f_value) <- false;
         keep.(vi).(value) <- true;
         v.f_value <- value;
@@ -784,7 +403,7 @@ let repair_search ?cycle_limits ?class_limits ~budget ~domains net algo =
   in
   let lit (h, d, t) =
     match Hashtbl.find_opt lit_of (h, d, t) with
-    | Some (lv, lval) -> Some { VClauses.lv; lval }
+    | Some (var, value) -> Some { Clause_search.var; value }
     | None -> None (* a fixed, singleton-group entry: not searchable *)
   in
   (* a conflict's value clause; literals on fixed entries drop out *)
@@ -824,80 +443,19 @@ let repair_search ?cycle_limits ?class_limits ~budget ~domains net algo =
       in
       (wait_edges @ path_lits, wait_edges)
   in
-  let max_decisions = 256 * budget in
-  let rec fsolve () =
-    match VClauses.violated clauses with
-    | Some (preferred, full) ->
-      st.m_pruned <- st.m_pruned + 1;
-      fbranch preferred full
-    | None -> (
-      if st.m_rebuilds >= budget then
-        raise
-          (Stop
-             (Printf.sprintf "search budget of %d BWG rebuilds exhausted"
-                budget));
-      st.m_rebuilds <- st.m_rebuilds + 1;
-      match probe () with
-      | Error reason -> raise (Stop reason)
-      | Ok None -> true
-      | Ok (Some conflict) -> (
-        st.m_conflicts <- st.m_conflicts + 1;
-        match clause_of_conflict conflict with
-        | [], _ -> false (* only fixed entries involved: dead subtree *)
-        | lits, branch_lits ->
-          if VClauses.learn clauses ~vars ~branch_lits lits then
-            st.m_learned <- st.m_learned + 1;
-          fbranch
-            (Array.of_list (List.sort_uniq VClauses.lit_compare branch_lits))
-            (Array.of_list (List.sort_uniq VClauses.lit_compare lits))))
-  and fbranch preferred full =
-    (* two tiers: the cycle's wait-edge literals first, then the rest of
-       the clause; within a tier most-active variable first, index ties *)
-    let by_activity =
-      List.stable_sort (fun a b ->
-          match
-            compare clauses.VClauses.activity.(b.VClauses.lv)
-              clauses.VClauses.activity.(a.VClauses.lv)
-          with
-          | 0 -> VClauses.lit_compare a b
-          | c -> c)
-    in
-    let pref = Array.to_list preferred in
-    let rest =
-      List.filter (fun l -> not (List.mem l pref)) (Array.to_list full)
-    in
-    let order = by_activity pref @ by_activity rest in
-    List.exists
-      (fun { VClauses.lv; lval } ->
-        (not decided.(lv))
-        && vars.(lv).f_value = lval
-        && begin
-             decided.(lv) <- true;
-             let alts =
-               List.filter (fun i -> i <> lval)
-                 (List.init (Array.length vars.(lv).f_choices) Fun.id)
-             in
-             let ok =
-               List.exists
-                 (fun alt ->
-                   if st.m_decisions >= max_decisions then
-                     raise
-                       (Stop
-                          (Printf.sprintf "decision limit of %d exhausted"
-                             max_decisions));
-                   st.m_decisions <- st.m_decisions + 1;
-                   assign lv alt
-                   &&
-                   let ok = fsolve () in
-                   if not ok then ignore (assign lv lval : bool);
-                   ok)
-                 alts
-             in
-             if not ok then decided.(lv) <- false;
-             ok
-           end)
-      order
+  let outcome, searched =
+    Clause_search.run ~budget
+      ~arity:(fun vi -> Array.length vars.(vi).f_choices)
+      (Array.map (fun v -> v.f_value) vars)
+      {
+        probe;
+        clause = clause_of_conflict;
+        moves = (fun _ -> Seq.empty);
+        assign;
+      }
   in
+  let probes = ref 0 and restored = ref 0 in
+  let stats () = stats_of searched ~extra:!probes ~restored:!restored in
   (* greedy re-admission: restore each removed copy, ascending, and keep
      the restoration whenever the candidate stays free — the removal set
      becomes 1-minimal and the repaired design keeps what adaptivity it
@@ -908,11 +466,11 @@ let repair_search ?cycle_limits ?class_limits ~budget ~domains net algo =
       (fun vi v ->
         Array.iteri
           (fun i _ ->
-            if (not keep.(vi).(i)) && st.m_rebuilds < budget then begin
+            if (not keep.(vi).(i)) && searched.rebuilds + !probes < budget then begin
               keep.(vi).(i) <- true;
-              st.m_rebuilds <- st.m_rebuilds + 1;
+              incr probes;
               match probe () with
-              | Ok None -> st.m_restored <- st.m_restored + 1
+              | Ok None -> incr restored
               | Ok (Some _) | Error _ -> keep.(vi).(i) <- false
             end)
           v.f_choices)
@@ -925,22 +483,22 @@ let repair_search ?cycle_limits ?class_limits ~budget ~domains net algo =
         Array.iteri
           (fun i t ->
             if not keep.(vi).(i) then
-              acc := { head = v.f_head; dest = v.f_dest; target = t } :: !acc)
+              acc := { Reduction.head = v.f_head; dest = v.f_dest; target = t } :: !acc)
           v.f_choices)
       vars;
     List.sort compare !acc
   in
-  match fsolve () with
-  | exception Stop msg ->
-    emit st;
+  match outcome with
+  | Clause_search.Gave_up msg ->
+    emit (stats ());
     Gave_up msg
-  | false ->
-    emit st;
+  | Clause_search.Exhausted ->
+    emit (stats ());
     Gave_up
       "search exhausted without a repair (value clauses are heuristic — \
        reassignments change occupancy — so this is no unsatisfiability \
        claim)"
-  | true -> (
+  | Clause_search.Found -> (
     readmit ();
     let final = Algo.with_relation algo route' ~name:(algo.Algo.name ^ "+repair") in
     (* independent end-to-end verification through the checker *)
@@ -949,24 +507,24 @@ let repair_search ?cycle_limits ?class_limits ~budget ~domains net algo =
       let space' = State_space.build net final in
       let bwg = Bwg.build ~domains space' in
       let spec = Printer.to_string net final in
-      emit st;
+      let stats = stats () in
+      emit stats;
       Synthesized
         {
           space = space';
           bwg;
-          full_bwg = None;
           algo = final;
           removed = removed_entries ();
           widened = !widened_delta;
           spec;
-          stats = freeze st;
+          stats;
         }
     | Checker.Deadlock_possible _ ->
-      emit st;
+      emit (stats ());
       Gave_up
         "internal: the repaired candidate failed end-to-end re-verification"
     | Checker.Unknown reason ->
-      emit st;
+      emit (stats ());
       Gave_up ("repaired candidate could not be re-verified: " ^ reason))
 
 let repair ?cycle_limits ?class_limits ?(budget = 4000) ?(domains = 1) net
@@ -986,28 +544,21 @@ let repair ?cycle_limits ?class_limits ?(budget = 4000) ?(domains = 1) net
 (* mode 3: Theorem-6-style maximality certification                     *)
 
 type cert_item = {
-  relaxed : entry;
+  relaxed : Reduction.removed;
   cycle : int list;
   packets : Cycle_class.packet list;
 }
 
 type certification =
   | Maximal of cert_item list
-  | Relaxable of entry list
+  | Relaxable of Reduction.removed list
   | Cert_unknown of string
 
-let restricted_wait_sets space ~removed ~except =
-  let out = Hashtbl.create 64 in
-  List.iter
-    (fun r ->
-      match except with
-      | Some e when e = r -> ()
-      | _ -> Hashtbl.replace out (r.head, r.dest, r.target) ())
-    removed;
-  fun ~buf ~dest ->
-    List.filter
-      (fun t -> not (Hashtbl.mem out (buf, dest, t)))
-      (State_space.waits space ~buf ~dest)
+(* the BWG with every removal but [r] *)
+let relaxed_bwg ~domains space ~removed r =
+  Bwg.build
+    ~wait_sets:(wait_sets_without space (List.filter (( <> ) r) removed))
+    ~domains space
 
 let certify ?cycle_limits ?class_limits ?(domains = 1) space ~removed =
   Obs.span "synth.certify" @@ fun () ->
@@ -1016,8 +567,7 @@ let certify ?cycle_limits ?class_limits ?(domains = 1) space ~removed =
       if relaxable = [] then Maximal (List.rev items)
       else Relaxable (List.rev relaxable)
     | r :: rest -> (
-      let wait_sets = restricted_wait_sets space ~removed ~except:(Some r) in
-      let bwg = Bwg.build ~wait_sets ~domains space in
+      let bwg = relaxed_bwg ~domains space ~removed r in
       match
         Reduction.true_cycle_status ?cycle_limits ?class_limits
           ~shortest_first:true bwg
@@ -1030,10 +580,7 @@ let certify ?cycle_limits ?class_limits ?(domains = 1) space ~removed =
   go [] [] removed
 
 let replay ?class_limits ?(domains = 1) space ~removed item =
-  let wait_sets =
-    restricted_wait_sets space ~removed ~except:(Some item.relaxed)
-  in
-  let bwg = Bwg.build ~wait_sets ~domains space in
+  let bwg = relaxed_bwg ~domains space ~removed item.relaxed in
   let g = Bwg.graph bwg in
   let edges_ok =
     match item.cycle with
@@ -1056,25 +603,19 @@ let replay ?class_limits ?(domains = 1) space ~removed item =
 (* DOT overlay: BWG with the synthesized BWG' edges highlighted         *)
 
 let bwg_prime_dot s =
-  match s.full_bwg with
-  | None ->
-    invalid_arg "Synth.bwg_prime_dot: result carries no full BWG (repair?)"
-  | Some full ->
-    let net = State_space.net s.space in
-    let fg = Bwg.graph full in
-    let rg = Bwg.graph s.bwg in
-    let touched = Array.make (Digraph.num_vertices fg) false in
-    Digraph.iter_edges
-      (fun u v ->
-        touched.(u) <- true;
-        touched.(v) <- true)
-      fg;
-    Dot.to_string ~name:"bwg_prime"
-      ~vertex_label:(fun v -> Net.describe_buffer net v)
-      ~vertex_attrs:(fun v ->
-        if touched.(v) then [] else [ ("style", "invis") ])
-      ~edge_attrs:(fun u v ->
-        if Digraph.mem_edge rg u v then
-          [ ("color", "#1f78b4"); ("penwidth", "1.6") ]
-        else [ ("color", "#9e9e9e"); ("style", "dashed") ])
-      fg
+  let net = State_space.net s.space in
+  let fg = Bwg.graph (Bwg.build s.space) in
+  let rg = Bwg.graph s.bwg in
+  let touched = Array.make (Digraph.num_vertices fg) false in
+  Digraph.iter_edges
+    (fun u v ->
+      touched.(u) <- true;
+      touched.(v) <- true)
+    fg;
+  Dot.to_string ~name:"bwg_prime"
+    ~vertex_label:(fun v -> Net.describe_buffer net v)
+    ~vertex_attrs:(fun v -> if touched.(v) then [] else [ ("style", "invis") ])
+    ~edge_attrs:(fun u v ->
+      if Digraph.mem_edge rg u v then [ ("color", "#1f78b4"); ("penwidth", "1.6") ]
+      else [ ("color", "#9e9e9e"); ("style", "dashed") ])
+    fg

@@ -1266,9 +1266,29 @@ let test_true_cycle_status_reasons () =
       check Alcotest.string (label "True Cycle") "true cycle" (status two))
     [ false; true ]
 
+(* An exhausted Theorem-3 search is a deadlock verdict even when the scan
+   of the full BWG was truncated: the search's probes never conclude from
+   a truncated enumeration that found no True Cycle, so its Unsat is exact.
+   Draw 683 of this generator stream is such a case under a 3-cycle cap;
+   uncapped, the checker reaches the same verdict. *)
+let test_no_reduction_under_cycle_cap () =
+  let rng = Dfr_util.Prng.create (7_000_003 + 683) in
+  let net, algo = Dfr_fuzz.Case.to_net_algo (Dfr_fuzz.Gen.case rng ~max_nodes:9) in
+  let no_reduction ?cycle_limits () =
+    match Checker.verdict ?cycle_limits net algo with
+    | Checker.Deadlock_possible (Checker.No_reduction _) -> true
+    | _ -> false
+  in
+  let capped = { Dfr_graph.Cycles.default_limits with max_cycles = 3 } in
+  check Alcotest.bool "capped scan: no BWG' exists" true
+    (no_reduction ~cycle_limits:capped ());
+  check Alcotest.bool "uncapped: the same verdict" true (no_reduction ())
+
 let suite =
   suite
   @ [
       Alcotest.test_case "true_cycle_status: truncation vs classification caps"
         `Quick test_true_cycle_status_reasons;
+      Alcotest.test_case "No_reduction survives a truncated full-BWG scan" `Quick
+        test_no_reduction_under_cycle_cap;
     ]

@@ -706,3 +706,96 @@ let suite =
       Alcotest.test_case "corruption on an unreachable state still checks" `Quick
         test_unreachable_corruption_checks;
     ]
+
+(* ---------------- Theorem-3 search = brute force ---------------- *)
+
+(* Reduction.search answers Reduced iff some wait-connected subset of the
+   waiting rule has no True Cycle.  Brute force decides that over every
+   subset of the removable entries, those of states with at least two
+   waits.  Each seed draws generated cases until one reaches the search
+   the way the checker does (wait-connected, no stuck state, a True Cycle
+   in the full BWG, no knot) with 1 to 12 removable entries. *)
+
+(* (buf, dest, index into the state's waits) *)
+let removable_entries space =
+  let acc = ref [] in
+  State_space.iter_reachable space (fun ~buf ~dest ->
+      match State_space.waits space ~buf ~dest with
+      | _ :: _ :: _ as ws -> List.iteri (fun i _ -> acc := (buf, dest, i) :: !acc) ws
+      | _ -> ());
+  Array.of_list (List.rev !acc)
+
+let true_cycle_free bwg =
+  match Reduction.true_cycle_status bwg with
+  | Ok None -> true
+  | Ok (Some _) -> false
+  | Error reason -> QCheck.Test.fail_reportf "probe inconclusive: %s" reason
+
+let search_case seed =
+  let rng = Dfr_util.Prng.create (53_000 + seed) in
+  let rec draw n =
+    if n = 0 then None
+    else
+      let net, algo = Case.to_net_algo (Gen.case rng ~max_nodes:9) in
+      match State_space.build net algo with
+      | exception Invalid_argument _ -> draw (n - 1)
+      | space ->
+        let full = Bwg.build space in
+        let entries = removable_entries space in
+        if
+          State_space.stuck_states space = []
+          && Bwg.unconnected_states full = []
+          && Array.length entries >= 1
+          && Array.length entries <= 12
+          && Option.is_none (Deadlock_config.find space)
+          && (match Reduction.true_cycle_status full with Ok (Some _) -> true | _ -> false)
+        then Some (space, entries)
+        else draw (n - 1)
+  in
+  draw 300
+
+let brute_force_free space entries =
+  let k = Array.length entries in
+  let rec go mask =
+    mask < 1 lsl k
+    &&
+    let out = Hashtbl.create 16 in
+    Array.iteri
+      (fun i e -> if mask land (1 lsl i) <> 0 then Hashtbl.replace out e ())
+      entries;
+    let wait_sets ~buf ~dest =
+      List.filteri
+        (fun i _ -> not (Hashtbl.mem out (buf, dest, i)))
+        (State_space.waits space ~buf ~dest)
+    in
+    let connected =
+      Array.for_all (fun (buf, dest, _) -> wait_sets ~buf ~dest <> []) entries
+    in
+    (connected && true_cycle_free (Bwg.build ~wait_sets space)) || go (mask + 1)
+  in
+  go 0
+
+let prop_search_exact =
+  QCheck.Test.make ~name:"Reduction.search finds a BWG' iff brute force does"
+    ~count:40 (QCheck.int_bound 999_999) (fun seed ->
+      match search_case seed with
+      | None -> true
+      | Some (space, entries) -> (
+        let exists = brute_force_free space entries in
+        match fst (Reduction.search space) with
+        | Reduction.Reduced (bwg, removed) ->
+          let rebuilt =
+            Bwg.build space ~wait_sets:(fun ~buf ~dest ->
+                List.filter
+                  (fun target -> not (List.mem { Reduction.head = buf; dest; target } removed))
+                  (State_space.waits space ~buf ~dest))
+          in
+          if not exists then
+            QCheck.Test.fail_report "search found a BWG' brute force did not";
+          true_cycle_free bwg
+          && Bwg.is_wait_connected rebuilt
+          && true_cycle_free rebuilt
+        | Reduction.Impossible -> not exists
+        | Reduction.Gave_up reason -> QCheck.Test.fail_reportf "search gave up: %s" reason))
+
+let suite = suite @ [ QCheck_alcotest.to_alcotest prop_search_exact ]

@@ -86,7 +86,9 @@ let test_registry_agreement () =
     Registry.all
 
 let removed_key (s : Synth.success) =
-  List.map (fun e -> (e.Synth.head, e.Synth.dest, e.Synth.target)) s.Synth.removed
+  List.map
+    (fun e -> (e.Reduction.head, e.Reduction.dest, e.Reduction.target))
+    s.Synth.removed
 
 let spec_key (s : Synth.success) =
   match s.Synth.spec with Ok src -> src | Error e -> "ERR:" ^ e
@@ -180,6 +182,30 @@ let test_certify_and_replay () =
       (List.length es)
   | Synth.Cert_unknown why -> Alcotest.failf "certification gave up: %s" why
 
+(* Synthesis never reads the catalogue's BWG' hint, so on two-buffer it
+   runs the search the checker runs on the hintless reprint, and both must
+   land on the same BWG'.  At mesh:6x6 the previous synthesis engine ran
+   out of decisions. *)
+let test_two_buffer_mesh_6x6 () =
+  let e = entry "two-buffer" in
+  let topo = Result.get_ok (Dfr_topology.Topology.of_string "mesh:6x6") in
+  let net = Registry.network_for e (Some topo) in
+  let s = synthesized (Synth.synthesize (State_space.build net e.Registry.algo)) in
+  let text = Result.get_ok (Dfr_spec.Printer.to_string net e.Registry.algo) in
+  let spec =
+    match Dfr_spec.Spec.compile_string text with
+    | Ok spec -> spec
+    | Error err -> Alcotest.failf "reprint: %s" (Dfr_spec.Spec.error_to_string err)
+  in
+  (* the reprint numbers buffers as the catalogue network does *)
+  match (Checker.check spec.Dfr_spec.Spec.net spec.Dfr_spec.Spec.algo).Checker.verdict with
+  | Checker.Deadlock_free (Checker.Reduced_bwg { via_hint = false; removed; _ }) ->
+    check Alcotest.int "same number of removals" (List.length removed)
+      (List.length s.Synth.removed);
+    check Alcotest.bool "same BWG' as the checker" true
+      (List.sort compare removed = s.Synth.removed)
+  | _ -> Alcotest.fail "the hintless reprint did not check free by search"
+
 let suite =
   [
     Alcotest.test_case "two-buffer BWG' re-checks free" `Quick
@@ -196,4 +222,6 @@ let suite =
       test_repair_already_free;
     Alcotest.test_case "certify maximal + replay witnesses" `Quick
       test_certify_and_replay;
+    Alcotest.test_case "two-buffer mesh:6x6: synth finds the checker's BWG'" `Quick
+      test_two_buffer_mesh_6x6;
   ]
