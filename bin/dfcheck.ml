@@ -951,10 +951,8 @@ let synth_report ~label ~mode ~certify ~json ~output ~metrics net
           1
       | Synth.Maximal items ->
         let replayed =
-          List.map
-            (fun item ->
-              (item, Synth.replay s.Synth.space ~removed:s.Synth.removed item))
-            items
+          List.combine items
+            (Synth.replay s.Synth.space ~removed:s.Synth.removed items)
         in
         let all_ok = List.for_all snd replayed in
         if not json then begin

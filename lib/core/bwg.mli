@@ -16,8 +16,8 @@
     them. *)
 
 type wait_sets = buf:int -> dest:int -> int list
-(** The waiting rule the graph is built from — the algorithm's full [waits]
-    by default, or a reduced BWG' candidate. *)
+(** A waiting rule: the algorithm's full [waits], or a reduced BWG'
+    candidate ({!Session}). *)
 
 type witness = { dest : int; head : int }
 (** A packet destined [dest] can sit with [q1] occupied and its header
@@ -26,7 +26,6 @@ type witness = { dest : int; head : int }
 type t
 
 val build :
-  ?wait_sets:wait_sets ->
   ?witness_cap:int ->
   ?indirect:bool ->
   ?domains:int ->
@@ -36,7 +35,9 @@ val build :
 (** Each destination's continuation closures are computed over that
     destination's own reachable buffers, so per-destination work is sized
     by its states rather than by the network; every emitted edge is
-    recorded in O(1) (DESIGN.md §3).
+    recorded in O(1) (DESIGN.md §3).  This is the full BWG, under the
+    algorithm's whole waiting rule; it alone sets the [bwg.edges] and
+    [bwg.vertices] gauges.  A BWG' comes from a {!Session}.
     [witness_cap] bounds the witnesses retained per edge (default 32).
     [domains] (default 1) fans the per-destination continuation closures
     out over OCaml 5 domains; the per-destination work is independent, the
@@ -71,6 +72,15 @@ val dest_edges :
     closure is always applied (there is no [indirect] ablation knob
     here). *)
 
+type group = { q1 : int; head : int; targets : int list }
+(** One run of a destination's emission sequence: the waits [targets] of
+    [head], in rule order, emitted for the occupied buffer [q1]. *)
+
+val dest_groups : ?wait_sets:wait_sets -> State_space.t -> dest:int -> group list
+(** {!dest_edges} compressed into its (q1, head) runs, in emission order:
+    concatenating the groups' targets reproduces the emission sequence.
+    This is the per-destination unit both {!Incr} and {!Session} cache. *)
+
 val replay :
   ?wait_sets:wait_sets ->
   ?witness_cap:int ->
@@ -89,8 +99,6 @@ val replay :
 
 val space : t -> State_space.t
 val graph : t -> Dfr_graph.Digraph.t
-
-val wait_sets : t -> wait_sets
 
 val witnesses : t -> int -> int -> witness list
 (** Witnesses of edge [q1 -> q2] ([[]] if absent). *)
@@ -126,3 +134,60 @@ val is_wait_connected : t -> bool
 
 val to_dot : t -> string
 (** DOT rendering with paper-style buffer labels (transit buffers only). *)
+
+(** {2 Wait-set sessions}
+
+    A Theorem-3 search probes a sequence of BWG's, each a few wait entries
+    away from the last.  A session owns the live wait sets of one state
+    space: {!Session.remove} and {!Session.restore} change single
+    entries and mark their destination dirty, and {!Session.bwg}
+    re-derives only the dirty destinations and patches the changed edges
+    and witnesses in place.  The continuation closures run once, on the
+    first read; routes are fixed, so a destination's emissions under any
+    subset of its rule are its groups ({!dest_groups}) under the full
+    rule with each head's targets narrowed to its live entries.
+
+    Re-derivations run under the [bwg.closure] span and the patching
+    under [bwg.patch]; [bwg.session.rederived] counts the destinations
+    derived (all of them on the first read). *)
+module Session : sig
+  type bwg := t
+  type t
+
+  val create : ?witness_cap:int -> ?waits:wait_sets -> ?domains:int -> State_space.t -> t
+  (** A session over the waiting rule [waits] (default: the algorithm's
+      waiting sets), every entry live.  Cheap: nothing is derived before
+      the first {!bwg}, whose closures [domains] fans out over the pool
+      as {!build} does.  [witness_cap] as for {!build}. *)
+
+  val waits : t -> wait_sets
+  (** The live waiting set of a reachable state, a subsequence of the
+      rule; [[]] for an unreachable one. *)
+
+  val is_live : t -> buf:int -> dest:int -> int -> bool
+  (** [is_live s ~buf ~dest target]: the entry has not been removed.
+      True for a target outside the rule and for an unreachable state. *)
+
+  val remove : t -> buf:int -> dest:int -> int -> unit
+  (** Drops one live entry of a reachable state.  Raises
+      [Invalid_argument] when the state is unreachable or has no live
+      entry [target]. *)
+
+  val restore : t -> buf:int -> dest:int -> int -> unit
+  (** Re-admits one removed entry, at its place in the rule.  Raises
+      [Invalid_argument] when there is none to re-admit. *)
+
+  val bwg : t -> bwg
+  (** The BWG' of the live wait sets.  Its edge set and every edge's
+      witness list read exactly as a cold build's ({!replay} over
+      {!dest_edges} with these wait sets; tested), and its wait sets are
+      the live ones.  The value is patched in place by the next read
+      after a change, and its adjacency rows may list successors in
+      another order than a cold build's; {!snapshot} gives one to keep. *)
+
+  val snapshot : t -> bwg
+  (** A BWG' structurally identical to a cold build of the current live
+      wait sets, adjacency order included, that later changes to the
+      session leave alone: the session's emissions replayed through
+      {!replay}. *)
+end

@@ -3,11 +3,6 @@ open Dfr_routing
 
 let describe net b = Net.describe_buffer net b
 
-let count_reachable space =
-  let n = ref 0 in
-  State_space.iter_reachable space (fun ~buf:_ ~dest:_ -> incr n);
-  !n
-
 let pp_packets net buf packets =
   List.iteri
     (fun i (p : Cycle_class.packet) ->
@@ -32,7 +27,7 @@ let render net algo (report : Checker.report) =
     | Algo.Any_wait -> "first-free multi-buffer");
   line "network   : %s (%d nodes, %d buffers)" (Net.name net) (Net.num_nodes net)
     (Net.num_buffers net);
-  line "states    : %d reachable (buffer, destination) pairs" (count_reachable space);
+  line "states    : %d reachable (buffer, destination) pairs" (State_space.num_states space);
   line "BWG       : %d vertices, %d waiting edges"
     (Dfr_graph.Digraph.num_vertices g)
     (Dfr_graph.Digraph.num_edges g);

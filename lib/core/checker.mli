@@ -63,13 +63,13 @@ val check :
   Net.t ->
   Algo.t ->
   report
-(** [domains] parallelizes the BWG constructions (the full BWG and each
-    {!Reduction.search} probe) and the cycle classification scan over
-    OCaml 5 domains (default 1; see {!Bwg.build}).  [reduction_budget]
-    caps the search's BWG rebuilds.  Verdicts are bit-for-bit identical
-    to the serial
-    run: the classification fan-out still reports the True Cycle of
-    minimal index in the shortest-first order. *)
+(** [domains] parallelizes the BWG constructions (the full BWG and the
+    first derivation of {!Reduction.search}'s wait-set session) and the
+    cycle classification scan over OCaml 5 domains (default 1; see
+    {!Bwg.build}).  [reduction_budget] caps the search's probes.  Verdicts
+    are bit-for-bit identical to the serial run: the classification
+    fan-out still reports the True Cycle of minimal index in the
+    shortest-first order. *)
 
 val decide :
   ?cycle_limits:Dfr_graph.Cycles.limits ->

@@ -9,7 +9,8 @@ module Obs = Dfr_obs.Obs
    emissions (Bwg.dest_edges), and a destination's emissions are a pure
    function of (net, algo restricted to that destination).  A session
    caches, per destination: the emission sequence (compressed into
-   (q1, head) groups), the destination's stuck / wait-unconnected state
+   (q1, head) groups by Bwg.dest_groups, the unit Bwg.Session caches
+   too), the destination's stuck / wait-unconnected state
    lists, and its contribution to a maintained merged graph.  An edit
    whose dirty frontier is known (Diff.diff for spec edits, the caller's
    warrant for programmatic ones) re-derives only the dirty destinations
@@ -40,10 +41,8 @@ module Obs = Dfr_obs.Obs
    forces a Kahn recomputation — so the steady state of edit traffic on a
    deadlock-free instance never re-runs a full graph pass. *)
 
-type group = { g_q1 : int; g_head : int; g_targets : int list }
-
 type dest_state = {
-  mutable groups : group list; (* emission order *)
+  mutable groups : Bwg.group list; (* emission order *)
   mutable d_stuck : int list; (* buffers, ascending *)
   mutable d_unconn : int list; (* buffers, ascending *)
 }
@@ -99,31 +98,6 @@ let counters t =
     reemitted_dests = t.n_reemitted;
   }
 
-(* Compress one destination's emission stream into (q1, head) groups.
-   [Bwg.dest_edges] emits, for each q1 and each waiting head in q1's
-   closure, that head's waits in rule order — so grouping on change of
-   (q1, head) is lossless: concatenating the groups' targets in order
-   reproduces the exact emission sequence. *)
-let capture_groups space dest =
-  let cur_q1 = ref (-1) and cur_head = ref (-1) in
-  let cur_targets = ref [] and groups = ref [] in
-  let flush () =
-    if !cur_q1 >= 0 then
-      groups :=
-        { g_q1 = !cur_q1; g_head = !cur_head; g_targets = List.rev !cur_targets }
-        :: !groups
-  in
-  Bwg.dest_edges space ~dest ~emit:(fun q1 q2 (wit : Bwg.witness) ->
-      if q1 <> !cur_q1 || wit.Bwg.head <> !cur_head then begin
-        flush ();
-        cur_q1 := q1;
-        cur_head := wit.Bwg.head;
-        cur_targets := []
-      end;
-      cur_targets := q2 :: !cur_targets);
-  flush ();
-  List.rev !groups
-
 (* The destination's rows of [State_space.stuck_states] and
    [Bwg.unconnected_states]: reachable, not arrived, empty outputs
    (resp. waits); ascending by buffer like the views themselves. *)
@@ -144,15 +118,15 @@ let dest_edge_list num_bufs groups =
   let seen = Hashtbl.create 64 in
   let acc = ref [] in
   List.iter
-    (fun g ->
+    (fun (g : Bwg.group) ->
       List.iter
         (fun q2 ->
-          let key = (g.g_q1 * num_bufs) + q2 in
+          let key = (g.Bwg.q1 * num_bufs) + q2 in
           if not (Hashtbl.mem seen key) then begin
             Hashtbl.add seen key ();
             acc := key :: !acc
           end)
-        g.g_targets)
+        g.Bwg.targets)
     groups;
   !acc
 
@@ -287,9 +261,9 @@ let conclude t ~dirty_dests =
           Array.iteri
             (fun dest ds ->
               List.iter
-                (fun g ->
-                  let wit = { Bwg.dest; head = g.g_head } in
-                  List.iter (fun q2 -> emit g.g_q1 q2 wit) g.g_targets)
+                (fun (g : Bwg.group) ->
+                  let wit = { Bwg.dest; head = g.Bwg.head } in
+                  List.iter (fun q2 -> emit g.Bwg.q1 q2 wit) g.Bwg.targets)
                 ds.groups)
             t.dests)
     in
@@ -338,7 +312,7 @@ let create ?(witness_cap = 32) ?cycle_limits ?class_limits ?reduction_budget
   in
   for dest = 0 to num_nodes - 1 do
     let ds = t.dests.(dest) in
-    ds.groups <- capture_groups space dest;
+    ds.groups <- Bwg.dest_groups space ~dest;
     let stuck, unconn = scan_dest space dest in
     ds.d_stuck <- stuck;
     ds.d_unconn <- unconn;
@@ -373,23 +347,12 @@ let patchable (oldv : State_space.dest_view) (newv : State_space.dest_view) =
     oldv.State_space.view_wts;
   !ok
 
-let patch_groups (v : State_space.dest_view) groups =
-  let bufs = v.State_space.view_bufs in
-  let find buf =
-    let lo = ref 0 and hi = ref (Array.length bufs) and res = ref (-1) in
-    while !res < 0 && !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      let b = bufs.(mid) in
-      if b = buf then res := mid else if b < buf then lo := mid + 1 else hi := mid
-    done;
-    !res
-  in
+let patch_groups space dest groups =
   List.filter_map
-    (fun g ->
-      let i = find g.g_head in
-      match if i >= 0 then v.State_space.view_wts.(i) else [] with
+    (fun (g : Bwg.group) ->
+      match State_space.waits space ~buf:g.Bwg.head ~dest with
       | [] -> None
-      | ws -> Some { g with g_targets = ws })
+      | ws -> Some { g with Bwg.targets = ws })
     groups
 
 let update t algo ~dirty =
@@ -420,11 +383,11 @@ let update t algo ~dirty =
       ds.groups <-
         (if patchable oldv newv then begin
            t.n_patched <- t.n_patched + 1;
-           patch_groups newv ds.groups
+           patch_groups space' d ds.groups
          end
          else begin
            t.n_reemitted <- t.n_reemitted + 1;
-           capture_groups space' d
+           Bwg.dest_groups space' ~dest:d
          end);
       let stuck, unconn = scan_dest space' d in
       ds.d_stuck <- stuck;

@@ -65,12 +65,13 @@ let verify_hint ?cycle_limits ?class_limits space =
   | None -> None
   | Some wait_sets ->
     Obs.span "reduction.verify-hint" @@ fun () ->
-    let bwg = Bwg.build ~wait_sets space in
+    let session = Bwg.Session.create ~waits:wait_sets space in
+    let bwg = Bwg.Session.bwg session in
     if not (Bwg.is_wait_connected bwg) then
       Some (Gave_up "reduced-waits hint is not wait-connected")
     else (
       match true_cycle_status ?cycle_limits ?class_limits bwg with
-      | Ok None -> Some (Reduced (bwg, []))
+      | Ok None -> Some (Reduced (Bwg.Session.snapshot session, []))
       | Ok (Some _) -> Some (Gave_up "reduced-waits hint still has a True Cycle")
       | Error reason -> Some (Gave_up ("hint verification: " ^ reason)))
 
@@ -106,10 +107,10 @@ let generating_entries space current ~wormhole q w =
 
 (* Theorem 3 as a Clause_search problem: one variable per wait entry of a
    reachable state, 0 live and 1 removed, numbered in [iter_reachable]
-   order and, within a state, in rule order.  The probe's wait-set lookup
-   is one int-keyed [Hashtbl.find] of the state's live targets: every
-   reachable state has a binding, so it never misses, and only [assign]
-   rewrites one.
+   order and, within a state, in rule order.  [assign] removes or
+   restores the entry in one wait-set session, and the probe reads the
+   session's BWG', which re-derives only the destinations touched since
+   the last probe.
 
    A conflict is a True Cycle.  Its witness packets name the wait entries
    generating its edges; with routes fixed, the same packets realize the
@@ -124,15 +125,15 @@ let search ?cycle_limits ?class_limits ?(budget = 2000) ?domains space =
   let wormhole = Net.switching (State_space.net space) = Net.Wormhole in
   let num_nodes = State_space.num_nodes space in
   let key buf dest = (buf * num_nodes) + dest in
-  let live_waits = Hashtbl.create 256 in
+  let session = Bwg.Session.create ?domains space in
+  let wait_sets = Bwg.Session.waits session in
   let keys = ref [] and waits = ref [] in
   State_space.iter_reachable space (fun ~buf ~dest ->
-      let ws = State_space.waits space ~buf ~dest in
-      Hashtbl.replace live_waits (key buf dest) ws;
-      if ws <> [] then begin
+      match State_space.waits space ~buf ~dest with
+      | [] -> ()
+      | ws ->
         keys := key buf dest :: !keys;
-        waits := ws :: !waits
-      end);
+        waits := ws :: !waits);
   (* the states with waits, keys ascending *)
   let keys = Array.of_list (List.rev !keys) in
   let rule = Array.of_list (List.rev !waits) in
@@ -145,11 +146,6 @@ let search ?cycle_limits ?class_limits ?(budget = 2000) ?domains space =
   (* the search's assignment: 0 live, 1 removed *)
   let value = Array.make n 0 in
   let live v = value.(v) = 0 in
-  let wait_sets ~buf ~dest =
-    match Hashtbl.find live_waits (key buf dest) with
-    | ws -> ws
-    | exception Not_found -> []
-  in
   let state buf dest =
     let k = key buf dest in
     let rec go lo hi =
@@ -179,22 +175,23 @@ let search ?cycle_limits ?class_limits ?(budget = 2000) ?domains space =
      decision order *)
   let removals = ref [] in
   let assign v x =
-    let s = owner.(v) in
-    match (x, Hashtbl.find live_waits keys.(s)) with
-    | 1, ([] | [ _ ]) -> false
-    | _ ->
-      removals := if x = 1 then v :: !removals else List.filter (( <> ) v) !removals;
-      Hashtbl.replace live_waits keys.(s)
-        (List.filteri (fun i _ -> live (first.(s) + i)) rule.(s));
+    let { head = buf; dest; target } = entry v in
+    if x = 1 then
+      match wait_sets ~buf ~dest with
+      | [] | [ _ ] -> false
+      | _ ->
+        removals := v :: !removals;
+        Bwg.Session.remove session ~buf ~dest target;
+        true
+    else begin
+      removals := List.filter (( <> ) v) !removals;
+      Bwg.Session.restore session ~buf ~dest target;
       true
+    end
   in
-  let reduced = ref None in
   let probe () =
     Obs.count "reduction.attempts" 1;
-    let bwg = Bwg.build ~wait_sets ?domains space in
-    let status = true_cycle_status ?cycle_limits ?class_limits bwg in
-    if status = Ok None then reduced := Some bwg;
-    status
+    true_cycle_status ?cycle_limits ?class_limits (Bwg.Session.bwg session)
   in
   let clause (_, packets) =
     ( List.map
@@ -226,7 +223,9 @@ let search ?cycle_limits ?class_limits ?(budget = 2000) ?domains space =
   in
   let result =
     match outcome with
-    | Clause_search.Found -> Reduced (Option.get !reduced, List.rev_map entry !removals)
+    | Clause_search.Found ->
+      (* the session still holds the assignment the last probe accepted *)
+      Reduced (Bwg.Session.snapshot session, List.rev_map entry !removals)
     | Clause_search.Exhausted -> Impossible
     | Clause_search.Gave_up reason -> Gave_up reason
   in

@@ -71,8 +71,10 @@ val search :
   State_space.t ->
   outcome * Clause_search.stats
 (** Automatic search from the full waiting rule, over the wait entries of
-    the reachable states.  Each probe rebuilds the candidate BWG (counted
-    as [reduction.attempts]; [budget], default 2000, caps them) and runs
+    the reachable states.  Each probe reads the candidate BWG' off one
+    {!Bwg.Session}, which re-derives only the destinations whose entries
+    changed since the previous probe (probes are counted as
+    [reduction.attempts]; [budget], default 2000, caps them), and runs
     the streaming {!true_cycle_status}.  At a True Cycle it first tries
     the edge cuts, edges in cycle order, each removing every live entry
     that generates the edge (destinations ascending) and allowed only if
@@ -80,4 +82,5 @@ val search :
     entries one at a time, most active first.  [Reduced]'s removals are in
     decision order.  A probe that hits a cap is backtracked over, and the
     search then ends in [Gave_up], never [Impossible].  [domains]
-    parallelizes each BWG build. *)
+    parallelizes the session's first derivation.  [Reduced]'s BWG' is a
+    {!Bwg.Session.snapshot}, identical to a cold build of its wait sets. *)

@@ -40,7 +40,8 @@ let slice_find s buf =
   done;
   !found
 
-let is_reachable t ~buf ~dest = slice_find t.slices.(dest) buf >= 0
+let index t ~buf ~dest = slice_find t.slices.(dest) buf
+let is_reachable t ~buf ~dest = index t ~buf ~dest >= 0
 let arrived t ~buf ~dest = Buf.head_node (Net.buffer t.net buf) = dest
 
 (* [field] of the state (buf, dest), or [[]] when it is unreachable *)
@@ -168,6 +169,8 @@ let refuse_malformed ~num_nodes problems =
           (List.concat_map snd
              (List.sort (fun ((a : int), _) (b, _) -> compare a b) !keyed)))
 
+let num_states t = Array.fold_left (fun acc s -> acc + Array.length s.bufs) 0 t.slices
+
 let build ?(domains = 1) net algo =
   Obs.span "space.build" @@ fun () ->
   let num_buffers = Net.num_buffers net in
@@ -186,33 +189,42 @@ let build ?(domains = 1) net algo =
       build_slices net algo ~num_buffers ~num_nodes ~into:slices ~problems
         (List.init (stop - start) (fun i -> start + i)));
   refuse_malformed ~num_nodes problems;
-  Obs.count "space.states"
-    (Array.fold_left (fun acc s -> acc + Array.length s.bufs) 0 slices);
-  {
-    net;
-    algo;
-    num_buffers;
-    num_nodes;
-    slices;
-    move_graphs = Array.make num_nodes None;
-  }
+  let t =
+    { net; algo; num_buffers; num_nodes; slices; move_graphs = Array.make num_nodes None }
+  in
+  Obs.count "space.states" (num_states t);
+  t
 
-(* gather + sort yields the (buf ascending, dest ascending) order every
-   downstream state list is reported in *)
+(* The (buf ascending, dest ascending) order every downstream state list
+   is reported in, by one counting pass: bucket the states by buffer,
+   filling the buckets destination by destination, so each bucket comes
+   out sorted. *)
 let iter_reachable t f =
-  let total = Array.fold_left (fun acc s -> acc + Array.length s.bufs) 0 t.slices in
-  let keys = Array.make total 0 in
-  let k = ref 0 in
+  let nb = t.num_buffers in
+  let next = Array.make (nb + 1) 0 in
+  Array.iter
+    (fun s -> Array.iter (fun buf -> next.(buf + 1) <- next.(buf + 1) + 1) s.bufs)
+    t.slices;
+  for b = 1 to nb do
+    next.(b) <- next.(b) + next.(b - 1)
+  done;
+  let dests = Array.make next.(nb) 0 in
   Array.iteri
     (fun dest s ->
       Array.iter
         (fun buf ->
-          keys.(!k) <- (buf * t.num_nodes) + dest;
-          incr k)
+          dests.(next.(buf)) <- dest;
+          next.(buf) <- next.(buf) + 1)
         s.bufs)
     t.slices;
-  Array.sort (fun (a : int) b -> compare a b) keys;
-  Array.iter (fun key -> f ~buf:(key / t.num_nodes) ~dest:(key mod t.num_nodes)) keys
+  (* [next.(buf)] is now where buffer [buf + 1]'s bucket starts *)
+  let i = ref 0 in
+  for buf = 0 to nb - 1 do
+    while !i < next.(buf) do
+      f ~buf ~dest:dests.(!i);
+      incr i
+    done
+  done
 
 let build_move_graph t ~dest =
   let g = Dfr_graph.Digraph.create t.num_buffers in

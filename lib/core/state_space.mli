@@ -42,6 +42,10 @@ val num_nodes : t -> int
 
 val is_reachable : t -> buf:int -> dest:int -> bool
 
+val index : t -> buf:int -> dest:int -> int
+(** The position of state (buf, dest) in its destination's {!dest_view}
+    arrays, or [-1] when the state is unreachable.  O(log k). *)
+
 val outputs : t -> buf:int -> dest:int -> int list
 (** Permitted transit outputs of a reachable state; [[]] when the head is
     at the destination (the packet proceeds to delivery) or the state is
@@ -56,7 +60,14 @@ val reduced_waits : t -> (buf:int -> dest:int -> int list) option
 val arrived : t -> buf:int -> dest:int -> bool
 (** The head of a packet in this state is at its destination. *)
 
+val num_states : t -> int
+(** The number of reachable states, the sum of the slices' sizes. *)
+
 val iter_reachable : t -> (buf:int -> dest:int -> unit) -> unit
+(** Every reachable state, buffers ascending and, within a buffer,
+    destinations ascending — ascending [buf * num_nodes + dest], the
+    order every state list downstream is reported in.  One counting pass
+    over the slices, O(states + buffers). *)
 
 val move_graph : t -> dest:int -> Dfr_graph.Csr.t
 (** Buffer-to-buffer moves available to packets destined for [dest]

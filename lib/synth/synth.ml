@@ -77,16 +77,17 @@ let emit st =
   Obs.count "synth.pruned" st.pruned;
   Obs.count "synth.restored" st.restored
 
-(* [keep ~buf ~dest target]: the entry is not in [removed] *)
-let kept_by removed =
-  let out = Hashtbl.create 64 in
-  List.iter (fun r -> Hashtbl.replace out r ()) removed;
-  fun ~buf ~dest target -> not (Hashtbl.mem out { Reduction.head = buf; dest; target })
+let remove session { Reduction.head; dest; target } =
+  Bwg.Session.remove session ~buf:head ~dest target
 
-(* the full waiting rule of [space] without [removed] *)
-let wait_sets_without space removed =
-  let keep = kept_by removed in
-  fun ~buf ~dest -> List.filter (keep ~buf ~dest) (State_space.waits space ~buf ~dest)
+let restore session { Reduction.head; dest; target } =
+  Bwg.Session.restore session ~buf:head ~dest target
+
+(* a wait-set session with [removed] taken out of the full rule *)
+let session_without ~domains space removed =
+  let session = Bwg.Session.create ~domains space in
+  List.iter (remove session) removed;
+  session
 
 (* ------------------------------------------------------------------ *)
 (* mode 1: BWG' synthesis (waits shrink, routes fixed)                 *)
@@ -95,21 +96,24 @@ let wait_sets_without space removed =
    keep the restoration whenever the candidate stays True-Cycle-free.
    Because the True-Cycle property is monotone in the kept entries, one
    pass yields a 1-minimal removed set — exactly the shape {!certify}
-   wants (re-admitting any single survivor deadlocks). *)
-let minimize_pass ?cycle_limits ?class_limits ~domains space removed =
+   wants (re-admitting any single survivor deadlocks).  Each probe is
+   the session's BWG' one restored entry away from the last. *)
+let minimize_pass ?cycle_limits ?class_limits session removed =
   Obs.span "synth.minimize" @@ fun () ->
-  let free removed =
-    let bwg = Bwg.build ~wait_sets:(wait_sets_without space removed) ~domains space in
-    match Reduction.true_cycle_status ?cycle_limits ?class_limits bwg with
-    | Ok None -> true
-    | Ok (Some _) | Error _ -> false
-  in
-  (* [kept]: removals confirmed so far, newest first *)
-  let rec go kept = function
-    | [] -> List.rev kept
-    | r :: rest -> go (if free (List.rev_append kept rest) then kept else r :: kept) rest
-  in
-  go [] removed
+  List.filter
+    (fun r ->
+      restore session r;
+      let needed =
+        match
+          Reduction.true_cycle_status ?cycle_limits ?class_limits
+            (Bwg.Session.bwg session)
+        with
+        | Ok None -> false
+        | Ok (Some _) | Error _ -> true
+      in
+      if needed then remove session r;
+      needed)
+    removed
 
 let synthesize ?cycle_limits ?class_limits ?(budget = 4000) ?(domains = 1)
     ?(minimize = false) space =
@@ -150,16 +154,18 @@ let synthesize ?cycle_limits ?class_limits ?(budget = 4000) ?(domains = 1)
          (Theorem 3 necessity)"
     | Reduction.Reduced (bwg, removed) ->
       let found = List.sort compare removed in
+      let session = session_without ~domains space found in
       let removed, bwg =
         if minimize then
-          let removed = minimize_pass ?cycle_limits ?class_limits ~domains space found in
-          (removed, Bwg.build ~wait_sets:(wait_sets_without space removed) ~domains space)
+          let removed = minimize_pass ?cycle_limits ?class_limits session found in
+          (removed, Bwg.Session.snapshot session)
         else (found, bwg)
       in
-      let keep = kept_by removed in
       let algo' =
         Algo.with_waits algo (fun net b ~dest ->
-            List.filter (keep ~buf:(Buf.id b) ~dest) (algo.Algo.waits net b ~dest))
+            List.filter
+              (Bwg.Session.is_live session ~buf:(Buf.id b) ~dest)
+              (algo.Algo.waits net b ~dest))
       in
       let stats =
         stats_of s
@@ -554,24 +560,23 @@ type certification =
   | Relaxable of Reduction.removed list
   | Cert_unknown of string
 
-(* the BWG with every removal but [r] *)
-let relaxed_bwg ~domains space ~removed r =
-  Bwg.build
-    ~wait_sets:(wait_sets_without space (List.filter (( <> ) r) removed))
-    ~domains space
-
+(* Both passes run on one session holding [removed]: each certificate
+   restores its entry, probes, and takes it out again. *)
 let certify ?cycle_limits ?class_limits ?(domains = 1) space ~removed =
   Obs.span "synth.certify" @@ fun () ->
+  let session = session_without ~domains space removed in
   let rec go items relaxable = function
     | [] ->
       if relaxable = [] then Maximal (List.rev items)
       else Relaxable (List.rev relaxable)
     | r :: rest -> (
-      let bwg = relaxed_bwg ~domains space ~removed r in
-      match
+      restore session r;
+      let status =
         Reduction.true_cycle_status ?cycle_limits ?class_limits
-          ~shortest_first:true bwg
-      with
+          ~shortest_first:true (Bwg.Session.bwg session)
+      in
+      remove session r;
+      match status with
       | Error reason -> Cert_unknown reason
       | Ok None -> go items (r :: relaxable) rest
       | Ok (Some (cycle, packets)) ->
@@ -579,25 +584,34 @@ let certify ?cycle_limits ?class_limits ?(domains = 1) space ~removed =
   in
   go [] [] removed
 
-let replay ?class_limits ?(domains = 1) space ~removed item =
-  let bwg = relaxed_bwg ~domains space ~removed item.relaxed in
-  let g = Bwg.graph bwg in
-  let edges_ok =
-    match item.cycle with
-    | [] -> false
-    | first :: _ ->
-      let rec chk = function
+let replay ?class_limits ?(domains = 1) space ~removed items =
+  let session = session_without ~domains space removed in
+  List.map
+    (fun item ->
+      restore session item.relaxed;
+      let bwg = Bwg.Session.bwg session in
+      let g = Bwg.graph bwg in
+      let edges_ok =
+        match item.cycle with
         | [] -> false
-        | [ last ] -> Digraph.mem_edge g last first
-        | a :: (b :: _ as rest) -> Digraph.mem_edge g a b && chk rest
+        | first :: _ ->
+          let rec chk = function
+            | [] -> false
+            | [ last ] -> Digraph.mem_edge g last first
+            | a :: (b :: _ as rest) -> Digraph.mem_edge g a b && chk rest
+          in
+          chk item.cycle
       in
-      chk item.cycle
-  in
-  edges_ok
-  &&
-  match Cycle_class.classify ?limits:class_limits bwg item.cycle with
-  | Cycle_class.True_cycle _ -> true
-  | Cycle_class.False_resource_cycle _ -> false
+      let ok =
+        edges_ok
+        &&
+        match Cycle_class.classify ?limits:class_limits bwg item.cycle with
+        | Cycle_class.True_cycle _ -> true
+        | Cycle_class.False_resource_cycle _ -> false
+      in
+      remove session item.relaxed;
+      ok)
+    items
 
 (* ------------------------------------------------------------------ *)
 (* DOT overlay: BWG with the synthesized BWG' edges highlighted         *)

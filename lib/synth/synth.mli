@@ -24,7 +24,7 @@
     meets: the witness packets name the entries generating the cycle's
     edges, and as long as all of them stay in place the same cycle
     recurs — so at least one must go.  Candidates violating a learned
-    clause are pruned without rebuilding the BWG.  In {!synthesize}
+    clause are pruned without a probe.  In {!synthesize}
     routes are fixed, the implication is exact, and exhaustion is an
     honest [Unsat] — Theorem 3's necessity direction.  In {!repair}
     reassignments change occupancy, clauses are heuristic, and
@@ -40,11 +40,11 @@ open Dfr_routing
 open Dfr_core
 
 type stats = {
-  rebuilds : int;  (** BWG (re)constructions, the search's cost unit *)
+  rebuilds : int;  (** probes (BWG' reads), the search's cost unit *)
   decisions : int;  (** branch choices taken *)
   conflicts : int;  (** True Cycles discovered by probes *)
   learned : int;  (** distinct blocking clauses recorded *)
-  pruned : int;  (** candidates rejected by a learned clause, no rebuild *)
+  pruned : int;  (** candidates rejected by a learned clause, no probe *)
   restored : int;  (** removals undone by greedy minimization *)
 }
 
@@ -90,7 +90,7 @@ val synthesize :
 (** Find a BWG' for the algorithm of [space].  Stuck states, a state
     with no wait under the full rule, and a knot ({!Deadlock_config})
     answer [Unsat] at once; otherwise {!Reduction.search} runs with
-    [budget] BWG rebuilds (default 4000).  [minimize] (default false)
+    [budget] probes (default 4000).  [minimize] (default false)
     runs a greedy restore pass so the removed set is 1-minimal — the form
     {!certify} expects.  An algorithm whose full BWG is already
     True-Cycle-free synthesizes with [removed = \[\]]. *)
@@ -144,22 +144,24 @@ val certify :
   State_space.t ->
   removed:Reduction.removed list ->
   certification
-(** Theorem-6-style maximality: for each entry of [removed], rebuild the
-    BWG with that single entry restored and demand a True Cycle.  Run it
-    on a minimized {!synthesize} result. *)
+(** Theorem-6-style maximality: for each entry of [removed], probe the
+    BWG' with that single entry restored and demand a True Cycle.  The
+    probes are single-entry deltas of one {!Bwg.Session}.  Run it on a
+    minimized {!synthesize} result. *)
 
 val replay :
   ?class_limits:Cycle_class.limits ->
   ?domains:int ->
   State_space.t ->
   removed:Reduction.removed list ->
-  cert_item ->
-  bool
-(** Independent check of one certificate: rebuild the relaxed BWG from
-    scratch, confirm every consecutive pair of [cycle] is an edge, and
-    re-classify the cycle through {!Cycle_class.classify} — the same
-    machinery the checker trusts.  [removed] must be the certification's
-    removed set. *)
+  cert_item list ->
+  bool list
+(** Independent check of certificates, one verdict per item: a fresh
+    {!Bwg.Session} over [removed] restores each item's entry in turn,
+    confirms every consecutive pair of [cycle] is an edge of that BWG',
+    and re-classifies the cycle through {!Cycle_class.classify} — the
+    same machinery the checker trusts.  [removed] must be the
+    certification's removed set. *)
 
 val bwg_prime_dot : success -> string
 (** DOT overlay of a {!synthesize} result: the full BWG with kept (BWG')

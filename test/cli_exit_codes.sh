@@ -113,19 +113,21 @@ expect 2 synth --mode bwg -a no-such-algorithm
 
 # synthesized output is deterministic: bit-identical across --domains
 synth_det() {
-  mode=$1
-  algo=$2
-  a=$("$dfcheck" synth --mode "$mode" -a "$algo" --domains 1 2>/dev/null)
-  b=$("$dfcheck" synth --mode "$mode" -a "$algo" --domains 4 2>/dev/null)
+  algo=$1
+  shift
+  a=$("$dfcheck" synth "$@" -a "$algo" --domains 1 2>/dev/null)
+  b=$("$dfcheck" synth "$@" -a "$algo" --domains 4 2>/dev/null)
   if [ "$a" = "$b" ] && [ -n "$a" ]; then
-    echo "ok: synth --mode $mode -a $algo identical across --domains"
+    echo "ok: synth $* -a $algo identical across --domains"
   else
-    echo "FAIL: synth --mode $mode -a $algo differs across --domains"
+    echo "FAIL: synth $* -a $algo differs across --domains"
     fail=1
   fi
 }
-synth_det bwg two-buffer
-synth_det repair dragonfly-minimal-1vc
+synth_det two-buffer --mode bwg
+synth_det two-buffer --mode bwg --minimize
+synth_det two-buffer --mode optimal
+synth_det dragonfly-minimal-1vc --mode repair
 
 expect_stdin 0 '{"op":"ping"}
 garbage

@@ -159,9 +159,23 @@ let test_bwg_reduced_wait_sets () =
   match State_space.reduced_waits space with
   | None -> Alcotest.fail "hint expected"
   | Some ws ->
-    let bwg' = Bwg.build ~wait_sets:ws space in
-    check Alcotest.bool "BWG' acyclic" true (Bwg.is_acyclic bwg');
-    check Alcotest.bool "BWG' wait-connected" true (Bwg.is_wait_connected bwg');
+    (* the hint as a session's rule, as [Reduction.verify_hint] reads it,
+       and the full rule with every entry outside the hint removed *)
+    let hinted = Bwg.Session.bwg (Bwg.Session.create ~waits:ws space) in
+    let cut = Bwg.Session.create space in
+    State_space.iter_reachable space (fun ~buf ~dest ->
+        List.iter
+          (fun w ->
+            if not (List.mem w (ws ~buf ~dest)) then Bwg.Session.remove cut ~buf ~dest w)
+          (State_space.waits space ~buf ~dest));
+    let want = Cold.bwg ~wait_sets:ws space in
+    List.iter
+      (fun (name, bwg') ->
+        check Alcotest.(option string) (name ^ " = cold BWG'") None
+          (Cold.diff ~want ~got:bwg');
+        check Alcotest.bool (name ^ " acyclic") true (Bwg.is_acyclic bwg');
+        check Alcotest.bool (name ^ " wait-connected") true (Bwg.is_wait_connected bwg'))
+      [ ("hint BWG'", hinted); ("cut BWG'", Bwg.Session.bwg cut) ];
     let bwg = Bwg.build space in
     check Alcotest.bool "full BWG cyclic" false (Bwg.is_acyclic bwg)
 

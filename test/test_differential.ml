@@ -260,8 +260,8 @@ let test_streaming_probe_generated () =
             same_status (Printf.sprintf "seed %d bwg %d" seed i) bwg)
         [
           Bwg.build space;
-          Bwg.build ~wait_sets:(restricted ()) space;
-          Bwg.build ~wait_sets:(restricted ()) space;
+          Cold.bwg ~wait_sets:(restricted ()) space;
+          Cold.bwg ~wait_sets:(restricted ()) space;
         ])
     (List.init 40 (fun i -> 7100 + i))
 
@@ -771,7 +771,7 @@ let brute_force_free space entries =
     let connected =
       Array.for_all (fun (buf, dest, _) -> wait_sets ~buf ~dest <> []) entries
     in
-    (connected && true_cycle_free (Bwg.build ~wait_sets space)) || go (mask + 1)
+    (connected && true_cycle_free (Cold.bwg ~wait_sets space)) || go (mask + 1)
   in
   go 0
 
@@ -785,13 +785,22 @@ let prop_search_exact =
         match fst (Reduction.search space) with
         | Reduction.Reduced (bwg, removed) ->
           let rebuilt =
-            Bwg.build space ~wait_sets:(fun ~buf ~dest ->
+            Cold.bwg space ~wait_sets:(fun ~buf ~dest ->
                 List.filter
                   (fun target -> not (List.mem { Reduction.head = buf; dest; target } removed))
                   (State_space.waits space ~buf ~dest))
           in
           if not exists then
             QCheck.Test.fail_report "search found a BWG' brute force did not";
+          (* the search's BWG' outlives its session: a cold build, adjacency
+             order included *)
+          Option.iter (QCheck.Test.fail_reportf "Reduced BWG' vs cold: %s")
+            (Cold.diff ~want:rebuilt ~got:bwg);
+          let g = Bwg.graph bwg and g' = Bwg.graph rebuilt in
+          for q = 0 to Dfr_graph.Digraph.num_vertices g - 1 do
+            if Dfr_graph.Digraph.succ g q <> Dfr_graph.Digraph.succ g' q then
+              QCheck.Test.fail_reportf "Reduced BWG' row %d is out of cold order" q
+          done;
           true_cycle_free bwg
           && Bwg.is_wait_connected rebuilt
           && true_cycle_free rebuilt
@@ -799,3 +808,39 @@ let prop_search_exact =
         | Reduction.Gave_up reason -> QCheck.Test.fail_reportf "search gave up: %s" reason))
 
 let suite = suite @ [ QCheck_alcotest.to_alcotest prop_search_exact ]
+
+(* ---------------- iter_reachable's counting pass ---------------- *)
+
+(* the visit order is the slices' states sorted by key, buf * nodes + dest *)
+let same_visit_order label space =
+  let nn = State_space.num_nodes space in
+  let want =
+    List.sort compare
+      (List.concat_map
+         (fun dest ->
+           List.map (fun buf -> (buf * nn) + dest) (State_space.reachable_with space ~dest))
+         (List.init nn Fun.id))
+  in
+  let got = ref [] in
+  State_space.iter_reachable space (fun ~buf ~dest -> got := ((buf * nn) + dest) :: !got);
+  check Alcotest.(list int) (label ^ ": visit order") want (List.rev !got);
+  check Alcotest.int (label ^ ": num_states") (List.length want)
+    (State_space.num_states space)
+
+let test_visit_order () =
+  List.iter
+    (fun (e : Registry.entry) ->
+      let net = Registry.network_for e None in
+      same_visit_order e.Registry.name (State_space.build net e.Registry.algo))
+    Registry.all;
+  List.iter
+    (fun seed ->
+      let net, algo = Case.to_net_algo (Gen.case (Dfr_util.Prng.create seed) ~max_nodes:8) in
+      match State_space.build net algo with
+      | exception Invalid_argument _ -> ()
+      | space -> same_visit_order (Printf.sprintf "seed %d" seed) space)
+    (List.init 40 (fun i -> 9100 + i))
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "iter_reachable visits sorted state keys" `Quick test_visit_order ]

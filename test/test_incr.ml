@@ -53,12 +53,14 @@ let starts_with prefix l =
   && String.sub l 0 (String.length prefix) = prefix
 
 (* One random edit of the reprint, or None when no clause is editable:
-   drop one target from a multi-target wait, drop a whole wait clause
-   (reverting to the route default), empty a wait to `none' (driving the
-   instance wait-unconnected), or tighten a defaulted wait to a single
-   route target.  All stay inside wait ⊆ route, so they recompile; edits
-   of the route structure itself are exercised by [`Add_wait]/[`Drop_wait]
-   changing which rules exist. *)
+   drop one target from a multi-target wait (a wait-entry removal),
+   restore one route target a wait lacks, at its place in the route (a
+   restoration, refilling an emptied `none' wait too), drop a whole wait
+   clause (reverting to the route default), empty a wait to `none'
+   (driving the instance wait-unconnected), or tighten a defaulted wait to
+   a single route target.  All stay inside wait ⊆ route, so they
+   recompile; edits of the route structure itself are exercised by
+   [`Add_wait]/[`Drop_wait] changing which rules exist. *)
 let try_edit rng lines =
   let arr = Array.of_list lines in
   let n = Array.length arr in
@@ -67,11 +69,22 @@ let try_edit rng lines =
     let l = arr.(i) in
     if starts_with "wait " l then (
       match split_rule_line l with
-      | Some (_, targets) when targets <> [ "none" ] ->
-        if List.length targets >= 2 then
-          candidates := `Drop_target i :: !candidates;
-        candidates := `Drop_wait i :: `Set_none i :: !candidates
-      | Some _ -> candidates := `Drop_wait i :: !candidates
+      | Some (lhs, targets) ->
+        let waits = if targets = [ "none" ] then [] else targets in
+        (* the printer puts a wait clause right after its route clause *)
+        let route_lhs = "route" ^ String.sub lhs 4 (String.length lhs - 4) in
+        (match if i > 0 then split_rule_line arr.(i - 1) else None with
+        | Some (rlhs, route) when rlhs = route_lhs ->
+          let missing = List.filter (fun t -> not (List.mem t waits)) route in
+          if missing <> [] then
+            candidates := `Restore_target (i, route, missing) :: !candidates
+        | _ -> ());
+        if waits <> [] then begin
+          if List.length waits >= 2 then
+            candidates := `Drop_target i :: !candidates;
+          candidates := `Drop_wait i :: `Set_none i :: !candidates
+        end
+        else candidates := `Drop_wait i :: !candidates
       | None -> ())
     else if starts_with "route " l then
       match split_rule_line l with
@@ -101,6 +114,15 @@ let try_edit rng lines =
           (Array.mapi
              (fun j l ->
                if j = i then lhs ^ " : " ^ String.concat " " targets' else l)
+             arr)
+      | `Restore_target (i, route, missing) ->
+        let lhs, targets = Option.get (split_rule_line arr.(i)) in
+        let t = Dfr_util.Prng.pick rng missing in
+        let restored = List.filter (fun r -> r = t || List.mem r targets) route in
+        Array.to_list
+          (Array.mapi
+             (fun j l ->
+               if j = i then lhs ^ " : " ^ String.concat " " restored else l)
              arr)
       | `Set_none i ->
         let lhs, _ = Option.get (split_rule_line arr.(i)) in

@@ -229,6 +229,37 @@ let test_reset_peak_rss_honest () =
       check Alcotest.bool "by most of the block" true (peak - after > mb * 1024 / 2)
     end
 
+(* The bwg.edges / bwg.vertices gauges describe the full BWG the report
+   counts, though a BWG' is derived after it: on the search path (the
+   hintless two-buffer reprint) and on the hint path (the catalogue
+   entry). *)
+let test_gauges_full_bwg () =
+  let e = Option.get (Registry.find "two-buffer") in
+  let net = Registry.network_for e None in
+  let reprint =
+    let text = Result.get_ok (Dfr_spec.Printer.to_string net e.Registry.algo) in
+    (Result.get_ok (Dfr_spec.Spec.compile_string text)).Dfr_spec.Spec.algo
+  in
+  List.iter
+    (fun (label, algo, via_hint) ->
+      Obs.enable ();
+      let report = Checker.check net algo in
+      let gauge name = List.assoc_opt name (Obs.gauges ()) in
+      let edges = gauge "bwg.edges" and vertices = gauge "bwg.vertices" in
+      Obs.disable ();
+      (match report.Checker.verdict with
+      | Checker.Deadlock_free (Checker.Reduced_bwg r) ->
+        check Alcotest.bool (label ^ ": path") via_hint r.via_hint
+      | _ -> Alcotest.failf "%s: expected a Theorem-3 verdict" label);
+      let bwg = Option.get (Json.member "bwg" (Report_json.of_outcome net algo report)) in
+      let field name = float_of_int (Option.get (Option.bind (Json.member name bwg) Json.to_int)) in
+      check Alcotest.(option (float 0.)) (label ^ ": bwg.edges gauge") (Some (field "edges")) edges;
+      check Alcotest.(option (float 0.))
+        (label ^ ": bwg.vertices gauge")
+        (Some (field "vertices"))
+        vertices)
+    [ ("hint", e.Registry.algo, true); ("search", reprint, false) ]
+
 let suite =
   [
     Alcotest.test_case "span nesting and depth" `Quick test_span_nesting;
@@ -244,4 +275,6 @@ let suite =
       test_disabled_sink_is_noop;
     Alcotest.test_case "timestamps are monotonic" `Quick
       test_timestamps_monotonic;
+    Alcotest.test_case "bwg gauges describe the full BWG" `Quick
+      test_gauges_full_bwg;
   ]
