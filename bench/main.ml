@@ -49,8 +49,8 @@ let run_obs () =
     in
     median (List.init 9 (fun _ -> timed ()))
   in
-  (* probes per bwg-build, counted from one enabled run on a warm
-     move-graph cache; counters are tallied by call (a magnitude-valued
+  (* probes per bwg-build, counted from one enabled run after a warm-up
+     build; counters are tallied by call (a magnitude-valued
      counter like bwg.closure.words is one probe per record, not one per
      accumulated word) *)
   ignore (Bwg.build space3);

@@ -51,53 +51,20 @@ let witnesses t q1 q2 =
     | Some cell -> List.rev cell.ws
     | None -> []
 
-(* Renumbering scratch for [local_move_graph], one per domain (so one per
-   worker of a parallel build), grown to the largest network seen.  Every
-   entry is -1 between uses. *)
-let local_key = Domain.DLS.new_key (fun () -> ref [||])
-
-(* One destination's move graph over its own k reachable states: local
-   vertex i is the i-th reachable buffer (ascending), so local order is
-   buffer order and nothing downstream pays for the B - k buffers that
-   destination never touches. *)
-let local_move_graph space (v : State_space.dest_view) =
-  let bufs = v.State_space.view_bufs in
-  let k = Array.length bufs in
-  let local =
-    let r = Domain.DLS.get local_key in
-    let nb = State_space.num_buffers space in
-    if Array.length !r < nb then r := Array.make nb (-1);
-    !r
-  in
-  Array.iteri (fun i b -> local.(b) <- i) bufs;
-  (* every output of a reachable state is itself reachable *)
-  let rows =
-    Array.map
-      (fun outs -> List.sort_uniq Int.compare (List.map (fun o -> local.(o)) outs))
-      v.State_space.view_outs
-  in
-  Array.iter (fun b -> local.(b) <- -1) bufs;
-  let offsets = Array.make (k + 1) 0 in
-  Array.iteri (fun i row -> offsets.(i + 1) <- offsets.(i) + List.length row) rows;
-  let targets = Array.make offsets.(k) 0 in
-  Array.iteri
-    (fun i row -> List.iteri (fun j w -> targets.(offsets.(i) + j) <- w) row)
-    rows;
-  Csr.make ~n:k ~offsets ~targets
-
 (* Waiting edges contributed by one destination's traffic: a pure function
    of the destination's slice of the state table, so destinations can be
    processed by separate domains.  All work here is sized by the k states
    the destination can reach, not by the network's B buffers.
 
    For wormhole switching the blocked header of a packet occupying [q1]
-   can sit in any buffer reachable from [q1] in the per-destination move
-   graph.  Buffers in the same SCC share that reachability closure, and
-   the SCC indices are a reverse topological numbering of the condensation
-   (every cross edge points to a lower index), so one pass over components
-   in ascending index order computes every closure: seed the component's
-   own members, then union in the already-complete closures of its
-   successor components — a word-parallel bitset [lor] each.
+   can sit in any buffer reachable from [q1] in the destination's move
+   graph, which the slice carries over its own k states.  Buffers in the
+   same SCC share that reachability closure, and the SCC indices are a
+   reverse topological numbering of the condensation (every cross edge
+   points to a lower index), so one pass over components in ascending
+   index order computes every closure: seed the component's own members,
+   then union in the already-complete closures of its successor
+   components — a word-parallel bitset [lor] each.
 
    [emit q1 w wit] receives each waiting edge in a deterministic order
    (q1 ascending, heads ascending, waits in rule order); the serial build
@@ -121,7 +88,7 @@ let edges_for_dest space ~wait_sets ~wormhole ~dense_closures dest ~emit =
       List.iter (fun w -> emit q1 w wit) (waits_of i)
     done
   else begin
-    let g = local_move_graph space v in
+    let g = v.State_space.view_moves in
     (* The closure pass needs components numbered in reverse topological
        order, with member lists: verts.(start.(c) .. start.(c + 1) - 1).
        Move graphs of deadlock-free algorithms are acyclic, so try a Kahn

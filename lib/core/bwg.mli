@@ -64,7 +64,7 @@ val dest_edges :
   unit
 (** The waiting edges contributed by one destination's traffic, streamed to
     [emit q1 q2 witness] in exactly the order {!build} records them
-    (buffers in [reachable_with] order; per buffer, waiting heads
+    (buffers in [view_bufs] order; per buffer, waiting heads
     ascending; per head, waits in rule order).  The BWG's edge set is the
     union of these per-destination emissions over all destinations — this
     is the decomposition the incremental re-checker caches and diffs, one

@@ -55,16 +55,6 @@ let scan_cycles ?class_limits ?(domains = 1) bwg cycles =
      opportunistically classify further cycles before the short-circuit
      propagates. *)
   let classified k = Obs.count "checker.cycles.classified" k in
-  (* wormhole classification walks lazily cached per-destination move
-     graphs; the structural BWG build no longer populates that cache, so
-     materialize here — identically on the serial and the parallel scans —
-     keeping the cache counters independent of [--domains] (and making the
-     fan-out safe, since the lazy cache must not be populated
-     concurrently) *)
-  (if n > 1 then
-     let space = Bwg.space bwg in
-     if Net.switching (State_space.net space) = Net.Wormhole then
-       State_space.materialize_move_graphs ~domains space);
   if domains <= 1 || n <= 1 then
     let rec go uncertain examined = function
       | [] ->

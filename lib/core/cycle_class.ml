@@ -54,7 +54,9 @@ let simple_paths ~limits g ~start ~target =
   (List.rev !found, !exhaustive)
 
 (* Candidate realizations of one BWG edge q -> w: a destination and an
-   occupied path from q to a head buffer whose waiting set contains w. *)
+   occupied path from q to a head buffer whose waiting set contains w.
+   Wormhole paths run over the destination's move graph in local ids and
+   map back to buffers before the dedup. *)
 let edge_candidates ~limits bwg q w =
   let space = Bwg.space bwg in
   let wormhole =
@@ -72,10 +74,15 @@ let edge_candidates ~limits bwg q w =
   in
   let per_witness (wit : Bwg.witness) =
     if wormhole then begin
-      let g = State_space.move_graph space ~dest:wit.Bwg.dest in
-      let paths, ex = simple_paths ~limits g ~start:q ~target:wit.Bwg.head in
+      let dest = wit.Bwg.dest in
+      let v = State_space.dest_view space ~dest in
+      let id buf = State_space.index space ~buf ~dest in
+      let paths, ex =
+        simple_paths ~limits v.State_space.view_moves ~start:(id q)
+          ~target:(id wit.Bwg.head)
+      in
       if not ex then exhaustive := false;
-      List.iter (add wit.Bwg.dest) paths
+      List.iter (fun p -> add dest (List.map (Array.get v.State_space.view_bufs) p)) paths
     end
     else add wit.Bwg.dest [ q ]
   in

@@ -9,26 +9,25 @@ let extended_dependency_graph space =
   let n = State_space.num_buffers space in
   let g = Dfr_graph.Digraph.create n in
   for dest = 0 to State_space.num_nodes space - 1 do
-    let moves = State_space.move_graph space ~dest in
-    (* From escape channel c1, walk through adaptive buffers only and record
-       every escape channel usable along the way. *)
-    let from_escape c1 =
+    let v = State_space.dest_view space ~dest in
+    let bufs = v.State_space.view_bufs in
+    (* From escape channel bufs.(i), walk through adaptive buffers only and
+       record every escape channel usable along the way. *)
+    let from_escape i =
       let seen = Hashtbl.create 16 in
-      let rec walk v =
+      let rec walk u =
         Dfr_graph.Csr.iter_succ
           (fun w ->
-            if escape.(w) then Dfr_graph.Digraph.add_edge g c1 w
+            if escape.(bufs.(w)) then Dfr_graph.Digraph.add_edge g bufs.(i) bufs.(w)
             else if not (Hashtbl.mem seen w) then begin
               Hashtbl.replace seen w ();
               walk w
             end)
-          moves v
+          v.State_space.view_moves u
       in
-      walk c1
+      walk i
     in
-    List.iter
-      (fun b -> if escape.(b) then from_escape b)
-      (State_space.reachable_with space ~dest)
+    Array.iteri (fun i b -> if escape.(b) then from_escape i) bufs
   done;
   g
 

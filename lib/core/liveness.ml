@@ -12,9 +12,10 @@ let analyze space =
     if dest >= State_space.num_nodes space then
       { livelock_free = true; offending_dest = None; cycle = None }
     else
-      let g = State_space.move_graph space ~dest in
-      match Dfr_graph.Traversal.find_cycle_csr g with
+      let v = State_space.dest_view space ~dest in
+      match Dfr_graph.Traversal.find_cycle_csr v.State_space.view_moves with
       | Some cycle ->
+        let cycle = List.map (Array.get v.State_space.view_bufs) cycle in
         { livelock_free = false; offending_dest = Some dest; cycle = Some cycle }
       | None -> scan (dest + 1)
   in

@@ -79,23 +79,27 @@ let verify_hint ?cycle_limits ?class_limits space =
    [w] in the current waiting set of (head, dest) and [head] reachable
    from [q] by a continuation (wormhole) or equal to [q] (SAF/VCT).
    Destinations ascend; a destination's heads come in the order its
-   continuation search records them. *)
+   continuation search records them: [seen] is keyed by buffer and filled
+   in DFS order, so its fold order (the order of an edge cut's literals)
+   is that of the same search over buffer ids. *)
 let generating_entries space current ~wormhole q w =
   let acc = ref [] in
   for dest = 0 to State_space.num_nodes space - 1 do
-    if State_space.is_reachable space ~buf:q ~dest then begin
+    let i = State_space.index space ~buf:q ~dest in
+    if i >= 0 then begin
       let heads =
         if wormhole then
-          let g = State_space.move_graph space ~dest in
+          let v = State_space.dest_view space ~dest in
           let seen = Hashtbl.create 16 in
-          let rec dfs v =
-            if not (Hashtbl.mem seen v) then begin
-              Hashtbl.replace seen v ();
-              Dfr_graph.Csr.iter_succ dfs g v
+          let rec dfs i =
+            let b = v.State_space.view_bufs.(i) in
+            if not (Hashtbl.mem seen b) then begin
+              Hashtbl.replace seen b ();
+              Dfr_graph.Csr.iter_succ dfs v.State_space.view_moves i
             end
           in
-          dfs q;
-          Hashtbl.fold (fun v () l -> v :: l) seen []
+          dfs i;
+          Hashtbl.fold (fun b () l -> b :: l) seen []
         else [ q ]
       in
       List.iter

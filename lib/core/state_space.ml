@@ -1,18 +1,22 @@
 open Dfr_network
 open Dfr_routing
 module Obs = Dfr_obs.Obs
+module Csr = Dfr_graph.Csr
 
 (* One destination's reachable states, stored compactly: [bufs] is the
    ascending list of buffers some [dest]-bound packet can occupy, and the
    parallel arrays carry the per-state routing relation.  A full-mesh or
    dragonfly destination touches O(nodes) of the network's B buffers, so
    this is what keeps the table at O(states) instead of O(B * N) — the
-   difference between megabytes and gigabytes at 10^5 buffers. *)
+   difference between megabytes and gigabytes at 10^5 buffers.  [moves]
+   is the same relation as a k-vertex CSR over the slice's own positions
+   (vertex i is [bufs.(i)]), the destination's one move graph. *)
 type slice = {
   bufs : int array;
   outs : int list array;
   wts : int list array;
   rdc : int list array option;
+  moves : Csr.t;
 }
 
 type t = {
@@ -21,7 +25,6 @@ type t = {
   num_buffers : int;
   num_nodes : int;
   slices : slice array; (* per dest *)
-  move_graphs : Dfr_graph.Csr.t option array; (* per dest, lazy *)
 }
 
 let net t = t.net
@@ -65,9 +68,22 @@ let reduced_waits t =
           if i >= 0 then arr.(i) else [])
   else None
 
+(* The move graph over a slice's positions: [local] maps each of the
+   slice's buffers to its position.  Every output of a reachable state is
+   itself reachable, and positions are a monotone renumbering of buffers,
+   so sorting a row by position sorts it by buffer. *)
+let local_moves ~local outs =
+  let row os = List.sort_uniq Int.compare (List.map (Array.get local) os) in
+  let rows = Array.map (fun os -> Array.of_list (row os)) outs in
+  let offsets = Array.make (Array.length rows + 1) 0 in
+  Array.iteri (fun i row -> offsets.(i + 1) <- offsets.(i) + Array.length row) rows;
+  Csr.make ~n:(Array.length rows) ~offsets ~targets:(Array.concat (Array.to_list rows))
+
 (* One destination's slice: BFS from the injection buffers.  The BFS for a
    destination only ever revisits its own states, so a size-B scratch
-   reused across destinations is all the working memory it needs.  Shared
+   reused across destinations is all the working memory it needs:
+   [local.(buf)] is -1 for a buffer not yet seen, and once the BFS is done
+   the buffer's position in the slice, which [local_moves] reads.  Shared
    with [with_updated_dests], which re-runs it for just the dirty
    destinations — a slice is a pure function of (net, algo, dest), so a
    rebuilt slice is identical to what a cold build produces.
@@ -77,14 +93,14 @@ let reduced_waits t =
    anyway, so only reachable states are validated — the states the BWG
    and Theorems 1–3 read.  The destination's problems come back beside
    the slice, as (buffer, problems) pairs. *)
-let build_slice net algo ~num_nodes ~seen ~out_scratch ~wait_scratch
+let build_slice net algo ~num_nodes ~local ~out_scratch ~wait_scratch
     ~red_scratch dest =
   let touched = ref [] in
   let problems = ref [] in
   let queue = Queue.create () in
   let visit buf =
-    if not seen.(buf) then begin
-      seen.(buf) <- true;
+    if local.(buf) < 0 then begin
+      local.(buf) <- 0;
       touched := buf :: !touched;
       Queue.add buf queue
     end
@@ -116,17 +132,20 @@ let build_slice net algo ~num_nodes ~seen ~out_scratch ~wait_scratch
     end
   done;
   let bufs = Array.of_list (List.sort compare !touched) in
+  Array.iteri (fun i b -> local.(b) <- i) bufs;
+  let outs = Array.map (fun b -> out_scratch.(b)) bufs in
   let slice =
     {
       bufs;
-      outs = Array.map (fun b -> out_scratch.(b)) bufs;
+      outs;
       wts = Array.map (fun b -> wait_scratch.(b)) bufs;
       rdc = Option.map (fun arr -> Array.map (fun b -> arr.(b)) bufs) red_scratch;
+      moves = local_moves ~local outs;
     }
   in
   List.iter
     (fun b ->
-      seen.(b) <- false;
+      local.(b) <- -1;
       out_scratch.(b) <- [];
       wait_scratch.(b) <- [];
       match red_scratch with Some arr -> arr.(b) <- [] | None -> ())
@@ -136,7 +155,7 @@ let build_slice net algo ~num_nodes ~seen ~out_scratch ~wait_scratch
 (* [build_slice] with a private size-B scratch for each listed
    destination in turn, filling [into] and [problems] *)
 let build_slices net algo ~num_buffers ~num_nodes ~into ~problems dests =
-  let seen = Array.make num_buffers false in
+  let local = Array.make num_buffers (-1) in
   let out_scratch = Array.make num_buffers [] in
   let wait_scratch = Array.make num_buffers [] in
   let red_scratch =
@@ -145,7 +164,7 @@ let build_slices net algo ~num_buffers ~num_nodes ~into ~problems dests =
   List.iter
     (fun dest ->
       let slice, ps =
-        build_slice net algo ~num_nodes ~seen ~out_scratch ~wait_scratch
+        build_slice net algo ~num_nodes ~local ~out_scratch ~wait_scratch
           ~red_scratch dest
       in
       into.(dest) <- slice;
@@ -180,7 +199,8 @@ let build ?(domains = 1) net algo =
      identical whatever the chunking.  The states counter is a sum of
      per-slice sizes, hence domain-count-invariant. *)
   let slices =
-    Array.make num_nodes { bufs = [||]; outs = [||]; wts = [||]; rdc = None }
+    Array.make num_nodes
+      { bufs = [||]; outs = [||]; wts = [||]; rdc = None; moves = Csr.of_edges 0 [] }
   in
   let problems = Array.make num_nodes [] in
   let n_dom = max 1 (min domains num_nodes) in
@@ -189,9 +209,7 @@ let build ?(domains = 1) net algo =
       build_slices net algo ~num_buffers ~num_nodes ~into:slices ~problems
         (List.init (stop - start) (fun i -> start + i)));
   refuse_malformed ~num_nodes problems;
-  let t =
-    { net; algo; num_buffers; num_nodes; slices; move_graphs = Array.make num_nodes None }
-  in
+  let t = { net; algo; num_buffers; num_nodes; slices } in
   Obs.count "space.states" (num_states t);
   t
 
@@ -226,73 +244,19 @@ let iter_reachable t f =
     done
   done
 
-let build_move_graph t ~dest =
-  let g = Dfr_graph.Digraph.create t.num_buffers in
-  let s = t.slices.(dest) in
-  Array.iteri
-    (fun i buf -> List.iter (fun o -> Dfr_graph.Digraph.add_edge g buf o) s.outs.(i))
-    s.bufs;
-  Dfr_graph.Digraph.freeze g
-
-(* The quiet accessor exists for counter determinism: structural passes
-   whose cache behaviour varies with [--domains] go through
-   [move_graph_view]/[move_graph_quiet]/[materialize_move_graphs]; only
-   the classification paths (which run after materialization on every
-   configuration) use the counted [move_graph]. *)
-let move_graph_quiet t ~dest =
-  match t.move_graphs.(dest) with
-  | Some g -> g
-  | None ->
-    let frozen = build_move_graph t ~dest in
-    t.move_graphs.(dest) <- Some frozen;
-    frozen
-
-(* A cached graph when one exists, otherwise a fresh build that is NOT
-   retained: a single-visit pass would otherwise pin N CSRs — O(B)
-   offsets each — for the rest of the run.  Reads of a partially
-   populated cache are safe from worker domains because entries are only
-   ever written by the serial phases. *)
-let move_graph_view t ~dest =
-  match t.move_graphs.(dest) with
-  | Some g -> g
-  | None -> build_move_graph t ~dest
-
-let move_graph t ~dest =
-  (match t.move_graphs.(dest) with
-  | Some _ -> Obs.count "space.move-graph.hits" 1
-  | None -> Obs.count "space.move-graph.builds" 1);
-  move_graph_quiet t ~dest
-
-(* Cache slots are written at most once per destination and the chunks
-   are disjoint, so the parallel fill is race-free; the pool's join
-   orders the writes before any later read from any domain.  The builds
-   counter is a per-destination sum, hence domain-count-invariant. *)
-let materialize_move_graphs ?(domains = 1) t =
-  let n = t.num_nodes in
-  let n_dom = max 1 (min domains n) in
-  Dfr_util.Domain_pool.parallel ~domains:n_dom (fun k ->
-      let start, stop = Dfr_util.Domain_pool.chunk ~n ~domains:n_dom k in
-      for dest = start to stop - 1 do
-        (match t.move_graphs.(dest) with
-        | None -> Obs.count "space.move-graph.builds" 1
-        | Some _ -> ());
-        ignore (move_graph_quiet t ~dest)
-      done)
-
-let reachable_with t ~dest = Array.to_list t.slices.(dest).bufs
-
 type dest_view = {
   view_bufs : int array;
   view_outs : int list array;
   view_wts : int list array;
+  view_moves : Csr.t;
 }
 
 let dest_view t ~dest =
   let s = t.slices.(dest) in
-  { view_bufs = s.bufs; view_outs = s.outs; view_wts = s.wts }
+  { view_bufs = s.bufs; view_outs = s.outs; view_wts = s.wts; view_moves = s.moves }
 
 (* Rebuild only the named destinations' tables under a new algorithm,
-   sharing everything else.  A destination's slice (and move graph) is a
+   sharing everything else.  A destination's slice (move graph included) is a
    pure function of (net, algo restricted to that dest), so as long as the
    caller's dirty set covers every destination whose applicable rules
    changed — Diff.diff computes exactly that set for spec edits — the
@@ -325,9 +289,7 @@ let with_updated_dests t algo ~dests =
   build_slices t.net algo ~num_buffers:t.num_buffers ~num_nodes:t.num_nodes
     ~into:slices ~problems dests;
   refuse_malformed ~num_nodes:t.num_nodes problems;
-  let move_graphs = Array.copy t.move_graphs in
-  List.iter (fun dest -> move_graphs.(dest) <- None) dests;
-  { t with algo; slices; move_graphs }
+  { t with algo; slices }
 
 (* Filter scan over the reachable states, chunked by destination over
    the shared pool (a destination's states never depend on another's);

@@ -24,10 +24,10 @@ val build : ?domains:int -> Net.t -> Algo.t -> t
     function that raises on a reachable state propagates its exception.
 
     The table is stored as one slice per destination holding just that
-    destination's reachable states, so its size is O(states), not
-    O(buffers * nodes) — what lets 10^4-10^5-buffer instances fit in
-    memory, and what makes a destination's states a field read
-    ({!dest_view}).
+    destination's reachable states and their move graph, so its size is
+    O(states + moves), not O(buffers * nodes) — what lets
+    10^4-10^5-buffer instances fit in memory, and what makes a
+    destination's states and moves a field read ({!dest_view}).
 
     [domains] fans the reachability BFS out over the shared
     {!Dfr_util.Domain_pool}, partitioned by destination (a destination's
@@ -69,35 +69,6 @@ val iter_reachable : t -> (buf:int -> dest:int -> unit) -> unit
     order every state list downstream is reported in.  One counting pass
     over the slices, O(states + buffers). *)
 
-val move_graph : t -> dest:int -> Dfr_graph.Csr.t
-(** Buffer-to-buffer moves available to packets destined for [dest]
-    (restricted to reachable states), frozen to CSR and cached.  The lazy
-    cache is not safe to populate from several domains at once — callers
-    that fan work out call {!materialize_move_graphs} first.
-
-    Records [space.move-graph.hits]/[.builds] observability counters; use
-    {!move_graph_quiet} on paths whose cache behaviour varies with the
-    domain count (see DESIGN.md, observability architecture). *)
-
-val move_graph_quiet : t -> dest:int -> Dfr_graph.Csr.t
-(** [move_graph] without the cache counters. *)
-
-val move_graph_view : t -> dest:int -> Dfr_graph.Csr.t
-(** The cached graph when present, otherwise a fresh build that is {e not}
-    retained (and no counters).  Single-visit passes use this so the cache
-    never pins N per-destination CSRs at once; at 10^5 buffers that cache
-    alone would dwarf the state table. *)
-
-val materialize_move_graphs : ?domains:int -> t -> unit
-(** Populate the move-graph cache for every destination (required before
-    fanning work out over domains).  Counts cache builds but not hits, so
-    the counters agree between lazy serial and eager parallel builds.
-    With [domains > 1] the fill itself fans out over the pool (each
-    destination's slot is written at most once, chunks are disjoint). *)
-
-val reachable_with : t -> dest:int -> int list
-(** Buffers some [dest]-bound packet can occupy, ascending. *)
-
 (** {2 Incremental access}
 
     The state table decomposes by destination — a destination's slice is a
@@ -106,19 +77,31 @@ val reachable_with : t -> dest:int -> int list
 
 type dest_view = {
   view_bufs : int array;  (** reachable buffers, ascending *)
-  view_outs : int list array;  (** parallel: permitted transit outputs *)
+  view_outs : int list array;
+      (** parallel: permitted transit outputs, in route order *)
   view_wts : int list array;  (** parallel: waiting sets *)
+  view_moves : Dfr_graph.Csr.t;
+      (** the destination's move graph over local ids: vertex [i] is
+          [view_bufs.(i)], and [i -> j] is an edge when [view_bufs.(j)] is
+          in [view_outs.(i)].  Rows are ascending and duplicate-free.
+          Local ids renumber the reachable buffers monotonically and an
+          unreachable buffer has no moves, so a traversal taking roots and
+          successors in ascending order visits the same buffers in the
+          same order on local ids as on buffer ids.  Map a buffer to its
+          id with {!index}. *)
 }
 
 val dest_view : t -> dest:int -> dest_view
-(** One destination's reachable states and routing relation as parallel
-    arrays, in O(1): the arrays alias the internal slice (do not
-    mutate). *)
+(** One destination's reachable states, routing relation and move graph,
+    in O(1): the arrays alias the internal slice (do not mutate).  The
+    per-destination BFS builds the graph beside the slice, so every
+    destination's graph exists once [build] returns and reading it from
+    several domains at once is safe. *)
 
 val with_updated_dests : t -> Algo.t -> dests:int list -> t
-(** A state space for the new algorithm that rebuilds only the slices (and
-    invalidates only the move-graph cache entries) of the listed
-    destinations, sharing every other destination's structures with [t].
+(** A state space for the new algorithm that rebuilds only the slices
+    (move graphs included) of the listed destinations, sharing every
+    other destination's structures with [t].
     Sound when the algorithms agree on every destination outside [dests] —
     the caller (Diff / Incr) is responsible for that frontier; the result
     is then indistinguishable from [build net algo].  So is a refusal: the

@@ -1,6 +1,7 @@
 open Dfr_network
 open Dfr_routing
 open Dfr_core
+module Obs = Dfr_obs.Obs
 
 type t =
   | Filtered of { algo : Algo.t; killed : int list; dirty : int list }
@@ -195,35 +196,43 @@ let apply space faults =
   | [] -> Ok (filtered space killed)
   | _ -> rebuilt space nodes killed
 
+(* Reachability runs on each destination's move graph, in the local ids
+   of its k states: a source is its injection buffer's id *)
 let disconnections space ~killed ~dests ~sources =
+  Obs.span "scenario.disconnections" @@ fun () ->
   let net = State_space.net space in
   let mask = Array.make (State_space.num_buffers space) false in
   List.iter (fun k -> mask.(k) <- true) killed;
   List.filter_map
     (fun dest ->
-      let inj s = Buf.id (Net.injection net s) in
       let candidates =
-        List.filter
-          (fun s -> s <> dest && State_space.is_reachable space ~buf:(inj s) ~dest)
+        List.filter_map
+          (fun s ->
+            let i = State_space.index space ~buf:(Buf.id (Net.injection net s)) ~dest in
+            if s <> dest && i >= 0 then Some (s, i) else None)
           sources
       in
       if candidates = [] then None
       else begin
-        let g = State_space.move_graph_view space ~dest in
+        let v = State_space.dest_view space ~dest in
+        let bufs = v.State_space.view_bufs and g = v.State_space.view_moves in
         let sinks =
           List.filter
-            (fun b -> State_space.arrived space ~buf:b ~dest)
-            (State_space.reachable_with space ~dest)
+            (fun i -> State_space.arrived space ~buf:bufs.(i) ~dest)
+            (List.init (Array.length bufs) Fun.id)
         in
-        if sinks = [] then Some (dest, candidates)
+        if sinks = [] then Some (dest, List.map fst candidates)
         else begin
           let r = Dfr_graph.Reach.create g ~sinks in
           Dfr_graph.Csr.iter_edges
-            (fun u v ->
-              if mask.(u) || mask.(v) then Dfr_graph.Reach.disable_edge r u v)
+            (fun i j ->
+              if mask.(bufs.(i)) || mask.(bufs.(j)) then
+                Dfr_graph.Reach.disable_edge r i j)
             g;
           match
-            List.filter (fun s -> not (Dfr_graph.Reach.reaches r (inj s))) candidates
+            List.filter_map
+              (fun (s, i) -> if Dfr_graph.Reach.reaches r i then None else Some s)
+              candidates
           with
           | [] -> None
           | cut -> Some (dest, cut)

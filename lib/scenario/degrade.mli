@@ -60,8 +60,9 @@ val disconnections :
   (int * int list) list
 (** For each destination, the source nodes whose injection buffer loses
     every path to an arrived buffer once all move edges touching a killed
-    buffer are disabled — computed on the baseline per-destination move
-    graphs with {!Dfr_graph.Reach}.  Only baseline-reachable pairs are
-    consulted (a pair unreachable before the fault is not fault-caused
-    damage).  Destinations with no cut source are omitted; order follows
-    [dests] / [sources]. *)
+    buffer are disabled — computed on the baseline's per-destination move
+    graphs ({!State_space.dest_view}) with {!Dfr_graph.Reach}, so a
+    destination costs O(its states + moves), not O(buffers).  Only
+    baseline-reachable pairs are consulted (a pair unreachable before the
+    fault is not fault-caused damage).  Destinations with no cut source
+    are omitted; order follows [dests] / [sources]. *)

@@ -115,13 +115,18 @@ let analyze space bwg traffic =
     let cyclic =
       List.find_map
         (fun dest ->
-          let g = State_space.move_graph_view space ~dest in
+          let v = State_space.dest_view space ~dest in
+          let g = v.State_space.view_moves in
           match Dfr_graph.Traversal.topological_sort_csr g with
           | None -> Some dest
           | Some order ->
-            Hashtbl.replace graphs dest (g, longest_paths g order);
+            Hashtbl.replace graphs dest (v, longest_paths g order);
             None)
         dests
+    in
+    (* a packet's injection state, as a local id of its destination's graph *)
+    let injected (p : Traffic.packet) =
+      State_space.index space ~buf:(Buf.id (Net.injection net p.src)) ~dest:p.dst
     in
     match cyclic with
     | Some dest ->
@@ -142,27 +147,26 @@ let analyze space bwg traffic =
       else begin
         let sharers = link_sharers net in
         let bwg_csr = Dfr_graph.Digraph.freeze (Bwg.graph bwg) in
-        (* occupancy sets: the buffers packet p can ever hold *)
+        (* occupancy sets: the buffers packet p can ever hold, ascending —
+           a reach over the k states of its destination *)
         let occ_cache = Hashtbl.create 64 in
         let occupancy (p : Traffic.packet) =
           match Hashtbl.find_opt occ_cache (p.src, p.dst) with
           | Some r -> r
           | None ->
-            let g, _ = Hashtbl.find graphs p.dst in
+            let v, _ = Hashtbl.find graphs p.dst in
+            let occ =
+              Dfr_graph.Traversal.reachable_csr v.State_space.view_moves [ injected p ]
+            in
             let r =
-              Dfr_graph.Traversal.reachable_csr g
-                [ Buf.id (Net.injection net p.src) ]
+              List.filteri (fun j _ -> occ.(j)) (Array.to_list v.State_space.view_bufs)
             in
             Hashtbl.replace occ_cache (p.src, p.dst) r;
             r
         in
         let touch = Array.make num_buffers [] in
         Array.iteri
-          (fun i p ->
-            let occ = occupancy p in
-            for b = 0 to num_buffers - 1 do
-              if occ.(b) then touch.(b) <- i :: touch.(b)
-            done)
+          (fun i p -> List.iter (fun b -> touch.(b) <- i :: touch.(b)) (occupancy p))
           packets;
         let parent = Array.init np (fun i -> i) in
         (* two packets that can hold the same buffer interfere directly *)
@@ -179,16 +183,14 @@ let analyze space bwg traffic =
         let frontier = ref [] in
         Array.iteri
           (fun i p ->
-            let occ = occupancy p in
             stack := [];
             frontier := [];
-            for b = 0 to num_buffers - 1 do
-              if occ.(b) then begin
+            List.iter
+              (fun b ->
                 visited.(b) <- true;
                 stack := b :: !stack;
-                frontier := b :: !frontier
-              end
-            done;
+                frontier := b :: !frontier)
+              (occupancy p);
             let push b =
               if not visited.(b) then begin
                 visited.(b) <- true;
@@ -217,7 +219,7 @@ let analyze space bwg traffic =
         let cost i =
           let p = packets.(i) in
           let _, hops = Hashtbl.find graphs p.dst in
-          p.length + hops.(Buf.id (Net.injection net p.src)) + 2
+          p.length + hops.(injected p) + 2
         in
         let comp_cost = Array.make np 0 in
         let comp_last = Array.make np min_int in

@@ -2,6 +2,7 @@ open Dfr_network
 open Dfr_routing
 open Dfr_core
 open Dfr_sim
+module Obs = Dfr_obs.Obs
 
 let preloads_of_knot config =
   List.map
@@ -243,6 +244,7 @@ let label_of net faults =
   String.concat "; " (List.map (Fault.describe net) faults)
 
 let campaign ?(domains = 1) ?(cold = false) ~mode net algo (plan : Fault.t) =
+  Obs.span "scenario.campaign" @@ fun () ->
   let ( let* ) = Result.bind in
   let* steps = Fault.expand plan net in
   (* Sweep checks every fault independently; Sequence replays the plan's
@@ -307,6 +309,7 @@ let campaign ?(domains = 1) ?(cold = false) ~mode net algo (plan : Fault.t) =
       List.fold_left
         (fun acc (at, fresh, faults) ->
           let* acc = acc in
+          Obs.span "scenario.step" @@ fun () ->
           let* degraded = Degrade.apply space faults in
           let report, exit_code =
             match degraded with
@@ -344,6 +347,7 @@ let campaign ?(domains = 1) ?(cold = false) ~mode net algo (plan : Fault.t) =
       List.fold_left
         (fun acc (at, fresh, faults) ->
           let* acc = acc in
+          Obs.span "scenario.step" @@ fun () ->
           let* degraded = Degrade.apply space faults in
           let report, exit_code =
             match degraded with

@@ -17,17 +17,17 @@ open Dfr_routing
 open Dfr_core
 module Obs = Dfr_obs.Obs
 module Case = Dfr_fuzz.Case
-module Csr = Dfr_graph.Csr
 
 let check = Alcotest.check
 
 type emission = int * int * Bwg.witness
 
-(* one DFS per (q1, dest) over the destination's full move graph *)
+(* one DFS per (q1, dest) over the destination's moves, read off
+   [State_space.outputs] in buffer ids, so the reference shares nothing
+   with the slice's move graph *)
 let reference_dest_edges ~wait_sets space ~dest : emission list =
   let wormhole = Net.switching (State_space.net space) = Net.Wormhole in
   let num_bufs = State_space.num_buffers space in
-  let g = State_space.move_graph_view space ~dest in
   let acc = ref [] in
   List.iter
     (fun q1 ->
@@ -38,7 +38,7 @@ let reference_dest_edges ~wait_sets space ~dest : emission list =
           let rec dfs b =
             if not seen.(b) then begin
               seen.(b) <- true;
-              Csr.iter_succ dfs g b
+              List.iter dfs (State_space.outputs space ~buf:b ~dest)
             end
           in
           dfs q1;
@@ -51,7 +51,7 @@ let reference_dest_edges ~wait_sets space ~dest : emission list =
             (fun w -> acc := (q1, w, { Bwg.dest; head }) :: !acc)
             (wait_sets ~buf:head ~dest))
         heads)
-    (State_space.reachable_with space ~dest);
+    (Array.to_list (State_space.dest_view space ~dest).State_space.view_bufs);
   List.rev !acc
 
 (* The reference recorder: an edge enters on its first emission, keeps at
@@ -213,7 +213,9 @@ let fuzz_space seed =
 let has_cyclic_move_graph space =
   List.exists
     (fun dest ->
-      not (Dfr_graph.Traversal.is_acyclic_csr (State_space.move_graph_view space ~dest)))
+      not
+        (Dfr_graph.Traversal.is_acyclic_csr
+           (State_space.dest_view space ~dest).State_space.view_moves))
     (List.init (State_space.num_nodes space) Fun.id)
 
 (* the generator mix covers what the property needs to mean something *)

@@ -60,15 +60,94 @@ let test_space_no_stuck_states () =
         (List.length (State_space.stuck_states space)))
     Registry.all
 
+(* Every destination's move graph, mapped back through [view_bufs], is
+   exactly {(buf, o) | o in outputs buf} over its reachable states, with
+   strictly ascending rows. *)
+let check_move_graphs label space =
+  let module Csr = Dfr_graph.Csr in
+  for dest = 0 to State_space.num_nodes space - 1 do
+    let v = State_space.dest_view space ~dest in
+    let bufs = v.State_space.view_bufs and g = v.State_space.view_moves in
+    let label = Printf.sprintf "%s dest %d" label dest in
+    check Alcotest.int (label ^ ": one vertex per state") (Array.length bufs)
+      (Csr.num_vertices g);
+    let rec ascending = function
+      | a :: (b :: _ as rest) -> a < b && ascending rest
+      | _ -> true
+    in
+    Array.iteri
+      (fun i buf ->
+        let lo, hi = Csr.row g i in
+        let row = List.init (hi - lo) (fun j -> Csr.target g (lo + j)) in
+        check Alcotest.bool (label ^ ": row strictly ascending") true (ascending row);
+        check
+          Alcotest.(list int)
+          (label ^ ": moves = outputs")
+          (List.sort_uniq compare (State_space.outputs space ~buf ~dest))
+          (List.map (fun j -> bufs.(j)) row))
+      bufs
+  done
+
+(* the two spaces hold the same states and move graphs *)
+let check_same_graphs label a b =
+  for dest = 0 to State_space.num_nodes a - 1 do
+    let va = State_space.dest_view a ~dest and vb = State_space.dest_view b ~dest in
+    check Alcotest.(array int) (label ^ ": states") va.State_space.view_bufs
+      vb.State_space.view_bufs;
+    check Alcotest.bool (label ^ ": move graph") true
+      (Dfr_graph.Csr.equal va.State_space.view_moves vb.State_space.view_moves)
+  done
+
+(* a state of [c] with two or more route outputs toward some destination *)
+let branching_state (c : Dfr_fuzz.Case.t) =
+  List.find_map
+    (fun s ->
+      List.find_map
+        (fun dest ->
+          match Dfr_fuzz.Case.route_of c s dest with
+          | out :: _ :: _ -> Some (s, dest, out)
+          | _ -> None)
+        (List.init c.Dfr_fuzz.Case.num_nodes Fun.id))
+    (Dfr_fuzz.Case.states c)
+
 let test_move_graph_matches_outputs () =
-  let space = State_space.build cube2 Hypercube_wormhole.efa in
-  let g = State_space.move_graph space ~dest:3 in
-  State_space.iter_reachable space (fun ~buf ~dest ->
-      if dest = 3 then
-        List.iter
-          (fun o ->
-            check Alcotest.bool "edge present" true (Dfr_graph.Csr.mem_edge g buf o))
-          (State_space.outputs space ~buf ~dest))
+  Dfr_util.Domain_pool.set_cap (Some 4);
+  Fun.protect ~finally:(fun () -> Dfr_util.Domain_pool.set_cap None) @@ fun () ->
+  let both label net algo =
+    let serial = State_space.build net algo in
+    check_move_graphs label serial;
+    check_same_graphs (label ^ " --domains 4") serial
+      (State_space.build ~domains:4 net algo);
+    serial
+  in
+  List.iter
+    (fun (e : Registry.entry) ->
+      ignore (both e.Registry.name (Registry.network_for e None) e.Registry.algo))
+    Registry.all;
+  (* generator cases, each also edited at one destination and rebuilt
+     incrementally *)
+  let switchings = ref [] in
+  for seed = 0 to 39 do
+    let c = Dfr_fuzz.Gen.case (Dfr_util.Prng.create seed) ~max_nodes:8 in
+    switchings := c.Dfr_fuzz.Case.switching :: !switchings;
+    let label = Printf.sprintf "gen seed %d" seed in
+    let net, algo = Dfr_fuzz.Case.to_net_algo c in
+    let space = both label net algo in
+    match branching_state c with
+    | None -> ()
+    | Some (s, dest, out) ->
+      let net', algo' =
+        Dfr_fuzz.Case.to_net_algo (Dfr_fuzz.Case.drop_route_output c s dest out)
+      in
+      check_same_graphs (label ^ " edited")
+        (State_space.with_updated_dests space algo' ~dests:[ dest ])
+        (State_space.build net' algo')
+  done;
+  List.iter
+    (fun sw ->
+      check Alcotest.bool "generator cases cover every switching" true
+        (List.mem sw !switchings))
+    [ Net.Wormhole; Net.Store_and_forward; Net.Virtual_cut_through ]
 
 (* ---------------- BWG structure ---------------- *)
 

@@ -818,7 +818,9 @@ let same_visit_order label space =
     List.sort compare
       (List.concat_map
          (fun dest ->
-           List.map (fun buf -> (buf * nn) + dest) (State_space.reachable_with space ~dest))
+           List.map
+             (fun buf -> (buf * nn) + dest)
+             (Array.to_list (State_space.dest_view space ~dest).State_space.view_bufs))
          (List.init nn Fun.id))
   in
   let got = ref [] in

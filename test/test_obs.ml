@@ -51,10 +51,11 @@ let test_span_nesting () =
   check Alcotest.(list (pair string int)) "disabled sink reads empty" []
     (Obs.counters ())
 
-(* counters must not depend on how many domains did the work; these two
-   fixtures exercise both checker shapes that reach the parallel paths
+(* counters must not depend on how many domains did the work; these
+   fixtures exercise the checker shapes that reach the parallel paths
    deterministically (efa: wormhole, acyclic BWG; two-buffer: SAF with a
-   full cycle scan) *)
+   full cycle scan; duato-incoherent: a wormhole cycle scan whose
+   classification walks the move graphs) *)
 let counters_for name domains =
   with_cap 4 @@ fun () ->
   let e =
@@ -79,18 +80,17 @@ let test_counters_deterministic () =
         (name ^ ": counters agree across domains")
         serial parallel;
       check Alcotest.bool (name ^ ": counters nonempty") true (serial <> []))
-    [ "efa"; "two-buffer" ]
+    [ "efa"; "two-buffer"; "duato-incoherent" ]
 
-(* same invariance for the parallel phases of the state-space build —
-   the per-destination BFS, which also validates, and the move-graph
-   materialization — without the checker around them *)
+(* same invariance for the parallel phase of the state-space build — the
+   per-destination BFS, which also validates and builds the move graphs —
+   without the checker around it *)
 let space_counters domains =
   with_cap 4 @@ fun () ->
   let e = Option.get (Registry.find "efa") in
   let net = Registry.network_for e None in
   Obs.enable ();
-  let space = State_space.build ~domains net e.Registry.algo in
-  State_space.materialize_move_graphs ~domains space;
+  ignore (State_space.build ~domains net e.Registry.algo : State_space.t);
   let cs = Obs.counters () in
   Obs.disable ();
   cs
@@ -102,6 +102,43 @@ let test_space_counters_deterministic () =
     Alcotest.(list (pair string int))
     "space counters agree across domains" serial parallel;
   check Alcotest.bool "counters nonempty" true (serial <> [])
+
+(* runtest's cwd is _build/default/test; a direct exec runs from the root *)
+let plan_path name =
+  let from_test = Filename.concat ".." ("examples/plans/" ^ name) in
+  if Sys.file_exists from_test then from_test else "examples/plans/" ^ name
+
+(* the scenario layer's probes on a sweep whose severed links strand
+   packets: span names with their counts, and the counters *)
+let scenario_probes domains =
+  with_cap 4 @@ fun () ->
+  let e = Option.get (Registry.find "dimension-order") in
+  let topo = Result.get_ok (Dfr_topology.Topology.of_string "mesh:3x3") in
+  let net = Registry.network_for e (Some topo) in
+  let plan =
+    Result.get_ok (Dfr_scenario.Fault.load_file (plan_path "mesh_link_cut.plan"))
+  in
+  Obs.enable ();
+  (match
+     Dfr_scenario.Scenario.campaign ~domains ~mode:`Sweep net e.Registry.algo plan
+   with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail ("campaign: " ^ m));
+  let spans = List.map (fun (name, (n, _)) -> (name, n)) (Obs.span_totals ()) in
+  let cs = Obs.counters () in
+  Obs.disable ();
+  (spans, cs)
+
+let test_scenario_spans () =
+  let spans, serial = scenario_probes 1 in
+  let _, parallel = scenario_probes 4 in
+  let count name = Option.value (List.assoc_opt name spans) ~default:0 in
+  check Alcotest.int "one campaign" 1 (count "scenario.campaign");
+  check Alcotest.int "one step per fault" 3 (count "scenario.step");
+  check Alcotest.bool "disconnections traced" true (count "scenario.disconnections" > 0);
+  check
+    Alcotest.(list (pair string int))
+    "campaign counters agree across domains" serial parallel
 
 let test_trace_exports_valid_json () =
   let e = Option.get (Registry.find "efa") in
@@ -269,6 +306,8 @@ let suite =
       test_counters_deterministic;
     Alcotest.test_case "space counters deterministic across domains" `Quick
       test_space_counters_deterministic;
+    Alcotest.test_case "scenario spans, counters deterministic across domains"
+      `Quick test_scenario_spans;
     Alcotest.test_case "trace and metrics export valid JSON" `Quick
       test_trace_exports_valid_json;
     Alcotest.test_case "disabled sink changes nothing" `Quick
