@@ -106,7 +106,7 @@ let thm4 () =
   let net = Net.store_and_forward topo ~classes:2 in
   let traffic = Traffic.batch topo ~pattern:Traffic.Uniform ~count:40 ~length:1 ~seed:11 in
   Format.printf "stress simulation (%d packets): %a@." (Traffic.count traffic)
-    Saf_sim.pp_outcome
+    Drive.pp_outcome
     (Saf_sim.run net Mesh_saf.two_buffer traffic);
   let net1 = Net.store_and_forward topo ~classes:1 in
   Format.printf "single-buffer control: %a@." (Checker.pp_verdict net1)
@@ -126,7 +126,7 @@ let thm5 () =
   let topo = Topology.hypercube 4 in
   let net = Net.wormhole topo ~vcs:2 in
   let traffic = Traffic.batch topo ~pattern:Traffic.Uniform ~count:12 ~length:10 ~seed:4 in
-  Format.printf "stress simulation: %a@." Wormhole_sim.pp_outcome
+  Format.printf "stress simulation: %a@." Drive.pp_outcome
     (Wormhole_sim.run net Hypercube_wormhole.efa traffic)
 
 (* ------------------------------------------------------------------ E5 *)
@@ -138,8 +138,9 @@ let thm6 () =
   let bwg = Bwg.build space in
   let cycles, _ = Bwg.cycles bwg in
   (match
-     Cycle_class.first_true_cycle bwg
-       (List.sort (fun a b -> compare (List.length a) (List.length b)) cycles)
+     (Cycle_class.first_true_cycle bwg
+        (List.sort (fun a b -> compare (List.length a) (List.length b)) cycles))
+       .Cycle_class.found
    with
   | Some (cycle, packets) ->
     Printf.printf "True Cycle (the paper's four-channel cycle):\n  %s\n"
@@ -158,7 +159,7 @@ let thm6 () =
   let topo3 = Topology.hypercube 3 in
   let net3 = Net.wormhole topo3 ~vcs:2 in
   let traffic = Traffic.batch topo3 ~pattern:Traffic.Uniform ~count:40 ~length:24 ~seed:3 in
-  Format.printf "natural stress traffic: %a@." Wormhole_sim.pp_outcome
+  Format.printf "natural stress traffic: %a@." Drive.pp_outcome
     (Wormhole_sim.run net3 Hypercube_wormhole.efa_relaxed traffic)
 
 (* ------------------------------------------------------------------ E6 *)
@@ -218,19 +219,19 @@ let perf () =
       Printf.printf "%-7.2f" rate;
       List.iter
         (fun o ->
-          let s = Wormhole_sim.stats o in
+          let s = Drive.stats o in
           let marker =
             match o with
-            | Wormhole_sim.Deadlocked _ -> "!"
-            | Wormhole_sim.Timeout _ -> "~"
-            | Wormhole_sim.Completed _ -> " "
+            | Drive.Deadlocked _ -> "!"
+            | Drive.Timeout _ -> "~"
+            | Drive.Completed _ -> " "
           in
           Printf.printf " %10s%s" (fmt_mean_latency s) marker)
         outcomes;
       let total = float_of_int (max 1 (Traffic.count traffic)) in
       List.iter
         (fun o ->
-          let s = Wormhole_sim.stats o in
+          let s = Drive.stats o in
           Printf.printf " %10.2f%%" (100.0 *. float_of_int s.Stats.delivered /. total))
         outcomes;
       print_newline ())
@@ -354,12 +355,12 @@ let perf_router () =
               ~config:{ Router_sim.default_config with max_cycles = 20_000 }
               net algo traffic
           in
-          let s = Router_sim.stats o in
+          let s = Drive.stats o in
           Printf.printf " %10s%s" (fmt_mean_latency s)
             (match o with
-            | Router_sim.Deadlocked _ -> "!"
-            | Router_sim.Timeout _ -> "~"
-            | Router_sim.Completed _ -> " "))
+            | Drive.Deadlocked _ -> "!"
+            | Drive.Timeout _ -> "~"
+            | Drive.Completed _ -> " "))
         algos;
       print_newline ())
     rates;

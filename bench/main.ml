@@ -838,6 +838,7 @@ let run_scenario () =
   let module Latency = Dfr_scenario.Latency in
   let module Traffic = Dfr_sim.Traffic in
   let module Wormhole_sim = Dfr_sim.Wormhole_sim in
+  let module Drive = Dfr_sim.Drive in
   let module Stats = Dfr_sim.Stats in
   let time f =
     let t0 = Mono.now () in
@@ -948,7 +949,7 @@ let run_scenario () =
                 in
                 let observed =
                   match Wormhole_sim.run net e.Registry.algo traffic with
-                  | Wormhole_sim.Completed stats ->
+                  | Drive.Completed stats ->
                     Some (Stats.percentile_latency stats 1.0)
                   | _ -> None
                 in

@@ -405,7 +405,8 @@ let simulate_run source pattern load router json trace metrics () =
         horizon;
     let r =
       match Net.switching net with
-      | Net.Wormhole when router -> Sim.of_router ~nodes (Router_sim.run net algo traffic)
+      | Net.Wormhole when router ->
+        Sim.render ~simulator:"router" ~nodes (Router_sim.run net algo traffic)
       | _ -> Sim.run net algo traffic
     in
     if json then

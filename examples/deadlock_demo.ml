@@ -36,7 +36,7 @@ let () =
       Traffic.batch topo ~pattern:Traffic.Uniform ~count:40 ~length:24 ~seed:3
     in
     (match Wormhole_sim.run net algo traffic with
-    | Wormhole_sim.Deadlocked { cycle; in_flight; wait_for; _ } ->
+    | Drive.Deadlocked { cycle; in_flight; wait_for = Some wait_for; _ } ->
       Printf.printf
         "random traffic deadlocked at cycle %d with %d packets in flight\n" cycle
         in_flight;
@@ -46,11 +46,11 @@ let () =
         wait_for;
       if List.length wait_for > 12 then
         Printf.printf "  ... (%d edges total)\n" (List.length wait_for)
-    | o -> Format.printf "no deadlock this time: %a@." Wormhole_sim.pp_outcome o);
+    | o -> Format.printf "no deadlock this time: %a@." Drive.pp_outcome o);
     print_endline "\n--- for contrast: unrelaxed EFA under the same load ----------";
     let traffic =
       Traffic.batch topo ~pattern:Traffic.Uniform ~count:40 ~length:24 ~seed:3
     in
-    Format.printf "%a@." Wormhole_sim.pp_outcome
+    Format.printf "%a@." Drive.pp_outcome
       (Wormhole_sim.run net Hypercube_wormhole.efa traffic)
   | _ -> print_endline "unexpected verdict"

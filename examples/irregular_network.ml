@@ -46,7 +46,7 @@ let () =
           :: !traffic
     done
   done;
-  Format.printf "all-pairs workload: %a@." Dfr_sim.Wormhole_sim.pp_outcome
+  Format.printf "all-pairs workload: %a@." Dfr_sim.Drive.pp_outcome
     (Dfr_sim.Wormhole_sim.run t.Updown.net t.Updown.algo !traffic);
   (* contrast: plain shortest-path adaptive routing on the same graph has
      wait cycles around the fabric's loops *)

@@ -30,88 +30,6 @@ type report = {
   bwg_cycles : int option;
 }
 
-(* Classify every cycle, shortest first (stable sort, so equal lengths
-   keep enumeration order); short-circuit on the first True one (short
-   cycles are both the likeliest witnesses and the cheapest to classify).
-
-   With [domains > 1] the classifications fan out over OCaml 5 domains.
-   The verdict is kept bit-for-bit deterministic: the reported True Cycle
-   is the one of minimal index in the sorted order, exactly what the
-   serial scan short-circuits on.  Workers may skip an index [i] only
-   once a True Cycle is already recorded at some index < i — such an [i]
-   can never be the minimum, so skipping preserves the result while still
-   giving an early exit. *)
-let scan_cycles ?class_limits ?(domains = 1) bwg cycles =
-  Obs.span "checker.classify" @@ fun () ->
-  let cycles =
-    List.sort (fun a b -> compare (List.length a) (List.length b)) cycles
-  in
-  let classify c = Cycle_class.classify ?limits:class_limits bwg c in
-  let n = List.length cycles in
-  (* [checker.cycles.classified] counts classifications that contribute to
-     the verdict: with a True Cycle at sorted index i that is i + 1 (every
-     cycle below it plus the witness), otherwise all n — identical between
-     the serial and parallel scans even though parallel workers may
-     opportunistically classify further cycles before the short-circuit
-     propagates. *)
-  let classified k = Obs.count "checker.cycles.classified" k in
-  if domains <= 1 || n <= 1 then
-    let rec go uncertain examined = function
-      | [] ->
-        classified examined;
-        `All_false (examined, uncertain)
-      | c :: rest -> (
-        match classify c with
-        | Cycle_class.True_cycle packets ->
-          classified (examined + 1);
-          `True (c, packets)
-        | Cycle_class.False_resource_cycle { exhaustive } ->
-          go (uncertain || not exhaustive) (examined + 1) rest)
-    in
-    go false 0 cycles
-  else begin
-    let arr = Array.of_list cycles in
-    let verdicts = Array.make n None in
-    let best = Atomic.make max_int in
-    let n_dom = min domains n in
-    let worker k () =
-      Obs.span "checker.classify.worker" @@ fun () ->
-      let i = ref k in
-      while !i < n do
-        if Atomic.get best > !i then
-          verdicts.(!i) <- Some (classify arr.(!i));
-        (match verdicts.(!i) with
-        | Some (Cycle_class.True_cycle _) ->
-          (* lower [best] to !i unless it is already smaller *)
-          let rec lower () =
-            let b = Atomic.get best in
-            if !i < b && not (Atomic.compare_and_set best b !i) then lower ()
-          in
-          lower ()
-        | _ -> ());
-        i := !i + n_dom
-      done
-    in
-    Dfr_util.Domain_pool.parallel ~domains:n_dom (fun k -> worker k ());
-    let rec collect uncertain examined i =
-      if i >= n then begin
-        classified examined;
-        `All_false (examined, uncertain)
-      end
-      else
-        match verdicts.(i) with
-        | Some (Cycle_class.True_cycle packets) ->
-          classified (examined + 1);
-          `True (arr.(i), packets)
-        | Some (Cycle_class.False_resource_cycle { exhaustive }) ->
-          collect (uncertain || not exhaustive) (examined + 1) (i + 1)
-        | None ->
-          (* skipped: only possible when a True Cycle exists below [i] *)
-          collect uncertain examined (i + 1)
-    in
-    collect false 0 0
-  end
-
 (* The verdict pipeline downstream of the BWG build, factored out so the
    incremental re-checker (Incr) can run it against a replayed BWG: the
    stuck / wait-connectivity prefixes are passed in because Incr maintains
@@ -160,8 +78,20 @@ let decide ?cycle_limits ?class_limits ?reduction_budget ?(domains = 1) ~stuck
           n_cycles := Some (List.length cycles);
           Obs.count "checker.cycles.enumerated" (List.length cycles);
           ran_classify := true;
-          match scan_cycles ?class_limits ~domains bwg cycles with
-          | `True (cycle, packets) -> (
+          (* shortest first (stable sort, so equal lengths keep
+             enumeration order): short cycles are both the likeliest
+             witnesses and the cheapest to classify *)
+          let scan =
+            Obs.span "checker.classify" @@ fun () ->
+            let scan =
+              Cycle_class.first_true_cycle ?limits:class_limits ~domains bwg
+                (List.sort (fun a b -> compare (List.length a) (List.length b)) cycles)
+            in
+            Obs.count "checker.cycles.classified" scan.Cycle_class.classified;
+            scan
+          in
+          match scan.Cycle_class.found with
+          | Some (cycle, packets) -> (
             match algo.Algo.wait with
             | Algo.Specific_wait ->
               (* Theorem 2 necessity: the witness is a deadlock. *)
@@ -197,16 +127,18 @@ let decide ?cycle_limits ?class_limits ?reduction_budget ?(domains = 1) ~stuck
                   (* exact: the search refuted every wait-connected BWG' *)
                   finish (Deadlock_possible (No_reduction { cycle; packets }))
                 | Reduction.Gave_up reason -> finish (Unknown reason))))
-          | `All_false (examined, uncertain) ->
-            if uncertain || not cycles_exhaustive then
-              finish
-                (Unknown
-                   (if cycles_exhaustive then "cycle classification hit its caps"
-                    else "cycle enumeration truncated"))
-            else
+          | None -> (
+            match
+              Cycle_class.inconclusive ~cycles_exhaustive
+                ~uncertain:scan.Cycle_class.uncertain
+            with
+            | Some reason -> finish (Unknown reason)
+            | None ->
               (* Theorems 2 and 3 sufficiency with BWG' = BWG: only False
                  Resource Cycles remain. *)
-              finish (Deadlock_free (No_true_cycles { cycles_examined = examined })))))
+              finish
+                (Deadlock_free
+                   (No_true_cycles { cycles_examined = scan.Cycle_class.classified }))))))
 
 let check ?cycle_limits ?class_limits ?reduction_budget ?(domains = 1) net algo =
   Obs.span "checker.check" @@ fun () ->

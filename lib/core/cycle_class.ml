@@ -167,15 +167,65 @@ let classify ?(limits = default_limits) bwg cycle =
          (List.map snd
             (List.sort (fun (i, _) (j, _) -> compare (i : int) j) chosen)))
 
-let first_true_cycle ?limits bwg cycles =
-  let rec go = function
-    | [] -> None
-    | c :: rest -> (
-      match classify ?limits bwg c with
-      | True_cycle packets -> Some (c, packets)
-      | False_resource_cycle _ -> go rest)
+type scan = {
+  found : (int list * packet list) option;
+  classified : int;
+  uncertain : bool;
+}
+
+(* With [domains > 1] the classifications fan out over OCaml 5 domains,
+   worker k taking indices k, k + domains, ...  The answer stays
+   bit-for-bit the serial one: the reported True Cycle is the one of
+   minimal index.  A worker stops at index [i] only once a True Cycle is
+   recorded at some index <= i — [i] can then never be the minimum, and
+   every index below the minimum is still classified. *)
+let first_true_cycle ?limits ?(domains = 1) bwg cycles =
+  let arr = Array.of_list cycles in
+  let n = Array.length arr in
+  let verdicts = Array.make n None in
+  let best = Atomic.make max_int in
+  let n_dom = max 1 (min domains n) in
+  let worker k =
+    let i = ref k in
+    while !i < n && !i < Atomic.get best do
+      let v = classify ?limits bwg arr.(!i) in
+      verdicts.(!i) <- Some v;
+      (match v with
+      | True_cycle _ ->
+        (* lower [best] to !i unless it is already smaller *)
+        let rec lower () =
+          let b = Atomic.get best in
+          if !i < b && not (Atomic.compare_and_set best b !i) then lower ()
+        in
+        lower ()
+      | False_resource_cycle _ -> ());
+      i := !i + n_dom
+    done
   in
-  go cycles
+  if n_dom = 1 then worker 0
+  else
+    Dfr_util.Domain_pool.parallel ~domains:n_dom (fun k ->
+        Obs.span "checker.classify.worker" (fun () -> worker k));
+  (* [classified] counts the classifications the answer rests on: every
+     cycle below the True one plus the witness, otherwise all n — the same
+     at every [domains], though workers may classify past the minimum
+     before they see it *)
+  let rec collect uncertain classified i =
+    if i >= n then { found = None; classified; uncertain }
+    else
+      match verdicts.(i) with
+      | Some (True_cycle packets) ->
+        { found = Some (arr.(i), packets); classified = classified + 1; uncertain }
+      | Some (False_resource_cycle { exhaustive }) ->
+        collect (uncertain || not exhaustive) (classified + 1) (i + 1)
+      | None -> collect uncertain classified (i + 1)
+  in
+  collect false 0 0
+
+let inconclusive ~cycles_exhaustive ~uncertain =
+  if not cycles_exhaustive then Some "cycle enumeration truncated"
+  else if uncertain then Some "cycle classification hit its caps"
+  else None
 
 let pp_packet net fmt p =
   Format.fprintf fmt "@[<h>packet->n%d occupies [%s] waits %s@]" p.dest

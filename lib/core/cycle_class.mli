@@ -58,8 +58,29 @@ val classify : ?limits:limits -> Bwg.t -> int list -> verdict
     {!Bwg.cycles}.  Raises [Invalid_argument] if some consecutive pair is
     not a BWG edge. *)
 
+type scan = {
+  found : (int list * packet list) option;
+      (** the first cycle in the list that classifies as True, with its
+          witness *)
+  classified : int;
+      (** the classifications the answer rests on: the True Cycle's index
+          + 1, or every cycle of the list *)
+  uncertain : bool;
+      (** some cycle before the True one (or any, when none is True)
+          classified False only within the caps *)
+}
+
 val first_true_cycle :
-  ?limits:limits -> Bwg.t -> int list list -> (int list * packet list) option
-(** First cycle in the list that classifies as True, with its witness. *)
+  ?limits:limits -> ?domains:int -> Bwg.t -> int list list -> scan
+(** The one True-Cycle scan: classifies the cycles in list order and
+    stops at the first True one.  [domains] (default 1) fans the
+    classifications out over that many workers, each under a
+    [checker.classify.worker] span; the result is identical at every
+    [domains]. *)
+
+val inconclusive : cycles_exhaustive:bool -> uncertain:bool -> string option
+(** Why a scan that found no True Cycle proves nothing, or [None] when it
+    proves there is none: a truncated enumeration outranks classification
+    caps, since the missing cycles are the larger gap. *)
 
 val pp_packet : Dfr_network.Net.t -> Format.formatter -> packet -> unit

@@ -10,20 +10,9 @@ type outcome =
 
 (* No True Cycles in [bwg]?  Returns [Ok (Some witness)] when a True Cycle
    exists, [Ok None] when provably none does, [Error reason] when a cap was
-   hit.  With no True Cycle found, a truncated enumeration is the reason
-   even if some classification was capped too, as in [Checker.decide]:
-   the missing cycles are the larger gap. *)
+   hit, with [Checker.decide]'s reason. *)
 let true_cycle_status ?cycle_limits ?class_limits ?(shortest_first = false) bwg
     =
-  let open Dfr_graph.Cycles in
-  (* classify one cycle: stop at a True one, else remember whether a
-     False verdict only meant "no realization within the caps" *)
-  let step c (_, uncertain) =
-    match Cycle_class.classify ?limits:class_limits bwg c with
-    | Cycle_class.True_cycle packets -> Stop (Some (c, packets), uncertain)
-    | Cycle_class.False_resource_cycle { exhaustive } ->
-      Continue (None, uncertain || not exhaustive)
-  in
   let enumerated = ref 0 in
   let (witness, uncertain), cycles_exhaustive =
     if shortest_first then begin
@@ -32,33 +21,36 @@ let true_cycle_status ?cycle_limits ?class_limits ?(shortest_first = false) bwg
          clause; stable sort keeps determinism.  Sorting needs them all. *)
       let cycles, exhaustive = Bwg.cycles ?limits:cycle_limits bwg in
       enumerated := List.length cycles;
-      let rec go acc = function
-        | [] -> acc
-        | c :: rest -> (
-          match step c acc with Continue acc -> go acc rest | Stop acc -> acc)
-      in
-      ( go (None, false)
+      let scan =
+        Cycle_class.first_true_cycle ?limits:class_limits bwg
           (List.stable_sort
              (fun a b -> compare (List.length a) (List.length b))
-             cycles),
-        exhaustive )
+             cycles)
+      in
+      ((scan.Cycle_class.found, scan.Cycle_class.uncertain), exhaustive)
     end
     else
       (* enumeration order: classify each cycle as Johnson's search
          closes it and end the search at the first True Cycle, which is
-         all a Theorem-3 probe needs *)
+         all a Theorem-3 probe needs; a False verdict reached only within
+         the caps makes the answer uncertain *)
       Bwg.fold_cycles ?limits:cycle_limits bwg
-        (fun c acc ->
+        (fun c (_, uncertain) ->
           incr enumerated;
-          step c acc)
+          match Cycle_class.classify ?limits:class_limits bwg c with
+          | Cycle_class.True_cycle packets ->
+            Dfr_graph.Cycles.Stop (Some (c, packets), uncertain)
+          | Cycle_class.False_resource_cycle { exhaustive } ->
+            Dfr_graph.Cycles.Continue (None, uncertain || not exhaustive))
         (None, false)
   in
   Obs.count "reduction.cycles.enumerated" !enumerated;
   match witness with
   | Some w -> Ok (Some w)
-  | None when not cycles_exhaustive -> Error "cycle enumeration truncated"
-  | None when uncertain -> Error "cycle classification hit its caps"
-  | None -> Ok None
+  | None -> (
+    match Cycle_class.inconclusive ~cycles_exhaustive ~uncertain with
+    | Some reason -> Error reason
+    | None -> Ok None)
 
 let verify_hint ?cycle_limits ?class_limits space =
   match State_space.reduced_waits space with

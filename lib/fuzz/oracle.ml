@@ -65,7 +65,7 @@ let stress net algo ~sim_seed ~count =
     let traffic =
       Traffic.batch_uniform ~num_nodes:nodes ~count ~length:6 ~seed:sim_seed
     in
-    Wormhole_sim.is_deadlocked
+    Drive.is_deadlocked
       (Wormhole_sim.run
          ~config:
            {
@@ -79,7 +79,7 @@ let stress net algo ~sim_seed ~count =
     let traffic =
       Traffic.batch_uniform ~num_nodes:nodes ~count ~length:1 ~seed:sim_seed
     in
-    Saf_sim.is_deadlocked
+    Drive.is_deadlocked
       (Saf_sim.run
          ~config:{ Saf_sim.max_cycles = 50_000; seed = sim_seed }
          net algo traffic)

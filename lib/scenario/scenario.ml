@@ -7,7 +7,7 @@ module Obs = Dfr_obs.Obs
 let preloads_of_knot config =
   List.map
     (fun (buf, dest) ->
-      { Wormhole_sim.chain = [ buf ]; dest; frozen = false })
+      { Drive.chain = [ buf ]; dest; frozen = false })
     config
 
 let preloads_of_true_cycle space packets =
@@ -20,7 +20,7 @@ let preloads_of_true_cycle space packets =
     List.map
       (fun (p : Cycle_class.packet) ->
         {
-          Wormhole_sim.chain = p.Cycle_class.path;
+          Drive.chain = p.Cycle_class.path;
           dest = p.Cycle_class.dest;
           frozen = false;
         })
@@ -39,7 +39,7 @@ let preloads_of_true_cycle space packets =
         let head = Buf.head_node (Net.buffer (State_space.net space) b) in
         (head + 1) mod State_space.num_nodes space
       in
-      fillers := { Wormhole_sim.chain = [ b ]; dest; frozen = true } :: !fillers
+      fillers := { Drive.chain = [ b ]; dest; frozen = true } :: !fillers
     end
   in
   List.iter
@@ -52,71 +52,24 @@ let preloads_of_true_cycle space packets =
     packets;
   cycle_preloads @ !fillers
 
-(* SAF packets occupy single buffers; fillers freeze the remaining free
-   outputs of each blocked packet, as in the wormhole case. *)
-let saf_preloads_of_packets space packets =
-  let occupied = Hashtbl.create 64 in
-  List.iter
-    (fun (p : Cycle_class.packet) ->
-      Hashtbl.replace occupied (List.hd p.Cycle_class.path) ())
-    packets;
-  let main =
-    List.map
-      (fun (p : Cycle_class.packet) ->
-        {
-          Saf_sim.buffer = List.hd p.Cycle_class.path;
-          dest = p.Cycle_class.dest;
-          frozen = false;
-        })
-      packets
+let replay ?space net algo failure =
+  let run_preloaded =
+    match Net.switching net with
+    | Net.Wormhole -> Wormhole_sim.run_preloaded net algo
+    | Net.Store_and_forward | Net.Virtual_cut_through ->
+      Saf_sim.run_preloaded net algo
   in
-  let fillers = ref [] in
-  List.iter
-    (fun (p : Cycle_class.packet) ->
-      let b = List.hd p.Cycle_class.path in
-      List.iter
-        (fun o ->
-          if not (Hashtbl.mem occupied o) then begin
-            Hashtbl.replace occupied o ();
-            fillers := { Saf_sim.buffer = o; dest = 0; frozen = true } :: !fillers
-          end)
-        (State_space.outputs space ~buf:b ~dest:p.Cycle_class.dest))
-    packets;
-  main @ !fillers
-
-let replay ?wormhole_config ?saf_config ?space net algo failure =
-  let wormhole = Net.switching net = Net.Wormhole in
-  let knot_replay states =
-    if wormhole then
-      Some
-        (Wormhole_sim.is_deadlocked
-           (Wormhole_sim.run_preloaded ?config:wormhole_config net algo
-              (preloads_of_knot states)))
-    else
-      Some
-        (Saf_sim.is_deadlocked
-           (Saf_sim.run_preloaded ?config:saf_config net algo
-              (List.map
-                 (fun (buffer, dest) -> { Saf_sim.buffer; dest; frozen = false })
-                 states)))
+  let preloads =
+    match failure with
+    | Checker.Knot config -> Some (preloads_of_knot config)
+    | Checker.True_cycle { packets; _ } | Checker.No_reduction { packets; _ } ->
+      let space =
+        match space with Some s -> s | None -> State_space.build net algo
+      in
+      Some (preloads_of_true_cycle space packets)
+    | Checker.Stuck_states _ | Checker.Not_wait_connected _ -> None
   in
-  match failure with
-  | Checker.Knot config -> knot_replay config
-  | Checker.True_cycle { packets; _ } | Checker.No_reduction { packets; _ } ->
-    let space =
-      match space with Some s -> s | None -> State_space.build net algo
-    in
-    if wormhole then
-      Some
-        (Wormhole_sim.is_deadlocked
-           (Wormhole_sim.run_preloaded ?config:wormhole_config net algo
-              (preloads_of_true_cycle space packets)))
-    else
-      Some
-        (Saf_sim.is_deadlocked
-           (Saf_sim.run_preloaded ?config:saf_config net algo
-              (saf_preloads_of_packets space packets)))
-  | Checker.Stuck_states _ | Checker.Not_wait_connected _ -> None
+  Option.map (fun p -> Drive.is_deadlocked (run_preloaded p)) preloads
 
 (* ------------------------------------------------------------------ *)
 (* fault campaigns                                                     *)
@@ -276,7 +229,69 @@ let campaign ?(domains = 1) ?(cold = false) ~mode net algo (plan : Fault.t) =
       in
       accumulate [] (batches [] sorted)
   in
-  let finish ~baseline ~baseline_exit ~space outcomes =
+  let killed_of = function
+    | Degrade.Filtered { killed; _ } -> killed
+    | Degrade.Rebuilt { killed; killed_nodes; _ } ->
+      (* report the old-skeleton resources lost: the explicit kills plus
+         every channel of the killed nodes *)
+      List.sort_uniq compare
+        (killed
+        @ List.concat_map (fun v -> adjacent_channels net [ v ]) killed_nodes)
+  in
+  let render net algo r =
+    (Report_json.of_outcome net algo r, Report_json.exit_code r.Checker.verdict)
+  in
+  let cold_check net algo = render net algo (Checker.check ~domains net algo) in
+  (* the baseline, and how a [Filtered] step is re-checked: one Incr
+     session updated on the merged frontier, or a cold check.  [space]
+     stays the pristine baseline for frontiers and Reach ([Incr.update]
+     replaces the session's space with column copies). *)
+  let (baseline, baseline_exit), space, recheck =
+    if cold then
+      let rep = Checker.check ~domains net algo in
+      (render net algo rep, rep.Checker.space, fun algo' ~dirty:_ -> cold_check net algo')
+    else
+      let session, base = Incr.create ~domains net algo in
+      let session_dirty = ref [] in
+      ( (base.Incr.report, base.Incr.exit_code),
+        Incr.space session,
+        fun algo' ~dirty ->
+          let r =
+            Incr.update session algo' ~dirty:(merge_dirty !session_dirty dirty)
+          in
+          session_dirty := dirty;
+          (r.Incr.report, r.Incr.exit_code) )
+  in
+  let* outcomes =
+    List.fold_left
+      (fun acc (at, fresh, faults) ->
+        let* acc = acc in
+        Obs.span "scenario.step" @@ fun () ->
+        let* degraded = Degrade.apply space faults in
+        let report, exit_code =
+          match degraded with
+          | Degrade.Filtered { algo = algo'; dirty; _ } -> recheck algo' ~dirty
+          | Degrade.Rebuilt { net = net'; algo = algo'; _ } ->
+            (* skeleton change: the session cannot absorb it (the same
+               situation Diff reports as Incompatible) — cold in both
+               modes *)
+            cold_check net' algo'
+        in
+        let classification = classify space ~degraded ~report ~exit_code in
+        Ok
+          ({
+             at;
+             label = label_of net fresh;
+             killed = killed_of degraded;
+             classification;
+             report;
+             exit_code;
+           }
+          :: acc))
+      (Ok []) groups
+  in
+  let outcomes = List.rev outcomes in
+  Ok
     {
       network = Net.name net;
       algorithm = algo.Algo.name;
@@ -290,98 +305,6 @@ let campaign ?(domains = 1) ?(cold = false) ~mode net algo (plan : Fault.t) =
       exit_code =
         List.fold_left (fun acc (o : outcome) -> max acc o.exit_code) baseline_exit outcomes;
     }
-  in
-  let killed_of = function
-    | Degrade.Filtered { killed; _ } -> killed
-    | Degrade.Rebuilt { killed; killed_nodes; _ } ->
-      (* report the old-skeleton resources lost: the explicit kills plus
-         every channel of the killed nodes *)
-      List.sort_uniq compare
-        (killed
-        @ List.concat_map (fun v -> adjacent_channels net [ v ]) killed_nodes)
-  in
-  if cold then begin
-    let rep = Checker.check ~domains net algo in
-    let baseline = Report_json.of_outcome net algo rep in
-    let baseline_exit = Report_json.exit_code rep.Checker.verdict in
-    let space = rep.Checker.space in
-    let* outcomes =
-      List.fold_left
-        (fun acc (at, fresh, faults) ->
-          let* acc = acc in
-          Obs.span "scenario.step" @@ fun () ->
-          let* degraded = Degrade.apply space faults in
-          let report, exit_code =
-            match degraded with
-            | Degrade.Filtered { algo = algo'; _ } ->
-              let r = Checker.check ~domains net algo' in
-              (Report_json.of_outcome net algo' r,
-               Report_json.exit_code r.Checker.verdict)
-            | Degrade.Rebuilt { net = net'; algo = algo'; _ } ->
-              let r = Checker.check ~domains net' algo' in
-              (Report_json.of_outcome net' algo' r,
-               Report_json.exit_code r.Checker.verdict)
-          in
-          let classification = classify space ~degraded ~report ~exit_code in
-          Ok
-            ({
-               at;
-               label = label_of net fresh;
-               killed = killed_of degraded;
-               classification;
-               report;
-               exit_code;
-             }
-            :: acc))
-        (Ok []) groups
-    in
-    Ok (finish ~baseline ~baseline_exit ~space (List.rev outcomes))
-  end
-  else begin
-    let session, base = Incr.create ~domains net algo in
-    let space = Incr.space session in
-    (* [Incr.update] replaces the session's space (column copies), so this
-       binding stays the pristine baseline for frontiers and Reach *)
-    let session_dirty = ref [] in
-    let* outcomes =
-      List.fold_left
-        (fun acc (at, fresh, faults) ->
-          let* acc = acc in
-          Obs.span "scenario.step" @@ fun () ->
-          let* degraded = Degrade.apply space faults in
-          let report, exit_code =
-            match degraded with
-            | Degrade.Filtered { algo = algo'; dirty; _ } ->
-              let r =
-                Incr.update session algo'
-                  ~dirty:(merge_dirty !session_dirty dirty)
-              in
-              session_dirty := dirty;
-              (r.Incr.report, r.Incr.exit_code)
-            | Degrade.Rebuilt { net = net'; algo = algo'; _ } ->
-              (* skeleton change: the session cannot absorb it (the same
-                 situation Diff reports as Incompatible) — cold fallback *)
-              let r = Checker.check ~domains net' algo' in
-              (Report_json.of_outcome net' algo' r,
-               Report_json.exit_code r.Checker.verdict)
-          in
-          let classification = classify space ~degraded ~report ~exit_code in
-          Ok
-            ({
-               at;
-               label = label_of net fresh;
-               killed = killed_of degraded;
-               classification;
-               report;
-               exit_code;
-             }
-            :: acc))
-        (Ok []) groups
-    in
-    Ok
-      (finish ~baseline:base.Incr.report ~baseline_exit:base.Incr.exit_code
-         ~space (List.rev outcomes))
-  end
 
 let classification_json = function
   | Still_free -> [ ("class", Json.String "free") ]

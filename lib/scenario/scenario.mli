@@ -11,26 +11,27 @@ open Dfr_routing
 open Dfr_core
 open Dfr_sim
 
-val preloads_of_knot : Deadlock_config.t -> Wormhole_sim.preload list
+val preloads_of_knot : Deadlock_config.t -> Drive.preload list
 (** One single-buffer packet per knot state; no fillers needed (the knot is
     already saturated). *)
 
 val preloads_of_true_cycle :
-  State_space.t -> Cycle_class.packet list -> Wormhole_sim.preload list
-(** The True Cycle's packets on their occupied chains, plus frozen filler
+  State_space.t -> Cycle_class.packet list -> Drive.preload list
+(** The True Cycle's packets on their occupied chains (one buffer each on
+    a store-and-forward or cut-through network), plus frozen filler
     packets holding every other free output of each blocked header — the
     "previous packet occupying this output indefinitely" of Theorem 2's
     proof. *)
 
 val replay :
-  ?wormhole_config:Wormhole_sim.config ->
-  ?saf_config:Saf_sim.config ->
   ?space:State_space.t ->
   Net.t ->
   Algo.t ->
   Checker.failure ->
   bool option
-(** Replays a checker failure in the appropriate simulator.
+(** Replays a checker failure in the simulator of the network's
+    switching: {!Wormhole_sim} or {!Saf_sim}, at its default
+    configuration.
     [Some true] = deadlock confirmed dynamically; [Some false] = the
     configuration drained; [None] = this failure kind has nothing to
     replay (wait-connectivity and stuck-state failures).

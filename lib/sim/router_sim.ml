@@ -5,11 +5,6 @@ type config = { fifo_depth : int; max_cycles : int; seed : int }
 
 let default_config = { fifo_depth = 4; max_cycles = 200_000; seed = 1 }
 
-type outcome =
-  | Completed of Stats.t
-  | Deadlocked of { cycle : int; in_flight : int; stats : Stats.t }
-  | Timeout of Stats.t
-
 type flit = { pkt : int; is_head : bool; is_tail : bool }
 
 (* Per-virtual-channel state machine; [Routing] and [Waiting] hold the
@@ -51,27 +46,20 @@ type sim = {
   mutable events : int;
 }
 
-let link_key net b =
-  match Buf.kind (Net.buffer net b) with
-  | Buf.Channel { src; dim; dir; _ } ->
-    Some (src, dim, if dir = Dfr_topology.Topology.Plus then 1 else 0)
-  | _ -> None
-
 let link_free sim b =
-  match link_key sim.net b with
+  match Drive.link_key sim.net b with
   | None -> true
   | Some key -> not (Hashtbl.mem sim.used_links key)
 
 let use_link sim b =
-  match link_key sim.net b with
+  match Drive.link_key sim.net b with
   | None -> ()
   | Some key -> Hashtbl.replace sim.used_links key ()
 
 let is_transit sim b = Buf.is_transit (Net.buffer sim.net b)
 
 let transit_route sim b ~dest =
-  sim.algo.Algo.route sim.net (Net.buffer sim.net b) ~dest
-  |> List.filter (fun o -> is_transit sim o)
+  Drive.transit_route sim.net sim.algo (Net.buffer sim.net b) ~dest
 
 (* ---------- pipeline stages ------------------------------------------ *)
 
@@ -121,7 +109,7 @@ let switch_traversal sim =
         when is_transit sim out
              && (not (Queue.is_empty sim.fifo.(b)))
              && sim.free_slots.(out) > 0 -> (
-        match link_key sim.net out with
+        match Drive.link_key sim.net out with
         | Some key ->
           let l = Option.value (Hashtbl.find_opt candidates key) ~default:[] in
           Hashtbl.replace candidates key ((b, out) :: l)
@@ -255,28 +243,19 @@ let vc_allocation sim cycle =
 
 (* ---------- driver ---------------------------------------------------- *)
 
-let collect_stats sim cycle =
-  let injected = ref 0 and delivered = ref 0 and flits = ref 0 in
-  let latencies = ref [] in
-  Array.iter
-    (fun p ->
-      if p.injected > 0 then incr injected;
-      flits := !flits + p.delivered;
-      if p.finished then begin
-        incr delivered;
-        latencies := (p.finish_cycle - p.inject_at + 1) :: !latencies
-      end)
-    sim.packets;
-  {
-    Stats.cycles = cycle;
-    injected = !injected;
-    delivered = !delivered;
-    flits_delivered = !flits;
-    latencies = !latencies;
-  }
+let step sim cycle =
+  sim.events <- 0;
+  Hashtbl.reset sim.used_links;
+  Array.fill sim.delivery_used 0 (Array.length sim.delivery_used) false;
+  apply_credits sim;
+  vc_allocation sim cycle;
+  route_computation sim;
+  consumption sim cycle;
+  switch_traversal sim;
+  injection sim;
+  sim.events
 
 let run ?(config = default_config) net algo traffic =
-  Dfr_obs.Obs.span "sim.router.run" @@ fun () ->
   let packets =
     Array.of_list
       (List.mapi
@@ -320,62 +299,35 @@ let run ?(config = default_config) net algo traffic =
       events = 0;
     }
   in
-  let silent = ref 0 in
-  let total_events = ref 0 and stalls = ref 0 in
-  let result = ref None in
-  let cycle = ref 0 in
-  while !result = None && !cycle < config.max_cycles do
-    sim.events <- 0;
-    Hashtbl.reset sim.used_links;
-    Array.fill sim.delivery_used 0 (Array.length sim.delivery_used) false;
-    apply_credits sim;
-    vc_allocation sim !cycle;
-    route_computation sim;
-    consumption sim !cycle;
-    switch_traversal sim;
-    injection sim;
-    let unfinished = Array.exists (fun p -> not p.finished) sim.packets in
-    let pending_future =
-      Array.exists
-        (fun p -> (not p.finished) && p.injected = 0 && p.inject_at > !cycle)
-        sim.packets
-    in
-    let in_flight =
-      Array.fold_left
-        (fun acc p ->
-          if (not p.finished) && p.injected > 0 then acc + 1 else acc)
-        0 sim.packets
-    in
-    if not unfinished then result := Some (`Done !cycle)
-    else if sim.events = 0 && not pending_future then begin
-      incr silent;
-      if !silent >= 3 then result := Some (`Deadlock (!cycle, in_flight))
-    end
-    else silent := 0;
-    total_events := !total_events + sim.events;
-    if sim.events = 0 then incr stalls;
-    incr cycle
-  done;
-  let finish stats =
-    Stats.observe stats ~sim:"router" ~events:!total_events ~stalls:!stalls
-  in
-  match !result with
-  | Some (`Done c) -> Completed (finish (collect_stats sim c))
-  | Some (`Deadlock (c, in_flight)) ->
-    Deadlocked { cycle = c; in_flight; stats = finish (collect_stats sim c) }
-  | None -> Timeout (finish (collect_stats sim config.max_cycles))
-
-let is_deadlocked = function
-  | Deadlocked _ -> true
-  | Completed _ | Timeout _ -> false
-
-let stats = function
-  | Completed s | Timeout s -> s
-  | Deadlocked { stats; _ } -> stats
-
-let pp_outcome fmt = function
-  | Completed s -> Format.fprintf fmt "completed (%a)" Stats.pp s
-  | Deadlocked { cycle; in_flight; stats } ->
-    Format.fprintf fmt "DEADLOCK at cycle %d with %d packets in flight (%a)" cycle
-      in_flight Stats.pp stats
-  | Timeout s -> Format.fprintf fmt "timeout (%a)" Stats.pp s
+  Drive.run
+    {
+      Drive.name = "router";
+      max_cycles = config.max_cycles;
+      step = step sim;
+      tally =
+        (fun cycle ->
+          {
+            Drive.unfinished = Array.exists (fun p -> not p.finished) packets;
+            pending =
+              Array.exists
+                (fun p -> (not p.finished) && p.injected = 0 && p.inject_at > cycle)
+                packets;
+            in_flight =
+              Array.fold_left
+                (fun acc p ->
+                  if (not p.finished) && p.injected > 0 then acc + 1 else acc)
+                0 packets;
+          });
+      progress =
+        (fun () ->
+          Array.map
+            (fun p ->
+              {
+                Drive.inject_at = p.inject_at;
+                injected = p.injected > 0;
+                flits = p.delivered;
+                finished = (if p.finished then Some p.finish_cycle else None);
+              })
+            packets);
+      wait_for = None;
+    }

@@ -17,9 +17,8 @@
     - credit-based flow control with one-cycle credit return;
     - one consumption port per node.
 
-    Deadlock detection is the same sound silence rule as the flit
-    simulator: a cycle with no event while packets are in flight can never
-    produce one again.  Latencies are higher than {!Wormhole_sim}'s by the
+    Deadlock detection is {!Drive}'s stall rule, as for the flit
+    simulator.  Latencies are higher than {!Wormhole_sim}'s by the
     pipeline constants; deadlock behaviour must agree (tested). *)
 
 open Dfr_network
@@ -34,13 +33,4 @@ type config = {
 val default_config : config
 (** depth 4, 200_000 cycles, seed 1. *)
 
-type outcome =
-  | Completed of Stats.t
-  | Deadlocked of { cycle : int; in_flight : int; stats : Stats.t }
-  | Timeout of Stats.t
-
-val run : ?config:config -> Net.t -> Algo.t -> Traffic.t -> outcome
-
-val is_deadlocked : outcome -> bool
-val stats : outcome -> Stats.t
-val pp_outcome : Format.formatter -> outcome -> unit
+val run : ?config:config -> Net.t -> Algo.t -> Traffic.t -> Drive.outcome

@@ -1,15 +1,9 @@
 open Dfr_network
-open Dfr_routing
 open Dfr_util
 
 type config = { max_cycles : int; seed : int }
 
 let default_config = { max_cycles = 100_000; seed = 1 }
-
-type outcome =
-  | Completed of Stats.t
-  | Deadlocked of { cycle : int; in_flight : int; stats : Stats.t }
-  | Timeout of Stats.t
 
 type pkt = {
   id : int;
@@ -21,12 +15,10 @@ type pkt = {
   mutable injected : bool;
   mutable finished : bool;
   mutable finish_cycle : int;
-  mutable hops : int;
   frozen : bool;
 }
 
 let run_generic ?(config = default_config) net algo packets =
-  Dfr_obs.Obs.span "sim.saf.run" @@ fun () ->
   let owner = Array.make (Net.num_buffers net) (-1) in
   let rng = Prng.create config.seed in
   Array.iter
@@ -39,16 +31,13 @@ let run_generic ?(config = default_config) net algo packets =
     packets;
   let n = Array.length packets in
   let events = ref 0 in
-  let transit_route b ~dest =
-    algo.Algo.route net b ~dest
-    |> List.filter (fun o -> Buf.is_transit (Net.buffer net o))
-  in
+  let transit_route = Drive.transit_route net algo in
   let select = function
     | [] -> None
     | [ b ] -> Some b
     | bs -> Some (Prng.pick rng bs)
   in
-  let step p cycle =
+  let move p cycle =
     match p.at with
     | None ->
       if (not p.injected) && cycle >= p.inject_at then begin
@@ -87,74 +76,52 @@ let run_generic ?(config = default_config) net algo packets =
           owner.(nb) <- p.id;
           owner.(b) <- -1;
           p.at <- Some nb;
-          p.hops <- p.hops + 1;
           (match p.script with _ :: rest -> p.script <- rest | [] -> ());
           incr events
         | None -> ()
       end
   in
-  let silent = ref 0 in
-  let total_events = ref 0 and stalls = ref 0 in
-  let result = ref None in
-  let cycle = ref 0 in
-  while !result = None && !cycle < config.max_cycles do
-    events := 0;
-    let offset = if n = 0 then 0 else !cycle mod n in
-    for k = 0 to n - 1 do
-      let p = packets.((k + offset) mod n) in
-      if (not p.finished) && not p.frozen then step p !cycle
-    done;
-    let unfinished =
-      Array.exists (fun p -> (not p.finished) && not p.frozen) packets
-    in
-    let pending_future =
-      Array.exists
-        (fun p ->
-          (not p.finished) && (not p.frozen) && p.at = None && p.inject_at > !cycle)
-        packets
-    in
-    let in_flight =
-      Array.fold_left
-        (fun acc p -> if p.at <> None then acc + 1 else acc)
-        0 packets
-    in
-    if not unfinished then result := Some (`Done !cycle)
-    else if !events = 0 && not pending_future then begin
-      incr silent;
-      if !silent >= 3 then result := Some (`Deadlock (!cycle, in_flight))
-    end
-    else silent := 0;
-    total_events := !total_events + !events;
-    if !events = 0 then incr stalls;
-    incr cycle
-  done;
-  let collect c =
-    let injected = ref 0 and delivered = ref 0 in
-    let latencies = ref [] in
-    Array.iter
-      (fun p ->
-        if p.injected then incr injected;
-        if p.finished then begin
-          incr delivered;
-          latencies := (p.finish_cycle - p.inject_at + 1) :: !latencies
-        end)
-      packets;
+  let live p = (not p.finished) && not p.frozen in
+  Drive.run
     {
-      Stats.cycles = c;
-      injected = !injected;
-      delivered = !delivered;
-      flits_delivered = !delivered;
-      latencies = !latencies;
+      Drive.name = "saf";
+      max_cycles = config.max_cycles;
+      step =
+        (fun cycle ->
+          events := 0;
+          let offset = if n = 0 then 0 else cycle mod n in
+          for k = 0 to n - 1 do
+            let p = packets.((k + offset) mod n) in
+            if live p then move p cycle
+          done;
+          !events);
+      tally =
+        (fun cycle ->
+          {
+            Drive.unfinished = Array.exists live packets;
+            pending =
+              Array.exists
+                (fun p -> live p && p.at = None && p.inject_at > cycle)
+                packets;
+            (* frozen fillers count: they sit in the network *)
+            in_flight =
+              Array.fold_left
+                (fun acc p -> if p.at <> None then acc + 1 else acc)
+                0 packets;
+          });
+      progress =
+        (fun () ->
+          Array.map
+            (fun p ->
+              {
+                Drive.inject_at = p.inject_at;
+                injected = p.injected;
+                flits = (if p.finished then 1 else 0);
+                finished = (if p.finished then Some p.finish_cycle else None);
+              })
+            packets);
+      wait_for = None;
     }
-  in
-  let finish stats =
-    Stats.observe stats ~sim:"saf" ~events:!total_events ~stalls:!stalls
-  in
-  match !result with
-  | Some (`Done c) -> Completed (finish (collect c))
-  | Some (`Deadlock (c, in_flight)) ->
-    Deadlocked { cycle = c; in_flight; stats = finish (collect c) }
-  | None -> Timeout (finish (collect config.max_cycles))
 
 let run ?config net algo traffic =
   let packets =
@@ -174,48 +141,37 @@ let run ?config net algo traffic =
              injected = false;
              finished = false;
              finish_cycle = 0;
-             hops = 0;
              frozen = false;
            })
          traffic)
   in
   run_generic ?config net algo packets
 
-type preload = { buffer : int; dest : int; frozen : bool }
-
 let run_preloaded ?config net algo preloads =
   let packets =
     Array.of_list
       (List.mapi
-         (fun id p ->
+         (fun id (p : Drive.preload) ->
+           let buffer =
+             match p.chain with
+             | [ b ] -> b
+             | _ ->
+               invalid_arg
+                 "Saf_sim.run_preloaded: a store-and-forward packet occupies \
+                  exactly one buffer"
+           in
            {
              id;
-             src = Buf.source_node (Net.buffer net p.buffer);
+             src = Buf.source_node (Net.buffer net buffer);
              dst = p.dest;
              inject_at = 0;
              script = [];
-             at = Some p.buffer;
+             at = Some buffer;
              injected = true;
              finished = false;
              finish_cycle = 0;
-             hops = 0;
              frozen = p.frozen;
            })
          preloads)
   in
   run_generic ?config net algo packets
-
-let is_deadlocked = function
-  | Deadlocked _ -> true
-  | Completed _ | Timeout _ -> false
-
-let stats = function
-  | Completed s | Timeout s -> s
-  | Deadlocked { stats; _ } -> stats
-
-let pp_outcome fmt = function
-  | Completed s -> Format.fprintf fmt "completed (%a)" Stats.pp s
-  | Deadlocked { cycle; in_flight; stats } ->
-    Format.fprintf fmt "DEADLOCK at cycle %d with %d packets in flight (%a)" cycle
-      in_flight Stats.pp stats
-  | Timeout s -> Format.fprintf fmt "timeout (%a)" Stats.pp s

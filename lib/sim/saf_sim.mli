@@ -3,8 +3,7 @@
     Packets occupy exactly one whole-packet buffer at a time (§3's model:
     the brief double-occupancy during a transfer is collapsed to an atomic
     move).  One packet moves per buffer per cycle; arbitration rotates for
-    fairness.  Deadlock detection mirrors the wormhole simulator: a silent
-    cycle with waiting packets is permanent. *)
+    fairness.  Deadlock detection is {!Drive}'s stall rule. *)
 
 open Dfr_network
 open Dfr_routing
@@ -14,22 +13,9 @@ type config = { max_cycles : int; seed : int }
 val default_config : config
 (** 100_000 cycles, seed 1. *)
 
-type outcome =
-  | Completed of Stats.t
-  | Deadlocked of { cycle : int; in_flight : int; stats : Stats.t }
-  | Timeout of Stats.t
+val run : ?config:config -> Net.t -> Algo.t -> Traffic.t -> Drive.outcome
 
-val run : ?config:config -> Net.t -> Algo.t -> Traffic.t -> outcome
-
-type preload = {
-  buffer : int;
-  dest : int;
-  frozen : bool;  (** frozen packets hold their buffer and never move *)
-}
-
-val run_preloaded : ?config:config -> Net.t -> Algo.t -> preload list -> outcome
-(** Seat one packet per state and try to drain. *)
-
-val is_deadlocked : outcome -> bool
-val stats : outcome -> Stats.t
-val pp_outcome : Format.formatter -> outcome -> unit
+val run_preloaded :
+  ?config:config -> Net.t -> Algo.t -> Drive.preload list -> Drive.outcome
+(** Seat one packet per preload and try to drain.  Each chain must hold
+    exactly one buffer, else [Invalid_argument]. *)

@@ -3,58 +3,45 @@ open Dfr_network
 
 type result = { deadlocked : bool; report : Json.t; text : string; p100 : int option }
 
-let make ~simulator ~nodes ~pp o ~outcome ~stats ?(extra = []) ?p100 () =
+let render ~simulator ~nodes o =
+  let outcome, stuck =
+    match o with
+    | Drive.Completed _ -> ("completed", [])
+    | Drive.Timeout _ -> ("timeout", [])
+    | Drive.Deadlocked { cycle; in_flight; wait_for; _ } ->
+      ( "deadlock",
+        ("deadlock_cycle", Json.Int cycle)
+        :: ("in_flight", Json.Int in_flight)
+        ::
+        (match wait_for with
+        | None -> []
+        | Some edges ->
+          [
+            ( "wait_for",
+              Json.List
+                (List.map (fun (p, q) -> Json.List [ Json.Int p; Json.Int q ]) edges)
+            );
+          ]) )
+  in
   {
-    deadlocked = outcome = "deadlock";
+    deadlocked = Drive.is_deadlocked o;
     report =
       Json.Obj
         (("simulator", Json.String simulator)
         :: ("outcome", Json.String outcome)
-        :: (extra @ [ ("stats", Stats.to_json stats ~nodes) ]));
-    text = Format.asprintf "%a" pp o;
-    p100;
+        :: (stuck @ [ ("stats", Stats.to_json (Drive.stats o) ~nodes) ]));
+    text = Format.asprintf "%a" Drive.pp_outcome o;
+    p100 = None;
   }
-
-let stuck ~cycle ~in_flight =
-  [ ("deadlock_cycle", Json.Int cycle); ("in_flight", Json.Int in_flight) ]
-
-let of_wormhole ~nodes o =
-  let make = make ~simulator:"wormhole" ~nodes ~pp:Wormhole_sim.pp_outcome o in
-  match o with
-  | Wormhole_sim.Completed s ->
-    make ~outcome:"completed" ~stats:s ~p100:(Stats.percentile_latency s 1.0) ()
-  | Wormhole_sim.Timeout s -> make ~outcome:"timeout" ~stats:s ()
-  | Wormhole_sim.Deadlocked { cycle; in_flight; stats; wait_for } ->
-    make ~outcome:"deadlock" ~stats
-      ~extra:
-        (stuck ~cycle ~in_flight
-        @ [
-            ( "wait_for",
-              Json.List
-                (List.map (fun (p, q) -> Json.List [ Json.Int p; Json.Int q ]) wait_for)
-            );
-          ])
-      ()
-
-let of_saf ~nodes o =
-  let make = make ~simulator:"saf" ~nodes ~pp:Saf_sim.pp_outcome o in
-  match o with
-  | Saf_sim.Completed s -> make ~outcome:"completed" ~stats:s ()
-  | Saf_sim.Timeout s -> make ~outcome:"timeout" ~stats:s ()
-  | Saf_sim.Deadlocked { cycle; in_flight; stats } ->
-    make ~outcome:"deadlock" ~stats ~extra:(stuck ~cycle ~in_flight) ()
-
-let of_router ~nodes o =
-  let make = make ~simulator:"router" ~nodes ~pp:Router_sim.pp_outcome o in
-  match o with
-  | Router_sim.Completed s -> make ~outcome:"completed" ~stats:s ()
-  | Router_sim.Timeout s -> make ~outcome:"timeout" ~stats:s ()
-  | Router_sim.Deadlocked { cycle; in_flight; stats } ->
-    make ~outcome:"deadlock" ~stats ~extra:(stuck ~cycle ~in_flight) ()
 
 let run net algo traffic =
   let nodes = Net.num_nodes net in
   match Net.switching net with
-  | Net.Wormhole -> of_wormhole ~nodes (Wormhole_sim.run net algo traffic)
+  | Net.Wormhole -> (
+    let o = Wormhole_sim.run net algo traffic in
+    let r = render ~simulator:"wormhole" ~nodes o in
+    match o with
+    | Drive.Completed s -> { r with p100 = Some (Stats.percentile_latency s 1.0) }
+    | Drive.Deadlocked _ | Drive.Timeout _ -> r)
   | Net.Store_and_forward | Net.Virtual_cut_through ->
-    of_saf ~nodes (Saf_sim.run net algo traffic)
+    render ~simulator:"saf" ~nodes (Saf_sim.run net algo traffic)

@@ -46,17 +46,6 @@ let pp fmt t =
     | None -> "n/a"
     | Some m -> Printf.sprintf "%.1f" m)
 
-let observe t ~sim ~events ~stalls =
-  let module Obs = Dfr_obs.Obs in
-  let name k = "sim." ^ sim ^ "." ^ k in
-  Obs.count (name "cycles") t.cycles;
-  Obs.count (name "events") events;
-  Obs.count (name "stalls") stalls;
-  if t.cycles > 0 then
-    Obs.gauge (name "flits-per-kcycle")
-      (1000.0 *. float_of_int t.flits_delivered /. float_of_int t.cycles);
-  t
-
 let to_json t ~nodes =
   let module J = Dfr_util.Json in
   J.Obj

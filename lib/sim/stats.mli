@@ -29,11 +29,6 @@ val throughput : t -> nodes:int -> float
 
 val pp : Format.formatter -> t -> unit
 
-val observe : t -> sim:string -> events:int -> stalls:int -> t
-(** Record a finished run under the [sim.<name>.*] observability names —
-    cycle/event/stall counters plus a flits-per-1k-cycles gauge — and
-    return [t] unchanged.  No-op while {!Dfr_obs.Obs} is disabled. *)
-
 val to_json : t -> nodes:int -> Dfr_util.Json.t
 (** All of the above as one object; [mean_latency] is [null] when nothing
     was delivered, so the emitted document is always valid JSON. *)

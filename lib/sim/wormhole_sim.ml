@@ -14,16 +14,6 @@ type config = {
 let default_config =
   { capacity = 4; max_cycles = 100_000; seed = 1; selection = Random_free }
 
-type outcome =
-  | Completed of Stats.t
-  | Deadlocked of {
-      cycle : int;
-      in_flight : int;
-      stats : Stats.t;
-      wait_for : (int * int) list;
-    }
-  | Timeout of Stats.t
-
 type pkt = {
   id : int;
   src : int;
@@ -52,22 +42,13 @@ type sim = {
   delivery_used : bool array; (* per-node per-cycle consumption port *)
 }
 
-(* The physical link a flit crosses when it enters this channel buffer:
-   virtual channels of one link share it; node buffers (SAF emulation) and
-   endpoint buffers are not link-constrained. *)
-let link_key net b =
-  match Buf.kind (Net.buffer net b) with
-  | Buf.Channel { src; dim; dir; _ } ->
-    Some (src, dim, if dir = Dfr_topology.Topology.Plus then 1 else 0)
-  | _ -> None
-
 let link_free sim b =
-  match link_key sim.net b with
+  match Drive.link_key sim.net b with
   | None -> true
   | Some key -> not (Hashtbl.mem sim.used_links key)
 
 let use_link sim b =
-  match link_key sim.net b with
+  match Drive.link_key sim.net b with
   | None -> ()
   | Some key -> Hashtbl.replace sim.used_links key ()
 
@@ -87,9 +68,7 @@ let select sim = function
     | First_free -> Some (List.hd bs)
     | Random_free -> Some (Prng.pick sim.rng bs))
 
-let transit_route sim b ~dest =
-  sim.algo.Algo.route sim.net b ~dest
-  |> List.filter (fun o -> Buf.is_transit (Net.buffer sim.net o))
+let transit_route sim b ~dest = Drive.transit_route sim.net sim.algo b ~dest
 
 (* Acquire [b] for packet [p], moving one flit out of [from_flits] (the
    head buffer, or the source if the packet is just entering). *)
@@ -102,35 +81,39 @@ let acquire sim p b ~drain =
   (match p.script with _ :: rest -> p.script <- rest | [] -> ());
   sim.events <- sim.events + 1
 
-(* Header progress: either first injection or route extension. *)
-let try_head sim p cycle =
+(* The buffers a packet's header may take next — its script's next
+   buffer, else the relation's transit outputs — from the source once the
+   packet is due, or from the header's buffer short of the destination;
+   none otherwise. *)
+let header_candidates sim p cycle =
+  let from b =
+    match p.script with
+    | nb :: _ -> [ nb ]
+    | [] -> transit_route sim b ~dest:p.dst
+  in
   match p.route with
   | [] ->
-    if cycle >= p.inject_at && p.injected = 0 then begin
-      let candidates =
-        match p.script with
-        | b :: _ -> [ b ]
-        | [] ->
-          transit_route sim (Net.injection sim.net p.src) ~dest:p.dst
-      in
-      match select sim (free_candidates sim candidates) with
-      | Some b when sim.flits.(b) < sim.cfg.capacity && link_free sim b ->
-        acquire sim p b ~drain:(fun () -> p.injected <- 1)
-      | _ -> ()
-    end
+    if cycle >= p.inject_at && p.injected = 0 then
+      from (Net.injection sim.net p.src)
+    else []
   | route ->
-    let h = last route in
-    if Buf.head_node (Net.buffer sim.net h) <> p.dst && sim.flits.(h) > 0 then begin
-      let candidates =
-        match p.script with
-        | b :: _ -> [ b ]
-        | [] -> transit_route sim (Net.buffer sim.net h) ~dest:p.dst
-      in
-      match select sim (free_candidates sim candidates) with
-      | Some b when sim.flits.(b) < sim.cfg.capacity && link_free sim b ->
-        acquire sim p b ~drain:(fun () -> sim.flits.(h) <- sim.flits.(h) - 1)
-      | _ -> ()
-    end
+    let h = Net.buffer sim.net (last route) in
+    if Buf.head_node h <> p.dst then from h else []
+
+(* Header progress: either first injection or route extension, once the
+   header flit sits in the head buffer. *)
+let try_head sim p cycle =
+  let ready = match p.route with [] -> true | route -> sim.flits.(last route) > 0 in
+  if ready then
+    match select sim (free_candidates sim (header_candidates sim p cycle)) with
+    | Some b when sim.flits.(b) < sim.cfg.capacity && link_free sim b ->
+      acquire sim p b ~drain:(fun () ->
+          match p.route with
+          | [] -> p.injected <- 1
+          | route ->
+            let h = last route in
+            sim.flits.(h) <- sim.flits.(h) - 1)
+    | _ -> ()
 
 (* Consume one flit at the destination. *)
 let try_deliver sim p =
@@ -225,25 +208,7 @@ let make_sim ?(config = default_config) net algo packets =
     delivery_used = Array.make (Net.num_nodes net) false;
   }
 
-let collect_stats sim cycle =
-  let injected = ref 0 and delivered = ref 0 and flits = ref 0 in
-  let latencies = ref [] in
-  Array.iter
-    (fun p ->
-      if p.injected > 0 then incr injected;
-      flits := !flits + p.delivered;
-      if p.finished then begin
-        incr delivered;
-        latencies := (p.finish_cycle - p.inject_at + 1) :: !latencies
-      end)
-    sim.packets;
-  {
-    Stats.cycles = cycle;
-    injected = !injected;
-    delivered = !delivered;
-    flits_delivered = !flits;
-    latencies = !latencies;
-  }
+let live p = (not p.finished) && not p.frozen
 
 (* The packet wait-for graph at stall time: which packet each blocked
    packet is waiting on (via the owners of its candidate buffers). *)
@@ -251,92 +216,68 @@ let wait_for_edges sim cycle =
   let edges = ref [] in
   Array.iter
     (fun p ->
-      if (not p.finished) && not p.frozen then begin
-        let candidates =
-          match p.route with
-          | [] ->
-            if cycle >= p.inject_at && p.injected = 0 then
-              match p.script with
-              | b :: _ -> [ b ]
-              | [] -> transit_route sim (Net.injection sim.net p.src) ~dest:p.dst
-            else []
-          | route ->
-            let h = last route in
-            if Buf.head_node (Net.buffer sim.net h) <> p.dst then
-              match p.script with
-              | b :: _ -> [ b ]
-              | [] -> transit_route sim (Net.buffer sim.net h) ~dest:p.dst
-            else []
-        in
+      if live p then begin
         List.iter
           (fun b ->
             let o = sim.owner.(b) in
             if o >= 0 && o <> p.id && not (List.mem (p.id, o) !edges) then
               edges := (p.id, o) :: !edges)
-          candidates
+          (header_candidates sim p cycle)
       end)
     sim.packets;
   List.rev !edges
 
-let run_loop sim =
-  Dfr_obs.Obs.span "sim.wormhole.run" @@ fun () ->
+let step sim cycle =
+  sim.events <- 0;
+  Hashtbl.reset sim.used_links;
+  Array.fill sim.delivery_used 0 (Array.length sim.delivery_used) false;
+  (* rotate processing order for fairness *)
   let n = Array.length sim.packets in
-  let silent = ref 0 in
-  let total_events = ref 0 and stalls = ref 0 in
-  let outcome = ref None in
-  let cycle = ref 0 in
-  while !outcome = None && !cycle < sim.cfg.max_cycles do
-    sim.events <- 0;
-    Hashtbl.reset sim.used_links;
-    Array.fill sim.delivery_used 0 (Array.length sim.delivery_used) false;
-    (* rotate processing order for fairness *)
-    let offset = if n = 0 then 0 else !cycle mod n in
-    for k = 0 to n - 1 do
-      let p = sim.packets.((k + offset) mod n) in
-      if (not p.finished) && not p.frozen then begin
-        try_deliver sim p;
-        try_head sim p !cycle;
-        try_body sim p;
-        try_inject_body sim p !cycle;
-        release sim p !cycle
-      end
-    done;
-    let unfinished =
-      Array.exists (fun p -> (not p.finished) && not p.frozen) sim.packets
-    in
-    let in_flight =
-      Array.fold_left
-        (fun acc p ->
-          if (not p.finished) && (not p.frozen) && p.route <> [] then acc + 1
-          else acc)
-        0 sim.packets
-    in
-    let pending_future =
-      Array.exists
-        (fun p ->
-          (not p.finished) && (not p.frozen) && p.route = [] && p.inject_at > !cycle)
-        sim.packets
-    in
-    if not unfinished then outcome := Some (`Done !cycle)
-    else if sim.events = 0 && not pending_future then begin
-      incr silent;
-      if !silent >= 3 then
-        outcome := Some (`Deadlock (!cycle, in_flight, wait_for_edges sim !cycle))
+  let offset = if n = 0 then 0 else cycle mod n in
+  for k = 0 to n - 1 do
+    let p = sim.packets.((k + offset) mod n) in
+    if live p then begin
+      try_deliver sim p;
+      try_head sim p cycle;
+      try_body sim p;
+      try_inject_body sim p cycle;
+      release sim p cycle
     end
-    else silent := 0;
-    total_events := !total_events + sim.events;
-    if sim.events = 0 then incr stalls;
-    incr cycle
   done;
-  let finish stats =
-    Stats.observe stats ~sim:"wormhole" ~events:!total_events ~stalls:!stalls
-  in
-  match !outcome with
-  | Some (`Done c) -> Completed (finish (collect_stats sim c))
-  | Some (`Deadlock (c, in_flight, wait_for)) ->
-    Deadlocked
-      { cycle = c; in_flight; stats = finish (collect_stats sim c); wait_for }
-  | None -> Timeout (finish (collect_stats sim sim.cfg.max_cycles))
+  sim.events
+
+let drive sim =
+  Drive.run
+    {
+      Drive.name = "wormhole";
+      max_cycles = sim.cfg.max_cycles;
+      step = step sim;
+      tally =
+        (fun cycle ->
+          {
+            Drive.unfinished = Array.exists live sim.packets;
+            pending =
+              Array.exists
+                (fun p -> live p && p.route = [] && p.inject_at > cycle)
+                sim.packets;
+            in_flight =
+              Array.fold_left
+                (fun acc p -> if live p && p.route <> [] then acc + 1 else acc)
+                0 sim.packets;
+          });
+      progress =
+        (fun () ->
+          Array.map
+            (fun p ->
+              {
+                Drive.inject_at = p.inject_at;
+                injected = p.injected > 0;
+                flits = p.delivered;
+                finished = (if p.finished then Some p.finish_cycle else None);
+              })
+            sim.packets);
+      wait_for = Some (wait_for_edges sim);
+    }
 
 let packets_of_traffic traffic =
   Array.of_list
@@ -362,16 +303,13 @@ let packets_of_traffic traffic =
        traffic)
 
 let run ?config net algo traffic =
-  let sim = make_sim ?config net algo (packets_of_traffic traffic) in
-  run_loop sim
-
-type preload = { chain : int list; dest : int; frozen : bool }
+  drive (make_sim ?config net algo (packets_of_traffic traffic))
 
 let run_preloaded ?(config = default_config) net algo preloads =
   let packets =
     Array.of_list
       (List.mapi
-         (fun id p ->
+         (fun id (p : Drive.preload) ->
            (match p.chain with
            | [] -> invalid_arg "Wormhole_sim.run_preloaded: empty chain"
            | _ -> ());
@@ -403,20 +341,4 @@ let run_preloaded ?(config = default_config) net algo preloads =
           sim.flits.(b) <- config.capacity)
         p.route)
     packets;
-  run_loop sim
-
-let is_deadlocked = function
-  | Deadlocked _ -> true
-  | Completed _ | Timeout _ -> false
-
-let stats = function
-  | Completed s | Timeout s -> s
-  | Deadlocked { stats; _ } -> stats
-
-let pp_outcome fmt = function
-  | Completed s -> Format.fprintf fmt "completed (%a)" Stats.pp s
-  | Deadlocked { cycle; in_flight; stats; wait_for } ->
-    Format.fprintf fmt
-      "DEADLOCK at cycle %d with %d packets in flight, %d wait-for edges (%a)"
-      cycle in_flight (List.length wait_for) Stats.pp stats
-  | Timeout s -> Format.fprintf fmt "timeout (%a)" Stats.pp s
+  drive sim

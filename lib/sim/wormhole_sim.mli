@@ -5,10 +5,8 @@
     packet keeps the whole chain, one flit crosses each physical link per
     cycle (virtual channels multiplex it), and a packet arriving at its
     destination is consumed at one flit per cycle.  Injection, movement and
-    consumption are the only events; the simulator therefore detects
-    deadlock {e exactly}: a cycle in which no event fires while packets are
-    in flight can never fire one again (injections only add load, they free
-    nothing), so three consecutive silent cycles end the run.
+    consumption are the only events, so {!Drive}'s stall rule detects
+    deadlock {e exactly}.
 
     Packets route adaptively through the algorithm's relation, or follow a
     script first (witness replay); {!run_preloaded} instead places packets
@@ -30,36 +28,12 @@ type config = {
 val default_config : config
 (** capacity 4, 100_000 cycles, seed 1, random selection. *)
 
-type outcome =
-  | Completed of Stats.t  (** every packet delivered *)
-  | Deadlocked of {
-      cycle : int;
-      in_flight : int;
-      stats : Stats.t;
-      wait_for : (int * int) list;
-          (** the packet wait-for graph at stall time: [(p, q)] means
-              packet [p] (index into the workload) is blocked on a buffer
-              owned by packet [q] — the dynamic counterpart of the BWG *)
-    }
-  | Timeout of Stats.t  (** max_cycles elapsed with traffic still moving *)
+val run : ?config:config -> Net.t -> Algo.t -> Traffic.t -> Drive.outcome
+(** A [Deadlocked] outcome carries the packet wait-for graph. *)
 
-val run : ?config:config -> Net.t -> Algo.t -> Traffic.t -> outcome
-
-type preload = {
-  chain : int list;  (** occupied buffers, tail first, header's buffer last *)
-  dest : int;
-  frozen : bool;
-      (** a frozen packet holds its buffers and never moves — the paper's
-          "arbitrarily long" filler packets from the Theorem 2 necessity
-          construction *)
-}
-
-val run_preloaded : ?config:config -> Net.t -> Algo.t -> preload list -> outcome
+val run_preloaded :
+  ?config:config -> Net.t -> Algo.t -> Drive.preload list -> Drive.outcome
 (** Seats each packet on its chain (every buffer filled with its flits)
     and lets the network run.  [Deadlocked] confirms the configuration is
     genuinely stuck; [Completed] means the unfrozen packets drained and
     refutes it. *)
-
-val is_deadlocked : outcome -> bool
-val stats : outcome -> Stats.t
-val pp_outcome : Format.formatter -> outcome -> unit

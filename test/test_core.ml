@@ -306,7 +306,29 @@ let test_classify_relaxed_efa_true_cycle () =
   let cycles, exhaustive = Bwg.cycles bwg in
   check Alcotest.bool "cycles enumerated" true (cycles <> []);
   check Alcotest.bool "exhaustive" true exhaustive;
-  match Cycle_class.first_true_cycle bwg cycles with
+  let scan = Cycle_class.first_true_cycle bwg cycles in
+  (* the scan answers as a serial classification in list order does, at
+     every fan-out *)
+  let rec first i = function
+    | [] -> Alcotest.fail "a True Cycle exists (Theorem 6)"
+    | c :: rest -> (
+      match Cycle_class.classify bwg c with
+      | Cycle_class.True_cycle _ -> (i, c)
+      | Cycle_class.False_resource_cycle _ -> first (i + 1) rest)
+  in
+  let index, cycle = first 0 cycles in
+  check (Alcotest.option (Alcotest.list Alcotest.int)) "first True Cycle in list order"
+    (Some cycle) (Option.map fst scan.Cycle_class.found);
+  check Alcotest.int "classifications the answer rests on" (index + 1)
+    scan.Cycle_class.classified;
+  List.iter
+    (fun domains ->
+      check Alcotest.bool
+        (Printf.sprintf "same scan at --domains %d" domains)
+        true
+        (Cycle_class.first_true_cycle ~domains bwg cycles = scan))
+    [ 2; 4 ];
+  match scan.Cycle_class.found with
   | None -> Alcotest.fail "a True Cycle exists (Theorem 6)"
   | Some (cycle, packets) ->
     check Alcotest.int "one packet per edge" (List.length cycle) (List.length packets);
@@ -673,7 +695,7 @@ let test_pair_relaxation_cycle_uses_both_dimensions () =
   let candidates = Dfr_graph.Cycles.enumerate induced in
   check Alcotest.bool "cycles over the pair's B1 channels exist" true
     (candidates <> []);
-  match Cycle_class.first_true_cycle bwg candidates with
+  match (Cycle_class.first_true_cycle bwg candidates).Cycle_class.found with
   | Some (cycle, _) ->
     let dims =
       List.sort_uniq compare
@@ -906,9 +928,9 @@ let test_updown_never_deadlocks_dynamically () =
     done
   done;
   match Dfr_sim.Wormhole_sim.run t.Updown.net t.Updown.algo !traffic with
-  | Dfr_sim.Wormhole_sim.Completed s ->
+  | Dfr_sim.Drive.Completed s ->
     check Alcotest.int "all delivered" (List.length !traffic) s.Dfr_sim.Stats.delivered
-  | o -> Alcotest.failf "up*/down* stalled: %a" Dfr_sim.Wormhole_sim.pp_outcome o
+  | o -> Alcotest.failf "up*/down* stalled: %a" Dfr_sim.Drive.pp_outcome o
 
 (* ---------------- odd-even turn model ---------------- *)
 

@@ -72,10 +72,10 @@ let confront net algo ~unknowns =
             ~config:{ Wormhole_sim.default_config with seed; capacity = 2 }
             net algo (stress_traffic topo seed)
         with
-        | Wormhole_sim.Completed _ -> ()
+        | Drive.Completed _ -> ()
         | o ->
           Alcotest.failf "%s certified free but %a" algo.Algo.name
-            Wormhole_sim.pp_outcome o)
+            Drive.pp_outcome o)
       [ 1; 2 ]
   | Checker.Deadlock_possible failure -> (
     match Dfr_scenario.Scenario.replay net algo failure with
@@ -155,9 +155,9 @@ let confront_saf net algo ~unknowns =
             net algo
             (Traffic.batch topo ~pattern:Traffic.Uniform ~count:12 ~length:1 ~seed)
         with
-        | Saf_sim.Completed _ -> ()
+        | Drive.Completed _ -> ()
         | o ->
-          Alcotest.failf "%s certified free but %a" algo.Algo.name Saf_sim.pp_outcome o)
+          Alcotest.failf "%s certified free but %a" algo.Algo.name Drive.pp_outcome o)
       [ 1; 2 ]
   | Checker.Deadlock_possible failure -> (
     match Dfr_scenario.Scenario.replay net algo failure with

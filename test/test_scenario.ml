@@ -14,6 +14,7 @@ module Scenario = Dfr_scenario.Scenario
 module Latency = Dfr_scenario.Latency
 module Traffic = Dfr_sim.Traffic
 module Wormhole_sim = Dfr_sim.Wormhole_sim
+module Drive = Dfr_sim.Drive
 module Stats = Dfr_sim.Stats
 module J = Dfr_util.Json
 
@@ -309,7 +310,7 @@ let test_latency_sound () =
   check Alcotest.bool "percentiles ordered" true
     (b.Latency.p50 <= b.Latency.p99 && b.Latency.p99 <= b.Latency.p100);
   match Wormhole_sim.run net algo traffic with
-  | Wormhole_sim.Completed stats ->
+  | Drive.Completed stats ->
     let observed = Stats.percentile_latency stats 1.0 in
     check Alcotest.bool "analytic p100 dominates observed p100" true
       (b.Latency.p100 >= observed)

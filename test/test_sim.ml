@@ -93,8 +93,8 @@ let test_scripted_entry_point () =
   let t = Traffic.scripted ~src:0 ~dst:3 ~length:2 chain in
   check Alcotest.int "one packet" 1 (Traffic.count t);
   match Wormhole_sim.run net Hypercube_wormhole.ecube t with
-  | Wormhole_sim.Completed _ -> ()
-  | o -> Alcotest.failf "scripted packet did not deliver: %a" Wormhole_sim.pp_outcome o
+  | Drive.Completed _ -> ()
+  | o -> Alcotest.failf "scripted packet did not deliver: %a" Drive.pp_outcome o
 
 let prop_uniform_dest_valid =
   QCheck.Test.make ~name:"uniform destinations valid" ~count:300
@@ -169,22 +169,22 @@ let test_empty_stats_report_json () =
 let test_single_packet_delivery () =
   let t = [ { Traffic.src = 0; dst = 7; length = 6; inject_at = 0; mode = Traffic.Adaptive } ] in
   match run_wh cube3 Hypercube_wormhole.efa t with
-  | Wormhole_sim.Completed s ->
+  | Drive.Completed s ->
     check Alcotest.int "delivered" 1 s.Stats.delivered;
     check Alcotest.int "flits" 6 s.Stats.flits_delivered;
     (* 3 hops + pipeline: latency at least hops + length *)
     check Alcotest.bool "latency sane" true (max_lat s >= 6 + 3)
-  | o -> Alcotest.failf "expected completion, got %a" Wormhole_sim.pp_outcome o
+  | o -> Alcotest.failf "expected completion, got %a" Drive.pp_outcome o
 
 let test_conservation_under_load () =
   let t = Traffic.batch topo3 ~pattern:Traffic.Uniform ~count:10 ~length:5 ~seed:3 in
   match run_wh cube3 Hypercube_wormhole.efa t with
-  | Wormhole_sim.Completed s ->
+  | Drive.Completed s ->
     check Alcotest.int "all packets" (Traffic.count t) s.Stats.delivered;
     check Alcotest.int "all flits" (5 * Traffic.count t) s.Stats.flits_delivered;
     check Alcotest.int "latency per packet" s.Stats.delivered
       (List.length s.Stats.latencies)
-  | o -> Alcotest.failf "expected completion, got %a" Wormhole_sim.pp_outcome o
+  | o -> Alcotest.failf "expected completion, got %a" Drive.pp_outcome o
 
 let test_proven_algorithms_never_deadlock () =
   (* every deadlock-free verdict must survive a saturating stress batch *)
@@ -197,9 +197,9 @@ let test_proven_algorithms_never_deadlock () =
               ~seed
           in
           match run_wh ~seed ~capacity:2 cube3 algo t with
-          | Wormhole_sim.Completed _ -> ()
+          | Drive.Completed _ -> ()
           | o ->
-            Alcotest.failf "%s seed %d: %a" name seed Wormhole_sim.pp_outcome o)
+            Alcotest.failf "%s seed %d: %a" name seed Drive.pp_outcome o)
         [ 1; 2; 3 ])
     [
       ("ecube", Hypercube_wormhole.ecube);
@@ -214,8 +214,8 @@ let test_turn_models_never_deadlock () =
     (fun (name, algo) ->
       let t = Traffic.batch m ~pattern:Traffic.Uniform ~count:10 ~length:8 ~seed:5 in
       match run_wh ~capacity:2 net algo t with
-      | Wormhole_sim.Completed _ -> ()
-      | o -> Alcotest.failf "%s: %a" name Wormhole_sim.pp_outcome o)
+      | Drive.Completed _ -> ()
+      | o -> Alcotest.failf "%s: %a" name Drive.pp_outcome o)
     [
       ("west-first", Mesh_wormhole.west_first);
       ("north-last", Mesh_wormhole.north_last);
@@ -228,14 +228,14 @@ let test_dateline_never_deadlocks () =
   let net = Net.wormhole r ~vcs:2 in
   let t = Traffic.batch r ~pattern:Traffic.Uniform ~count:20 ~length:10 ~seed:2 in
   match run_wh ~capacity:2 net Torus_wormhole.dateline t with
-  | Wormhole_sim.Completed _ -> ()
-  | o -> Alcotest.failf "dateline: %a" Wormhole_sim.pp_outcome o
+  | Drive.Completed _ -> ()
+  | o -> Alcotest.failf "dateline: %a" Drive.pp_outcome o
 
 let test_relaxed_efa_deadlocks_under_stress () =
   let t = Traffic.batch topo3 ~pattern:Traffic.Uniform ~count:40 ~length:24 ~seed:3 in
   match run_wh ~seed:3 cube3 Hypercube_wormhole.efa_relaxed t with
-  | Wormhole_sim.Deadlocked _ -> ()
-  | o -> Alcotest.failf "expected deadlock, got %a" Wormhole_sim.pp_outcome o
+  | Drive.Deadlocked _ -> ()
+  | o -> Alcotest.failf "expected deadlock, got %a" Drive.pp_outcome o
 
 let test_scripted_packet_follows_script () =
   (* force a packet along a specific (legal) dimension order *)
@@ -244,8 +244,8 @@ let test_scripted_packet_follows_script () =
   let t = [ { Traffic.src = 0; dst = 5; length = 3; inject_at = 0;
               mode = Traffic.Scripted script } ] in
   match run_wh cube3 Hypercube_wormhole.efa t with
-  | Wormhole_sim.Completed s -> check Alcotest.int "delivered" 1 s.Stats.delivered
-  | o -> Alcotest.failf "scripted run: %a" Wormhole_sim.pp_outcome o
+  | Drive.Completed s -> check Alcotest.int "delivered" 1 s.Stats.delivered
+  | o -> Alcotest.failf "scripted run: %a" Drive.pp_outcome o
 
 let test_preloaded_knot_deadlocks () =
   let space = State_space.build cube3 Hypercube_wormhole.efa_relaxed in
@@ -256,28 +256,28 @@ let test_preloaded_knot_deadlocks () =
       Wormhole_sim.run_preloaded cube3 Hypercube_wormhole.efa_relaxed
         (Dfr_scenario.Scenario.preloads_of_knot config)
     with
-    | Wormhole_sim.Deadlocked { cycle; _ } ->
+    | Drive.Deadlocked { cycle; _ } ->
       check Alcotest.bool "detected early" true (cycle < 100)
-    | o -> Alcotest.failf "expected deadlock, got %a" Wormhole_sim.pp_outcome o)
+    | o -> Alcotest.failf "expected deadlock, got %a" Drive.pp_outcome o)
 
 let test_preloaded_nondeadlock_drains () =
   (* a single preloaded EFA packet mid-flight simply finishes *)
   let chain = [ Buf.id (Net.channel cube3 ~src:0 ~dim:0 ~dir:Topology.Plus ~vc:1) ] in
   match
     Wormhole_sim.run_preloaded cube3 Hypercube_wormhole.efa
-      [ { Wormhole_sim.chain; dest = 3; frozen = false } ]
+      [ { Drive.chain; dest = 3; frozen = false } ]
   with
-  | Wormhole_sim.Completed s -> check Alcotest.int "drained" 1 s.Stats.delivered
-  | o -> Alcotest.failf "expected drain, got %a" Wormhole_sim.pp_outcome o
+  | Drive.Completed s -> check Alcotest.int "drained" 1 s.Stats.delivered
+  | o -> Alcotest.failf "expected drain, got %a" Drive.pp_outcome o
 
 let test_frozen_packets_hold () =
   (* a frozen filler blocks a scripted packet forever *)
   let b = Buf.id (Net.channel cube3 ~src:0 ~dim:0 ~dir:Topology.Plus ~vc:0) in
   let preloads =
     [
-      { Wormhole_sim.chain = [ b ]; dest = 1; frozen = true };
+      { Drive.chain = [ b ]; dest = 1; frozen = true };
       {
-        Wormhole_sim.chain =
+        Drive.chain =
           [ Buf.id (Net.channel cube3 ~src:2 ~dim:1 ~dir:Topology.Minus ~vc:0) ];
         dest = 1;
         frozen = false;
@@ -286,9 +286,9 @@ let test_frozen_packets_hold () =
   in
   (* the unfrozen ecube packet at node 0 needs exactly the frozen buffer *)
   match Wormhole_sim.run_preloaded cube3 Hypercube_wormhole.ecube preloads with
-  | Wormhole_sim.Deadlocked { in_flight; _ } ->
+  | Drive.Deadlocked { in_flight; _ } ->
     check Alcotest.int "one live packet stuck" 1 in_flight
-  | o -> Alcotest.failf "expected deadlock, got %a" Wormhole_sim.pp_outcome o
+  | o -> Alcotest.failf "expected deadlock, got %a" Drive.pp_outcome o
 
 let prop_wormhole_conservation =
   QCheck.Test.make ~name:"wormhole conserves packets across seeds" ~count:10
@@ -296,7 +296,7 @@ let prop_wormhole_conservation =
     (fun seed ->
       let t = Traffic.batch topo3 ~pattern:Traffic.Uniform ~count:5 ~length:6 ~seed in
       match run_wh ~seed cube3 Hypercube_wormhole.efa t with
-      | Wormhole_sim.Completed s ->
+      | Drive.Completed s ->
         s.Stats.delivered = Traffic.count t
         && s.Stats.flits_delivered = 6 * Traffic.count t
       | _ -> false)
@@ -309,11 +309,11 @@ let saf33 = Net.store_and_forward mesh33 ~classes:2
 let test_saf_single_packet () =
   let t = [ { Traffic.src = 0; dst = 8; length = 1; inject_at = 0; mode = Traffic.Adaptive } ] in
   match Saf_sim.run saf33 Mesh_saf.two_buffer t with
-  | Saf_sim.Completed s ->
+  | Drive.Completed s ->
     check Alcotest.int "delivered" 1 s.Stats.delivered;
     (* 4 hops + injection + consumption *)
     check Alcotest.bool "latency >= 5" true (max_lat s >= 5)
-  | o -> Alcotest.failf "expected completion, got %a" Saf_sim.pp_outcome o
+  | o -> Alcotest.failf "expected completion, got %a" Drive.pp_outcome o
 
 let test_saf_two_buffer_stress () =
   List.iter
@@ -323,25 +323,25 @@ let test_saf_two_buffer_stress () =
         Saf_sim.run ~config:{ Saf_sim.max_cycles = 100_000; seed } saf33
           Mesh_saf.two_buffer t
       with
-      | Saf_sim.Completed s ->
+      | Drive.Completed s ->
         check Alcotest.int "all delivered" (Traffic.count t) s.Stats.delivered
-      | o -> Alcotest.failf "seed %d: %a" seed Saf_sim.pp_outcome o)
+      | o -> Alcotest.failf "seed %d: %a" seed Drive.pp_outcome o)
     [ 1; 2; 3; 4 ]
 
 let test_saf_single_buffer_deadlocks () =
   let net = Net.store_and_forward mesh33 ~classes:1 in
   let t = Traffic.batch mesh33 ~pattern:Traffic.Uniform ~count:30 ~length:1 ~seed:6 in
   match Saf_sim.run net Mesh_saf.single_buffer t with
-  | Saf_sim.Deadlocked _ -> ()
-  | o -> Alcotest.failf "expected deadlock, got %a" Saf_sim.pp_outcome o
+  | Drive.Deadlocked _ -> ()
+  | o -> Alcotest.failf "expected deadlock, got %a" Drive.pp_outcome o
 
 let test_saf_hotspot_completes () =
   let t = Traffic.generate mesh33 ~pattern:(Traffic.Hotspot 4) ~rate:0.05 ~length:1
       ~horizon:400 ~seed:2 in
   match Saf_sim.run saf33 Mesh_saf.two_buffer t with
-  | Saf_sim.Completed s ->
+  | Drive.Completed s ->
     check Alcotest.int "all delivered" (Traffic.count t) s.Stats.delivered
-  | o -> Alcotest.failf "hotspot: %a" Saf_sim.pp_outcome o
+  | o -> Alcotest.failf "hotspot: %a" Drive.pp_outcome o
 
 (* ---------------- replay bridge ---------------- *)
 
@@ -409,7 +409,7 @@ let test_wait_for_graph_is_cyclic () =
      in-flight packets must contain a cycle *)
   let t = Traffic.batch topo3 ~pattern:Traffic.Uniform ~count:40 ~length:24 ~seed:3 in
   match run_wh ~seed:3 cube3 Hypercube_wormhole.efa_relaxed t with
-  | Wormhole_sim.Deadlocked { wait_for; _ } ->
+  | Drive.Deadlocked { wait_for = Some wait_for; _ } ->
     check Alcotest.bool "edges reported" true (wait_for <> []);
     let ids =
       List.sort_uniq compare (List.concat_map (fun (a, b) -> [ a; b ]) wait_for)
@@ -423,7 +423,7 @@ let test_wait_for_graph_is_cyclic () =
       wait_for;
     check Alcotest.bool "wait-for graph cyclic" false
       (Dfr_graph.Traversal.is_acyclic g)
-  | o -> Alcotest.failf "expected deadlock, got %a" Wormhole_sim.pp_outcome o
+  | o -> Alcotest.failf "expected deadlock, got %a" Drive.pp_outcome o
 
 let suite =
   suite
@@ -437,21 +437,21 @@ let suite =
 let test_router_single_packet () =
   let t = [ { Traffic.src = 0; dst = 7; length = 6; inject_at = 0; mode = Traffic.Adaptive } ] in
   match Router_sim.run cube3 Hypercube_wormhole.efa t with
-  | Router_sim.Completed s ->
+  | Drive.Completed s ->
     check Alcotest.int "delivered" 1 s.Stats.delivered;
     check Alcotest.int "flits" 6 s.Stats.flits_delivered;
     (* pipeline overhead: at least RC+VA per hop on top of serialization *)
     check Alcotest.bool "latency above flit-sim floor" true
       (max_lat s >= 6 + (3 * 2))
-  | o -> Alcotest.failf "expected completion, got %a" Router_sim.pp_outcome o
+  | o -> Alcotest.failf "expected completion, got %a" Drive.pp_outcome o
 
 let test_router_conservation () =
   let t = Traffic.batch topo3 ~pattern:Traffic.Uniform ~count:8 ~length:5 ~seed:21 in
   match Router_sim.run cube3 Hypercube_wormhole.efa t with
-  | Router_sim.Completed s ->
+  | Drive.Completed s ->
     check Alcotest.int "all packets" (Traffic.count t) s.Stats.delivered;
     check Alcotest.int "all flits" (5 * Traffic.count t) s.Stats.flits_delivered
-  | o -> Alcotest.failf "expected completion, got %a" Router_sim.pp_outcome o
+  | o -> Alcotest.failf "expected completion, got %a" Drive.pp_outcome o
 
 let test_router_proven_algorithms_complete () =
   List.iter
@@ -461,8 +461,8 @@ let test_router_proven_algorithms_complete () =
         Router_sim.run ~config:{ Router_sim.default_config with fifo_depth = 2 }
           cube3 algo t
       with
-      | Router_sim.Completed _ -> ()
-      | o -> Alcotest.failf "%s: %a" name Router_sim.pp_outcome o)
+      | Drive.Completed _ -> ()
+      | o -> Alcotest.failf "%s: %a" name Drive.pp_outcome o)
     [
       ("ecube", Hypercube_wormhole.ecube);
       ("duato", Hypercube_wormhole.duato);
@@ -478,8 +478,8 @@ let test_router_relaxed_deadlocks () =
     Router_sim.run ~config:{ Router_sim.fifo_depth = 2; max_cycles = 30_000; seed = 5 }
       cube3 Hypercube_wormhole.efa_relaxed t
   with
-  | Router_sim.Deadlocked _ -> ()
-  | o -> Alcotest.failf "expected deadlock, got %a" Router_sim.pp_outcome o
+  | Drive.Deadlocked _ -> ()
+  | o -> Alcotest.failf "expected deadlock, got %a" Drive.pp_outcome o
 
 let test_router_agrees_with_flit_sim_on_deadlock () =
   (* both simulators must agree on the deadlock/no-deadlock outcome under
@@ -497,11 +497,11 @@ let test_router_agrees_with_flit_sim_on_deadlock () =
       check Alcotest.bool
         (algo.Algo.name ^ " router outcome")
         expect_deadlock
-        (Router_sim.is_deadlocked r);
+        (Drive.is_deadlocked r);
       check Alcotest.bool
         (algo.Algo.name ^ " flit outcome")
         expect_deadlock
-        (Wormhole_sim.is_deadlocked w))
+        (Drive.is_deadlocked w))
     [
       (Hypercube_wormhole.efa, false);
       (Hypercube_wormhole.ecube, false);
@@ -511,8 +511,8 @@ let test_router_agrees_with_flit_sim_on_deadlock () =
 let test_router_latency_dominates_flit_sim () =
   (* same single-packet run: the pipelined router is slower by construction *)
   let t = [ { Traffic.src = 0; dst = 7; length = 4; inject_at = 0; mode = Traffic.Adaptive } ] in
-  let r = max_lat (Router_sim.stats (Router_sim.run cube3 Hypercube_wormhole.ecube t)) in
-  let w = max_lat (Wormhole_sim.stats (run_wh cube3 Hypercube_wormhole.ecube t)) in
+  let r = max_lat (Drive.stats (Router_sim.run cube3 Hypercube_wormhole.ecube t)) in
+  let w = max_lat (Drive.stats (run_wh cube3 Hypercube_wormhole.ecube t)) in
   check Alcotest.bool "router latency higher" true (r > w)
 
 let suite =
@@ -541,9 +541,9 @@ let test_router_turn_models_on_mesh () =
         Router_sim.run ~config:{ Router_sim.default_config with fifo_depth = 2 }
           net algo t
       with
-      | Router_sim.Completed s ->
+      | Drive.Completed s ->
         check Alcotest.int (name ^ " delivered") (Traffic.count t) s.Stats.delivered
-      | o -> Alcotest.failf "%s: %a" name Router_sim.pp_outcome o)
+      | o -> Alcotest.failf "%s: %a" name Drive.pp_outcome o)
     [
       ("west-first", Mesh_wormhole.west_first);
       ("odd-even", Mesh_wormhole.odd_even);
@@ -555,18 +555,18 @@ let test_router_planar_on_3d_mesh () =
   let net = Net.wormhole m ~vcs:3 in
   let t = Traffic.batch m ~pattern:Traffic.Uniform ~count:4 ~length:6 ~seed:8 in
   match Router_sim.run net Mesh_wormhole.planar_adaptive t with
-  | Router_sim.Completed s ->
+  | Drive.Completed s ->
     check Alcotest.int "delivered" (Traffic.count t) s.Stats.delivered
-  | o -> Alcotest.failf "planar-adaptive router run: %a" Router_sim.pp_outcome o
+  | o -> Alcotest.failf "planar-adaptive router run: %a" Drive.pp_outcome o
 
 let test_router_dateline_on_ring () =
   let r = Topology.ring 6 in
   let net = Net.wormhole r ~vcs:2 in
   let t = Traffic.batch r ~pattern:Traffic.Uniform ~count:8 ~length:6 ~seed:4 in
   match Router_sim.run net Torus_wormhole.dateline t with
-  | Router_sim.Completed s ->
+  | Drive.Completed s ->
     check Alcotest.int "delivered" (Traffic.count t) s.Stats.delivered
-  | o -> Alcotest.failf "dateline router run: %a" Router_sim.pp_outcome o
+  | o -> Alcotest.failf "dateline router run: %a" Drive.pp_outcome o
 
 let test_shuffle_pattern () =
   let g = Dfr_util.Prng.create 1 in
@@ -585,9 +585,9 @@ let test_transpose_traffic_completes () =
   let t = Traffic.generate topo3 ~pattern:Traffic.Transpose ~rate:0.1 ~length:6
       ~horizon:300 ~seed:5 in
   match run_wh cube3 Hypercube_wormhole.efa t with
-  | Wormhole_sim.Completed s ->
+  | Drive.Completed s ->
     check Alcotest.int "delivered" (Traffic.count t) s.Stats.delivered
-  | o -> Alcotest.failf "transpose: %a" Wormhole_sim.pp_outcome o
+  | o -> Alcotest.failf "transpose: %a" Drive.pp_outcome o
 
 let test_staggered_injection_times () =
   (* inject_at is honoured: a packet scheduled late cannot finish early *)
@@ -597,9 +597,9 @@ let test_staggered_injection_times () =
     ]
   in
   match run_wh cube3 Hypercube_wormhole.efa t with
-  | Wormhole_sim.Completed s ->
+  | Drive.Completed s ->
     check Alcotest.bool "total cycles past injection time" true (s.Stats.cycles >= 100)
-  | o -> Alcotest.failf "staggered: %a" Wormhole_sim.pp_outcome o
+  | o -> Alcotest.failf "staggered: %a" Drive.pp_outcome o
 
 let suite =
   suite
@@ -612,4 +612,163 @@ let suite =
       Alcotest.test_case "transpose traffic completes" `Quick
         test_transpose_traffic_completes;
       Alcotest.test_case "staggered injection times" `Quick test_staggered_injection_times;
+    ]
+
+(* ---------------- the shared loop: stall rule ---------------- *)
+
+(* A scripted model with no network: cycle c fires the script's events
+   and reports its tally; past the script every cycle is silent with
+   packets in flight.  [in_flight] reads 100 + c, so a deadlock's figure
+   shows which cycle's tally it took. *)
+let toy ?(max_cycles = 50) ?wait_for script =
+  let script = Array.of_list script in
+  let at c =
+    if c < Array.length script then script.(c)
+    else (0, `Unfinished)
+  in
+  let progress =
+    [|
+      { Drive.inject_at = 2; injected = true; flits = 3; finished = Some 9 };
+      { Drive.inject_at = 0; injected = true; flits = 1; finished = None };
+      { Drive.inject_at = 40; injected = false; flits = 0; finished = None };
+    |]
+  in
+  Drive.run
+    {
+      Drive.name = "toy";
+      max_cycles;
+      step = (fun c -> fst (at c));
+      tally =
+        (fun c ->
+          {
+            Drive.unfinished = snd (at c) <> `Done;
+            pending = snd (at c) = `Pending;
+            in_flight = 100 + c;
+          });
+      progress = (fun () -> progress);
+      wait_for;
+    }
+
+let busy = (1, `Unfinished)
+let silent = (0, `Unfinished)
+let silent_due = (0, `Pending)
+
+let deadlock_cycle = function
+  | Drive.Deadlocked { cycle; in_flight; _ } ->
+    check Alcotest.int "in_flight from that cycle's tally" (100 + cycle) in_flight;
+    cycle
+  | o -> Alcotest.failf "expected deadlock, got %a" Drive.pp_outcome o
+
+let test_drive_completes_when_tally_empties () =
+  (match toy [ busy; silent; busy; (0, `Done) ] with
+  | Drive.Completed s ->
+    check Alcotest.int "stats at the completing cycle" 3 s.Stats.cycles;
+    check Alcotest.int "injected" 2 s.Stats.injected;
+    check Alcotest.int "delivered" 1 s.Stats.delivered;
+    check Alcotest.int "flits" 4 s.Stats.flits_delivered;
+    check (Alcotest.list Alcotest.int) "latency finish - inject + 1" [ 8 ]
+      s.Stats.latencies
+  | o -> Alcotest.failf "expected completion, got %a" Drive.pp_outcome o);
+  (* completion outranks a silent count that would otherwise end the run *)
+  match toy [ silent; silent; (0, `Done) ] with
+  | Drive.Completed s -> check Alcotest.int "cycle" 2 s.Stats.cycles
+  | o -> Alcotest.failf "expected completion, got %a" Drive.pp_outcome o
+
+let test_drive_third_silent_cycle () =
+  check Alcotest.int "third silent cycle" 3
+    (deadlock_cycle (toy [ busy; silent; silent; silent; busy ]));
+  (* two silent cycles then an event, over and over: never a deadlock *)
+  (match toy ~max_cycles:30 (List.concat (List.init 10 (fun _ -> [ silent; silent; busy ]))) with
+  | Drive.Timeout s -> check Alcotest.int "ran to max_cycles" 30 s.Stats.cycles
+  | o -> Alcotest.failf "two silent cycles ended the run: %a" Drive.pp_outcome o);
+  check Alcotest.int "from cycle 0" 2 (deadlock_cycle (toy [ silent; silent; silent ]))
+
+let test_drive_silence_resets () =
+  check Alcotest.int "an event resets" 5
+    (deadlock_cycle (toy [ silent; silent; busy; silent; silent; silent ]));
+  check Alcotest.int "a due packet resets" 5
+    (deadlock_cycle (toy [ silent; silent; silent_due; silent; silent; silent ]));
+  check Alcotest.int "silence while due never counts" 6
+    (deadlock_cycle (toy [ silent_due; silent_due; silent_due; silent_due ]))
+
+let test_drive_timeout_and_wait_for () =
+  (match toy ~max_cycles:7 (List.init 20 (fun _ -> busy)) with
+  | Drive.Timeout s ->
+    check Alcotest.int "stats at max_cycles" 7 s.Stats.cycles;
+    check Alcotest.int "delivered" 1 s.Stats.delivered
+  | o -> Alcotest.failf "expected timeout, got %a" Drive.pp_outcome o);
+  (* the wait-for graph is read at the deadlock cycle, and only from
+     models that keep one *)
+  (match toy ~wait_for:(fun c -> [ (c, 0) ]) [ busy; silent; silent; silent ] with
+  | Drive.Deadlocked { cycle = 3; wait_for = Some [ (3, 0) ]; _ } -> ()
+  | o -> Alcotest.failf "expected wait-for at cycle 3, got %a" Drive.pp_outcome o);
+  match toy [ silent; silent; silent ] with
+  | Drive.Deadlocked { wait_for = None; _ } -> ()
+  | o -> Alcotest.failf "expected no wait-for graph, got %a" Drive.pp_outcome o
+
+let test_saf_preload_refuses_chains () =
+  let b = List.map Buf.id (Net.transit_buffers saf33) in
+  let chain = [ List.nth b 0; List.nth b 1 ] in
+  Alcotest.check_raises "two-buffer chain"
+    (Invalid_argument
+       "Saf_sim.run_preloaded: a store-and-forward packet occupies exactly one \
+        buffer") (fun () ->
+      ignore
+        (Saf_sim.run_preloaded saf33 Mesh_saf.two_buffer
+           [ { Drive.chain; dest = 8; frozen = false } ]));
+  Alcotest.check_raises "empty chain"
+    (Invalid_argument
+       "Saf_sim.run_preloaded: a store-and-forward packet occupies exactly one \
+        buffer") (fun () ->
+      ignore
+        (Saf_sim.run_preloaded saf33 Mesh_saf.two_buffer
+           [ { Drive.chain = []; dest = 8; frozen = false } ]))
+
+(* Store-and-forward True-Cycle witnesses ride the same preload list as
+   wormhole ones: the classifier's chains are single buffers there, and
+   the SAF model must confirm them.  The catalogue's SAF deadlocks are all
+   knots, so the cases are the CI fuzz campaign's (seed 42, 300 trials). *)
+let test_saf_true_cycle_replay () =
+  let replayed = ref 0 in
+  for trial = 0 to 299 do
+    let seed = Dfr_fuzz.Fuzz.trial_seed ~seed:42 ~trial in
+    let net, algo =
+      Dfr_fuzz.Case.to_net_algo
+        (Dfr_fuzz.Gen.case (Dfr_util.Prng.create seed) ~max_nodes:9)
+    in
+    if Net.switching net <> Net.Wormhole then
+      let report = Checker.check net algo in
+      match report.Checker.verdict with
+      | Checker.Deadlock_possible
+          ((Checker.True_cycle { packets; _ } | Checker.No_reduction { packets; _ })
+           as failure) ->
+        incr replayed;
+        List.iter
+          (fun (p : Drive.preload) ->
+            check Alcotest.int "single-buffer chain" 1 (List.length p.Drive.chain))
+          (Dfr_scenario.Scenario.preloads_of_true_cycle report.Checker.space packets);
+        check
+          (Alcotest.option Alcotest.bool)
+          (Printf.sprintf "trial %d replay" trial)
+          (Some true)
+          (Dfr_scenario.Scenario.replay ~space:report.Checker.space net algo failure)
+      | _ -> ()
+  done;
+  check Alcotest.bool "some SAF True Cycle replayed" true (!replayed > 0)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "drive: completed when the tally empties" `Quick
+        test_drive_completes_when_tally_empties;
+      Alcotest.test_case "drive: deadlock on the third silent cycle" `Quick
+        test_drive_third_silent_cycle;
+      Alcotest.test_case "drive: events and due packets reset silence" `Quick
+        test_drive_silence_resets;
+      Alcotest.test_case "drive: timeout stats and wait-for graph" `Quick
+        test_drive_timeout_and_wait_for;
+      Alcotest.test_case "saf preload refuses multi-buffer chains" `Quick
+        test_saf_preload_refuses_chains;
+      Alcotest.test_case "saf True-Cycle witnesses replay" `Quick
+        test_saf_true_cycle_replay;
     ]
