@@ -26,9 +26,10 @@ end)
 type t = {
   space : State_space.t;
   graph : Digraph.t;
-  witnesses : wcell Itbl.t; (* keyed by q1 * num_buffers + q2 *)
+  witnesses : int -> int -> witness list;
+      (* of q1 -> q2, both in range: the recorder's cell, or a session's
+         derivation *)
   wait_sets : wait_sets;
-  witness_cap : int;
 }
 
 let space t = t.space
@@ -45,16 +46,18 @@ let succ_row t q1 =
 
 let witnesses t q1 q2 =
   let n = Digraph.num_vertices t.graph in
-  if q1 < 0 || q1 >= n || q2 < 0 || q2 >= n then []
-  else
-    match Itbl.find_opt t.witnesses ((q1 * n) + q2) with
-    | Some cell -> List.rev cell.ws
-    | None -> []
+  if q1 < 0 || q1 >= n || q2 < 0 || q2 >= n then [] else t.witnesses q1 q2
 
-(* Waiting edges contributed by one destination's traffic: a pure function
-   of the destination's slice of the state table, so destinations can be
-   processed by separate domains.  All work here is sized by the k states
-   the destination can reach, not by the network's B buffers.
+(* The (occupied state, waiting head) groups of one destination's
+   traffic: a pure function of the destination's slice of the state
+   table, so destinations can be processed by separate domains.  All work
+   here is sized by the k states the destination can reach, not by the
+   network's B buffers.
+
+   [group i h] receives, in local ids, every occupied state [i] and every
+   state [h] its blocked header can sit in that has waits ([waiting h]),
+   [i] ascending and, per [i], [h] ascending.  A packet-buffered header
+   sits in the occupied buffer itself.
 
    For wormhole switching the blocked header of a packet occupying [q1]
    can sit in any buffer reachable from [q1] in the destination's move
@@ -64,28 +67,12 @@ let witnesses t q1 q2 =
    points to a lower index), so one pass over components in ascending
    index order computes every closure: seed the component's own members,
    then union in the already-complete closures of its successor
-   components — a word-parallel bitset [lor] each.
-
-   [emit q1 w wit] receives each waiting edge in a deterministic order
-   (q1 ascending, heads ascending, waits in rule order); the serial build
-   passes its edge recorder directly, the domain fan-out accumulates
-   per-destination lists and replays them in destination order so both
-   paths see the same sequence.  [wait_sets = None] reads the algorithm's
-   waiting sets straight off the slice. *)
-let edges_for_dest space ~wait_sets ~wormhole ~dense_closures dest ~emit =
-  let v = State_space.dest_view space ~dest in
-  let bufs = v.State_space.view_bufs in
-  let k = Array.length bufs in
-  let waits_of i =
-    match wait_sets with
-    | None -> v.State_space.view_wts.(i)
-    | Some ws -> ws ~buf:bufs.(i) ~dest
-  in
+   components — a word-parallel bitset [lor] each. *)
+let iter_groups (v : State_space.dest_view) ~waiting ~wormhole ~dense_closures ~group =
+  let k = Array.length v.State_space.view_bufs in
   if not wormhole then
     for i = 0 to k - 1 do
-      let q1 = bufs.(i) in
-      let wit = { dest; head = q1 } in
-      List.iter (fun w -> emit q1 w wit) (waits_of i)
+      if waiting i then group i i
     done
   else begin
     let g = v.State_space.view_moves in
@@ -169,17 +156,6 @@ let edges_for_dest space ~wait_sets ~wormhole ~dense_closures dest ~emit =
     done;
     Obs.count "bwg.closure.words" (Rows.storage_words closures);
     Obs.count "bwg.closure.dense-rows" (Rows.dense_rows closures);
-    (* Only heads with a non-empty waiting set generate edges: resolve each
-       head's waiting set and (shared) witness record once per destination
-       into an array, so collecting a component's heads is one pass over
-       its closure bits with an O(1) lookup per element — no per-component
-       list filtering. *)
-    let head_info =
-      Array.init k (fun i ->
-          match waits_of i with
-          | [] -> None
-          | ws -> Some ({ dest; head = bufs.(i) }, ws))
-    in
     (* waiting heads in a component's closure (ascending), memoized *)
     let heads_of = Array.make count None in
     let heads c =
@@ -187,23 +163,38 @@ let edges_for_dest space ~wait_sets ~wormhole ~dense_closures dest ~emit =
       | Some hs -> hs
       | None ->
         let acc = ref [] in
-        Rows.iter_row
-          (fun v ->
-            match head_info.(v) with
-            | Some info -> acc := info :: !acc
-            | None -> ())
-          closures c;
+        Rows.iter_row (fun h -> if waiting h then acc := h :: !acc) closures c;
         let hs = List.rev !acc in
         heads_of.(c) <- Some hs;
         hs
     in
     for i = 0 to k - 1 do
-      let q1 = bufs.(i) in
-      List.iter
-        (fun (wit, ws) -> List.iter (fun w -> emit q1 w wit) ws)
-        (heads comp.(i))
+      List.iter (group i) (heads comp.(i))
     done
   end
+
+(* Waiting edges of one destination's traffic: each group's head's waits,
+   in rule order, emitted for its occupied buffer with one witness record
+   per head.  [emit q1 w wit] receives them in a deterministic order
+   (q1 ascending, heads ascending, waits in rule order); the serial build
+   passes its edge recorder directly, the domain fan-out accumulates
+   per-destination lists and replays them in destination order so both
+   paths see the same sequence.  [wait_sets = None] reads the algorithm's
+   waiting sets straight off the slice. *)
+let edges_for_dest space ~wait_sets ~wormhole ~dense_closures dest ~emit =
+  let v = State_space.dest_view space ~dest in
+  let bufs = v.State_space.view_bufs in
+  let waits =
+    match wait_sets with
+    | None -> v.State_space.view_wts
+    | Some ws -> Array.map (fun buf -> ws ~buf ~dest) bufs
+  in
+  let wits = Array.map (fun head -> { dest; head }) bufs in
+  iter_groups v ~wormhole ~dense_closures
+    ~waiting:(fun h -> waits.(h) <> [])
+    ~group:(fun i h ->
+      let q1 = bufs.(i) and wit = wits.(h) in
+      List.iter (fun w -> emit q1 w wit) waits.(h))
 
 let default_wait_sets space =
  fun ~buf ~dest -> State_space.waits space ~buf ~dest
@@ -232,36 +223,22 @@ let dest_edges ?wait_sets ?(dense_closures = false) space ~dest ~emit =
   let wormhole = Net.switching (State_space.net space) = Net.Wormhole in
   edges_for_dest space ~wait_sets ~wormhole ~dense_closures dest ~emit
 
-type group = { q1 : int; head : int; targets : int list }
-
-(* [dest_edges] emits, for each q1 and each waiting head in q1's closure,
-   that head's waits in rule order, so grouping on a change of
-   (q1, head) is lossless: the groups' targets, concatenated in order,
-   are the emission sequence. *)
-let dest_groups ?wait_sets space ~dest =
-  let groups = ref [] in
-  let q1 = ref (-1) and head = ref (-1) and targets = ref [] in
-  let flush () =
-    if !q1 >= 0 then
-      groups := { q1 = !q1; head = !head; targets = List.rev !targets } :: !groups
+(* a BWG over a recorder's adjacency and witness cells *)
+let recorded space graph cells wait_sets =
+  let n = Digraph.num_vertices graph in
+  let witnesses q1 q2 =
+    match Itbl.find_opt cells ((q1 * n) + q2) with
+    | Some cell -> List.rev cell.ws
+    | None -> []
   in
-  dest_edges ?wait_sets space ~dest ~emit:(fun q1' q2 wit ->
-      if q1' <> !q1 || wit.head <> !head then begin
-        flush ();
-        q1 := q1';
-        head := wit.head;
-        targets := []
-      end;
-      targets := q2 :: !targets);
-  flush ();
-  List.rev !groups
+  { space; graph; witnesses; wait_sets }
 
 let replay ?wait_sets ?(witness_cap = 32) space f =
   let graph = Digraph.create (State_space.num_buffers space) in
   let witnesses = Itbl.create 1024 in
   f (make_recorder ~witness_cap ~graph ~witnesses);
-  let wait_sets = Option.value wait_sets ~default:(default_wait_sets space) in
-  { space; graph; witnesses; wait_sets; witness_cap }
+  recorded space graph witnesses
+    (Option.value wait_sets ~default:(default_wait_sets space))
 
 (* [f d] for every destination, over [domains] pool workers when there
    is more than one.  Work items are single destinations claimed off an
@@ -318,36 +295,47 @@ let build ?(witness_cap = 32) ?(indirect = true) ?(domains = 1)
      would overwrite the figure the report prints *)
   Obs.gauge "bwg.vertices" (float_of_int num_bufs);
   Obs.gauge "bwg.edges" (float_of_int (Digraph.num_edges graph));
-  { space; graph; witnesses; wait_sets = default_wait_sets space; witness_cap }
+  recorded space graph witnesses (default_wait_sets space)
 
-(* Kahn's pass over the adjacency directly: no frozen CSR, no sorting —
-   acyclicity does not depend on visit order. *)
-let is_acyclic t =
-  let g = t.graph in
+(* Kahn's pass over the adjacency directly (no frozen CSR): [Some rank],
+   rank.(v) the position of [v] in a topological order, when the graph is
+   acyclic.  It decides [is_acyclic] and renews a session's
+   certificate. *)
+let topo_rank g =
   let n = Digraph.num_vertices g in
   let indeg = Array.make n 0 in
   for v = 0 to n - 1 do
     Digraph.iter_succ (fun w -> indeg.(w) <- indeg.(w) + 1) g v
   done;
-  let stack = ref [] in
+  let order = Array.make n 0 in
+  let filled = ref 0 in
   for v = 0 to n - 1 do
-    if indeg.(v) = 0 then stack := v :: !stack
+    if indeg.(v) = 0 then begin
+      order.(!filled) <- v;
+      incr filled
+    end
   done;
-  let seen = ref 0 in
-  let continue = ref true in
-  while !continue do
-    match !stack with
-    | [] -> continue := false
-    | v :: tl ->
-      stack := tl;
-      incr seen;
-      Digraph.iter_succ
-        (fun w ->
-          indeg.(w) <- indeg.(w) - 1;
-          if indeg.(w) = 0 then stack := w :: !stack)
-        g v
+  let head = ref 0 in
+  while !head < !filled do
+    let v = order.(!head) in
+    incr head;
+    Digraph.iter_succ
+      (fun w ->
+        indeg.(w) <- indeg.(w) - 1;
+        if indeg.(w) = 0 then begin
+          order.(!filled) <- w;
+          incr filled
+        end)
+      g v
   done;
-  !seen = n
+  if !filled < n then None
+  else begin
+    (* every in-degree is back at 0: the array takes the ranks *)
+    Array.iteri (fun i v -> indeg.(v) <- i) order;
+    Some indeg
+  end
+
+let is_acyclic t = Option.is_some (topo_rank t.graph)
 
 (* Only the Theorem-1 certificate needs a materialized order; freeze a
    transient CSR so the output is byte-identical to the historical frozen
@@ -375,75 +363,76 @@ let to_dot t =
     ~vertex_label:(fun v -> Net.describe_buffer net v)
     t.graph
 
-(* A wait-set session keeps one BWG' up to date under removals and
-   restorations of wait entries (DESIGN.md §9).
+(* A session keeps one BWG' up to date under wait-entry removals and
+   restorations and under slice replacements (DESIGN.md §9).
 
    With routes fixed, a destination's emission sequence under any subset
-   of its waiting rule is its groups under the full rule with each
-   group's targets narrowed to the head's live entries (a head whose
-   entries are all removed emits nothing), so the closures run once, on
-   the first read.  A changed entry (head, dest, target) can then only
-   change the witnesses [dest] gives the edges q1 -> target of the groups
-   headed by [head]: re-deriving a dirty destination recomputes those
-   slots from their q1's run of groups and patches the ones that differ.
-
-   Every edge keeps a slot per contributing destination, destinations
-   ascending, holding that destination's witnesses in emission order; the
-   edge's witness cell is the first [witness_cap] of their concatenation
-   — what the cold recorder keeps — and the edge exists while some slot
-   does.  Witness records are allocated once per state, so slots compare
-   by physical equality.  Edges enter the adjacency in cold order on the
-   first read; later patches append, so rows may drift from it. *)
+   of its waiting rule is its groups under the full rule with each head's
+   waits narrowed to its live entries (a head whose entries are all
+   removed emits nothing), so the closures run once per destination, on
+   the first read.  The session keeps those groups and, per edge, the
+   number of live emissions: the edge exists while its count is positive.
+   A changed entry (head, dest, target) moves by one the count of
+   q1 -> target for each of [dest]'s groups headed by [head]; a read
+   applies the changes noted since the last one.  No witness list is
+   stored: a read derives an edge's from the groups, in the recorder's
+   order.  Edges enter the adjacency in cold order on the first read;
+   later ones append, so rows may drift from it. *)
 module Session = struct
   type bwg = t
 
-  type slot = { mutable per_dest : (int * witness list) list; cell : wcell }
-
-  type derived = {
-    bwg : bwg;
-    q1s : int array array; (* per dest: each group's q1, in emission order *)
-    heads : int array array; (* per dest: each group's head, a local state *)
-    headed : int list array array; (* per dest, per local state: its groups *)
-    wits : witness array array; (* per dest, per local state *)
-    slots : slot Itbl.t; (* keyed by q1 * num_buffers + q2 *)
-  }
+  (* One destination's groups: local state [i]'s are [first.(i)] ..
+     [first.(i + 1) - 1], group [j] headed by local state [heads.(j)]. *)
+  type groups = { first : int array; heads : int array }
 
   type t = {
-    space : State_space.t;
+    mutable space : State_space.t;
     witness_cap : int;
     domains : int;
+    rule : wait_sets option; (* [None]: the algorithm's waiting sets *)
     base : int list array array; (* per dest, per local state: the rule *)
-    live : int list array array; (* subsequences of [base] *)
-    mutable derived : derived option;
-    changed : (int * int) list array;
-        (* per dest: (local state, target) entries changed since the last read *)
+    live : int list array array;
+        (* subsequences of [base]; a row is [base]'s own array until its
+           first change *)
+    groups : groups array; (* per dest, from the first read on *)
+    mutable captured : bool;
+    counts : int ref Itbl.t; (* q1 * num_buffers + q2 -> live emissions *)
+    graph : Digraph.t;
+    mutable zeroed : int list; (* keys whose count reached 0 since the last sweep *)
+    mutable rank : int array option; (* a valid topological rank, if known *)
+    changed : (int * int * int) list array;
+        (* per dest: (local state, target, +1 or -1) since the last read,
+           newest first *)
     mutable dirty : int list; (* the destinations with changes *)
   }
 
-  (* [f ~dest view] for every destination's view *)
-  let per_dest space f =
-    Array.init (State_space.num_nodes space) (fun dest ->
-        f ~dest (State_space.dest_view space ~dest))
+  let rule_of rule space dest =
+    let v = State_space.dest_view space ~dest in
+    match rule with
+    | None -> v.State_space.view_wts
+    | Some ws -> Array.map (fun buf -> ws ~buf ~dest) v.State_space.view_bufs
 
   let create ?(witness_cap = 32) ?waits ?(domains = 1) space =
     let n = State_space.num_nodes space in
-    let base =
-      per_dest space (fun ~dest v ->
-          match waits with
-          | None -> v.State_space.view_wts
-          | Some ws -> Array.map (fun buf -> ws ~buf ~dest) v.State_space.view_bufs)
-    in
+    let base = Array.init n (rule_of waits space) in
     {
       space;
       witness_cap;
       domains;
+      rule = waits;
       base;
-      live = Array.map Array.copy base;
-      derived = None;
+      live = Array.copy base;
+      groups = Array.make n { first = [||]; heads = [||] };
+      captured = false;
+      counts = Itbl.create 1024;
+      graph = Digraph.create (State_space.num_buffers space);
+      zeroed = [];
+      rank = None;
       changed = Array.make n [];
       dirty = [];
     }
 
+  let space s = s.space
   let find s ~buf ~dest = State_space.index s.space ~buf ~dest
 
   let waits s ~buf ~dest =
@@ -456,16 +445,20 @@ module Session = struct
     || List.mem target s.live.(dest).(i)
     || not (List.mem target s.base.(dest).(i))
 
-  (* apply [f] to the live entries of a reachable state, noting the change *)
-  let change s ~buf ~dest target what f =
+  (* apply [f] to the live entries of a reachable state, noting the change
+     once there are counts to move *)
+  let change s ~buf ~dest target what delta f =
     let i = find s ~buf ~dest in
     if i < 0 then invalid_arg ("Bwg.Session." ^ what ^ ": unreachable state");
+    if s.live.(dest) == s.base.(dest) then s.live.(dest) <- Array.copy s.base.(dest);
     s.live.(dest).(i) <- f s.base.(dest).(i) s.live.(dest).(i);
-    if s.changed.(dest) = [] then s.dirty <- dest :: s.dirty;
-    s.changed.(dest) <- (i, target) :: s.changed.(dest)
+    if s.captured then begin
+      if s.changed.(dest) = [] then s.dirty <- dest :: s.dirty;
+      s.changed.(dest) <- (i, target, delta) :: s.changed.(dest)
+    end
 
   let remove s ~buf ~dest target =
-    change s ~buf ~dest target "remove" (fun _ live ->
+    change s ~buf ~dest target "remove" (-1) (fun _ live ->
         let rec drop = function
           | [] -> invalid_arg "Bwg.Session.remove: not a live wait entry"
           | w :: rest -> if w = target then rest else w :: drop rest
@@ -481,193 +474,215 @@ module Session = struct
       | _ :: rule', _ -> readmit rule' live
       | [], _ -> invalid_arg "Bwg.Session.restore: not a removed wait entry"
     in
-    change s ~buf ~dest target "restore" readmit
+    change s ~buf ~dest target "restore" 1 readmit
 
-  (* the cell reads the first [witness_cap] witnesses over the slots *)
-  let refill cap sl =
-    let rec take n acc = function
-      | [] -> (n, acc)
-      | (_, ws) :: rest ->
-        let rec each n acc = function
-          | w :: tl when n < cap -> each (n + 1) (w :: acc) tl
-          | _ -> (n, acc)
-        in
-        let n, acc = each n acc ws in
-        if n >= cap then (n, acc) else take n acc rest
-    in
-    let n, ws = take 0 [] sl.per_dest in
-    sl.cell.count <- n;
-    sl.cell.ws <- ws
+  (* One more or one fewer live emission of q1 -> q2.  An edge enters the
+     adjacency when its count leaves 0, checked against the rank, and
+     leaves at the next sweep if its count is 0 then.  A count never goes
+     below 0: each group's own share of it does not. *)
+  let bump s q1 q2 delta =
+    let key = (q1 * Digraph.num_vertices s.graph) + q2 in
+    match Itbl.find_opt s.counts key with
+    | Some c ->
+      c := !c + delta;
+      if !c = 0 then s.zeroed <- key :: s.zeroed
+    | None -> (
+      Itbl.add s.counts key (ref delta);
+      Digraph.unsafe_add_edge s.graph q1 q2;
+      match s.rank with
+      | Some r when r.(q1) >= r.(q2) -> s.rank <- None
+      | _ -> ())
 
-  let add_edge dr key sl =
-    let g = dr.bwg.graph in
-    let nb = Digraph.num_vertices g in
-    Itbl.add dr.bwg.witnesses key sl.cell;
-    Digraph.unsafe_add_edge g (key / nb) (key mod nb)
+  let sweep s =
+    let nb = Digraph.num_vertices s.graph in
+    List.iter
+      (fun key ->
+        match Itbl.find_opt s.counts key with
+        | Some c when !c = 0 ->
+          Itbl.remove s.counts key;
+          Digraph.remove_edge s.graph (key / nb) (key mod nb)
+        | _ -> ())
+      s.zeroed;
+    s.zeroed <- []
 
-  (* set destination [d]'s witnesses of edge [key] to [ws] ([[]]: none) *)
-  let patch s dr key d ws =
-    match Itbl.find_opt dr.slots key with
-    | None ->
-      if ws <> [] then begin
-        let sl = { per_dest = [ (d, ws) ]; cell = { count = 0; ws = [] } } in
-        refill s.witness_cap sl;
-        Itbl.add dr.slots key sl;
-        add_edge dr key sl
-      end
-    | Some sl ->
-      let old = Option.value (List.assoc_opt d sl.per_dest) ~default:[] in
-      if not (List.equal ( == ) old ws) then begin
-        let rec set = function
-          | ((d', _) as x) :: rest when d' < d -> x :: set rest
-          | (d', _) :: rest when d' = d -> if ws = [] then rest else (d, ws) :: rest
-          | rest -> if ws = [] then rest else (d, ws) :: rest
-        in
-        sl.per_dest <- set sl.per_dest;
-        if sl.per_dest <> [] then refill s.witness_cap sl
-        else begin
-          let g = dr.bwg.graph in
-          let nb = Digraph.num_vertices g in
-          Itbl.remove dr.slots key;
-          Itbl.remove dr.bwg.witnesses key;
-          Digraph.remove_edge g (key / nb) (key mod nb)
-        end
-      end
-
-  (* Re-derive destination [d]: the witnesses it now gives every edge a
-     changed entry generates — each edge's q1 run of groups, in emission
-     order — then patch the slots that differ. *)
-  let rederive s dr d =
-    let nb = State_space.num_buffers s.space in
-    let q1s = dr.q1s.(d) and heads = dr.heads.(d) in
-    let wits = dr.wits.(d) and live = s.live.(d) in
-    let fresh =
-      Obs.span "bwg.closure" @@ fun () ->
-      let touched =
-        List.sort_uniq
-          (fun (a, _, _) (b, _, _) -> Int.compare a b)
-          (List.concat_map
-             (fun (h, t) ->
-               List.map (fun g -> ((q1s.(g) * nb) + t, g, t)) dr.headed.(d).(h))
-             s.changed.(d))
-      in
-      List.map
-        (fun (key, g, t) ->
-          let q1 = q1s.(g) in
-          let g = ref g and acc = ref [] in
-          while !g > 0 && q1s.(!g - 1) = q1 do
-            decr g
-          done;
-          while !g < Array.length q1s && q1s.(!g) = q1 do
-            let h = heads.(!g) in
-            List.iter (fun w -> if w = t then acc := wits.(h) :: !acc) live.(h);
-            incr g
-          done;
-          (key, List.rev !acc))
-        touched
-    in
-    Obs.span "bwg.patch" (fun () ->
-        List.iter (fun (key, ws) -> patch s dr key d ws) fresh)
-
-  (* destination [d]'s emissions under the live sets [live], in order *)
-  let iter_emissions dr live d emit =
-    let heads = dr.heads.(d) and wits = dr.wits.(d) in
-    Array.iteri
-      (fun g q1 ->
-        let h = heads.(g) in
-        List.iter (fun w -> emit q1 w wits.(h)) live.(d).(h))
-      dr.q1s.(d)
-
-  (* The first read: capture every destination's groups under the rule
-     (the closures, over the pool with [domains] > 1), then stream the
-     emissions into the slots as the cold recorder would, building each
-     list newest first and turning it round at the end. *)
-  let derive_all s =
-    let n = State_space.num_nodes s.space in
-    let nb = State_space.num_buffers s.space in
-    let bwg =
-      {
-        space = s.space;
-        graph = Digraph.create nb;
-        witnesses = Itbl.create 1024;
-        wait_sets = (fun ~buf ~dest -> waits s ~buf ~dest);
-        witness_cap = s.witness_cap;
-      }
-    in
-    let dr =
-      {
-        bwg;
-        q1s = Array.make n [||];
-        heads = Array.make n [||];
-        headed = Array.map (fun rule -> Array.make (Array.length rule) []) s.base;
-        wits =
-          per_dest s.space (fun ~dest v ->
-              Array.map (fun head -> { dest; head }) v.State_space.view_bufs);
-        slots = Itbl.create 1024;
-      }
-    in
-    let rule ~buf ~dest = s.base.(dest).(find s ~buf ~dest) in
-    let capture d =
-      Obs.span "bwg.closure" @@ fun () ->
-      let groups = Array.of_list (dest_groups ~wait_sets:rule s.space ~dest:d) in
-      let heads = Array.map (fun g -> find s ~buf:g.head ~dest:d) groups in
-      dr.q1s.(d) <- Array.map (fun g -> g.q1) groups;
-      dr.heads.(d) <- heads;
-      for g = Array.length heads - 1 downto 0 do
-        dr.headed.(d).(heads.(g)) <- g :: dr.headed.(d).(heads.(g))
+  (* [f q1 h] for destination [d]'s groups in emission order: the occupied
+     buffer and the head's local state *)
+  let iter_dest_groups s d f =
+    let { first; heads } = s.groups.(d) in
+    let bufs = (State_space.dest_view s.space ~dest:d).State_space.view_bufs in
+    for i = 0 to Array.length first - 2 do
+      for j = first.(i) to first.(i + 1) - 1 do
+        f bufs.(i) heads.(j)
       done
-    in
-    each_dest ~domains:s.domains n capture;
-    Obs.span "bwg.patch" (fun () ->
-        for d = 0 to n - 1 do
-          iter_emissions dr s.live d (fun q1 w wit ->
-              let key = (q1 * nb) + w in
-              match Itbl.find_opt dr.slots key with
-              | None ->
-                let sl = { per_dest = [ (d, [ wit ]) ]; cell = { count = 0; ws = [] } } in
-                Itbl.add dr.slots key sl;
-                add_edge dr key sl
-              | Some sl -> (
-                match sl.per_dest with
-                | (d', ws) :: rest when d' = d -> sl.per_dest <- (d, wit :: ws) :: rest
-                | rest -> sl.per_dest <- (d, [ wit ]) :: rest))
-        done;
-        Itbl.iter
-          (fun _ sl ->
-            sl.per_dest <- List.rev_map (fun (d, ws) -> (d, List.rev ws)) sl.per_dest;
-            refill s.witness_cap sl)
-          dr.slots);
-    dr
+    done
 
-  let derived s =
-    let derived, dr =
-      match s.derived with
-      | None ->
-        let dr = derive_all s in
-        s.derived <- Some dr;
-        (Array.length s.changed, dr)
-      | Some dr ->
+  (* [delta] on every live emission of destination [d] *)
+  let bump_dest s d delta =
+    let live = s.live.(d) in
+    iter_dest_groups s d (fun q1 h -> List.iter (fun w -> bump s q1 w delta) live.(h))
+
+  (* destination [d]'s noted changes, oldest first, on every group their
+     head heads *)
+  let apply_changes s d =
+    let by_head = Hashtbl.create 8 in
+    List.iter
+      (fun (h, t, delta) ->
+        let later = Option.value (Hashtbl.find_opt by_head h) ~default:[] in
+        Hashtbl.replace by_head h ((t, delta) :: later))
+      s.changed.(d);
+    iter_dest_groups s d (fun q1 h ->
+        match Hashtbl.find_opt by_head h with
+        | Some ts -> List.iter (fun (t, delta) -> bump s q1 t delta) ts
+        | None -> ())
+
+  (* destination [d]'s groups under its rule: the closures *)
+  let capture s d =
+    Obs.span "bwg.closure" @@ fun () ->
+    let rule = s.base.(d) in
+    let k = Array.length rule in
+    let first = Array.make (k + 1) 0 in
+    let heads = ref (Array.make (max k 16) 0) and len = ref 0 in
+    iter_groups
+      (State_space.dest_view s.space ~dest:d)
+      ~wormhole:(Net.switching (State_space.net s.space) = Net.Wormhole)
+      ~dense_closures:false
+      ~waiting:(fun h -> rule.(h) <> [])
+      ~group:(fun i h ->
+        if !len = Array.length !heads then
+          heads := Array.append !heads (Array.make !len 0);
+        !heads.(!len) <- h;
+        incr len;
+        first.(i + 1) <- !len);
+    (* a state without groups starts and ends where the last one ends *)
+    for i = 1 to k do
+      first.(i) <- max first.(i) first.(i - 1)
+    done;
+    { first; heads = Array.sub !heads 0 !len }
+
+  (* Bring the counts up to the live sets.  The first read captures every
+     destination's groups (over the pool with [domains] > 1) and counts
+     their emissions, destinations ascending, as the cold recorder sees
+     them; later reads apply the noted changes. *)
+  let sync s =
+    let rederived =
+      if not s.captured then begin
+        let n = Array.length s.groups in
+        each_dest ~domains:s.domains n (fun d -> s.groups.(d) <- capture s d);
+        s.captured <- true;
+        Obs.span "bwg.patch" (fun () ->
+            for d = 0 to n - 1 do
+              bump_dest s d 1
+            done);
+        n
+      end
+      else begin
         let dirty = List.sort Int.compare s.dirty in
-        List.iter (rederive s dr) dirty;
-        (List.length dirty, dr)
+        Obs.span "bwg.patch" (fun () ->
+            List.iter (apply_changes s) dirty;
+            sweep s);
+        List.iter (fun d -> s.changed.(d) <- []) dirty;
+        s.dirty <- [];
+        List.length dirty
+      end
     in
-    List.iter (fun d -> s.changed.(d) <- []) s.dirty;
-    s.dirty <- [];
-    Obs.count "bwg.session.rederived" derived;
-    dr
+    Obs.count "bwg.session.rederived" rederived
 
-  let bwg s = (derived s).bwg
+  (* What the cold recorder keeps for q1 -> q2: destinations ascending;
+     in each, q1's groups in emission order, a witness per live emission
+     of q2 by the group's head; the first [witness_cap]. *)
+  let derive s q1 q2 =
+    if not (Itbl.mem s.counts ((q1 * Digraph.num_vertices s.graph) + q2)) then []
+    else begin
+      let acc = ref [] and n = ref 0 in
+      Array.iteri
+        (fun dest { first; heads } ->
+          let i = find s ~buf:q1 ~dest in
+          if i >= 0 && !n < s.witness_cap then begin
+            let bufs = (State_space.dest_view s.space ~dest).State_space.view_bufs in
+            for j = first.(i) to first.(i + 1) - 1 do
+              let h = heads.(j) in
+              List.iter
+                (fun w ->
+                  if w = q2 && !n < s.witness_cap then begin
+                    acc := { dest; head = bufs.(h) } :: !acc;
+                    incr n
+                  end)
+                s.live.(dest).(h)
+            done
+          end)
+        s.groups;
+      List.rev !acc
+    end
+
+  let bwg s : bwg =
+    sync s;
+    {
+      space = s.space;
+      graph = s.graph;
+      witnesses = derive s;
+      wait_sets = (fun ~buf ~dest -> waits s ~buf ~dest);
+    }
+
+  let rank s =
+    sync s;
+    if s.rank = None then s.rank <- topo_rank s.graph;
+    s.rank
+
+  (* Incr's quick-path rule: a destination keeps its groups when its
+     routes, and with them its states, move graph and closures, are
+     unchanged and no head with an empty rule gains entries (its groups
+     would have to be inserted).  Kept groups emit the new rule's waits,
+     a newly emptied head nothing. *)
+  let keeps_groups (oldv : State_space.dest_view) old_rule (newv : State_space.dest_view)
+      new_rule =
+    oldv.State_space.view_bufs = newv.State_space.view_bufs
+    && oldv.State_space.view_outs = newv.State_space.view_outs
+    && Array.for_all2 (fun o n -> o <> [] || n = []) old_rule new_rule
+
+  let update s space ~dests =
+    let dests = List.sort_uniq Int.compare dests in
+    if s.captured then begin
+      sync s;
+      List.iter (fun d -> bump_dest s d (-1)) dests
+    end;
+    let old = s.space in
+    s.space <- space;
+    let kept = ref 0 in
+    List.iter
+      (fun d ->
+        let rule = rule_of s.rule space d in
+        let keep =
+          s.captured
+          && keeps_groups (State_space.dest_view old ~dest:d) s.base.(d)
+               (State_space.dest_view space ~dest:d) rule
+        in
+        s.base.(d) <- rule;
+        s.live.(d) <- rule;
+        if s.captured then begin
+          if keep then incr kept else s.groups.(d) <- capture s d;
+          bump_dest s d 1
+        end)
+      dests;
+    sweep s;
+    !kept
 
   let snapshot s =
-    let dr = derived s in
-    let live = Array.map Array.copy s.live in
+    sync s;
+    (* rows still the rule's are never written in place; copy the rest *)
+    let live =
+      Array.mapi (fun d row -> if row == s.base.(d) then row else Array.copy row) s.live
+    in
+    let space = s.space in
     replay ~witness_cap:s.witness_cap
       ~wait_sets:(fun ~buf ~dest ->
-        let i = find s ~buf ~dest in
+        let i = State_space.index space ~buf ~dest in
         if i < 0 then [] else live.(dest).(i))
-      s.space
+      space
       (fun emit ->
         for d = 0 to Array.length live - 1 do
-          iter_emissions dr live d emit
+          let bufs = (State_space.dest_view space ~dest:d).State_space.view_bufs in
+          iter_dest_groups s d (fun q1 h ->
+              let wit = { dest = d; head = bufs.(h) } in
+              List.iter (fun w -> emit q1 w wit) live.(d).(h))
         done)
 end

@@ -67,19 +67,10 @@ val dest_edges :
     (buffers in [view_bufs] order; per buffer, waiting heads
     ascending; per head, waits in rule order).  The BWG's edge set is the
     union of these per-destination emissions over all destinations — this
-    is the decomposition the incremental re-checker caches and diffs, one
+    is the decomposition a {!Session} keeps and re-derives, one
     destination at a time.  For wormhole networks the indirect continuation
     closure is always applied (there is no [indirect] ablation knob
     here). *)
-
-type group = { q1 : int; head : int; targets : int list }
-(** One run of a destination's emission sequence: the waits [targets] of
-    [head], in rule order, emitted for the occupied buffer [q1]. *)
-
-val dest_groups : ?wait_sets:wait_sets -> State_space.t -> dest:int -> group list
-(** {!dest_edges} compressed into its (q1, head) runs, in emission order:
-    concatenating the groups' targets reproduces the emission sequence.
-    This is the per-destination unit both {!Incr} and {!Session} cache. *)
 
 val replay :
   ?wait_sets:wait_sets ->
@@ -93,9 +84,9 @@ val replay :
     sequence {!dest_edges} produces for that destination, the result is
     structurally identical to [build space] — same adjacency, same witness
     lists, same caps — by construction, since the emissions pass through
-    the same recorder in the same order.  This is the incremental
-    re-checker's slow path: it replays its cached per-destination emission
-    lists instead of recomputing the continuation closures. *)
+    the same recorder in the same order.  {!Session.snapshot} replays a
+    session's emissions through it instead of recomputing the
+    continuation closures. *)
 
 val space : t -> State_space.t
 val graph : t -> Dfr_graph.Digraph.t
@@ -135,21 +126,27 @@ val is_wait_connected : t -> bool
 val to_dot : t -> string
 (** DOT rendering with paper-style buffer labels (transit buffers only). *)
 
-(** {2 Wait-set sessions}
+(** {2 Sessions}
 
     A Theorem-3 search probes a sequence of BWG's, each a few wait entries
-    away from the last.  A session owns the live wait sets of one state
-    space: {!Session.remove} and {!Session.restore} change single
-    entries and mark their destination dirty, and {!Session.bwg}
-    re-derives only the dirty destinations and patches the changed edges
-    and witnesses in place.  The continuation closures run once, on the
-    first read; routes are fixed, so a destination's emissions under any
-    subset of its rule are its groups ({!dest_groups}) under the full
-    rule with each head's targets narrowed to its live entries.
+    away from the last, and the incremental re-checker ({!Incr}) a
+    sequence of BWGs, each a few destinations' slices away from the last.
+    A session serves both.  It owns the live wait sets of one state
+    space: {!Session.remove} and {!Session.restore} change single entries
+    and {!Session.update} replaces whole destinations' slices.
 
-    Re-derivations run under the [bwg.closure] span and the patching
-    under [bwg.patch]; [bwg.session.rederived] counts the destinations
-    derived (all of them on the first read). *)
+    The continuation closures run once per destination, on the first
+    read: routes are fixed between slice replacements, so a destination's
+    emissions under any subset of its rule are its (occupied buffer,
+    waiting head) groups under the full rule with each head's waits
+    narrowed to its live entries.  Per edge the session keeps only the
+    number of live emissions, the edge existing while it is positive; a
+    change moves the counts of the edges it generates.  Witness lists are
+    derived from the groups when read.
+
+    Captures run under the [bwg.closure] span and count updates under
+    [bwg.patch]; [bwg.session.rederived] counts the destinations a read
+    captured or brought up to date (all of them on the first read). *)
 module Session : sig
   type bwg := t
   type t
@@ -157,8 +154,12 @@ module Session : sig
   val create : ?witness_cap:int -> ?waits:wait_sets -> ?domains:int -> State_space.t -> t
   (** A session over the waiting rule [waits] (default: the algorithm's
       waiting sets), every entry live.  Cheap: nothing is derived before
-      the first {!bwg}, whose closures [domains] fans out over the pool
-      as {!build} does.  [witness_cap] as for {!build}. *)
+      the first read, whose closures [domains] fans out over the pool as
+      {!build} does.  [witness_cap] as for {!build}. *)
+
+  val space : t -> State_space.t
+  (** The current state space: the one given to {!create} or the last
+      {!update}. *)
 
   val waits : t -> wait_sets
   (** The live waiting set of a reachable state, a subsequence of the
@@ -177,13 +178,32 @@ module Session : sig
   (** Re-admits one removed entry, at its place in the rule.  Raises
       [Invalid_argument] when there is none to re-admit. *)
 
+  val update : t -> State_space.t -> dests:int list -> int
+  (** [update s space ~dests] moves the session to [space], a
+      {!State_space.with_updated_dests} of its current space over [dests].
+      Each listed destination takes the new slice's rule, every entry
+      live (its removals are forgotten).  It keeps its groups when its
+      routes are unchanged and no state with an empty rule gains waits;
+      otherwise its closures run again.  Returns how many of [dests] kept
+      their groups (none before the first read, which has none to
+      keep). *)
+
   val bwg : t -> bwg
   (** The BWG' of the live wait sets.  Its edge set and every edge's
       witness list read exactly as a cold build's ({!replay} over
       {!dest_edges} with these wait sets; tested), and its wait sets are
-      the live ones.  The value is patched in place by the next read
+      the live ones.  The graph is patched in place by the next read
       after a change, and its adjacency rows may list successors in
-      another order than a cold build's; {!snapshot} gives one to keep. *)
+      another order than a cold build's; witnesses are derived from the
+      live sets when read, so read them before the next change.
+      {!snapshot} gives a BWG' to keep. *)
+
+  val rank : t -> int array option
+  (** Theorem 1's certificate for the live BWG': [Some rank] with
+      [rank.(q1) < rank.(q2)] on every edge [q1 -> q2], or [None] when it
+      has a cycle.  A rank survives edge removals and rank-forward
+      additions; otherwise it is recomputed by the Kahn pass behind
+      {!is_acyclic}. *)
 
   val snapshot : t -> bwg
   (** A BWG' structurally identical to a cold build of the current live

@@ -78,14 +78,11 @@ let decide ?cycle_limits ?class_limits ?reduction_budget ?(domains = 1) ~stuck
           n_cycles := Some (List.length cycles);
           Obs.count "checker.cycles.enumerated" (List.length cycles);
           ran_classify := true;
-          (* shortest first (stable sort, so equal lengths keep
-             enumeration order): short cycles are both the likeliest
-             witnesses and the cheapest to classify *)
           let scan =
             Obs.span "checker.classify" @@ fun () ->
             let scan =
               Cycle_class.first_true_cycle ?limits:class_limits ~domains bwg
-                (List.sort (fun a b -> compare (List.length a) (List.length b)) cycles)
+                (Cycle_class.shortest_first cycles)
             in
             Obs.count "checker.cycles.classified" scan.Cycle_class.classified;
             scan

@@ -222,6 +222,13 @@ let first_true_cycle ?limits ?(domains = 1) bwg cycles =
   in
   collect false 0 0
 
+(* each length computed once; the stable sort keeps equal lengths in
+   enumeration order *)
+let shortest_first cycles =
+  List.map (fun c -> (List.length c, c)) cycles
+  |> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.map snd
+
 let inconclusive ~cycles_exhaustive ~uncertain =
   if not cycles_exhaustive then Some "cycle enumeration truncated"
   else if uncertain then Some "cycle classification hit its caps"

@@ -78,6 +78,13 @@ val first_true_cycle :
     [checker.classify.worker] span; the result is identical at every
     [domains]. *)
 
+val shortest_first : int list list -> int list list
+(** The cycles shortest first, equal lengths in list order: short cycles
+    are the likeliest True ones, the cheapest to classify, and their
+    witnesses name the fewest wait entries.  The order both
+    {!Checker.decide} and a shortest-first
+    {!Reduction.true_cycle_status} scan. *)
+
 val inconclusive : cycles_exhaustive:bool -> uncertain:bool -> string option
 (** Why a scan that found no True Cycle proves nothing, or [None] when it
     proves there is none: a truncated enumeration outranks classification

@@ -1,18 +1,20 @@
 (** Incremental re-checking sessions for edit-heavy traffic.
 
-    A session holds the per-destination decomposition of a checked
-    instance — each destination's BWG emission sequence, its stuck /
-    wait-unconnected states, and its contribution to a maintained merged
-    waiting graph with a topological-rank acyclicity certificate.  An
-    edit with a known dirty destination frontier ({!Dfr_spec.Diff} for
-    spec edits) re-derives only those destinations and re-renders the
-    verdict:
+    A session holds one {!Bwg.Session} over the checked instance — each
+    destination's (occupied buffer, waiting head) groups, a count of live
+    emissions per BWG edge, and the Theorem-1 rank certificate — plus
+    each destination's stuck and wait-unconnected states.  An edit with a
+    known dirty destination frontier ({!Dfr_spec.Diff} for spec edits)
+    replaces only those destinations' slices ({!Bwg.Session.update}) and
+    re-renders the verdict:
 
-    - when the instance stays wait-connected with an acyclic graph, the
-      Theorem-1 report is rendered directly from the maintained counts
-      ({!Report_json.of_counts}) in O(edit) — no BWG is materialized;
-    - otherwise the cached emissions are replayed through {!Bwg.replay}
-      and decided by {!Checker.decide}, the cold pipeline itself.
+    - when the instance has stuck states, is not wait-connected, or the
+      rank certifies its BWG acyclic (Theorem 1), the report is rendered
+      from the session's live BWG in O(edit): it reads only the edge and
+      vertex counts, and no BWG is rebuilt;
+    - otherwise the session's emissions are replayed through
+      {!Bwg.replay} ({!Bwg.Session.snapshot}) and decided by
+      {!Checker.decide}, the cold pipeline itself.
 
     Either way the rendered report is bit-for-bit identical to what a
     cold [Checker.check] + [Report_json.of_outcome] of the edited
@@ -27,8 +29,8 @@ open Dfr_routing
 type t
 
 type path =
-  | Fast  (** verdict rendered from maintained counts (Theorem 1) *)
-  | Replay  (** cached emissions replayed through the cold pipeline *)
+  | Fast  (** verdict rendered from the live BWG's counts *)
+  | Replay  (** the session's emissions replayed through the cold pipeline *)
 
 type result = {
   report : Dfr_util.Json.t;  (** byte-identical to the cold report *)
@@ -57,20 +59,22 @@ val create :
   Net.t ->
   Algo.t ->
   t * result
-(** Cold-build a session: state space, one emission capture per
-    destination, merged graph, and the initial verdict.  The limits are
-    pinned for the session's lifetime so every replayed verdict runs the
-    pipeline under the same caps as the session's own cold baseline.
+(** Cold-build a session: state space, one group capture per
+    destination (over [domains] pool workers), merged graph, and the
+    initial verdict.  The limits are pinned for the session's lifetime
+    so every replayed verdict runs the pipeline under the same caps as
+    the session's own cold baseline.
     Raises [Invalid_argument] when {!State_space.build} refuses the
     pair. *)
 
 val update : t -> Algo.t -> dirty:int list -> result
 (** Re-check after an edit touching only the listed destinations.
     Within each dirty destination, an edit that leaves the routes
-    untouched and empties no→yes no waiting set is patched in O(cached
-    emissions); anything else re-runs that destination's emission
-    closure.  The caller warrants the frontier (see module doc); spec
-    edits get it from {!Dfr_spec.Diff.diff}.  The dirty destinations'
+    untouched and gives no empty waiting set entries keeps the
+    destination's groups, patching its counts in O(its emissions);
+    anything else re-runs that destination's closures.  The caller
+    warrants the frontier (see module doc); spec edits get it from
+    {!Dfr_spec.Diff.diff}.  The dirty destinations'
     reachable states are validated as a cold build validates them
     ({!State_space.with_updated_dests}).  Raises [Invalid_argument] on an
     out-of-range destination, when the edit is malformed on a reachable

@@ -16,16 +16,13 @@ let true_cycle_status ?cycle_limits ?class_limits ?(shortest_first = false) bwg
   let enumerated = ref 0 in
   let (witness, uncertain), cycles_exhaustive =
     if shortest_first then begin
-      (* shortest cycles have the fewest witness packets, so a caller
-         learning blocking clauses from the witness gets the tightest
-         clause; stable sort keeps determinism.  Sorting needs them all. *)
+      (* a caller learning blocking clauses from the witness gets the
+         tightest clause; sorting needs every cycle *)
       let cycles, exhaustive = Bwg.cycles ?limits:cycle_limits bwg in
       enumerated := List.length cycles;
       let scan =
         Cycle_class.first_true_cycle ?limits:class_limits bwg
-          (List.stable_sort
-             (fun a b -> compare (List.length a) (List.length b))
-             cycles)
+          (Cycle_class.shortest_first cycles)
       in
       ((scan.Cycle_class.found, scan.Cycle_class.uncertain), exhaustive)
     end

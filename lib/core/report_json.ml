@@ -79,9 +79,11 @@ let verdict_json net = function
 (* The one constructor of the report object.  Every surface that renders a
    checker outcome as JSON — `dfcheck check --json', `dfcheck spec check
    --json', the audit, the serving layer's cached verdicts, and the
-   incremental re-checker's fast path — goes through here, so none of them
-   can drift apart field by field. *)
-let of_counts ?metrics net algo ~bwg_vertices ~bwg_edges ~bwg_cycles ~verdict =
+   incremental re-checker — goes through here, so none of them can drift
+   apart field by field.  The BWG contributes only its vertex and edge
+   counts. *)
+let of_outcome ?metrics net algo (report : Checker.report) =
+  let g = Bwg.graph report.Checker.bwg in
   let fields =
     [
       ("algorithm", Json.String algo.Algo.name);
@@ -96,25 +98,20 @@ let of_counts ?metrics net algo ~bwg_vertices ~bwg_edges ~bwg_cycles ~verdict =
       ( "bwg",
         Json.Obj
           [
-            ("vertices", Json.Int bwg_vertices);
-            ("edges", Json.Int bwg_edges);
+            ("vertices", Json.Int (Dfr_graph.Digraph.num_vertices g));
+            ("edges", Json.Int (Dfr_graph.Digraph.num_edges g));
             ( "cycles",
-              match bwg_cycles with Some n -> Json.Int n | None -> Json.Null );
+              match report.Checker.bwg_cycles with
+              | Some n -> Json.Int n
+              | None -> Json.Null );
           ] );
-      ("verdict", verdict_json net verdict);
+      ("verdict", verdict_json net report.Checker.verdict);
     ]
   in
   (* the report parser ignores unknown fields, so appending is compatible *)
   match metrics with
   | Some m -> Json.Obj (fields @ [ ("metrics", m) ])
   | None -> Json.Obj fields
-
-let of_outcome ?metrics net algo (report : Checker.report) =
-  let g = Bwg.graph report.Checker.bwg in
-  of_counts ?metrics net algo
-    ~bwg_vertices:(Dfr_graph.Digraph.num_vertices g)
-    ~bwg_edges:(Dfr_graph.Digraph.num_edges g)
-    ~bwg_cycles:report.Checker.bwg_cycles ~verdict:report.Checker.verdict
 
 let of_report net algo report = of_outcome net algo report
 let to_string net algo report = Json.to_string_pretty (of_report net algo report)

@@ -4,26 +4,12 @@
 open Dfr_network
 open Dfr_routing
 
-val of_counts :
-  ?metrics:Dfr_util.Json.t ->
-  Net.t ->
-  Algo.t ->
-  bwg_vertices:int ->
-  bwg_edges:int ->
-  bwg_cycles:int option ->
-  verdict:Checker.verdict ->
-  Dfr_util.Json.t
-(** The single constructor of the report object; every rendering surface
-    funnels through it.  The BWG contributes only its vertex/edge counts
-    and the optional cycle count, which is what lets the incremental
-    re-checker's fast path render a byte-identical report without
-    materializing a [Bwg.t] at all. *)
-
 val of_outcome :
   ?metrics:Dfr_util.Json.t -> Net.t -> Algo.t -> Checker.report -> Dfr_util.Json.t
-(** {!of_counts} with the counts taken from a checker report, shared by
-    [dfcheck check --json], [dfcheck spec check --json] and the serving
-    layer's cached verdicts — the surfaces can never drift.  [metrics],
+(** The single constructor of the report object, shared by [dfcheck
+    check --json], [dfcheck spec check --json], the serving layer's cached
+    verdicts and the incremental re-checker — the surfaces can never
+    drift.  The BWG contributes only its vertex and edge counts.  [metrics],
     when given, is appended as a final ["metrics"] field (the parser
     ignores unknown fields, so this is compatible with {!of_string}). *)
 

@@ -44,13 +44,6 @@ let mem_edge g u v =
   done;
   !found
 
-let nth_succ g u i =
-  check g u;
-  let off = g.offsets.(u) in
-  if i < 0 || off + i >= g.offsets.(u + 1) then
-    invalid_arg "Csr.nth_succ: index out of row";
-  g.targets.(off + i)
-
 let row g u =
   check g u;
   (g.offsets.(u), g.offsets.(u + 1))

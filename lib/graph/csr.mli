@@ -30,11 +30,6 @@ val succ : t -> int -> int list
 (** Successors ascending.  Allocates; traversals should prefer
     {!iter_succ} / {!fold_succ}. *)
 
-val nth_succ : t -> int -> int -> int
-(** [nth_succ g u i] is the [i]-th successor of [u] (ascending, 0-based);
-    O(1).  Lets traversals keep an integer cursor into a row instead of
-    materializing it. *)
-
 val row : t -> int -> int * int
 (** [row g u] is the half-open [(start, stop)] range of [u]'s row in the
     flat target array; read entries with {!target}.  The cheapest way for

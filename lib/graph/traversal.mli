@@ -31,8 +31,6 @@ val path : Digraph.t -> int -> int -> int list option
 (** {1 CSR-native variants} *)
 
 val reachable_csr : Csr.t -> int list -> bool array
-val bfs_distances_csr : Csr.t -> int -> int array
 val topological_sort_csr : Csr.t -> int list option
 val is_acyclic_csr : Csr.t -> bool
 val find_cycle_csr : Csr.t -> int list option
-val path_csr : Csr.t -> int -> int -> int list option

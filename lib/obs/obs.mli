@@ -92,11 +92,6 @@ val reset_peak_rss : unit -> bool
     {!peak_rss_kb} then still includes whatever the process holds
     resident now. *)
 
-val mem_json : unit -> Dfr_util.Json.t
-(** Snapshot of process memory: [peak_rss_kb] (when available) plus
-    [Gc.quick_stat] major-heap figures ([major_words],
-    [top_heap_words], [heap_words], collection counts). *)
-
 val metrics_json : unit -> Dfr_util.Json.t
 (** [{"counters": {..}, "gauges": {..}, "spans": {name: {"count": n,
     "total_us": µs}}, "mem": {..}}] with every object sorted by key.

@@ -38,13 +38,6 @@ type t =
       node_of_old : int array;  (** old node -> new node, [-1] if killed *)
     }
 
-val killed_buffers : Net.t -> Fault.fault -> (int list, string) result
-(** The channel-buffer ids a link/buffer kill removes ([Kill_node] and
-    [Storm] are not resolvable here).  Errors on an unknown link, an
-    out-of-range id, or a non-transit buffer (injection and delivery
-    buffers model the paper's unbounded sources/sinks — killing them is
-    not a fault, it is a different traffic matrix). *)
-
 val apply : State_space.t -> Fault.fault list -> (t, string) result
 (** Degrade the baseline instance by all the faults at once.  Any
     [Kill_node] forces the [Rebuilt] shape (and requires a channel-based

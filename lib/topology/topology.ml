@@ -21,8 +21,6 @@ type structure =
 
 type t = { name : string; num_nodes : int; structure : structure }
 
-let flip = function Plus -> Minus | Minus -> Plus
-
 let grid t fn =
   match t.structure with
   | Grid g -> g

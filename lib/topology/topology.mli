@@ -10,8 +10,6 @@ type t
 
 type direction = Plus | Minus
 
-val flip : direction -> direction
-
 val mesh : int array -> t
 (** [mesh radices] is an n-dimensional mesh; [radices.(i)] is the number of
     nodes along dimension [i] (each must be >= 2 except that a

@@ -79,16 +79,12 @@ val cap : unit -> int
 
 val set_cap : int option -> unit
 (** [set_cap (Some n)] overrides the concurrency cap ([n >= 1], subject
-    to [max_workers]); [set_cap None] restores the hardware default.
-    Meant for tests that must exercise true concurrency on small
-    machines, and for benchmarks that measure oversubscription on
-    purpose. *)
+    to the pool's ceiling of 64 workers); [set_cap None] restores the
+    hardware default.  Meant for tests that must exercise true
+    concurrency on small machines, and for benchmarks that measure
+    oversubscription on purpose. *)
 
 val spawned : unit -> int
 (** Worker domains spawned by the pool so far in this process.  Exposed
     so tests can pin the reuse guarantee: two consecutive
     [parallel ~domains:n] calls must not double it. *)
-
-val max_workers : int
-(** Most worker domains the pool ever spawns, whatever {!cap} says (the
-    OCaml runtime tops out around 128 domains). *)

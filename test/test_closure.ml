@@ -199,15 +199,15 @@ let with_detours rng (c : Case.t) =
     c.Case.channels;
   { c with Case.route }
 
-let fuzz_space seed =
+let fuzz_case seed =
   let rng = Dfr_util.Prng.create seed in
   let case = Dfr_fuzz.Gen.case rng ~max_nodes:8 in
-  let case =
-    if case.Case.switching = Net.Wormhole && Dfr_util.Prng.bool rng then
-      with_detours rng case
-    else case
-  in
-  let net, algo = Case.to_net_algo case in
+  if case.Case.switching = Net.Wormhole && Dfr_util.Prng.bool rng then
+    with_detours rng case
+  else case
+
+let fuzz_space seed =
+  let net, algo = Case.to_net_algo (fuzz_case seed) in
   State_space.build net algo
 
 let has_cyclic_move_graph space =
@@ -239,39 +239,107 @@ let prop_fuzz =
 
 (* ---------------- wait-set sessions ---------------- *)
 
-(* A random walk of removals and restorations over a session's entries,
-   each step one to three changes, checked after every step against the
+(* Single-destination edits of [c], built on demand: drop one output of
+   a branching route (the destination's groups are captured again), or
+   narrow a waiting set to its first entry, or relax a narrowed one back
+   to its route (wait-only edits, which usually keep the groups). *)
+let edits (c : Case.t) =
+  List.concat_map
+    (fun s ->
+      List.concat_map
+        (fun dest ->
+          let route = Case.route_of c s dest in
+          let drops =
+            if List.compare_length_with route 2 < 0 then []
+            else
+              List.map
+                (fun out -> (dest, fun () -> Case.drop_route_output c s dest out))
+                route
+          in
+          let narrow () =
+            let waits = Hashtbl.copy c.Case.waits in
+            Hashtbl.replace waits (s, dest) [ List.hd (Case.waits_of c s dest) ];
+            { c with Case.waits }
+          in
+          match Case.waits_of c s dest with
+          | _ :: _ :: _ -> (dest, narrow) :: drops
+          | _ when Hashtbl.mem c.Case.waits (s, dest) ->
+            (dest, fun () -> Case.relax_waits c s dest) :: drops
+          | _ -> drops)
+        (List.init c.Case.num_nodes Fun.id))
+    (Case.states c)
+
+(* one of [c]'s edits that changes [space]'s slice of its destination,
+   applied through [State_space.with_updated_dests] *)
+let edit_step rng c space =
+  let candidates = Array.of_list (edits c) in
+  Dfr_util.Prng.shuffle rng candidates;
+  Array.to_seq candidates
+  |> Seq.take 20
+  |> Seq.find_map (fun (dest, edit) ->
+         let c' = edit () in
+         let space' =
+           State_space.with_updated_dests space
+             (snd (Case.to_net_algo c'))
+             ~dests:[ dest ]
+         in
+         let v = State_space.dest_view space ~dest in
+         let v' = State_space.dest_view space' ~dest in
+         if
+           v.State_space.view_outs = v'.State_space.view_outs
+           && v.State_space.view_wts = v'.State_space.view_wts
+         then None
+         else Some (c', dest, space'))
+
+(* A random walk over a session, each step one to three removals and
+   restorations or, given the case the space was built from, now and then
+   an edit of one destination's slice ({!edit_step}), which forgets that
+   destination's removals.  Removals may empty a state's set, and
+   restorations refill it.  After every step the session must match the
    cold reference of the same wait sets: the edge set, every edge's
-   witness list, and the unconnected states.  Removals may empty a
-   state's set, and restorations refill it.  At the end the snapshot must
-   equal the cold build row order included. *)
-let session_walk ~label ~cap rng space =
-  let entries = ref [] in
-  State_space.iter_reachable space (fun ~buf ~dest ->
-      List.iter
-        (fun t -> entries := (buf, dest, t) :: !entries)
-        (State_space.waits space ~buf ~dest));
-  let entries = Array.of_list (List.rev !entries) in
+   witness list, the unconnected states and, when it holds a rank, every
+   edge running forward under it.  At the end the snapshot must equal the
+   cold build row order included.  Returns how many edited destinations
+   kept their groups and how many had them captured again. *)
+let session_walk ?case ~label ~cap rng space =
+  let case = ref case and space = ref space in
+  let kept = ref 0 and edits = ref 0 in
   let removed = Hashtbl.create 64 in
   let wait_sets ~buf ~dest =
     List.filter
       (fun t -> not (Hashtbl.mem removed (buf, dest, t)))
-      (State_space.waits space ~buf ~dest)
+      (State_space.waits !space ~buf ~dest)
   in
-  let session = Bwg.Session.create ~witness_cap:cap space in
+  let entries () =
+    let acc = ref [] in
+    State_space.iter_reachable !space (fun ~buf ~dest ->
+        List.iter
+          (fun t -> acc := (buf, dest, t) :: !acc)
+          (State_space.waits !space ~buf ~dest));
+    List.rev !acc
+  in
+  let session = Bwg.Session.create ~witness_cap:cap !space in
   let agree step got =
-    let want = Cold.bwg ~witness_cap:cap ~wait_sets space in
-    Option.iter
-      (Alcotest.failf "%s (cap %d, step %d): %s" label cap step)
-      (Cold.diff ~want ~got);
+    let want = Cold.bwg ~witness_cap:cap ~wait_sets !space in
+    let fail fmt = Alcotest.failf ("%s (cap %d, step %d): " ^^ fmt) label cap step in
+    Option.iter (fail "%s") (Cold.diff ~want ~got);
     if Bwg.unconnected_states got <> Bwg.unconnected_states want then
-      Alcotest.failf "%s (cap %d, step %d): unconnected states differ" label cap step;
+      fail "unconnected states differ";
+    (match Bwg.Session.rank session with
+    | Some rank ->
+      Dfr_graph.Digraph.iter_edges
+        (fun q1 q2 ->
+          if rank.(q1) >= rank.(q2) then fail "edge %d->%d against the rank" q1 q2)
+        (Bwg.graph want)
+    | None -> if Bwg.is_acyclic want then fail "no rank for an acyclic BWG'");
     want
   in
-  if Array.length entries > 0 then
-    for step = 1 to 12 do
+  let toggle () =
+    match entries () with
+    | [] -> ()
+    | entries ->
       for _ = 1 to 1 + Dfr_util.Prng.int rng 3 do
-        let ((buf, dest, t) as e) = Dfr_util.Prng.pick rng (Array.to_list entries) in
+        let ((buf, dest, t) as e) = Dfr_util.Prng.pick rng entries in
         if Hashtbl.mem removed e then begin
           Hashtbl.remove removed e;
           Bwg.Session.restore session ~buf ~dest t
@@ -280,27 +348,65 @@ let session_walk ~label ~cap rng space =
           Hashtbl.replace removed e ();
           Bwg.Session.remove session ~buf ~dest t
         end
-      done;
-      ignore (agree step (Bwg.Session.bwg session) : Bwg.t)
-    done;
+      done
+  in
+  for step = 1 to 12 do
+    (match !case with
+    | Some c when Dfr_util.Prng.int rng 3 = 0 -> (
+      match edit_step rng c !space with
+      | Some (c', dest, space') ->
+        case := Some c';
+        space := space';
+        Hashtbl.filter_map_inplace
+          (fun (_, d, _) () -> if d = dest then None else Some ())
+          removed;
+        kept := !kept + Bwg.Session.update session space' ~dests:[ dest ];
+        incr edits
+      | None -> toggle ())
+    | _ -> toggle ());
+    ignore (agree step (Bwg.Session.bwg session) : Bwg.t)
+  done;
   let snapshot = Bwg.Session.snapshot session in
   let want = agree 13 snapshot in
-  for q = 0 to State_space.num_buffers space - 1 do
+  for q = 0 to State_space.num_buffers !space - 1 do
     if Dfr_graph.Digraph.succ (Bwg.graph want) q
        <> Dfr_graph.Digraph.succ (Bwg.graph snapshot) q
     then Alcotest.failf "%s (cap %d): snapshot row %d out of cold order" label cap q
-  done
+  done;
+  (!kept, !edits - !kept)
 
 let prop_session_fuzz =
   QCheck.Test.make ~name:"session = cold BWG' along remove/restore walks" ~count:40
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      let space = fuzz_space seed in
+      let case = fuzz_case seed in
+      let net, algo = Case.to_net_algo case in
+      let space = State_space.build net algo in
       let rng = Dfr_util.Prng.create (seed + 17) in
       List.iter
-        (fun cap -> session_walk ~label:(Printf.sprintf "seed %d" seed) ~cap rng space)
+        (fun cap ->
+          let label = Printf.sprintf "seed %d" seed in
+          ignore (session_walk ~case ~label ~cap rng space))
         [ 2; 32 ];
       true)
+
+(* the walks' edits reach both slice replacements *)
+let test_walk_edit_coverage () =
+  let kept, recaptured =
+    List.fold_left
+      (fun (k, r) seed ->
+        let case = fuzz_case seed in
+        let net, algo = Case.to_net_algo case in
+        let k', r' =
+          session_walk ~case ~label:(Printf.sprintf "seed %d" seed) ~cap:2
+            (Dfr_util.Prng.create seed) (State_space.build net algo)
+        in
+        (k + k', r + r'))
+      (0, 0) (List.init 10 Fun.id)
+  in
+  check Alcotest.bool "some edit keeps a destination's groups" true (kept > 0);
+  check Alcotest.bool "some edit captures a destination's groups again" true
+    (recaptured > 0)
 
 (* the catalogue's two-buffer designs reprinted without their hint *)
 let reprint name =
@@ -318,7 +424,9 @@ let test_session_reprints () =
       List.iter
         (fun seed ->
           let rng = Dfr_util.Prng.create seed in
-          List.iter (fun cap -> session_walk ~label:name ~cap rng space) [ 2; 32 ])
+          List.iter
+            (fun cap -> ignore (session_walk ~label:name ~cap rng space))
+            [ 2; 32 ])
         [ 1; 2; 3 ])
     [ "two-buffer"; "two-buffer-vct" ]
 
@@ -358,4 +466,6 @@ let suite =
       test_session_reprints;
     Alcotest.test_case "session promotes the next witness past the cap" `Quick
       test_session_promotes;
+    Alcotest.test_case "session walks edit slices both ways" `Quick
+      test_walk_edit_coverage;
   ]
