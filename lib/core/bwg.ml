@@ -6,13 +6,10 @@ module Rows = Dfr_util.Bitset.Hybrid.Rows
 type wait_sets = buf:int -> dest:int -> int list
 type witness = { dest : int; head : int }
 
-(* Witness lists are capped; the insertion count rides along so the cap
-   check is O(1) instead of an O(cap) List.length per recorded edge. *)
-type wcell = { mutable count : int; mutable ws : witness list }
-
-(* Edge keys are q1 * num_buffers + q2.  A multiply-and-fold hash keeps
-   the recorder's hot path free of the C call [Hashtbl.hash] makes, which
-   dominates recording on low-degree (store-and-forward) graphs. *)
+(* Edge keys are q1 * num_buffers + q2, for [replay]'s index and a
+   session's counts.  A multiply-and-fold hash keeps the hot path free of
+   the C call [Hashtbl.hash] makes, which dominates on low-degree
+   (store-and-forward) graphs. *)
 module Itbl = Hashtbl.Make (struct
   type t = int
 
@@ -27,8 +24,8 @@ type t = {
   space : State_space.t;
   graph : Digraph.t;
   witnesses : int -> int -> witness list;
-      (* of q1 -> q2, both in range: the recorder's cell, or a session's
-         derivation *)
+      (* of q1 -> q2, both in range: [derive] over kept groups, or the
+         reference recorder's cell *)
   wait_sets : wait_sets;
 }
 
@@ -173,15 +170,148 @@ let iter_groups (v : State_space.dest_view) ~waiting ~wormhole ~dense_closures ~
     done
   end
 
-(* Waiting edges of one destination's traffic: each group's head's waits,
-   in rule order, emitted for its occupied buffer with one witness record
-   per head.  [emit q1 w wit] receives them in a deterministic order
-   (q1 ascending, heads ascending, waits in rule order); the serial build
-   passes its edge recorder directly, the domain fan-out accumulates
-   per-destination lists and replays them in destination order so both
-   paths see the same sequence.  [wait_sets = None] reads the algorithm's
-   waiting sets straight off the slice. *)
-let edges_for_dest space ~wait_sets ~wormhole ~dense_closures dest ~emit =
+(* One destination's (occupied state, waiting head) groups in emission
+   order: local state [i]'s are [first.(i)] .. [first.(i + 1) - 1], group
+   [j] headed by local state [heads.(j)].  Each group emits its head's
+   waits, in rule order, for the occupied buffer, so a destination's
+   emission sequence under any subset of its rule is its groups under the
+   full rule with each head's waits narrowed.  The arrays are never
+   written after [capture], so any domain may read them. *)
+type groups = { first : int array; heads : int array }
+
+let no_groups = { first = [||]; heads = [||] }
+
+(* destination [d]'s groups under [rule] (its waits per local state): the
+   closures *)
+let capture space ~wormhole ~dense_closures rule d =
+  Obs.span "bwg.closure" @@ fun () ->
+  let k = Array.length rule in
+  let first = Array.make (k + 1) 0 in
+  let heads = ref (Array.make (max k 16) 0) and len = ref 0 in
+  iter_groups
+    (State_space.dest_view space ~dest:d)
+    ~wormhole ~dense_closures
+    ~waiting:(fun h -> rule.(h) <> [])
+    ~group:(fun i h ->
+      if !len = Array.length !heads then
+        heads := Array.append !heads (Array.make !len 0);
+      !heads.(!len) <- h;
+      incr len;
+      first.(i + 1) <- !len);
+  (* a state without groups starts and ends where the last one ends *)
+  for i = 1 to k do
+    first.(i) <- max first.(i) first.(i - 1)
+  done;
+  { first; heads = Array.sub !heads 0 !len }
+
+(* [f q1 h] for destination [d]'s groups in emission order: the occupied
+   buffer and the head's local state *)
+let iter_dest_groups space d { first; heads } f =
+  let bufs = (State_space.dest_view space ~dest:d).State_space.view_bufs in
+  for i = 0 to Array.length first - 2 do
+    for j = first.(i) to first.(i + 1) - 1 do
+      f bufs.(i) heads.(j)
+    done
+  done
+
+(* The edge pass over every destination's groups, [waits.(d)] narrowing
+   destination [d]'s heads: a stable counting sort of the emission
+   targets by q1 (destinations ascending, then emission order), then one
+   walk per q1 bucket with a stamp array over q2.  An edge enters the
+   adjacency at its first emission, so rows come out in the order the
+   reference recorder gives them; the emissions past an edge's first
+   [witness_cap] are counted as capped, which is what the recorder
+   drops. *)
+let edge_pass ~witness_cap space groups (waits : int list array array) =
+  Obs.span "bwg.bucket" @@ fun () ->
+  let nb = State_space.num_buffers space in
+  (* [f q1 ws] for every group, in emission order *)
+  let iter_emitting f =
+    Array.iteri
+      (fun d g -> iter_dest_groups space d g (fun q1 h -> f q1 waits.(d).(h)))
+      groups
+  in
+  let start = Array.make (nb + 1) 0 in
+  iter_emitting (fun q1 ws -> start.(q1 + 1) <- start.(q1 + 1) + List.length ws);
+  for q = 0 to nb - 1 do
+    start.(q + 1) <- start.(q + 1) + start.(q)
+  done;
+  let targets = Array.make start.(nb) 0 in
+  let next = Array.sub start 0 nb in
+  iter_emitting (fun q1 ws ->
+      List.iter
+        (fun w ->
+          targets.(next.(q1)) <- w;
+          next.(q1) <- next.(q1) + 1)
+        ws);
+  let graph = Digraph.create nb in
+  (* stamp.(q2) = q1 while q1's bucket has seen q2, seen.(q2) times *)
+  let stamp = Array.make nb (-1) and seen = Array.make nb 0 in
+  let capped = ref 0 in
+  for q1 = 0 to nb - 1 do
+    for p = start.(q1) to start.(q1 + 1) - 1 do
+      let q2 = targets.(p) in
+      if stamp.(q2) <> q1 then begin
+        stamp.(q2) <- q1;
+        seen.(q2) <- 1;
+        Digraph.unsafe_add_edge graph q1 q2
+      end
+      else begin
+        seen.(q2) <- seen.(q2) + 1;
+        if seen.(q2) > witness_cap then incr capped
+      end
+    done
+  done;
+  Obs.count "bwg.emissions" start.(nb);
+  if !capped > 0 then Obs.count "bwg.witnesses.capped" !capped;
+  graph
+
+(* The witnesses the reference recorder keeps for q1 -> q2, derived from
+   the groups: destinations ascending; in each, q1's groups in emission
+   order, a witness per emission of q2 by the group's head under
+   [waits]; the first [witness_cap].  Reads only its arguments, so cold
+   BWGs and snapshots, whose arguments are never written, may be read
+   from any domain. *)
+let derive ~witness_cap space groups (waits : int list array array) q1 q2 =
+  let acc = ref [] and n = ref 0 and dest = ref 0 in
+  while !n < witness_cap && !dest < Array.length groups do
+    let d = !dest in
+    let i = State_space.index space ~buf:q1 ~dest:d in
+    if i >= 0 then begin
+      let { first; heads } = groups.(d) in
+      let bufs = (State_space.dest_view space ~dest:d).State_space.view_bufs in
+      for j = first.(i) to first.(i + 1) - 1 do
+        let h = heads.(j) in
+        List.iter
+          (fun w ->
+            if w = q2 && !n < witness_cap then begin
+              acc := { dest = d; head = bufs.(h) } :: !acc;
+              incr n
+            end)
+          waits.(d).(h)
+      done
+    end;
+    incr dest
+  done;
+  List.rev !acc
+
+(* the BWG of [groups] under [waits], neither written afterwards *)
+let of_groups ~witness_cap space groups waits =
+  {
+    space;
+    graph = edge_pass ~witness_cap space groups waits;
+    witnesses = derive ~witness_cap space groups waits;
+    wait_sets =
+      (fun ~buf ~dest ->
+        let i = State_space.index space ~buf ~dest in
+        if i < 0 then [] else waits.(dest).(i));
+  }
+
+(* One destination's groups as an emission stream: each group's head's
+   waits, in rule order, emitted for its occupied buffer with one witness
+   record per group.  [wait_sets = None] reads the algorithm's waiting
+   sets straight off the slice. *)
+let dest_edges ?wait_sets ?(dense_closures = false) space ~dest ~emit =
   let v = State_space.dest_view space ~dest in
   let bufs = v.State_space.view_bufs in
   let waits =
@@ -189,56 +319,46 @@ let edges_for_dest space ~wait_sets ~wormhole ~dense_closures dest ~emit =
     | None -> v.State_space.view_wts
     | Some ws -> Array.map (fun buf -> ws ~buf ~dest) bufs
   in
-  let wits = Array.map (fun head -> { dest; head }) bufs in
-  iter_groups v ~wormhole ~dense_closures
-    ~waiting:(fun h -> waits.(h) <> [])
-    ~group:(fun i h ->
-      let q1 = bufs.(i) and wit = wits.(h) in
+  let wormhole = Net.switching (State_space.net space) = Net.Wormhole in
+  iter_dest_groups space dest (capture space ~wormhole ~dense_closures waits dest)
+    (fun q1 h ->
+      let wit = { dest; head = bufs.(h) } in
       List.iter (fun w -> emit q1 w wit) waits.(h))
 
-let default_wait_sets space =
- fun ~buf ~dest -> State_space.waits space ~buf ~dest
+(* The reference recorder's witness cell.  Witness lists are capped; the
+   insertion count rides along so the cap check is O(1) instead of an
+   O(cap) List.length per recorded edge. *)
+type wcell = { mutable count : int; mutable ws : witness list }
 
-(* Shared edge recorder: the witness cell, found through the (q1, q2)
+(* The reference recorder: the witness cell, found through the (q1, q2)
    index in O(1), doubles as the duplicate-edge check, so only the first
-   witness of an edge touches the adjacency structure.  Both the cold
-   build and [replay] feed emissions through this same code, which is
-   what makes a replayed BWG structurally identical to a built one. *)
-let make_recorder ~witness_cap ~graph ~witnesses =
-  let n = Digraph.num_vertices graph in
-  fun q1 q2 w ->
-    let key = (q1 * n) + q2 in
-    match Itbl.find_opt witnesses key with
-    | Some cell ->
-      if cell.count < witness_cap then begin
-        cell.ws <- w :: cell.ws;
-        cell.count <- cell.count + 1
-      end
-      else Obs.count "bwg.witnesses.capped" 1
-    | None ->
-      Itbl.add witnesses key { count = 1; ws = [ w ] };
-      Digraph.unsafe_add_edge graph q1 q2
-
-let dest_edges ?wait_sets ?(dense_closures = false) space ~dest ~emit =
-  let wormhole = Net.switching (State_space.net space) = Net.Wormhole in
-  edges_for_dest space ~wait_sets ~wormhole ~dense_closures dest ~emit
-
-(* a BWG over a recorder's adjacency and witness cells *)
-let recorded space graph cells wait_sets =
-  let n = Digraph.num_vertices graph in
+   witness of an edge touches the adjacency structure.  Tests hold the
+   edge pass and the derived witnesses to it. *)
+let replay ?wait_sets ?(witness_cap = 32) space f =
+  let n = State_space.num_buffers space in
+  let graph = Digraph.create n in
+  let cells = Itbl.create 1024 in
+  f (fun q1 q2 w ->
+      let key = (q1 * n) + q2 in
+      match Itbl.find_opt cells key with
+      | Some cell ->
+        if cell.count < witness_cap then begin
+          cell.ws <- w :: cell.ws;
+          cell.count <- cell.count + 1
+        end
+        else Obs.count "bwg.witnesses.capped" 1
+      | None ->
+        Itbl.add cells key { count = 1; ws = [ w ] };
+        Digraph.unsafe_add_edge graph q1 q2);
   let witnesses q1 q2 =
     match Itbl.find_opt cells ((q1 * n) + q2) with
     | Some cell -> List.rev cell.ws
     | None -> []
   in
+  let wait_sets =
+    Option.value wait_sets ~default:(fun ~buf ~dest -> State_space.waits space ~buf ~dest)
+  in
   { space; graph; witnesses; wait_sets }
-
-let replay ?wait_sets ?(witness_cap = 32) space f =
-  let graph = Digraph.create (State_space.num_buffers space) in
-  let witnesses = Itbl.create 1024 in
-  f (make_recorder ~witness_cap ~graph ~witnesses);
-  recorded space graph witnesses
-    (Option.value wait_sets ~default:(default_wait_sets space))
 
 (* [f d] for every destination, over [domains] pool workers when there
    is more than one.  Work items are single destinations claimed off an
@@ -259,43 +379,31 @@ let each_dest ~domains num_nodes f =
           if d >= num_nodes then continue := false else f d
         done)
 
+(* Capture every destination's groups, over the pool with [domains] > 1
+   (each worker writes only its own destinations' slots, and the pool's
+   join publishes them), then one serial edge pass: the result does not
+   depend on [domains], and every Obs counter on the way is a
+   per-destination sum or the pass's own. *)
 let build ?(witness_cap = 32) ?(indirect = true) ?(domains = 1)
     ?(dense_closures = false) space =
   Obs.span "bwg.build" @@ fun () ->
-  let net = State_space.net space in
+  (* the reference recorder keeps an edge's first witness at any cap *)
+  let witness_cap = max 1 witness_cap in
   let num_nodes = State_space.num_nodes space in
-  let num_bufs = State_space.num_buffers space in
-  let graph = Digraph.create num_bufs in
-  let witnesses = Itbl.create 1024 in
-  let add_edge = make_recorder ~witness_cap ~graph ~witnesses in
-  let wormhole = indirect && Net.switching net = Net.Wormhole in
-  let edges_for_dest = edges_for_dest space ~wait_sets:None ~wormhole ~dense_closures in
-  if domains <= 1 || num_nodes <= 1 then
-    (* serial: stream edges straight into the recorder, no staging lists *)
-    for d = 0 to num_nodes - 1 do
-      Obs.span "bwg.closure" (fun () -> edges_for_dest d ~emit:add_edge)
-    done
-  else begin
-    (* Determinism is unaffected by the fan-out: emissions are staged per
-       destination and merged in ascending order below, and every Obs
-       counter on this path is a per-destination sum. *)
-    let results = Array.make num_nodes [] in
-    each_dest ~domains num_nodes (fun d ->
-        Obs.span "bwg.closure" (fun () ->
-            let acc = ref [] in
-            edges_for_dest d ~emit:(fun q w wit -> acc := (q, w, wit) :: !acc);
-            results.(d) <- !acc));
-    (* merge sequentially: destinations ascending, witnesses in emit order,
-       so the result is identical to the serial construction *)
-    Array.iter
-      (fun es -> List.iter (fun (q, w, wit) -> add_edge q w wit) (List.rev es))
-      results
-  end;
+  let wormhole = indirect && Net.switching (State_space.net space) = Net.Wormhole in
+  let rules =
+    Array.init num_nodes (fun dest ->
+        (State_space.dest_view space ~dest).State_space.view_wts)
+  in
+  let groups = Array.make num_nodes no_groups in
+  each_dest ~domains num_nodes (fun d ->
+      groups.(d) <- capture space ~wormhole ~dense_closures rules.(d) d);
+  let t = of_groups ~witness_cap space groups rules in
   (* only the full BWG reports its size: a BWG' of the same instance
      would overwrite the figure the report prints *)
-  Obs.gauge "bwg.vertices" (float_of_int num_bufs);
-  Obs.gauge "bwg.edges" (float_of_int (Digraph.num_edges graph));
-  recorded space graph witnesses (default_wait_sets space)
+  Obs.gauge "bwg.vertices" (float_of_int (State_space.num_buffers space));
+  Obs.gauge "bwg.edges" (float_of_int (Digraph.num_edges t.graph));
+  t
 
 (* Kahn's pass over the adjacency directly (no frozen CSR): [Some rank],
    rank.(v) the position of [v] in a topological order, when the graph is
@@ -375,15 +483,11 @@ let to_dot t =
    A changed entry (head, dest, target) moves by one the count of
    q1 -> target for each of [dest]'s groups headed by [head]; a read
    applies the changes noted since the last one.  No witness list is
-   stored: a read derives an edge's from the groups, in the recorder's
-   order.  Edges enter the adjacency in cold order on the first read;
-   later ones append, so rows may drift from it. *)
+   stored: a read derives an edge's from the groups ([derive], as a cold
+   build does).  Edges enter the adjacency in cold order on the first
+   read; later ones append, so rows may drift from it. *)
 module Session = struct
   type bwg = t
-
-  (* One destination's groups: local state [i]'s are [first.(i)] ..
-     [first.(i + 1) - 1], group [j] headed by local state [heads.(j)]. *)
-  type groups = { first : int array; heads : int array }
 
   type t = {
     mutable space : State_space.t;
@@ -417,12 +521,12 @@ module Session = struct
     let base = Array.init n (rule_of waits space) in
     {
       space;
-      witness_cap;
+      witness_cap = max 1 witness_cap;
       domains;
       rule = waits;
       base;
       live = Array.copy base;
-      groups = Array.make n { first = [||]; heads = [||] };
+      groups = Array.make n no_groups;
       captured = false;
       counts = Itbl.create 1024;
       graph = Digraph.create (State_space.num_buffers space);
@@ -505,21 +609,11 @@ module Session = struct
       s.zeroed;
     s.zeroed <- []
 
-  (* [f q1 h] for destination [d]'s groups in emission order: the occupied
-     buffer and the head's local state *)
-  let iter_dest_groups s d f =
-    let { first; heads } = s.groups.(d) in
-    let bufs = (State_space.dest_view s.space ~dest:d).State_space.view_bufs in
-    for i = 0 to Array.length first - 2 do
-      for j = first.(i) to first.(i + 1) - 1 do
-        f bufs.(i) heads.(j)
-      done
-    done
-
   (* [delta] on every live emission of destination [d] *)
   let bump_dest s d delta =
     let live = s.live.(d) in
-    iter_dest_groups s d (fun q1 h -> List.iter (fun w -> bump s q1 w delta) live.(h))
+    iter_dest_groups s.space d s.groups.(d) (fun q1 h ->
+        List.iter (fun w -> bump s q1 w delta) live.(h))
 
   (* destination [d]'s noted changes, oldest first, on every group their
      head heads *)
@@ -530,39 +624,21 @@ module Session = struct
         let later = Option.value (Hashtbl.find_opt by_head h) ~default:[] in
         Hashtbl.replace by_head h ((t, delta) :: later))
       s.changed.(d);
-    iter_dest_groups s d (fun q1 h ->
+    iter_dest_groups s.space d s.groups.(d) (fun q1 h ->
         match Hashtbl.find_opt by_head h with
         | Some ts -> List.iter (fun (t, delta) -> bump s q1 t delta) ts
         | None -> ())
 
   (* destination [d]'s groups under its rule: the closures *)
   let capture s d =
-    Obs.span "bwg.closure" @@ fun () ->
-    let rule = s.base.(d) in
-    let k = Array.length rule in
-    let first = Array.make (k + 1) 0 in
-    let heads = ref (Array.make (max k 16) 0) and len = ref 0 in
-    iter_groups
-      (State_space.dest_view s.space ~dest:d)
+    capture s.space
       ~wormhole:(Net.switching (State_space.net s.space) = Net.Wormhole)
-      ~dense_closures:false
-      ~waiting:(fun h -> rule.(h) <> [])
-      ~group:(fun i h ->
-        if !len = Array.length !heads then
-          heads := Array.append !heads (Array.make !len 0);
-        !heads.(!len) <- h;
-        incr len;
-        first.(i + 1) <- !len);
-    (* a state without groups starts and ends where the last one ends *)
-    for i = 1 to k do
-      first.(i) <- max first.(i) first.(i - 1)
-    done;
-    { first; heads = Array.sub !heads 0 !len }
+      ~dense_closures:false s.base.(d) d
 
   (* Bring the counts up to the live sets.  The first read captures every
      destination's groups (over the pool with [domains] > 1) and counts
-     their emissions, destinations ascending, as the cold recorder sees
-     them; later reads apply the noted changes. *)
+     their emissions, destinations ascending, so edges enter the
+     adjacency in cold order; later reads apply the noted changes. *)
   let sync s =
     let rederived =
       if not s.captured then begin
@@ -587,32 +663,10 @@ module Session = struct
     in
     Obs.count "bwg.session.rederived" rederived
 
-  (* What the cold recorder keeps for q1 -> q2: destinations ascending;
-     in each, q1's groups in emission order, a witness per live emission
-     of q2 by the group's head; the first [witness_cap]. *)
+  (* a non-edge has no emission to look for *)
   let derive s q1 q2 =
     if not (Itbl.mem s.counts ((q1 * Digraph.num_vertices s.graph) + q2)) then []
-    else begin
-      let acc = ref [] and n = ref 0 in
-      Array.iteri
-        (fun dest { first; heads } ->
-          let i = find s ~buf:q1 ~dest in
-          if i >= 0 && !n < s.witness_cap then begin
-            let bufs = (State_space.dest_view s.space ~dest).State_space.view_bufs in
-            for j = first.(i) to first.(i + 1) - 1 do
-              let h = heads.(j) in
-              List.iter
-                (fun w ->
-                  if w = q2 && !n < s.witness_cap then begin
-                    acc := { dest; head = bufs.(h) } :: !acc;
-                    incr n
-                  end)
-                s.live.(dest).(h)
-            done
-          end)
-        s.groups;
-      List.rev !acc
-    end
+    else derive ~witness_cap:s.witness_cap s.space s.groups s.live q1 q2
 
   let bwg s : bwg =
     sync s;
@@ -666,23 +720,12 @@ module Session = struct
     sweep s;
     !kept
 
+  (* the cold build's edge pass over the groups and a copy of the live
+     sets; rows still the rule's are never written in place *)
   let snapshot s =
     sync s;
-    (* rows still the rule's are never written in place; copy the rest *)
     let live =
       Array.mapi (fun d row -> if row == s.base.(d) then row else Array.copy row) s.live
     in
-    let space = s.space in
-    replay ~witness_cap:s.witness_cap
-      ~wait_sets:(fun ~buf ~dest ->
-        let i = State_space.index space ~buf ~dest in
-        if i < 0 then [] else live.(dest).(i))
-      space
-      (fun emit ->
-        for d = 0 to Array.length live - 1 do
-          let bufs = (State_space.dest_view space ~dest:d).State_space.view_bufs in
-          iter_dest_groups s d (fun q1 h ->
-              let wit = { dest = d; head = bufs.(h) } in
-              List.iter (fun w -> emit q1 w wit) live.(d).(h))
-        done)
+    of_groups ~witness_cap:s.witness_cap s.space (Array.copy s.groups) live
 end

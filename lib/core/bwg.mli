@@ -34,15 +34,22 @@ val build :
   t
 (** Each destination's continuation closures are computed over that
     destination's own reachable buffers, so per-destination work is sized
-    by its states rather than by the network; every emitted edge is
-    recorded in O(1) (DESIGN.md §3).  This is the full BWG, under the
-    algorithm's whole waiting rule; it alone sets the [bwg.edges] and
-    [bwg.vertices] gauges.  A BWG' comes from a {!Session}.
-    [witness_cap] bounds the witnesses retained per edge (default 32).
-    [domains] (default 1) fans the per-destination continuation closures
-    out over OCaml 5 domains; the per-destination work is independent, the
-    merge is deterministic, and the result is identical to the serial
-    build (tested).
+    by its states rather than by the network.  They yield the
+    destination's (occupied buffer, waiting head) groups, which the build
+    keeps; one pass then buckets every group's emissions by occupied
+    buffer and de-duplicates each bucket, so edges enter each adjacency
+    row in first-emission order (DESIGN.md §3).  No witness list is
+    stored: {!witnesses} derives one from the groups when read.  This is
+    the full BWG, under the algorithm's whole waiting rule; it alone sets
+    the [bwg.edges] and [bwg.vertices] gauges.  A BWG' comes from a
+    {!Session}.  Captures run under [bwg.closure] and the pass under
+    [bwg.bucket], which counts [bwg.emissions] (before de-duplication)
+    and [bwg.witnesses.capped].
+    [witness_cap] bounds the witnesses per edge (default 32); every
+    edge keeps its first, as {!replay} does, so a cap below 1 acts as 1.
+    [domains] (default 1) captures the groups over OCaml 5 domains; the
+    pass is serial, so the result is identical to the serial build
+    (tested).
     [indirect] (default [true]) controls the wormhole continuation
     closure; building with [~indirect:false] keeps only the direct "waits
     of the occupied buffer's own state" edges.  That is {e unsound} for
@@ -63,14 +70,13 @@ val dest_edges :
   emit:(int -> int -> witness -> unit) ->
   unit
 (** The waiting edges contributed by one destination's traffic, streamed to
-    [emit q1 q2 witness] in exactly the order {!build} records them
+    [emit q1 q2 witness] in the order of the groups {!build} keeps
     (buffers in [view_bufs] order; per buffer, waiting heads
     ascending; per head, waits in rule order).  The BWG's edge set is the
     union of these per-destination emissions over all destinations — this
-    is the decomposition a {!Session} keeps and re-derives, one
-    destination at a time.  For wormhole networks the indirect continuation
-    closure is always applied (there is no [indirect] ablation knob
-    here). *)
+    is the decomposition {!build} and a {!Session} keep, one destination
+    at a time.  For wormhole networks the indirect continuation closure
+    is always applied (there is no [indirect] ablation knob here). *)
 
 val replay :
   ?wait_sets:wait_sets ->
@@ -78,21 +84,28 @@ val replay :
   State_space.t ->
   ((int -> int -> witness -> unit) -> unit) ->
   t
-(** [replay space f] constructs a BWG by handing [f] the same edge recorder
-    {!build} uses internally and letting the caller drive every emission.
-    If [f] emits, for each destination in ascending order, exactly the
-    sequence {!dest_edges} produces for that destination, the result is
-    structurally identical to [build space] — same adjacency, same witness
-    lists, same caps — by construction, since the emissions pass through
-    the same recorder in the same order.  {!Session.snapshot} replays a
-    session's emissions through it instead of recomputing the
-    continuation closures. *)
+(** [replay space f] constructs a BWG by handing [f] the reference edge
+    recorder and letting the caller drive every emission: an edge enters
+    its adjacency row at its first emission and keeps, in a witness cell
+    found through a [(q1, q2)] hash index, its first [witness_cap]
+    witnesses; every later one counts in [bwg.witnesses.capped].  If [f]
+    emits, for each destination in ascending order, exactly the sequence
+    {!dest_edges} produces for that destination, the result must equal
+    [build space] — same adjacency rows, same witness lists, same capped
+    count.  This is the test reference for {!build} and
+    {!Session.snapshot}, which keep no witness cells; nothing else calls
+    it. *)
 
 val space : t -> State_space.t
 val graph : t -> Dfr_graph.Digraph.t
 
 val witnesses : t -> int -> int -> witness list
-(** Witnesses of edge [q1 -> q2] ([[]] if absent). *)
+(** Witnesses of edge [q1 -> q2] ([[]] if absent): destinations
+    ascending; in each, [q1]'s groups in emission order, one witness per
+    emission of [q2] by the group's head; the first [witness_cap].
+    Derived from the kept groups on every read.  A {!build} or
+    {!Session.snapshot} derives from data nothing writes, so any domain
+    may read it. *)
 
 val is_acyclic : t -> bool
 
@@ -146,7 +159,8 @@ val to_dot : t -> string
 
     Captures run under the [bwg.closure] span and count updates under
     [bwg.patch]; [bwg.session.rederived] counts the destinations a read
-    captured or brought up to date (all of them on the first read). *)
+    captured or brought up to date (all of them on the first read).
+    Witnesses are derived as {!build}'s are, by one function. *)
 module Session : sig
   type bwg := t
   type t
@@ -190,7 +204,7 @@ module Session : sig
 
   val bwg : t -> bwg
   (** The BWG' of the live wait sets.  Its edge set and every edge's
-      witness list read exactly as a cold build's ({!replay} over
+      witness list read exactly as the reference's ({!replay} over
       {!dest_edges} with these wait sets; tested), and its wait sets are
       the live ones.  The graph is patched in place by the next read
       after a change, and its adjacency rows may list successors in
@@ -206,8 +220,10 @@ module Session : sig
       {!is_acyclic}. *)
 
   val snapshot : t -> bwg
-  (** A BWG' structurally identical to a cold build of the current live
-      wait sets, adjacency order included, that later changes to the
-      session leave alone: the session's emissions replayed through
-      {!replay}. *)
+  (** A BWG' structurally identical to the reference of the current live
+      wait sets ({!replay} over {!dest_edges}), adjacency order included,
+      that later changes to the session leave alone: {!build}'s edge pass
+      over the session's groups and a copy of its live sets, from which
+      its witnesses are derived.  No closure runs and no witness cell is
+      kept. *)
 end

@@ -31,7 +31,7 @@ type report = {
 }
 
 (* The verdict pipeline downstream of the BWG build, factored out so the
-   incremental re-checker (Incr) can run it against a replayed BWG: the
+   incremental re-checker (Incr) can run it against a session snapshot: the
    stuck / wait-connectivity prefixes are passed in because Incr maintains
    them per destination, and everything after — acyclicity, knot, cycle
    enumeration, classification, reduction — is exactly [check]'s code, which

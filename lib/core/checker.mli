@@ -84,7 +84,8 @@ val decide :
 (** The verdict pipeline downstream of the BWG build — exactly the code
     {!check} runs after constructing [space] and [bwg], exposed for the
     incremental re-checker, which maintains the stuck / wait-connectivity
-    state lists and the BWG per destination and replays them here.  [stuck]
+    state lists and the BWG per destination and hands them over here
+    (the BWG as a {!Bwg.Session.snapshot}).  [stuck]
     and [unconnected] must be what {!State_space.stuck_states} and
     {!Bwg.unconnected_states} would return (reachable-iteration order);
     [unconnected] is only consulted when [stuck] is empty, so callers

@@ -25,14 +25,15 @@ module Obs = Dfr_obs.Obs
      session's live BWG renders the cold bytes.  This is O(edit), tens
      of microseconds on 10^4-buffer instances.
 
-   - {b slow path} — anything else.  The session's emissions are
-     replayed, in destination order, through the recorder of Bwg.replay
-     (Bwg.Session.snapshot: a BWG structurally identical to a cold build,
-     witness caps included) and handed to Checker.decide, the very
-     pipeline a cold check runs.  Bit-for-bit identity is by
-     construction, not by re-implementation: witness order under the cap
-     and the shortest-first classification scan are order-sensitive, so
-     no incremental shortcut is taken past this point. *)
+   - {b slow path} — anything else.  Bwg.Session.snapshot runs the
+     cold build's edge pass over the session's groups and a copy of its
+     live wait sets (a BWG structurally identical to a cold build, row
+     order and witness caps included, with no closure re-run) and hands
+     it to Checker.decide, the very pipeline a cold check runs.
+     Bit-for-bit identity is by construction, not by re-implementation:
+     witness order under the cap and the shortest-first classification
+     scan are order-sensitive, so no incremental shortcut is taken past
+     this point. *)
 
 type path = Fast | Replay
 

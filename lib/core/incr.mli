@@ -12,8 +12,8 @@
       rank certifies its BWG acyclic (Theorem 1), the report is rendered
       from the session's live BWG in O(edit): it reads only the edge and
       vertex counts, and no BWG is rebuilt;
-    - otherwise the session's emissions are replayed through
-      {!Bwg.replay} ({!Bwg.Session.snapshot}) and decided by
+    - otherwise a {!Bwg.Session.snapshot}, the cold build's edge pass
+      over the session's groups and live wait sets, is decided by
       {!Checker.decide}, the cold pipeline itself.
 
     Either way the rendered report is bit-for-bit identical to what a
@@ -30,7 +30,7 @@ type t
 
 type path =
   | Fast  (** verdict rendered from the live BWG's counts *)
-  | Replay  (** the session's emissions replayed through the cold pipeline *)
+  | Replay  (** a snapshot of the session decided by the cold pipeline *)
 
 type result = {
   report : Dfr_util.Json.t;  (** byte-identical to the cold report *)

@@ -17,6 +17,14 @@
 # each response's `.report` must equal the golden file.  Both sides go
 # through `jq -c .`, which keeps key order, so the compact wire form is
 # compared with the pretty file as the same document.
+#
+# The metrics leg runs when the directory has a `metrics/` subdirectory
+# (the glob above does not reach it): each `metrics/ALGO@TOPO.json` holds
+# the size counters and gauges of `check --json --metrics` on that
+# instance, the figures a cheaper BWG build must keep (closure words and
+# dense rows, capped witnesses, states, BWG edges and vertices).  They
+# are selected with the filter below; regenerate a file by piping the
+# same command line through `jq "$metrics_filter"`.
 set -u
 dfcheck=$1
 dir=$2
@@ -57,5 +65,21 @@ for want in "$dir"/*.json; do
   fi
   i=$((i + 1))
 done
-[ "$fail" -eq 0 ] && echo "ok: $n golden reports in $dir, from check --json and serve"
+metrics_filter='.metrics | {counters: (.counters | {"bwg.closure.dense-rows", "bwg.closure.words", "bwg.witnesses.capped", "space.states"}), gauges: (.gauges | {"bwg.edges", "bwg.vertices"})}'
+m=0
+for want in "$dir"/metrics/*.json; do
+  [ -e "$want" ] || continue
+  base=$(basename "$want" .json)
+  algo=${base%%@*}
+  topo=$(printf '%s' "${base#*@}" | tr _ :)
+  m=$((m + 1))
+  if ! "$dfcheck" check -a "$algo" -t "$topo" --json --metrics 2>/dev/null |
+    jq "$metrics_filter" | cmp -s - "$want"; then
+    echo "FAIL: check -a $algo -t $topo --json --metrics: pinned values differ from $want"
+    fail=1
+  fi
+done
+msg="ok: $n golden reports in $dir, from check --json and serve"
+[ "$m" -gt 0 ] && msg="$msg; $m metric pins"
+[ "$fail" -eq 0 ] && echo "$msg"
 exit $fail

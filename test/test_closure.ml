@@ -3,14 +3,16 @@
    The reference is the construction read straight off §3 of the paper:
    for every reachable state (q1, dest), one DFS over the destination's
    full move graph finds every buffer the header can block in, and each
-   such head contributes its waiting set, in rule order.  Bwg.build and
-   Bwg.dest_edges compute the same relation through destination-local
-   SCC closures, and a wait-set session (Bwg.Session) from the groups of
-   those closures; they must agree with the reference on the emission
-   sequence of every destination (which is what Incr caches and replays),
-   on the edge set and its first-emission order (a session's live BWG' on
-   the set only), on every edge's witness list, and on how many witnesses
-   the cap dropped. *)
+   such head contributes its waiting set, in rule order.  Bwg.dest_edges
+   computes the same relation through destination-local SCC closures,
+   and Bwg.build and a wait-set session (Bwg.Session) bucket the groups
+   of those closures by occupied buffer and derive witness lists from
+   them; they must agree with the reference on the emission sequence of
+   every destination (the groups a session keeps), on the edge set and
+   its first-emission order (a session's live BWG' on the set only), on
+   every edge's witness list, and on how many witnesses the cap dropped,
+   at every witness cap, domain count and closure layout.  Bwg.replay,
+   the hash-indexed recorder, must agree with the same reference. *)
 
 open Dfr_network
 open Dfr_routing
@@ -24,9 +26,10 @@ type emission = int * int * Bwg.witness
 
 (* one DFS per (q1, dest) over the destination's moves, read off
    [State_space.outputs] in buffer ids, so the reference shares nothing
-   with the slice's move graph *)
-let reference_dest_edges ~wait_sets space ~dest : emission list =
-  let wormhole = Net.switching (State_space.net space) = Net.Wormhole in
+   with the slice's move graph; [~indirect:false] keeps q1 as its only
+   head, as [Bwg.build ~indirect:false] does *)
+let reference_dest_edges ?(indirect = true) ~wait_sets space ~dest : emission list =
+  let wormhole = indirect && Net.switching (State_space.net space) = Net.Wormhole in
   let num_bufs = State_space.num_buffers space in
   let acc = ref [] in
   List.iter
@@ -73,7 +76,7 @@ let reference_record ~cap num_bufs (emissions : emission list) =
     emissions;
   (Array.map List.rev succ, wits, !capped)
 
-(* [f ()] and the witnesses its recorder dropped at the cap *)
+(* [f ()] and the witnesses it dropped at the cap *)
 let with_capped f =
   Obs.enable ();
   let bwg = f () in
@@ -86,7 +89,22 @@ let with_capped f =
 let pp_emission (q1, q2, (w : Bwg.witness)) =
   Printf.sprintf "%d->%d (dest %d, head %d)" q1 q2 w.Bwg.dest w.Bwg.head
 
-let agree ~label ?wait_sets space =
+(* the pool clamps workers to the core count; force real fan-out *)
+let with_cap n f =
+  Dfr_util.Domain_pool.set_cap (Some n);
+  Fun.protect ~finally:(fun () -> Dfr_util.Domain_pool.set_cap None) f
+
+(* Every BWG of [space] under [wait_sets] (default: the algorithm's
+   rule) against [reference_record] of the reference emissions, at
+   witness caps 1, 2 and 32, and 0, where the recorder still keeps each
+   edge's first witness.  The full rule is [Bwg.build]'s, at 1 and 4
+   domains with hybrid and dense closure rows; a custom one is a
+   session's snapshot.  Each of those, and [Bwg.replay] of the reference
+   emissions, must give the reference's rows in order, every witness
+   list and the capped count; a session's live BWG', rows as sets and
+   every witness list.  [~indirect:false] checks the build's ablation
+   against the direct reference, which nothing else builds. *)
+let agree ~label ?wait_sets ?(indirect = true) space =
   let rules =
     match wait_sets with
     | Some w -> w
@@ -95,37 +113,58 @@ let agree ~label ?wait_sets space =
   let num_bufs = State_space.num_buffers space in
   let per_dest =
     List.init (State_space.num_nodes space) (fun dest ->
-        let want = reference_dest_edges ~wait_sets:rules space ~dest in
-        let got = ref [] in
-        Bwg.dest_edges ?wait_sets space ~dest ~emit:(fun q1 q2 w ->
-            got := (q1, q2, w) :: !got);
-        let got = List.rev !got in
-        if got <> want then
-          Alcotest.failf "%s: dest %d emits %d edges, reference %d (first: %s)"
-            label dest (List.length got) (List.length want)
-            (match got with e :: _ -> pp_emission e | [] -> "none");
+        let want = reference_dest_edges ~indirect ~wait_sets:rules space ~dest in
+        if indirect then begin
+          let got = ref [] in
+          Bwg.dest_edges ?wait_sets space ~dest ~emit:(fun q1 q2 w ->
+              got := (q1, q2, w) :: !got);
+          let got = List.rev !got in
+          if got <> want then
+            Alcotest.failf "%s: dest %d emits %d edges, reference %d (first: %s)"
+              label dest (List.length got) (List.length want)
+              (match got with e :: _ -> pp_emission e | [] -> "none")
+        end;
         want)
   in
   let emissions = List.concat per_dest in
   List.iter
     (fun cap ->
       let succ, wits, want_capped = reference_record ~cap num_bufs emissions in
-      (* the full rule is [Bwg.build]'s; a custom one is a session's *)
-      let built, capped =
-        with_capped (fun () ->
-            match wait_sets with
-            | None -> Bwg.build ~witness_cap:cap space
-            | Some waits ->
-              Bwg.Session.snapshot (Bwg.Session.create ~witness_cap:cap ~waits space))
+      let cold =
+        match wait_sets with
+        | None ->
+          List.map
+            (fun (domains, dense_closures) ->
+              ( Printf.sprintf "build, %d domains%s" domains
+                  (if dense_closures then ", dense" else ""),
+                with_cap 4 (fun () ->
+                    with_capped (fun () ->
+                        Bwg.build ~witness_cap:cap ~indirect ~domains ~dense_closures
+                          space))
+              ))
+            [ (1, false); (4, false); (1, true); (4, true) ]
+        | Some waits ->
+          [
+            ( "snapshot",
+              with_capped (fun () ->
+                  Bwg.Session.snapshot (Bwg.Session.create ~witness_cap:cap ~waits space))
+            );
+          ]
       in
-      (* Incr's slow path: the cached emission sequences replayed *)
       let replayed =
-        Bwg.replay ~witness_cap:cap space (fun emit ->
-            List.iter (fun (q1, q2, w) -> emit q1 q2 w) emissions)
+        with_capped (fun () ->
+            Bwg.replay ~witness_cap:cap space (fun emit ->
+                List.iter (fun (q1, q2, w) -> emit q1 q2 w) emissions))
       in
       (* the session's live BWG' may order a row differently *)
       let live =
-        Bwg.Session.bwg (Bwg.Session.create ~witness_cap:cap ?waits:wait_sets space)
+        if indirect then
+          [
+            ( "session",
+              Bwg.Session.bwg (Bwg.Session.create ~witness_cap:cap ?waits:wait_sets space),
+              false );
+          ]
+        else []
       in
       List.iter
         (fun (name, b, ordered) ->
@@ -146,15 +185,15 @@ let agree ~label ?wait_sets space =
                     label name cap q1 q2)
               succ.(q1)
           done)
-        [
-          ((if wait_sets = None then "build" else "snapshot"), built, true);
-          ("replay", replayed, true);
-          ("session", live, false);
-        ];
-      check Alcotest.int
-        (Printf.sprintf "%s: capped witnesses at cap %d" label cap)
-        want_capped capped)
-    [ 1; 32 ]
+        (List.map (fun (name, (b, _)) -> (name, b, true)) (("replay", replayed) :: cold)
+        @ live);
+      List.iter
+        (fun (name, (_, capped)) ->
+          check Alcotest.int
+            (Printf.sprintf "%s (%s): capped witnesses at cap %d" label name cap)
+            want_capped capped)
+        (("replay", replayed) :: cold))
+    [ 0; 1; 2; 32 ]
 
 (* a custom waiting rule exercises [?wait_sets] and the session's
    [?waits]: keep the first waiting buffer of every state *)
@@ -167,6 +206,8 @@ let test_catalogue () =
       let net = Registry.network_for e None in
       let space = State_space.build net e.Registry.algo in
       agree ~label:e.Registry.name space;
+      if Net.switching net = Net.Wormhole then
+        agree ~label:(e.Registry.name ^ " direct") ~indirect:false space;
       agree ~label:(e.Registry.name ^ " first-wait") ~wait_sets:(first_wait space)
         space;
       match State_space.reduced_waits space with
@@ -456,6 +497,83 @@ let test_session_promotes () =
   check Alcotest.bool "restored first witness leads again" true
     (Bwg.witnesses (Bwg.Session.bwg session) q1 q2 = [ w1; List.nth ws 1 ])
 
+(* A snapshot keeps the wait sets it was taken under.  Remove a few
+   entries, take the snapshot, then restore them and, in each destination
+   touched, remove the entry behind one of the snapshot's witnesses (rows
+   already written in place), and read the session again.  The snapshot
+   must still read as the cold BWG' of the wait sets at snapshot time,
+   rows in order, witness lists and unconnected states included. *)
+let test_snapshot_isolated () =
+  List.iter
+    (fun (e : Registry.entry) ->
+      let space = State_space.build (Registry.network_for e None) e.Registry.algo in
+      let entries = ref [] in
+      State_space.iter_reachable space (fun ~buf ~dest ->
+          List.iter
+            (fun t -> entries := (buf, dest, t) :: !entries)
+            (State_space.waits space ~buf ~dest));
+      let entries = List.rev !entries in
+      if entries <> [] then
+        List.iter
+          (fun cap ->
+            let label = Printf.sprintf "%s (cap %d)" e.Registry.name cap in
+            let rng = Dfr_util.Prng.create 11 in
+            let session = Bwg.Session.create ~witness_cap:cap space in
+            let removed = Hashtbl.create 8 in
+            for _ = 1 to 3 do
+              let ((buf, dest, t) as entry) = Dfr_util.Prng.pick rng entries in
+              if not (Hashtbl.mem removed entry) then begin
+                Hashtbl.replace removed entry ();
+                Bwg.Session.remove session ~buf ~dest t
+              end
+            done;
+            let wait_sets ~buf ~dest =
+              List.filter
+                (fun t -> not (Hashtbl.mem removed (buf, dest, t)))
+                (State_space.waits space ~buf ~dest)
+            in
+            let snapshot = Bwg.Session.snapshot session in
+            let want = Cold.bwg ~witness_cap:cap ~wait_sets space in
+            let want_unconnected = Bwg.unconnected_states want in
+            (* a witness of [want] in destination [d], with its edge's target *)
+            let witness_in d =
+              Dfr_graph.Digraph.fold_edges
+                (fun q1 q2 acc ->
+                  match acc with
+                  | Some _ -> acc
+                  | None ->
+                    List.find_map
+                      (fun (w : Bwg.witness) ->
+                        if w.Bwg.dest = d then Some (w, q2) else None)
+                      (Bwg.witnesses want q1 q2))
+                (Bwg.graph want) None
+            in
+            let touched = Hashtbl.fold (fun (_, d, _) () acc -> d :: acc) removed [] in
+            Hashtbl.iter
+              (fun (buf, dest, t) () -> Bwg.Session.restore session ~buf ~dest t)
+              removed;
+            List.iter
+              (fun d ->
+                Option.iter
+                  (fun ((w : Bwg.witness), q2) ->
+                    Bwg.Session.remove session ~buf:w.Bwg.head ~dest:d q2)
+                  (witness_in d))
+              (List.sort_uniq compare touched);
+            check Alcotest.bool (label ^ ": the session moved on") true
+              (Cold.diff ~want ~got:(Bwg.Session.bwg session) <> None);
+            Option.iter
+              (Alcotest.failf "%s: snapshot %s" label)
+              (Cold.diff ~want ~got:snapshot);
+            for q = 0 to State_space.num_buffers space - 1 do
+              if Dfr_graph.Digraph.succ (Bwg.graph want) q
+                 <> Dfr_graph.Digraph.succ (Bwg.graph snapshot) q
+              then Alcotest.failf "%s: snapshot row %d out of cold order" label q
+            done;
+            if Bwg.unconnected_states snapshot <> want_unconnected then
+              Alcotest.failf "%s: snapshot's unconnected states moved" label)
+          [ 1; 32 ])
+    Registry.all
+
 let suite =
   [
     Alcotest.test_case "closure = per-state DFS (catalogue)" `Quick test_catalogue;
@@ -468,4 +586,6 @@ let suite =
       test_session_promotes;
     Alcotest.test_case "session walks edit slices both ways" `Quick
       test_walk_edit_coverage;
+    Alcotest.test_case "snapshot keeps the wait sets it was taken under" `Quick
+      test_snapshot_isolated;
   ]

@@ -55,7 +55,9 @@ let test_span_nesting () =
    fixtures exercise the checker shapes that reach the parallel paths
    deterministically (efa: wormhole, acyclic BWG; two-buffer: SAF with a
    full cycle scan; duato-incoherent: a wormhole cycle scan whose
-   classification walks the move graphs) *)
+   classification walks the move graphs).  [bwg.emissions], the BWG
+   edge pass's emissions before de-duplication, must be among them: the
+   pass is serial, but its groups are captured over the pool *)
 let counters_for name domains =
   with_cap 4 @@ fun () ->
   let e =
@@ -79,7 +81,9 @@ let test_counters_deterministic () =
         Alcotest.(list (pair string int))
         (name ^ ": counters agree across domains")
         serial parallel;
-      check Alcotest.bool (name ^ ": counters nonempty") true (serial <> []))
+      check Alcotest.bool (name ^ ": counters nonempty") true (serial <> []);
+      check Alcotest.bool (name ^ ": bwg.emissions counted") true
+        (Option.value (List.assoc_opt "bwg.emissions" serial) ~default:0 > 0))
     [ "efa"; "two-buffer"; "duato-incoherent" ]
 
 (* same invariance for the parallel phase of the state-space build — the
@@ -177,7 +181,7 @@ let test_trace_exports_valid_json () =
           if not (List.mem stage names) then
             Alcotest.failf "trace lacks stage span %S" stage)
         [
-          "space.build"; "bwg.build"; "bwg.closure"; "checker.knot";
+          "space.build"; "bwg.build"; "bwg.closure"; "bwg.bucket"; "checker.knot";
           "checker.cycle-scan"; "checker.classify";
         ])
 
