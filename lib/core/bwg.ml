@@ -26,6 +26,8 @@ type t = {
   witnesses : int -> int -> witness list;
       (* of q1 -> q2, both in range: [derive] over kept groups, or the
          reference recorder's cell *)
+  acyclic : unit -> bool;
+      (* the Kahn pass over [graph], or a session's kept rank *)
   wait_sets : wait_sets;
 }
 
@@ -269,9 +271,9 @@ let edge_pass ~witness_cap space groups (waits : int list array array) =
 (* The witnesses the reference recorder keeps for q1 -> q2, derived from
    the groups: destinations ascending; in each, q1's groups in emission
    order, a witness per emission of q2 by the group's head under
-   [waits]; the first [witness_cap].  Reads only its arguments, so cold
-   BWGs and snapshots, whose arguments are never written, may be read
-   from any domain. *)
+   [waits]; the first [witness_cap].  Reads only its arguments, so any
+   domain may call it while nothing writes them: a cold build's never
+   change, a session's only on a change or a read. *)
 let derive ~witness_cap space groups (waits : int list array array) q1 q2 =
   let acc = ref [] and n = ref 0 and dest = ref 0 in
   while !n < witness_cap && !dest < Array.length groups do
@@ -295,18 +297,6 @@ let derive ~witness_cap space groups (waits : int list array array) q1 q2 =
   done;
   List.rev !acc
 
-(* the BWG of [groups] under [waits], neither written afterwards *)
-let of_groups ~witness_cap space groups waits =
-  {
-    space;
-    graph = edge_pass ~witness_cap space groups waits;
-    witnesses = derive ~witness_cap space groups waits;
-    wait_sets =
-      (fun ~buf ~dest ->
-        let i = State_space.index space ~buf ~dest in
-        if i < 0 then [] else waits.(dest).(i));
-  }
-
 (* One destination's groups as an emission stream: each group's head's
    waits, in rule order, emitted for its occupied buffer with one witness
    record per group.  [wait_sets = None] reads the algorithm's waiting
@@ -324,6 +314,46 @@ let dest_edges ?wait_sets ?(dense_closures = false) space ~dest ~emit =
     (fun q1 h ->
       let wit = { dest; head = bufs.(h) } in
       List.iter (fun w -> emit q1 w wit) waits.(h))
+
+(* Kahn's pass over the adjacency directly (no frozen CSR): [Some rank],
+   rank.(v) the position of [v] in a topological order, when the graph is
+   acyclic.  It decides a cold build's [is_acyclic] and renews a
+   session's certificate. *)
+let topo_rank g =
+  let n = Digraph.num_vertices g in
+  let indeg = Array.make n 0 in
+  for v = 0 to n - 1 do
+    Digraph.iter_succ (fun w -> indeg.(w) <- indeg.(w) + 1) g v
+  done;
+  let order = Array.make n 0 in
+  let filled = ref 0 in
+  for v = 0 to n - 1 do
+    if indeg.(v) = 0 then begin
+      order.(!filled) <- v;
+      incr filled
+    end
+  done;
+  let head = ref 0 in
+  while !head < !filled do
+    let v = order.(!head) in
+    incr head;
+    Digraph.iter_succ
+      (fun w ->
+        indeg.(w) <- indeg.(w) - 1;
+        if indeg.(w) = 0 then begin
+          order.(!filled) <- w;
+          incr filled
+        end)
+      g v
+  done;
+  if !filled < n then None
+  else begin
+    (* every in-degree is back at 0: the array takes the ranks *)
+    Array.iteri (fun i v -> indeg.(v) <- i) order;
+    Some indeg
+  end
+
+let kahn_acyclic g () = Option.is_some (topo_rank g)
 
 (* The reference recorder's witness cell.  Witness lists are capped; the
    insertion count rides along so the cap check is O(1) instead of an
@@ -358,7 +388,7 @@ let replay ?wait_sets ?(witness_cap = 32) space f =
   let wait_sets =
     Option.value wait_sets ~default:(fun ~buf ~dest -> State_space.waits space ~buf ~dest)
   in
-  { space; graph; witnesses; wait_sets }
+  { space; graph; witnesses; acyclic = kahn_acyclic graph; wait_sets }
 
 (* [f d] for every destination, over [domains] pool workers when there
    is more than one.  Work items are single destinations claimed off an
@@ -398,52 +428,20 @@ let build ?(witness_cap = 32) ?(indirect = true) ?(domains = 1)
   let groups = Array.make num_nodes no_groups in
   each_dest ~domains num_nodes (fun d ->
       groups.(d) <- capture space ~wormhole ~dense_closures rules.(d) d);
-  let t = of_groups ~witness_cap space groups rules in
+  let graph = edge_pass ~witness_cap space groups rules in
   (* only the full BWG reports its size: a BWG' of the same instance
      would overwrite the figure the report prints *)
   Obs.gauge "bwg.vertices" (float_of_int (State_space.num_buffers space));
-  Obs.gauge "bwg.edges" (float_of_int (Digraph.num_edges t.graph));
-  t
+  Obs.gauge "bwg.edges" (float_of_int (Digraph.num_edges graph));
+  {
+    space;
+    graph;
+    witnesses = derive ~witness_cap space groups rules;
+    acyclic = kahn_acyclic graph;
+    wait_sets = (fun ~buf ~dest -> State_space.waits space ~buf ~dest);
+  }
 
-(* Kahn's pass over the adjacency directly (no frozen CSR): [Some rank],
-   rank.(v) the position of [v] in a topological order, when the graph is
-   acyclic.  It decides [is_acyclic] and renews a session's
-   certificate. *)
-let topo_rank g =
-  let n = Digraph.num_vertices g in
-  let indeg = Array.make n 0 in
-  for v = 0 to n - 1 do
-    Digraph.iter_succ (fun w -> indeg.(w) <- indeg.(w) + 1) g v
-  done;
-  let order = Array.make n 0 in
-  let filled = ref 0 in
-  for v = 0 to n - 1 do
-    if indeg.(v) = 0 then begin
-      order.(!filled) <- v;
-      incr filled
-    end
-  done;
-  let head = ref 0 in
-  while !head < !filled do
-    let v = order.(!head) in
-    incr head;
-    Digraph.iter_succ
-      (fun w ->
-        indeg.(w) <- indeg.(w) - 1;
-        if indeg.(w) = 0 then begin
-          order.(!filled) <- w;
-          incr filled
-        end)
-      g v
-  done;
-  if !filled < n then None
-  else begin
-    (* every in-degree is back at 0: the array takes the ranks *)
-    Array.iteri (fun i v -> indeg.(v) <- i) order;
-    Some indeg
-  end
-
-let is_acyclic t = Option.is_some (topo_rank t.graph)
+let is_acyclic t = t.acyclic ()
 
 (* Only the Theorem-1 certificate needs a materialized order; freeze a
    transient CSR so the output is byte-identical to the historical frozen
@@ -485,7 +483,8 @@ let to_dot t =
    applies the changes noted since the last one.  No witness list is
    stored: a read derives an edge's from the groups ([derive], as a cold
    build does).  Edges enter the adjacency in cold order on the first
-   read; later ones append, so rows may drift from it. *)
+   read; later ones append, so rows may drift from it, which nothing
+   that decides a verdict reads (DESIGN.md §9). *)
 module Session = struct
   type bwg = t
 
@@ -668,19 +667,20 @@ module Session = struct
     if not (Itbl.mem s.counts ((q1 * Digraph.num_vertices s.graph) + q2)) then []
     else derive ~witness_cap:s.witness_cap s.space s.groups s.live q1 q2
 
+  let rank s =
+    sync s;
+    if s.rank = None then s.rank <- topo_rank s.graph;
+    s.rank
+
   let bwg s : bwg =
     sync s;
     {
       space = s.space;
       graph = s.graph;
       witnesses = derive s;
+      acyclic = (fun () -> Option.is_some (rank s));
       wait_sets = (fun ~buf ~dest -> waits s ~buf ~dest);
     }
-
-  let rank s =
-    sync s;
-    if s.rank = None then s.rank <- topo_rank s.graph;
-    s.rank
 
   (* Incr's quick-path rule: a destination keeps its groups when its
      routes, and with them its states, move graph and closures, are
@@ -719,13 +719,4 @@ module Session = struct
       dests;
     sweep s;
     !kept
-
-  (* the cold build's edge pass over the groups and a copy of the live
-     sets; rows still the rule's are never written in place *)
-  let snapshot s =
-    sync s;
-    let live =
-      Array.mapi (fun d row -> if row == s.base.(d) then row else Array.copy row) s.live
-    in
-    of_groups ~witness_cap:s.witness_cap s.space (Array.copy s.groups) live
 end

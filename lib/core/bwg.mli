@@ -41,10 +41,11 @@ val build :
     row in first-emission order (DESIGN.md §3).  No witness list is
     stored: {!witnesses} derives one from the groups when read.  This is
     the full BWG, under the algorithm's whole waiting rule; it alone sets
-    the [bwg.edges] and [bwg.vertices] gauges.  A BWG' comes from a
-    {!Session}.  Captures run under [bwg.closure] and the pass under
-    [bwg.bucket], which counts [bwg.emissions] (before de-duplication)
-    and [bwg.witnesses.capped].
+    the [bwg.edges] and [bwg.vertices] gauges, and it is the only caller
+    of the edge pass.  A BWG' is a {!Session}'s live view.  Captures run
+    under [bwg.closure] and the pass under [bwg.bucket], which counts
+    [bwg.emissions] (before de-duplication) and [bwg.witnesses.capped],
+    so these count full builds only.
     [witness_cap] bounds the witnesses per edge (default 32); every
     edge keeps its first, as {!replay} does, so a cap below 1 acts as 1.
     [domains] (default 1) captures the groups over OCaml 5 domains; the
@@ -92,9 +93,8 @@ val replay :
     emits, for each destination in ascending order, exactly the sequence
     {!dest_edges} produces for that destination, the result must equal
     [build space] — same adjacency rows, same witness lists, same capped
-    count.  This is the test reference for {!build} and
-    {!Session.snapshot}, which keep no witness cells; nothing else calls
-    it. *)
+    count.  This is the test reference for {!build} and {!Session.bwg},
+    which keep no witness cells; nothing else calls it. *)
 
 val space : t -> State_space.t
 val graph : t -> Dfr_graph.Digraph.t
@@ -103,11 +103,14 @@ val witnesses : t -> int -> int -> witness list
 (** Witnesses of edge [q1 -> q2] ([[]] if absent): destinations
     ascending; in each, [q1]'s groups in emission order, one witness per
     emission of [q2] by the group's head; the first [witness_cap].
-    Derived from the kept groups on every read.  A {!build} or
-    {!Session.snapshot} derives from data nothing writes, so any domain
-    may read it. *)
+    Derived from the kept groups on every read.  Any domain may read it
+    while nothing writes those groups and wait sets: always for a
+    {!build}, and between a {!Session.bwg} and the session's next change
+    or read. *)
 
 val is_acyclic : t -> bool
+(** A Kahn pass over the graph for a {!build} or {!replay}; a
+    {!Session.bwg} answers from {!Session.rank}. *)
 
 val topological_order : t -> int list option
 (** A linear buffer ordering proving acyclicity (Theorem 1's certificate),
@@ -203,27 +206,25 @@ module Session : sig
       keep). *)
 
   val bwg : t -> bwg
-  (** The BWG' of the live wait sets.  Its edge set and every edge's
-      witness list read exactly as the reference's ({!replay} over
-      {!dest_edges} with these wait sets; tested), and its wait sets are
-      the live ones.  The graph is patched in place by the next read
-      after a change, and its adjacency rows may list successors in
-      another order than a cold build's; witnesses are derived from the
-      live sets when read, so read them before the next change.
-      {!snapshot} gives a BWG' to keep. *)
+  (** A live view of the BWG' of the live wait sets.  Its edge set and
+      every edge's witness list read exactly as the reference's
+      ({!replay} over {!dest_edges} with these wait sets; tested), its
+      wait sets are the live ones, and {!is_acyclic} reads {!rank}.  The
+      graph is patched in place by the next read after a change, and its
+      adjacency rows may list successors in another order than a cold
+      build's, which no verdict reads: cycle queries sort rows,
+      classification asks {!Dfr_graph.Digraph.mem_edge} and {!witnesses},
+      reports count edges (DESIGN.md §9).  Witnesses are derived from the
+      session's groups and live sets when read, so read them before the
+      next change.  Nothing writes those, nor the count table, between
+      this read and the next change or read, so {!Checker.decide}'s
+      classification may read the view's witnesses from pool workers at
+      [--domains] > 1. *)
 
   val rank : t -> int array option
   (** Theorem 1's certificate for the live BWG': [Some rank] with
       [rank.(q1) < rank.(q2)] on every edge [q1 -> q2], or [None] when it
       has a cycle.  A rank survives edge removals and rank-forward
-      additions; otherwise it is recomputed by the Kahn pass behind
-      {!is_acyclic}. *)
-
-  val snapshot : t -> bwg
-  (** A BWG' structurally identical to the reference of the current live
-      wait sets ({!replay} over {!dest_edges}), adjacency order included,
-      that later changes to the session leave alone: {!build}'s edge pass
-      over the session's groups and a copy of its live sets, from which
-      its witnesses are derived.  No closure runs and no witness cell is
-      kept. *)
+      additions; otherwise it is recomputed by the Kahn pass behind a
+      cold build's {!is_acyclic}. *)
 end

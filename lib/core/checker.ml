@@ -31,15 +31,18 @@ type report = {
 }
 
 (* The verdict pipeline downstream of the BWG build, factored out so the
-   incremental re-checker (Incr) can run it against a session snapshot: the
+   incremental re-checker (Incr) can run it on its session's live BWG: the
    stuck / wait-connectivity prefixes are passed in because Incr maintains
    them per destination, and everything after — acyclicity, knot, cycle
    enumeration, classification, reduction — is exactly [check]'s code, which
-   is what makes incremental slow-path verdicts bit-for-bit identical to
-   cold ones.  [unconnected] is only consulted when [stuck] is empty, so
-   callers that already have stuck states may pass [[]] for it. *)
-let decide ?cycle_limits ?class_limits ?reduction_budget ?(domains = 1) ~stuck
-    ~unconnected space bwg =
+   is what makes incremental verdicts bit-for-bit identical to cold ones.
+   Nothing here reads the order of an adjacency row, which a live BWG's
+   may not share with a cold build's (DESIGN.md §9).  The first three
+   verdicts return before the knot, cycle-scan and classify stages; Incr
+   calls them its fast path.  [unconnected] is only consulted when
+   [stuck] is empty, so callers that already have stuck states may pass
+   [[]] for it. *)
+let decide ?cycle_limits ?(domains = 1) ~stuck ~unconnected space bwg =
   let algo = State_space.algo space in
   let n_cycles = ref None in
   let ran_knot = ref false and ran_scan = ref false and ran_classify = ref false in
@@ -81,7 +84,7 @@ let decide ?cycle_limits ?class_limits ?reduction_budget ?(domains = 1) ~stuck
           let scan =
             Obs.span "checker.classify" @@ fun () ->
             let scan =
-              Cycle_class.first_true_cycle ?limits:class_limits ~domains bwg
+              Cycle_class.first_true_cycle ~domains bwg
                 (Cycle_class.shortest_first cycles)
             in
             Obs.count "checker.cycles.classified" scan.Cycle_class.classified;
@@ -95,8 +98,8 @@ let decide ?cycle_limits ?class_limits ?reduction_budget ?(domains = 1) ~stuck
               finish (Deadlock_possible (True_cycle { cycle; packets }))
             | Algo.Any_wait -> (
               (* Theorem 3: look for a BWG'. *)
-              match Reduction.verify_hint ?cycle_limits ?class_limits space with
-              | Some (Reduction.Reduced (_, removed)) ->
+              match Reduction.verify_hint ?cycle_limits space with
+              | Some (Reduction.Reduced removed) ->
                 finish
                   (Deadlock_free
                      (Reduced_bwg
@@ -106,12 +109,8 @@ let decide ?cycle_limits ?class_limits ?reduction_budget ?(domains = 1) ~stuck
                           full_bwg_cycles = List.length cycles;
                         }))
               | _ -> (
-                match
-                  fst
-                    (Reduction.search ?cycle_limits ?class_limits
-                       ?budget:reduction_budget ~domains space)
-                with
-                | Reduction.Reduced (_, removed) ->
+                match fst (Reduction.search ?cycle_limits ~domains space) with
+                | Reduction.Reduced removed ->
                   finish
                     (Deadlock_free
                        (Reduced_bwg
@@ -137,7 +136,7 @@ let decide ?cycle_limits ?class_limits ?reduction_budget ?(domains = 1) ~stuck
                 (Deadlock_free
                    (No_true_cycles { cycles_examined = scan.Cycle_class.classified }))))))
 
-let check ?cycle_limits ?class_limits ?reduction_budget ?(domains = 1) net algo =
+let check ?cycle_limits ?(domains = 1) net algo =
   Obs.span "checker.check" @@ fun () ->
   let space = State_space.build ~domains net algo in
   let bwg = Bwg.build ~domains space in
@@ -145,11 +144,10 @@ let check ?cycle_limits ?class_limits ?reduction_budget ?(domains = 1) net algo 
   let unconnected =
     if stuck = [] then Bwg.unconnected_states ~domains bwg else []
   in
-  decide ?cycle_limits ?class_limits ?reduction_budget ~domains ~stuck
-    ~unconnected space bwg
+  decide ?cycle_limits ~domains ~stuck ~unconnected space bwg
 
-let verdict ?cycle_limits ?class_limits ?reduction_budget ?domains net algo =
-  (check ?cycle_limits ?class_limits ?reduction_budget ?domains net algo).verdict
+let verdict ?cycle_limits ?domains net algo =
+  (check ?cycle_limits ?domains net algo).verdict
 
 (* Serving entry point: a long-lived process checking untrusted inputs
    cannot afford [check]'s process-per-check error model, where a
@@ -161,8 +159,8 @@ let verdict ?cycle_limits ?class_limits ?reduction_budget ?domains net algo =
    data.  Asynchronous exceptions (Out_of_memory, Stack_overflow) are
    deliberately not caught: a worker cannot know how much of the heap
    they poisoned. *)
-let check_result ?cycle_limits ?class_limits ?reduction_budget ?domains net algo =
-  match check ?cycle_limits ?class_limits ?reduction_budget ?domains net algo with
+let check_result ?cycle_limits ?domains net algo =
+  match check ?cycle_limits ?domains net algo with
   | report -> Ok report
   | exception Invalid_argument msg -> Error msg
   | exception Failure msg -> Error msg

@@ -57,8 +57,6 @@ type report = {
 
 val check :
   ?cycle_limits:Dfr_graph.Cycles.limits ->
-  ?class_limits:Cycle_class.limits ->
-  ?reduction_budget:int ->
   ?domains:int ->
   Net.t ->
   Algo.t ->
@@ -66,15 +64,15 @@ val check :
 (** [domains] parallelizes the BWG constructions (the full BWG and the
     first derivation of {!Reduction.search}'s wait-set session) and the
     cycle classification scan over OCaml 5 domains (default 1; see
-    {!Bwg.build}).  [reduction_budget] caps the search's probes.  Verdicts
-    are bit-for-bit identical to the serial run: the classification
-    fan-out still reports the True Cycle of minimal index in the
-    shortest-first order. *)
+    {!Bwg.build}).  Verdicts are bit-for-bit identical to the serial run:
+    the classification fan-out still reports the True Cycle of minimal
+    index in the shortest-first order.  [cycle_limits] caps the cycle
+    enumerations; classification runs under {!Cycle_class}'s default
+    caps and the Theorem-3 search under {!Reduction.search}'s default
+    budget. *)
 
 val decide :
   ?cycle_limits:Dfr_graph.Cycles.limits ->
-  ?class_limits:Cycle_class.limits ->
-  ?reduction_budget:int ->
   ?domains:int ->
   stuck:(int * int) list ->
   unconnected:(int * int) list ->
@@ -85,16 +83,18 @@ val decide :
     {!check} runs after constructing [space] and [bwg], exposed for the
     incremental re-checker, which maintains the stuck / wait-connectivity
     state lists and the BWG per destination and hands them over here
-    (the BWG as a {!Bwg.Session.snapshot}).  [stuck]
-    and [unconnected] must be what {!State_space.stuck_states} and
+    (the BWG as its session's live {!Bwg.Session.bwg}).  No stage reads
+    the order of an adjacency row, so a live BWG decides as a cold build
+    of the same wait sets does.  [Stuck_states], [Not_wait_connected]
+    and [Acyclic_bwg] return before the knot, cycle-scan and classify
+    stages, which then appear as zero-duration spans.  [stuck] and
+    [unconnected] must be what {!State_space.stuck_states} and
     {!Bwg.unconnected_states} would return (reachable-iteration order);
     [unconnected] is only consulted when [stuck] is empty, so callers
     holding stuck states may pass [[]]. *)
 
 val verdict :
   ?cycle_limits:Dfr_graph.Cycles.limits ->
-  ?class_limits:Cycle_class.limits ->
-  ?reduction_budget:int ->
   ?domains:int ->
   Net.t ->
   Algo.t ->
@@ -103,8 +103,6 @@ val verdict :
 
 val check_result :
   ?cycle_limits:Dfr_graph.Cycles.limits ->
-  ?class_limits:Cycle_class.limits ->
-  ?reduction_budget:int ->
   ?domains:int ->
   Net.t ->
   Algo.t ->

@@ -15,25 +15,16 @@ module Obs = Dfr_obs.Obs
    replaces only the dirty destinations' slices (Bwg.Session.update) and
    rescans their states.
 
-   Verdict rendering then splits:
-
-   - {b fast path} — stuck states, an unconnected state, or no cycle:
-     the session's rank certifies the graph acyclic.  The cold verdict
-     is then Stuck_states, Not_wait_connected or Theorem 1's
-     Acyclic_bwg, whose rendered report reads only the BWG's vertex/edge
-     counts (witnesses and cycle lists are never consulted), so the
-     session's live BWG renders the cold bytes.  This is O(edit), tens
-     of microseconds on 10^4-buffer instances.
-
-   - {b slow path} — anything else.  Bwg.Session.snapshot runs the
-     cold build's edge pass over the session's groups and a copy of its
-     live wait sets (a BWG structurally identical to a cold build, row
-     order and witness caps included, with no closure re-run) and hands
-     it to Checker.decide, the very pipeline a cold check runs.
-     Bit-for-bit identity is by construction, not by re-implementation:
-     witness order under the cap and the shortest-first classification
-     scan are order-sensitive, so no incremental shortcut is taken past
-     this point. *)
+   The verdict is Checker.decide, the very pipeline a cold check runs,
+   on the merged stuck / unconnected lists and the session's live BWG:
+   bit-for-bit identity is by construction, not by re-implementation.
+   Nothing decide reads depends on the order of an adjacency row, where
+   the live BWG may differ from a cold build (DESIGN.md §9), and its
+   acyclicity test reads the session's rank.  The path is read off the
+   verdict: Stuck_states, Not_wait_connected and Theorem 1's Acyclic_bwg
+   return before any cycle work, O(edit) and tens of microseconds on
+   10^4-buffer instances (Fast); anything else went on to the knot
+   search and the cycle stages (Replay). *)
 
 type path = Fast | Replay
 
@@ -60,9 +51,6 @@ type t = {
   stuck : int list array; (* per dest: buffers, ascending *)
   unconn : int list array; (* per dest: buffers, ascending *)
   domains : int;
-  cycle_limits : Dfr_graph.Cycles.limits option;
-  class_limits : Cycle_class.limits option;
-  reduction_budget : int option;
   mutable n_updates : int;
   mutable n_fast : int;
   mutable n_replay : int;
@@ -114,37 +102,28 @@ let merge_states per_dest =
   Array.sort (fun (a : int) b -> compare a b) arr;
   Array.fold_right (fun k acc -> (k / num_nodes, k mod num_nodes) :: acc) arr []
 
+(* The maintained lists are exactly what a cold check hands decide, so
+   a fault that strands packets re-verdicts before any cycle work — the
+   common case of a fault sweep. *)
 let conclude t ~dirty_dests =
   let space = space t in
   let stuck = merge_states t.stuck in
   let unconnected = if stuck = [] then merge_states t.unconn else [] in
-  (* a verdict renderable from the live BWG alone: these reports read
-     only its vertex/edge numbers, and Checker.decide returns before
-     touching the BWG on stuck or unconnected states (the maintained
-     lists are exactly what it would get), so a fault that strands
-     packets re-verdicts at fast-path cost — the common case of a fault
-     sweep *)
-  let fast verdict =
-    t.n_fast <- t.n_fast + 1;
-    Obs.count "incr.fast" 1;
-    let bwg = Bwg.Session.bwg t.session in
-    ({ Checker.verdict; space; bwg; bwg_cycles = None }, Fast)
+  let report =
+    Checker.decide ~domains:t.domains ~stuck ~unconnected space
+      (Bwg.Session.bwg t.session)
   in
-  let report, path =
-    if stuck <> [] then fast (Checker.Deadlock_possible (Checker.Stuck_states stuck))
-    else if unconnected <> [] then
-      fast (Checker.Deadlock_possible (Checker.Not_wait_connected unconnected))
-    else if Bwg.Session.rank t.session <> None then
-      fast (Checker.Deadlock_free Checker.Acyclic_bwg)
-    else begin
+  let path =
+    match report.Checker.verdict with
+    | Checker.Deadlock_possible (Checker.Stuck_states _ | Checker.Not_wait_connected _)
+    | Checker.Deadlock_free Checker.Acyclic_bwg ->
+      t.n_fast <- t.n_fast + 1;
+      Obs.count "incr.fast" 1;
+      Fast
+    | _ ->
       t.n_replay <- t.n_replay + 1;
       Obs.count "incr.replay" 1;
-      ( Checker.decide ?cycle_limits:t.cycle_limits ?class_limits:t.class_limits
-          ?reduction_budget:t.reduction_budget ~domains:t.domains ~stuck ~unconnected
-          space
-          (Bwg.Session.snapshot t.session),
-        Replay )
-    end
+      Replay
   in
   {
     report = Report_json.of_outcome t.net t.algo report;
@@ -154,8 +133,7 @@ let conclude t ~dirty_dests =
     reused_dests = State_space.num_nodes space - dirty_dests;
   }
 
-let create ?(witness_cap = 32) ?cycle_limits ?class_limits ?reduction_budget
-    ?(domains = 1) net algo =
+let create ?(domains = 1) net algo =
   Obs.span "incr.create" @@ fun () ->
   let space = State_space.build ~domains net algo in
   let num_nodes = State_space.num_nodes space in
@@ -163,13 +141,10 @@ let create ?(witness_cap = 32) ?cycle_limits ?class_limits ?reduction_budget
     {
       net;
       algo;
-      session = Bwg.Session.create ~witness_cap ~domains space;
+      session = Bwg.Session.create ~domains space;
       stuck = Array.make num_nodes [];
       unconn = Array.make num_nodes [];
       domains;
-      cycle_limits;
-      class_limits;
-      reduction_budget;
       n_updates = 0;
       n_fast = 0;
       n_replay = 0;

@@ -6,15 +6,12 @@
     each destination's stuck and wait-unconnected states.  An edit with a
     known dirty destination frontier ({!Dfr_spec.Diff} for spec edits)
     replaces only those destinations' slices ({!Bwg.Session.update}) and
-    re-renders the verdict:
-
-    - when the instance has stuck states, is not wait-connected, or the
-      rank certifies its BWG acyclic (Theorem 1), the report is rendered
-      from the session's live BWG in O(edit): it reads only the edge and
-      vertex counts, and no BWG is rebuilt;
-    - otherwise a {!Bwg.Session.snapshot}, the cold build's edge pass
-      over the session's groups and live wait sets, is decided by
-      {!Checker.decide}, the cold pipeline itself.
+    re-decides: one {!Checker.decide}, the cold pipeline itself, on the
+    session's live BWG ({!Bwg.Session.bwg}), which no BWG copy precedes.
+    Stuck states, a wait-unconnected state and an acyclic BWG (Theorem 1,
+    read off the session's rank) are decided in O(edit), before any
+    cycle work; anything else goes on to the knot search and the cycle
+    stages.
 
     Either way the rendered report is bit-for-bit identical to what a
     cold [Checker.check] + [Report_json.of_outcome] of the edited
@@ -29,8 +26,10 @@ open Dfr_routing
 type t
 
 type path =
-  | Fast  (** verdict rendered from the live BWG's counts *)
-  | Replay  (** a snapshot of the session decided by the cold pipeline *)
+  | Fast
+      (** [Stuck_states], [Not_wait_connected] or [Acyclic_bwg]: decided
+          before the knot, cycle-scan and classify stages *)
+  | Replay  (** any other verdict: knot search, then the cycle stages *)
 
 type result = {
   report : Dfr_util.Json.t;  (** byte-identical to the cold report *)
@@ -50,20 +49,11 @@ type counters = {
       (** dirty destinations that re-ran the full emission closure *)
 }
 
-val create :
-  ?witness_cap:int ->
-  ?cycle_limits:Dfr_graph.Cycles.limits ->
-  ?class_limits:Cycle_class.limits ->
-  ?reduction_budget:int ->
-  ?domains:int ->
-  Net.t ->
-  Algo.t ->
-  t * result
+val create : ?domains:int -> Net.t -> Algo.t -> t * result
 (** Cold-build a session: state space, one group capture per
     destination (over [domains] pool workers), merged graph, and the
-    initial verdict.  The limits are pinned for the session's lifetime
-    so every replayed verdict runs the pipeline under the same caps as
-    the session's own cold baseline.
+    initial verdict.  Every verdict runs the pipeline under a cold
+    {!Checker.check}'s default caps.
     Raises [Invalid_argument] when {!State_space.build} refuses the
     pair. *)
 

@@ -4,7 +4,7 @@ module Obs = Dfr_obs.Obs
 type removed = { head : int; dest : int; target : int }
 
 type outcome =
-  | Reduced of Bwg.t * removed list
+  | Reduced of removed list
   | Impossible
   | Gave_up of string
 
@@ -49,18 +49,17 @@ let true_cycle_status ?cycle_limits ?class_limits ?(shortest_first = false) bwg
     | Some reason -> Error reason
     | None -> Ok None)
 
-let verify_hint ?cycle_limits ?class_limits space =
+let verify_hint ?cycle_limits space =
   match State_space.reduced_waits space with
   | None -> None
   | Some wait_sets ->
     Obs.span "reduction.verify-hint" @@ fun () ->
-    let session = Bwg.Session.create ~waits:wait_sets space in
-    let bwg = Bwg.Session.bwg session in
+    let bwg = Bwg.Session.bwg (Bwg.Session.create ~waits:wait_sets space) in
     if not (Bwg.is_wait_connected bwg) then
       Some (Gave_up "reduced-waits hint is not wait-connected")
     else (
-      match true_cycle_status ?cycle_limits ?class_limits bwg with
-      | Ok None -> Some (Reduced (Bwg.Session.snapshot session, []))
+      match true_cycle_status ?cycle_limits bwg with
+      | Ok None -> Some (Reduced [])
       | Ok (Some _) -> Some (Gave_up "reduced-waits hint still has a True Cycle")
       | Error reason -> Some (Gave_up ("hint verification: " ^ reason)))
 
@@ -113,7 +112,7 @@ let generating_entries space current ~wormhole q w =
    remove a state's last live wait, which no wait-connected BWG' does.
    The preferred moves are edge cuts: remove every live entry generating
    one cycle edge, edges in cycle order. *)
-let search ?cycle_limits ?class_limits ?(budget = 2000) ?domains space =
+let search ?cycle_limits ?(budget = 2000) ?domains space =
   Obs.span "reduction.search" @@ fun () ->
   let wormhole = Net.switching (State_space.net space) = Net.Wormhole in
   let num_nodes = State_space.num_nodes space in
@@ -184,7 +183,7 @@ let search ?cycle_limits ?class_limits ?(budget = 2000) ?domains space =
   in
   let probe () =
     Obs.count "reduction.attempts" 1;
-    true_cycle_status ?cycle_limits ?class_limits (Bwg.Session.bwg session)
+    true_cycle_status ?cycle_limits (Bwg.Session.bwg session)
   in
   let clause (_, packets) =
     ( List.map
@@ -216,9 +215,7 @@ let search ?cycle_limits ?class_limits ?(budget = 2000) ?domains space =
   in
   let result =
     match outcome with
-    | Clause_search.Found ->
-      (* the session still holds the assignment the last probe accepted *)
-      Reduced (Bwg.Session.snapshot session, List.rev_map entry !removals)
+    | Clause_search.Found -> Reduced (List.rev_map entry !removals)
     | Clause_search.Exhausted -> Impossible
     | Clause_search.Gave_up reason -> Gave_up reason
   in

@@ -24,8 +24,9 @@ type removed = { head : int; dest : int; target : int }
     destined [dest] in [head] may move to [target]. *)
 
 type outcome =
-  | Reduced of Bwg.t * removed list
-      (** a verified BWG': wait-connected, no True Cycles *)
+  | Reduced of removed list
+      (** a verified BWG': the full rule less these entries is
+          wait-connected and has no True Cycle *)
   | Impossible
       (** the search ran out of candidates with every probe conclusive:
           every wait-connected BWG' has a True Cycle, so by Theorem 3 the
@@ -54,18 +55,16 @@ val true_cycle_status :
 
 val verify_hint :
   ?cycle_limits:Dfr_graph.Cycles.limits ->
-  ?class_limits:Cycle_class.limits ->
   State_space.t ->
   outcome option
 (** Checks the algorithm's declarative [reduced_waits] hint, if present.
-    [Some (Reduced _)] when the hint is sound; [Some (Gave_up _)] when it
+    [Some (Reduced \[\])] when the hint is sound; [Some (Gave_up _)] when it
     is wait-connected but cycles could not be ruled out exhaustively;
     [Some Impossible] is never returned. A broken hint yields
     [Some (Gave_up reason)]. *)
 
 val search :
   ?cycle_limits:Dfr_graph.Cycles.limits ->
-  ?class_limits:Cycle_class.limits ->
   ?budget:int ->
   ?domains:int ->
   State_space.t ->
@@ -82,5 +81,6 @@ val search :
     entries one at a time, most active first.  [Reduced]'s removals are in
     decision order.  A probe that hits a cap is backtracked over, and the
     search then ends in [Gave_up], never [Impossible].  [domains]
-    parallelizes the session's first derivation.  [Reduced]'s BWG' is a
-    {!Bwg.Session.snapshot}, identical to a cold build of its wait sets. *)
+    parallelizes the session's first derivation.  The session is the
+    search's own and goes with it: a caller that wants the BWG' reads a
+    session of its own with [Reduced]'s entries removed. *)

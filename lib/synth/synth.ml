@@ -98,16 +98,13 @@ let session_without ~domains space removed =
    pass yields a 1-minimal removed set — exactly the shape {!certify}
    wants (re-admitting any single survivor deadlocks).  Each probe is
    the session's BWG' one restored entry away from the last. *)
-let minimize_pass ?cycle_limits ?class_limits session removed =
+let minimize_pass session removed =
   Obs.span "synth.minimize" @@ fun () ->
   List.filter
     (fun r ->
       restore session r;
       let needed =
-        match
-          Reduction.true_cycle_status ?cycle_limits ?class_limits
-            (Bwg.Session.bwg session)
-        with
+        match Reduction.true_cycle_status (Bwg.Session.bwg session) with
         | Ok None -> false
         | Ok (Some _) | Error _ -> true
       in
@@ -115,8 +112,7 @@ let minimize_pass ?cycle_limits ?class_limits session removed =
       needed)
     removed
 
-let synthesize ?cycle_limits ?class_limits ?(budget = 4000) ?(domains = 1)
-    ?(minimize = false) space =
+let synthesize ?(budget = 4000) ?(domains = 1) ?(minimize = false) space =
   Obs.span "synth.solve" @@ fun () ->
   let net = State_space.net space in
   let algo = State_space.algo space in
@@ -140,9 +136,7 @@ let synthesize ?cycle_limits ?class_limits ?(budget = 4000) ?(domains = 1)
       "a deadlocked single-buffer configuration (knot) exists: every \
        wait-connected BWG' keeps a True Cycle"
   else
-    let outcome, s =
-      Reduction.search ?cycle_limits ?class_limits ~budget ~domains space
-    in
+    let outcome, s = Reduction.search ~budget ~domains space in
     match outcome with
     | Reduction.Gave_up msg ->
       emit (stats_of s ~extra:0 ~restored:0);
@@ -152,15 +146,11 @@ let synthesize ?cycle_limits ?class_limits ?(budget = 4000) ?(domains = 1)
       Unsat
         "exhaustive search: every wait-connected BWG' has a True Cycle \
          (Theorem 3 necessity)"
-    | Reduction.Reduced (bwg, removed) ->
+    | Reduction.Reduced removed ->
       let found = List.sort compare removed in
+      (* the result's session: nothing changes it after [minimize] *)
       let session = session_without ~domains space found in
-      let removed, bwg =
-        if minimize then
-          let removed = minimize_pass ?cycle_limits ?class_limits session found in
-          (removed, Bwg.Session.snapshot session)
-        else (found, bwg)
-      in
+      let removed = if minimize then minimize_pass session found else found in
       let algo' =
         Algo.with_waits algo (fun net b ~dest ->
             List.filter
@@ -176,7 +166,7 @@ let synthesize ?cycle_limits ?class_limits ?(budget = 4000) ?(domains = 1)
       Synthesized
         {
           space;
-          bwg;
+          bwg = Bwg.Session.bwg session;
           algo = algo';
           removed;
           widened = 0;
@@ -244,7 +234,7 @@ type fvar = {
   mutable f_value : int; (* index into f_choices *)
 }
 
-let repair_search ?cycle_limits ?class_limits ~budget ~domains net algo =
+let repair_search ~budget ~domains net algo =
   let num_nodes = Net.num_nodes net in
   let num_buffers = Net.num_buffers net in
   let group = copy_groups net in
@@ -399,10 +389,7 @@ let repair_search ?cycle_limits ?class_limits ~budget ~domains net algo =
       | Some config -> Ok (Some (`Knot config))
       | None -> (
         let bwg = Bwg.build ~domains space' in
-        match
-          Reduction.true_cycle_status ?cycle_limits ?class_limits
-            ~shortest_first:true bwg
-        with
+        match Reduction.true_cycle_status ~shortest_first:true bwg with
         | Error _ as e -> e
         | Ok None -> Ok None
         | Ok (Some (_cycle, packets)) -> Ok (Some (`Cycle packets))))
@@ -508,17 +495,16 @@ let repair_search ?cycle_limits ?class_limits ~budget ~domains net algo =
     readmit ();
     let final = Algo.with_relation algo route' ~name:(algo.Algo.name ^ "+repair") in
     (* independent end-to-end verification through the checker *)
-    match Checker.verdict ?cycle_limits ?class_limits ~domains net final with
+    let report = Checker.check ~domains net final in
+    match report.Checker.verdict with
     | Checker.Deadlock_free _ ->
-      let space' = State_space.build net final in
-      let bwg = Bwg.build ~domains space' in
       let spec = Printer.to_string net final in
       let stats = stats () in
       emit stats;
       Synthesized
         {
-          space = space';
-          bwg;
+          space = report.Checker.space;
+          bwg = report.Checker.bwg;
           algo = final;
           removed = removed_entries ();
           widened = !widened_delta;
@@ -533,10 +519,9 @@ let repair_search ?cycle_limits ?class_limits ~budget ~domains net algo =
       emit (stats ());
       Gave_up ("repaired candidate could not be re-verified: " ^ reason))
 
-let repair ?cycle_limits ?class_limits ?(budget = 4000) ?(domains = 1) net
-    algo =
+let repair ?(budget = 4000) ?(domains = 1) net algo =
   Obs.span "synth.solve" @@ fun () ->
-  match Checker.verdict ?cycle_limits ?class_limits ~domains net algo with
+  match Checker.verdict ~domains net algo with
   | Checker.Deadlock_free proof -> Already_free proof
   | Checker.Unknown reason -> Gave_up ("baseline check inconclusive: " ^ reason)
   | Checker.Deadlock_possible (Checker.Stuck_states _) ->
@@ -544,7 +529,7 @@ let repair ?cycle_limits ?class_limits ?(budget = 4000) ?(domains = 1) net
       "the input relation has stuck states; repair removes entries and \
        cannot restore lost packets"
   | Checker.Deadlock_possible _ ->
-    repair_search ?cycle_limits ?class_limits ~budget ~domains net algo
+    repair_search ~budget ~domains net algo
 
 (* ------------------------------------------------------------------ *)
 (* mode 3: Theorem-6-style maximality certification                     *)
@@ -562,7 +547,7 @@ type certification =
 
 (* Both passes run on one session holding [removed]: each certificate
    restores its entry, probes, and takes it out again. *)
-let certify ?cycle_limits ?class_limits ?(domains = 1) space ~removed =
+let certify ?(domains = 1) space ~removed =
   Obs.span "synth.certify" @@ fun () ->
   let session = session_without ~domains space removed in
   let rec go items relaxable = function
@@ -572,8 +557,7 @@ let certify ?cycle_limits ?class_limits ?(domains = 1) space ~removed =
     | r :: rest -> (
       restore session r;
       let status =
-        Reduction.true_cycle_status ?cycle_limits ?class_limits
-          ~shortest_first:true (Bwg.Session.bwg session)
+        Reduction.true_cycle_status ~shortest_first:true (Bwg.Session.bwg session)
       in
       remove session r;
       match status with
@@ -584,7 +568,7 @@ let certify ?cycle_limits ?class_limits ?(domains = 1) space ~removed =
   in
   go [] [] removed
 
-let replay ?class_limits ?(domains = 1) space ~removed items =
+let replay ?(domains = 1) space ~removed items =
   let session = session_without ~domains space removed in
   List.map
     (fun item ->
@@ -605,7 +589,7 @@ let replay ?class_limits ?(domains = 1) space ~removed items =
       let ok =
         edges_ok
         &&
-        match Cycle_class.classify ?limits:class_limits bwg item.cycle with
+        match Cycle_class.classify bwg item.cycle with
         | Cycle_class.True_cycle _ -> true
         | Cycle_class.False_resource_cycle _ -> false
       in

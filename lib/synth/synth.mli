@@ -52,8 +52,12 @@ type success = {
   space : State_space.t;
       (** the candidate's state space — {!repair} rebuilds it from the
           repaired relation; {!synthesize} passes the input through *)
-  bwg : Bwg.t;  (** the final candidate BWG: wait-connected, no True Cycle
-                    found (exhaustively, for the verified paths) *)
+  bwg : Bwg.t;
+      (** the final candidate BWG: wait-connected, no True Cycle found
+          (exhaustively, for the verified paths).  {!synthesize} gives a
+          live view ({!Bwg.Session.bwg}) of a session private to the
+          result, which nothing changes after the search; {!repair}, the
+          checker's cold build of the repaired relation *)
   algo : Algo.t;  (** the input algorithm with the synthesized rule wired
                       in via {!Algo.with_waits} / {!Algo.with_relation} *)
   removed : Reduction.removed list;
@@ -80,8 +84,6 @@ type outcome =
   | Gave_up of string  (** a cap or budget hit; no conclusion *)
 
 val synthesize :
-  ?cycle_limits:Dfr_graph.Cycles.limits ->
-  ?class_limits:Cycle_class.limits ->
   ?budget:int ->
   ?domains:int ->
   ?minimize:bool ->
@@ -96,8 +98,6 @@ val synthesize :
     True-Cycle-free synthesizes with [removed = \[\]]. *)
 
 val repair :
-  ?cycle_limits:Dfr_graph.Cycles.limits ->
-  ?class_limits:Cycle_class.limits ->
   ?budget:int ->
   ?domains:int ->
   Net.t ->
@@ -138,8 +138,6 @@ type certification =
   | Cert_unknown of string  (** a classification cap hit *)
 
 val certify :
-  ?cycle_limits:Dfr_graph.Cycles.limits ->
-  ?class_limits:Cycle_class.limits ->
   ?domains:int ->
   State_space.t ->
   removed:Reduction.removed list ->
@@ -150,7 +148,6 @@ val certify :
     minimized {!synthesize} result. *)
 
 val replay :
-  ?class_limits:Cycle_class.limits ->
   ?domains:int ->
   State_space.t ->
   removed:Reduction.removed list ->

@@ -68,74 +68,6 @@ let pp fmt s =
        Format.pp_print_int)
     (elements s)
 
-module Dense = struct
-  (* 62 bits per word keeps every mask a non-boxed OCaml int. *)
-  let bits = 62
-
-  type t = { len : int; words : int array }
-
-  let create len =
-    if len < 0 then invalid_arg "Bitset.Dense.create: negative length";
-    { len; words = Array.make ((len + bits - 1) / bits) 0 }
-
-  let length s = s.len
-
-  let check s i =
-    if i < 0 || i >= s.len then invalid_arg "Bitset.Dense: element out of range"
-
-  let mem s i =
-    check s i;
-    s.words.(i / bits) land (1 lsl (i mod bits)) <> 0
-
-  let add s i =
-    check s i;
-    let w = i / bits in
-    s.words.(w) <- s.words.(w) lor (1 lsl (i mod bits))
-
-  let union_into ~into src =
-    if into.len <> src.len then invalid_arg "Bitset.Dense.union_into: lengths differ";
-    for w = 0 to Array.length into.words - 1 do
-      into.words.(w) <- into.words.(w) lor src.words.(w)
-    done
-
-  let cardinal s =
-    let count x =
-      let rec go acc x = if x = 0 then acc else go (acc + 1) (x land (x - 1)) in
-      go 0 x
-    in
-    Array.fold_left (fun acc w -> acc + count w) 0 s.words
-
-  (* index of an isolated bit: binary search over the word, six branches
-     instead of a shift-per-position loop *)
-  let bit_index b =
-    let i = ref 0 and b = ref b in
-    if !b land 0xFFFFFFFF = 0 then begin i := 32; b := !b lsr 32 end;
-    if !b land 0xFFFF = 0 then begin i := !i + 16; b := !b lsr 16 end;
-    if !b land 0xFF = 0 then begin i := !i + 8; b := !b lsr 8 end;
-    if !b land 0xF = 0 then begin i := !i + 4; b := !b lsr 4 end;
-    if !b land 0x3 = 0 then begin i := !i + 2; b := !b lsr 2 end;
-    if !b land 0x1 = 0 then i := !i + 1;
-    !i
-
-  let iter f s =
-    for w = 0 to Array.length s.words - 1 do
-      let m = ref s.words.(w) in
-      let base = w * bits in
-      while !m <> 0 do
-        (* isolate and clear the lowest set bit *)
-        f (base + bit_index (!m land - !m));
-        m := !m land (!m - 1)
-      done
-    done
-
-  let fold f s init =
-    let acc = ref init in
-    iter (fun i -> acc := f i !acc) s;
-    !acc
-
-  let elements s = List.rev (fold (fun i acc -> i :: acc) s [])
-end
-
 (* Rows that pick their representation per row by density.  The BWG
    builder's per-destination closures are the motivating client: on large
    sparse networks (full mesh, dragonfly) a closure row holds a handful of
@@ -145,14 +77,27 @@ end
    as a sorted int array and promotes itself to dense words once it would
    occupy as many words as the bitmap. *)
 module Hybrid = struct
-  let bits = Dense.bits
-
   type row =
     | Sparse of { mutable elts : int array; mutable card : int }
         (* elts.(0 .. card-1) sorted strictly ascending; the tail is scratch *)
     | Dense_row of int array
 
   module Rows = struct
+    (* 62 bits per word keeps every mask a non-boxed OCaml int. *)
+    let bits = 62
+
+    (* index of an isolated bit: binary search over the word, six
+       branches instead of a shift-per-position loop *)
+    let bit_index b =
+      let i = ref 0 and b = ref b in
+      if !b land 0xFFFFFFFF = 0 then begin i := 32; b := !b lsr 32 end;
+      if !b land 0xFFFF = 0 then begin i := !i + 16; b := !b lsr 16 end;
+      if !b land 0xFF = 0 then begin i := !i + 8; b := !b lsr 8 end;
+      if !b land 0xF = 0 then begin i := !i + 4; b := !b lsr 4 end;
+      if !b land 0x3 = 0 then begin i := !i + 2; b := !b lsr 2 end;
+      if !b land 0x1 = 0 then i := !i + 1;
+      !i
+
     type t = {
       rows : int;
       len : int;
@@ -282,7 +227,7 @@ module Hybrid = struct
           let mask = ref words.(w) in
           let base = w * bits in
           while !mask <> 0 do
-            f (base + Dense.bit_index (!mask land - !mask));
+            f (base + bit_index (!mask land - !mask));
             mask := !mask land (!mask - 1)
           done
         done
@@ -325,41 +270,4 @@ module Hybrid = struct
       done;
       !acc
   end
-
-  (* A standalone hybrid set is a one-row container; the differential
-     test-suite drives this interface against {!Dense}. *)
-  type t = Rows.t
-
-  let create len = Rows.create ~rows:1 ~len ()
-  let length t = Rows.length t
-  let add t i = Rows.add t 0 i
-  let mem t i = Rows.mem t 0 i
-
-  let union_into ~into src =
-    if Rows.length into <> Rows.length src then
-      invalid_arg "Bitset.Hybrid.union_into: lengths differ";
-    (* graft src's single row in as a second row of a scratch container
-       sharing the payload, so the row-union logic is exercised as-is *)
-    let pair =
-      {
-        Rows.rows = 2;
-        len = into.Rows.len;
-        nw = into.Rows.nw;
-        force_dense = false;
-        data = [| into.Rows.data.(0); src.Rows.data.(0) |];
-      }
-    in
-    Rows.union_rows pair ~into:0 ~src:1;
-    into.Rows.data.(0) <- pair.Rows.data.(0)
-
-  let cardinal t = Rows.cardinal_row t 0
-  let iter f t = Rows.iter_row f t 0
-  let fold f t init = Rows.fold_row f t 0 init
-  let elements t = List.rev (fold (fun i acc -> i :: acc) t [])
-  let is_dense t = Rows.is_dense_row t 0
-
-  let of_list len l =
-    let t = create len in
-    List.iter (add t) l;
-    t
 end

@@ -37,40 +37,14 @@ val subsets : t -> t list
 
 val pp : Format.formatter -> t -> unit
 
-(** Mutable fixed-length bitsets over [0, len), backed by an [int array]
-    (62 bits per word).  The BWG builder uses one row per SCC of a
-    per-destination move graph, so unioning a successor component's
-    reachability closure into a predecessor's is one word-parallel [lor]
-    sweep instead of a per-element set insertion. *)
-module Dense : sig
-  type t
-
-  val create : int -> t
-  (** All bits clear. *)
-
-  val length : t -> int
-  val mem : t -> int -> bool
-  val add : t -> int -> unit
-
-  val union_into : into:t -> t -> unit
-  (** [union_into ~into src] sets [into := into ∪ src]; lengths must
-      match. *)
-
-  val cardinal : t -> int
-  val iter : (int -> unit) -> t -> unit
-  (** Ascending order. *)
-
-  val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
-  val elements : t -> int list
-end
-
 (** Rows that pick their representation per row by density: a sorted int
     array while small, promoted to dense 62-bit words once the sorted form
     would occupy at least as many words as the bitmap.  This is what lets
     the BWG builder's per-destination reachability closures scale to
     10^4-10^5-buffer networks: sparse closures (full mesh, dragonfly,
     fat-tree traffic) stay O(cardinal) instead of O(V) bits per row, while
-    dense move graphs keep the word-parallel union of {!Dense}.
+    on dense move graphs unioning one SCC's closure row into another's
+    stays one word-parallel [lor] sweep.
 
     Iteration order is ascending in both representations, so consumers are
     bit-for-bit independent of which representation a row happens to be
@@ -112,28 +86,4 @@ module Hybrid : sig
     (** Total words currently backing all rows — the number the scale
         benches compare between hybrid and forced-dense builds. *)
   end
-
-  type t
-  (** A standalone single-row hybrid set, for the differential tests. *)
-
-  val create : int -> t
-  val length : t -> int
-  val add : t -> int -> unit
-  val mem : t -> int -> bool
-
-  val union_into : into:t -> t -> unit
-  (** Lengths must match. *)
-
-  val cardinal : t -> int
-
-  val iter : (int -> unit) -> t -> unit
-  (** Ascending order. *)
-
-  val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
-  val elements : t -> int list
-
-  val is_dense : t -> bool
-  (** Whether the set has promoted to dense words. *)
-
-  val of_list : int -> int list -> t
 end

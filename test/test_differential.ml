@@ -783,7 +783,7 @@ let prop_search_exact =
       | Some (space, entries) -> (
         let exists = brute_force_free space entries in
         match fst (Reduction.search space) with
-        | Reduction.Reduced (bwg, removed) ->
+        | Reduction.Reduced removed ->
           let rebuilt =
             Cold.bwg space ~wait_sets:(fun ~buf ~dest ->
                 List.filter
@@ -792,18 +792,7 @@ let prop_search_exact =
           in
           if not exists then
             QCheck.Test.fail_report "search found a BWG' brute force did not";
-          (* the search's BWG' outlives its session: a cold build, adjacency
-             order included *)
-          Option.iter (QCheck.Test.fail_reportf "Reduced BWG' vs cold: %s")
-            (Cold.diff ~want:rebuilt ~got:bwg);
-          let g = Bwg.graph bwg and g' = Bwg.graph rebuilt in
-          for q = 0 to Dfr_graph.Digraph.num_vertices g - 1 do
-            if Dfr_graph.Digraph.succ g q <> Dfr_graph.Digraph.succ g' q then
-              QCheck.Test.fail_reportf "Reduced BWG' row %d is out of cold order" q
-          done;
-          true_cycle_free bwg
-          && Bwg.is_wait_connected rebuilt
-          && true_cycle_free rebuilt
+          Bwg.is_wait_connected rebuilt && true_cycle_free rebuilt
         | Reduction.Impossible -> not exists
         | Reduction.Gave_up reason -> QCheck.Test.fail_reportf "search gave up: %s" reason))
 

@@ -357,6 +357,38 @@ let test_replay_path_deadlock () =
     (Dfr_util.Json.to_string res.Incr.report);
   check Alcotest.int "no dirty dests" 0 res.Incr.dirty_dests
 
+(* a Theorem-3 instance: the hintless two-buffer design is decided by
+   the search on the replay path, before and after a wait edit, on the
+   session's live BWG, and renders the cold bytes both times *)
+let test_replay_path_reduced () =
+  let e = Option.get (Registry.find "two-buffer") in
+  let net = Registry.network_for e (Registry.default_topology e) in
+  let algo = { e.Registry.algo with Algo.reduced_waits = None } in
+  let searched algo =
+    match (Checker.check net algo).Checker.verdict with
+    | Checker.Deadlock_free (Checker.Reduced_bwg { via_hint = false; _ }) -> true
+    | _ -> false
+  in
+  let session, r0 = Incr.create net algo in
+  check Alcotest.bool "cold verdict is a searched BWG'" true (searched algo);
+  check Alcotest.bool "create is replay" true (r0.Incr.path = Incr.Replay);
+  check Alcotest.string "create report = cold" (fst (cold net algo))
+    (Dfr_util.Json.to_string r0.Incr.report);
+  let buf, dest = Option.get (multi_wait_state session) in
+  let algo' =
+    Algo.with_waits algo ~name:algo.Algo.name (fun net b ~dest:d ->
+        let ws = algo.Algo.waits net b ~dest:d in
+        if Buf.id b = buf && d = dest then [ List.hd ws ] else ws)
+  in
+  let res = Incr.update session algo' ~dirty:[ dest ] in
+  check Alcotest.bool "edited cold verdict is a searched BWG'" true (searched algo');
+  check Alcotest.bool "edit is replay" true (res.Incr.path = Incr.Replay);
+  let cold_s, cold_c = cold net algo' in
+  check Alcotest.string "replay report = cold" cold_s
+    (Dfr_util.Json.to_string res.Incr.report);
+  check Alcotest.int "replay exit = cold" cold_c res.Incr.exit_code;
+  check Alcotest.int "two replays" 2 (Incr.counters session).Incr.replays
+
 (* out-of-range dirty destinations are rejected *)
 let test_update_bad_dest () =
   let e = Option.get (Registry.find "ecube") in
@@ -429,6 +461,8 @@ let suite =
     Alcotest.test_case "diff incompatible" `Quick test_diff_incompatible;
     Alcotest.test_case "fast path wait edit" `Quick test_fast_path_wait_edit;
     Alcotest.test_case "replay path deadlock" `Quick test_replay_path_deadlock;
+    Alcotest.test_case "replay path reaches a searched BWG'" `Quick
+      test_replay_path_reduced;
     Alcotest.test_case "update bad dest" `Quick test_update_bad_dest;
     Alcotest.test_case "refused edit leaves the session untouched" `Quick
       test_refused_edit_untouched;

@@ -185,6 +185,33 @@ let test_trace_exports_valid_json () =
           "checker.cycle-scan"; "checker.classify";
         ])
 
+(* An Incr verdict is Checker.decide's, so an update's trace carries
+   the same stage skeleton a cold check's does, on both paths: a fast
+   (Theorem 1) re-verdict records the knot, cycle-scan and classify
+   stages as zero-duration spans, and a replay (a knot) runs the first
+   and records the others. *)
+let test_incr_stage_skeleton () =
+  List.iter
+    (fun (name, path, counter) ->
+      let e = Option.get (Registry.find name) in
+      let net = Registry.network_for e None in
+      let session, _ = Incr.create net e.Registry.algo in
+      Obs.enable ();
+      let res = Incr.update session e.Registry.algo ~dirty:[] in
+      let spans = Obs.span_totals () and counters = Obs.counters () in
+      Obs.disable ();
+      check Alcotest.bool (name ^ ": path") true (res.Incr.path = path);
+      check Alcotest.(option int) (name ^ ": " ^ counter) (Some 1)
+        (List.assoc_opt counter counters);
+      List.iter
+        (fun stage ->
+          check Alcotest.(option int)
+            (Printf.sprintf "%s: one %s span" name stage)
+            (Some 1)
+            (Option.map fst (List.assoc_opt stage spans)))
+        [ "incr.update"; "checker.knot"; "checker.cycle-scan"; "checker.classify" ])
+    [ ("ecube", Incr.Fast, "incr.fast"); ("efa-relaxed", Incr.Replay, "incr.replay") ]
+
 (* with the collector disabled the probes must be pure pass-throughs:
    same verdict, byte-identical JSON report *)
 let report_bytes ~instrumented =
@@ -320,4 +347,6 @@ let suite =
       test_timestamps_monotonic;
     Alcotest.test_case "bwg gauges describe the full BWG" `Quick
       test_gauges_full_bwg;
+    Alcotest.test_case "an Incr update carries decide's stage skeleton" `Quick
+      test_incr_stage_skeleton;
   ]

@@ -51,11 +51,25 @@ let recheck_success name net (s : Synth.success) =
         (is_free
            (Checker.verdict spec.Dfr_spec.Spec.net spec.Dfr_spec.Spec.algo)))
 
+(* A synthesized BWG' is the live view of a session nothing changes
+   after the search: it must read as the cold BWG' of the full rule less
+   the reported removals, edge set and every witness list. *)
+let bwg_prime_is_cold name (s : Synth.success) =
+  let space = s.Synth.space in
+  let want =
+    Cold.bwg space ~wait_sets:(fun ~buf ~dest ->
+        List.filter
+          (fun target -> not (List.mem { Reduction.head = buf; dest; target } s.Synth.removed))
+          (State_space.waits space ~buf ~dest))
+  in
+  Option.iter (Alcotest.failf "%s: BWG' vs cold: %s" name) (Cold.diff ~want ~got:s.Synth.bwg)
+
 let test_two_buffer_bwg () =
   let net, space = space_of (entry "two-buffer") in
   let s = synthesized (Synth.synthesize ~minimize:true space) in
   check Alcotest.bool "some waits were removed" true (s.Synth.removed <> []);
   check Alcotest.int "synthesize widens nothing" 0 s.Synth.widened;
+  bwg_prime_is_cold "two-buffer" s;
   recheck_success "two-buffer" net s
 
 (* Theorem-4 agreement across the registry: synthesis must reach the
@@ -69,6 +83,7 @@ let test_registry_agreement () =
       let _, space = space_of e in
       match (e.Registry.expected_deadlock_free, Synth.synthesize space) with
       | Some true, Synth.Synthesized s ->
+        bwg_prime_is_cold name s;
         recheck_success name (State_space.net space) s
       | Some true, outcome ->
         Alcotest.failf "%s: expected a BWG', got %s" name

@@ -113,43 +113,6 @@ let prop_bitset_fold_ascending =
       let xs = List.rev (Bitset.fold (fun i acc -> i :: acc) s []) in
       xs = List.sort compare xs)
 
-(* ---------------- dense bitsets ---------------- *)
-
-let test_dense_basic () =
-  let s = Bitset.Dense.create 100 in
-  check Alcotest.int "length" 100 (Bitset.Dense.length s);
-  check Alcotest.int "empty cardinal" 0 (Bitset.Dense.cardinal s);
-  List.iter (Bitset.Dense.add s) [ 0; 61; 62; 99 ];
-  (* straddles the 62-bit word boundary *)
-  check Alcotest.bool "mem 62" true (Bitset.Dense.mem s 62);
-  check Alcotest.bool "not mem 63" false (Bitset.Dense.mem s 63);
-  check (Alcotest.list Alcotest.int) "elements ascending" [ 0; 61; 62; 99 ]
-    (Bitset.Dense.elements s);
-  Alcotest.check_raises "out of range"
-    (Invalid_argument "Bitset.Dense: element out of range") (fun () ->
-      Bitset.Dense.add s 100)
-
-let test_dense_union () =
-  let a = Bitset.Dense.create 70 and b = Bitset.Dense.create 70 in
-  List.iter (Bitset.Dense.add a) [ 1; 65 ];
-  List.iter (Bitset.Dense.add b) [ 2; 65; 69 ];
-  Bitset.Dense.union_into ~into:a b;
-  check (Alcotest.list Alcotest.int) "union" [ 1; 2; 65; 69 ]
-    (Bitset.Dense.elements a);
-  check (Alcotest.list Alcotest.int) "src untouched" [ 2; 65; 69 ]
-    (Bitset.Dense.elements b)
-
-let prop_dense_matches_list_set =
-  QCheck.Test.make ~name:"Dense agrees with a reference set" ~count:200
-    QCheck.(list_of_size (Gen.int_range 0 60) (int_range 0 199))
-    (fun xs ->
-      let s = Bitset.Dense.create 200 in
-      List.iter (Bitset.Dense.add s) xs;
-      let ref_set = List.sort_uniq compare xs in
-      Bitset.Dense.elements s = ref_set
-      && Bitset.Dense.cardinal s = List.length ref_set
-      && List.for_all (Bitset.Dense.mem s) ref_set)
-
 (* ---------------- hybrid sparse/dense rows ---------------- *)
 
 let hybrid_row t r =
@@ -157,16 +120,16 @@ let hybrid_row t r =
 
 let test_hybrid_promotion () =
   let len = 620 (* 10 words *) in
-  let s = Bitset.Hybrid.create len in
+  let s = Bitset.Hybrid.Rows.create ~rows:1 ~len () in
   (* stays sparse while card + 1 <= word count *)
-  List.iter (Bitset.Hybrid.add s) [ 0; 62; 124; 186; 248; 310; 372; 434; 496 ];
-  check Alcotest.bool "9 of 620 still sparse" false (Bitset.Hybrid.is_dense s);
-  List.iter (Bitset.Hybrid.add s) [ 558; 610; 611 ];
-  check Alcotest.bool "12 of 620 promoted" true (Bitset.Hybrid.is_dense s);
-  check Alcotest.int "cardinal across promotion" 12 (Bitset.Hybrid.cardinal s);
+  List.iter (Bitset.Hybrid.Rows.add s 0) [ 0; 62; 124; 186; 248; 310; 372; 434; 496 ];
+  check Alcotest.bool "9 of 620 still sparse" false (Bitset.Hybrid.Rows.is_dense_row s 0);
+  List.iter (Bitset.Hybrid.Rows.add s 0) [ 558; 610; 611 ];
+  check Alcotest.bool "12 of 620 promoted" true (Bitset.Hybrid.Rows.is_dense_row s 0);
+  check Alcotest.int "cardinal across promotion" 12 (Bitset.Hybrid.Rows.cardinal_row s 0);
   check (Alcotest.list Alcotest.int) "elements ascending"
     [ 0; 62; 124; 186; 248; 310; 372; 434; 496; 558; 610; 611 ]
-    (Bitset.Hybrid.elements s);
+    (hybrid_row s 0);
   (* a forced-dense container starts dense and reports more storage for
      sparse content *)
   let h = Bitset.Hybrid.Rows.create ~rows:4 ~len () in
@@ -178,6 +141,77 @@ let test_hybrid_promotion () =
   check Alcotest.int "all forced rows dense" 4 (Bitset.Hybrid.Rows.dense_rows d);
   check Alcotest.bool "sparse stores fewer words" true
     (Bitset.Hybrid.Rows.storage_words h < Bitset.Hybrid.Rows.storage_words d)
+
+(* 61 and 62 sit on either side of the first 62-bit word boundary; a
+   sparse row, a row promoted while they arrive and a forced-dense row must
+   all hold them in the one row they were added to *)
+let test_hybrid_word_boundary () =
+  List.iter
+    (fun (tag, force_dense, len, dense) ->
+      let t = Bitset.Hybrid.Rows.create ~force_dense ~rows:2 ~len () in
+      List.iter (Bitset.Hybrid.Rows.add t 0) [ 99; 62; 0; 61 ];
+      check Alcotest.bool (tag ^ " representation") dense
+        (Bitset.Hybrid.Rows.is_dense_row t 0);
+      check Alcotest.bool (tag ^ " mem 61") true (Bitset.Hybrid.Rows.mem t 0 61);
+      check Alcotest.bool (tag ^ " mem 62") true (Bitset.Hybrid.Rows.mem t 0 62);
+      check Alcotest.bool (tag ^ " not mem 63") false (Bitset.Hybrid.Rows.mem t 0 63);
+      check (Alcotest.list Alcotest.int) (tag ^ " elements ascending")
+        [ 0; 61; 62; 99 ] (hybrid_row t 0);
+      check Alcotest.int (tag ^ " cardinal") 4 (Bitset.Hybrid.Rows.cardinal_row t 0);
+      check (Alcotest.list Alcotest.int) (tag ^ " other row untouched") []
+        (hybrid_row t 1))
+    [
+      ("sparse", false, 620, false);
+      ("promoted", false, 100, true);
+      ("forced", true, 100, true);
+    ]
+
+(* every pairing of representations: [into] gains [src], [src] keeps what it
+   had, and a row unioned into itself is unchanged *)
+let test_hybrid_union_keeps_source () =
+  let len = 200 (* 4 words: a fifth element promotes *) in
+  let sparse_elts = [ 1; 65; 130 ] and dense_elts = [ 2; 65; 69; 124; 190; 198 ] in
+  let fill t r = List.iter (Bitset.Hybrid.Rows.add t r) in
+  List.iter
+    (fun (into_dense, src_dense) ->
+      let t = Bitset.Hybrid.Rows.create ~rows:2 ~len () in
+      let into_elts = if into_dense then dense_elts else sparse_elts
+      and src_elts = if src_dense then dense_elts else sparse_elts in
+      fill t 0 into_elts;
+      fill t 1 (List.map (fun i -> i + 1) src_elts);
+      check Alcotest.bool "into representation" into_dense
+        (Bitset.Hybrid.Rows.is_dense_row t 0);
+      check Alcotest.bool "src representation" src_dense
+        (Bitset.Hybrid.Rows.is_dense_row t 1);
+      let src_before = hybrid_row t 1 in
+      Bitset.Hybrid.Rows.union_rows t ~into:0 ~src:1;
+      check (Alcotest.list Alcotest.int) "union"
+        (List.sort_uniq compare (into_elts @ src_before))
+        (hybrid_row t 0);
+      check (Alcotest.list Alcotest.int) "src untouched" src_before (hybrid_row t 1);
+      let into_after = hybrid_row t 0 in
+      Bitset.Hybrid.Rows.union_rows t ~into:0 ~src:0;
+      check (Alcotest.list Alcotest.int) "self-union is a no-op" into_after
+        (hybrid_row t 0))
+    [ (false, false); (true, false); (false, true); (true, true) ]
+
+let test_hybrid_out_of_range () =
+  let t = Bitset.Hybrid.Rows.create ~rows:2 ~len:70 () in
+  let bad = Invalid_argument "Bitset.Hybrid.Rows: out of range" in
+  Alcotest.check_raises "add past the length" bad (fun () ->
+      Bitset.Hybrid.Rows.add t 0 70);
+  Alcotest.check_raises "add a negative element" bad (fun () ->
+      Bitset.Hybrid.Rows.add t 0 (-1));
+  Alcotest.check_raises "mem in a missing row" bad (fun () ->
+      ignore (Bitset.Hybrid.Rows.mem t 2 0));
+  Alcotest.check_raises "union from a missing row"
+    (Invalid_argument "Bitset.Hybrid.Rows.union_rows") (fun () ->
+      Bitset.Hybrid.Rows.union_rows t ~into:0 ~src:2);
+  Alcotest.check_raises "negative length"
+    (Invalid_argument "Bitset.Hybrid.Rows.create") (fun () ->
+      ignore (Bitset.Hybrid.Rows.create ~rows:1 ~len:(-1) ()));
+  check (Alcotest.list Alcotest.int) "failed calls left the rows empty" []
+    (hybrid_row t 0 @ hybrid_row t 1)
 
 (* The differential pin for the closure container: an arbitrary add/union
    program gives identical sets under the hybrid representation, the
@@ -290,9 +324,13 @@ let suite =
     Alcotest.test_case "bitset empty" `Quick test_bitset_empty;
     Alcotest.test_case "bitset full" `Quick test_bitset_full;
     Alcotest.test_case "bitset subsets" `Quick test_bitset_subsets;
-    Alcotest.test_case "dense basics" `Quick test_dense_basic;
-    Alcotest.test_case "dense union" `Quick test_dense_union;
     Alcotest.test_case "hybrid promotion and storage" `Quick test_hybrid_promotion;
+    Alcotest.test_case "hybrid rows straddle a word boundary" `Quick
+      test_hybrid_word_boundary;
+    Alcotest.test_case "hybrid union keeps the source row" `Quick
+      test_hybrid_union_keeps_source;
+    Alcotest.test_case "hybrid rows reject out-of-range indices" `Quick
+      test_hybrid_out_of_range;
     Alcotest.test_case "prng deterministic" `Quick test_prng_deterministic;
     Alcotest.test_case "prng split independence" `Quick test_prng_split_independent;
     Alcotest.test_case "prng shuffle permutes" `Quick test_prng_shuffle_permutes;
@@ -303,7 +341,6 @@ let suite =
     qtest prop_bitset_add_remove;
     qtest prop_bitset_union_cardinal;
     qtest prop_bitset_fold_ascending;
-    qtest prop_dense_matches_list_set;
     qtest prop_hybrid_rows_differential;
     qtest prop_prng_int_bounds;
     qtest prop_prng_float_bounds;
