@@ -2,23 +2,10 @@ open Dfr_network
 open Dfr_graph
 module Obs = Dfr_obs.Obs
 module Rows = Dfr_util.Bitset.Hybrid.Rows
+module Count_table = Dfr_util.Count_table
 
 type wait_sets = buf:int -> dest:int -> int list
 type witness = { dest : int; head : int }
-
-(* Edge keys are q1 * num_buffers + q2, for [replay]'s index and a
-   session's counts.  A multiply-and-fold hash keeps the hot path free of
-   the C call [Hashtbl.hash] makes, which dominates on low-degree
-   (store-and-forward) graphs. *)
-module Itbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-
-  let hash x =
-    let h = x * 0x9E3779B97F4A7C1 in
-    (h lxor (h lsr 29)) land max_int
-end)
 
 type t = {
   space : State_space.t;
@@ -217,15 +204,15 @@ let iter_dest_groups space d { first; heads } f =
   done
 
 (* The edge pass over every destination's groups, [waits.(d)] narrowing
-   destination [d]'s heads: a stable counting sort of the emission
-   targets by q1 (destinations ascending, then emission order), then one
-   walk per q1 bucket with a stamp array over q2.  An edge enters the
-   adjacency at its first emission, so rows come out in the order the
-   reference recorder gives them; the emissions past an edge's first
-   [witness_cap] are counted as capped, which is what the recorder
-   drops. *)
-let edge_pass ~witness_cap space groups (waits : int list array array) =
-  Obs.span "bwg.bucket" @@ fun () ->
+   destination [d]'s heads, into the empty [graph]: a stable counting
+   sort of the emission targets by q1 (destinations ascending, then
+   emission order), then one walk per q1 bucket with a stamp array over
+   q2.  An edge enters the adjacency at its first emission, so rows come
+   out in the order the reference recorder gives them.  The walk counts
+   a row's j-th edge in its bucket's j-th slot, already read.  Returns
+   the emissions, those past their edge's first [witness_cap] (what the
+   recorder drops), and [iter_counts f], [f q1 q2 n] on every edge. *)
+let edge_pass ~witness_cap graph space groups (waits : int list array array) =
   let nb = State_space.num_buffers space in
   (* [f q1 ws] for every group, in emission order *)
   let iter_emitting f =
@@ -246,27 +233,39 @@ let edge_pass ~witness_cap space groups (waits : int list array array) =
           targets.(next.(q1)) <- w;
           next.(q1) <- next.(q1) + 1)
         ws);
-  let graph = Digraph.create nb in
-  (* stamp.(q2) = q1 while q1's bucket has seen q2, seen.(q2) times *)
-  let stamp = Array.make nb (-1) and seen = Array.make nb 0 in
+  (* stamp.(q2) = q1 while q1's bucket has seen q2, counted in slot
+     at.(q2) *)
+  let stamp = Array.make nb (-1) and at = Array.make nb 0 in
   let capped = ref 0 in
   for q1 = 0 to nb - 1 do
+    let slot = ref start.(q1) in
     for p = start.(q1) to start.(q1 + 1) - 1 do
       let q2 = targets.(p) in
       if stamp.(q2) <> q1 then begin
         stamp.(q2) <- q1;
-        seen.(q2) <- 1;
+        at.(q2) <- !slot;
+        targets.(!slot) <- 1;
+        incr slot;
         Digraph.unsafe_add_edge graph q1 q2
       end
       else begin
-        seen.(q2) <- seen.(q2) + 1;
-        if seen.(q2) > witness_cap then incr capped
+        let n = targets.(at.(q2)) + 1 in
+        targets.(at.(q2)) <- n;
+        if n > witness_cap then incr capped
       end
     done
   done;
-  Obs.count "bwg.emissions" start.(nb);
-  if !capped > 0 then Obs.count "bwg.witnesses.capped" !capped;
-  graph
+  let iter_counts f =
+    for q1 = 0 to nb - 1 do
+      let slot = ref start.(q1) in
+      Digraph.iter_succ
+        (fun q2 ->
+          f q1 q2 targets.(!slot);
+          incr slot)
+        graph q1
+    done
+  in
+  (start.(nb), !capped, iter_counts)
 
 (* The witnesses the reference recorder keeps for q1 -> q2, derived from
    the groups: destinations ascending; in each, q1's groups in emission
@@ -367,10 +366,10 @@ type wcell = { mutable count : int; mutable ws : witness list }
 let replay ?wait_sets ?(witness_cap = 32) space f =
   let n = State_space.num_buffers space in
   let graph = Digraph.create n in
-  let cells = Itbl.create 1024 in
+  let cells = Hashtbl.create 1024 in
   f (fun q1 q2 w ->
       let key = (q1 * n) + q2 in
-      match Itbl.find_opt cells key with
+      match Hashtbl.find_opt cells key with
       | Some cell ->
         if cell.count < witness_cap then begin
           cell.ws <- w :: cell.ws;
@@ -378,10 +377,10 @@ let replay ?wait_sets ?(witness_cap = 32) space f =
         end
         else Obs.count "bwg.witnesses.capped" 1
       | None ->
-        Itbl.add cells key { count = 1; ws = [ w ] };
+        Hashtbl.add cells key { count = 1; ws = [ w ] };
         Digraph.unsafe_add_edge graph q1 q2);
   let witnesses q1 q2 =
-    match Itbl.find_opt cells ((q1 * n) + q2) with
+    match Hashtbl.find_opt cells ((q1 * n) + q2) with
     | Some cell -> List.rev cell.ws
     | None -> []
   in
@@ -428,7 +427,11 @@ let build ?(witness_cap = 32) ?(indirect = true) ?(domains = 1)
   let groups = Array.make num_nodes no_groups in
   each_dest ~domains num_nodes (fun d ->
       groups.(d) <- capture space ~wormhole ~dense_closures rules.(d) d);
-  let graph = edge_pass ~witness_cap space groups rules in
+  let graph = Digraph.create (State_space.num_buffers space) in
+  Obs.span "bwg.bucket" (fun () ->
+      let emissions, capped, _ = edge_pass ~witness_cap graph space groups rules in
+      Obs.count "bwg.emissions" emissions;
+      if capped > 0 then Obs.count "bwg.witnesses.capped" capped);
   (* only the full BWG reports its size: a BWG' of the same instance
      would overwrite the figure the report prints *)
   Obs.gauge "bwg.vertices" (float_of_int (State_space.num_buffers space));
@@ -477,14 +480,15 @@ let to_dot t =
    waits narrowed to its live entries (a head whose entries are all
    removed emits nothing), so the closures run once per destination, on
    the first read.  The session keeps those groups and, per edge, the
-   number of live emissions: the edge exists while its count is positive.
-   A changed entry (head, dest, target) moves by one the count of
-   q1 -> target for each of [dest]'s groups headed by [head]; a read
-   applies the changes noted since the last one.  No witness list is
-   stored: a read derives an edge's from the groups ([derive], as a cold
-   build does).  Edges enter the adjacency in cold order on the first
-   read; later ones append, so rows may drift from it, which nothing
-   that decides a verdict reads (DESIGN.md §9). *)
+   number of live emissions, keyed q1 * num_buffers + q2: the edge
+   exists while its count is positive.  A changed entry (head, dest,
+   target) moves by one the count of q1 -> target for each of [dest]'s
+   groups headed by [head]; a read applies the changes noted since the
+   last one.  No witness list is stored: a read derives an edge's from
+   the groups ([derive], as a cold build does).  Edges enter the
+   adjacency in cold order on the first read; later ones append, so rows
+   may drift from it, which nothing that decides a verdict reads
+   (DESIGN.md §9). *)
 module Session = struct
   type bwg = t
 
@@ -499,7 +503,7 @@ module Session = struct
            first change *)
     groups : groups array; (* per dest, from the first read on *)
     mutable captured : bool;
-    counts : int ref Itbl.t; (* q1 * num_buffers + q2 -> live emissions *)
+    mutable counts : Count_table.t; (* q1 * num_buffers + q2 -> live emissions *)
     graph : Digraph.t;
     mutable zeroed : int list; (* keys whose count reached 0 since the last sweep *)
     mutable rank : int array option; (* a valid topological rank, if known *)
@@ -527,7 +531,7 @@ module Session = struct
       live = Array.copy base;
       groups = Array.make n no_groups;
       captured = false;
-      counts = Itbl.create 1024;
+      counts = Count_table.create 0;
       graph = Digraph.create (State_space.num_buffers space);
       zeroed = [];
       rank = None;
@@ -585,26 +589,21 @@ module Session = struct
      below 0: each group's own share of it does not. *)
   let bump s q1 q2 delta =
     let key = (q1 * Digraph.num_vertices s.graph) + q2 in
-    match Itbl.find_opt s.counts key with
-    | Some c ->
-      c := !c + delta;
-      if !c = 0 then s.zeroed <- key :: s.zeroed
-    | None -> (
-      Itbl.add s.counts key (ref delta);
+    let before = Count_table.add s.counts key delta in
+    if before = Count_table.absent then begin
       Digraph.unsafe_add_edge s.graph q1 q2;
-      match s.rank with
-      | Some r when r.(q1) >= r.(q2) -> s.rank <- None
-      | _ -> ())
+      match s.rank with Some r when r.(q1) >= r.(q2) -> s.rank <- None | _ -> ()
+    end
+    else if before + delta = 0 then s.zeroed <- key :: s.zeroed
 
   let sweep s =
     let nb = Digraph.num_vertices s.graph in
     List.iter
       (fun key ->
-        match Itbl.find_opt s.counts key with
-        | Some c when !c = 0 ->
-          Itbl.remove s.counts key;
+        if Count_table.find s.counts key = 0 then begin
+          Count_table.remove s.counts key;
           Digraph.remove_edge s.graph (key / nb) (key mod nb)
-        | _ -> ())
+        end)
       s.zeroed;
     s.zeroed <- []
 
@@ -635,9 +634,9 @@ module Session = struct
       ~dense_closures:false s.base.(d) d
 
   (* Bring the counts up to the live sets.  The first read captures every
-     destination's groups (over the pool with [domains] > 1) and counts
-     their emissions, destinations ascending, so edges enter the
-     adjacency in cold order; later reads apply the noted changes. *)
+     destination's groups (over the pool with [domains] > 1) and runs the
+     edge pass over the live sets, so edges enter the adjacency in cold
+     order; later reads apply the noted changes. *)
   let sync s =
     let rederived =
       if not s.captured then begin
@@ -645,9 +644,13 @@ module Session = struct
         each_dest ~domains:s.domains n (fun d -> s.groups.(d) <- capture s d);
         s.captured <- true;
         Obs.span "bwg.patch" (fun () ->
-            for d = 0 to n - 1 do
-              bump_dest s d 1
-            done);
+            let _, _, iter_counts =
+              edge_pass ~witness_cap:s.witness_cap s.graph s.space s.groups s.live
+            in
+            let nb = Digraph.num_vertices s.graph in
+            s.counts <- Count_table.create (Digraph.num_edges s.graph);
+            iter_counts (fun q1 q2 c ->
+                ignore (Count_table.add s.counts ((q1 * nb) + q2) c : int)));
         n
       end
       else begin
@@ -664,7 +667,8 @@ module Session = struct
 
   (* a non-edge has no emission to look for *)
   let derive s q1 q2 =
-    if not (Itbl.mem s.counts ((q1 * Digraph.num_vertices s.graph) + q2)) then []
+    let key = (q1 * Digraph.num_vertices s.graph) + q2 in
+    if Count_table.find s.counts key = Count_table.absent then []
     else derive ~witness_cap:s.witness_cap s.space s.groups s.live q1 q2
 
   let rank s =
@@ -693,11 +697,12 @@ module Session = struct
     && oldv.State_space.view_outs = newv.State_space.view_outs
     && Array.for_all2 (fun o n -> o <> [] || n = []) old_rule new_rule
 
+  (* old emissions leave under the old space, new ones enter under the new *)
   let update s space ~dests =
     let dests = List.sort_uniq Int.compare dests in
     if s.captured then begin
       sync s;
-      List.iter (fun d -> bump_dest s d (-1)) dests
+      Obs.span "bwg.patch" (fun () -> List.iter (fun d -> bump_dest s d (-1)) dests)
     end;
     let old = s.space in
     s.space <- space;
@@ -712,11 +717,11 @@ module Session = struct
         in
         s.base.(d) <- rule;
         s.live.(d) <- rule;
-        if s.captured then begin
-          if keep then incr kept else s.groups.(d) <- capture s d;
-          bump_dest s d 1
-        end)
+        if s.captured then if keep then incr kept else s.groups.(d) <- capture s d)
       dests;
-    sweep s;
+    if s.captured then
+      Obs.span "bwg.patch" (fun () ->
+          List.iter (fun d -> bump_dest s d 1) dests;
+          sweep s);
     !kept
 end

@@ -41,11 +41,10 @@ val build :
     row in first-emission order (DESIGN.md §3).  No witness list is
     stored: {!witnesses} derives one from the groups when read.  This is
     the full BWG, under the algorithm's whole waiting rule; it alone sets
-    the [bwg.edges] and [bwg.vertices] gauges, and it is the only caller
-    of the edge pass.  A BWG' is a {!Session}'s live view.  Captures run
-    under [bwg.closure] and the pass under [bwg.bucket], which counts
-    [bwg.emissions] (before de-duplication) and [bwg.witnesses.capped],
-    so these count full builds only.
+    the [bwg.edges] and [bwg.vertices] gauges.  A BWG' is a {!Session}'s
+    live view.  Captures run under [bwg.closure] and the pass under
+    [bwg.bucket], which counts [bwg.emissions] (before de-duplication)
+    and [bwg.witnesses.capped], so these count full builds only.
     [witness_cap] bounds the witnesses per edge (default 32); every
     edge keeps its first, as {!replay} does, so a cap below 1 acts as 1.
     [domains] (default 1) captures the groups over OCaml 5 domains; the
@@ -156,14 +155,17 @@ val to_dot : t -> string
     emissions under any subset of its rule are its (occupied buffer,
     waiting head) groups under the full rule with each head's waits
     narrowed to its live entries.  Per edge the session keeps only the
-    number of live emissions, the edge existing while it is positive; a
-    change moves the counts of the edges it generates.  Witness lists are
-    derived from the groups when read.
+    number of live emissions, the edge existing while it is positive, in
+    a flat table ({!Dfr_util.Count_table}).  The first read runs
+    {!build}'s edge pass over the live wait sets and enters each edge
+    once with its count; later, a change moves the counts of the edges
+    it generates.  Witness lists are derived from the groups when read.
 
-    Captures run under the [bwg.closure] span and count updates under
-    [bwg.patch]; [bwg.session.rederived] counts the destinations a read
-    captured or brought up to date (all of them on the first read).
-    Witnesses are derived as {!build}'s are, by one function. *)
+    Captures run under the [bwg.closure] span and count updates, the
+    first read's pass and {!Session.update}'s included, under [bwg.patch];
+    [bwg.session.rederived] counts the destinations a read captured or
+    brought up to date (all of them on the first read).  Witnesses are
+    derived as {!build}'s are, by one function. *)
 module Session : sig
   type bwg := t
   type t

@@ -2,8 +2,6 @@ open Dfr_topology
 
 type switching = Store_and_forward | Virtual_cut_through | Wormhole
 
-type channel_key = { k_src : int; k_dim : int; k_plus : bool; k_vc : int }
-
 type t = {
   name : string;
   switching : switching;
@@ -11,9 +9,10 @@ type t = {
   buffers : Buf.t array;
   injection : int array; (* node -> buffer id *)
   delivery : int array;
-  channel_index : (channel_key, int) Hashtbl.t;
+  dims : int; (* a grid's dimensions or a node's ports; 0: no channel ids *)
+  channel_ids : int array; (* ((src * dims + dim) * 2 + plus) * vcs + vc -> id *)
   custom_index : (int * int * int, int) Hashtbl.t; (* (src, dst, vc) -> id *)
-  node_buffer_index : (int * int, int) Hashtbl.t; (* (node, cls) -> id *)
+  node_buffer_ids : int array; (* node * vcs + cls -> id; -1 in either array: none *)
   outgoing : int list array; (* node -> channel buffer ids from that node *)
   topology : Topology.t option;
   vcs : int;
@@ -35,11 +34,21 @@ let buffers t = t.buffers
 let injection t node = t.buffers.(t.injection.(node))
 let delivery t node = t.buffers.(t.delivery.(node))
 
-let channel t ~src ~dim ~dir ~vc =
-  let key = { k_src = src; k_dim = dim; k_plus = (dir = Topology.Plus); k_vc = vc } in
-  t.buffers.(Hashtbl.find t.channel_index key)
+let channel_slot ~dims ~vcs ~src ~dim ~dir ~vc =
+  let plus = match dir with Topology.Plus -> 1 | Topology.Minus -> 0 in
+  (((((src * dims) + dim) * 2) + plus) * vcs) + vc
 
-let node_buffer t ~node ~cls = t.buffers.(Hashtbl.find t.node_buffer_index (node, cls))
+let named t id = if id < 0 then raise Not_found else t.buffers.(id)
+
+let channel t ~src ~dim ~dir ~vc =
+  if src < 0 || src >= t.num_nodes || dim < 0 || dim >= t.dims || vc < 0 || vc >= t.vcs then
+    raise Not_found;
+  named t t.channel_ids.(channel_slot ~dims:t.dims ~vcs:t.vcs ~src ~dim ~dir ~vc)
+
+let node_buffer t ~node ~cls =
+  if node < 0 || node >= t.num_nodes || cls < 0 || cls >= t.vcs then raise Not_found;
+  named t t.node_buffer_ids.((node * t.vcs) + cls)
+
 let find_custom_channel t ~src ~dst ~vc = t.buffers.(Hashtbl.find t.custom_index (src, dst, vc))
 let channels_from t node = List.rev_map (fun id -> t.buffers.(id)) t.outgoing.(node) |> List.rev
 
@@ -74,15 +83,16 @@ let push b kind =
 
 let finish b = Array.of_list (List.rev b.acc)
 
-let base ~name ~switching ~num_nodes ~topology ~vcs fill =
+(* [fill] writes the ids, a repeated key keeping the last *)
+let base ~name ~switching ~num_nodes ~topology ~vcs ?(dims = 0) fill =
   let bld = new_builder () in
   let injection = Array.init num_nodes (fun n -> push bld (Buf.Injection n)) in
   let delivery = Array.init num_nodes (fun n -> push bld (Buf.Delivery n)) in
-  let channel_index = Hashtbl.create 64 in
+  let channel_ids = Array.make (num_nodes * dims * 2 * vcs) (-1) in
   let custom_index = Hashtbl.create 64 in
-  let node_buffer_index = Hashtbl.create 64 in
+  let node_buffer_ids = Array.make (num_nodes * vcs) (-1) in
   let outgoing = Array.make num_nodes [] in
-  fill bld ~channel_index ~custom_index ~node_buffer_index ~outgoing;
+  fill bld ~channel_ids ~custom_index ~node_buffer_ids ~outgoing;
   Array.iteri (fun n ids -> outgoing.(n) <- List.rev ids) outgoing;
   {
     name;
@@ -91,9 +101,10 @@ let base ~name ~switching ~num_nodes ~topology ~vcs fill =
     buffers = finish bld;
     injection;
     delivery;
-    channel_index;
+    dims;
+    channel_ids;
     custom_index;
-    node_buffer_index;
+    node_buffer_ids;
     outgoing;
     topology;
     vcs;
@@ -102,15 +113,17 @@ let base ~name ~switching ~num_nodes ~topology ~vcs fill =
 let wormhole topo ~vcs =
   if vcs < 1 then invalid_arg "Net.wormhole: vcs must be >= 1";
   let num_nodes = Topology.num_nodes topo in
-  let fill bld ~channel_index ~custom_index:_ ~node_buffer_index:_ ~outgoing =
+  (* a grid's dimensions, or an irregular topology's ports *)
+  let dims =
+    List.init num_nodes (Topology.neighbors topo)
+    |> List.fold_left (List.fold_left (fun m (dim, _, _) -> max m (dim + 1))) 0
+  in
+  let fill bld ~channel_ids ~custom_index:_ ~node_buffer_ids:_ ~outgoing =
     for src = 0 to num_nodes - 1 do
       let add_channel (dim, dir, dst) =
         for vc = 0 to vcs - 1 do
           let id = push bld (Buf.Channel { src; dst; dim; dir; vc }) in
-          let key =
-            { k_src = src; k_dim = dim; k_plus = (dir = Topology.Plus); k_vc = vc }
-          in
-          Hashtbl.replace channel_index key id;
+          channel_ids.(channel_slot ~dims ~vcs ~src ~dim ~dir ~vc) <- id;
           outgoing.(src) <- id :: outgoing.(src)
         done
       in
@@ -119,16 +132,15 @@ let wormhole topo ~vcs =
   in
   base
     ~name:(Printf.sprintf "wormhole(%s,%dvc)" (Topology.name topo) vcs)
-    ~switching:Wormhole ~num_nodes ~topology:(Some topo) ~vcs fill
+    ~switching:Wormhole ~num_nodes ~topology:(Some topo) ~vcs ~dims fill
 
 let packet_buffered switching tag topo ~classes =
   if classes < 1 then invalid_arg "Net: classes must be >= 1";
   let num_nodes = Topology.num_nodes topo in
-  let fill bld ~channel_index:_ ~custom_index:_ ~node_buffer_index ~outgoing:_ =
+  let fill bld ~channel_ids:_ ~custom_index:_ ~node_buffer_ids ~outgoing:_ =
     for node = 0 to num_nodes - 1 do
       for cls = 0 to classes - 1 do
-        let id = push bld (Buf.Node_buffer { node; cls }) in
-        Hashtbl.replace node_buffer_index (node, cls) id
+        node_buffer_ids.((node * classes) + cls) <- push bld (Buf.Node_buffer { node; cls })
       done
     done
   in
@@ -147,11 +159,12 @@ let custom ~name ~switching ~num_nodes ~channels =
   let max_vc =
     List.fold_left (fun acc (_, _, vc) -> max acc (vc + 1)) 1 channels
   in
-  let fill bld ~channel_index:_ ~custom_index ~node_buffer_index ~outgoing =
+  let fill bld ~channel_ids:_ ~custom_index ~node_buffer_ids ~outgoing =
     List.iteri
       (fun i (src, dst, vc) ->
         if src < 0 || src >= num_nodes || dst < 0 || dst >= num_nodes then
           invalid_arg "Net.custom: channel endpoint out of range";
+        if vc < 0 then invalid_arg "Net.custom: negative vc";
         match switching with
         | Wormhole ->
           let id = push bld (Buf.Channel { src; dst; dim = i; dir = Topology.Plus; vc }) in
@@ -160,8 +173,8 @@ let custom ~name ~switching ~num_nodes ~channels =
         | Store_and_forward | Virtual_cut_through ->
           (* buffer classes stand in for channels on packet-buffered custom
              networks: one buffer at [dst] per incoming channel *)
-          let id = push bld (Buf.Node_buffer { node = dst; cls = vc }) in
-          Hashtbl.replace node_buffer_index (dst, vc) id)
+          node_buffer_ids.((dst * max_vc) + vc) <-
+            push bld (Buf.Node_buffer { node = dst; cls = vc }))
       channels
   in
   base ~name ~switching ~num_nodes ~topology:None ~vcs:max_vc fill

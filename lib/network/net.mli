@@ -54,16 +54,18 @@ val injection : t -> int -> Buf.t
 val delivery : t -> int -> Buf.t
 
 val channel : t -> src:int -> dim:int -> dir:Topology.direction -> vc:int -> Buf.t
-(** The virtual-channel buffer leaving [src] along [(dim, dir)].  Raises
-    [Not_found] when the topology has no such channel or the network is not
-    wormhole. *)
+(** The virtual-channel buffer leaving [src] along [(dim, dir)], by one
+    array index.  Raises [Not_found] when the topology has no such
+    channel, a coordinate is out of range, or the network is not wormhole
+    (custom ones included). *)
 
 val node_buffer : t -> node:int -> cls:int -> Buf.t
-(** The class-[cls] packet buffer of a node (SAF/VCT networks).  Raises
-    [Not_found]. *)
+(** The class-[cls] packet buffer of a node (SAF/VCT networks), by one
+    array index.  Raises [Not_found]. *)
 
 val find_custom_channel : t -> src:int -> dst:int -> vc:int -> Buf.t
-(** Channel lookup for {!custom} networks. Raises [Not_found]. *)
+(** Channel lookup for {!custom} networks, by hashing: elaboration and
+    two custom routings call it. Raises [Not_found]. *)
 
 val channels_from : t -> int -> Buf.t list
 (** All channel buffers whose source endpoint is the given node. *)

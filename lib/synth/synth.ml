@@ -37,7 +37,7 @@ type stats = {
 
 type success = {
   space : State_space.t;
-  bwg : Bwg.t;
+  bwg : Bwg.t Lazy.t;
   algo : Algo.t;
   removed : Reduction.removed list;
   widened : int;
@@ -166,7 +166,7 @@ let synthesize ?(budget = 4000) ?(domains = 1) ?(minimize = false) space =
       Synthesized
         {
           space;
-          bwg = Bwg.Session.bwg session;
+          bwg = lazy (Bwg.Session.bwg session);
           algo = algo';
           removed;
           widened = 0;
@@ -504,7 +504,7 @@ let repair_search ~budget ~domains net algo =
       Synthesized
         {
           space = report.Checker.space;
-          bwg = report.Checker.bwg;
+          bwg = Lazy.from_val report.Checker.bwg;
           algo = final;
           removed = removed_entries ();
           widened = !widened_delta;
@@ -603,7 +603,7 @@ let replay ?(domains = 1) space ~removed items =
 let bwg_prime_dot s =
   let net = State_space.net s.space in
   let fg = Bwg.graph (Bwg.build s.space) in
-  let rg = Bwg.graph s.bwg in
+  let rg = Bwg.graph (Lazy.force s.bwg) in
   let touched = Array.make (Digraph.num_vertices fg) false in
   Digraph.iter_edges
     (fun u v ->

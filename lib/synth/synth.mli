@@ -52,12 +52,12 @@ type success = {
   space : State_space.t;
       (** the candidate's state space — {!repair} rebuilds it from the
           repaired relation; {!synthesize} passes the input through *)
-  bwg : Bwg.t;
+  bwg : Bwg.t Lazy.t;
       (** the final candidate BWG: wait-connected, no True Cycle found
           (exhaustively, for the verified paths).  {!synthesize} gives a
           live view ({!Bwg.Session.bwg}) of a session private to the
-          result, which nothing changes after the search; {!repair}, the
-          checker's cold build of the repaired relation *)
+          result, read (every closure run) only when forced; {!repair},
+          the checker's cold build of the repaired relation *)
   algo : Algo.t;  (** the input algorithm with the synthesized rule wired
                       in via {!Algo.with_waits} / {!Algo.with_relation} *)
   removed : Reduction.removed list;

@@ -483,6 +483,68 @@ let test_session_promotes () =
   check Alcotest.bool "restored first witness leads again" true
     (Bwg.witnesses (Bwg.Session.bwg session) q1 q2 = [ w1; List.nth ws 1 ])
 
+(* A session's first read runs the edge pass of a cold build over its
+   live sets.  With every entry live, its rows are [Bwg.build]'s, in
+   order.  After removals made before it, they are the cold reference's
+   of the same wait sets ([Cold.bwg]), in order, with every witness list;
+   and once a different set of entries is removed, the counts it entered
+   must still give the cold BWG'. *)
+let first_read_is_cold ~label rng space =
+  let num_bufs = State_space.num_buffers space in
+  let same_rows what want got =
+    for q = 0 to num_bufs - 1 do
+      if Dfr_graph.Digraph.succ (Bwg.graph got) q <> Dfr_graph.Digraph.succ (Bwg.graph want) q
+      then Alcotest.failf "%s: %s: row %d out of cold order" label what q
+    done
+  in
+  same_rows "full rule" (Bwg.build space) (Bwg.Session.bwg (Bwg.Session.create space));
+  let entries = ref [] in
+  State_space.iter_reachable space (fun ~buf ~dest ->
+      List.iter
+        (fun t -> entries := (buf, dest, t) :: !entries)
+        (State_space.waits space ~buf ~dest));
+  let session = Bwg.Session.create space in
+  let removed = Hashtbl.create 64 in
+  let wait_sets ~buf ~dest =
+    List.filter
+      (fun t -> not (Hashtbl.mem removed (buf, dest, t)))
+      (State_space.waits space ~buf ~dest)
+  in
+  let toggle_some () =
+    List.iter
+      (fun ((buf, dest, t) as e) ->
+        if Hashtbl.mem removed e then begin
+          Hashtbl.remove removed e;
+          Bwg.Session.restore session ~buf ~dest t
+        end
+        else if Dfr_util.Prng.int rng 4 = 0 then begin
+          Hashtbl.replace removed e ();
+          Bwg.Session.remove session ~buf ~dest t
+        end)
+      !entries
+  in
+  let agree what =
+    let want = Cold.bwg ~wait_sets space and got = Bwg.Session.bwg session in
+    Option.iter (Alcotest.failf "%s: %s: %s" label what) (Cold.diff ~want ~got);
+    want
+  in
+  toggle_some ();
+  same_rows "removals before the first read" (agree "first read") (Bwg.Session.bwg session);
+  toggle_some ();
+  ignore (agree "a later read" : Bwg.t)
+
+let test_first_read_cold () =
+  List.iter
+    (fun (e : Registry.entry) ->
+      first_read_is_cold ~label:e.Registry.name (Dfr_util.Prng.create 5)
+        (State_space.build (Registry.network_for e None) e.Registry.algo))
+    Registry.all;
+  for seed = 0 to 39 do
+    first_read_is_cold ~label:(Printf.sprintf "seed %d" seed)
+      (Dfr_util.Prng.create (seed + 7))
+      (fuzz_space seed)
+  done
+
 (* ---------------- decisions on live BWGs ---------------- *)
 
 (* A session walked back to the full rule: a few rounds that remove
@@ -594,4 +656,6 @@ let suite =
       test_live_decides_catalogue;
     Alcotest.test_case "live BWG' decides as cold (fuzz cases)" `Quick
       test_live_decides_fuzz;
+    Alcotest.test_case "session first read = cold rows in order" `Quick
+      test_first_read_cold;
   ]

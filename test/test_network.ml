@@ -120,6 +120,86 @@ let test_invalid_args () =
   Alcotest.check_raises "classes 0" (Invalid_argument "Net: classes must be >= 1")
     (fun () -> ignore (Net.store_and_forward (Topology.mesh [| 2; 2 |]) ~classes:0))
 
+(* Every catalogue network, and a packet-buffered custom one with two
+   channels into one (node, class): each topology channel is found by its
+   own coordinates and each node buffer by its node and class, the last
+   buffer created winning a repeated pair.  Every other coordinate in
+   -1 .. bound, for source, dimension (or port), both directions and vc,
+   and node and class, raises Not_found: out-of-range values, channels
+   a mesh boundary lacks, channel lookups on packet-buffered and custom
+   networks, node-buffer lookups on wormhole ones. *)
+let test_lookups_by_coordinates () =
+  let saf_custom =
+    Net.custom ~name:"saf-tri" ~switching:Net.Store_and_forward ~num_nodes:3
+      ~channels:[ (0, 1, 0); (2, 1, 0); (1, 2, 1) ]
+  in
+  let nets =
+    ("saf-tri", saf_custom)
+    :: List.map
+         (fun (e : Dfr_routing.Registry.entry) ->
+           (e.Dfr_routing.Registry.name, Dfr_routing.Registry.network_for e None))
+         Dfr_routing.Registry.all
+  in
+  let found f = match f () with b -> Some (Buf.id b) | exception Not_found -> None in
+  let range bound = List.init (bound + 2) (fun i -> i - 1) in
+  let packet_buffered = ref 0 in
+  List.iter
+    (fun (name, net) ->
+      let channels = Hashtbl.create 64 and node_buffers = Hashtbl.create 64 in
+      let dims = ref 0 in
+      Array.iter
+        (fun b ->
+          match Buf.kind b with
+          | Buf.Channel { src; dim; dir; vc; _ } ->
+            dims := max !dims (dim + 1);
+            if Net.topology net <> None then
+              Hashtbl.replace channels (src, dim, dir, vc) (Buf.id b)
+          | Buf.Node_buffer { node; cls } ->
+            Hashtbl.replace node_buffers (node, cls) (Buf.id b)
+          | Buf.Injection _ | Buf.Delivery _ -> ())
+        (Net.buffers net);
+      Option.iter
+        (fun topo ->
+          for src = 0 to Net.num_nodes net - 1 do
+            List.iter
+              (fun (dim, _, _) -> dims := max !dims (dim + 1))
+              (Topology.neighbors topo src)
+          done)
+        (Net.topology net);
+      if Net.switching net <> Net.Wormhole then incr packet_buffered;
+      List.iter
+        (fun src ->
+          List.iter
+            (fun dim ->
+              List.iter
+                (fun dir ->
+                  List.iter
+                    (fun vc ->
+                      let want = Hashtbl.find_opt channels (src, dim, dir, vc) in
+                      if found (fun () -> Net.channel net ~src ~dim ~dir ~vc) <> want then
+                        Alcotest.failf "%s: channel src %d dim %d %s vc %d" name src dim
+                          (if dir = Topology.Plus then "+" else "-")
+                          vc)
+                    (range (Net.vcs net)))
+                [ Topology.Plus; Topology.Minus ])
+            (range !dims))
+        (range (Net.num_nodes net));
+      List.iter
+        (fun node ->
+          List.iter
+            (fun cls ->
+              if
+                found (fun () -> Net.node_buffer net ~node ~cls)
+                <> Hashtbl.find_opt node_buffers (node, cls)
+              then Alcotest.failf "%s: node buffer %d class %d" name node cls)
+            (range (Net.vcs net)))
+        (range (Net.num_nodes net)))
+    nets;
+  check Alcotest.bool "packet-buffered networks covered" true (!packet_buffered > 1);
+  (* ids: three injection, three delivery, then the channels in order *)
+  check Alcotest.int "repeated (node, class): the last buffer" 7
+    (Buf.id (Net.node_buffer saf_custom ~node:1 ~cls:0))
+
 let suite =
   [
     Alcotest.test_case "wormhole buffer count" `Quick test_wormhole_buffer_count;
@@ -135,4 +215,6 @@ let suite =
     Alcotest.test_case "custom network" `Quick test_custom_network;
     Alcotest.test_case "describe buffers" `Quick test_describe;
     Alcotest.test_case "invalid arguments" `Quick test_invalid_args;
+    Alcotest.test_case "lookups by coordinates (catalogue)" `Quick
+      test_lookups_by_coordinates;
   ]

@@ -212,6 +212,47 @@ let test_incr_stage_skeleton () =
         [ "incr.update"; "checker.knot"; "checker.cycle-scan"; "checker.classify" ])
     [ ("ecube", Incr.Fast, "incr.fast"); ("efa-relaxed", Incr.Replay, "incr.replay") ]
 
+(* An Incr edit's work is attributed inside its incr.update span: the
+   slice swap under space.update, and every count move under bwg.patch.
+   Each session read opens one patch span (and counts
+   bwg.session.rederived once); a one-destination edit opens two more,
+   the old emissions leaving and the new ones entering. *)
+let test_incr_update_spans () =
+  let e = Option.get (Registry.find "ecube") in
+  let net = Registry.network_for e None in
+  let session, _ = Incr.create net e.Registry.algo in
+  Obs.enable ();
+  ignore (Incr.update session e.Registry.algo ~dirty:[ 1 ] : Incr.result);
+  let events = Option.bind (Json.member "traceEvents" (Obs.trace_json ())) Json.to_list in
+  let reads = List.assoc_opt "bwg.session.rederived" (Obs.counter_calls ()) in
+  Obs.disable ();
+  let spans name =
+    List.filter_map
+      (fun ev ->
+        match
+          ( Json.member "name" ev,
+            Json.member "ts" ev,
+            Json.member "dur" ev,
+            Option.bind (Json.member "args" ev) (Json.member "depth") )
+        with
+        | Some (Json.String n), Some (Json.Float ts), Some (Json.Float dur), Some (Json.Int d)
+          when n = name ->
+          Some (ts, dur, d)
+        | _ -> None)
+      (Option.value events ~default:[])
+  in
+  match spans "incr.update" with
+  | [ (ts, dur, depth) ] ->
+    let inside name =
+      List.length
+        (List.filter (fun (t, _, d) -> t >= ts && t <= ts +. dur && d > depth) (spans name))
+    in
+    check Alcotest.int "space.update under incr.update" 1 (inside "space.update");
+    check Alcotest.(option int) "bwg.patch spans under incr.update: reads + 2"
+      (Option.map (( + ) 2) reads)
+      (Some (inside "bwg.patch"))
+  | _ -> Alcotest.fail "expected one incr.update span"
+
 (* with the collector disabled the probes must be pure pass-throughs:
    same verdict, byte-identical JSON report *)
 let report_bytes ~instrumented =
@@ -349,4 +390,6 @@ let suite =
       test_gauges_full_bwg;
     Alcotest.test_case "an Incr update carries decide's stage skeleton" `Quick
       test_incr_stage_skeleton;
+    Alcotest.test_case "an Incr edit's count moves run under bwg.patch" `Quick
+      test_incr_update_spans;
   ]

@@ -181,6 +181,32 @@ let test_campaign_bytes_across_paths () =
         (bytes (run ~domains:4 ~mode net algo link_plan)))
     [ `Sweep; `Sequence ]
 
+(* Storm sweeps whose steps keep a cyclic BWG', so the incremental side
+   decides past the acyclicity test on the session's live BWG: knots and
+   not-wait-connected states on efa-relaxed, knots and stuck states on
+   the single-VC dragonfly.  Each must print the cold campaign's bytes,
+   and some step must be a knot. *)
+let test_campaign_live_cyclic () =
+  let plan =
+    match Fault.parse "plan \"storm\"\nseed 42\nstorm links 6\n" with
+    | Ok p -> p
+    | Error m -> Alcotest.fail m
+  in
+  List.iter
+    (fun (name, topo) ->
+      let net, algo = instance name topo in
+      let c = run ~mode:`Sweep net algo plan in
+      check Alcotest.bool (name ^ ": some step is a knot") true
+        (List.exists
+           (fun o ->
+             match o.Scenario.classification with
+             | Scenario.Deadlocked { kind = "knot"; _ } -> true
+             | _ -> false)
+           c.Scenario.outcomes);
+      check Alcotest.string (name ^ ": cold = incremental") (bytes c)
+        (bytes (run ~cold:true ~mode:`Sweep net algo plan)))
+    [ ("efa-relaxed", "hypercube:4"); ("dragonfly-minimal-1vc", "dragonfly:4x2x9") ]
+
 let test_campaign_modes_differ () =
   let net, algo = instance "dimension-order" "mesh:3x3" in
   let sweep = run ~mode:`Sweep net algo link_plan in
@@ -400,4 +426,6 @@ let suite =
       test_traffic_validation;
     Alcotest.test_case "traffic: witness-seeking workloads are scripted"
       `Quick test_seeking_traffic;
+    Alcotest.test_case "campaign: cyclic storm sweeps decide as cold" `Quick
+      test_campaign_live_cyclic;
   ]

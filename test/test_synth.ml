@@ -62,7 +62,7 @@ let bwg_prime_is_cold name (s : Synth.success) =
           (fun target -> not (List.mem { Reduction.head = buf; dest; target } s.Synth.removed))
           (State_space.waits space ~buf ~dest))
   in
-  Option.iter (Alcotest.failf "%s: BWG' vs cold: %s" name) (Cold.diff ~want ~got:s.Synth.bwg)
+  Option.iter (Alcotest.failf "%s: BWG' vs cold: %s" name) (Cold.diff ~want ~got:(Lazy.force s.Synth.bwg))
 
 let test_two_buffer_bwg () =
   let net, space = space_of (entry "two-buffer") in

@@ -758,3 +758,55 @@ let suite =
       qtest prop_json_roundtrip;
       qtest prop_json_never_emits_nonfinite;
     ]
+
+(* ---------------- count table ---------------- *)
+
+(* Count_table against a Hashtbl model.  Random adds, subtractions and
+   removals over 25 keys, from the minimum size, so probe runs wrap past
+   the array's end, removals shift runs back across it, and inserts grow
+   the table.  After every step: [add]'s answer, every key's count (or
+   [absent]), and the size. *)
+let prop_count_table =
+  QCheck.Test.make ~name:"count table = Hashtbl model" ~count:300
+    QCheck.(
+      list_of_size Gen.(int_range 1 300) (triple (int_bound 2) (int_bound 24) (int_range 1 4)))
+    (fun ops ->
+      let t = Count_table.create 0 and model = Hashtbl.create 16 in
+      let count k = Option.value (Hashtbl.find_opt model k) ~default:Count_table.absent in
+      List.for_all
+        (fun (op, key, d) ->
+          let answered =
+            match op with
+            | 2 ->
+              Count_table.remove t key;
+              Hashtbl.remove model key;
+              true
+            | _ ->
+              let d = if op = 0 then d else -d in
+              let before = count key in
+              Hashtbl.replace model key (if before = Count_table.absent then d else before + d);
+              Count_table.add t key d = before
+          in
+          answered
+          && Count_table.length t = Hashtbl.length model
+          && List.for_all
+               (fun k -> Count_table.find t k = count k)
+               (List.init 25 Fun.id))
+        ops)
+
+let test_count_table_negative_keys () =
+  let t = Count_table.create 4 in
+  ignore (Count_table.add t 3 1 : int);
+  check Alcotest.bool "find" true (Count_table.find t (-1) = Count_table.absent);
+  Count_table.remove t (-1);
+  check Alcotest.int "remove leaves the table" 1 (Count_table.length t);
+  Alcotest.check_raises "add" (Invalid_argument "Count_table.add: negative key") (fun () ->
+      ignore (Count_table.add t (-1) 1 : int))
+
+let suite =
+  suite
+  @ [
+      qtest prop_count_table;
+      Alcotest.test_case "count table holds no negative key" `Quick
+        test_count_table_negative_keys;
+    ]
