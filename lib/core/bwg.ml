@@ -1,7 +1,7 @@
 open Dfr_network
 open Dfr_graph
 module Obs = Dfr_obs.Obs
-module Rows = Dfr_util.Bitset.Hybrid.Rows
+module Arena = Dfr_util.Bitset.Arena
 module Count_table = Dfr_util.Count_table
 
 type wait_sets = buf:int -> dest:int -> int list
@@ -34,164 +34,184 @@ let witnesses t q1 q2 =
   let n = Digraph.num_vertices t.graph in
   if q1 < 0 || q1 >= n || q2 < 0 || q2 >= n then [] else t.witnesses q1 q2
 
-(* The (occupied state, waiting head) groups of one destination's
-   traffic: a pure function of the destination's slice of the state
-   table, so destinations can be processed by separate domains.  All work
-   here is sized by the k states the destination can reach, not by the
-   network's B buffers.
-
-   [group i h] receives, in local ids, every occupied state [i] and every
-   state [h] its blocked header can sit in that has waits ([waiting h]),
-   [i] ascending and, per [i], [h] ascending.  A packet-buffered header
-   sits in the occupied buffer itself.
-
-   For wormhole switching the blocked header of a packet occupying [q1]
-   can sit in any buffer reachable from [q1] in the destination's move
-   graph, which the slice carries over its own k states.  Buffers in the
-   same SCC share that reachability closure, and the SCC indices are a
-   reverse topological numbering of the condensation (every cross edge
-   points to a lower index), so one pass over components in ascending
-   index order computes every closure: seed the component's own members,
-   then union in the already-complete closures of its successor
-   components — a word-parallel bitset [lor] each. *)
-let iter_groups (v : State_space.dest_view) ~waiting ~wormhole ~dense_closures ~group =
-  let k = Array.length v.State_space.view_bufs in
-  if not wormhole then
-    for i = 0 to k - 1 do
-      if waiting i then group i i
-    done
-  else begin
-    let g = v.State_space.view_moves in
-    (* The closure pass needs components numbered in reverse topological
-       order, with member lists: verts.(start.(c) .. start.(c + 1) - 1).
-       Move graphs of deadlock-free algorithms are acyclic, so try a Kahn
-       pass first — every vertex its own component, numbered k-1-(topo
-       position) — and fall back to Tarjan only when a cycle remains. *)
-    let count, comp, start, verts =
-      let indeg = Array.make k 0 in
-      Csr.iter_edges (fun _ w -> indeg.(w) <- indeg.(w) + 1) g;
-      let order = Array.make k 0 in
-      let filled = ref 0 in
-      for v = 0 to k - 1 do
-        if indeg.(v) = 0 then begin
-          order.(!filled) <- v;
-          incr filled
-        end
-      done;
-      let head = ref 0 in
-      while !head < !filled do
-        let v = order.(!head) in
-        incr head;
-        Csr.iter_succ
-          (fun w ->
-            indeg.(w) <- indeg.(w) - 1;
-            if indeg.(w) = 0 then begin
-              order.(!filled) <- w;
-              incr filled
-            end)
-          g v
-      done;
-      if !filled = k then begin
-        let comp = Array.make k 0 in
-        let verts = Array.make k 0 in
-        for i = 0 to k - 1 do
-          let c = k - 1 - i in
-          comp.(order.(i)) <- c;
-          verts.(c) <- order.(i)
-        done;
-        (k, comp, Array.init (k + 1) Fun.id, verts)
-      end
-      else begin
-        let scc = Scc.compute_csr g in
-        let count = scc.Scc.count in
-        let comp = scc.Scc.component in
-        (* group vertices by component (counting sort) *)
-        let start = Array.make (count + 1) 0 in
-        for v = 0 to k - 1 do
-          start.(comp.(v) + 1) <- start.(comp.(v) + 1) + 1
-        done;
-        for c = 0 to count - 1 do
-          start.(c + 1) <- start.(c + 1) + start.(c)
-        done;
-        let verts = Array.make k 0 in
-        let next = Array.copy start in
-        for v = 0 to k - 1 do
-          verts.(next.(comp.(v))) <- v;
-          next.(comp.(v)) <- next.(comp.(v)) + 1
-        done;
-        (count, comp, start, verts)
-      end
-    in
-    let closures = Rows.create ~force_dense:dense_closures ~rows:count ~len:k () in
-    (* merged.(c') = c marks that c' is already unioned into c's row, so a
-       component with many edges into the same successor pays one sweep *)
-    let merged = Array.make count (-1) in
-    for c = 0 to count - 1 do
-      for i = start.(c) to start.(c + 1) - 1 do
-        let v = verts.(i) in
-        Rows.add closures c v;
-        Csr.iter_succ
-          (fun w ->
-            let cw = comp.(w) in
-            if cw <> c && merged.(cw) <> c then begin
-              merged.(cw) <- c;
-              Rows.union_rows closures ~into:c ~src:cw
-            end)
-          g v
-      done
-    done;
-    Obs.count "bwg.closure.words" (Rows.storage_words closures);
-    Obs.count "bwg.closure.dense-rows" (Rows.dense_rows closures);
-    (* waiting heads in a component's closure (ascending), memoized *)
-    let heads_of = Array.make count None in
-    let heads c =
-      match heads_of.(c) with
-      | Some hs -> hs
-      | None ->
-        let acc = ref [] in
-        Rows.iter_row (fun h -> if waiting h then acc := h :: !acc) closures c;
-        let hs = List.rev !acc in
-        heads_of.(c) <- Some hs;
-        hs
-    in
-    for i = 0 to k - 1 do
-      List.iter (group i) (heads comp.(i))
-    done
-  end
-
 (* One destination's (occupied state, waiting head) groups in emission
    order: local state [i]'s are [first.(i)] .. [first.(i + 1) - 1], group
-   [j] headed by local state [heads.(j)].  Each group emits its head's
-   waits, in rule order, for the occupied buffer, so a destination's
-   emission sequence under any subset of its rule is its groups under the
-   full rule with each head's waits narrowed.  The arrays are never
-   written after [capture], so any domain may read them. *)
+   [j] headed by local state [heads.(j)], heads ascending per state.  A
+   group exists for every state [h] with waits that the blocked header
+   of a packet occupying [i] can sit in: [i] itself for packet-buffered
+   switching, any state reachable from [i] in the destination's move
+   graph for wormhole.  Each group emits its head's waits, in rule
+   order, for the occupied buffer, so a destination's emission sequence
+   under any subset of its rule is its groups under the full rule with
+   each head's waits narrowed.  The arrays are a pure function of the
+   destination's slice, so destinations can be captured by separate
+   domains, and are never written after [capture], so any domain may
+   read them. *)
 type groups = { first : int array; heads : int array }
 
 let no_groups = { first = [||]; heads = [||] }
 
-(* destination [d]'s groups under [rule] (its waits per local state): the
-   closures *)
+(* One domain's closure scratch, reused across destinations and grown to
+   the largest one seen: Kahn's in-degrees and order, each state's
+   component, the components' members (verts.(start.(c) ..
+   start.(c + 1) - 1)), the merge marks and the row arena.  Every pass
+   writes what it reads before reading it, so one that raised leaves
+   nothing the next could see. *)
+type scratch = {
+  mutable indeg : int array;
+  mutable order : int array;
+  mutable comp : int array;
+  mutable start : int array;
+  mutable verts : int array;
+  mutable merged : int array;
+  arena : Arena.t;
+}
+
+let scratch =
+  Dfr_util.Per_domain.make (fun () ->
+      {
+        indeg = [||];
+        order = [||];
+        comp = [||];
+        start = [||];
+        verts = [||];
+        merged = [||];
+        arena = Arena.create ();
+      })
+
+let fit a n = if Array.length a >= n then a else Array.make n 0
+
+(* The closure pass needs the move graph's k states grouped into
+   components numbered in reverse topological order (every cross edge
+   points to a lower index), into [s]; returns how many.  Move graphs of
+   deadlock-free algorithms are acyclic, so try a Kahn pass first —
+   every vertex its own component, numbered k-1-(topo position) — and
+   fall back to Tarjan only when a cycle remains. *)
+let components s g k =
+  s.indeg <- fit s.indeg k;
+  s.order <- fit s.order k;
+  s.comp <- fit s.comp k;
+  s.start <- fit s.start (k + 1);
+  s.verts <- fit s.verts k;
+  let indeg = s.indeg and order = s.order and comp = s.comp in
+  let start = s.start and verts = s.verts in
+  Array.fill indeg 0 k 0;
+  Csr.iter_edges (fun _ w -> indeg.(w) <- indeg.(w) + 1) g;
+  let filled = ref 0 in
+  for v = 0 to k - 1 do
+    if indeg.(v) = 0 then begin
+      order.(!filled) <- v;
+      incr filled
+    end
+  done;
+  let head = ref 0 in
+  while !head < !filled do
+    let v = order.(!head) in
+    incr head;
+    let lo, hi = Csr.row g v in
+    for p = lo to hi - 1 do
+      let w = Csr.target g p in
+      indeg.(w) <- indeg.(w) - 1;
+      if indeg.(w) = 0 then begin
+        order.(!filled) <- w;
+        incr filled
+      end
+    done
+  done;
+  if !filled = k then begin
+    for i = 0 to k - 1 do
+      let c = k - 1 - i in
+      comp.(order.(i)) <- c;
+      verts.(c) <- order.(i);
+      start.(i) <- i
+    done;
+    start.(k) <- k;
+    k
+  end
+  else begin
+    let scc = Scc.compute_csr g in
+    let count = scc.Scc.count in
+    Array.blit scc.Scc.component 0 comp 0 k;
+    (* group vertices by component (counting sort), [order] the cursor *)
+    Array.fill start 0 (count + 1) 0;
+    for v = 0 to k - 1 do
+      start.(comp.(v) + 1) <- start.(comp.(v) + 1) + 1
+    done;
+    for c = 0 to count - 1 do
+      start.(c + 1) <- start.(c + 1) + start.(c)
+    done;
+    Array.blit start 0 order 0 count;
+    for v = 0 to k - 1 do
+      verts.(order.(comp.(v))) <- v;
+      order.(comp.(v)) <- order.(comp.(v)) + 1
+    done;
+    count
+  end
+
+(* destination [d]'s groups under [rule] (its waits per local state).
+
+   For wormhole switching the heads of a packet occupying state [i] are
+   the waiting states of [i]'s reachability closure.  States in one
+   component share it, and one pass over the components in ascending
+   index order computes every closure: a component's row is its own
+   waiting members and the finished rows of its successor components
+   (keeping only states with waits commutes with the union).  The rows go to
+   the domain's arena, one each, and the groups are read off them. *)
 let capture space ~wormhole ~dense_closures rule d =
   Obs.span "bwg.closure" @@ fun () ->
   let k = Array.length rule in
   let first = Array.make (k + 1) 0 in
-  let heads = ref (Array.make (max k 16) 0) and len = ref 0 in
-  iter_groups
-    (State_space.dest_view space ~dest:d)
-    ~wormhole ~dense_closures
-    ~waiting:(fun h -> rule.(h) <> [])
-    ~group:(fun i h ->
-      if !len = Array.length !heads then
-        heads := Array.append !heads (Array.make !len 0);
-      !heads.(!len) <- h;
-      incr len;
-      first.(i + 1) <- !len);
-  (* a state without groups starts and ends where the last one ends *)
-  for i = 1 to k do
-    first.(i) <- max first.(i) first.(i - 1)
-  done;
-  { first; heads = Array.sub !heads 0 !len }
+  if not wormhole then begin
+    for i = 0 to k - 1 do
+      first.(i + 1) <- (first.(i) + if rule.(i) <> [] then 1 else 0)
+    done;
+    let heads = Array.make first.(k) 0 in
+    for i = 0 to k - 1 do
+      if rule.(i) <> [] then heads.(first.(i)) <- i
+    done;
+    { first; heads }
+  end
+  else
+    Dfr_util.Per_domain.use scratch @@ fun s ->
+    let g = (State_space.dest_view space ~dest:d).State_space.view_moves in
+    let count = components s g k in
+    let arena = s.arena and comp = s.comp in
+    Arena.reset ~force_dense:dense_closures arena ~len:k;
+    (* merged.(c') = c marks that c' is already unioned into c's row, so a
+       component with many edges into the same successor pays one union *)
+    s.merged <- fit s.merged count;
+    let merged = s.merged in
+    Array.fill merged 0 count (-1);
+    for c = 0 to count - 1 do
+      for i = s.start.(c) to s.start.(c + 1) - 1 do
+        let v = s.verts.(i) in
+        if rule.(v) <> [] then Arena.add arena v;
+        let lo, hi = Csr.row g v in
+        for p = lo to hi - 1 do
+          let cw = comp.(Csr.target g p) in
+          if cw <> c && merged.(cw) <> c then begin
+            merged.(cw) <- c;
+            Arena.union arena cw
+          end
+        done
+      done;
+      ignore (Arena.finish arena : int)
+    done;
+    Obs.count "bwg.closure.words" (Arena.storage_words arena);
+    Obs.count "bwg.closure.dense-rows" (Arena.dense_rows arena);
+    for i = 0 to k - 1 do
+      first.(i + 1) <- first.(i) + Arena.cardinal_row arena comp.(i)
+    done;
+    let heads = Array.make first.(k) 0 in
+    let j = ref 0 in
+    let put h =
+      heads.(!j) <- h;
+      incr j
+    in
+    for i = 0 to k - 1 do
+      Arena.iter_row put arena comp.(i)
+    done;
+    { first; heads }
 
 (* [f q1 h] for destination [d]'s groups in emission order: the occupied
    buffer and the head's local state *)
@@ -511,6 +531,7 @@ module Session = struct
         (* per dest: (local state, target, +1 or -1) since the last read,
            newest first *)
     mutable dirty : int list; (* the destinations with changes *)
+    mutable moves : int; (* count moves since the last flush to bwg.session.moves *)
   }
 
   let rule_of rule space dest =
@@ -537,6 +558,7 @@ module Session = struct
       rank = None;
       changed = Array.make n [];
       dirty = [];
+      moves = 0;
     }
 
   let space s = s.space
@@ -588,6 +610,7 @@ module Session = struct
      leaves at the next sweep if its count is 0 then.  A count never goes
      below 0: each group's own share of it does not. *)
   let bump s q1 q2 delta =
+    s.moves <- s.moves + 1;
     let key = (q1 * Digraph.num_vertices s.graph) + q2 in
     let before = Count_table.add s.counts key delta in
     if before = Count_table.absent then begin
@@ -613,15 +636,47 @@ module Session = struct
     iter_dest_groups s.space d s.groups.(d) (fun q1 h ->
         List.iter (fun w -> bump s q1 w delta) live.(h))
 
-  (* destination [d]'s noted changes, oldest first, on every group their
-     head heads *)
-  let apply_changes s d =
+  (* [a] less one occurrence of each entry of [b] *)
+  let minus a b =
+    let rec drop w = function
+      | [] -> None
+      | x :: rest -> if x = w then Some rest else Option.map (List.cons x) (drop w rest)
+    in
+    let rec go acc b = function
+      | [] -> List.rev acc
+      | w :: a -> (
+        match drop w b with Some b -> go acc b a | None -> go (w :: acc) b a)
+    in
+    go [] b a
+
+  (* the entry changes that take destination [d]'s live waits to [rule],
+     as [apply_changes] takes them: the entries that leave a state's
+     waits and those that enter *)
+  let rule_changes s d rule =
+    let live = s.live.(d) and acc = ref [] in
+    Array.iteri
+      (fun h n ->
+        let o = live.(h) in
+        if not (List.equal Int.equal o n) then begin
+          List.iter (fun w -> acc := (h, w, -1) :: !acc) (minus o n);
+          List.iter (fun w -> acc := (h, w, 1) :: !acc) (minus n o)
+        end)
+      rule;
+    !acc
+
+  let flush_moves s =
+    Obs.count "bwg.session.moves" s.moves;
+    s.moves <- 0
+
+  (* destination [d]'s [changes] (local state, target, +1 or -1; newest
+     first), oldest first, on every group their head heads *)
+  let apply_changes s d changes =
     let by_head = Hashtbl.create 8 in
     List.iter
       (fun (h, t, delta) ->
         let later = Option.value (Hashtbl.find_opt by_head h) ~default:[] in
         Hashtbl.replace by_head h ((t, delta) :: later))
-      s.changed.(d);
+      changes;
     iter_dest_groups s.space d s.groups.(d) (fun q1 h ->
         match Hashtbl.find_opt by_head h with
         | Some ts -> List.iter (fun (t, delta) -> bump s q1 t delta) ts
@@ -656,8 +711,9 @@ module Session = struct
       else begin
         let dirty = List.sort Int.compare s.dirty in
         Obs.span "bwg.patch" (fun () ->
-            List.iter (apply_changes s) dirty;
+            List.iter (fun d -> apply_changes s d s.changed.(d)) dirty;
             sweep s);
+        flush_moves s;
         List.iter (fun d -> s.changed.(d) <- []) dirty;
         s.dirty <- [];
         List.length dirty
@@ -697,31 +753,47 @@ module Session = struct
     && oldv.State_space.view_outs = newv.State_space.view_outs
     && Array.for_all2 (fun o n -> o <> [] || n = []) old_rule new_rule
 
-  (* old emissions leave under the old space, new ones enter under the new *)
+  (* Old emissions leave under the old space and new ones enter under
+     the new; a kept destination's groups are the same in both, so only
+     its changed heads move, under the old. *)
   let update s space ~dests =
     let dests = List.sort_uniq Int.compare dests in
+    let plan =
+      List.map
+        (fun d ->
+          let rule = rule_of s.rule space d in
+          let keep =
+            s.captured
+            && keeps_groups (State_space.dest_view s.space ~dest:d) s.base.(d)
+                 (State_space.dest_view space ~dest:d) rule
+          in
+          (d, rule, keep))
+        dests
+    in
     if s.captured then begin
       sync s;
-      Obs.span "bwg.patch" (fun () -> List.iter (fun d -> bump_dest s d (-1)) dests)
+      Obs.span "bwg.patch" (fun () ->
+          List.iter
+            (fun (d, rule, keep) ->
+              if not keep then bump_dest s d (-1)
+              else
+                match rule_changes s d rule with
+                | [] -> ()
+                | changes -> apply_changes s d changes)
+            plan)
     end;
-    let old = s.space in
     s.space <- space;
-    let kept = ref 0 in
     List.iter
-      (fun d ->
-        let rule = rule_of s.rule space d in
-        let keep =
-          s.captured
-          && keeps_groups (State_space.dest_view old ~dest:d) s.base.(d)
-               (State_space.dest_view space ~dest:d) rule
-        in
+      (fun (d, rule, keep) ->
         s.base.(d) <- rule;
         s.live.(d) <- rule;
-        if s.captured then if keep then incr kept else s.groups.(d) <- capture s d)
-      dests;
-    if s.captured then
+        if s.captured && not keep then s.groups.(d) <- capture s d)
+      plan;
+    if s.captured then begin
       Obs.span "bwg.patch" (fun () ->
-          List.iter (fun d -> bump_dest s d 1) dests;
+          List.iter (fun (d, _, keep) -> if not keep then bump_dest s d 1) plan;
           sweep s);
-    !kept
+      flush_moves s
+    end;
+    List.length (List.filter (fun (_, _, keep) -> keep) plan)
 end

@@ -56,11 +56,14 @@ val build :
     wormhole networks — a packet spans a chain of buffers — and exists
     purely for the ablation experiment showing the closure is what catches
     Duato's incoherent example.
-    [dense_closures] (default [false]) forces every per-destination
-    reachability closure row into the dense bitmap representation instead
-    of the hybrid sparse/dense one.  The resulting graph is identical
-    (tested); the flag exists so the equivalence tests and the memory
-    benches can compare the two allocation regimes. *)
+    [dense_closures] (default [false]) stores every per-destination
+    reachability closure row as a bitmap instead of choosing per row
+    between a sorted run and a bitmap.  The rows of one destination go
+    to its domain's reusable arena ({!Dfr_util.Bitset.Arena}), which
+    [bwg.closure.words] and [bwg.closure.dense-rows] measure.  The
+    resulting graph is identical (tested); the flag exists so the
+    equivalence tests and the memory benches can compare the two
+    layouts. *)
 
 val dest_edges :
   ?wait_sets:wait_sets ->
@@ -202,9 +205,12 @@ module Session : sig
       {!State_space.with_updated_dests} of its current space over [dests].
       Each listed destination takes the new slice's rule, every entry
       live (its removals are forgotten).  It keeps its groups when its
-      routes are unchanged and no state with an empty rule gains waits;
-      otherwise its closures run again.  Returns how many of [dests] kept
-      their groups (none before the first read, which has none to
+      routes are unchanged and no state with an empty rule gains waits,
+      and then only the counts of the entries that change move, as for
+      {!remove} and {!restore}; otherwise its closures run again and all
+      its emissions move out and back in.  [bwg.session.moves] counts
+      the ±1 moves of an update or a read.  Returns how many of [dests]
+      kept their groups (none before the first read, which has none to
       keep). *)
 
   val bwg : t -> bwg

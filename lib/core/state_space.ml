@@ -79,37 +79,78 @@ let local_moves ~local outs =
   Array.iteri (fun i row -> offsets.(i + 1) <- offsets.(i) + Array.length row) rows;
   Csr.make ~n:(Array.length rows) ~offsets ~targets:(Array.concat (Array.to_list rows))
 
-(* One destination's slice: BFS from the injection buffers.  The BFS for a
-   destination only ever revisits its own states, so a size-B scratch
-   reused across destinations is all the working memory it needs:
-   [local.(buf)] is -1 for a buffer not yet seen, and once the BFS is done
-   the buffer's position in the slice, which [local_moves] reads.  Shared
-   with [with_updated_dests], which re-runs it for just the dirty
-   destinations — a slice is a pure function of (net, algo, dest), so a
-   rebuilt slice is identical to what a cold build produces.
+(* One domain's BFS scratch, reused across destinations and builds and
+   grown to the largest network seen.  The BFS for a destination only
+   ever revisits its own states, so size-B arrays that are clean between
+   destinations are all the working memory it needs: [local.(buf)] is -1
+   for a buffer not yet seen, and once the BFS is done the buffer's
+   position in the slice, which [local_moves] reads; [queue] holds the
+   seen buffers in visit order, and [outs], [wts] and [red] a routed
+   state's outputs, waits and hint ([red] only for an algorithm with a
+   hint), [[]] for any other buffer. *)
+type bfs = {
+  mutable local : int array;
+  mutable queue : int array;
+  mutable outs : int list array;
+  mutable wts : int list array;
+  mutable red : int list array;
+}
+
+let bfs =
+  Dfr_util.Per_domain.make (fun () ->
+      { local = [||]; queue = [||]; outs = [||]; wts = [||]; red = [||] })
+
+let fit_bfs sc ~num_buffers ~hint =
+  if Array.length sc.local < num_buffers then begin
+    sc.local <- Array.make num_buffers (-1);
+    sc.queue <- Array.make num_buffers 0;
+    sc.outs <- Array.make num_buffers [];
+    sc.wts <- Array.make num_buffers []
+  end;
+  if hint && Array.length sc.red < num_buffers then
+    sc.red <- Array.make (Array.length sc.local) []
+
+(* One destination's slice: BFS from the injection buffers, over the
+   domain's scratch [sc].  Shared with [with_updated_dests], which re-runs
+   it for just the dirty destinations — a slice is a pure function of
+   (net, algo, dest), so a rebuilt slice is identical to what a cold
+   build produces.  Every buffer the BFS saw gets its scratch entries
+   back when it ends, also when a routing function raises.
 
    Every state the BFS routes is checked against the routing contract
    ([Algo.state_problems]) on the raw route list, waits and hint it reads
    anyway, so only reachable states are validated — the states the BWG
    and Theorems 1–3 read.  The destination's problems come back beside
    the slice, as (buffer, problems) pairs. *)
-let build_slice net algo ~num_nodes ~local ~out_scratch ~wait_scratch
-    ~red_scratch dest =
-  let touched = ref [] in
+let build_slice net algo ~num_nodes ~hint sc dest =
+  let local = sc.local and queue = sc.queue in
+  let outs_of = sc.outs and wts_of = sc.wts and red_of = sc.red in
+  let tail = ref 0 in
+  let clean () =
+    for j = 0 to !tail - 1 do
+      let b = queue.(j) in
+      local.(b) <- -1;
+      outs_of.(b) <- [];
+      wts_of.(b) <- [];
+      if hint then red_of.(b) <- []
+    done
+  in
+  Fun.protect ~finally:clean @@ fun () ->
   let problems = ref [] in
-  let queue = Queue.create () in
   let visit buf =
     if local.(buf) < 0 then begin
       local.(buf) <- 0;
-      touched := buf :: !touched;
-      Queue.add buf queue
+      queue.(!tail) <- buf;
+      incr tail
     end
   in
   for src = 0 to num_nodes - 1 do
     if src <> dest then visit (Buf.id (Net.injection net src))
   done;
-  while not (Queue.is_empty queue) do
-    let buf = Queue.pop queue in
+  let head = ref 0 in
+  while !head < !tail do
+    let buf = queue.(!head) in
+    incr head;
     let b = Net.buffer net buf in
     if Buf.head_node b <> dest then begin
       let route = algo.Algo.route net b ~dest in
@@ -123,50 +164,37 @@ let build_slice net algo ~num_nodes ~local ~out_scratch ~wait_scratch
       | [] -> ()
       | ps -> problems := (buf, ps) :: !problems);
       let outs = List.filter (fun o -> Buf.is_transit (Net.buffer net o)) route in
-      out_scratch.(buf) <- outs;
-      wait_scratch.(buf) <- waits;
-      (match (red_scratch, reduced_waits) with
-      | Some arr, Some rw -> arr.(buf) <- rw
-      | _ -> ());
+      outs_of.(buf) <- outs;
+      wts_of.(buf) <- waits;
+      (match reduced_waits with Some rw -> red_of.(buf) <- rw | None -> ());
       List.iter visit outs
     end
   done;
-  let bufs = Array.of_list (List.sort compare !touched) in
+  let bufs = Array.sub queue 0 !tail in
+  (* a merge sort: [Array.sort]'s heap sort is the slower one here *)
+  Array.stable_sort Int.compare bufs;
   Array.iteri (fun i b -> local.(b) <- i) bufs;
-  let outs = Array.map (fun b -> out_scratch.(b)) bufs in
+  let outs = Array.map (fun b -> outs_of.(b)) bufs in
   let slice =
     {
       bufs;
       outs;
-      wts = Array.map (fun b -> wait_scratch.(b)) bufs;
-      rdc = Option.map (fun arr -> Array.map (fun b -> arr.(b)) bufs) red_scratch;
+      wts = Array.map (fun b -> wts_of.(b)) bufs;
+      rdc = (if hint then Some (Array.map (fun b -> red_of.(b)) bufs) else None);
       moves = local_moves ~local outs;
     }
   in
-  List.iter
-    (fun b ->
-      local.(b) <- -1;
-      out_scratch.(b) <- [];
-      wait_scratch.(b) <- [];
-      match red_scratch with Some arr -> arr.(b) <- [] | None -> ())
-    !touched;
   (slice, !problems)
 
-(* [build_slice] with a private size-B scratch for each listed
-   destination in turn, filling [into] and [problems] *)
+(* [build_slice] for each listed destination in turn, on this domain's
+   scratch, filling [into] and [problems] *)
 let build_slices net algo ~num_buffers ~num_nodes ~into ~problems dests =
-  let local = Array.make num_buffers (-1) in
-  let out_scratch = Array.make num_buffers [] in
-  let wait_scratch = Array.make num_buffers [] in
-  let red_scratch =
-    Option.map (fun _ -> Array.make num_buffers []) algo.Algo.reduced_waits
-  in
+  let hint = algo.Algo.reduced_waits <> None in
+  Dfr_util.Per_domain.use bfs @@ fun sc ->
+  fit_bfs sc ~num_buffers ~hint;
   List.iter
     (fun dest ->
-      let slice, ps =
-        build_slice net algo ~num_nodes ~local ~out_scratch ~wait_scratch
-          ~red_scratch dest
-      in
+      let slice, ps = build_slice net algo ~num_nodes ~hint sc dest in
       into.(dest) <- slice;
       problems.(dest) <- ps)
     dests

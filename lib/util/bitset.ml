@@ -68,206 +68,265 @@ let pp fmt s =
        Format.pp_print_int)
     (elements s)
 
-(* Rows that pick their representation per row by density.  The BWG
-   builder's per-destination closures are the motivating client: on large
-   sparse networks (full mesh, dragonfly) a closure row holds a handful of
-   buffers out of 10^4-10^5, so a dense V-bit row wastes three orders of
-   magnitude of memory; on small dense move graphs (the cube fixtures) the
-   word-parallel union is what makes the closure pass fast.  A row starts
-   as a sorted int array and promotes itself to dense words once it would
-   occupy as many words as the bitmap. *)
-module Hybrid = struct
-  type row =
-    | Sparse of { mutable elts : int array; mutable card : int }
-        (* elts.(0 .. card-1) sorted strictly ascending; the tail is scratch *)
-    | Dense_row of int array
+(* Append-only rows over [0, len), each stored by its density.  The BWG
+   builder's per-destination closure pass is the client: on large sparse
+   networks (full mesh, dragonfly) a closure row holds a handful of
+   buffers out of the destination's k, so a k-bit row would waste most
+   of its words; on small dense move graphs (the cube fixtures) the
+   word-parallel union is what makes the pass fast.  A row is built in an
+   open accumulator, from elements and earlier rows, and written once to
+   the flat [data] array when finished: a sorted run of at most [nw]
+   elements, or [nw] bitmap words past that.  Nothing is allocated per
+   row, and [reset] lets one arena serve many destinations. *)
+module Arena = struct
+  (* 62 bits per word keeps every mask a non-boxed OCaml int. *)
+  let bits = 62
 
-  module Rows = struct
-    (* 62 bits per word keeps every mask a non-boxed OCaml int. *)
-    let bits = 62
+  (* index of an isolated bit: binary search over the word, six branches
+     instead of a shift-per-position loop *)
+  let bit_index b =
+    let i = ref 0 and b = ref b in
+    if !b land 0xFFFFFFFF = 0 then begin i := 32; b := !b lsr 32 end;
+    if !b land 0xFFFF = 0 then begin i := !i + 16; b := !b lsr 16 end;
+    if !b land 0xFF = 0 then begin i := !i + 8; b := !b lsr 8 end;
+    if !b land 0xF = 0 then begin i := !i + 4; b := !b lsr 4 end;
+    if !b land 0x3 = 0 then begin i := !i + 2; b := !b lsr 2 end;
+    if !b land 0x1 = 0 then i := !i + 1;
+    !i
 
-    (* index of an isolated bit: binary search over the word, six
-       branches instead of a shift-per-position loop *)
-    let bit_index b =
-      let i = ref 0 and b = ref b in
-      if !b land 0xFFFFFFFF = 0 then begin i := 32; b := !b lsr 32 end;
-      if !b land 0xFFFF = 0 then begin i := !i + 16; b := !b lsr 16 end;
-      if !b land 0xFF = 0 then begin i := !i + 8; b := !b lsr 8 end;
-      if !b land 0xF = 0 then begin i := !i + 4; b := !b lsr 4 end;
-      if !b land 0x3 = 0 then begin i := !i + 2; b := !b lsr 2 end;
-      if !b land 0x1 = 0 then i := !i + 1;
-      !i
+  let popcount x =
+    let rec go acc x = if x = 0 then acc else go (acc + 1) (x land (x - 1)) in
+    go 0 x
 
-    type t = {
-      rows : int;
-      len : int;
-      nw : int; (* words of a dense row; also the promotion threshold *)
-      force_dense : bool;
-      data : row array;
+  type t = {
+    mutable len : int;
+    mutable nw : int; (* words of a dense row; also the promotion threshold *)
+    mutable force_dense : bool;
+    mutable data : int array; (* the finished rows, back to back *)
+    mutable fill : int; (* words of [data] in use *)
+    mutable rows : int;
+    mutable off : int array; (* row r is data.(off.(r) .. off.(r + 1) - 1) *)
+    mutable card : int array; (* row r's cardinality *)
+    mutable dense : int; (* finished rows stored as bitmaps *)
+    (* The open row: while it may still be sparse, its elements sorted in
+       cur.(0 .. ncur - 1) ([tmp] is the merge target); once it holds
+       more than [nw], or takes a dense row, the bitmap [acc], which is
+       all zero outside an open dense row. *)
+    mutable cur : int array;
+    mutable ncur : int;
+    mutable tmp : int array;
+    mutable acc : int array;
+    mutable open_dense : bool;
+  }
+
+  let create () =
+    {
+      len = 0;
+      nw = 0;
+      force_dense = false;
+      data = [||];
+      fill = 0;
+      rows = 0;
+      off = [| 0 |];
+      card = [||];
+      dense = 0;
+      cur = [||];
+      ncur = 0;
+      tmp = [||];
+      acc = [||];
+      open_dense = false;
     }
 
-    let create ?(force_dense = false) ~rows ~len () =
-      if rows < 0 || len < 0 then invalid_arg "Bitset.Hybrid.Rows.create";
-      let nw = (len + bits - 1) / bits in
-      let fresh _ =
-        if force_dense then Dense_row (Array.make nw 0)
-        else Sparse { elts = [||]; card = 0 }
+  let reset ?(force_dense = false) t ~len =
+    if len < 0 then invalid_arg "Bitset.Arena.reset";
+    let nw = (len + bits - 1) / bits in
+    if Array.length t.cur < nw then begin
+      t.cur <- Array.make nw 0;
+      t.tmp <- Array.make nw 0;
+      t.acc <- Array.make nw 0
+    end
+    else (* a pass that raised may have left an open row behind *)
+      Array.fill t.acc 0 (Array.length t.acc) 0;
+    t.len <- len;
+    t.nw <- nw;
+    t.force_dense <- force_dense;
+    t.fill <- 0;
+    t.rows <- 0;
+    t.dense <- 0;
+    t.ncur <- 0;
+    t.open_dense <- force_dense
+
+  let rows t = t.rows
+  let is_forced_dense t = t.force_dense
+
+  let set_bit words i = words.(i / bits) <- words.(i / bits) lor (1 lsl (i mod bits))
+
+  (* the open row's sorted elements into [acc], which takes over *)
+  let to_dense t =
+    for j = 0 to t.ncur - 1 do
+      set_bit t.acc t.cur.(j)
+    done;
+    t.ncur <- 0;
+    t.open_dense <- true
+
+  (* position of [i] in a[lo .. hi - 1] (sorted), or its insertion point *)
+  let search a lo hi i =
+    let lo = ref lo and hi = ref hi in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if a.(mid) < i then lo := mid + 1 else hi := mid
+    done;
+    !lo
+
+  let add t i =
+    if i < 0 || i >= t.len then invalid_arg "Bitset.Arena: out of range";
+    if t.open_dense then set_bit t.acc i
+    else begin
+      let pos = search t.cur 0 t.ncur i in
+      if not (pos < t.ncur && t.cur.(pos) = i) then
+        if t.ncur = t.nw then begin
+          to_dense t;
+          set_bit t.acc i
+        end
+        else begin
+          Array.blit t.cur pos t.cur (pos + 1) (t.ncur - pos);
+          t.cur.(pos) <- i;
+          t.ncur <- t.ncur + 1
+        end
+    end
+
+  let is_dense t r = t.force_dense || t.card.(r) > t.nw
+
+  (* the sorted open row and the run data.(o .. o + n - 1), merged into
+     [tmp] while the union fits [nw] elements, else into [acc] *)
+  let merge t o n =
+    let a = t.cur and na = t.ncur and b = t.data and out = t.tmp in
+    let i = ref 0 and j = ref o and k = ref 0 in
+    let stop = o + n in
+    let fits = ref true in
+    while !fits && (!i < na || !j < stop) do
+      let x =
+        if !j >= stop || (!i < na && a.(!i) < b.(!j)) then begin
+          let x = a.(!i) in
+          incr i;
+          x
+        end
+        else begin
+          let y = b.(!j) in
+          if !i < na && a.(!i) = y then incr i;
+          incr j;
+          y
+        end
       in
-      { rows; len; nw; force_dense; data = Array.init rows fresh }
-
-    let rows t = t.rows
-    let length t = t.len
-    let is_forced_dense t = t.force_dense
-
-    let check t r i =
-      if r < 0 || r >= t.rows || i < 0 || i >= t.len then
-        invalid_arg "Bitset.Hybrid.Rows: out of range"
-
-    (* position of [i] in the sorted prefix, or the insertion point *)
-    let search elts card i =
-      let lo = ref 0 and hi = ref card in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if elts.(mid) < i then lo := mid + 1 else hi := mid
-      done;
-      !lo
-
-    let promoted t elts card =
-      let words = Array.make t.nw 0 in
-      for k = 0 to card - 1 do
-        let i = elts.(k) in
-        words.(i / bits) <- words.(i / bits) lor (1 lsl (i mod bits))
-      done;
-      words
-
-    let add t r i =
-      check t r i;
-      match t.data.(r) with
-      | Dense_row words -> words.(i / bits) <- words.(i / bits) lor (1 lsl (i mod bits))
-      | Sparse s ->
-        let pos = search s.elts s.card i in
-        if not (pos < s.card && s.elts.(pos) = i) then
-          if s.card + 1 > t.nw && t.len > 0 then begin
-            let words = promoted t s.elts s.card in
-            words.(i / bits) <- words.(i / bits) lor (1 lsl (i mod bits));
-            t.data.(r) <- Dense_row words
-          end
-          else begin
-            if s.card = Array.length s.elts then begin
-              let grown = Array.make (max 4 (2 * s.card)) 0 in
-              Array.blit s.elts 0 grown 0 s.card;
-              s.elts <- grown
-            end;
-            Array.blit s.elts pos s.elts (pos + 1) (s.card - pos);
-            s.elts.(pos) <- i;
-            s.card <- s.card + 1
-          end
-
-    let mem t r i =
-      check t r i;
-      match t.data.(r) with
-      | Dense_row words -> words.(i / bits) land (1 lsl (i mod bits)) <> 0
-      | Sparse s ->
-        let pos = search s.elts s.card i in
-        pos < s.card && s.elts.(pos) = i
-
-    (* merge two sorted prefixes into a fresh sorted array *)
-    let merge_sorted a na b nb =
-      let out = Array.make (na + nb) 0 in
-      let i = ref 0 and j = ref 0 and k = ref 0 in
-      while !i < na && !j < nb do
-        let x = a.(!i) and y = b.(!j) in
-        if x < y then begin out.(!k) <- x; incr i end
-        else if y < x then begin out.(!k) <- y; incr j end
-        else begin out.(!k) <- x; incr i; incr j end;
+      if !k = t.nw then fits := false
+      else begin
+        out.(!k) <- x;
         incr k
+      end
+    done;
+    if !fits then begin
+      t.tmp <- a;
+      t.cur <- out;
+      t.ncur <- !k
+    end
+    else begin
+      to_dense t;
+      for p = o to stop - 1 do
+        set_bit t.acc b.(p)
+      done
+    end
+
+  let union t r =
+    if r < 0 || r >= t.rows then invalid_arg "Bitset.Arena.union";
+    let o = t.off.(r) in
+    if is_dense t r then begin
+      if not t.open_dense then to_dense t;
+      for w = 0 to t.nw - 1 do
+        t.acc.(w) <- t.acc.(w) lor t.data.(o + w)
+      done
+    end
+    else if t.open_dense then
+      for p = o to o + t.card.(r) - 1 do
+        set_bit t.acc t.data.(p)
+      done
+    else merge t o t.card.(r)
+
+  (* [a], or a copy at least twice as long when it is shorter than [need] *)
+  let grow a need =
+    if Array.length a >= need then a
+    else begin
+      let b = Array.make (max need (2 * Array.length a)) 0 in
+      Array.blit a 0 b 0 (Array.length a);
+      b
+    end
+
+  let finish t =
+    let r = t.rows in
+    t.off <- grow t.off (r + 2);
+    t.card <- grow t.card (r + 1);
+    if t.open_dense then begin
+      t.data <- grow t.data (t.fill + t.nw);
+      let c = ref 0 in
+      for w = 0 to t.nw - 1 do
+        let x = t.acc.(w) in
+        t.data.(t.fill + w) <- x;
+        c := !c + popcount x;
+        t.acc.(w) <- 0
       done;
-      while !i < na do out.(!k) <- a.(!i); incr i; incr k done;
-      while !j < nb do out.(!k) <- b.(!j); incr j; incr k done;
-      (out, !k)
+      t.card.(r) <- !c;
+      t.fill <- t.fill + t.nw;
+      t.dense <- t.dense + 1
+    end
+    else begin
+      t.data <- grow t.data (t.fill + t.ncur);
+      Array.blit t.cur 0 t.data t.fill t.ncur;
+      t.card.(r) <- t.ncur;
+      t.fill <- t.fill + t.ncur
+    end;
+    t.off.(r + 1) <- t.fill;
+    t.rows <- r + 1;
+    t.ncur <- 0;
+    t.open_dense <- t.force_dense;
+    r
 
-    let union_rows t ~into ~src =
-      if into < 0 || into >= t.rows || src < 0 || src >= t.rows then
-        invalid_arg "Bitset.Hybrid.Rows.union_rows";
-      if into <> src then
-        match (t.data.(into), t.data.(src)) with
-        | Dense_row a, Dense_row b ->
-          for w = 0 to t.nw - 1 do
-            a.(w) <- a.(w) lor b.(w)
-          done
-        | Dense_row a, Sparse s ->
-          for k = 0 to s.card - 1 do
-            let i = s.elts.(k) in
-            a.(i / bits) <- a.(i / bits) lor (1 lsl (i mod bits))
-          done
-        | Sparse s, Dense_row b ->
-          let a = promoted t s.elts s.card in
-          for w = 0 to t.nw - 1 do
-            a.(w) <- a.(w) lor b.(w)
-          done;
-          t.data.(into) <- Dense_row a
-        | Sparse a, Sparse b ->
-          let merged, card = merge_sorted a.elts a.card b.elts b.card in
-          if card > t.nw && t.len > 0 then
-            t.data.(into) <- Dense_row (promoted t merged card)
-          else begin
-            a.elts <- merged;
-            a.card <- card
-          end
+  let check_row t r what =
+    if r < 0 || r >= t.rows then invalid_arg ("Bitset.Arena." ^ what)
 
-    let iter_row f t r =
-      if r < 0 || r >= t.rows then invalid_arg "Bitset.Hybrid.Rows.iter_row";
-      match t.data.(r) with
-      | Sparse s ->
-        for k = 0 to s.card - 1 do
-          f s.elts.(k)
+  let mem t r i =
+    if r < 0 || r >= t.rows || i < 0 || i >= t.len then
+      invalid_arg "Bitset.Arena: out of range";
+    let o = t.off.(r) in
+    if is_dense t r then t.data.(o + (i / bits)) land (1 lsl (i mod bits)) <> 0
+    else
+      let stop = t.off.(r + 1) in
+      let pos = search t.data o stop i in
+      pos < stop && t.data.(pos) = i
+
+  let iter_row f t r =
+    check_row t r "iter_row";
+    let o = t.off.(r) in
+    if is_dense t r then
+      for w = 0 to t.nw - 1 do
+        let mask = ref t.data.(o + w) in
+        let base = w * bits in
+        while !mask <> 0 do
+          f (base + bit_index (!mask land - !mask));
+          mask := !mask land (!mask - 1)
         done
-      | Dense_row words ->
-        for w = 0 to t.nw - 1 do
-          let mask = ref words.(w) in
-          let base = w * bits in
-          while !mask <> 0 do
-            f (base + bit_index (!mask land - !mask));
-            mask := !mask land (!mask - 1)
-          done
-        done
+      done
+    else
+      for p = o to t.off.(r + 1) - 1 do
+        f t.data.(p)
+      done
 
-    let fold_row f t r init =
-      let acc = ref init in
-      iter_row (fun i -> acc := f i !acc) t r;
-      !acc
+  let cardinal_row t r =
+    check_row t r "cardinal_row";
+    t.card.(r)
 
-    let cardinal_row t r =
-      if r < 0 || r >= t.rows then invalid_arg "Bitset.Hybrid.Rows.cardinal_row";
-      match t.data.(r) with
-      | Sparse s -> s.card
-      | Dense_row words ->
-        let count x =
-          let rec go acc x = if x = 0 then acc else go (acc + 1) (x land (x - 1)) in
-          go 0 x
-        in
-        Array.fold_left (fun acc w -> acc + count w) 0 words
+  let is_dense_row t r =
+    check_row t r "is_dense_row";
+    is_dense t r
 
-    let is_dense_row t r =
-      if r < 0 || r >= t.rows then invalid_arg "Bitset.Hybrid.Rows.is_dense_row";
-      match t.data.(r) with Dense_row _ -> true | Sparse _ -> false
-
-    let dense_rows t =
-      let acc = ref 0 in
-      for r = 0 to t.rows - 1 do
-        if is_dense_row t r then incr acc
-      done;
-      !acc
-
-    let storage_words t =
-      let acc = ref 0 in
-      for r = 0 to t.rows - 1 do
-        acc :=
-          !acc
-          + (match t.data.(r) with
-            | Sparse s -> Array.length s.elts
-            | Dense_row words -> Array.length words)
-      done;
-      !acc
-  end
+  let dense_rows t = t.dense
+  let storage_words t = t.fill
 end

@@ -37,53 +37,62 @@ val subsets : t -> t list
 
 val pp : Format.formatter -> t -> unit
 
-(** Rows that pick their representation per row by density: a sorted int
-    array while small, promoted to dense 62-bit words once the sorted form
-    would occupy at least as many words as the bitmap.  This is what lets
-    the BWG builder's per-destination reachability closures scale to
-    10^4-10^5-buffer networks: sparse closures (full mesh, dragonfly,
-    fat-tree traffic) stay O(cardinal) instead of O(V) bits per row, while
-    on dense move graphs unioning one SCC's closure row into another's
-    stays one word-parallel [lor] sweep.
+(** Rows over [[0, len)] appended to one flat array, each stored by its
+    density: a sorted run of at most [⌈len/62⌉] elements, or [⌈len/62⌉]
+    words of 62-bit bitmap once it holds more.  This is what lets the
+    BWG builder's per-destination reachability closures scale to
+    10{^4}-10{^5}-buffer networks: sparse closures (full mesh, dragonfly,
+    fat-tree traffic) stay O(cardinal) instead of O(len) bits per row,
+    while on dense move graphs unioning one row into another stays one
+    word-parallel [lor] sweep.
 
-    Iteration order is ascending in both representations, so consumers are
-    bit-for-bit independent of which representation a row happens to be
-    in. *)
-module Hybrid : sig
-  (** Many same-length rows, the closure-pass container. *)
-  module Rows : sig
-    type t
+    A row is built in one open accumulator, from elements ({!add}) and
+    finished rows ({!union}), and never changes once {!finish}ed.  No
+    row allocates: a finished row is a slice of the arena's array, and
+    {!reset} empties the arena for reuse, keeping its storage.
 
-    val create : ?force_dense:bool -> rows:int -> len:int -> unit -> t
-    (** All rows empty.  [force_dense] starts every row dense — the escape
-        hatch the equivalence tests and the memory benches compare
-        against. *)
+    Iteration order is ascending in both representations, so consumers
+    are bit-for-bit independent of which representation a row is in. *)
+module Arena : sig
+  type t
 
-    val rows : t -> int
-    val length : t -> int
-    val is_forced_dense : t -> bool
+  val create : unit -> t
+  (** An empty arena over [[0, 0)]; {!reset} sizes it. *)
 
-    val add : t -> int -> int -> unit
-    (** [add t r i] inserts element [i] into row [r]. *)
+  val reset : ?force_dense:bool -> t -> len:int -> unit
+  (** Drops every row and the open one, for rows over [[0, len)].
+      [force_dense] stores every row as a bitmap — the escape hatch the
+      equivalence tests and the memory benches compare against.  Raises
+      [Invalid_argument] on a negative [len]. *)
 
-    val mem : t -> int -> int -> bool
+  val rows : t -> int
+  (** Rows finished since the last {!reset}; they are numbered from 0. *)
 
-    val union_rows : t -> into:int -> src:int -> unit
-    (** [into := into ∪ src]; promotes [into] when the union crosses the
-        density threshold. *)
+  val is_forced_dense : t -> bool
 
-    val iter_row : (int -> unit) -> t -> int -> unit
-    (** Elements of one row, ascending. *)
+  val add : t -> int -> unit
+  (** [add t i] inserts element [i] into the open row. *)
 
-    val fold_row : (int -> 'a -> 'a) -> t -> int -> 'a -> 'a
-    val cardinal_row : t -> int -> int
+  val union : t -> int -> unit
+  (** [union t r] adds finished row [r]'s elements to the open row. *)
 
-    val is_dense_row : t -> int -> bool
-    val dense_rows : t -> int
-    (** How many rows have promoted to the dense representation. *)
+  val finish : t -> int
+  (** Stores the open row as the next row, returning its number, and
+      opens an empty one. *)
 
-    val storage_words : t -> int
-    (** Total words currently backing all rows — the number the scale
-        benches compare between hybrid and forced-dense builds. *)
-  end
+  val mem : t -> int -> int -> bool
+  (** [mem t r i]: row [r] holds [i]. *)
+
+  val iter_row : (int -> unit) -> t -> int -> unit
+  (** Elements of one row, ascending. *)
+
+  val cardinal_row : t -> int -> int
+
+  val is_dense_row : t -> int -> bool
+  val dense_rows : t -> int
+  (** How many finished rows are stored as bitmaps. *)
+
+  val storage_words : t -> int
+  (** Words the finished rows occupy — the number the scale benches
+      compare between hybrid and forced-dense builds. *)
 end

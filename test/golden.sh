@@ -21,8 +21,10 @@
 # The metrics leg runs when the directory has a `metrics/` subdirectory
 # (the glob above does not reach it): each `metrics/ALGO@TOPO.json` holds
 # the size counters and gauges of `check --json --metrics` on that
-# instance, the figures a cheaper BWG build must keep (closure words and
-# dense rows, capped witnesses, states, BWG edges and vertices).  They
+# instance, the figures a cheaper BWG build must keep (capped witnesses,
+# states, BWG edges and vertices) and the size of its closure rows: the
+# dense rows and `bwg.closure.words`, the words of each destination's
+# row arena (rows of waiting heads only) summed over destinations.  They
 # are selected with the filter below; regenerate a file by piping the
 # same command line through `jq "$metrics_filter"`.
 set -u

@@ -640,6 +640,81 @@ let test_live_decides_fuzz () =
   done;
   check Alcotest.bool "some cyclic fuzz cases drifted" true (!cyclic > 0)
 
+(* ---------------- the closure scratch ---------------- *)
+
+let efa_cube n =
+  let e = Option.get (Registry.find "efa") in
+  let topo = Result.get_ok (Dfr_topology.Topology.of_string (Printf.sprintf "hypercube:%d" n)) in
+  State_space.build (Registry.network_for e (Some topo)) e.Registry.algo
+
+(* efa on hypercube:5: a destination reaches ~166 buffers, so a promoted
+   closure row is three words wide or more, where the catalogue defaults'
+   and the Gen cases' are one or two *)
+let test_multiword_rows () =
+  let space = efa_cube 5 in
+  let widest =
+    List.fold_left
+      (fun acc dest ->
+        max acc ((Array.length (State_space.dest_view space ~dest).State_space.view_bufs + 61) / 62))
+      0
+      (List.init (State_space.num_nodes space) Fun.id)
+  in
+  check Alcotest.bool "rows three words wide" true (widest >= 3);
+  Obs.enable ();
+  ignore (Bwg.build space : Bwg.t);
+  let dense = List.assoc_opt "bwg.closure.dense-rows" (Obs.counters ()) in
+  Obs.disable ();
+  check Alcotest.bool "some rows promoted" true (Option.value dense ~default:0 > 0);
+  agree ~label:"efa hypercube:5" space
+
+let dest_emissions ~dense_closures space dest =
+  let acc = ref [] in
+  Bwg.dest_edges ~dense_closures space ~dest ~emit:(fun q1 q2 w -> acc := (q1, q2, w) :: !acc);
+  List.rev !acc
+
+(* One domain's closure scratch serves destinations of any size in turn:
+   captures of large, small and large destinations, hybrid and
+   forced-dense rows interleaved and a cyclic move graph (the Tarjan
+   numbering) among them, equal the same captures in a domain that never
+   ran one. *)
+let test_scratch_between_sizes () =
+  let large = efa_cube 5 and small = efa_cube 2 in
+  let cyclic, cyclic_dest =
+    List.find_map
+      (fun seed ->
+        let space = fuzz_space seed in
+        if Net.switching (State_space.net space) <> Net.Wormhole then None
+        else
+          List.find_opt
+            (fun dest ->
+              not
+                (Dfr_graph.Traversal.is_acyclic_csr
+                   (State_space.dest_view space ~dest).State_space.view_moves))
+            (List.init (State_space.num_nodes space) Fun.id)
+          |> Option.map (fun dest -> (space, dest)))
+      (List.init 40 Fun.id)
+    |> Option.get
+  in
+  let steps =
+    [
+      (large, 0, true); (small, 1, false); (large, 31, false); (cyclic, cyclic_dest, true);
+      (large, 7, true); (small, 2, true); (cyclic, cyclic_dest, false); (large, 12, false);
+    ]
+  in
+  let here =
+    List.map (fun (space, dest, dense_closures) -> dest_emissions ~dense_closures space dest) steps
+  in
+  List.iteri
+    (fun i ((space, dest, dense_closures), got) ->
+      let fresh =
+        Domain.join (Domain.spawn (fun () -> dest_emissions ~dense_closures space dest))
+      in
+      if got <> fresh then
+        Alcotest.failf "step %d (dest %d%s): %d emissions, %d from fresh scratch" i dest
+          (if dense_closures then ", dense" else "")
+          (List.length got) (List.length fresh))
+    (List.combine steps here)
+
 let suite =
   [
     Alcotest.test_case "closure = per-state DFS (catalogue)" `Quick test_catalogue;
@@ -658,4 +733,8 @@ let suite =
       test_live_decides_fuzz;
     Alcotest.test_case "session first read = cold rows in order" `Quick
       test_first_read_cold;
+    Alcotest.test_case "closure = per-state DFS on multi-word rows" `Quick
+      test_multiword_rows;
+    Alcotest.test_case "closure scratch carries nothing between sizes" `Quick
+      test_scratch_between_sizes;
   ]

@@ -158,6 +158,52 @@ let test_space_sparse () =
   check_parallel_build "sparse two-buffer 3x3" ~dense_closures:false saf33
     Mesh_saf.two_buffer
 
+(* ---- scratch hygiene: each domain's BFS scratch outlives a raise ---- *)
+
+(* [algo] whose BFS raises at the first channel state it routes, once the
+   destination's injection states are routed and their outputs seen *)
+let raising (algo : Algo.t) =
+  {
+    algo with
+    Algo.route =
+      (fun net b ~dest ->
+        if Buf.is_injection b then algo.Algo.route net b ~dest else failwith "planted");
+  }
+
+let same_slices label want got =
+  for dest = 0 to State_space.num_nodes want - 1 do
+    if State_space.dest_view want ~dest <> State_space.dest_view got ~dest then
+      Alcotest.failf "%s: destination %d's slice differs from a fresh build" label dest
+  done
+
+(* A routing function that raises mid-BFS, in a cold build (every
+   domain's first destination raises) and in a slice rebuild (on the
+   caller and a pool worker), must leave every domain's scratch as a
+   fresh one: the next build and rebuild on those domains equal a build
+   in a domain that never ran one. *)
+let test_space_raise_mid_bfs () =
+  with_cap 2 @@ fun () ->
+  let net = cube3 and algo = Hypercube_wormhole.efa in
+  let fresh = Domain.join (Domain.spawn (fun () -> State_space.build net algo)) in
+  let planted = Failure "planted" in
+  List.iter
+    (fun domains ->
+      let label what = Printf.sprintf "domains %d: %s" domains what in
+      Alcotest.check_raises (label "the build raises") planted (fun () ->
+          ignore (State_space.build ~domains net (raising algo) : State_space.t));
+      let space = State_space.build ~domains net algo in
+      same_slices (label "build after a raising build") fresh space;
+      Dfr_util.Domain_pool.parallel ~domains (fun _ ->
+          Alcotest.check_raises (label "the edit raises") planted (fun () ->
+              ignore
+                (State_space.with_updated_dests space (raising algo) ~dests:[ 1; 6 ]
+                  : State_space.t)));
+      same_slices (label "edit after a raising edit") fresh
+        (State_space.with_updated_dests space algo ~dests:[ 1; 6 ]);
+      same_slices (label "build after a raising edit") fresh
+        (State_space.build ~domains net algo))
+    [ 1; 2 ]
+
 (* ---- end to end: the whole catalogue, byte for byte ---- *)
 
 let report_bytes ~domains net algo =
@@ -209,4 +255,6 @@ let suite =
     Alcotest.test_case "reports: catalogue across domains" `Slow
       test_report_catalogue;
     QCheck_alcotest.to_alcotest prop_report_domains_invariant;
+    Alcotest.test_case "space: a raising route leaves clean scratch" `Quick
+      test_space_raise_mid_bfs;
   ]

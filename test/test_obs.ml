@@ -253,6 +253,58 @@ let test_incr_update_spans () =
       (Some (inside "bwg.patch"))
   | _ -> Alcotest.fail "expected one incr.update span"
 
+(* A kept destination moves only the groups headed by a state whose
+   waits changed, by the entries that changed (bwg.session.moves counts
+   the moves): a rewrap that leaves the rule as it was moves nothing,
+   and dropping one wait entry at one state moves one count per group
+   that state heads.  The verdict is still the cold one. *)
+let test_kept_dest_moves () =
+  let e = Option.get (Registry.find "west-first") in
+  let net = Registry.network_for e None in
+  let algo = e.Registry.algo in
+  let session, _ = Incr.create net algo in
+  let moves f =
+    Obs.enable ();
+    let r = f () in
+    let m = List.assoc_opt "bwg.session.moves" (Obs.counters ()) in
+    Obs.disable ();
+    (r, Option.value m ~default:0)
+  in
+  let space = Incr.space session in
+  (* the first state with two waits or more *)
+  let dest, buf =
+    Option.get
+      (List.find_map
+         (fun dest ->
+           let v = State_space.dest_view space ~dest in
+           Option.map
+             (fun i -> (dest, v.State_space.view_bufs.(i)))
+             (List.find_opt
+                (fun i -> List.compare_length_with v.State_space.view_wts.(i) 2 >= 0)
+                (List.init (Array.length v.State_space.view_bufs) Fun.id)))
+         (List.init (State_space.num_nodes space) Fun.id))
+  in
+  let _, m = moves (fun () -> Incr.update session algo ~dirty:[ dest ]) in
+  check Alcotest.int "a rewrap of the same rule moves nothing" 0 m;
+  let headed = ref [] in
+  Bwg.dest_edges space ~dest ~emit:(fun q1 _ w ->
+      if w.Bwg.head = buf then headed := q1 :: !headed);
+  let groups = List.length (List.sort_uniq compare !headed) in
+  let dropped =
+    Algo.with_waits algo (fun net b ~dest:d ->
+        let ws = algo.Algo.waits net b ~dest:d in
+        if Dfr_network.Buf.id b = buf && d = dest then List.tl ws else ws)
+  in
+  let res, m = moves (fun () -> Incr.update session dropped ~dirty:[ dest ]) in
+  check Alcotest.bool "the state heads groups" true (groups > 0);
+  check Alcotest.int "one move per group the state heads" groups m;
+  check Alcotest.int "both edits kept the groups" 2
+    (Incr.counters session).Incr.patched_dests;
+  check Alcotest.string "verdict as cold"
+    (Json.to_string
+       (Report_json.of_outcome net dropped (Checker.check net dropped)))
+    (Json.to_string res.Incr.report)
+
 (* with the collector disabled the probes must be pure pass-throughs:
    same verdict, byte-identical JSON report *)
 let report_bytes ~instrumented =
@@ -392,4 +444,6 @@ let suite =
       test_incr_stage_skeleton;
     Alcotest.test_case "an Incr edit's count moves run under bwg.patch" `Quick
       test_incr_update_spans;
+    Alcotest.test_case "a kept destination moves only its changed heads" `Quick
+      test_kept_dest_moves;
   ]

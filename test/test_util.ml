@@ -113,34 +113,51 @@ let prop_bitset_fold_ascending =
       let xs = List.rev (Bitset.fold (fun i acc -> i :: acc) s []) in
       xs = List.sort compare xs)
 
-(* ---------------- hybrid sparse/dense rows ---------------- *)
+(* ---------------- hybrid row arena ---------------- *)
 
 let hybrid_row t r =
-  List.rev (Bitset.Hybrid.Rows.fold_row (fun i acc -> i :: acc) t r [])
+  let acc = ref [] in
+  Bitset.Arena.iter_row (fun i -> acc := i :: !acc) t r;
+  List.rev !acc
+
+let arena ?force_dense len =
+  let t = Bitset.Arena.create () in
+  Bitset.Arena.reset ?force_dense t ~len;
+  t
+
+(* the arena's next row: [elts] added to the open row, in order *)
+let row_of t elts =
+  List.iter (Bitset.Arena.add t) elts;
+  Bitset.Arena.finish t
 
 let test_hybrid_promotion () =
   let len = 620 (* 10 words *) in
-  let s = Bitset.Hybrid.Rows.create ~rows:1 ~len () in
-  (* stays sparse while card + 1 <= word count *)
-  List.iter (Bitset.Hybrid.Rows.add s 0) [ 0; 62; 124; 186; 248; 310; 372; 434; 496 ];
-  check Alcotest.bool "9 of 620 still sparse" false (Bitset.Hybrid.Rows.is_dense_row s 0);
-  List.iter (Bitset.Hybrid.Rows.add s 0) [ 558; 610; 611 ];
-  check Alcotest.bool "12 of 620 promoted" true (Bitset.Hybrid.Rows.is_dense_row s 0);
-  check Alcotest.int "cardinal across promotion" 12 (Bitset.Hybrid.Rows.cardinal_row s 0);
+  let s = arena len in
+  (* stays sparse while its cardinal <= word count *)
+  let ten = row_of s [ 0; 62; 124; 186; 248; 310; 372; 434; 496; 558 ] in
+  check Alcotest.bool "10 of 620 still sparse" false (Bitset.Arena.is_dense_row s ten);
+  let twelve = row_of s [ 611; 0; 62; 124; 186; 248; 310; 372; 434; 496; 558; 610 ] in
+  check Alcotest.bool "12 of 620 promoted" true (Bitset.Arena.is_dense_row s twelve);
+  check Alcotest.int "cardinal across promotion" 12 (Bitset.Arena.cardinal_row s twelve);
   check (Alcotest.list Alcotest.int) "elements ascending"
     [ 0; 62; 124; 186; 248; 310; 372; 434; 496; 558; 610; 611 ]
-    (hybrid_row s 0);
-  (* a forced-dense container starts dense and reports more storage for
-     sparse content *)
-  let h = Bitset.Hybrid.Rows.create ~rows:4 ~len () in
-  let d = Bitset.Hybrid.Rows.create ~force_dense:true ~rows:4 ~len () in
-  check Alcotest.bool "forced flag" true (Bitset.Hybrid.Rows.is_forced_dense d);
-  Bitset.Hybrid.Rows.add h 1 3;
-  Bitset.Hybrid.Rows.add d 1 3;
-  check Alcotest.int "no sparse row promoted" 0 (Bitset.Hybrid.Rows.dense_rows h);
-  check Alcotest.int "all forced rows dense" 4 (Bitset.Hybrid.Rows.dense_rows d);
+    (hybrid_row s twelve);
+  check Alcotest.int "rows numbered in order" 1 twelve;
+  check Alcotest.int "sparse run plus bitmap" (10 + 10) (Bitset.Arena.storage_words s);
+  Bitset.Arena.reset s ~len;
+  check Alcotest.int "reset drops the rows" 0 (Bitset.Arena.rows s);
+  check Alcotest.int "reset drops their words" 0 (Bitset.Arena.storage_words s);
+  (* a forced-dense arena stores every row dense and reports more storage
+     for sparse content *)
+  let h = arena len and d = arena ~force_dense:true len in
+  check Alcotest.bool "forced flag" true (Bitset.Arena.is_forced_dense d);
+  List.iter
+    (fun t -> List.iter (fun elts -> ignore (row_of t elts : int)) [ []; [ 3 ]; []; [] ])
+    [ h; d ];
+  check Alcotest.int "no sparse row promoted" 0 (Bitset.Arena.dense_rows h);
+  check Alcotest.int "all forced rows dense" 4 (Bitset.Arena.dense_rows d);
   check Alcotest.bool "sparse stores fewer words" true
-    (Bitset.Hybrid.Rows.storage_words h < Bitset.Hybrid.Rows.storage_words d)
+    (Bitset.Arena.storage_words h < Bitset.Arena.storage_words d)
 
 (* 61 and 62 sit on either side of the first 62-bit word boundary; a
    sparse row, a row promoted while they arrive and a forced-dense row must
@@ -148,113 +165,124 @@ let test_hybrid_promotion () =
 let test_hybrid_word_boundary () =
   List.iter
     (fun (tag, force_dense, len, dense) ->
-      let t = Bitset.Hybrid.Rows.create ~force_dense ~rows:2 ~len () in
-      List.iter (Bitset.Hybrid.Rows.add t 0) [ 99; 62; 0; 61 ];
-      check Alcotest.bool (tag ^ " representation") dense
-        (Bitset.Hybrid.Rows.is_dense_row t 0);
-      check Alcotest.bool (tag ^ " mem 61") true (Bitset.Hybrid.Rows.mem t 0 61);
-      check Alcotest.bool (tag ^ " mem 62") true (Bitset.Hybrid.Rows.mem t 0 62);
-      check Alcotest.bool (tag ^ " not mem 63") false (Bitset.Hybrid.Rows.mem t 0 63);
+      let t = arena ~force_dense len in
+      let r = row_of t [ 99; 62; 0; 61 ] in
+      let other = row_of t [] in
+      check Alcotest.bool (tag ^ " representation") dense (Bitset.Arena.is_dense_row t r);
+      check Alcotest.bool (tag ^ " mem 61") true (Bitset.Arena.mem t r 61);
+      check Alcotest.bool (tag ^ " mem 62") true (Bitset.Arena.mem t r 62);
+      check Alcotest.bool (tag ^ " not mem 63") false (Bitset.Arena.mem t r 63);
       check (Alcotest.list Alcotest.int) (tag ^ " elements ascending")
-        [ 0; 61; 62; 99 ] (hybrid_row t 0);
-      check Alcotest.int (tag ^ " cardinal") 4 (Bitset.Hybrid.Rows.cardinal_row t 0);
+        [ 0; 61; 62; 99 ] (hybrid_row t r);
+      check Alcotest.int (tag ^ " cardinal") 4 (Bitset.Arena.cardinal_row t r);
       check (Alcotest.list Alcotest.int) (tag ^ " other row untouched") []
-        (hybrid_row t 1))
+        (hybrid_row t other))
     [
       ("sparse", false, 620, false);
       ("promoted", false, 100, true);
       ("forced", true, 100, true);
     ]
 
-(* every pairing of representations: [into] gains [src], [src] keeps what it
-   had, and a row unioned into itself is unchanged *)
+(* every pairing of representations: a row built from elements and a
+   finished row holds both, the finished row keeps what it had, and a
+   row rebuilt from itself and its parts is itself *)
 let test_hybrid_union_keeps_source () =
   let len = 200 (* 4 words: a fifth element promotes *) in
   let sparse_elts = [ 1; 65; 130 ] and dense_elts = [ 2; 65; 69; 124; 190; 198 ] in
-  let fill t r = List.iter (Bitset.Hybrid.Rows.add t r) in
   List.iter
     (fun (into_dense, src_dense) ->
-      let t = Bitset.Hybrid.Rows.create ~rows:2 ~len () in
+      let t = arena len in
       let into_elts = if into_dense then dense_elts else sparse_elts
       and src_elts = if src_dense then dense_elts else sparse_elts in
-      fill t 0 into_elts;
-      fill t 1 (List.map (fun i -> i + 1) src_elts);
-      check Alcotest.bool "into representation" into_dense
-        (Bitset.Hybrid.Rows.is_dense_row t 0);
-      check Alcotest.bool "src representation" src_dense
-        (Bitset.Hybrid.Rows.is_dense_row t 1);
-      let src_before = hybrid_row t 1 in
-      Bitset.Hybrid.Rows.union_rows t ~into:0 ~src:1;
+      let into = row_of t into_elts in
+      let src = row_of t (List.map (fun i -> i + 1) src_elts) in
+      check Alcotest.bool "into representation" into_dense (Bitset.Arena.is_dense_row t into);
+      check Alcotest.bool "src representation" src_dense (Bitset.Arena.is_dense_row t src);
+      let src_before = hybrid_row t src in
+      List.iter (Bitset.Arena.add t) into_elts;
+      Bitset.Arena.union t src;
+      let union = Bitset.Arena.finish t in
       check (Alcotest.list Alcotest.int) "union"
         (List.sort_uniq compare (into_elts @ src_before))
-        (hybrid_row t 0);
-      check (Alcotest.list Alcotest.int) "src untouched" src_before (hybrid_row t 1);
-      let into_after = hybrid_row t 0 in
-      Bitset.Hybrid.Rows.union_rows t ~into:0 ~src:0;
-      check (Alcotest.list Alcotest.int) "self-union is a no-op" into_after
-        (hybrid_row t 0))
+        (hybrid_row t union);
+      check (Alcotest.list Alcotest.int) "src untouched" src_before (hybrid_row t src);
+      List.iter (Bitset.Arena.union t) [ union; union; src; into ];
+      let again = Bitset.Arena.finish t in
+      check (Alcotest.list Alcotest.int) "self-union is a no-op" (hybrid_row t union)
+        (hybrid_row t again))
     [ (false, false); (true, false); (false, true); (true, true) ]
 
 let test_hybrid_out_of_range () =
-  let t = Bitset.Hybrid.Rows.create ~rows:2 ~len:70 () in
-  let bad = Invalid_argument "Bitset.Hybrid.Rows: out of range" in
-  Alcotest.check_raises "add past the length" bad (fun () ->
-      Bitset.Hybrid.Rows.add t 0 70);
-  Alcotest.check_raises "add a negative element" bad (fun () ->
-      Bitset.Hybrid.Rows.add t 0 (-1));
+  let t = arena 70 in
+  let r0 = row_of t [] and r1 = row_of t [] in
+  let bad = Invalid_argument "Bitset.Arena: out of range" in
+  Alcotest.check_raises "add past the length" bad (fun () -> Bitset.Arena.add t 70);
+  Alcotest.check_raises "add a negative element" bad (fun () -> Bitset.Arena.add t (-1));
   Alcotest.check_raises "mem in a missing row" bad (fun () ->
-      ignore (Bitset.Hybrid.Rows.mem t 2 0));
-  Alcotest.check_raises "union from a missing row"
-    (Invalid_argument "Bitset.Hybrid.Rows.union_rows") (fun () ->
-      Bitset.Hybrid.Rows.union_rows t ~into:0 ~src:2);
-  Alcotest.check_raises "negative length"
-    (Invalid_argument "Bitset.Hybrid.Rows.create") (fun () ->
-      ignore (Bitset.Hybrid.Rows.create ~rows:1 ~len:(-1) ()));
+      ignore (Bitset.Arena.mem t 2 0));
+  Alcotest.check_raises "union of the open row" (Invalid_argument "Bitset.Arena.union")
+    (fun () -> Bitset.Arena.union t 2);
+  Alcotest.check_raises "negative length" (Invalid_argument "Bitset.Arena.reset")
+    (fun () -> Bitset.Arena.reset t ~len:(-1));
+  let r2 = Bitset.Arena.finish t in
   check (Alcotest.list Alcotest.int) "failed calls left the rows empty" []
-    (hybrid_row t 0 @ hybrid_row t 1)
+    (hybrid_row t r0 @ hybrid_row t r1 @ hybrid_row t r2)
 
-(* The differential pin for the closure container: an arbitrary add/union
-   program gives identical sets under the hybrid representation, the
-   forced-dense escape hatch and a sorted-list reference model — element
-   order, cardinals and membership all agree, across promotions. *)
+(* The differential pin for the closure container: an arbitrary program
+   of adds, unions of finished rows and row ends gives identical rows
+   under the hybrid representation, the forced-dense escape hatch and a
+   sorted-list reference model — element order, cardinals and
+   membership all agree, across promotions. *)
 let prop_hybrid_rows_differential =
-  let rows = 6 and len = 300 in
+  let len = 300 in
   let op_gen =
     QCheck.Gen.(
-      oneof
+      frequency
         [
-          map2 (fun r i -> `Add (r, i)) (int_range 0 (rows - 1)) (int_range 0 (len - 1));
-          map2 (fun a b -> `Union (a, b)) (int_range 0 (rows - 1)) (int_range 0 (rows - 1));
+          (6, map (fun i -> `Add i) (int_range 0 (len - 1)));
+          (3, map (fun r -> `Union r) (int_range 0 30));
+          (1, return `Finish);
         ])
   in
   QCheck.Test.make ~name:"hybrid rows = forced-dense = reference" ~count:300
-    (QCheck.make QCheck.Gen.(list_size (int_range 0 150) op_gen))
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 200) op_gen))
     (fun ops ->
-      let h = Bitset.Hybrid.Rows.create ~rows ~len () in
-      let d = Bitset.Hybrid.Rows.create ~force_dense:true ~rows ~len () in
-      let reference = Array.make rows [] in
+      let h = arena len and d = arena ~force_dense:true len in
+      let finished = ref [||] and open_row = ref [] in
+      let finish () =
+        let r = Bitset.Arena.finish h in
+        assert (Bitset.Arena.finish d = r && r = Array.length !finished);
+        finished := Array.append !finished [| !open_row |];
+        open_row := []
+      in
       List.iter
         (function
-          | `Add (r, i) ->
-            Bitset.Hybrid.Rows.add h r i;
-            Bitset.Hybrid.Rows.add d r i;
-            reference.(r) <- List.sort_uniq compare (i :: reference.(r))
-          | `Union (a, b) ->
-            Bitset.Hybrid.Rows.union_rows h ~into:a ~src:b;
-            Bitset.Hybrid.Rows.union_rows d ~into:a ~src:b;
-            if a <> b then
-              reference.(a) <- List.sort_uniq compare (reference.(b) @ reference.(a)))
+          | `Add i ->
+            Bitset.Arena.add h i;
+            Bitset.Arena.add d i;
+            open_row := List.sort_uniq compare (i :: !open_row)
+          | `Union r ->
+            if r < Array.length !finished then begin
+              Bitset.Arena.union h r;
+              Bitset.Arena.union d r;
+              open_row := List.sort_uniq compare (!finished.(r) @ !open_row)
+            end
+          | `Finish -> finish ())
         ops;
-      List.for_all
-        (fun r ->
-          hybrid_row h r = reference.(r)
-          && hybrid_row d r = reference.(r)
-          && Bitset.Hybrid.Rows.cardinal_row h r = List.length reference.(r)
-          && List.for_all
-               (fun i ->
-                 Bitset.Hybrid.Rows.mem h r i = List.mem i reference.(r))
-               [ 0; 1; len / 2; len - 1 ])
-        (List.init rows Fun.id))
+      finish ();
+      let reference = !finished in
+      Bitset.Arena.rows h = Array.length reference
+      && List.for_all
+           (fun r ->
+             hybrid_row h r = reference.(r)
+             && hybrid_row d r = reference.(r)
+             && Bitset.Arena.cardinal_row h r = List.length reference.(r)
+             && Bitset.Arena.cardinal_row d r = List.length reference.(r)
+             && Bitset.Arena.is_dense_row h r = (List.length reference.(r) > 5)
+             && List.for_all
+                  (fun i -> Bitset.Arena.mem h r i = List.mem i reference.(r))
+                  [ 0; 1; len / 2; len - 1 ])
+           (List.init (Array.length reference) Fun.id))
 
 (* ---------------- prng ---------------- *)
 
