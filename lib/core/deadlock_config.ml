@@ -41,12 +41,15 @@ let find space =
   done;
   if Hashtbl.length alive = 0 then None
   else begin
-    (* one packet per occupied buffer: pick the first surviving dest *)
+    (* one packet per occupied buffer: its lowest surviving dest, which
+       does not depend on the table's iteration order *)
     let chosen = Hashtbl.create 64 in
     Hashtbl.iter
       (fun key () ->
         let buf = key / num_nodes and dest = key mod num_nodes in
-        if not (Hashtbl.mem chosen buf) then Hashtbl.replace chosen buf dest)
+        match Hashtbl.find_opt chosen buf with
+        | Some d when d <= dest -> ()
+        | _ -> Hashtbl.replace chosen buf dest)
       alive;
     let config = Hashtbl.fold (fun buf dest acc -> (buf, dest) :: acc) chosen [] in
     Some (List.sort compare config)

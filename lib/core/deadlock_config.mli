@@ -18,7 +18,8 @@ type t = (int * int) list
 (** The configuration: one (buffer, destination) packet per buffer. *)
 
 val find : State_space.t -> t option
-(** [Some config] is a deadlock configuration; [None] means no
+(** [Some config] is a deadlock configuration, each buffer holding the
+    packet of its lowest surviving destination; [None] means no
     single-buffer-per-packet configuration exists. *)
 
 val verify : State_space.t -> t -> bool
