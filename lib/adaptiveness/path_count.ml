@@ -3,31 +3,39 @@ open Dfr_core
 
 exception Cyclic
 
-(* Memoized DAG path count from [start] in the per-destination move graph;
-   colors detect cycles (gray = on the current stack). *)
+(* Memoized DAG path count from [start] in the per-destination move
+   graph, over local ids; colors detect cycles (gray = on the current
+   stack). *)
 let count_from space ~dest ~start =
   let net = State_space.net space in
-  let memo = Hashtbl.create 64 in
-  let gray = Hashtbl.create 16 in
-  let rec count b =
-    match Hashtbl.find_opt memo b with
-    | Some v -> v
-    | None ->
-      if Hashtbl.mem gray b then raise Cyclic;
-      Hashtbl.replace gray b ();
-      let v =
-        if Buf.head_node (Net.buffer net b) = dest then 1
-        else
-          List.fold_left
-            (fun acc o -> acc + count o)
-            0
-            (State_space.outputs space ~buf:b ~dest)
+  let v = State_space.dest_view space ~dest in
+  let bufs = v.State_space.view_bufs in
+  let { State_space.first; items } = v.State_space.view_outs in
+  let memo = Array.make (Array.length bufs) (-1) in
+  let gray = Array.make (Array.length bufs) false in
+  let rec count i =
+    if memo.(i) >= 0 then memo.(i)
+    else begin
+      if gray.(i) then raise Cyclic;
+      gray.(i) <- true;
+      let c =
+        if Buf.head_node (Net.buffer net bufs.(i)) = dest then 1
+        else begin
+          let acc = ref 0 in
+          for p = first.(i) to first.(i + 1) - 1 do
+            acc := !acc + count items.(p)
+          done;
+          !acc
+        end
       in
-      Hashtbl.remove gray b;
-      Hashtbl.replace memo b v;
-      v
+      gray.(i) <- false;
+      memo.(i) <- c;
+      c
+    end
   in
-  try Some (count start) with Cyclic -> None
+  match State_space.index space ~buf:start ~dest with
+  | -1 -> Some 0
+  | i -> ( try Some (count i) with Cyclic -> None)
 
 let pair_paths space ~src ~dest =
   if src = dest then Some 0

@@ -15,7 +15,9 @@ type t = {
          reference recorder's cell *)
   acyclic : unit -> bool;
       (* the Kahn pass over [graph], or a session's kept rank *)
-  wait_sets : wait_sets;
+  unconnected : int -> (int * int) list;
+      (* over [domains]: the state table's wait-less record, or a scan of
+         a session's live sets *)
 }
 
 let space t = t.space
@@ -33,6 +35,32 @@ let succ_row t q1 =
 let witnesses t q1 q2 =
   let n = Digraph.num_vertices t.graph in
   if q1 < 0 || q1 >= n || q2 < 0 || q2 >= n then [] else t.witnesses q1 q2
+
+(* A waiting rule is one set of rows per destination over its slice's
+   positions ([State_space.rows], buffer ids in rule order): the slice's
+   own wait rows for the algorithm's rule, so reading it allocates
+   nothing.  A session narrows a rule by one flag per entry; [all_live]
+   stands for every entry live, so a destination none of whose entries
+   changed has no flags at all. *)
+let all_live = Bytes.empty
+let live_at flags p = Bytes.length flags = 0 || Bytes.unsafe_get flags p <> '\000'
+
+(* [ws] over destination [dest]'s states, as rows *)
+let rows_of_sets (ws : wait_sets) space dest =
+  let bufs = (State_space.dest_view space ~dest).State_space.view_bufs in
+  let k = Array.length bufs in
+  let sets = Array.map (fun buf -> ws ~buf ~dest) bufs in
+  let first = Array.make (k + 1) 0 in
+  Array.iteri (fun i l -> first.(i + 1) <- first.(i) + List.length l) sets;
+  let items = Array.make first.(k) 0 in
+  Array.iteri (fun i l -> List.iteri (fun j w -> items.(first.(i) + j) <- w) l) sets;
+  { State_space.first; items }
+
+(* [f w] for every live entry of row [h] *)
+let iter_live (rule : State_space.rows) flags h f =
+  for p = rule.State_space.first.(h) to rule.State_space.first.(h + 1) - 1 do
+    if live_at flags p then f rule.State_space.items.(p)
+  done
 
 (* One destination's (occupied state, waiting head) groups in emission
    order: local state [i]'s are [first.(i)] .. [first.(i + 1) - 1], group
@@ -157,17 +185,18 @@ let components s g k =
    waiting members and the finished rows of its successor components
    (keeping only states with waits commutes with the union).  The rows go to
    the domain's arena, one each, and the groups are read off them. *)
-let capture space ~wormhole ~dense_closures rule d =
+let capture space ~wormhole ~dense_closures (rule : State_space.rows) d =
   Obs.span "bwg.closure" @@ fun () ->
-  let k = Array.length rule in
+  let k = Array.length rule.State_space.first - 1 in
+  let waits v = rule.State_space.first.(v) < rule.State_space.first.(v + 1) in
   let first = Array.make (k + 1) 0 in
   if not wormhole then begin
     for i = 0 to k - 1 do
-      first.(i + 1) <- (first.(i) + if rule.(i) <> [] then 1 else 0)
+      first.(i + 1) <- (first.(i) + if waits i then 1 else 0)
     done;
     let heads = Array.make first.(k) 0 in
     for i = 0 to k - 1 do
-      if rule.(i) <> [] then heads.(first.(i)) <- i
+      if waits i then heads.(first.(i)) <- i
     done;
     { first; heads }
   end
@@ -185,7 +214,7 @@ let capture space ~wormhole ~dense_closures rule d =
     for c = 0 to count - 1 do
       for i = s.start.(c) to s.start.(c + 1) - 1 do
         let v = s.verts.(i) in
-        if rule.(v) <> [] then Arena.add arena v;
+        if waits v then Arena.add arena v;
         let lo, hi = Csr.row g v in
         for p = lo to hi - 1 do
           let cw = comp.(Csr.target g p) in
@@ -223,36 +252,46 @@ let iter_dest_groups space d { first; heads } f =
     done
   done
 
-(* The edge pass over every destination's groups, [waits.(d)] narrowing
-   destination [d]'s heads, into the empty [graph]: a stable counting
-   sort of the emission targets by q1 (destinations ascending, then
-   emission order), then one walk per q1 bucket with a stamp array over
-   q2.  An edge enters the adjacency at its first emission, so rows come
-   out in the order the reference recorder gives them.  The walk counts
-   a row's j-th edge in its bucket's j-th slot, already read.  Returns
-   the emissions, those past their edge's first [witness_cap] (what the
-   recorder drops), and [iter_counts f], [f q1 q2 n] on every edge. *)
-let edge_pass ~witness_cap graph space groups (waits : int list array array) =
+(* The edge pass over every destination's groups, [rules.(d)] narrowed
+   by [live.(d)] giving destination [d]'s heads' waits, into the empty
+   [graph]: a stable counting sort of the emission targets by q1
+   (destinations ascending, then emission order), then one walk per q1
+   bucket with a stamp array over q2.  An edge enters the adjacency at
+   its first emission, so rows come out in the order the reference
+   recorder gives them.  The walk counts a row's j-th edge in its
+   bucket's j-th slot, already read.  Returns the emissions, those past
+   their edge's first [witness_cap] (what the recorder drops), and
+   [iter_counts f], [f q1 q2 n] on every edge. *)
+let edge_pass ~witness_cap graph space groups (rules : State_space.rows array) live =
   let nb = State_space.num_buffers space in
-  (* [f q1 ws] for every group, in emission order *)
+  (* [f q1 w] for every live emission, in emission order, allocating
+     nothing per group *)
   let iter_emitting f =
-    Array.iteri
-      (fun d g -> iter_dest_groups space d g (fun q1 h -> f q1 waits.(d).(h)))
-      groups
+    for d = 0 to Array.length groups - 1 do
+      let { first; heads } = groups.(d) in
+      let bufs = (State_space.dest_view space ~dest:d).State_space.view_bufs in
+      let { State_space.first = at; items } = rules.(d) and flags = live.(d) in
+      for i = 0 to Array.length first - 2 do
+        let q1 = bufs.(i) in
+        for j = first.(i) to first.(i + 1) - 1 do
+          let h = heads.(j) in
+          for p = at.(h) to at.(h + 1) - 1 do
+            if live_at flags p then f q1 items.(p)
+          done
+        done
+      done
+    done
   in
   let start = Array.make (nb + 1) 0 in
-  iter_emitting (fun q1 ws -> start.(q1 + 1) <- start.(q1 + 1) + List.length ws);
+  iter_emitting (fun q1 _ -> start.(q1 + 1) <- start.(q1 + 1) + 1);
   for q = 0 to nb - 1 do
     start.(q + 1) <- start.(q + 1) + start.(q)
   done;
   let targets = Array.make start.(nb) 0 in
   let next = Array.sub start 0 nb in
-  iter_emitting (fun q1 ws ->
-      List.iter
-        (fun w ->
-          targets.(next.(q1)) <- w;
-          next.(q1) <- next.(q1) + 1)
-        ws);
+  iter_emitting (fun q1 w ->
+      targets.(next.(q1)) <- w;
+      next.(q1) <- next.(q1) + 1);
   (* stamp.(q2) = q1 while q1's bucket has seen q2, counted in slot
      at.(q2) *)
   let stamp = Array.make nb (-1) and at = Array.make nb 0 in
@@ -290,10 +329,10 @@ let edge_pass ~witness_cap graph space groups (waits : int list array array) =
 (* The witnesses the reference recorder keeps for q1 -> q2, derived from
    the groups: destinations ascending; in each, q1's groups in emission
    order, a witness per emission of q2 by the group's head under
-   [waits]; the first [witness_cap].  Reads only its arguments, so any
-   domain may call it while nothing writes them: a cold build's never
-   change, a session's only on a change or a read. *)
-let derive ~witness_cap space groups (waits : int list array array) q1 q2 =
+   [rules] narrowed by [live]; the first [witness_cap].  Reads only its
+   arguments, so any domain may call it while nothing writes them: a
+   cold build's never change, a session's only on a change or a read. *)
+let derive ~witness_cap space groups (rules : State_space.rows array) live q1 q2 =
   let acc = ref [] and n = ref 0 and dest = ref 0 in
   while !n < witness_cap && !dest < Array.length groups do
     let d = !dest in
@@ -303,13 +342,11 @@ let derive ~witness_cap space groups (waits : int list array array) q1 q2 =
       let bufs = (State_space.dest_view space ~dest:d).State_space.view_bufs in
       for j = first.(i) to first.(i + 1) - 1 do
         let h = heads.(j) in
-        List.iter
-          (fun w ->
+        iter_live rules.(d) live.(d) h (fun w ->
             if w = q2 && !n < witness_cap then begin
               acc := { dest = d; head = bufs.(h) } :: !acc;
               incr n
             end)
-          waits.(d).(h)
       done
     end;
     incr dest
@@ -323,16 +360,16 @@ let derive ~witness_cap space groups (waits : int list array array) q1 q2 =
 let dest_edges ?wait_sets ?(dense_closures = false) space ~dest ~emit =
   let v = State_space.dest_view space ~dest in
   let bufs = v.State_space.view_bufs in
-  let waits =
+  let rule =
     match wait_sets with
     | None -> v.State_space.view_wts
-    | Some ws -> Array.map (fun buf -> ws ~buf ~dest) bufs
+    | Some ws -> rows_of_sets ws space dest
   in
   let wormhole = Net.switching (State_space.net space) = Net.Wormhole in
-  iter_dest_groups space dest (capture space ~wormhole ~dense_closures waits dest)
+  iter_dest_groups space dest (capture space ~wormhole ~dense_closures rule dest)
     (fun q1 h ->
       let wit = { dest; head = bufs.(h) } in
-      List.iter (fun w -> emit q1 w wit) waits.(h))
+      iter_live rule all_live h (fun w -> emit q1 w wit))
 
 (* Kahn's pass over the adjacency directly (no frozen CSR): [Some rank],
    rank.(v) the position of [v] in a topological order, when the graph is
@@ -404,10 +441,14 @@ let replay ?wait_sets ?(witness_cap = 32) space f =
     | Some cell -> List.rev cell.ws
     | None -> []
   in
-  let wait_sets =
-    Option.value wait_sets ~default:(fun ~buf ~dest -> State_space.waits space ~buf ~dest)
+  let unconnected domains =
+    match wait_sets with
+    | None -> State_space.waitless_states space
+    | Some ws ->
+      State_space.filter_reachable ~domains space (fun ~buf ~dest ->
+          (not (State_space.arrived space ~buf ~dest)) && ws ~buf ~dest = [])
   in
-  { space; graph; witnesses; acyclic = kahn_acyclic graph; wait_sets }
+  { space; graph; witnesses; acyclic = kahn_acyclic graph; unconnected }
 
 (* [f d] for every destination, over [domains] pool workers when there
    is more than one.  Work items are single destinations claimed off an
@@ -444,12 +485,13 @@ let build ?(witness_cap = 32) ?(indirect = true) ?(domains = 1)
     Array.init num_nodes (fun dest ->
         (State_space.dest_view space ~dest).State_space.view_wts)
   in
+  let live = Array.make num_nodes all_live in
   let groups = Array.make num_nodes no_groups in
   each_dest ~domains num_nodes (fun d ->
       groups.(d) <- capture space ~wormhole ~dense_closures rules.(d) d);
   let graph = Digraph.create (State_space.num_buffers space) in
   Obs.span "bwg.bucket" (fun () ->
-      let emissions, capped, _ = edge_pass ~witness_cap graph space groups rules in
+      let emissions, capped, _ = edge_pass ~witness_cap graph space groups rules live in
       Obs.count "bwg.emissions" emissions;
       if capped > 0 then Obs.count "bwg.witnesses.capped" capped);
   (* only the full BWG reports its size: a BWG' of the same instance
@@ -459,9 +501,9 @@ let build ?(witness_cap = 32) ?(indirect = true) ?(domains = 1)
   {
     space;
     graph;
-    witnesses = derive ~witness_cap space groups rules;
+    witnesses = derive ~witness_cap space groups rules live;
     acyclic = kahn_acyclic graph;
-    wait_sets = (fun ~buf ~dest -> State_space.waits space ~buf ~dest);
+    unconnected = (fun _ -> State_space.waitless_states space);
   }
 
 let is_acyclic t = t.acyclic ()
@@ -479,10 +521,7 @@ let fold_cycles ?limits t f init =
   Cycles.fold_rows ?limits ~n:(Digraph.num_vertices t.graph) ~row:(succ_row t) f
     init
 
-let unconnected_states ?domains t =
-  State_space.filter_reachable ?domains t.space (fun ~buf ~dest ->
-      (not (State_space.arrived t.space ~buf ~dest))
-      && t.wait_sets ~buf ~dest = [])
+let unconnected_states ?(domains = 1) t = t.unconnected domains
 
 let is_wait_connected t = unconnected_states t = []
 
@@ -517,10 +556,10 @@ module Session = struct
     witness_cap : int;
     domains : int;
     rule : wait_sets option; (* [None]: the algorithm's waiting sets *)
-    base : int list array array; (* per dest, per local state: the rule *)
-    live : int list array array;
-        (* subsequences of [base]; a row is [base]'s own array until its
-           first change *)
+    base : State_space.rows array; (* per dest: the rule's rows *)
+    live : Bytes.t array;
+        (* per dest: a flag per entry of [base], or [all_live] until one
+           of its entries first changes *)
     groups : groups array; (* per dest, from the first read on *)
     mutable captured : bool;
     mutable counts : Count_table.t; (* q1 * num_buffers + q2 -> live emissions *)
@@ -535,21 +574,19 @@ module Session = struct
   }
 
   let rule_of rule space dest =
-    let v = State_space.dest_view space ~dest in
     match rule with
-    | None -> v.State_space.view_wts
-    | Some ws -> Array.map (fun buf -> ws ~buf ~dest) v.State_space.view_bufs
+    | None -> (State_space.dest_view space ~dest).State_space.view_wts
+    | Some ws -> rows_of_sets ws space dest
 
   let create ?(witness_cap = 32) ?waits ?(domains = 1) space =
     let n = State_space.num_nodes space in
-    let base = Array.init n (rule_of waits space) in
     {
       space;
       witness_cap = max 1 witness_cap;
       domains;
       rule = waits;
-      base;
-      live = Array.copy base;
+      base = Array.init n (rule_of waits space);
+      live = Array.make n all_live;
       groups = Array.make n no_groups;
       captured = false;
       counts = Count_table.create 0;
@@ -564,46 +601,53 @@ module Session = struct
   let space s = s.space
   let find s ~buf ~dest = State_space.index s.space ~buf ~dest
 
+  (* destination [d]'s live entries of local state [i], in rule order *)
+  let live_list s d i =
+    let acc = ref [] in
+    iter_live s.base.(d) s.live.(d) i (fun w -> acc := w :: !acc);
+    List.rev !acc
+
   let waits s ~buf ~dest =
     let i = find s ~buf ~dest in
-    if i < 0 then [] else s.live.(dest).(i)
+    if i < 0 then [] else live_list s dest i
+
+  (* the first entry of destination [d]'s row [i] that is [target] and
+     whose liveness is [live], or -1 *)
+  let entry s d i target ~live =
+    let { State_space.first; items } = s.base.(d) and flags = s.live.(d) in
+    let p = ref first.(i) and found = ref (-1) in
+    while !found < 0 && !p < first.(i + 1) do
+      if items.(!p) = target && live_at flags !p = live then found := !p;
+      incr p
+    done;
+    !found
 
   let is_live s ~buf ~dest target =
     let i = find s ~buf ~dest in
-    i < 0
-    || List.mem target s.live.(dest).(i)
-    || not (List.mem target s.base.(dest).(i))
+    i < 0 || entry s dest i target ~live:true >= 0 || entry s dest i target ~live:false < 0
 
-  (* apply [f] to the live entries of a reachable state, noting the change
-     once there are counts to move *)
-  let change s ~buf ~dest target what delta f =
+  (* Flip the first entry [target] of a reachable state whose liveness
+     is [~live] (rule order, so with a repeated entry a removal takes its
+     first live copy and a restoration its first removed one), noting the
+     change once there are counts to move. *)
+  let change s ~buf ~dest target ~live what =
     let i = find s ~buf ~dest in
     if i < 0 then invalid_arg ("Bwg.Session." ^ what ^ ": unreachable state");
-    if s.live.(dest) == s.base.(dest) then s.live.(dest) <- Array.copy s.base.(dest);
-    s.live.(dest).(i) <- f s.base.(dest).(i) s.live.(dest).(i);
+    let p = entry s dest i target ~live in
+    if p < 0 then
+      invalid_arg
+        ("Bwg.Session." ^ what
+        ^ if live then ": not a live wait entry" else ": not a removed wait entry");
+    if Bytes.length s.live.(dest) = 0 then
+      s.live.(dest) <- Bytes.make (Array.length s.base.(dest).State_space.items) '\001';
+    Bytes.set s.live.(dest) p (if live then '\000' else '\001');
     if s.captured then begin
       if s.changed.(dest) = [] then s.dirty <- dest :: s.dirty;
-      s.changed.(dest) <- (i, target, delta) :: s.changed.(dest)
+      s.changed.(dest) <- (i, target, if live then -1 else 1) :: s.changed.(dest)
     end
 
-  let remove s ~buf ~dest target =
-    change s ~buf ~dest target "remove" (-1) (fun _ live ->
-        let rec drop = function
-          | [] -> invalid_arg "Bwg.Session.remove: not a live wait entry"
-          | w :: rest -> if w = target then rest else w :: drop rest
-        in
-        drop live)
-
-  let restore s ~buf ~dest target =
-    (* [live] with one more [target], in rule order *)
-    let rec readmit rule live =
-      match (rule, live) with
-      | r :: rule', l :: live' when r = l -> l :: readmit rule' live'
-      | r :: _, _ when r = target -> target :: live
-      | _ :: rule', _ -> readmit rule' live
-      | [], _ -> invalid_arg "Bwg.Session.restore: not a removed wait entry"
-    in
-    change s ~buf ~dest target "restore" 1 readmit
+  let remove s ~buf ~dest target = change s ~buf ~dest target ~live:true "remove"
+  let restore s ~buf ~dest target = change s ~buf ~dest target ~live:false "restore"
 
   (* One more or one fewer live emission of q1 -> q2.  An edge enters the
      adjacency when its count leaves 0, checked against the rank, and
@@ -632,9 +676,9 @@ module Session = struct
 
   (* [delta] on every live emission of destination [d] *)
   let bump_dest s d delta =
-    let live = s.live.(d) in
+    let rule = s.base.(d) and flags = s.live.(d) in
     iter_dest_groups s.space d s.groups.(d) (fun q1 h ->
-        List.iter (fun w -> bump s q1 w delta) live.(h))
+        iter_live rule flags h (fun w -> bump s q1 w delta))
 
   (* [a] less one occurrence of each entry of [b] *)
   let minus a b =
@@ -649,19 +693,32 @@ module Session = struct
     in
     go [] b a
 
+  (* destination [d]'s live entries of local state [h] are row [h] of
+     [rule], entry for entry *)
+  let same_live s d h (rule : State_space.rows) =
+    let { State_space.first; items } = s.base.(d) and flags = s.live.(d) in
+    let q = ref rule.State_space.first.(h) and same = ref true in
+    for p = first.(h) to first.(h + 1) - 1 do
+      if !same && live_at flags p then
+        if !q < rule.State_space.first.(h + 1) && rule.State_space.items.(!q) = items.(p)
+        then incr q
+        else same := false
+    done;
+    !same && !q = rule.State_space.first.(h + 1)
+
   (* the entry changes that take destination [d]'s live waits to [rule],
      as [apply_changes] takes them: the entries that leave a state's
      waits and those that enter *)
-  let rule_changes s d rule =
-    let live = s.live.(d) and acc = ref [] in
-    Array.iteri
-      (fun h n ->
-        let o = live.(h) in
-        if not (List.equal Int.equal o n) then begin
-          List.iter (fun w -> acc := (h, w, -1) :: !acc) (minus o n);
-          List.iter (fun w -> acc := (h, w, 1) :: !acc) (minus n o)
-        end)
-      rule;
+  let rule_changes s d (rule : State_space.rows) =
+    let acc = ref [] in
+    for h = 0 to Array.length rule.State_space.first - 2 do
+      if not (same_live s d h rule) then begin
+        let o = live_list s d h in
+        let n = State_space.row rule h in
+        List.iter (fun w -> acc := (h, w, -1) :: !acc) (minus o n);
+        List.iter (fun w -> acc := (h, w, 1) :: !acc) (minus n o)
+      end
+    done;
     !acc
 
   let flush_moves s =
@@ -700,7 +757,8 @@ module Session = struct
         s.captured <- true;
         Obs.span "bwg.patch" (fun () ->
             let _, _, iter_counts =
-              edge_pass ~witness_cap:s.witness_cap s.graph s.space s.groups s.live
+              edge_pass ~witness_cap:s.witness_cap s.graph s.space s.groups s.base
+                s.live
             in
             let nb = Digraph.num_vertices s.graph in
             s.counts <- Count_table.create (Digraph.num_edges s.graph);
@@ -725,12 +783,25 @@ module Session = struct
   let derive s q1 q2 =
     let key = (q1 * Digraph.num_vertices s.graph) + q2 in
     if Count_table.find s.counts key = Count_table.absent then []
-    else derive ~witness_cap:s.witness_cap s.space s.groups s.live q1 q2
+    else derive ~witness_cap:s.witness_cap s.space s.groups s.base s.live q1 q2
 
   let rank s =
     sync s;
     if s.rank = None then s.rank <- topo_rank s.graph;
     s.rank
+
+  (* the reachable states with no live entry, scanned *)
+  let unconnected s domains =
+    State_space.filter_reachable ~domains s.space (fun ~buf ~dest ->
+        (not (State_space.arrived s.space ~buf ~dest))
+        &&
+        let i = find s ~buf ~dest in
+        let { State_space.first; _ } = s.base.(dest) and flags = s.live.(dest) in
+        let none = ref true in
+        for p = first.(i) to first.(i + 1) - 1 do
+          if live_at flags p then none := false
+        done;
+        !none)
 
   let bwg s : bwg =
     sync s;
@@ -739,7 +810,7 @@ module Session = struct
       graph = s.graph;
       witnesses = derive s;
       acyclic = (fun () -> Option.is_some (rank s));
-      wait_sets = (fun ~buf ~dest -> waits s ~buf ~dest);
+      unconnected = unconnected s;
     }
 
   (* Incr's quick-path rule: a destination keeps its groups when its
@@ -747,11 +818,17 @@ module Session = struct
      unchanged and no head with an empty rule gains entries (its groups
      would have to be inserted).  Kept groups emit the new rule's waits,
      a newly emptied head nothing. *)
-  let keeps_groups (oldv : State_space.dest_view) old_rule (newv : State_space.dest_view)
-      new_rule =
+  let keeps_groups (oldv : State_space.dest_view) (old_rule : State_space.rows)
+      (newv : State_space.dest_view) (new_rule : State_space.rows) =
+    let waits (r : State_space.rows) h = r.State_space.first.(h) < r.State_space.first.(h + 1) in
     oldv.State_space.view_bufs = newv.State_space.view_bufs
     && oldv.State_space.view_outs = newv.State_space.view_outs
-    && Array.for_all2 (fun o n -> o <> [] || n = []) old_rule new_rule
+    &&
+    let keep = ref true in
+    for h = 0 to Array.length oldv.State_space.view_bufs - 1 do
+      if waits new_rule h && not (waits old_rule h) then keep := false
+    done;
+    !keep
 
   (* Old emissions leave under the old space and new ones enter under
      the new; a kept destination's groups are the same in both, so only
@@ -786,7 +863,7 @@ module Session = struct
     List.iter
       (fun (d, rule, keep) ->
         s.base.(d) <- rule;
-        s.live.(d) <- rule;
+        s.live.(d) <- all_live;
         if s.captured && not keep then s.groups.(d) <- capture s d)
       plan;
     if s.captured then begin

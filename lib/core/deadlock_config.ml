@@ -2,58 +2,81 @@ open Dfr_network
 
 type t = (int * int) list
 
-(* Start from every reachable, unarrived transit state and repeatedly
-   discard states with an output outside the currently occupied buffer
-   set; the survivors (if any) are mutually blocking. *)
+(* Start from every reachable, unarrived transit state with an output
+   and repeatedly discard states with an output outside the currently
+   occupied buffer set; the survivors (if any) are mutually blocking.
+   The survivor set is a greatest fixed point, so it does not depend on
+   the order states are discarded in: one flag per slice position (at
+   [base.(dest) + i]) and one count of surviving states per buffer,
+   swept until a sweep discards nothing. *)
 let find space =
   let num_nodes = State_space.num_nodes space in
   let net = State_space.net space in
-  let alive = Hashtbl.create 256 in
+  let view dest = State_space.dest_view space ~dest in
+  let base = Array.make (num_nodes + 1) 0 in
+  for dest = 0 to num_nodes - 1 do
+    base.(dest + 1) <- base.(dest) + Array.length (view dest).State_space.view_bufs
+  done;
+  let alive = Bytes.make base.(num_nodes) '\000' in
   let per_buffer = Array.make (State_space.num_buffers space) 0 in
-  State_space.iter_reachable space (fun ~buf ~dest ->
-      if
-        Buf.is_transit (Net.buffer net buf)
-        && (not (State_space.arrived space ~buf ~dest))
-        && State_space.outputs space ~buf ~dest <> []
-      then begin
-        Hashtbl.replace alive ((buf * num_nodes) + dest) ();
-        per_buffer.(buf) <- per_buffer.(buf) + 1
-      end);
-  let occupied buf = per_buffer.(buf) > 0 in
+  for dest = 0 to num_nodes - 1 do
+    let v = view dest in
+    let first = v.State_space.view_outs.State_space.first in
+    Array.iteri
+      (fun i buf ->
+        (* an arrived state has no outputs *)
+        if first.(i) < first.(i + 1) && Buf.is_transit (Net.buffer net buf) then begin
+          Bytes.set alive (base.(dest) + i) '\001';
+          per_buffer.(buf) <- per_buffer.(buf) + 1
+        end)
+      v.State_space.view_bufs
+  done;
   let changed = ref true in
   while !changed do
     changed := false;
-    let drop = ref [] in
-    Hashtbl.iter
-      (fun key () ->
-        let buf = key / num_nodes and dest = key mod num_nodes in
-        let outs = State_space.outputs space ~buf ~dest in
-        if not (List.for_all occupied outs) then drop := key :: !drop)
-      alive;
-    List.iter
-      (fun key ->
-        if Hashtbl.mem alive key then begin
-          Hashtbl.remove alive key;
-          per_buffer.(key / num_nodes) <- per_buffer.(key / num_nodes) - 1;
-          changed := true
-        end)
-      !drop
+    for dest = 0 to num_nodes - 1 do
+      let v = view dest in
+      let bufs = v.State_space.view_bufs in
+      let { State_space.first; items } = v.State_space.view_outs in
+      for i = 0 to Array.length bufs - 1 do
+        let at = base.(dest) + i in
+        if Bytes.get alive at <> '\000' then begin
+          let blocked = ref true in
+          for p = first.(i) to first.(i + 1) - 1 do
+            if per_buffer.(bufs.(items.(p))) = 0 then blocked := false
+          done;
+          if not !blocked then begin
+            Bytes.set alive at '\000';
+            per_buffer.(bufs.(i)) <- per_buffer.(bufs.(i)) - 1;
+            changed := true
+          end
+        end
+      done
+    done
   done;
-  if Hashtbl.length alive = 0 then None
-  else begin
-    (* one packet per occupied buffer: its lowest surviving dest, which
-       does not depend on the table's iteration order *)
-    let chosen = Hashtbl.create 64 in
-    Hashtbl.iter
-      (fun key () ->
-        let buf = key / num_nodes and dest = key mod num_nodes in
-        match Hashtbl.find_opt chosen buf with
-        | Some d when d <= dest -> ()
-        | _ -> Hashtbl.replace chosen buf dest)
-      alive;
-    let config = Hashtbl.fold (fun buf dest acc -> (buf, dest) :: acc) chosen [] in
-    Some (List.sort compare config)
-  end
+  (* one packet per occupied buffer: its lowest surviving dest, which
+     the ascending sweep meets first *)
+  let chosen = Array.make (State_space.num_buffers space) (-1) in
+  for dest = 0 to num_nodes - 1 do
+    Array.iteri
+      (fun i buf ->
+        if Bytes.get alive (base.(dest) + i) <> '\000' && chosen.(buf) < 0 then
+          chosen.(buf) <- dest)
+      (view dest).State_space.view_bufs
+  done;
+  let config = ref [] in
+  for buf = Array.length chosen - 1 downto 0 do
+    if chosen.(buf) >= 0 then config := (buf, chosen.(buf)) :: !config
+  done;
+  if !config = [] then None else Some !config
+
+(* the buffers of (buf, dest)'s transit outputs; [[]] when unreachable *)
+let outputs space ~buf ~dest =
+  let v = State_space.dest_view space ~dest in
+  let i = State_space.index space ~buf ~dest in
+  if i < 0 then []
+  else
+    List.map (Array.get v.State_space.view_bufs) (State_space.row v.State_space.view_outs i)
 
 let verify space config =
   let net = State_space.net space in
@@ -64,13 +87,12 @@ let verify space config =
   distinct && config <> []
   && List.for_all
        (fun (buf, dest) ->
+         let outs = outputs space ~buf ~dest in
          Buf.is_transit (Net.buffer net buf)
          && State_space.is_reachable space ~buf ~dest
          && (not (State_space.arrived space ~buf ~dest))
-         && State_space.outputs space ~buf ~dest <> []
-         && List.for_all
-              (fun o -> List.mem o bufs)
-              (State_space.outputs space ~buf ~dest))
+         && outs <> []
+         && List.for_all (fun o -> List.mem o bufs) outs)
        config
 
 let pp net fmt config =

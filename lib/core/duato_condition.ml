@@ -1,7 +1,10 @@
 let escape_channels space =
   let escape = Array.make (State_space.num_buffers space) false in
-  State_space.iter_reachable space (fun ~buf ~dest ->
-      List.iter (fun w -> escape.(w) <- true) (State_space.waits space ~buf ~dest));
+  for dest = 0 to State_space.num_nodes space - 1 do
+    Array.iter
+      (fun w -> escape.(w) <- true)
+      (State_space.dest_view space ~dest).State_space.view_wts.State_space.items
+  done;
   escape
 
 let extended_dependency_graph space =
@@ -34,15 +37,7 @@ let extended_dependency_graph space =
 type result = { certified : bool; connected : bool; acyclic : bool }
 
 let analyze space =
-  let connected =
-    let ok = ref true in
-    State_space.iter_reachable space (fun ~buf ~dest ->
-        if
-          (not (State_space.arrived space ~buf ~dest))
-          && State_space.waits space ~buf ~dest = []
-        then ok := false);
-    !ok
-  in
+  let connected = State_space.waitless_states space = [] in
   let acyclic = Dfr_graph.Traversal.is_acyclic (extended_dependency_graph space) in
   { certified = connected && acyclic; connected; acyclic }
 

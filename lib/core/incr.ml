@@ -9,14 +9,14 @@ module Obs = Dfr_obs.Obs
    function of (net, algo restricted to that destination).  One
    Bwg.Session holds them: each destination's (q1, head) groups, a count
    of live emissions per edge, the merged graph and its Theorem-1 rank.
-   On top of it this module keeps, per destination, the stuck /
-   wait-unconnected state lists.  An edit whose dirty frontier is known
-   (Diff.diff for spec edits, the caller's warrant for programmatic ones)
-   replaces only the dirty destinations' slices (Bwg.Session.update) and
-   rescans their states.
+   An edit whose dirty frontier is known (Diff.diff for spec edits, the
+   caller's warrant for programmatic ones) replaces only the dirty
+   destinations' slices (State_space.with_updated_dests, then
+   Bwg.Session.update); a rebuilt slice carries its own stuck and
+   wait-less records, so no state is rescanned.
 
    The verdict is Checker.decide, the very pipeline a cold check runs,
-   on the merged stuck / unconnected lists and the session's live BWG:
+   on the state table's stuck / wait-less records and the session's live BWG:
    bit-for-bit identity is by construction, not by re-implementation.
    Nothing decide reads depends on the order of an adjacency row, where
    the live BWG may differ from a cold build (DESIGN.md §9), and its
@@ -48,8 +48,6 @@ type t = {
   net : Net.t;
   mutable algo : Algo.t;
   session : Bwg.Session.t;
-  stuck : int list array; (* per dest: buffers, ascending *)
-  unconn : int list array; (* per dest: buffers, ascending *)
   domains : int;
   mutable n_updates : int;
   mutable n_fast : int;
@@ -71,44 +69,14 @@ let counters t =
     reemitted_dests = t.n_reemitted;
   }
 
-(* The destination's rows of [State_space.stuck_states] and
-   [Bwg.unconnected_states]: reachable, not arrived, empty outputs
-   (resp. waits); ascending by buffer like the views themselves. *)
-let scan t dest =
-  let space = space t in
-  let v = State_space.dest_view space ~dest in
-  let stuck = ref [] and unconn = ref [] in
-  for i = Array.length v.State_space.view_bufs - 1 downto 0 do
-    let buf = v.State_space.view_bufs.(i) in
-    if not (State_space.arrived space ~buf ~dest) then begin
-      if v.State_space.view_outs.(i) = [] then stuck := buf :: !stuck;
-      if v.State_space.view_wts.(i) = [] then unconn := buf :: !unconn
-    end
-  done;
-  t.stuck.(dest) <- !stuck;
-  t.unconn.(dest) <- !unconn
-
-(* Merge the per-destination state lists back into the global
-   reachable-iteration order: ascending (buf * num_nodes) + dest, exactly
-   [State_space.iter_reachable]'s key. *)
-let merge_states per_dest =
-  let num_nodes = Array.length per_dest in
-  let acc = ref [] in
-  Array.iteri
-    (fun dest bufs ->
-      List.iter (fun buf -> acc := ((buf * num_nodes) + dest) :: !acc) bufs)
-    per_dest;
-  let arr = Array.of_list !acc in
-  Array.sort (fun (a : int) b -> compare a b) arr;
-  Array.fold_right (fun k acc -> (k / num_nodes, k mod num_nodes) :: acc) arr []
-
-(* The maintained lists are exactly what a cold check hands decide, so
-   a fault that strands packets re-verdicts before any cycle work — the
-   common case of a fault sweep. *)
+(* The recorded lists are exactly what a cold check hands decide (the
+   session's live sets are the algorithm's rule), so a fault that strands
+   packets re-verdicts before any cycle work — the common case of a fault
+   sweep. *)
 let conclude t ~dirty_dests =
   let space = space t in
-  let stuck = merge_states t.stuck in
-  let unconnected = if stuck = [] then merge_states t.unconn else [] in
+  let stuck = State_space.stuck_states space in
+  let unconnected = if stuck = [] then State_space.waitless_states space else [] in
   let report =
     Checker.decide ~domains:t.domains ~stuck ~unconnected space
       (Bwg.Session.bwg t.session)
@@ -142,8 +110,6 @@ let create ?(domains = 1) net algo =
       net;
       algo;
       session = Bwg.Session.create ~domains space;
-      stuck = Array.make num_nodes [];
-      unconn = Array.make num_nodes [];
       domains;
       n_updates = 0;
       n_fast = 0;
@@ -152,9 +118,6 @@ let create ?(domains = 1) net algo =
       n_reemitted = 0;
     }
   in
-  for dest = 0 to num_nodes - 1 do
-    scan t dest
-  done;
   let result = conclude t ~dirty_dests:num_nodes in
   (t, { result with reused_dests = 0 })
 
@@ -175,5 +138,4 @@ let update t algo ~dirty =
   let kept = Bwg.Session.update t.session space' ~dests:dirty in
   t.n_patched <- t.n_patched + kept;
   t.n_reemitted <- t.n_reemitted + List.length dirty - kept;
-  List.iter (scan t) dirty;
   conclude t ~dirty_dests:(List.length dirty)

@@ -27,20 +27,29 @@ let is_minimal space =
   match Net.topology (State_space.net space) with
   | None -> false
   | Some topo ->
+    let net = State_space.net space in
+    let node buf = Buf.head_node (Net.buffer net buf) in
     let ok = ref true in
-    State_space.iter_reachable space (fun ~buf ~dest ->
-        if not (State_space.arrived space ~buf ~dest) then begin
-          let here = Buf.head_node (Net.buffer (State_space.net space) buf) in
-          let d = Topology.distance topo here dest in
-          List.iter
-            (fun o ->
-              let next = Buf.head_node (Net.buffer (State_space.net space) o) in
+    for dest = 0 to State_space.num_nodes space - 1 do
+      let v = State_space.dest_view space ~dest in
+      let bufs = v.State_space.view_bufs in
+      let { State_space.first; items } = v.State_space.view_outs in
+      Array.iteri
+        (fun i buf ->
+          (* an arrived state has no outputs *)
+          if first.(i) < first.(i + 1) then begin
+            let here = node buf in
+            let d = Topology.distance topo here dest in
+            for p = first.(i) to first.(i + 1) - 1 do
+              let next = node bufs.(items.(p)) in
               (* same-node transfers (injection entry, buffer-class change)
                  are distance-neutral and allowed *)
               if next <> here && Topology.distance topo next dest <> d - 1 then
-                ok := false)
-            (State_space.outputs space ~buf ~dest)
-        end);
+                ok := false
+            done
+          end)
+        bufs
+    done;
     !ok
 
 let pp_result net fmt r =

@@ -50,11 +50,20 @@ let true_cycle_status ?cycle_limits ?class_limits ?(shortest_first = false) bwg
     | None -> Ok None)
 
 let verify_hint ?cycle_limits space =
-  match State_space.reduced_waits space with
+  match (State_space.algo space).Dfr_routing.Algo.reduced_waits with
   | None -> None
-  | Some wait_sets ->
+  | Some _ ->
     Obs.span "reduction.verify-hint" @@ fun () ->
-    let bwg = Bwg.Session.bwg (Bwg.Session.create ~waits:wait_sets space) in
+    (* the slices' hint rows: the hint filtered to reachable states *)
+    let hint ~buf ~dest =
+      match
+        ( (State_space.dest_view space ~dest).State_space.view_hint,
+          State_space.index space ~buf ~dest )
+      with
+      | Some rows, i when i >= 0 -> State_space.row rows i
+      | _ -> []
+    in
+    let bwg = Bwg.Session.bwg (Bwg.Session.create ~waits:hint space) in
     if not (Bwg.is_wait_connected bwg) then
       Some (Gave_up "reduced-waits hint is not wait-connected")
     else (
@@ -119,22 +128,31 @@ let search ?cycle_limits ?(budget = 2000) ?domains space =
   let key buf dest = (buf * num_nodes) + dest in
   let session = Bwg.Session.create ?domains space in
   let wait_sets = Bwg.Session.waits session in
-  let keys = ref [] and waits = ref [] in
+  let keys = ref [] and sizes = ref [] and targets = ref [] in
   State_space.iter_reachable space (fun ~buf ~dest ->
-      match State_space.waits space ~buf ~dest with
-      | [] -> ()
-      | ws ->
+      let { State_space.first; items } =
+        (State_space.dest_view space ~dest).State_space.view_wts
+      in
+      let i = State_space.index space ~buf ~dest in
+      if first.(i) < first.(i + 1) then begin
         keys := key buf dest :: !keys;
-        waits := ws :: !waits);
+        sizes := (first.(i + 1) - first.(i)) :: !sizes;
+        for p = first.(i) to first.(i + 1) - 1 do
+          targets := items.(p) :: !targets
+        done
+      end);
   (* the states with waits, keys ascending *)
   let keys = Array.of_list (List.rev !keys) in
-  let rule = Array.of_list (List.rev !waits) in
+  (* the entries, states in key order and each in rule order *)
+  let target = Array.of_list (List.rev !targets) in
   (* state s owns entries first.(s) .. first.(s + 1) - 1 *)
-  let first = Array.make (Array.length rule + 1) 0 in
-  Array.iteri (fun s ws -> first.(s + 1) <- first.(s) + List.length ws) rule;
-  let n = first.(Array.length rule) in
+  let first = Array.make (Array.length keys + 1) 0 in
+  List.iteri (fun s size -> first.(s + 1) <- first.(s) + size) (List.rev !sizes);
+  let n = Array.length target in
   let owner = Array.make n 0 in
-  Array.iteri (fun s _ -> Array.fill owner first.(s) (first.(s + 1) - first.(s)) s) rule;
+  for s = 0 to Array.length keys - 1 do
+    Array.fill owner first.(s) (first.(s + 1) - first.(s)) s
+  done;
   (* the search's assignment: 0 live, 1 removed *)
   let value = Array.make n 0 in
   let live v = value.(v) = 0 in
@@ -148,20 +166,17 @@ let search ?cycle_limits ?(budget = 2000) ?domains space =
   in
   let entry v =
     let s = owner.(v) in
-    {
-      head = keys.(s) / num_nodes;
-      dest = keys.(s) mod num_nodes;
-      target = List.nth rule.(s) (v - first.(s));
-    }
+    { head = keys.(s) / num_nodes; dest = keys.(s) mod num_nodes; target = target.(v) }
   in
-  (* the live entry of state (buf, dest) waiting on [target] *)
-  let var_of buf dest target =
+  (* the live entry of state (buf, dest) waiting on [t] *)
+  let var_of buf dest t =
     let s = state buf dest in
-    let rec find v = function
-      | t :: rest -> if live v && t = target then v else find (v + 1) rest
-      | [] -> raise Not_found
+    let rec find v =
+      if v >= first.(s + 1) then raise Not_found
+      else if live v && target.(v) = t then v
+      else find (v + 1)
     in
-    find first.(s) rule.(s)
+    find first.(s)
   in
   (* removed entries, most recent first: the report lists them in
      decision order *)

@@ -3,20 +3,29 @@ open Dfr_routing
 module Obs = Dfr_obs.Obs
 module Csr = Dfr_graph.Csr
 
-(* One destination's reachable states, stored compactly: [bufs] is the
-   ascending list of buffers some [dest]-bound packet can occupy, and the
-   parallel arrays carry the per-state routing relation.  A full-mesh or
-   dragonfly destination touches O(nodes) of the network's B buffers, so
-   this is what keeps the table at O(states) instead of O(B * N) — the
-   difference between megabytes and gigabytes at 10^5 buffers.  [moves]
-   is the same relation as a k-vertex CSR over the slice's own positions
-   (vertex i is [bufs.(i)]), the destination's one move graph. *)
-type slice = {
-  bufs : int array;
-  outs : int list array;
-  wts : int list array;
-  rdc : int list array option;
-  moves : Csr.t;
+(* Rows over a slice's positions: row [i] is
+   [items.(first.(i)) .. items.(first.(i + 1) - 1)]. *)
+type rows = { first : int array; items : int array }
+
+(* One destination's reachable states, stored compactly and flat: [bufs]
+   is the ascending array of buffers some [dest]-bound packet can
+   occupy, and the rows, parallel to it, carry the per-state routing
+   relation.  A full-mesh or dragonfly destination touches O(nodes) of
+   the network's B buffers, so this is what keeps the table at O(states)
+   instead of O(B * N) — the difference between megabytes and gigabytes
+   at 10^5 buffers.  [view_moves] is the same relation as a k-vertex CSR
+   over the slice's own positions (vertex i is [bufs.(i)]), the
+   destination's one move graph: the output rows themselves whenever
+   they are all ascending.  [view_stuck] and [view_waitless] are the
+   facts the BFS records as it routes. *)
+type dest_view = {
+  view_bufs : int array;
+  view_outs : rows;
+  view_wts : rows;
+  view_hint : rows option;
+  view_moves : Csr.t;
+  view_stuck : int array;
+  view_waitless : int array;
 }
 
 type t = {
@@ -24,7 +33,7 @@ type t = {
   algo : Algo.t;
   num_buffers : int;
   num_nodes : int;
-  slices : slice array; (* per dest *)
+  slices : dest_view array; (* per dest *)
 }
 
 let net t = t.net
@@ -32,156 +41,252 @@ let algo t = t.algo
 let num_buffers t = t.num_buffers
 let num_nodes t = t.num_nodes
 
-(* position of [buf] in [s.bufs], or -1 *)
+(* position of [buf] in [s.view_bufs], or -1 *)
 let slice_find s buf =
-  let lo = ref 0 and hi = ref (Array.length s.bufs) in
+  let bufs = s.view_bufs in
+  let lo = ref 0 and hi = ref (Array.length bufs) in
   let found = ref (-1) in
   while !found < 0 && !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    let b = s.bufs.(mid) in
+    let b = bufs.(mid) in
     if b = buf then found := mid else if b < buf then lo := mid + 1 else hi := mid
   done;
   !found
 
+let row { first; items } i = List.init (first.(i + 1) - first.(i)) (fun p -> items.(first.(i) + p))
 let index t ~buf ~dest = slice_find t.slices.(dest) buf
 let is_reachable t ~buf ~dest = index t ~buf ~dest >= 0
 let arrived t ~buf ~dest = Buf.head_node (Net.buffer t.net buf) = dest
+let dest_view t ~dest = t.slices.(dest)
 
-(* [field] of the state (buf, dest), or [[]] when it is unreachable *)
-let lookup field t ~buf ~dest =
-  let s = t.slices.(dest) in
-  let i = slice_find s buf in
-  if i >= 0 then (field s).(i) else []
+(* Rows appended in the order the BFS routes states: row [j] (the
+   state at queue position [j]) is [ent.(at.(j)) .. ent.(at.(j + 1) - 1)].
+   [ent] grows by doubling and keeps its size across destinations. *)
+type acc = { mutable at : int array; mutable ent : int array }
 
-let outputs = lookup (fun s -> s.outs)
-let waits = lookup (fun s -> s.wts)
+let new_acc () = { at = [||]; ent = [||] }
 
-let reduced_waits t =
-  if Array.exists (fun s -> s.rdc <> None) t.slices then
-    Some
-      (fun ~buf ~dest ->
-        let s = t.slices.(dest) in
-        match s.rdc with
-        | None -> []
-        | Some arr ->
-          let i = slice_find s buf in
-          if i >= 0 then arr.(i) else [])
-  else None
+(* [x] at [ent.(n)]; returns [n + 1] *)
+let push a n x =
+  if n >= Array.length a.ent then begin
+    let bigger = Array.make (max 64 (2 * n)) 0 in
+    Array.blit a.ent 0 bigger 0 n;
+    a.ent <- bigger
+  end;
+  a.ent.(n) <- x;
+  n + 1
 
-(* The move graph over a slice's positions: [local] maps each of the
-   slice's buffers to its position.  Every output of a reachable state is
-   itself reachable, and positions are a monotone renumbering of buffers,
-   so sorting a row by position sorts it by buffer. *)
-let local_moves ~local outs =
-  let row os = List.sort_uniq Int.compare (List.map (Array.get local) os) in
-  let rows = Array.map (fun os -> Array.of_list (row os)) outs in
-  let offsets = Array.make (Array.length rows + 1) 0 in
-  Array.iteri (fun i row -> offsets.(i + 1) <- offsets.(i) + Array.length row) rows;
-  Csr.make ~n:(Array.length rows) ~offsets ~targets:(Array.concat (Array.to_list rows))
+let rec push_list a n = function [] -> n | x :: rest -> push_list a (push a n x) rest
+
+(* The rows of queue positions [order.(0)], ..., [order.(k - 1)], entries
+   mapped through [through] when given *)
+let gather a ~order ~k ~through =
+  let first = Array.make (k + 1) 0 in
+  for i = 0 to k - 1 do
+    let j = order.(i) in
+    first.(i + 1) <- first.(i) + a.at.(j + 1) - a.at.(j)
+  done;
+  let items = Array.make first.(k) 0 in
+  for i = 0 to k - 1 do
+    let j = order.(i) in
+    let shift = first.(i) - a.at.(j) in
+    match through with
+    | None -> Array.blit a.ent a.at.(j) items first.(i) (first.(i + 1) - first.(i))
+    | Some map ->
+      for p = a.at.(j) to a.at.(j + 1) - 1 do
+        items.(shift + p) <- map.(a.ent.(p))
+      done
+  done;
+  { first; items }
+
+(* The move graph over a slice's positions from its output rows (local
+   ids, route order, duplicate-free): the rows themselves when every one
+   ascends, else a copy with each row sorted.  Every output of a
+   reachable state is itself reachable, and positions are a monotone
+   renumbering of buffers, so a row sorted by position is sorted by
+   buffer. *)
+let moves_of { first; items } =
+  let k = Array.length first - 1 in
+  let sorted = ref true in
+  for i = 0 to k - 1 do
+    for p = first.(i) + 1 to first.(i + 1) - 1 do
+      if items.(p - 1) >= items.(p) then sorted := false
+    done
+  done;
+  let targets =
+    if !sorted then items
+    else begin
+      let c = Array.copy items in
+      for i = 0 to k - 1 do
+        (* insertion sort: a row is a state's few outputs *)
+        for p = first.(i) + 1 to first.(i + 1) - 1 do
+          let x = c.(p) in
+          let q = ref (p - 1) in
+          while !q >= first.(i) && c.(!q) > x do
+            c.(!q + 1) <- c.(!q);
+            decr q
+          done;
+          c.(!q + 1) <- x
+        done
+      done;
+      c
+    end
+  in
+  Csr.make ~n:k ~offsets:first ~targets
+
+let sorted_array = function
+  | [] -> [||]
+  | l ->
+    let a = Array.of_list l in
+    Array.sort Int.compare a;
+    a
 
 (* One domain's BFS scratch, reused across destinations and builds and
    grown to the largest network seen.  The BFS for a destination only
    ever revisits its own states, so size-B arrays that are clean between
    destinations are all the working memory it needs: [local.(buf)] is -1
-   for a buffer not yet seen, and once the BFS is done the buffer's
-   position in the slice, which [local_moves] reads; [queue] holds the
-   seen buffers in visit order, and [outs], [wts] and [red] a routed
-   state's outputs, waits and hint ([red] only for an algorithm with a
-   hint), [[]] for any other buffer. *)
+   for a buffer not yet seen, its queue position while the BFS runs and
+   its slice position once it is done; [queue] holds the seen buffers in
+   visit order and [order] the queue position of each slice position.
+   [outs], [wts] and [red] collect the routed states' transit outputs,
+   waits and hint ([red] only for an algorithm with a hint) as rows by
+   queue position.  Only [local] must be clean between destinations;
+   everything else is written before it is read. *)
 type bfs = {
   mutable local : int array;
   mutable queue : int array;
-  mutable outs : int list array;
-  mutable wts : int list array;
-  mutable red : int list array;
+  mutable order : int array;
+  outs : acc;
+  wts : acc;
+  red : acc;
 }
 
 let bfs =
   Dfr_util.Per_domain.make (fun () ->
-      { local = [||]; queue = [||]; outs = [||]; wts = [||]; red = [||] })
+      {
+        local = [||];
+        queue = [||];
+        order = [||];
+        outs = new_acc ();
+        wts = new_acc ();
+        red = new_acc ();
+      })
 
 let fit_bfs sc ~num_buffers ~hint =
   if Array.length sc.local < num_buffers then begin
     sc.local <- Array.make num_buffers (-1);
     sc.queue <- Array.make num_buffers 0;
-    sc.outs <- Array.make num_buffers [];
-    sc.wts <- Array.make num_buffers []
+    sc.order <- Array.make num_buffers 0;
+    sc.outs.at <- Array.make (num_buffers + 1) 0;
+    sc.wts.at <- Array.make (num_buffers + 1) 0
   end;
-  if hint && Array.length sc.red < num_buffers then
-    sc.red <- Array.make (Array.length sc.local) []
+  if hint && Array.length sc.red.at < Array.length sc.local + 1 then
+    sc.red.at <- Array.make (Array.length sc.local + 1) 0
+
+let empty_moves = Csr.of_edges 0 []
 
 (* One destination's slice: BFS from the injection buffers, over the
    domain's scratch [sc].  Shared with [with_updated_dests], which re-runs
    it for just the dirty destinations — a slice is a pure function of
    (net, algo, dest), so a rebuilt slice is identical to what a cold
-   build produces.  Every buffer the BFS saw gets its scratch entries
-   back when it ends, also when a routing function raises.
+   build produces.  Every buffer the BFS saw gets its [local] entry back
+   when it ends, also when a routing function raises.
 
-   Every state the BFS routes is checked against the routing contract
-   ([Algo.state_problems]) on the raw route list, waits and hint it reads
+   Each state is routed once when the waiting rule is the route itself
+   (the same closure).  Every state the BFS routes is checked against the
+   routing contract on the raw route list, waits and hint it reads
    anyway, so only reachable states are validated — the states the BWG
-   and Theorems 1–3 read.  The destination's problems come back beside
-   the slice, as (buffer, problems) pairs. *)
+   and Theorems 1–3 read; [Algo.state_problems] builds the messages only
+   for a state [Algo.state_ok] refuses.  The destination's problems come
+   back beside the slice, as (buffer, problems) pairs; a slice with
+   problems is never used, so it gets no move graph. *)
 let build_slice net algo ~num_nodes ~hint sc dest =
   let local = sc.local and queue = sc.queue in
-  let outs_of = sc.outs and wts_of = sc.wts and red_of = sc.red in
+  let outs = sc.outs and wts = sc.wts and red = sc.red in
+  let once = algo.Algo.waits == algo.Algo.route in
   let tail = ref 0 in
   let clean () =
     for j = 0 to !tail - 1 do
-      let b = queue.(j) in
-      local.(b) <- -1;
-      outs_of.(b) <- [];
-      wts_of.(b) <- [];
-      if hint then red_of.(b) <- []
+      local.(queue.(j)) <- -1
     done
   in
   Fun.protect ~finally:clean @@ fun () ->
-  let problems = ref [] in
+  let problems = ref [] and stuck = ref [] and waitless = ref [] in
   let visit buf =
     if local.(buf) < 0 then begin
-      local.(buf) <- 0;
+      local.(buf) <- !tail;
       queue.(!tail) <- buf;
       incr tail
     end
   in
+  (* the transit outputs of [route] onto [outs] from [n], each visited *)
+  let rec push_outs n = function
+    | [] -> n
+    | o :: rest ->
+      if Buf.is_transit (Net.buffer net o) then begin
+        visit o;
+        push_outs (push outs n o) rest
+      end
+      else push_outs n rest
+  in
   for src = 0 to num_nodes - 1 do
     if src <> dest then visit (Buf.id (Net.injection net src))
   done;
+  let n_outs = ref 0 and n_wts = ref 0 and n_red = ref 0 in
+  outs.at.(0) <- 0;
+  wts.at.(0) <- 0;
+  if hint then red.at.(0) <- 0;
   let head = ref 0 in
   while !head < !tail do
-    let buf = queue.(!head) in
+    let j = !head in
+    let buf = queue.(j) in
     incr head;
     let b = Net.buffer net buf in
     if Buf.head_node b <> dest then begin
       let route = algo.Algo.route net b ~dest in
-      let waits = algo.Algo.waits net b ~dest in
+      let waits = if once then route else algo.Algo.waits net b ~dest in
       let reduced_waits =
-        Option.map (fun rw -> rw net b ~dest) algo.Algo.reduced_waits
+        match algo.Algo.reduced_waits with
+        | None -> None
+        | Some rw -> Some (rw net b ~dest)
       in
-      (match
-         Algo.state_problems net b ~dest ~outputs:route ~waits ~reduced_waits
-       with
-      | [] -> ()
-      | ps -> problems := (buf, ps) :: !problems);
-      let outs = List.filter (fun o -> Buf.is_transit (Net.buffer net o)) route in
-      outs_of.(buf) <- outs;
-      wts_of.(buf) <- waits;
-      (match reduced_waits with Some rw -> red_of.(buf) <- rw | None -> ());
-      List.iter visit outs
-    end
+      if not (Algo.state_ok net b ~dest ~outputs:route ~waits ~reduced_waits) then
+        problems :=
+          (buf, Algo.state_problems net b ~dest ~outputs:route ~waits ~reduced_waits)
+          :: !problems;
+      let before = !n_outs in
+      n_outs := push_outs before route;
+      if !n_outs = before then stuck := buf :: !stuck;
+      if waits = [] then waitless := buf :: !waitless;
+      n_wts := push_list wts !n_wts waits;
+      match reduced_waits with
+      | Some rw -> n_red := push_list red !n_red rw
+      | None -> ()
+    end;
+    outs.at.(j + 1) <- !n_outs;
+    wts.at.(j + 1) <- !n_wts;
+    if hint then red.at.(j + 1) <- !n_red
   done;
-  let bufs = Array.sub queue 0 !tail in
+  let k = !tail in
+  let bufs = Array.sub queue 0 k in
   (* a merge sort: [Array.sort]'s heap sort is the slower one here *)
   Array.stable_sort Int.compare bufs;
-  Array.iteri (fun i b -> local.(b) <- i) bufs;
-  let outs = Array.map (fun b -> outs_of.(b)) bufs in
+  let order = sc.order in
+  Array.iteri
+    (fun i b ->
+      order.(i) <- local.(b);
+      local.(b) <- i)
+    bufs;
+  let out_rows = gather outs ~order ~k ~through:(Some local) in
   let slice =
     {
-      bufs;
-      outs;
-      wts = Array.map (fun b -> wts_of.(b)) bufs;
-      rdc = (if hint then Some (Array.map (fun b -> red_of.(b)) bufs) else None);
-      moves = local_moves ~local outs;
+      view_bufs = bufs;
+      view_outs = out_rows;
+      view_wts = gather wts ~order ~k ~through:None;
+      view_hint = (if hint then Some (gather red ~order ~k ~through:None) else None);
+      view_moves = (if !problems = [] then moves_of out_rows else empty_moves);
+      view_stuck = sorted_array !stuck;
+      view_waitless = sorted_array !waitless;
     }
   in
   (slice, !problems)
@@ -216,7 +321,8 @@ let refuse_malformed ~num_nodes problems =
           (List.concat_map snd
              (List.sort (fun ((a : int), _) (b, _) -> compare a b) !keyed)))
 
-let num_states t = Array.fold_left (fun acc s -> acc + Array.length s.bufs) 0 t.slices
+let num_states t =
+  Array.fold_left (fun acc s -> acc + Array.length s.view_bufs) 0 t.slices
 
 let build ?(domains = 1) net algo =
   Obs.span "space.build" @@ fun () ->
@@ -226,9 +332,18 @@ let build ?(domains = 1) net algo =
      chunk and writes only its own slices, so the filled array is
      identical whatever the chunking.  The states counter is a sum of
      per-slice sizes, hence domain-count-invariant. *)
+  let no_rows = { first = [| 0 |]; items = [||] } in
   let slices =
     Array.make num_nodes
-      { bufs = [||]; outs = [||]; wts = [||]; rdc = None; moves = Csr.of_edges 0 [] }
+      {
+        view_bufs = [||];
+        view_outs = no_rows;
+        view_wts = no_rows;
+        view_hint = None;
+        view_moves = empty_moves;
+        view_stuck = [||];
+        view_waitless = [||];
+      }
   in
   let problems = Array.make num_nodes [] in
   let n_dom = max 1 (min domains num_nodes) in
@@ -249,7 +364,7 @@ let iter_reachable t f =
   let nb = t.num_buffers in
   let next = Array.make (nb + 1) 0 in
   Array.iter
-    (fun s -> Array.iter (fun buf -> next.(buf + 1) <- next.(buf + 1) + 1) s.bufs)
+    (fun s -> Array.iter (fun buf -> next.(buf + 1) <- next.(buf + 1) + 1) s.view_bufs)
     t.slices;
   for b = 1 to nb do
     next.(b) <- next.(b) + next.(b - 1)
@@ -261,7 +376,7 @@ let iter_reachable t f =
         (fun buf ->
           dests.(next.(buf)) <- dest;
           next.(buf) <- next.(buf) + 1)
-        s.bufs)
+        s.view_bufs)
     t.slices;
   (* [next.(buf)] is now where buffer [buf + 1]'s bucket starts *)
   let i = ref 0 in
@@ -271,17 +386,6 @@ let iter_reachable t f =
       incr i
     done
   done
-
-type dest_view = {
-  view_bufs : int array;
-  view_outs : int list array;
-  view_wts : int list array;
-  view_moves : Csr.t;
-}
-
-let dest_view t ~dest =
-  let s = t.slices.(dest) in
-  { view_bufs = s.bufs; view_outs = s.outs; view_wts = s.wts; view_moves = s.moves }
 
 (* Rebuild only the named destinations' tables under a new algorithm,
    sharing everything else.  A destination's slice (move graph included) is a
@@ -302,15 +406,18 @@ let with_updated_dests t algo ~dests =
   let hint = algo.Algo.reduced_waits <> None in
   (* a hint cannot be introduced incrementally: the clean destinations'
      reduced tables were never computed *)
-  if hint && Array.exists (fun s -> s.rdc = None) t.slices then
+  if hint && Array.exists (fun s -> s.view_hint = None) t.slices then
     invalid_arg
       "State_space.with_updated_dests: cannot introduce a reduced-waits hint";
   (* a hint the new algorithm no longer carries must not survive in the
-     shared slices either, or [reduced_waits] would diverge from a cold
+     shared slices either, or their hint rows would diverge from a cold
      build of [algo] *)
   let slices =
     if hint then Array.copy t.slices
-    else Array.map (fun s -> if s.rdc = None then s else { s with rdc = None }) t.slices
+    else
+      Array.map
+        (fun s -> if s.view_hint = None then s else { s with view_hint = None })
+        t.slices
   in
   if dests <> [] then Obs.count "space.dest.rebuilds" (List.length dests);
   let problems = Array.make t.num_nodes [] in
@@ -333,7 +440,7 @@ let filter_reachable ?(domains = 1) t pred =
         let acc = ref [] in
         Array.iter
           (fun buf -> if pred ~buf ~dest then acc := (buf, dest) :: !acc)
-          t.slices.(dest).bufs;
+          t.slices.(dest).view_bufs;
         per.(dest) <- List.rev !acc
       done);
   List.sort
@@ -341,9 +448,18 @@ let filter_reachable ?(domains = 1) t pred =
       compare ((b1 * t.num_nodes) + d1) ((b2 * t.num_nodes) + d2))
     (List.concat (Array.to_list per))
 
-let stuck_states ?domains t =
-  filter_reachable ?domains t (fun ~buf ~dest ->
-      (not (arrived t ~buf ~dest)) && outputs t ~buf ~dest = [])
+(* The states a record names, in [iter_reachable] order: few (usually
+   none), so sorting them costs nothing *)
+let recorded t pick =
+  let nn = t.num_nodes in
+  let keys = ref [] in
+  for dest = 0 to nn - 1 do
+    Array.iter (fun buf -> keys := ((buf * nn) + dest) :: !keys) (pick t.slices.(dest))
+  done;
+  List.map (fun k -> (k / nn, k mod nn)) (List.sort Int.compare !keys)
+
+let stuck_states ?domains:_ t = recorded t (fun s -> s.view_stuck)
+let waitless_states t = recorded t (fun s -> s.view_waitless)
 
 let describe_state t (buf, dest) =
   Printf.sprintf "%s->n%d" (Net.describe_buffer t.net buf) dest

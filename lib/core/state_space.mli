@@ -24,10 +24,11 @@ val build : ?domains:int -> Net.t -> Algo.t -> t
     function that raises on a reachable state propagates its exception.
 
     The table is stored as one slice per destination holding just that
-    destination's reachable states and their move graph, so its size is
-    O(states + moves), not O(buffers * nodes) — what lets
-    10^4-10^5-buffer instances fit in memory, and what makes a
-    destination's states and moves a field read ({!dest_view}).
+    destination's reachable states as flat rows, its move graph and its
+    stuck and wait-less states, so its size is O(states + moves), not
+    O(buffers * nodes) — what lets 10^4-10^5-buffer instances fit in
+    memory, and what makes a destination's states and moves a field read
+    ({!dest_view}).
 
     [domains] fans the reachability BFS out over the shared
     {!Dfr_util.Domain_pool}, partitioned by destination (a destination's
@@ -45,17 +46,6 @@ val is_reachable : t -> buf:int -> dest:int -> bool
 val index : t -> buf:int -> dest:int -> int
 (** The position of state (buf, dest) in its destination's {!dest_view}
     arrays, or [-1] when the state is unreachable.  O(log k). *)
-
-val outputs : t -> buf:int -> dest:int -> int list
-(** Permitted transit outputs of a reachable state; [[]] when the head is
-    at the destination (the packet proceeds to delivery) or the state is
-    unreachable. *)
-
-val waits : t -> buf:int -> dest:int -> int list
-(** Waiting buffers of a reachable state (same conventions). *)
-
-val reduced_waits : t -> (buf:int -> dest:int -> int list) option
-(** The algorithm's BWG' hint filtered to reachable states, if any. *)
 
 val arrived : t -> buf:int -> dest:int -> bool
 (** The head of a packet in this state is at its destination. *)
@@ -75,32 +65,59 @@ val iter_reachable : t -> (buf:int -> dest:int -> unit) -> unit
     pure function of (net, algo restricted to that destination) — which is
     the sharing unit of the incremental re-checker. *)
 
+type rows = { first : int array; items : int array }
+(** Rows over a slice's positions: row [i] is [items.(first.(i))] ..
+    [items.(first.(i + 1) - 1)]. *)
+
+val row : rows -> int -> int list
+(** Row [i] as a list, for a caller that wants one (it allocates). *)
+
 type dest_view = {
   view_bufs : int array;  (** reachable buffers, ascending *)
-  view_outs : int list array;
-      (** parallel: permitted transit outputs, in route order *)
-  view_wts : int list array;  (** parallel: waiting sets *)
+  view_outs : rows;
+      (** parallel: each state's permitted transit outputs as local ids
+          (positions in [view_bufs]), in route order; empty for an
+          arrived state *)
+  view_wts : rows;
+      (** parallel: each state's waiting buffers (buffer ids, since a
+          wait need not be a transit buffer), in rule order *)
+  view_hint : rows option;
+      (** parallel: the algorithm's BWG' hint (buffer ids), when it
+          carries one *)
   view_moves : Dfr_graph.Csr.t;
       (** the destination's move graph over local ids: vertex [i] is
-          [view_bufs.(i)], and [i -> j] is an edge when [view_bufs.(j)] is
-          in [view_outs.(i)].  Rows are ascending and duplicate-free.
-          Local ids renumber the reachable buffers monotonically and an
-          unreachable buffer has no moves, so a traversal taking roots and
-          successors in ascending order visits the same buffers in the
-          same order on local ids as on buffer ids.  Map a buffer to its
-          id with {!index}. *)
+          [view_bufs.(i)], and [i -> j] is an edge when [j] is in row [i]
+          of [view_outs].  Rows are ascending and duplicate-free; when
+          every output row already ascends, this graph shares
+          [view_outs]' arrays, so one copy exists.  Local ids renumber
+          the reachable buffers monotonically and an unreachable buffer
+          has no moves, so a traversal taking roots and successors in
+          ascending order visits the same buffers in the same order on
+          local ids as on buffer ids.  Map a buffer to its id with
+          {!index}. *)
+  view_stuck : int array;
+      (** the buffers (ascending) of the states the BFS found stuck: not
+          arrived, no transit output *)
+  view_waitless : int array;
+      (** the buffers (ascending) of the states the BFS found wait-less:
+          not arrived, no waiting buffer *)
 }
+(** One destination's slice.  The BFS writes every field in one pass:
+    each state's rows as it routes the state (once when the waiting rule
+    is the route), and the stuck and wait-less records beside them, so no
+    later pass walks the states again for those facts. *)
 
 val dest_view : t -> dest:int -> dest_view
-(** One destination's reachable states, routing relation and move graph,
-    in O(1): the arrays alias the internal slice (do not mutate).  The
-    per-destination BFS builds the graph beside the slice, so every
-    destination's graph exists once [build] returns and reading it from
-    several domains at once is safe. *)
+(** One destination's reachable states, routing relation, move graph and
+    recorded facts, in O(1): the slice itself (do not mutate).  The
+    per-destination BFS builds it whole, so every destination's slice
+    exists once [build] returns and reading it from several domains at
+    once is safe. *)
 
 val with_updated_dests : t -> Algo.t -> dests:int list -> t
 (** A state space for the new algorithm that rebuilds only the slices
-    (move graphs included) of the listed destinations, sharing every
+    (move graphs and records included) of the listed destinations,
+    sharing every
     other destination's structures with [t].
     Sound when the algorithms agree on every destination outside [dests] —
     the caller (Diff / Incr) is responsible for that frontier; the result
@@ -123,7 +140,15 @@ val filter_reachable :
 
 val stuck_states : ?domains:int -> t -> (int * int) list
 (** Reachable states that are neither arrived nor have any output: the
-    routing relation dead-ends there (a malformed algorithm).
-    [domains] parallelizes the scan (see {!filter_reachable}). *)
+    routing relation dead-ends there (a malformed algorithm).  Read off
+    the slices' [view_stuck] records in O(nodes + result), in
+    [iter_reachable] order; [domains] is accepted for callers that pass
+    one and changes nothing. *)
+
+val waitless_states : t -> (int * int) list
+(** Reachable states that are not arrived and have an empty waiting set
+    under the algorithm's rule, from the [view_waitless] records, in
+    [iter_reachable] order.  The algorithm is wait-connected iff the
+    list is empty. *)
 
 val describe_state : t -> int * int -> string

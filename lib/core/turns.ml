@@ -25,29 +25,35 @@ let all_turns ~dims =
         (List.init dims Fun.id))
     (List.init dims Fun.id)
 
-let matches_filter net turn ~node b outputs =
+(* [b] is a channel of the turn's first leg (entering [node], if given) *)
+let enters net turn ~node b =
   match Buf.kind (Net.buffer net b) with
-  | Buf.Channel { dim; dir; dst; _ }
-    when dim = turn.from_dim && dir = turn.from_dir
-         && (match node with None -> true | Some n -> dst = n) ->
-    List.exists
-      (fun o ->
-        match Buf.kind (Net.buffer net o) with
-        | Buf.Channel { dim = d2; dir = r2; _ } ->
-          d2 = turn.to_dim && r2 = turn.to_dir
-        | _ -> false)
-      outputs
+  | Buf.Channel { dim; dir; dst; _ } ->
+    dim = turn.from_dim && dir = turn.from_dir
+    && (match node with None -> true | Some n -> dst = n)
+  | _ -> false
+
+(* [o] is a channel of the turn's second leg *)
+let leaves net turn o =
+  match Buf.kind (Net.buffer net o) with
+  | Buf.Channel { dim; dir; _ } -> dim = turn.to_dim && dir = turn.to_dir
   | _ -> false
 
 let search space ~node turn =
   let net = State_space.net space in
   let found = ref false in
-  State_space.iter_reachable space (fun ~buf ~dest ->
-      if not !found then
-        if
-          matches_filter net turn ~node buf
-            (State_space.outputs space ~buf ~dest)
-        then found := true);
+  for dest = 0 to State_space.num_nodes space - 1 do
+    let v = State_space.dest_view space ~dest in
+    let bufs = v.State_space.view_bufs in
+    let { State_space.first; items } = v.State_space.view_outs in
+    Array.iteri
+      (fun i buf ->
+        if (not !found) && enters net turn ~node buf then
+          for p = first.(i) to first.(i + 1) - 1 do
+            if leaves net turn bufs.(items.(p)) then found := true
+          done)
+      bufs
+  done;
   !found
 
 let permitted space turn = search space ~node:None turn

@@ -31,6 +31,33 @@ let with_relation t ?name route =
   let name = Option.value name ~default:(t.name ^ "+repair") in
   { t with name; route; waits = route; reduced_waits = None }
 
+(* The contract as a predicate that allocates nothing: [state_ok] holds
+   exactly when [state_problems] finds no problem, so the BFS builds the
+   messages only for a state that fails. *)
+let rec mem_int (x : int) = function [] -> false | y :: rest -> y = x || mem_int x rest
+let rec subset_int a b = match a with [] -> true | x :: rest -> mem_int x b && subset_int rest b
+
+let rec distinct_int = function
+  | [] -> true
+  | x :: rest -> (not (mem_int x rest)) && distinct_int rest
+
+let rec outputs_ok net ~dest ~head = function
+  | [] -> true
+  | id :: rest ->
+    let out = Net.buffer net id in
+    (match Buf.kind out with
+    | Buf.Injection _ -> false
+    | Buf.Delivery n -> n = dest
+    | Buf.Channel { src; _ } -> src = head
+    | Buf.Node_buffer _ -> true)
+    && outputs_ok net ~dest ~head rest
+
+let state_ok net b ~dest ~outputs ~waits ~reduced_waits =
+  distinct_int outputs
+  && outputs_ok net ~dest ~head:(Buf.head_node b) outputs
+  && subset_int waits outputs
+  && match reduced_waits with None -> true | Some rw -> subset_int rw waits
+
 let rec has_dup = function
   | [] -> false
   | x :: rest -> List.mem x rest || has_dup rest

@@ -82,6 +82,18 @@ val state_problems :
     state is well formed.  [State_space.build] runs it on every reachable
     state. *)
 
+val state_ok :
+  Net.t ->
+  Buf.t ->
+  dest:int ->
+  outputs:int list ->
+  waits:int list ->
+  reduced_waits:int list option ->
+  bool
+(** [state_problems ... = []], decided without allocating: the check
+    [State_space.build] runs on every state it routes, building the
+    messages with {!state_problems} only for a state that fails. *)
+
 val validate : t -> Net.t -> (unit, string) result
 (** {!state_problems} on every routed (buffer, destination) pair,
     reachable or not, in buffer-major then destination order; the error

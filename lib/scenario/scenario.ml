@@ -47,8 +47,14 @@ let preloads_of_true_cycle space packets =
       match List.rev p.Cycle_class.path with
       | [] -> ()
       | head :: _ ->
-        List.iter add_filler
-          (State_space.outputs space ~buf:head ~dest:p.Cycle_class.dest))
+        (* the head's outputs, in route order *)
+        let dest = p.Cycle_class.dest in
+        let v = State_space.dest_view space ~dest in
+        let i = State_space.index space ~buf:head ~dest in
+        let { State_space.first; items } = v.State_space.view_outs in
+        for p = first.(i) to first.(i + 1) - 1 do
+          add_filler v.State_space.view_bufs.(items.(p))
+        done)
     packets;
   cycle_preloads @ !fillers
 

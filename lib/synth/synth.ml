@@ -116,18 +116,11 @@ let synthesize ?(budget = 4000) ?(domains = 1) ?(minimize = false) space =
   Obs.span "synth.solve" @@ fun () ->
   let net = State_space.net space in
   let algo = State_space.algo space in
-  let unconnected () =
-    State_space.filter_reachable space (fun ~buf ~dest ->
-        (not (State_space.arrived space ~buf ~dest))
-        && (not (Buf.is_delivery (Net.buffer net buf)))
-        && State_space.waits space ~buf ~dest = [])
-    <> []
-  in
   if State_space.stuck_states space <> [] then
     Unsat
       "the routing relation dead-ends in stuck states; no waiting rule can \
        restore lost packets"
-  else if unconnected () then
+  else if State_space.waitless_states space <> [] then
     Unsat
       "not wait-connected: a reachable state already has an empty waiting \
        set under the full rule"

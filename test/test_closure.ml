@@ -27,7 +27,7 @@ let check = Alcotest.check
 type emission = int * int * Bwg.witness
 
 (* one DFS per (q1, dest) over the destination's moves, read off
-   [State_space.outputs] in buffer ids, so the reference shares nothing
+   [Slice_lists.outputs] in buffer ids, so the reference shares nothing
    with the slice's move graph; [~indirect:false] keeps q1 as its only
    head, as [Bwg.build ~indirect:false] does *)
 let reference_dest_edges ?(indirect = true) ~wait_sets space ~dest : emission list =
@@ -43,7 +43,7 @@ let reference_dest_edges ?(indirect = true) ~wait_sets space ~dest : emission li
           let rec dfs b =
             if not seen.(b) then begin
               seen.(b) <- true;
-              List.iter dfs (State_space.outputs space ~buf:b ~dest)
+              List.iter dfs (Slice_lists.outputs space ~buf:b ~dest)
             end
           in
           dfs q1;
@@ -110,7 +110,7 @@ let agree ~label ?wait_sets ?(indirect = true) space =
   let rules =
     match wait_sets with
     | Some w -> w
-    | None -> fun ~buf ~dest -> State_space.waits space ~buf ~dest
+    | None -> fun ~buf ~dest -> Slice_lists.waits space ~buf ~dest
   in
   let num_bufs = State_space.num_buffers space in
   let per_dest =
@@ -193,7 +193,7 @@ let agree ~label ?wait_sets ?(indirect = true) space =
 (* a custom waiting rule exercises [?wait_sets] and the session's
    [?waits]: keep the first waiting buffer of every state *)
 let first_wait space ~buf ~dest =
-  match State_space.waits space ~buf ~dest with [] -> [] | w :: _ -> [ w ]
+  match Slice_lists.waits space ~buf ~dest with [] -> [] | w :: _ -> [ w ]
 
 let test_catalogue () =
   List.iter
@@ -205,7 +205,7 @@ let test_catalogue () =
         agree ~label:(e.Registry.name ^ " direct") ~indirect:false space;
       agree ~label:(e.Registry.name ^ " first-wait") ~wait_sets:(first_wait space)
         space;
-      match State_space.reduced_waits space with
+      match Slice_lists.hint space with
       | Some rw -> agree ~label:(e.Registry.name ^ " reduced") ~wait_sets:rw space
       | None -> ())
     Registry.all
@@ -343,14 +343,14 @@ let session_walk ?case ~label ~cap rng space =
   let wait_sets ~buf ~dest =
     List.filter
       (fun t -> not (Hashtbl.mem removed (buf, dest, t)))
-      (State_space.waits !space ~buf ~dest)
+      (Slice_lists.waits !space ~buf ~dest)
   in
   let entries () =
     let acc = ref [] in
     State_space.iter_reachable !space (fun ~buf ~dest ->
         List.iter
           (fun t -> acc := (buf, dest, t) :: !acc)
-          (State_space.waits !space ~buf ~dest));
+          (Slice_lists.waits !space ~buf ~dest));
     List.rev !acc
   in
   let session = Bwg.Session.create ~witness_cap:cap !space in
@@ -502,13 +502,13 @@ let first_read_is_cold ~label rng space =
   State_space.iter_reachable space (fun ~buf ~dest ->
       List.iter
         (fun t -> entries := (buf, dest, t) :: !entries)
-        (State_space.waits space ~buf ~dest));
+        (Slice_lists.waits space ~buf ~dest));
   let session = Bwg.Session.create space in
   let removed = Hashtbl.create 64 in
   let wait_sets ~buf ~dest =
     List.filter
       (fun t -> not (Hashtbl.mem removed (buf, dest, t)))
-      (State_space.waits space ~buf ~dest)
+      (Slice_lists.waits space ~buf ~dest)
   in
   let toggle_some () =
     List.iter
@@ -572,7 +572,7 @@ let live_decides_as_cold ~label rng space =
   State_space.iter_reachable space (fun ~buf ~dest ->
       List.iter
         (fun t -> entries := (buf, dest, t) :: !entries)
-        (State_space.waits space ~buf ~dest));
+        (Slice_lists.waits space ~buf ~dest));
   let entries = Array.of_list (List.rev !entries) in
   let stuck = State_space.stuck_states space in
   let unconnected = if stuck = [] then Bwg.unconnected_states cold else [] in

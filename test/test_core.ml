@@ -41,9 +41,9 @@ let test_space_input_dependence () =
   let b = chan cube2 0 0 Topology.Plus 0 in
   check (Alcotest.list Alcotest.int) "continues dim 1"
     [ chan cube2 1 1 Topology.Plus 0 ]
-    (State_space.outputs space ~buf:b ~dest:3);
+    (Slice_lists.outputs space ~buf:b ~dest:3);
   check (Alcotest.list Alcotest.int) "arrived: no outputs" []
-    (State_space.outputs space ~buf:b ~dest:1)
+    (Slice_lists.outputs space ~buf:b ~dest:1)
 
 let test_space_arrived () =
   let space = State_space.build cube2 Hypercube_wormhole.efa in
@@ -83,7 +83,7 @@ let check_move_graphs label space =
         check
           Alcotest.(list int)
           (label ^ ": moves = outputs")
-          (List.sort_uniq compare (State_space.outputs space ~buf ~dest))
+          (List.sort_uniq compare (Slice_lists.outputs space ~buf ~dest))
           (List.map (fun j -> bufs.(j)) row))
       bufs
   done
@@ -235,7 +235,7 @@ let test_bwg_not_wait_connected_flagged () =
 
 let test_bwg_reduced_wait_sets () =
   let space = State_space.build saf33 Mesh_saf.two_buffer in
-  match State_space.reduced_waits space with
+  match Slice_lists.hint space with
   | None -> Alcotest.fail "hint expected"
   | Some ws ->
     (* the hint as a session's rule, as [Reduction.verify_hint] reads it,
@@ -246,7 +246,7 @@ let test_bwg_reduced_wait_sets () =
         List.iter
           (fun w ->
             if not (List.mem w (ws ~buf ~dest)) then Bwg.Session.remove cut ~buf ~dest w)
-          (State_space.waits space ~buf ~dest));
+          (Slice_lists.waits space ~buf ~dest));
     let want = Cold.bwg ~wait_sets:ws space in
     List.iter
       (fun (name, bwg') ->

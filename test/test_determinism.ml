@@ -120,9 +120,9 @@ let check_space_identical name net algo =
       if
         State_space.is_reachable s1 ~buf ~dest
         <> State_space.is_reachable s4 ~buf ~dest
-        || State_space.outputs s1 ~buf ~dest
-           <> State_space.outputs s4 ~buf ~dest
-        || State_space.waits s1 ~buf ~dest <> State_space.waits s4 ~buf ~dest
+        || Slice_lists.outputs s1 ~buf ~dest
+           <> Slice_lists.outputs s4 ~buf ~dest
+        || Slice_lists.waits s1 ~buf ~dest <> Slice_lists.waits s4 ~buf ~dest
       then Alcotest.failf "%s: state (%d, %d) differs" name buf dest
     done
   done;

@@ -251,7 +251,7 @@ let test_streaming_probe_generated () =
         let tbl = Hashtbl.create 64 in
         State_space.iter_reachable space (fun ~buf ~dest ->
             Hashtbl.replace tbl (buf, dest)
-              (Gen.subset rng (State_space.waits space ~buf ~dest)));
+              (Gen.subset rng (Slice_lists.waits space ~buf ~dest)));
         fun ~buf ~dest -> Option.value (Hashtbl.find_opt tbl (buf, dest)) ~default:[]
       in
       List.iteri
@@ -531,11 +531,11 @@ let prop_validated_cases_same_table =
             (fun dest ->
               let r = reachable ~buf ~dest in
               let same_relation () =
-                State_space.outputs space ~buf ~dest
+                Slice_lists.outputs space ~buf ~dest
                 = List.filter
                     (fun o -> Buf.is_transit (Net.buffer net o))
                     (algo.Algo.route net b ~dest)
-                && State_space.waits space ~buf ~dest = algo.Algo.waits net b ~dest
+                && Slice_lists.waits space ~buf ~dest = algo.Algo.waits net b ~dest
               in
               State_space.is_reachable space ~buf ~dest = r
               && ((not (r && routed b ~dest)) || same_relation ()))
@@ -720,7 +720,7 @@ let suite =
 let removable_entries space =
   let acc = ref [] in
   State_space.iter_reachable space (fun ~buf ~dest ->
-      match State_space.waits space ~buf ~dest with
+      match Slice_lists.waits space ~buf ~dest with
       | _ :: _ :: _ as ws -> List.iteri (fun i _ -> acc := (buf, dest, i) :: !acc) ws
       | _ -> ());
   Array.of_list (List.rev !acc)
@@ -766,7 +766,7 @@ let brute_force_free space entries =
     let wait_sets ~buf ~dest =
       List.filteri
         (fun i _ -> not (Hashtbl.mem out (buf, dest, i)))
-        (State_space.waits space ~buf ~dest)
+        (Slice_lists.waits space ~buf ~dest)
     in
     let connected =
       Array.for_all (fun (buf, dest, _) -> wait_sets ~buf ~dest <> []) entries
@@ -788,7 +788,7 @@ let prop_search_exact =
             Cold.bwg space ~wait_sets:(fun ~buf ~dest ->
                 List.filter
                   (fun target -> not (List.mem { Reduction.head = buf; dest; target } removed))
-                  (State_space.waits space ~buf ~dest))
+                  (Slice_lists.waits space ~buf ~dest))
           in
           if not exists then
             QCheck.Test.fail_report "search found a BWG' brute force did not";

@@ -49,7 +49,7 @@ let test_qb2_never_waited_on () =
   (* the paper's motivating distinction: qB2 may be used but never waited
      on, so no BWG edge targets it *)
   State_space.iter_reachable space (fun ~buf ~dest ->
-      if List.mem qb2 (State_space.waits space ~buf ~dest) then
+      if List.mem qb2 (Slice_lists.waits space ~buf ~dest) then
         Alcotest.fail "qB2 appears in a waiting set");
   check Alcotest.bool "no BWG edge into qB2" true
     (List.for_all

@@ -295,7 +295,7 @@ let multi_wait_state session =
       let v = State_space.dest_view (Incr.space session) ~dest in
       Array.iteri
         (fun i buf ->
-          if !found = None && List.length v.State_space.view_wts.(i) >= 2 then
+          if !found = None && List.length (State_space.row v.State_space.view_wts i) >= 2 then
             found := Some (buf, dest))
         v.State_space.view_bufs
   done;

@@ -280,7 +280,8 @@ let test_kept_dest_moves () =
            Option.map
              (fun i -> (dest, v.State_space.view_bufs.(i)))
              (List.find_opt
-                (fun i -> List.compare_length_with v.State_space.view_wts.(i) 2 >= 0)
+                (fun i ->
+                  List.compare_length_with (State_space.row v.State_space.view_wts i) 2 >= 0)
                 (List.init (Array.length v.State_space.view_bufs) Fun.id)))
          (List.init (State_space.num_nodes space) Fun.id))
   in

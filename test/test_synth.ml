@@ -60,7 +60,7 @@ let bwg_prime_is_cold name (s : Synth.success) =
     Cold.bwg space ~wait_sets:(fun ~buf ~dest ->
         List.filter
           (fun target -> not (List.mem { Reduction.head = buf; dest; target } s.Synth.removed))
-          (State_space.waits space ~buf ~dest))
+          (Slice_lists.waits space ~buf ~dest))
   in
   Option.iter (Alcotest.failf "%s: BWG' vs cold: %s" name) (Cold.diff ~want ~got:(Lazy.force s.Synth.bwg))
 
