@@ -39,13 +39,16 @@ type report = {
    Nothing here reads the order of an adjacency row, which a live BWG's
    may not share with a cold build's (DESIGN.md §9).  The first three
    verdicts return before the knot, cycle-scan and classify stages; Incr
-   calls them its fast path.  [unconnected] is only consulted when
+   calls them its fast path.  The acyclicity test is the
+   [checker.acyclic] stage, zero-duration when a stuck or unconnected
+   state decides first.  [unconnected] is only consulted when
    [stuck] is empty, so callers that already have stuck states may pass
    [[]] for it. *)
 let decide ?cycle_limits ?(domains = 1) ~stuck ~unconnected space bwg =
   let algo = State_space.algo space in
   let n_cycles = ref None in
-  let ran_knot = ref false and ran_scan = ref false and ran_classify = ref false in
+  let ran_acyclic = ref false and ran_knot = ref false in
+  let ran_scan = ref false and ran_classify = ref false in
   let stage ran name f =
     ran := true;
     Obs.span name f
@@ -53,6 +56,7 @@ let decide ?cycle_limits ?(domains = 1) ~stuck ~unconnected space bwg =
   let finish verdict =
     (* every trace carries the full pipeline: stages an early verdict made
        unnecessary appear as zero-duration spans *)
+    if not !ran_acyclic then Obs.span "checker.acyclic" (fun () -> ());
     if not !ran_knot then Obs.span "checker.knot" (fun () -> ());
     if not !ran_scan then Obs.span "checker.cycle-scan" (fun () -> ());
     if not !ran_classify then Obs.span "checker.classify" (fun () -> ());
@@ -64,7 +68,8 @@ let decide ?cycle_limits ?(domains = 1) ~stuck ~unconnected space bwg =
     match unconnected with
     | _ :: _ as states -> finish (Deadlock_possible (Not_wait_connected states))
     | [] ->
-      if Bwg.is_acyclic bwg then finish (Deadlock_free Acyclic_bwg)
+      if stage ran_acyclic "checker.acyclic" (fun () -> Bwg.is_acyclic bwg) then
+        finish (Deadlock_free Acyclic_bwg)
       else (
         (* Cheap polynomial knot test: a set of mutually blocking
            single-buffer packets survives in every BWG', so it is a

@@ -81,13 +81,15 @@ val decide :
   report
 (** The verdict pipeline downstream of the BWG build — exactly the code
     {!check} runs after constructing [space] and [bwg], exposed for the
-    incremental re-checker, which maintains the stuck / wait-connectivity
-    state lists and the BWG per destination and hands them over here
-    (the BWG as its session's live {!Bwg.Session.bwg}).  No stage reads
-    the order of an adjacency row, so a live BWG decides as a cold build
-    of the same wait sets does.  [Stuck_states], [Not_wait_connected]
-    and [Acyclic_bwg] return before the knot, cycle-scan and classify
-    stages, which then appear as zero-duration spans.  [stuck] and
+    incremental re-checker, which reads the stuck and wait-less states
+    its state table records and keeps the BWG per destination, and hands
+    them over here (the BWG as its session's live {!Bwg.Session.bwg}).
+    No stage reads the order of an adjacency row, so a live BWG decides
+    as a cold build of the same wait sets does.  The acyclicity test is
+    the [checker.acyclic] stage; [Stuck_states] and [Not_wait_connected]
+    return before it, and they and [Acyclic_bwg] before the knot,
+    cycle-scan and classify stages, which then appear as zero-duration
+    spans.  [stuck] and
     [unconnected] must be what {!State_space.stuck_states} and
     {!Bwg.unconnected_states} would return (reachable-iteration order);
     [unconnected] is only consulted when [stuck] is empty, so callers

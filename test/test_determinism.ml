@@ -160,15 +160,18 @@ let test_space_sparse () =
 
 (* ---- scratch hygiene: each domain's BFS scratch outlives a raise ---- *)
 
-(* [algo] whose BFS raises at the first channel state it routes, once the
-   destination's injection states are routed and their outputs seen *)
-let raising (algo : Algo.t) =
-  {
-    algo with
-    Algo.route =
-      (fun net b ~dest ->
-        if Buf.is_injection b then algo.Algo.route net b ~dest else failwith "planted");
-  }
+(* [algo] whose BFS raises at the first transit state it routes, once
+   the destination's injection states are routed and their rows written:
+   in [route], in [waits] (that state's output row is then written too)
+   or in the hint *)
+let raising ~at (algo : Algo.t) =
+  let planted f net b ~dest =
+    if Buf.is_injection b then f net b ~dest else failwith "planted"
+  in
+  match at with
+  | `Route -> { algo with Algo.route = planted algo.Algo.route }
+  | `Waits -> { algo with Algo.waits = planted algo.Algo.waits }
+  | `Hint -> { algo with Algo.reduced_waits = Option.map planted algo.Algo.reduced_waits }
 
 let same_slices label want got =
   for dest = 0 to State_space.num_nodes want - 1 do
@@ -176,33 +179,41 @@ let same_slices label want got =
       Alcotest.failf "%s: destination %d's slice differs from a fresh build" label dest
   done
 
-(* A routing function that raises mid-BFS, in a cold build (every
-   domain's first destination raises) and in a slice rebuild (on the
-   caller and a pool worker), must leave every domain's scratch as a
-   fresh one: the next build and rebuild on those domains equal a build
-   in a domain that never ran one. *)
+(* A routing, waiting or hint function that raises mid-BFS, in a cold
+   build (every domain's first destination raises) and in a slice
+   rebuild (on the caller and a pool worker), must leave every domain's
+   scratch as a fresh one: the next build and rebuild on those domains
+   equal a build in a domain that never ran one, flat rows, move graphs
+   and stuck and wait-less records alike.  The three cases leave rows in
+   each of the scratch's row buffers (outputs, waits, hint). *)
 let test_space_raise_mid_bfs () =
   with_cap 2 @@ fun () ->
-  let net = cube3 and algo = Hypercube_wormhole.efa in
-  let fresh = Domain.join (Domain.spawn (fun () -> State_space.build net algo)) in
-  let planted = Failure "planted" in
   List.iter
-    (fun domains ->
-      let label what = Printf.sprintf "domains %d: %s" domains what in
-      Alcotest.check_raises (label "the build raises") planted (fun () ->
-          ignore (State_space.build ~domains net (raising algo) : State_space.t));
-      let space = State_space.build ~domains net algo in
-      same_slices (label "build after a raising build") fresh space;
-      Dfr_util.Domain_pool.parallel ~domains (fun _ ->
-          Alcotest.check_raises (label "the edit raises") planted (fun () ->
-              ignore
-                (State_space.with_updated_dests space (raising algo) ~dests:[ 1; 6 ]
-                  : State_space.t)));
-      same_slices (label "edit after a raising edit") fresh
-        (State_space.with_updated_dests space algo ~dests:[ 1; 6 ]);
-      same_slices (label "build after a raising edit") fresh
-        (State_space.build ~domains net algo))
-    [ 1; 2 ]
+    (fun (name, net, algo, at) ->
+      let fresh = Domain.join (Domain.spawn (fun () -> State_space.build net algo)) in
+      let planted = Failure "planted" in
+      List.iter
+        (fun domains ->
+          let label what = Printf.sprintf "%s, domains %d: %s" name domains what in
+          Alcotest.check_raises (label "the build raises") planted (fun () ->
+              ignore (State_space.build ~domains net (raising ~at algo) : State_space.t));
+          let space = State_space.build ~domains net algo in
+          same_slices (label "build after a raising build") fresh space;
+          Dfr_util.Domain_pool.parallel ~domains (fun _ ->
+              Alcotest.check_raises (label "the edit raises") planted (fun () ->
+                  ignore
+                    (State_space.with_updated_dests space (raising ~at algo) ~dests:[ 1; 6 ]
+                      : State_space.t)));
+          same_slices (label "edit after a raising edit") fresh
+            (State_space.with_updated_dests space algo ~dests:[ 1; 6 ]);
+          same_slices (label "build after a raising edit") fresh
+            (State_space.build ~domains net algo))
+        [ 1; 2 ])
+    [
+      ("efa route", cube3, Hypercube_wormhole.efa, `Route);
+      ("efa waits", cube3, Hypercube_wormhole.efa, `Waits);
+      ("two-buffer hint", saf33, Mesh_saf.two_buffer, `Hint);
+    ]
 
 (* ---- end to end: the whole catalogue, byte for byte ---- *)
 

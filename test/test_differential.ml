@@ -542,28 +542,136 @@ let prop_validated_cases_same_table =
             (List.init (Net.num_nodes net) Fun.id))
         (Net.buffers net))
 
-(* (b) one planted fault that leaves the reachable set unchanged — a wait
-   outside the outputs, a duplicated output, or an injection-buffer
-   output — at a random routed (buffer, dest) *)
-type fault = Stray_wait | Dup_output | Injection_output
+(* (a) the facts the BFS records: on generated relations cut to dead
+   ends (no output, hence no wait) at some routed states and to no wait
+   at others, the stuck and wait-less states the table records are a
+   filter over the reference reachable set, after a cold build and after
+   [with_updated_dests] moves the table between the cut relation and
+   the uncut one over the cut destinations.  The dead ends come through
+   [Algo.with_relation], whose waits are its route, so on the relation
+   that waits on every output the BFS routes each state once; the empty
+   waits come through [Algo.with_waits]. *)
+let prop_recorded_facts =
+  QCheck.Test.make ~name:"recorded stuck and wait-less states = the reference BFS"
+    ~count:150 QCheck.small_nat (fun seed ->
+      let rng = Dfr_util.Prng.create (37_000 + seed) in
+      let net, algo = Case.to_net_algo (Gen.case rng ~max_nodes:8) in
+      QCheck.assume (Algo.validate algo net = Ok ());
+      let nn = Net.num_nodes net in
+      let pick_states () =
+        List.filter
+          (fun _ -> Dfr_util.Prng.int rng 6 = 0)
+          (List.concat_map
+             (fun b ->
+               List.filter_map
+                 (fun dest -> if routed b ~dest then Some (Buf.id b, dest) else None)
+                 (List.init nn Fun.id))
+             (Array.to_list (Net.buffers net)))
+      in
+      let dead = pick_states () and idle = pick_states () in
+      let cut =
+        Algo.with_waits
+          (Algo.with_relation algo (fun net b ~dest ->
+               if List.mem (Buf.id b, dest) dead then [] else algo.Algo.route net b ~dest))
+          (fun net b ~dest ->
+            if List.mem (Buf.id b, dest) (dead @ idle) then []
+            else algo.Algo.waits net b ~dest)
+      in
+      (* waiting on every output, uncut and cut *)
+      let full = Algo.with_relation algo algo.Algo.route in
+      let dead_full =
+        Algo.with_relation algo (fun net b ~dest ->
+            if List.mem (Buf.id b, dest) dead then [] else algo.Algo.route net b ~dest)
+      in
+      let expect (a : Algo.t) =
+        let reachable = reference_reachable net a in
+        let states f =
+          List.concat_map
+            (fun b ->
+              List.filter_map
+                (fun dest ->
+                  let buf = Buf.id b in
+                  if reachable ~buf ~dest && routed b ~dest && f b dest then Some (buf, dest)
+                  else None)
+                (List.init nn Fun.id))
+            (Array.to_list (Net.buffers net))
+        in
+        ( states (fun b dest ->
+              not
+                (List.exists
+                   (fun o -> Buf.is_transit (Net.buffer net o))
+                   (a.Algo.route net b ~dest))),
+          states (fun b dest -> a.Algo.waits net b ~dest = []) )
+      in
+      let got space = (State_space.stuck_states space, State_space.waitless_states space) in
+      let dirty = List.sort_uniq compare (List.map snd (dead @ idle)) in
+      List.for_all
+        (fun (from, into) ->
+          got (State_space.build net into) = expect into
+          && got (State_space.with_updated_dests (State_space.build net from) into ~dests:dirty)
+             = expect into)
+        [ (algo, cut); (cut, algo); (full, dead_full); (dead_full, full) ])
+
+(* (b) one planted fault at a random routed (buffer, dest), one for
+   each clause of the contract: a wait outside the outputs, a duplicated
+   output, an injection-buffer output, another node's delivery buffer as
+   an output, an output channel not adjacent to the head node, and a
+   hint entry outside the waits (the planted algorithm then carries a
+   hint, its waits everywhere else).  Only the non-adjacent output is a
+   transit buffer; states it makes reachable route as the accepted
+   relation does. *)
+type fault =
+  | Stray_wait
+  | Dup_output
+  | Injection_output
+  | Foreign_delivery
+  | Not_adjacent
+  | Stray_hint
+
+(* the faults [plant] can plant at (buf, dest): a non-adjacent output
+   needs a channel leaving another node *)
+let faults net ~buf =
+  let head = Buf.head_node (Net.buffer net buf) in
+  let far b = match Buf.kind b with Buf.Channel { src; _ } -> src <> head | _ -> false in
+  [ Stray_wait; Dup_output; Injection_output; Foreign_delivery; Stray_hint ]
+  @ if Array.exists far (Net.buffers net) then [ Not_adjacent ] else []
 
 let plant (algo : Algo.t) net ~buf ~dest fault =
   let at b d = Buf.id b = buf && d = dest in
+  let outside l =
+    List.find (fun x -> not (List.mem x l)) (List.init (Net.num_buffers net) Fun.id)
+  in
   match fault with
   | Stray_wait ->
-    let route = algo.Algo.route net (Net.buffer net buf) ~dest in
-    let stray =
-      List.find (fun x -> not (List.mem x route)) (List.init (Net.num_buffers net) Fun.id)
-    in
+    let stray = outside (algo.Algo.route net (Net.buffer net buf) ~dest) in
     { algo with
       Algo.waits =
         (fun net b ~dest:d ->
           let ws = algo.Algo.waits net b ~dest:d in
           if at b d then ws @ [ stray ] else ws) }
-  | Dup_output | Injection_output ->
+  | Stray_hint ->
+    let stray = outside (algo.Algo.waits net (Net.buffer net buf) ~dest) in
+    { algo with
+      Algo.reduced_waits =
+        Some
+          (fun net b ~dest:d ->
+            let ws = algo.Algo.waits net b ~dest:d in
+            if at b d then ws @ [ stray ] else ws) }
+  | Dup_output | Injection_output | Foreign_delivery | Not_adjacent ->
+    let head = Buf.head_node (Net.buffer net buf) in
     let extra route =
       match (fault, route) with
       | Dup_output, o :: _ -> [ o ]
+      | Foreign_delivery, _ ->
+        [ Buf.id (Net.delivery net ((dest + 1) mod Net.num_nodes net)) ]
+      | Not_adjacent, _ ->
+        [
+          Buf.id
+            (List.find
+               (fun b ->
+                 match Buf.kind b with Buf.Channel { src; _ } -> src <> head | _ -> false)
+               (Array.to_list (Net.buffers net)));
+        ]
       | _ -> [ Buf.id (Net.injection net 0) ]
     in
     { algo with
@@ -589,7 +697,7 @@ let prop_planted_fault =
           (Array.to_list (Net.buffers net))
       in
       let buf, dest = Dfr_util.Prng.pick rng states in
-      let fault = Dfr_util.Prng.pick rng [ Stray_wait; Dup_output; Injection_output ] in
+      let fault = Dfr_util.Prng.pick rng (faults net ~buf) in
       let bad = plant algo net ~buf ~dest fault in
       let sweep =
         match Algo.validate bad net with
@@ -612,6 +720,37 @@ let test_planted_faults () =
     (Printf.sprintf "both outcomes planted (%d reachable, %d unreachable)" r u)
     true
     (r > 0 && u > 0)
+
+(* (b) the predicate the BFS runs on every state it routes: on a
+   generated relation with one planted fault, at every routed state,
+   [Algo.state_ok] is false exactly where [Algo.state_problems] reports
+   something, the planted state included *)
+let prop_state_ok_iff_problems =
+  QCheck.Test.make ~name:"the contract predicate fails exactly where problems are found"
+    ~count:200 QCheck.small_nat (fun seed ->
+      let rng = Dfr_util.Prng.create (36_000 + seed) in
+      let net, algo = Case.to_net_algo (Gen.case rng ~max_nodes:8) in
+      let states =
+        List.concat_map
+          (fun b ->
+            List.filter_map
+              (fun dest -> if routed b ~dest then Some (Buf.id b, dest) else None)
+              (List.init (Net.num_nodes net) Fun.id))
+          (Array.to_list (Net.buffers net))
+      in
+      let buf, dest = Dfr_util.Prng.pick rng states in
+      let bad = plant algo net ~buf ~dest (Dfr_util.Prng.pick rng (faults net ~buf)) in
+      let ok (buf, dest) =
+        let b = Net.buffer net buf in
+        let outputs = bad.Algo.route net b ~dest and waits = bad.Algo.waits net b ~dest in
+        let reduced_waits = Option.map (fun rw -> rw net b ~dest) bad.Algo.reduced_waits in
+        let ok = Algo.state_ok net b ~dest ~outputs ~waits ~reduced_waits in
+        if ok <> (Algo.state_problems net b ~dest ~outputs ~waits ~reduced_waits = []) then
+          QCheck.Test.fail_reportf "state (%d, %d): the predicate says %b" buf dest ok;
+        ok
+      in
+      List.iter (fun st -> ignore (ok st : bool)) states;
+      not (ok (buf, dest)))
 
 (* (b) order: with every routed state malformed (its first output
    repeated), the rejection is the sweep's message over exactly the
@@ -699,8 +838,10 @@ let suite =
       Alcotest.test_case "accepted catalogue relations reproduce the goldens" `Quick
         test_validated_catalogue_same_reports;
       QCheck_alcotest.to_alcotest prop_validated_cases_same_table;
+      QCheck_alcotest.to_alcotest prop_recorded_facts;
       Alcotest.test_case "planted faults refused iff reachable" `Quick
         test_planted_faults;
+      QCheck_alcotest.to_alcotest prop_state_ok_iff_problems;
       Alcotest.test_case "rejections list reachable problems in sweep order" `Quick
         test_rejection_order;
       Alcotest.test_case "corruption on an unreachable state still checks" `Quick

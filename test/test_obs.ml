@@ -181,15 +181,15 @@ let test_trace_exports_valid_json () =
           if not (List.mem stage names) then
             Alcotest.failf "trace lacks stage span %S" stage)
         [
-          "space.build"; "bwg.build"; "bwg.closure"; "bwg.bucket"; "checker.knot";
-          "checker.cycle-scan"; "checker.classify";
+          "space.build"; "bwg.build"; "bwg.closure"; "bwg.bucket"; "checker.acyclic";
+          "checker.knot"; "checker.cycle-scan"; "checker.classify";
         ])
 
 (* An Incr verdict is Checker.decide's, so an update's trace carries
    the same stage skeleton a cold check's does, on both paths: a fast
-   (Theorem 1) re-verdict records the knot, cycle-scan and classify
-   stages as zero-duration spans, and a replay (a knot) runs the first
-   and records the others. *)
+   (Theorem 1) re-verdict runs the acyclicity stage and records the
+   knot, cycle-scan and classify stages as zero-duration spans, and a
+   replay (a knot) runs the first two and records the others. *)
 let test_incr_stage_skeleton () =
   List.iter
     (fun (name, path, counter) ->
@@ -209,8 +209,57 @@ let test_incr_stage_skeleton () =
             (Printf.sprintf "%s: one %s span" name stage)
             (Some 1)
             (Option.map fst (List.assoc_opt stage spans)))
-        [ "incr.update"; "checker.knot"; "checker.cycle-scan"; "checker.classify" ])
+        [
+          "incr.update";
+          "checker.acyclic";
+          "checker.knot";
+          "checker.cycle-scan";
+          "checker.classify";
+        ])
     [ ("ecube", Incr.Fast, "incr.fast"); ("efa-relaxed", Incr.Replay, "incr.replay") ]
+
+(* Every millisecond of a check in a stage: on the 6,336-buffer
+   dragonfly the spans directly under checker.check (the state-space
+   BFS, the BWG build and decide's stages) cover at least 95 % of it,
+   the median of three in-process checks. *)
+let test_check_covered_by_stages () =
+  let e = Option.get (Registry.find "dragonfly-minimal") in
+  let topo = Result.get_ok (Dfr_topology.Topology.of_string "dragonfly:8x4x33") in
+  let net = Registry.network_for e (Some topo) in
+  let coverage () =
+    Obs.enable ();
+    ignore (Checker.check net e.Registry.algo : Checker.report);
+    let events = Option.bind (Json.member "traceEvents" (Obs.trace_json ())) Json.to_list in
+    Obs.disable ();
+    let spans =
+      List.filter_map
+        (fun ev ->
+          match
+            ( Json.member "name" ev,
+              Json.member "ts" ev,
+              Json.member "dur" ev,
+              Option.bind (Json.member "args" ev) (Json.member "depth") )
+          with
+          | Some (Json.String n), Some (Json.Float ts), Some (Json.Float dur), Some (Json.Int d)
+            ->
+            Some (n, ts, dur, d)
+          | _ -> None)
+        (Option.value events ~default:[])
+    in
+    match List.filter (fun (n, _, _, _) -> n = "checker.check") spans with
+    | [ (_, ts, dur, depth) ] ->
+      let children =
+        List.filter (fun (_, t, _, d) -> d = depth + 1 && t >= ts && t <= ts +. dur) spans
+      in
+      List.fold_left (fun acc (_, _, d, _) -> acc +. d) 0. children /. dur
+    | _ -> Alcotest.fail "expected one checker.check span"
+  in
+  let runs = List.sort Float.compare (List.init 3 (fun _ -> coverage ())) in
+  let median = List.nth runs 1 in
+  check Alcotest.bool
+    (Printf.sprintf "stages cover %.1f %% of checker.check (median of three)"
+       (100. *. median))
+    true (median >= 0.95)
 
 (* An Incr edit's work is attributed inside its incr.update span: the
    slice swap under space.update, and every count move under bwg.patch.
@@ -447,4 +496,6 @@ let suite =
       test_incr_update_spans;
     Alcotest.test_case "a kept destination moves only its changed heads" `Quick
       test_kept_dest_moves;
+    Alcotest.test_case "checker.check's stages cover 95 % of it" `Quick
+      test_check_covered_by_stages;
   ]
