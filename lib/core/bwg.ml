@@ -270,12 +270,12 @@ let edge_pass ~witness_cap graph space groups (rules : State_space.rows array) l
     for d = 0 to Array.length groups - 1 do
       let { first; heads } = groups.(d) in
       let bufs = (State_space.dest_view space ~dest:d).State_space.view_bufs in
-      let { State_space.first = at; items } = rules.(d) and flags = live.(d) in
+      let { State_space.first = row; items } = rules.(d) and flags = live.(d) in
       for i = 0 to Array.length first - 2 do
         let q1 = bufs.(i) in
         for j = first.(i) to first.(i + 1) - 1 do
           let h = heads.(j) in
-          for p = at.(h) to at.(h + 1) - 1 do
+          for p = row.(h) to row.(h + 1) - 1 do
             if live_at flags p then f q1 items.(p)
           done
         done

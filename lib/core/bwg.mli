@@ -132,11 +132,16 @@ val fold_cycles :
     stop the enumeration early ({!Dfr_graph.Cycles.fold_rows}). *)
 
 val unconnected_states : ?domains:int -> t -> (int * int) list
-(** Reachable, unarrived, non-delivery states whose waiting set under
-    [wait_sets] is empty.  The algorithm is wait-connected for this graph
-    iff the list is empty (§3: every loss-less algorithm must be).
-    [domains] parallelizes the scan over the shared pool; the list is
-    identical to the serial scan's
+(** Reachable, unarrived states whose waiting set in this graph is
+    empty, in {!State_space.iter_reachable} order.  The algorithm is
+    wait-connected for this graph iff the list is empty (§3: every
+    loss-less algorithm must be).  A {!build}'s wait sets are the
+    algorithm's, so it reads the state table's wait-less record
+    ({!State_space.waitless_states}, O(nodes)) and scans nothing, as
+    does a {!replay} without [wait_sets].  A {!Session.bwg}, whose live
+    sets may have lost entries, and a {!replay} under a custom rule scan
+    their wait sets; [domains] parallelizes that scan over the shared
+    pool, and the list is identical to the serial scan's
     ({!State_space.filter_reachable}). *)
 
 val is_wait_connected : t -> bool
@@ -151,7 +156,12 @@ val to_dot : t -> string
     sequence of BWGs, each a few destinations' slices away from the last.
     A session serves both.  It owns the live wait sets of one state
     space: {!Session.remove} and {!Session.restore} change single entries
-    and {!Session.update} replaces whole destinations' slices.
+    and {!Session.update} replaces whole destinations' slices.  The rule
+    is kept as rows over each slice's positions (for the algorithm's
+    rule, the slice's own wait rows) and the live sets as one flag per
+    rule entry, in rule order; a destination gets its flags when one of
+    its entries first changes, so a session that changes none allocates
+    nothing per state for them.
 
     The continuation closures run once per destination, on the first
     read: routes are fixed between slice replacements, so a destination's
@@ -192,13 +202,14 @@ module Session : sig
       True for a target outside the rule and for an unreachable state. *)
 
   val remove : t -> buf:int -> dest:int -> int -> unit
-  (** Drops one live entry of a reachable state.  Raises
-      [Invalid_argument] when the state is unreachable or has no live
-      entry [target]. *)
+  (** Drops one live entry of a reachable state (the first live copy,
+      should the rule repeat [target]).  Raises [Invalid_argument] when
+      the state is unreachable or has no live entry [target]. *)
 
   val restore : t -> buf:int -> dest:int -> int -> unit
-  (** Re-admits one removed entry, at its place in the rule.  Raises
-      [Invalid_argument] when there is none to re-admit. *)
+  (** Re-admits one removed entry, at its place in the rule (the first
+      removed copy).  Raises [Invalid_argument] when there is none to
+      re-admit. *)
 
   val update : t -> State_space.t -> dests:int list -> int
   (** [update s space ~dests] moves the session to [space], a
