@@ -793,15 +793,7 @@ module Session = struct
   (* the reachable states with no live entry, scanned *)
   let unconnected s domains =
     State_space.filter_reachable ~domains s.space (fun ~buf ~dest ->
-        (not (State_space.arrived s.space ~buf ~dest))
-        &&
-        let i = find s ~buf ~dest in
-        let { State_space.first; _ } = s.base.(dest) and flags = s.live.(dest) in
-        let none = ref true in
-        for p = first.(i) to first.(i + 1) - 1 do
-          if live_at flags p then none := false
-        done;
-        !none)
+        (not (State_space.arrived s.space ~buf ~dest)) && waits s ~buf ~dest = [])
 
   let bwg s : bwg =
     sync s;

@@ -2,12 +2,14 @@
 
     A session holds one {!Bwg.Session} over the checked instance — each
     destination's (occupied buffer, waiting head) groups, a count of live
-    emissions per BWG edge, and the Theorem-1 rank certificate — plus
-    each destination's stuck and wait-unconnected states.  An edit with a
-    known dirty destination frontier ({!Dfr_spec.Diff} for spec edits)
-    replaces only those destinations' slices ({!Bwg.Session.update}) and
-    re-decides: one {!Checker.decide}, the cold pipeline itself, on the
-    session's live BWG ({!Bwg.Session.bwg}), which no BWG copy precedes.
+    emissions per BWG edge, and the Theorem-1 rank certificate — over
+    its state table, whose slices record their stuck and wait-less
+    states.  An edit with a known dirty destination frontier
+    ({!Dfr_spec.Diff} for spec edits) replaces only those destinations'
+    slices ({!State_space.with_updated_dests}, records included, then
+    {!Bwg.Session.update}) and re-decides: one {!Checker.decide}, the
+    cold pipeline itself, on those records and the session's live BWG
+    ({!Bwg.Session.bwg}), which no BWG copy precedes.
     Stuck states, a wait-unconnected state and an acyclic BWG (Theorem 1,
     read off the session's rank) are decided in O(edit), before any
     cycle work; anything else goes on to the knot search and the cycle

@@ -257,7 +257,7 @@ let build_slice net algo ~num_nodes ~hint sc dest =
       let before = !n_outs in
       n_outs := push_outs before route;
       if !n_outs = before then stuck := buf :: !stuck;
-      if waits = [] then waitless := buf :: !waitless;
+      if List.is_empty waits then waitless := buf :: !waitless;
       n_wts := push_list wts !n_wts waits;
       match reduced_waits with
       | Some rw -> n_red := push_list red !n_red rw
