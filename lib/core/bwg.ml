@@ -38,8 +38,8 @@ let witnesses t q1 q2 =
 
 (* A waiting rule is one set of rows per destination over its slice's
    positions ([State_space.rows], buffer ids in rule order): the slice's
-   own wait rows for the algorithm's rule, so reading it allocates
-   nothing.  A session narrows a rule by one flag per entry; [all_live]
+   own wait rows for the algorithm's rule, or its hint rows for the
+   hint, so reading either allocates nothing.  A session narrows a rule by one flag per entry; [all_live]
    stands for every entry live, so a destination none of whose entries
    changed has no flags at all. *)
 let all_live = Bytes.empty
@@ -551,11 +551,13 @@ let to_dot t =
 module Session = struct
   type bwg = t
 
+  type rule = Waits | Hint | Sets of wait_sets
+
   type t = {
     mutable space : State_space.t;
     witness_cap : int;
     domains : int;
-    rule : wait_sets option; (* [None]: the algorithm's waiting sets *)
+    rule : rule;
     base : State_space.rows array; (* per dest: the rule's rows *)
     live : Bytes.t array;
         (* per dest: a flag per entry of [base], or [all_live] until one
@@ -574,18 +576,21 @@ module Session = struct
   }
 
   let rule_of rule space dest =
-    match rule with
-    | None -> (State_space.dest_view space ~dest).State_space.view_wts
-    | Some ws -> rows_of_sets ws space dest
+    let v = State_space.dest_view space ~dest in
+    match (rule, v.State_space.view_hint) with
+    | Waits, _ -> v.State_space.view_wts
+    | Hint, Some rows -> rows
+    | Hint, None -> invalid_arg "Bwg.Session: the space carries no reduced_waits hint"
+    | Sets ws, _ -> rows_of_sets ws space dest
 
-  let create ?(witness_cap = 32) ?waits ?(domains = 1) space =
+  let create ?(witness_cap = 32) ?(rule = Waits) ?(domains = 1) space =
     let n = State_space.num_nodes space in
     {
       space;
       witness_cap = max 1 witness_cap;
       domains;
-      rule = waits;
-      base = Array.init n (rule_of waits space);
+      rule;
+      base = Array.init n (rule_of rule space);
       live = Array.make n all_live;
       groups = Array.make n no_groups;
       captured = false;

@@ -183,11 +183,19 @@ module Session : sig
   type bwg := t
   type t
 
-  val create : ?witness_cap:int -> ?waits:wait_sets -> ?domains:int -> State_space.t -> t
-  (** A session over the waiting rule [waits] (default: the algorithm's
-      waiting sets), every entry live.  Cheap: nothing is derived before
-      the first read, whose closures [domains] fans out over the pool as
-      {!build} does.  [witness_cap] as for {!build}. *)
+  (** A session's waiting rule, read per destination as rows. *)
+  type rule =
+    | Waits  (** the algorithm's waiting sets: the slices' wait rows *)
+    | Hint
+        (** the algorithm's [reduced_waits] hint: the slices' hint rows,
+            which a space built without a hint lacks ([Invalid_argument]) *)
+    | Sets of wait_sets  (** any other rule, turned into rows *)
+
+  val create : ?witness_cap:int -> ?rule:rule -> ?domains:int -> State_space.t -> t
+  (** A session over the waiting rule [rule] (default [Waits]), every
+      entry live.  Cheap: nothing is derived before the first read, whose
+      closures [domains] fans out over the pool as {!build} does.
+      [witness_cap] as for {!build}. *)
 
   val space : t -> State_space.t
   (** The current state space: the one given to {!create} or the last

@@ -145,7 +145,7 @@ let check ?cycle_limits ?(domains = 1) net algo =
   Obs.span "checker.check" @@ fun () ->
   let space = State_space.build ~domains net algo in
   let bwg = Bwg.build ~domains space in
-  let stuck = State_space.stuck_states ~domains space in
+  let stuck = State_space.stuck_states space in
   let unconnected =
     if stuck = [] then Bwg.unconnected_states ~domains bwg else []
   in

@@ -70,13 +70,19 @@ let find space =
   done;
   if !config = [] then None else Some !config
 
-(* the buffers of (buf, dest)'s transit outputs; [[]] when unreachable *)
-let outputs space ~buf ~dest =
-  let v = State_space.dest_view space ~dest in
+(* reachable state (buf, dest) has a transit output, and every one is
+   in [bufs] *)
+let blocked_in space bufs ~buf ~dest =
   let i = State_space.index space ~buf ~dest in
-  if i < 0 then []
-  else
-    List.map (Array.get v.State_space.view_bufs) (State_space.row v.State_space.view_outs i)
+  i >= 0
+  &&
+  let v = State_space.dest_view space ~dest in
+  let { State_space.first; items } = v.State_space.view_outs in
+  let ok = ref (first.(i) < first.(i + 1)) in
+  for p = first.(i) to first.(i + 1) - 1 do
+    if not (List.mem v.State_space.view_bufs.(items.(p)) bufs) then ok := false
+  done;
+  !ok
 
 let verify space config =
   let net = State_space.net space in
@@ -87,12 +93,9 @@ let verify space config =
   distinct && config <> []
   && List.for_all
        (fun (buf, dest) ->
-         let outs = outputs space ~buf ~dest in
          Buf.is_transit (Net.buffer net buf)
-         && State_space.is_reachable space ~buf ~dest
          && (not (State_space.arrived space ~buf ~dest))
-         && outs <> []
-         && List.for_all (fun o -> List.mem o bufs) outs)
+         && blocked_in space bufs ~buf ~dest)
        config
 
 let pp net fmt config =

@@ -54,16 +54,7 @@ let verify_hint ?cycle_limits space =
   | None -> None
   | Some _ ->
     Obs.span "reduction.verify-hint" @@ fun () ->
-    (* the slices' hint rows: the hint filtered to reachable states *)
-    let hint ~buf ~dest =
-      match
-        ( (State_space.dest_view space ~dest).State_space.view_hint,
-          State_space.index space ~buf ~dest )
-      with
-      | Some rows, i when i >= 0 -> State_space.row rows i
-      | _ -> []
-    in
-    let bwg = Bwg.Session.bwg (Bwg.Session.create ~waits:hint space) in
+    let bwg = Bwg.Session.bwg (Bwg.Session.create ~rule:Bwg.Session.Hint space) in
     if not (Bwg.is_wait_connected bwg) then
       Some (Gave_up "reduced-waits hint is not wait-connected")
     else (

@@ -458,7 +458,7 @@ let recorded t pick =
   done;
   List.map (fun k -> (k / nn, k mod nn)) (List.sort Int.compare !keys)
 
-let stuck_states ?domains:_ t = recorded t (fun s -> s.view_stuck)
+let stuck_states t = recorded t (fun s -> s.view_stuck)
 let waitless_states t = recorded t (fun s -> s.view_waitless)
 
 let describe_state t (buf, dest) =

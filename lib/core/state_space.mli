@@ -138,12 +138,11 @@ val filter_reachable :
     concurrently — safe for table reads, which is all the scan
     predicates do). *)
 
-val stuck_states : ?domains:int -> t -> (int * int) list
+val stuck_states : t -> (int * int) list
 (** Reachable states that are neither arrived nor have any output: the
     routing relation dead-ends there (a malformed algorithm).  Read off
     the slices' [view_stuck] records in O(nodes + result), in
-    [iter_reachable] order; [domains] is accepted for callers that pass
-    one and changes nothing. *)
+    [iter_reachable] order. *)
 
 val waitless_states : t -> (int * int) list
 (** Reachable states that are not arrived and have an empty waiting set

@@ -156,7 +156,10 @@ let agree ~label ?wait_sets ?(indirect = true) space =
         if indirect then
           [
             ( "session",
-              Bwg.Session.bwg (Bwg.Session.create ~witness_cap:cap ?waits:wait_sets space),
+              Bwg.Session.bwg
+                (Bwg.Session.create ~witness_cap:cap
+                   ?rule:(Option.map (fun ws -> Bwg.Session.Sets ws) wait_sets)
+                   space),
               false );
           ]
         else []

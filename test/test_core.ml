@@ -240,7 +240,7 @@ let test_bwg_reduced_wait_sets () =
   | Some ws ->
     (* the hint as a session's rule, as [Reduction.verify_hint] reads it,
        and the full rule with every entry outside the hint removed *)
-    let hinted = Bwg.Session.bwg (Bwg.Session.create ~waits:ws space) in
+    let hinted = Bwg.Session.bwg (Bwg.Session.create ~rule:Bwg.Session.Hint space) in
     let cut = Bwg.Session.create space in
     State_space.iter_reachable space (fun ~buf ~dest ->
         List.iter

@@ -160,17 +160,17 @@ let test_space_sparse () =
 
 (* ---- scratch hygiene: each domain's BFS scratch outlives a raise ---- *)
 
-(* [algo] whose BFS raises at the first transit state it routes, once
-   the destination's injection states are routed and their rows written:
-   in [route], in [waits] (that state's output row is then written too)
-   or in the hint *)
+(* [algo] whose BFS raises in [route] or in the hint at the first
+   transit state it routes.  A state's rows are written only after all
+   three functions return, so the scratch then holds the injection
+   states' rows, in every row buffer the algorithm uses, and no row of
+   the raising state *)
 let raising ~at (algo : Algo.t) =
   let planted f net b ~dest =
     if Buf.is_injection b then f net b ~dest else failwith "planted"
   in
   match at with
   | `Route -> { algo with Algo.route = planted algo.Algo.route }
-  | `Waits -> { algo with Algo.waits = planted algo.Algo.waits }
   | `Hint -> { algo with Algo.reduced_waits = Option.map planted algo.Algo.reduced_waits }
 
 let same_slices label want got =
@@ -179,12 +179,12 @@ let same_slices label want got =
       Alcotest.failf "%s: destination %d's slice differs from a fresh build" label dest
   done
 
-(* A routing, waiting or hint function that raises mid-BFS, in a cold
-   build (every domain's first destination raises) and in a slice
-   rebuild (on the caller and a pool worker), must leave every domain's
-   scratch as a fresh one: the next build and rebuild on those domains
-   equal a build in a domain that never ran one, flat rows, move graphs
-   and stuck and wait-less records alike.  The three cases leave rows in
+(* A routing or hint function that raises mid-BFS, in a cold build
+   (every domain's first destination raises) and in a slice rebuild (on
+   the caller and a pool worker), must leave every domain's scratch as a
+   fresh one: the next build and rebuild on those domains equal a build
+   in a domain that never ran one, flat rows, move graphs and stuck and
+   wait-less records alike.  Between them the two cases leave rows in
    each of the scratch's row buffers (outputs, waits, hint). *)
 let test_space_raise_mid_bfs () =
   with_cap 2 @@ fun () ->
@@ -211,7 +211,6 @@ let test_space_raise_mid_bfs () =
         [ 1; 2 ])
     [
       ("efa route", cube3, Hypercube_wormhole.efa, `Route);
-      ("efa waits", cube3, Hypercube_wormhole.efa, `Waits);
       ("two-buffer hint", saf33, Mesh_saf.two_buffer, `Hint);
     ]
 
