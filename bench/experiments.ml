@@ -136,10 +136,8 @@ let thm6 () =
   let net = Net.wormhole (Topology.hypercube 2) ~vcs:2 in
   let space = State_space.build net Hypercube_wormhole.efa_relaxed in
   let bwg = Bwg.build space in
-  let cycles, _ = Bwg.cycles bwg in
   (match
-     (Cycle_class.first_true_cycle bwg
-        (List.sort (fun a b -> compare (List.length a) (List.length b)) cycles))
+     (Cycle_class.shortest_first_scan ~obs:"checker" bwg).Cycle_class.scan
        .Cycle_class.found
    with
   | Some (cycle, packets) ->
@@ -267,7 +265,9 @@ let ablations () =
   let (_, t_classify) =
     timed (fun () ->
         Cycle_class.first_true_cycle bwg
-          (List.sort (fun a b -> compare (List.length a) (List.length b)) cycles))
+          (Array.of_list
+             (List.map Array.of_list
+                (List.sort (fun a b -> compare (List.length a) (List.length b)) cycles))))
   in
   Printf.printf
     "knot pre-check on relaxed EFA (2-cube): %.3f ms and %s; without it:\n\

@@ -23,15 +23,6 @@ type t = {
 let space t = t.space
 let graph t = t.graph
 
-(* Successors of [q1] as a strictly ascending array, read straight off the
-   adjacency.  This is the implicit edge relation the cycle queries run
-   on — the BWG is never frozen into a second full CSR copy of its
-   adjacency, which matters once the graph has 10^5 vertices. *)
-let succ_row t q1 =
-  let r = Array.of_list (Digraph.succ t.graph q1) in
-  Array.sort (fun (a : int) b -> compare a b) r;
-  r
-
 let witnesses t q1 q2 =
   let n = Digraph.num_vertices t.graph in
   if q1 < 0 || q1 >= n || q2 < 0 || q2 >= n then [] else t.witnesses q1 q2
@@ -513,13 +504,19 @@ let is_acyclic t = t.acyclic ()
    path, and let it be collected immediately after. *)
 let topological_order t = Traversal.topological_sort_csr (Digraph.freeze t.graph)
 
-let cycles ?limits t =
-  Cycles.enumerate_checked_rows ?limits ~n:(Digraph.num_vertices t.graph)
-    ~row:(succ_row t) ()
-
+(* The cycle queries run on the adjacency itself, read in place: the BWG
+   is never frozen into a second full CSR copy, which matters once the
+   graph has 10^5 vertices. *)
 let fold_cycles ?limits t f init =
-  Cycles.fold_rows ?limits ~n:(Digraph.num_vertices t.graph) ~row:(succ_row t) f
-    init
+  Cycles.fold_rows ?limits ~n:(Digraph.num_vertices t.graph)
+    ~iter_succ:(fun q1 f -> Digraph.iter_succ f t.graph q1)
+    f init
+
+let cycles ?limits t =
+  let cs, exhaustive =
+    fold_cycles ?limits t (fun p cs -> Cycles.Continue (Cycles.path_to_list p :: cs)) []
+  in
+  (List.rev cs, exhaustive)
 
 let unconnected_states ?(domains = 1) t = t.unconnected domains
 

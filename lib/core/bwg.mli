@@ -118,18 +118,20 @@ val topological_order : t -> int list option
 (** A linear buffer ordering proving acyclicity (Theorem 1's certificate),
     if one exists. *)
 
-val cycles : ?limits:Dfr_graph.Cycles.limits -> t -> int list list * bool
-(** Elementary cycles and whether enumeration was exhaustive (false = the
-    cap was hit and cycles may be missing). *)
-
 val fold_cycles :
   ?limits:Dfr_graph.Cycles.limits ->
   t ->
-  (int list -> 'a -> 'a Dfr_graph.Cycles.step) ->
+  (Dfr_graph.Cycles.path -> 'a -> 'a Dfr_graph.Cycles.step) ->
   'a ->
   'a * bool
-(** The cycles of {!cycles}, in the same order, streamed to [f], which may
-    stop the enumeration early ({!Dfr_graph.Cycles.fold_rows}). *)
+(** The elementary cycles, streamed to [f] as path views the moment the
+    search closes them, and whether enumeration was exhaustive (false =
+    the cap was hit and cycles may be missing); [f] may stop the
+    enumeration early ({!Dfr_graph.Cycles.fold_rows}).  Reads the
+    adjacency in place. *)
+
+val cycles : ?limits:Dfr_graph.Cycles.limits -> t -> int list list * bool
+(** The cycles of {!fold_cycles}, in the same order, copied to lists. *)
 
 val unconnected_states : ?domains:int -> t -> (int * int) list
 (** Reachable, unarrived states whose waiting set in this graph is

@@ -79,22 +79,12 @@ let decide ?cycle_limits ?(domains = 1) ~stuck ~unconnected space bwg =
         with
         | Some config -> finish (Deadlock_possible (Knot config))
         | None -> (
-          let cycles, cycles_exhaustive =
-            stage ran_scan "checker.cycle-scan" (fun () ->
-                Bwg.cycles ?limits:cycle_limits bwg)
-          in
-          n_cycles := Some (List.length cycles);
-          Obs.count "checker.cycles.enumerated" (List.length cycles);
+          ran_scan := true;
           ran_classify := true;
-          let scan =
-            Obs.span "checker.classify" @@ fun () ->
-            let scan =
-              Cycle_class.first_true_cycle ~domains bwg
-                (Cycle_class.shortest_first cycles)
-            in
-            Obs.count "checker.cycles.classified" scan.Cycle_class.classified;
-            scan
+          let { Cycle_class.enumerated; cycles_exhaustive; scan } =
+            Cycle_class.shortest_first_scan ?cycle_limits ~domains ~obs:"checker" bwg
           in
+          n_cycles := Some enumerated;
           match scan.Cycle_class.found with
           | Some (cycle, packets) -> (
             match algo.Algo.wait with
@@ -111,7 +101,7 @@ let decide ?cycle_limits ?(domains = 1) ~stuck ~unconnected space bwg =
                         {
                           via_hint = true;
                           removed;
-                          full_bwg_cycles = List.length cycles;
+                          full_bwg_cycles = enumerated;
                         }))
               | _ -> (
                 match fst (Reduction.search ?cycle_limits ~domains space) with
@@ -122,7 +112,7 @@ let decide ?cycle_limits ?(domains = 1) ~stuck ~unconnected space bwg =
                           {
                             via_hint = false;
                             removed;
-                            full_bwg_cycles = List.length cycles;
+                            full_bwg_cycles = enumerated;
                           }))
                 | Reduction.Impossible ->
                   (* exact: the search refuted every wait-connected BWG' *)

@@ -178,17 +178,17 @@ type scan = {
    bit-for-bit the serial one: the reported True Cycle is the one of
    minimal index.  A worker stops at index [i] only once a True Cycle is
    recorded at some index <= i — [i] can then never be the minimum, and
-   every index below the minimum is still classified. *)
+   every index below the minimum is still classified.  Workers only read
+   [cycles]; each builds a list for the cycles it classifies. *)
 let first_true_cycle ?limits ?(domains = 1) bwg cycles =
-  let arr = Array.of_list cycles in
-  let n = Array.length arr in
+  let n = Array.length cycles in
   let verdicts = Array.make n None in
   let best = Atomic.make max_int in
   let n_dom = max 1 (min domains n) in
   let worker k =
     let i = ref k in
     while !i < n && !i < Atomic.get best do
-      let v = classify ?limits bwg arr.(!i) in
+      let v = classify ?limits bwg (Array.to_list cycles.(!i)) in
       verdicts.(!i) <- Some v;
       (match v with
       | True_cycle _ ->
@@ -215,19 +215,69 @@ let first_true_cycle ?limits ?(domains = 1) bwg cycles =
     else
       match verdicts.(i) with
       | Some (True_cycle packets) ->
-        { found = Some (arr.(i), packets); classified = classified + 1; uncertain }
+        {
+          found = Some (Array.to_list cycles.(i), packets);
+          classified = classified + 1;
+          uncertain;
+        }
       | Some (False_resource_cycle { exhaustive }) ->
         collect (uncertain || not exhaustive) (classified + 1) (i + 1)
       | None -> collect uncertain classified (i + 1)
   in
   collect false 0 0
 
-(* each length computed once; the stable sort keeps equal lengths in
-   enumeration order *)
-let shortest_first cycles =
-  List.map (fun c -> (List.length c, c)) cycles
-  |> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
-  |> List.map snd
+(* A stable counting sort by length: the same cycle arrays, shortest
+   first, equal lengths in enumeration order. *)
+let by_length cycles =
+  let longest = Array.fold_left (fun l c -> max l (Array.length c)) 0 cycles in
+  let start = Array.make (longest + 2) 0 in
+  Array.iter (fun c -> start.(Array.length c + 1) <- start.(Array.length c + 1) + 1) cycles;
+  for l = 1 to longest + 1 do
+    start.(l) <- start.(l) + start.(l - 1)
+  done;
+  let sorted = Array.make (Array.length cycles) [||] in
+  Array.iter
+    (fun c ->
+      let l = Array.length c in
+      sorted.(start.(l)) <- c;
+      start.(l) <- start.(l) + 1)
+    cycles;
+  sorted
+
+type full_scan = { enumerated : int; cycles_exhaustive : bool; scan : scan }
+
+(* Every cycle, each stored once as an array of its length, in
+   enumeration order. *)
+let store ?limits bwg =
+  let stored = ref [||] and count = ref 0 in
+  let (), exhaustive =
+    Bwg.fold_cycles ?limits bwg
+      (fun p () ->
+        if !count = Array.length !stored then begin
+          let grown = Array.make (max 64 (2 * !count)) [||] in
+          Array.blit !stored 0 grown 0 !count;
+          stored := grown
+        end;
+        !stored.(!count) <- Dfr_graph.Cycles.path_to_array p;
+        incr count;
+        Dfr_graph.Cycles.Continue ())
+      ()
+  in
+  (Array.sub !stored 0 !count, exhaustive)
+
+let shortest_first_scan ?cycle_limits ?limits ?(domains = 1) ~obs bwg =
+  let cycles, cycles_exhaustive =
+    Obs.span (obs ^ ".cycle-scan") (fun () -> store ?limits:cycle_limits bwg)
+  in
+  let enumerated = Array.length cycles in
+  Obs.count (obs ^ ".cycles.enumerated") enumerated;
+  let scan =
+    Obs.span (obs ^ ".classify") @@ fun () ->
+    let scan = first_true_cycle ?limits ~domains bwg (by_length cycles) in
+    Obs.count (obs ^ ".cycles.classified") scan.classified;
+    scan
+  in
+  { enumerated; cycles_exhaustive; scan }
 
 let inconclusive ~cycles_exhaustive ~uncertain =
   if not cycles_exhaustive then Some "cycle enumeration truncated"

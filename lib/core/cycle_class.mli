@@ -71,19 +71,37 @@ type scan = {
 }
 
 val first_true_cycle :
-  ?limits:limits -> ?domains:int -> Bwg.t -> int list list -> scan
-(** The one True-Cycle scan: classifies the cycles in list order and
-    stops at the first True one.  [domains] (default 1) fans the
+  ?limits:limits -> ?domains:int -> Bwg.t -> int array array -> scan
+(** The one True-Cycle scan: classifies the cycles in array order and
+    stops at the first True one, building a vertex list only for the
+    cycles it classifies.  [domains] (default 1) fans the
     classifications out over that many workers, each under a
-    [checker.classify.worker] span; the result is identical at every
-    [domains]. *)
+    [checker.classify.worker] span; they only read [cycles], and the
+    result is identical at every [domains]. *)
 
-val shortest_first : int list list -> int list list
-(** The cycles shortest first, equal lengths in list order: short cycles
-    are the likeliest True ones, the cheapest to classify, and their
-    witnesses name the fewest wait entries.  The order both
-    {!Checker.decide} and a shortest-first
-    {!Reduction.true_cycle_status} scan. *)
+type full_scan = {
+  enumerated : int;  (** cycles the enumeration stored *)
+  cycles_exhaustive : bool;  (** as {!Bwg.fold_cycles} reports it *)
+  scan : scan;
+}
+
+val shortest_first_scan :
+  ?cycle_limits:Dfr_graph.Cycles.limits ->
+  ?limits:limits ->
+  ?domains:int ->
+  obs:string ->
+  Bwg.t ->
+  full_scan
+(** The eager scan both {!Checker.decide} and a shortest-first
+    {!Reduction.true_cycle_status} run: every cycle up to
+    [cycle_limits], each stored once as an [int array] of its length,
+    then {!first_true_cycle} over them shortest first (a stable counting
+    sort: equal lengths in enumeration order).  Short cycles are the
+    likeliest True ones, the cheapest to classify, and their witnesses
+    name the fewest wait entries.  With [obs] = ["p"], the enumeration
+    runs under a [p.cycle-scan] span and the classification under
+    [p.classify], and the counters [p.cycles.enumerated] and
+    [p.cycles.classified] record the stored and the classified cycles. *)
 
 val inconclusive : cycles_exhaustive:bool -> uncertain:bool -> string option
 (** Why a scan that found no True Cycle proves nothing, or [None] when it

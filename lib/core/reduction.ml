@@ -13,35 +13,38 @@ type outcome =
    hit, with [Checker.decide]'s reason. *)
 let true_cycle_status ?cycle_limits ?class_limits ?(shortest_first = false) bwg
     =
-  let enumerated = ref 0 in
   let (witness, uncertain), cycles_exhaustive =
     if shortest_first then begin
       (* a caller learning blocking clauses from the witness gets the
          tightest clause; sorting needs every cycle *)
-      let cycles, exhaustive = Bwg.cycles ?limits:cycle_limits bwg in
-      enumerated := List.length cycles;
-      let scan =
-        Cycle_class.first_true_cycle ?limits:class_limits bwg
-          (Cycle_class.shortest_first cycles)
+      let { Cycle_class.scan; cycles_exhaustive; _ } =
+        Cycle_class.shortest_first_scan ?cycle_limits ?limits:class_limits
+          ~obs:"reduction" bwg
       in
-      ((scan.Cycle_class.found, scan.Cycle_class.uncertain), exhaustive)
+      ((scan.Cycle_class.found, scan.Cycle_class.uncertain), cycles_exhaustive)
     end
-    else
+    else begin
       (* enumeration order: classify each cycle as Johnson's search
          closes it and end the search at the first True Cycle, which is
          all a Theorem-3 probe needs; a False verdict reached only within
          the caps makes the answer uncertain *)
-      Bwg.fold_cycles ?limits:cycle_limits bwg
-        (fun c (_, uncertain) ->
-          incr enumerated;
-          match Cycle_class.classify ?limits:class_limits bwg c with
-          | Cycle_class.True_cycle packets ->
-            Dfr_graph.Cycles.Stop (Some (c, packets), uncertain)
-          | Cycle_class.False_resource_cycle { exhaustive } ->
-            Dfr_graph.Cycles.Continue (None, uncertain || not exhaustive))
-        (None, false)
+      let enumerated = ref 0 in
+      let status =
+        Bwg.fold_cycles ?limits:cycle_limits bwg
+          (fun p (_, uncertain) ->
+            incr enumerated;
+            let c = Dfr_graph.Cycles.path_to_list p in
+            match Cycle_class.classify ?limits:class_limits bwg c with
+            | Cycle_class.True_cycle packets ->
+              Dfr_graph.Cycles.Stop (Some (c, packets), uncertain)
+            | Cycle_class.False_resource_cycle { exhaustive } ->
+              Dfr_graph.Cycles.Continue (None, uncertain || not exhaustive))
+          (None, false)
+      in
+      Obs.count "reduction.cycles.enumerated" !enumerated;
+      status
+    end
   in
-  Obs.count "reduction.cycles.enumerated" !enumerated;
   match witness with
   | Some w -> Ok (Some w)
   | None -> (

@@ -48,8 +48,10 @@ val true_cycle_status :
     they stream out of {!Bwg.fold_cycles}, and the enumeration stops at
     the first True Cycle.  [shortest_first] enumerates them all and
     classifies shortest cycles first, which gives callers that learn from
-    the witness the tightest one.  Either way the cycles enumerated are
-    counted as [reduction.cycles.enumerated].  {!search} and
+    the witness the tightest one: it is
+    {!Cycle_class.shortest_first_scan} under the [reduction] prefix.
+    Either way the cycles enumerated are counted as
+    [reduction.cycles.enumerated].  {!search} and
     {!verify_hint} use the streaming default; [synth --mode repair] and
     maximality certificates sort shortest first. *)
 

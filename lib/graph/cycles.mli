@@ -27,27 +27,46 @@ val enumerate_checked : ?limits:limits -> Digraph.t -> int list list * bool
 val enumerate_checked_rows :
   ?limits:limits -> n:int -> row:(int -> int array) -> unit -> int list list * bool
 (** Enumerate over an *implicit* graph: [row v] must return the successors
-    of [v] as a strictly ascending, duplicate-free array, and must be
+    of [v] as a duplicate-free array, in any order, and must be
     deterministic (it is called more than once per vertex).  Equivalent to
     building the relation as a {!Digraph.t} and calling
-    {!enumerate_checked} — same cycles, same order — but only the strongly
-    connected cores are ever materialized, so a BWG with 10^5 vertices and
-    a tiny cyclic core scans in O(V + E) time and O(core) extra space. *)
+    {!enumerate_checked} — same cycles, same order.  A copying fold over
+    {!fold_rows}. *)
 
 type 'a step = Continue of 'a | Stop of 'a
+
+type path
+(** A read-only view of the search's path when it closes a cycle: the
+    cycle's vertices, root (its smallest vertex) first.  The engine
+    rewrites it as the search goes on, so a view is valid only until the
+    function it was handed to returns; copy what must outlive that. *)
+
+val path_length : path -> int
+val path_get : path -> int -> int
+(** [path_get p i] is the cycle's [i]-th vertex, [0 <= i < path_length p]. *)
+
+val path_to_array : path -> int array
+val path_to_list : path -> int list
 
 val fold_rows :
   ?limits:limits ->
   n:int ->
-  row:(int -> int array) ->
-  (int list -> 'a -> 'a step) ->
+  iter_succ:(int -> (int -> unit) -> unit) ->
+  (path -> 'a -> 'a step) ->
   'a ->
   'a * bool
-(** The streaming enumerator every function above is built on: hands the
-    cycles {!enumerate_checked_rows} lists, in the same order, to [f] one
-    at a time as the search closes them.  [f] returns [Continue acc] to
-    go on or [Stop acc] to end the enumeration at that cycle, skipping the
-    rest of the search, so stopping after k cycles has seen exactly the
-    first k.  The flag is [false] exactly when the cycle cap ended the
-    enumeration (as in {!enumerate_checked_rows}); a [Stop] leaves it
-    [true]. *)
+(** The one Johnson engine, over an implicit graph of [n] vertices:
+    [iter_succ v f] calls [f] on each successor of [v], duplicate-free
+    and in any order, the same ones on every call.  Each cycle goes to [f]
+    as a {!path} the moment the search closes it, in the order of the
+    classic whole-graph algorithm with ascending rows: roots ascend, and
+    each root's cycles come in depth-first order over ascending
+    successors.  [f] returns [Continue acc] to go on or [Stop acc] to end
+    the enumeration at that cycle, skipping the rest of the search, so
+    stopping after k cycles has seen exactly the first k.  The flag is
+    [false] exactly when the cycle cap ended the enumeration; a [Stop]
+    leaves it [true].
+
+    Space beyond the O(n) scan arrays is O(core): a trivial component's
+    rows are read once and dropped, and only the cycle-capable components
+    are read again, into one sub-CSR. *)

@@ -306,7 +306,8 @@ let test_classify_relaxed_efa_true_cycle () =
   let cycles, exhaustive = Bwg.cycles bwg in
   check Alcotest.bool "cycles enumerated" true (cycles <> []);
   check Alcotest.bool "exhaustive" true exhaustive;
-  let scan = Cycle_class.first_true_cycle bwg cycles in
+  let stored = Array.of_list (List.map Array.of_list cycles) in
+  let scan = Cycle_class.first_true_cycle bwg stored in
   (* the scan answers as a serial classification in list order does, at
      every fan-out *)
   let rec first i = function
@@ -326,7 +327,7 @@ let test_classify_relaxed_efa_true_cycle () =
       check Alcotest.bool
         (Printf.sprintf "same scan at --domains %d" domains)
         true
-        (Cycle_class.first_true_cycle ~domains bwg cycles = scan))
+        (Cycle_class.first_true_cycle ~domains bwg stored = scan))
     [ 2; 4 ];
   match scan.Cycle_class.found with
   | None -> Alcotest.fail "a True Cycle exists (Theorem 6)"
@@ -695,7 +696,11 @@ let test_pair_relaxation_cycle_uses_both_dimensions () =
   let candidates = Dfr_graph.Cycles.enumerate induced in
   check Alcotest.bool "cycles over the pair's B1 channels exist" true
     (candidates <> []);
-  match (Cycle_class.first_true_cycle bwg candidates).Cycle_class.found with
+  match
+    (Cycle_class.first_true_cycle bwg
+       (Array.of_list (List.map Array.of_list candidates)))
+      .Cycle_class.found
+  with
   | Some (cycle, _) ->
     let dims =
       List.sort_uniq compare

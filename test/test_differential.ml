@@ -976,3 +976,60 @@ let test_visit_order () =
 let suite =
   suite
   @ [ Alcotest.test_case "iter_reachable visits sorted state keys" `Quick test_visit_order ]
+
+(* ---------------- the cycle engine against the list reference on BWGs ---------------- *)
+
+(* [Bwg.fold_cycles] reads the adjacency in insertion order; the reference
+   gets the same rows sorted *)
+let engine_agrees ~limits ~stop_at bwg =
+  let g = Bwg.graph bwg in
+  let row v = Array.of_list (List.sort compare (Dfr_graph.Digraph.succ g v)) in
+  Cycles_ref.agrees ~limits ~stop_at ~n:(Dfr_graph.Digraph.num_vertices g) ~row
+    (fun f init -> Bwg.fold_cycles ~limits bwg f init)
+
+let prop_engine_on_generated_bwgs =
+  QCheck.Test.make ~name:"cycle engine = list reference on generated BWGs" ~count:60
+    QCheck.(
+      quad (int_range 0 1_000_000) (int_range 1 2_000) (int_range 1 12) (int_range 0 300))
+    (fun (seed, max_cycles, max_length, stop_at) ->
+      let net, algo =
+        Case.to_net_algo (Gen.case (Dfr_util.Prng.create (9_300_000 + seed)) ~max_nodes:9)
+      in
+      match State_space.build net algo with
+      | exception Invalid_argument _ -> true
+      | space ->
+        let bwg = Bwg.build space in
+        engine_agrees ~limits:{ Dfr_graph.Cycles.max_cycles; max_length } ~stop_at bwg
+        && engine_agrees ~limits:Dfr_graph.Cycles.default_limits ~stop_at:0 bwg)
+
+(* two-buffer on mesh:6x6: the full scan fills the default 10,000-cycle
+   cap; also under a binding length cap, and stopped part way *)
+let test_engine_on_two_buffer () =
+  let e = Option.get (Registry.find "two-buffer") in
+  let topo = Result.get_ok (Dfr_topology.Topology.of_string "mesh:6x6") in
+  let bwg = Bwg.build (State_space.build (Registry.network_for e (Some topo)) e.Registry.algo) in
+  let default = Dfr_graph.Cycles.default_limits in
+  check Alcotest.int "the scan fills the cap" default.Dfr_graph.Cycles.max_cycles
+    (fst
+       (Bwg.fold_cycles bwg (fun _ k -> Dfr_graph.Cycles.Continue (k + 1)) 0));
+  List.iter
+    (fun (limits, stop_at) ->
+      check Alcotest.bool
+        (Printf.sprintf "max_length %d, stop at %d" limits.Dfr_graph.Cycles.max_length
+           stop_at)
+        true
+        (engine_agrees ~limits ~stop_at bwg))
+    [
+      (default, 0);
+      (default, 4_321);
+      ({ default with max_length = 20 }, 0);
+      ({ default with max_length = 12 }, 777);
+    ]
+
+let suite =
+  suite
+  @ [
+      QCheck_alcotest.to_alcotest prop_engine_on_generated_bwgs;
+      Alcotest.test_case "cycle engine = list reference on two-buffer mesh:6x6" `Quick
+        test_engine_on_two_buffer;
+    ]

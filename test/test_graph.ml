@@ -625,10 +625,14 @@ let arbitrary_digraph_loops =
 
 let take k l = List.filteri (fun i _ -> i < k) l
 
+let iter_row row v f = Array.iter f (row v)
+
 (* every cycle, collected through the fold without ever stopping *)
 let collect ?limits ~n ~row () =
   let cs, exhaustive =
-    Cycles.fold_rows ?limits ~n ~row (fun c cs -> Cycles.Continue (c :: cs)) []
+    Cycles.fold_rows ?limits ~n ~iter_succ:(iter_row row)
+      (fun p cs -> Cycles.Continue (Cycles.path_to_list p :: cs))
+      []
   in
   (List.rev cs, exhaustive)
 
@@ -681,9 +685,9 @@ let prop_fold_rows_caps =
       (* a caller's Stop after k cycles has seen exactly the first k *)
       let stopped k =
         let seen, exhaustive =
-          Cycles.fold_rows ~n ~row
-            (fun cy cs ->
-              let cs = cy :: cs in
+          Cycles.fold_rows ~n ~iter_succ:(iter_row row)
+            (fun p cs ->
+              let cs = Cycles.path_to_list p :: cs in
               if List.length cs >= k then Cycles.Stop cs else Cycles.Continue cs)
             []
         in
@@ -697,5 +701,34 @@ let prop_fold_rows_caps =
       && same { Cycles.max_cycles = 2; max_length = 2 }
       && List.for_all stopped (List.init count (fun i -> i + 1)))
 
+(* ---------------- the flat engine against the list reference ---------------- *)
+
+(* random cycle caps, length caps up to the vertex count (binding on most
+   graphs with a long cycle) and a Stop after 0 (never) to 40 cycles; the
+   engine reads each row in descending order, so its own row sort is
+   exercised too *)
+let prop_engine_matches_reference =
+  QCheck.Test.make ~name:"flat engine = list reference at binding caps and stops"
+    ~count:300
+    QCheck.(
+      pair arbitrary_digraph_loops (triple (int_range 1 40) (int_range 1 8) (int_range 0 40)))
+    (fun ((n, es), (max_cycles, max_length, stop_at)) ->
+      let c = Digraph.freeze (Digraph.of_edges n es) in
+      let row v = Array.of_list (Csr.succ c v) in
+      let descending v f =
+        let r = row v in
+        for i = Array.length r - 1 downto 0 do
+          f r.(i)
+        done
+      in
+      let limits = { Cycles.max_cycles; max_length } in
+      Cycles_ref.agrees ~limits ~stop_at ~n ~row (fun f init ->
+          Cycles.fold_rows ~limits ~n ~iter_succ:descending f init))
+
 let suite =
-  suite @ [ qtest prop_fold_rows_order; qtest prop_fold_rows_caps ]
+  suite
+  @ [
+      qtest prop_fold_rows_order;
+      qtest prop_fold_rows_caps;
+      qtest prop_engine_matches_reference;
+    ]
