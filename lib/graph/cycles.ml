@@ -220,7 +220,7 @@ let fold_rows ?(limits = default_limits) ~n ~iter_succ f init =
   let ustack = Array.make s 0 in
   let acc = ref init in
   let found = ref 0 in
-  let capped = ref false in
+  let capped = ref false and cut = ref false in
   let flag a i = Bytes.unsafe_get a i <> '\000' in
   let set a i b = Bytes.unsafe_set a i (if b then '\001' else '\000') in
   let round c lv =
@@ -368,13 +368,19 @@ let fold_rows ?(limits = default_limits) ~n ~iter_succ f init =
           jcur.(k) <- jcur.(k) + 1;
           if flag allowed w then
             if w = lv then begin
-              if !jsp <= limits.max_length then emit ();
+              if !jsp <= limits.max_length then emit () else cut := true;
               set jclosed k true
             end
-            else if (not (flag blocked w)) && !jsp < limits.max_length then begin
-              descend w;
-              pushed := true
-            end
+            else if not (flag blocked w) then
+              if !jsp < limits.max_length then begin
+                descend w;
+                pushed := true
+              end
+              else
+                (* the length cap cuts this branch: [v] may stay blocked
+                   though a longer path through [w] closes, pruning
+                   shorter cycles later *)
+                cut := true
         done;
         if not !pushed then begin
           (* successors exhausted: retire the frame *)
@@ -402,7 +408,7 @@ let fold_rows ?(limits = default_limits) ~n ~iter_succ f init =
        if c <> trivial then round c local.(least)
      done
    with Done -> ());
-  (!acc, not !capped)
+  (!acc, not (!capped || !cut))
 
 let enumerate_checked_rows ?limits ~n ~row () =
   let cs, exhaustive =

@@ -8,7 +8,9 @@
 
 type limits = {
   max_cycles : int;  (** stop after this many cycles *)
-  max_length : int;  (** ignore cycles longer than this many vertices *)
+  max_length : int;
+      (** extend no path past this many vertices, so no longer cycle is
+          reported; a cut makes the enumeration non-exhaustive *)
 }
 
 val default_limits : limits
@@ -20,9 +22,11 @@ val enumerate : ?limits:limits -> Digraph.t -> int list list
     singletons.  Cycles are reported rooted at their smallest vertex. *)
 
 val enumerate_checked : ?limits:limits -> Digraph.t -> int list list * bool
-(** Like {!enumerate}, also reporting whether enumeration was exhaustive
-    ([false] when the cycle cap stopped it early; length-capped cycles are
-    silently skipped either way). *)
+(** Like {!enumerate}, also reporting whether enumeration was exhaustive:
+    [false] when the cycle cap stopped it early, or when the length cap
+    cut a branch.  A cut vertex stays blocked as if its branch closed no
+    cycle, which can also hide shorter cycles through it, so a cut
+    enumeration has not seen every cycle of any length. *)
 
 val enumerate_checked_rows :
   ?limits:limits -> n:int -> row:(int -> int array) -> unit -> int list list * bool
@@ -64,8 +68,11 @@ val fold_rows :
     successors.  [f] returns [Continue acc] to go on or [Stop acc] to end
     the enumeration at that cycle, skipping the rest of the search, so
     stopping after k cycles has seen exactly the first k.  The flag is
-    [false] exactly when the cycle cap ended the enumeration; a [Stop]
-    leaves it [true].
+    [false] exactly when the cycle cap ended the enumeration or the
+    length cap cut a branch before it ended (as in
+    {!enumerate_checked}); a [Stop] leaves it [true] otherwise.  When it
+    is [true] without a [Stop], every cycle of the graph was handed to
+    [f].
 
     Space beyond the O(n) scan arrays is O(core): a trivial component's
     rows are read once and dropped, and only the cycle-capable components

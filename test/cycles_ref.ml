@@ -1,6 +1,7 @@
 (* The order reference for [Cycles.fold_rows]: Johnson's algorithm as the
    library ran it before its flat engine, kept here unchanged apart from
-   qualified names.  It recurses, holds B-sets as lists deduplicated with
+   qualified names and its flag, which a branch cut by the length cap
+   makes [false] as the engine's does.  It recurses, holds B-sets as lists deduplicated with
    [List.mem], rebuilds a vertex list per cycle, and hands [f] those
    lists.  The engine must give the same cycles in the same order, with
    the same [Stop] behaviour and flag, at every cap. *)
@@ -108,7 +109,7 @@ let fold_rows ?(limits = Cycles.default_limits) ~n ~row f init =
   (* --- pass 3: Johnson rounds, roots ascending, inside per-SCC sub-CSRs --- *)
   let acc = ref init in
   let found = ref 0 in
-  let capped = ref false in
+  let capped = ref false and cut = ref false in
   (* memoized per-component machinery: (members, local csr, scratch) *)
   let sub = Array.make !comp_count None in
   let subgraph c =
@@ -203,11 +204,14 @@ let fold_rows ?(limits = Cycles.default_limits) ~n ~row f init =
           (fun w ->
             if allowed.(w) then
               if w = lv then begin
-                if !depth <= limits.Cycles.max_length then emit ();
+                if !depth <= limits.Cycles.max_length then emit () else cut := true;
                 closed := true
               end
-              else if (not blocked.(w)) && !depth < limits.Cycles.max_length then
-                if circuit w then closed := true)
+              else if not blocked.(w) then
+                if !depth < limits.Cycles.max_length then begin
+                  if circuit w then closed := true
+                end
+                else cut := true)
           g v;
         if !closed then unblock v
         else
@@ -231,7 +235,7 @@ let fold_rows ?(limits = Cycles.default_limits) ~n ~row f init =
        end
      done
    with Done -> ());
-  (!acc, not !capped)
+  (!acc, not (!capped || !cut))
 
 
 let stepping stop_at k = if k = stop_at then Cycles.Stop k else Cycles.Continue k

@@ -1404,6 +1404,31 @@ let test_no_reduction_under_cycle_cap () =
     (no_reduction ~cycle_limits:capped ());
   check Alcotest.bool "uncapped: the same verdict" true (no_reduction ())
 
+(* A length cap that cuts a branch leaves its vertex blocked as if the
+   branch closed no cycle, so shorter cycles through it are missed; the
+   enumeration is then not exhaustive, and "all cycles False" proves
+   nothing.  This draw deadlocks through a 4-buffer True Cycle; at
+   length caps 2 and 3 no enumerated cycle is True. *)
+let test_length_cap_truncates () =
+  let rng = Dfr_util.Prng.create 9_000_080 in
+  let net, algo = Dfr_fuzz.Case.to_net_algo (Dfr_fuzz.Gen.case rng ~max_nodes:9) in
+  (match Checker.verdict net algo with
+  | Checker.Deadlock_possible (Checker.True_cycle { cycle; _ }) ->
+    check Alcotest.int "a 4-buffer True Cycle" 4 (List.length cycle)
+  | _ -> Alcotest.fail "expected a True Cycle at the default caps");
+  List.iter
+    (fun max_length ->
+      let cycle_limits = { Dfr_graph.Cycles.max_cycles = 10_000; max_length } in
+      match Checker.verdict ~cycle_limits net algo with
+      | Checker.Unknown reason ->
+        check Alcotest.string
+          (Printf.sprintf "max_length %d" max_length)
+          "cycle enumeration truncated" reason
+      | v ->
+        Alcotest.failf "max_length %d: %s" max_length
+          (Format.asprintf "%a" (Checker.pp_verdict net) v))
+    [ 2; 3 ]
+
 let suite =
   suite
   @ [
@@ -1411,4 +1436,6 @@ let suite =
         `Quick test_true_cycle_status_reasons;
       Alcotest.test_case "No_reduction survives a truncated full-BWG scan" `Quick
         test_no_reduction_under_cycle_cap;
+      Alcotest.test_case "a binding length cap makes the scan non-exhaustive" `Quick
+        test_length_cap_truncates;
     ]

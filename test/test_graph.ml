@@ -257,7 +257,14 @@ let test_cycles_length_cap () =
   (* cycles: the 4-cycle, 3<->0 two-cycle *)
   let limits = { Dfr_graph.Cycles.max_cycles = 100; max_length = 2 } in
   let cs = Cycles.enumerate ~limits g in
-  check Alcotest.int "only short cycles" 1 (List.length cs)
+  check Alcotest.int "only short cycles" 1 (List.length cs);
+  (* the cut at 0 -> 1 -> 2 leaves 2 blocked, so [0; 2; 3] is missed too:
+     the enumeration must not claim to be exhaustive *)
+  let g = Digraph.of_edges 4 [ (0, 1); (1, 2); (2, 3); (3, 0); (0, 2) ] in
+  let limits = { Dfr_graph.Cycles.max_cycles = 100; max_length = 3 } in
+  check Alcotest.bool "a cut is not exhaustive" false
+    (snd (Cycles.enumerate_checked ~limits g));
+  check Alcotest.int "uncapped: both cycles" 2 (List.length (Cycles.enumerate g))
 
 let prop_cycles_valid_distinct =
   QCheck.Test.make ~name:"enumerated cycles valid and distinct" ~count:100
@@ -725,10 +732,27 @@ let prop_engine_matches_reference =
       Cycles_ref.agrees ~limits ~stop_at ~n ~row (fun f init ->
           Cycles.fold_rows ~limits ~n ~iter_succ:descending f init))
 
+(* without a cut, Johnson's blocking only prunes branches that close no
+   cycle: a fold that reports exhaustive under a length cap has found
+   every cycle, in the uncapped order *)
+let prop_exhaustive_means_every_cycle =
+  QCheck.Test.make ~name:"an exhaustive flag under a length cap means every cycle"
+    ~count:300 arbitrary_digraph_loops (fun (n, es) ->
+      let c = Digraph.freeze (Digraph.of_edges n es) in
+      let row v = Array.of_list (Csr.succ c v) in
+      List.for_all
+        (fun max_length ->
+          let cs, exhaustive =
+            collect ~limits:{ Cycles.max_cycles = max_int; max_length } ~n ~row ()
+          in
+          (not exhaustive) || cs = plain_dfs_cycles n (Csr.succ c))
+        [ 1; 2; 3 ])
+
 let suite =
   suite
   @ [
       qtest prop_fold_rows_order;
       qtest prop_fold_rows_caps;
       qtest prop_engine_matches_reference;
+      qtest prop_exhaustive_means_every_cycle;
     ]
