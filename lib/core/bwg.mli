@@ -126,7 +126,7 @@ val fold_cycles :
   'a * bool
 (** The elementary cycles, streamed to [f] as path views the moment the
     search closes them, and whether enumeration was exhaustive (false =
-    the cap was hit and cycles may be missing); [f] may stop the
+    a cap cut it short and cycles may be missing); [f] may stop the
     enumeration early ({!Dfr_graph.Cycles.fold_rows}).  Reads the
     adjacency in place. *)
 

@@ -249,21 +249,12 @@ type full_scan = { enumerated : int; cycles_exhaustive : bool; scan : scan }
 (* Every cycle, each stored once as an array of its length, in
    enumeration order. *)
 let store ?limits bwg =
-  let stored = ref [||] and count = ref 0 in
-  let (), exhaustive =
+  let stored, exhaustive =
     Bwg.fold_cycles ?limits bwg
-      (fun p () ->
-        if !count = Array.length !stored then begin
-          let grown = Array.make (max 64 (2 * !count)) [||] in
-          Array.blit !stored 0 grown 0 !count;
-          stored := grown
-        end;
-        !stored.(!count) <- Dfr_graph.Cycles.path_to_array p;
-        incr count;
-        Dfr_graph.Cycles.Continue ())
-      ()
+      (fun p stored -> Dfr_graph.Cycles.Continue (Dfr_graph.Cycles.path_to_array p :: stored))
+      []
   in
-  (Array.sub !stored 0 !count, exhaustive)
+  (Array.of_list (List.rev stored), exhaustive)
 
 let shortest_first_scan ?cycle_limits ?limits ?(domains = 1) ~obs bwg =
   let cycles, cycles_exhaustive =

@@ -9,12 +9,6 @@ type 'a step = Continue of 'a | Stop of 'a
    descends and sets [len] when it closes a cycle; callers only read. *)
 type path = { verts : int array; mutable len : int }
 
-let path_length p = p.len
-
-let path_get p i =
-  if i < 0 || i >= p.len then invalid_arg "Cycles.path_get: index out of range";
-  p.verts.(i)
-
 let path_to_array p = Array.sub p.verts 0 p.len
 
 let path_to_list p =

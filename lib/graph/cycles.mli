@@ -45,10 +45,6 @@ type path
     rewrites it as the search goes on, so a view is valid only until the
     function it was handed to returns; copy what must outlive that. *)
 
-val path_length : path -> int
-val path_get : path -> int -> int
-(** [path_get p i] is the cycle's [i]-th vertex, [0 <= i < path_length p]. *)
-
 val path_to_array : path -> int array
 val path_to_list : path -> int list
 

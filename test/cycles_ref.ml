@@ -244,7 +244,7 @@ let stepping stop_at k = if k = stop_at then Cycles.Stop k else Cycles.Continue 
    over the same graph ([row v] ascending) when each stops after
    [stop_at] cycles (never when 0): the same cycles in the same order and
    the same flag.  The reference's cycles are stored as arrays, and the
-   engine's views compared with them as they stream. *)
+   engine's compared with them as they stream. *)
 let agrees ~limits ~stop_at ~n ~row
     (fold : (Cycles.path -> int -> int Cycles.step) -> int -> int * bool) =
   let want = ref [] in
@@ -260,11 +260,8 @@ let agrees ~limits ~stop_at ~n ~row
   let got, got_flag =
     fold
       (fun p k ->
-        (if k >= Array.length want then same := false
-         else
-           let c = want.(k) in
-           if Cycles.path_length p <> Array.length c then same := false
-           else Array.iteri (fun i v -> if Cycles.path_get p i <> v then same := false) c);
+        if k >= Array.length want || Cycles.path_to_array p <> want.(k) then
+          same := false;
         stepping stop_at (k + 1))
       0
   in
