@@ -710,10 +710,9 @@ let prop_fold_rows_caps =
 
 (* ---------------- the flat engine against the list reference ---------------- *)
 
-(* random cycle caps, length caps up to the vertex count (binding on most
-   graphs with a long cycle) and a Stop after 0 (never) to 40 cycles; the
-   engine reads each row in descending order, so its own row sort is
-   exercised too *)
+(* random cycle caps, length caps 1-8 (binding on most graphs with a long
+   cycle) and a Stop after 0 (never) to 40 cycles; the engine reads each
+   row in descending order, so its own row sort is exercised too *)
 let prop_engine_matches_reference =
   QCheck.Test.make ~name:"flat engine = list reference at binding caps and stops"
     ~count:300
