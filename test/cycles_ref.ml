@@ -1,10 +1,11 @@
 (* The order reference for [Cycles.fold_rows]: Johnson's algorithm as the
    library ran it before its flat engine, kept here unchanged apart from
    qualified names and its flag, which a branch cut by the length cap
-   makes [false] as the engine's does.  It recurses, holds B-sets as lists deduplicated with
-   [List.mem], rebuilds a vertex list per cycle, and hands [f] those
-   lists.  The engine must give the same cycles in the same order, with
-   the same [Stop] behaviour and flag, at every cap. *)
+   makes [false] as the engine's does.  It recurses, holds B-sets as
+   lists deduplicated with [List.mem], rebuilds a vertex list per cycle,
+   and hands [f] those lists.  The engine must give the same cycles in
+   the same order, with the same [Stop] behaviour and flag, at every
+   cap. *)
 
 open Dfr_graph
 
