@@ -10,9 +10,9 @@ type witness = { dest : int; head : int }
 type t = {
   space : State_space.t;
   graph : Digraph.t;
-  witnesses : int -> int -> witness list;
-      (* of q1 -> q2, both in range: [derive] over kept groups, or the
-         reference recorder's cell *)
+  witnesses : int -> int -> witness list * bool;
+      (* of q1 -> q2, both in range, and whether none was cut: [derive]
+         over kept groups, or the reference recorder's cell *)
   acyclic : unit -> bool;
       (* the Kahn pass over [graph], or a session's kept rank *)
   unconnected : int -> (int * int) list;
@@ -25,7 +25,7 @@ let graph t = t.graph
 
 let witnesses t q1 q2 =
   let n = Digraph.num_vertices t.graph in
-  if q1 < 0 || q1 >= n || q2 < 0 || q2 >= n then [] else t.witnesses q1 q2
+  if q1 < 0 || q1 >= n || q2 < 0 || q2 >= n then ([], true) else t.witnesses q1 q2
 
 (* A waiting rule is one set of rows per destination over its slice's
    positions ([State_space.rows], buffer ids in rule order): the slice's
@@ -317,32 +317,45 @@ let edge_pass ~witness_cap graph space groups (rules : State_space.rows array) l
   in
   (start.(nb), !capped, iter_counts)
 
-(* The witnesses the reference recorder keeps for q1 -> q2, derived from
-   the groups: destinations ascending; in each, q1's groups in emission
-   order, a witness per emission of q2 by the group's head under
-   [rules] narrowed by [live]; the first [witness_cap].  Reads only its
-   arguments, so any domain may call it while nothing writes them: a
-   cold build's never change, a session's only on a change or a read. *)
-let derive ~witness_cap space groups (rules : State_space.rows array) live q1 q2 =
-  let acc = ref [] and n = ref 0 and dest = ref 0 in
-  while !n < witness_cap && !dest < Array.length groups do
+(* The one walk over the emitters of edge q1 -> q2 under [rules]
+   narrowed by [live]: destinations ascending; in each, q1's groups,
+   heads ascending; [f dest head n] for each group whose head's live row
+   holds q2 [n] > 0 times ([head] a buffer id), until [f] answers false.
+   Reads only its arguments, so any domain may walk while nothing writes
+   them: a cold build's never change, a session's only on a change or a
+   read. *)
+let walk_emitters space groups (rules : State_space.rows array) live q1 q2 f =
+  let go = ref true and dest = ref 0 in
+  while !go && !dest < Array.length groups do
     let d = !dest in
     let i = State_space.index space ~buf:q1 ~dest:d in
     if i >= 0 then begin
       let { first; heads } = groups.(d) in
       let bufs = (State_space.dest_view space ~dest:d).State_space.view_bufs in
-      for j = first.(i) to first.(i + 1) - 1 do
-        let h = heads.(j) in
-        iter_live rules.(d) live.(d) h (fun w ->
-            if w = q2 && !n < witness_cap then begin
-              acc := { dest = d; head = bufs.(h) } :: !acc;
-              incr n
-            end)
+      let j = ref first.(i) in
+      while !go && !j < first.(i + 1) do
+        let h = heads.(!j) and n = ref 0 in
+        iter_live rules.(d) live.(d) h (fun w -> if w = q2 then incr n);
+        if !n > 0 then go := f d bufs.(h) !n;
+        incr j
       done
     end;
     incr dest
-  done;
-  List.rev !acc
+  done
+
+(* The witnesses the reference recorder keeps for q1 -> q2: a witness
+   per emission, the first [witness_cap], and whether they are all of
+   them.  The walk goes one emission past the cap to tell. *)
+let derive ~witness_cap space groups rules live q1 q2 =
+  let acc = ref [] and kept = ref 0 and seen = ref 0 in
+  walk_emitters space groups rules live q1 q2 (fun dest head n ->
+      seen := !seen + n;
+      while !kept < min !seen witness_cap do
+        acc := { dest; head } :: !acc;
+        incr kept
+      done;
+      !seen <= witness_cap);
+  (List.rev !acc, !seen <= witness_cap)
 
 (* One destination's groups as an emission stream: each group's head's
    waits, in rule order, emitted for its occupied buffer with one witness
@@ -404,8 +417,9 @@ let kahn_acyclic g () = Option.is_some (topo_rank g)
 
 (* The reference recorder's witness cell.  Witness lists are capped; the
    insertion count rides along so the cap check is O(1) instead of an
-   O(cap) List.length per recorded edge. *)
-type wcell = { mutable count : int; mutable ws : witness list }
+   O(cap) List.length per recorded edge, and [cut] records an emission
+   past the cap. *)
+type wcell = { mutable count : int; mutable ws : witness list; mutable cut : bool }
 
 (* The reference recorder: the witness cell, found through the (q1, q2)
    index in O(1), doubles as the duplicate-edge check, so only the first
@@ -423,14 +437,17 @@ let replay ?wait_sets ?(witness_cap = 32) space f =
           cell.ws <- w :: cell.ws;
           cell.count <- cell.count + 1
         end
-        else Obs.count "bwg.witnesses.capped" 1
+        else begin
+          cell.cut <- true;
+          Obs.count "bwg.witnesses.capped" 1
+        end
       | None ->
-        Hashtbl.add cells key { count = 1; ws = [ w ] };
+        Hashtbl.add cells key { count = 1; ws = [ w ]; cut = false };
         Digraph.unsafe_add_edge graph q1 q2);
   let witnesses q1 q2 =
     match Hashtbl.find_opt cells ((q1 * n) + q2) with
-    | Some cell -> List.rev cell.ws
-    | None -> []
+    | Some cell -> (List.rev cell.ws, not cell.cut)
+    | None -> ([], true)
   in
   let unconnected domains =
     match wait_sets with
@@ -784,8 +801,16 @@ module Session = struct
   (* a non-edge has no emission to look for *)
   let derive s q1 q2 =
     let key = (q1 * Digraph.num_vertices s.graph) + q2 in
-    if Count_table.find s.counts key = Count_table.absent then []
+    if Count_table.find s.counts key = Count_table.absent then ([], true)
     else derive ~witness_cap:s.witness_cap s.space s.groups s.base s.live q1 q2
+
+  let emitters s q1 q2 =
+    if not s.captured then sync s;
+    let acc = ref [] in
+    walk_emitters s.space s.groups s.base s.live q1 q2 (fun dest head _ ->
+        acc := { dest; head } :: !acc;
+        true);
+    List.rev !acc
 
   let rank s =
     sync s;

@@ -47,6 +47,9 @@ val build :
     and [bwg.witnesses.capped], so these count full builds only.
     [witness_cap] bounds the witnesses per edge (default 32); every
     edge keeps its first, as {!replay} does, so a cap below 1 acts as 1.
+    A list the cap cut says so ({!witnesses}), and a classification that
+    read it is not exhaustive ({!Cycle_class.classify}): a True Cycle may
+    need a witness past the cap.
     [domains] (default 1) captures the groups over OCaml 5 domains; the
     pass is serial, so the result is identical to the serial build
     (tested).
@@ -91,24 +94,27 @@ val replay :
     recorder and letting the caller drive every emission: an edge enters
     its adjacency row at its first emission and keeps, in a witness cell
     found through a [(q1, q2)] hash index, its first [witness_cap]
-    witnesses; every later one counts in [bwg.witnesses.capped].  If [f]
-    emits, for each destination in ascending order, exactly the sequence
-    {!dest_edges} produces for that destination, the result must equal
-    [build space] — same adjacency rows, same witness lists, same capped
-    count.  This is the test reference for {!build} and {!Session.bwg},
+    witnesses; every later one counts in [bwg.witnesses.capped] and marks
+    the list cut.  If [f] emits, for each destination in ascending order,
+    exactly the sequence {!dest_edges} produces for that destination, the
+    result must equal [build space] — same adjacency rows, same witness
+    lists and flags, same capped count.  This is the test reference for {!build} and {!Session.bwg},
     which keep no witness cells; nothing else calls it. *)
 
 val space : t -> State_space.t
 val graph : t -> Dfr_graph.Digraph.t
 
-val witnesses : t -> int -> int -> witness list
-(** Witnesses of edge [q1 -> q2] ([[]] if absent): destinations
-    ascending; in each, [q1]'s groups in emission order, one witness per
-    emission of [q2] by the group's head; the first [witness_cap].
-    Derived from the kept groups on every read.  Any domain may read it
-    while nothing writes those groups and wait sets: always for a
-    {!build}, and between a {!Session.bwg} and the session's next change
-    or read. *)
+val witnesses : t -> int -> int -> witness list * bool
+(** Witnesses of edge [q1 -> q2] ([[]] if absent), and whether the list
+    holds them all: destinations ascending; in each, [q1]'s groups,
+    heads ascending, one witness per emission of [q2] by the group's
+    head; the first [witness_cap].  The flag is [false] only when an
+    emission past the cap exists, never merely because the list reached
+    it: the walk that derives the list looks one emission further, as
+    {!Cycle_class.simple_paths} does for paths.  Derived from the kept
+    groups on every read.  Any domain may read it while nothing writes
+    those groups and wait sets: always for a {!build}, and between a
+    {!Session.bwg} and the session's next change or read. *)
 
 val is_acyclic : t -> bool
 (** A Kahn pass over the graph for a {!build} or {!replay}; a
@@ -203,10 +209,6 @@ module Session : sig
   (** The current state space: the one given to {!create} or the last
       {!update}. *)
 
-  val waits : t -> wait_sets
-  (** The live waiting set of a reachable state, a subsequence of the
-      rule; [[]] for an unreachable one. *)
-
   val is_live : t -> buf:int -> dest:int -> int -> bool
   (** [is_live s ~buf ~dest target]: the entry has not been removed.
       True for a target outside the rule and for an unreachable state. *)
@@ -233,6 +235,15 @@ module Session : sig
       the ±1 moves of an update or a read.  Returns how many of [dests]
       kept their groups (none before the first read, which has none to
       keep). *)
+
+  val emitters : t -> int -> int -> witness list
+  (** [emitters s q1 q2]: every distinct [(dest, head)] whose live waits
+      generate edge [q1 -> q2] of the live BWG', uncapped: the walk behind
+      {!witnesses}, one record per group rather than per emission, so in
+      the same order (destinations ascending, then heads ascending).
+      [q1] and [q2] must be buffers of the space.  Reads the groups and
+      the live sets as they are now, with no count work; the first call
+      runs the first read's closures if no read has. *)
 
   val bwg : t -> bwg
   (** A live view of the BWG' of the live wait sets.  Its edge set and

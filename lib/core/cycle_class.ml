@@ -86,7 +86,7 @@ let edge_candidates ~limits bwg q w =
     end
     else add wit.Bwg.dest [ q ]
   in
-  List.iter per_witness (Bwg.witnesses bwg q w);
+  List.iter per_witness (fst (Bwg.witnesses bwg q w));
   (List.rev !candidates, !exhaustive)
 
 exception Found of (int * packet) list

@@ -1,4 +1,3 @@
-open Dfr_network
 module Obs = Dfr_obs.Obs
 
 type removed = { head : int; dest : int; target : int }
@@ -66,40 +65,6 @@ let verify_hint ?cycle_limits space =
       | Ok (Some _) -> Some (Gave_up "reduced-waits hint still has a True Cycle")
       | Error reason -> Some (Gave_up ("hint verification: " ^ reason)))
 
-(* Wait entries that generate BWG edge q -> w: pairs (head, dest) with
-   [w] in the current waiting set of (head, dest) and [head] reachable
-   from [q] by a continuation (wormhole) or equal to [q] (SAF/VCT).
-   Destinations ascend; a destination's heads come in the order its
-   continuation search records them: [seen] is keyed by buffer and filled
-   in DFS order, so its fold order (the order of an edge cut's literals)
-   is that of the same search over buffer ids. *)
-let generating_entries space current ~wormhole q w =
-  let acc = ref [] in
-  for dest = 0 to State_space.num_nodes space - 1 do
-    let i = State_space.index space ~buf:q ~dest in
-    if i >= 0 then begin
-      let heads =
-        if wormhole then
-          let v = State_space.dest_view space ~dest in
-          let seen = Hashtbl.create 16 in
-          let rec dfs i =
-            let b = v.State_space.view_bufs.(i) in
-            if not (Hashtbl.mem seen b) then begin
-              Hashtbl.replace seen b ();
-              Dfr_graph.Csr.iter_succ dfs v.State_space.view_moves i
-            end
-          in
-          dfs i;
-          Hashtbl.fold (fun b () l -> b :: l) seen []
-        else [ q ]
-      in
-      List.iter
-        (fun h -> if List.mem w (current ~buf:h ~dest) then acc := (h, dest) :: !acc)
-        heads
-    end
-  done;
-  List.rev !acc
-
 (* Theorem 3 as a Clause_search problem: one variable per wait entry of a
    reachable state, 0 live and 1 removed, numbered in [iter_reachable]
    order and, within a state, in rule order.  [assign] removes or
@@ -114,14 +79,14 @@ let generating_entries space current ~wormhole q w =
    wait-connected BWG' is free of True Cycles.  [assign] refuses to
    remove a state's last live wait, which no wait-connected BWG' does.
    The preferred moves are edge cuts: remove every live entry generating
-   one cycle edge, edges in cycle order. *)
+   one cycle edge ([Bwg.Session.emitters]), edges in cycle order.  The
+   assignment mirrors the session's live sets, so both rules count a
+   state's live entries off its own range of variables. *)
 let search ?cycle_limits ?(budget = 2000) ?domains space =
   Obs.span "reduction.search" @@ fun () ->
-  let wormhole = Net.switching (State_space.net space) = Net.Wormhole in
   let num_nodes = State_space.num_nodes space in
   let key buf dest = (buf * num_nodes) + dest in
   let session = Bwg.Session.create ?domains space in
-  let wait_sets = Bwg.Session.waits session in
   let keys = ref [] and sizes = ref [] and targets = ref [] in
   State_space.iter_reachable space (fun ~buf ~dest ->
       let { State_space.first; items } =
@@ -162,9 +127,16 @@ let search ?cycle_limits ?(budget = 2000) ?domains space =
     let s = owner.(v) in
     { head = keys.(s) / num_nodes; dest = keys.(s) mod num_nodes; target = target.(v) }
   in
-  (* the live entry of state (buf, dest) waiting on [t] *)
-  let var_of buf dest t =
-    let s = state buf dest in
+  (* state [s]'s live entries *)
+  let live_count s =
+    let n = ref 0 in
+    for v = first.(s) to first.(s + 1) - 1 do
+      if live v then incr n
+    done;
+    !n
+  in
+  (* the live entry of state [s] waiting on [t] *)
+  let var_of s t =
     let rec find v =
       if v >= first.(s + 1) then raise Not_found
       else if live v && target.(v) = t then v
@@ -178,12 +150,13 @@ let search ?cycle_limits ?(budget = 2000) ?domains space =
   let assign v x =
     let { head = buf; dest; target } = entry v in
     if x = 1 then
-      match wait_sets ~buf ~dest with
-      | [] | [ _ ] -> false
-      | _ ->
+      (* [v] already reads removed: refuse if it was the last live one *)
+      if live_count owner.(v) = 0 then false
+      else begin
         removals := v :: !removals;
         Bwg.Session.remove session ~buf ~dest target;
         true
+      end
     else begin
       removals := List.filter (( <> ) v) !removals;
       Bwg.Session.restore session ~buf ~dest target;
@@ -198,8 +171,11 @@ let search ?cycle_limits ?(budget = 2000) ?domains space =
     ( List.map
         (fun (p : Cycle_class.packet) ->
           let head = List.hd (List.rev p.Cycle_class.path) in
-          { Clause_search.var = var_of head p.Cycle_class.dest p.Cycle_class.waits_for;
-            value = 0 })
+          {
+            Clause_search.var =
+              var_of (state head p.Cycle_class.dest) p.Cycle_class.waits_for;
+            value = 0;
+          })
         packets,
       [] )
   in
@@ -208,14 +184,14 @@ let search ?cycle_limits ?(budget = 2000) ?domains space =
     let edges = List.combine cycle (List.tl cycle @ [ List.hd cycle ]) in
     Seq.filter_map
       (fun (q, w) ->
-        let entries = generating_entries space wait_sets ~wormhole q w in
-        if
-          List.for_all
-            (fun (h, d) -> List.compare_length_with (wait_sets ~buf:h ~dest:d) 1 > 0)
-            entries
-        then
-          Some
-            (List.map (fun (h, d) -> { Clause_search.var = var_of h d w; value = 1 }) entries)
+        Obs.span "reduction.cuts" @@ fun () ->
+        let states =
+          List.map
+            (fun { Bwg.head; dest } -> state head dest)
+            (Bwg.Session.emitters session q w)
+        in
+        if List.for_all (fun s -> live_count s > 1) states then
+          Some (List.map (fun s -> { Clause_search.var = var_of s w; value = 1 }) states)
         else None)
       (List.to_seq edges)
   in

@@ -61,7 +61,7 @@ let reference_dest_edges ?(indirect = true) ~wait_sets space ~dest : emission li
 
 (* The reference recorder: an edge enters on its first emission, keeps at
    most [cap] witnesses in emission order, and every later witness is a
-   cap drop. *)
+   cap drop that marks the list cut ([false]: not all of them). *)
 let reference_record ~cap num_bufs (emissions : emission list) =
   let wits = Hashtbl.create 64 in
   let succ = Array.make num_bufs [] in
@@ -70,11 +70,14 @@ let reference_record ~cap num_bufs (emissions : emission list) =
     (fun (q1, q2, w) ->
       match Hashtbl.find_opt wits (q1, q2) with
       | None ->
-        Hashtbl.replace wits (q1, q2) [ w ];
+        Hashtbl.replace wits (q1, q2) ([ w ], true);
         succ.(q1) <- q2 :: succ.(q1)
-      | Some ws ->
-        if List.length ws < cap then Hashtbl.replace wits (q1, q2) (ws @ [ w ])
-        else incr capped)
+      | Some (ws, _) ->
+        if List.length ws < cap then Hashtbl.replace wits (q1, q2) (ws @ [ w ], true)
+        else begin
+          Hashtbl.replace wits (q1, q2) (ws, false);
+          incr capped
+        end)
     emissions;
   (Array.map List.rev succ, wits, !capped)
 
@@ -420,6 +423,65 @@ let prop_session_fuzz =
         [ 2; 32 ];
       true)
 
+(* A session's emitters of an edge are the pairs the deleted
+   continuation DFS finds ([Emitters_ref]) over the same live sets, in
+   witness order.  Random remove/restore walks on one session, over
+   wormhole (some with detours) and SAF/VCT cases; after every step each
+   edge of the full BWG, a superset of the live BWG''s, is compared, on
+   alternate steps before the session's next read and after it. *)
+let prop_emitters_ref =
+  QCheck.Test.make ~name:"session emitters = continuation DFS along walks" ~count:60
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let case = fuzz_case seed in
+      let net, algo = Case.to_net_algo case in
+      let space = State_space.build net algo in
+      let full = Bwg.graph (Bwg.build space) in
+      let session = Bwg.Session.create space in
+      let rng = Dfr_util.Prng.create (seed + 29) in
+      let removed = Hashtbl.create 64 in
+      let current ~buf ~dest =
+        List.filter
+          (fun t -> not (Hashtbl.mem removed (buf, dest, t)))
+          (Slice_lists.waits space ~buf ~dest)
+      in
+      let entries = ref [] in
+      State_space.iter_reachable space (fun ~buf ~dest ->
+          List.iter
+            (fun t -> entries := (buf, dest, t) :: !entries)
+            (Slice_lists.waits space ~buf ~dest));
+      let agree step =
+        Dfr_graph.Digraph.iter_edges
+          (fun q w ->
+            let got =
+              List.map
+                (fun { Bwg.head; dest } -> (head, dest))
+                (Bwg.Session.emitters session q w)
+            in
+            if got <> Emitters_ref.in_witness_order space current q w then
+              QCheck.Test.fail_reportf "seed %d, step %d: emitters of %d->%d differ" seed
+                step q w)
+          full
+      in
+      agree 0;
+      for step = 1 to 12 do
+        if !entries <> [] then
+          for _ = 1 to 1 + Dfr_util.Prng.int rng 3 do
+            let ((buf, dest, t) as e) = Dfr_util.Prng.pick rng !entries in
+            if Hashtbl.mem removed e then begin
+              Hashtbl.remove removed e;
+              Bwg.Session.restore session ~buf ~dest t
+            end
+            else begin
+              Hashtbl.replace removed e ();
+              Bwg.Session.remove session ~buf ~dest t
+            end
+          done;
+        if step mod 2 = 0 then ignore (Bwg.Session.bwg session : Bwg.t);
+        agree step
+      done;
+      true)
+
 (* the walks' edits reach both slice replacements *)
 let test_walk_edit_coverage () =
   let kept, recaptured =
@@ -472,19 +534,21 @@ let test_session_promotes () =
     Dfr_graph.Digraph.fold_edges
       (fun q1 q2 acc ->
         match (acc, Bwg.witnesses full q1 q2) with
-        | None, (_ :: _ :: _ :: _ as ws) -> Some (q1, q2, ws)
+        | None, ((_ :: _ :: _ :: _ as ws), _) -> Some (q1, q2, ws)
         | _ -> acc)
       (Bwg.graph full) None
     |> Option.get
   in
   let w1 = List.hd ws in
-  check Alcotest.int "cap 2 before" 2 (List.length (Bwg.witnesses (Bwg.Session.bwg session) q1 q2));
+  let before, all = Bwg.witnesses (Bwg.Session.bwg session) q1 q2 in
+  check Alcotest.int "cap 2 before" 2 (List.length before);
+  check Alcotest.bool "cap 2 cut a third" false all;
   Bwg.Session.remove session ~buf:w1.Bwg.head ~dest:w1.Bwg.dest q2;
   check Alcotest.bool "second and third witnesses promoted" true
-    (Bwg.witnesses (Bwg.Session.bwg session) q1 q2 = [ List.nth ws 1; List.nth ws 2 ]);
+    (fst (Bwg.witnesses (Bwg.Session.bwg session) q1 q2) = [ List.nth ws 1; List.nth ws 2 ]);
   Bwg.Session.restore session ~buf:w1.Bwg.head ~dest:w1.Bwg.dest q2;
   check Alcotest.bool "restored first witness leads again" true
-    (Bwg.witnesses (Bwg.Session.bwg session) q1 q2 = [ w1; List.nth ws 1 ])
+    (fst (Bwg.witnesses (Bwg.Session.bwg session) q1 q2) = [ w1; List.nth ws 1 ])
 
 (* A session's first read runs the edge pass of a cold build over its
    live sets.  With every entry live, its rows are [Bwg.build]'s, in
@@ -724,6 +788,7 @@ let suite =
     Alcotest.test_case "fuzz mix has cyclic and SAF cases" `Quick test_fuzz_coverage;
     QCheck_alcotest.to_alcotest prop_fuzz;
     QCheck_alcotest.to_alcotest prop_session_fuzz;
+    QCheck_alcotest.to_alcotest prop_emitters_ref;
     Alcotest.test_case "session = cold BWG' on two-buffer reprints" `Quick
       test_session_reprints;
     Alcotest.test_case "session promotes the next witness past the cap" `Quick

@@ -193,7 +193,7 @@ let test_bwg_witnesses_present () =
   let bwg = Bwg.build space in
   Dfr_graph.Digraph.iter_edges
     (fun q w ->
-      check Alcotest.bool "witnessed" true (Bwg.witnesses bwg q w <> []))
+      check Alcotest.bool "witnessed" true (fst (Bwg.witnesses bwg q w) <> []))
     (Bwg.graph bwg)
 
 let test_bwg_wormhole_closure () =
@@ -770,7 +770,7 @@ let test_witness_cap_respected () =
   let bwg = Bwg.build ~witness_cap:2 space in
   Dfr_graph.Digraph.iter_edges
     (fun q w ->
-      check Alcotest.bool "cap" true (List.length (Bwg.witnesses bwg q w) <= 2))
+      check Alcotest.bool "cap" true (List.length (fst (Bwg.witnesses bwg q w)) <= 2))
     (Bwg.graph bwg)
 
 let suite =
