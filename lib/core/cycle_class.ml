@@ -56,7 +56,8 @@ let simple_paths ~limits g ~start ~target =
 (* Candidate realizations of one BWG edge q -> w: a destination and an
    occupied path from q to a head buffer whose waiting set contains w.
    Wormhole paths run over the destination's move graph in local ids and
-   map back to buffers before the dedup. *)
+   map back to buffers before the dedup.  A witness list the cap cut
+   makes the candidates non-exhaustive, as a cut path enumeration does. *)
 let edge_candidates ~limits bwg q w =
   let space = Bwg.space bwg in
   let wormhole =
@@ -86,7 +87,9 @@ let edge_candidates ~limits bwg q w =
     end
     else add wit.Bwg.dest [ q ]
   in
-  List.iter per_witness (fst (Bwg.witnesses bwg q w));
+  let witnesses, all = Bwg.witnesses bwg q w in
+  if not all then exhaustive := false;
+  List.iter per_witness witnesses;
   (List.rev !candidates, !exhaustive)
 
 exception Found of (int * packet) list

@@ -55,8 +55,12 @@ val simple_paths :
 
 val classify : ?limits:limits -> Bwg.t -> int list -> verdict
 (** [classify bwg cycle] where [cycle] is a vertex list as returned by
-    {!Bwg.cycles}.  Raises [Invalid_argument] if some consecutive pair is
-    not a BWG edge. *)
+    {!Bwg.cycles}.  Each edge's candidates come from its witness list
+    ({!Bwg.witnesses}), so a [False_resource_cycle] is exhaustive only
+    when no edge's list was cut by the BWG's witness cap, no path
+    enumeration was cut by [limits], and the assignment search ran to
+    its end: a True Cycle may need a witness past the cap.  Raises
+    [Invalid_argument] if some consecutive pair is not a BWG edge. *)
 
 type scan = {
   found : (int list * packet list) option;

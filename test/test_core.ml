@@ -1429,6 +1429,67 @@ let test_length_cap_truncates () =
           (Format.asprintf "%a" (Checker.pp_verdict net) v))
     [ 2; 3 ]
 
+(* The first [n] cycles of [bwg], as lists *)
+let first_cycles n bwg =
+  let (_, cycles), _ =
+    Bwg.fold_cycles bwg
+      (fun p (k, acc) ->
+        let acc = Dfr_graph.Cycles.path_to_list p :: acc in
+        if k + 1 >= n then Dfr_graph.Cycles.Stop (k + 1, acc)
+        else Dfr_graph.Cycles.Continue (k + 1, acc))
+      (0, [])
+  in
+  List.rev cycles
+
+let exhaustive_false = function
+  | Cycle_class.False_resource_cycle { exhaustive } -> exhaustive
+  | Cycle_class.True_cycle _ -> false
+
+let is_true = function Cycle_class.True_cycle _ -> true | _ -> false
+
+(* A witness list the cap cut can hide the witness every disjoint
+   assignment needs, so a False verdict that read one is not exhaustive.
+   [Gen.case (Prng.create 1_000_028) ~max_nodes:9] (a 2x4 wormhole mesh)
+   has cycles among its first 300 that are True with every witness and
+   False with one per edge: a session at cap 1 must call them False only
+   within its caps. *)
+let test_cut_witnesses_not_exhaustive () =
+  let case = Dfr_fuzz.Gen.case (Dfr_util.Prng.create 1_000_028) ~max_nodes:9 in
+  let net, algo = Dfr_fuzz.Case.to_net_algo case in
+  let space = State_space.build net algo in
+  let full = Bwg.build space in
+  let capped = Bwg.Session.bwg (Bwg.Session.create ~witness_cap:1 space) in
+  let hidden = ref 0 in
+  List.iter
+    (fun c ->
+      if is_true (Cycle_class.classify full c) then
+        match Cycle_class.classify capped c with
+        | Cycle_class.True_cycle _ -> ()
+        | Cycle_class.False_resource_cycle { exhaustive } ->
+          if exhaustive then
+            Alcotest.failf "%s: a True Cycle of length %d is exhaustively False at cap 1"
+              case.Dfr_fuzz.Case.name (List.length c);
+          incr hidden)
+    (first_cycles 300 full);
+  check Alcotest.bool "some True Cycle needs a witness past cap 1" true (!hidden > 0)
+
+(* A False verdict exhaustive at witness caps 1 and 2 rests on uncut
+   lists, so the default cap must agree. *)
+let prop_cut_witnesses =
+  QCheck.Test.make ~name:"an exhaustive False at caps 1 and 2 is False at the default cap"
+    ~count:200 QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let case = Dfr_fuzz.Gen.case (Dfr_util.Prng.create seed) ~max_nodes:9 in
+      let net, algo = Dfr_fuzz.Case.to_net_algo case in
+      let space = State_space.build net algo in
+      let full = Bwg.build space in
+      let capped = List.map (fun cap -> Bwg.build ~witness_cap:cap space) [ 1; 2 ] in
+      List.for_all
+        (fun c ->
+          (not (List.exists (fun b -> exhaustive_false (Cycle_class.classify b c)) capped))
+          || not (is_true (Cycle_class.classify full c)))
+        (first_cycles 300 full))
+
 let suite =
   suite
   @ [
@@ -1438,4 +1499,7 @@ let suite =
         test_no_reduction_under_cycle_cap;
       Alcotest.test_case "a binding length cap makes the scan non-exhaustive" `Quick
         test_length_cap_truncates;
+      Alcotest.test_case "a witness list cut at cap 1 makes False non-exhaustive" `Quick
+        test_cut_witnesses_not_exhaustive;
+      QCheck_alcotest.to_alcotest prop_cut_witnesses;
     ]
