@@ -36,7 +36,7 @@ type sim = {
   state : vc_state array;
   owner : int array; (* buffer -> packet (VC allocation to tail departure) *)
   free_slots : int array;
-  credit_queue : (int, int) Hashtbl.t; (* credits applied next cycle *)
+  credits : int array; (* per buffer: credits applied next cycle *)
   source_queue : int list array; (* per node, FIFO of packets to inject *)
   injecting : (int, int) Hashtbl.t; (* packet -> buffer it streams into *)
   rr_out : int array; (* VC-allocation round-robin pointer per buffer *)
@@ -61,16 +61,23 @@ let is_transit sim b = Buf.is_transit (Net.buffer sim.net b)
 let transit_route sim b ~dest =
   Drive.transit_route sim.net sim.algo (Net.buffer sim.net b) ~dest
 
+(* [f key v] over [tbl] in ascending key order: arbitration must not
+   depend on the hash function *)
+let iter_sorted f tbl =
+  List.iter
+    (fun k -> f k (Hashtbl.find tbl k))
+    (List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) tbl []))
+
 (* ---------- pipeline stages ------------------------------------------ *)
 
 let apply_credits sim =
-  let pending = Hashtbl.fold (fun b n acc -> (b, n) :: acc) sim.credit_queue [] in
-  Hashtbl.reset sim.credit_queue;
-  List.iter (fun (b, n) -> sim.free_slots.(b) <- sim.free_slots.(b) + n) pending
+  Array.iteri
+    (fun b n ->
+      sim.free_slots.(b) <- sim.free_slots.(b) + n;
+      sim.credits.(b) <- 0)
+    sim.credits
 
-let schedule_credit sim b =
-  Hashtbl.replace sim.credit_queue b
-    (1 + Option.value (Hashtbl.find_opt sim.credit_queue b) ~default:0)
+let schedule_credit sim b = sim.credits.(b) <- sim.credits.(b) + 1
 
 (* Consume one flit per node per cycle from delivery-bound VCs. *)
 let consumption sim cycle =
@@ -116,7 +123,7 @@ let switch_traversal sim =
         | None -> ())
       | _ -> ())
     sim.state;
-  Hashtbl.iter
+  iter_sorted
     (fun key reqs ->
       let reqs = List.rev reqs in
       let n = List.length reqs in
@@ -139,7 +146,7 @@ let switch_traversal sim =
 (* Source streaming: packets granted a first VC push one flit per cycle. *)
 let injection sim =
   let done_ = ref [] in
-  Hashtbl.iter
+  iter_sorted
     (fun pkt target ->
       let p = sim.packets.(pkt) in
       if p.injected < p.length && sim.free_slots.(target) > 0 && link_free sim target
@@ -211,7 +218,7 @@ let vc_allocation sim cycle =
     | `Vc (b, _) -> `B b
     | `Source (node, _) -> `S node
   in
-  Hashtbl.iter
+  iter_sorted
     (fun out_b reqs ->
       let reqs = List.rev reqs in
       let n = List.length reqs in
@@ -289,7 +296,7 @@ let run ?(config = default_config) net algo traffic =
       state = Array.make nb Idle;
       owner = Array.make nb (-1);
       free_slots = Array.make nb config.fifo_depth;
-      credit_queue = Hashtbl.create 64;
+      credits = Array.make nb 0;
       source_queue;
       injecting = Hashtbl.create 16;
       rr_out = Array.make nb 0;
