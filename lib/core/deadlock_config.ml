@@ -97,12 +97,3 @@ let verify space config =
          && (not (State_space.arrived space ~buf ~dest))
          && blocked_in space bufs ~buf ~dest)
        config
-
-let pp net fmt config =
-  Format.fprintf fmt "@[<v>";
-  List.iter
-    (fun (buf, dest) ->
-      Format.fprintf fmt "%s holds a packet for n%d@," (Net.describe_buffer net buf)
-        dest)
-    config;
-  Format.fprintf fmt "@]"

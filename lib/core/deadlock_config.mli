@@ -26,5 +26,3 @@ val verify : State_space.t -> t -> bool
 (** Re-checks the defining property (used by tests): states are reachable,
     unarrived, pairwise distinct in buffer, and all outputs stay inside the
     configuration's buffer set. *)
-
-val pp : Dfr_network.Net.t -> Format.formatter -> t -> unit

@@ -460,6 +460,3 @@ let recorded t pick =
 
 let stuck_states t = recorded t (fun s -> s.view_stuck)
 let waitless_states t = recorded t (fun s -> s.view_waitless)
-
-let describe_state t (buf, dest) =
-  Printf.sprintf "%s->n%d" (Net.describe_buffer t.net buf) dest

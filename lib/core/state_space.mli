@@ -149,5 +149,3 @@ val waitless_states : t -> (int * int) list
     under the algorithm's rule, from the [view_waitless] records, in
     [iter_reachable] order.  The algorithm is wait-connected iff the
     list is empty. *)
-
-val describe_state : t -> int * int -> string

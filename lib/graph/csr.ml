@@ -28,10 +28,6 @@ let num_edges g = g.offsets.(g.n)
 let check g u =
   if u < 0 || u >= g.n then invalid_arg "Csr: vertex out of range"
 
-let out_degree g u =
-  check g u;
-  g.offsets.(u + 1) - g.offsets.(u)
-
 let mem_edge g u v =
   check g u;
   check g v;
@@ -118,8 +114,3 @@ let transpose g =
 
 let equal a b =
   a.n = b.n && a.offsets = b.offsets && a.targets = b.targets
-
-let pp fmt g =
-  Format.fprintf fmt "@[<v>csr (%d vertices, %d edges)" g.n (num_edges g);
-  iter_edges (fun u v -> Format.fprintf fmt "@,  %d -> %d" u v) g;
-  Format.fprintf fmt "@]"

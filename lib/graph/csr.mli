@@ -21,7 +21,6 @@ val of_edges : int -> (int * int) list -> t
 
 val num_vertices : t -> int
 val num_edges : t -> int
-val out_degree : t -> int -> int
 
 val mem_edge : t -> int -> int -> bool
 (** Binary search within the source row: O(log deg). *)
@@ -51,5 +50,3 @@ val transpose : t -> t
 val equal : t -> t -> bool
 (** Same vertex count and edge set — O(V + E) array comparison thanks to
     the canonical row order. *)
-
-val pp : Format.formatter -> t -> unit

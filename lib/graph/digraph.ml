@@ -81,10 +81,6 @@ let induced g ~keep =
   iter_edges (fun u v -> if keep u && keep v then add_edge h u v) g;
   h
 
-let out_degree g u =
-  check g u;
-  List.length g.adj.(u)
-
 let freeze g =
   let deg u = List.length g.adj.(u) in
   let offsets = Array.make (g.n + 1) 0 in
@@ -109,8 +105,3 @@ let equal a b =
     done;
     !ok
   end
-
-let pp fmt g =
-  Format.fprintf fmt "@[<v>digraph (%d vertices, %d edges)" g.n g.m;
-  iter_edges (fun u v -> Format.fprintf fmt "@,  %d -> %d" u v) g;
-  Format.fprintf fmt "@]"

@@ -48,8 +48,6 @@ val induced : t -> keep:(int -> bool) -> t
 (** [induced g ~keep] is a same-vertex-set graph retaining only edges whose
     endpoints both satisfy [keep]. *)
 
-val out_degree : t -> int -> int
-
 val freeze : t -> Csr.t
 (** Pack into the frozen CSR form (O(V + E log deg)); the digraph stays
     usable and later mutations do not affect the frozen copy.  All the
@@ -59,5 +57,3 @@ val freeze : t -> Csr.t
 val equal : t -> t -> bool
 (** Same vertex count and same edge set (order-insensitive);
     O(E log deg) via canonical sorted adjacency rows. *)
-
-val pp : Format.formatter -> t -> unit

@@ -51,12 +51,3 @@ let describe topo b =
       dim (node_str src)
   | Node_buffer { node; cls } ->
     Printf.sprintf "%c@%s" (Char.chr (Char.code 'A' + cls)) (node_str node)
-
-let pp fmt b =
-  match b.kind with
-  | Injection n -> Format.fprintf fmt "inj@%d" n
-  | Delivery n -> Format.fprintf fmt "del@%d" n
-  | Channel { src; dst; dim; dir; vc } ->
-    Format.fprintf fmt "vc%d[%d->%d dim%d%a]" vc src dst dim Topology.pp_direction
-      dir
-  | Node_buffer { node; cls } -> Format.fprintf fmt "buf%c@%d" (Char.chr (Char.code 'A' + cls)) node

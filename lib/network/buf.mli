@@ -51,5 +51,3 @@ val describe : Topology.t -> t -> string
 (** Human-readable name in the paper's notation, e.g. ["B2+^1@(0,1)"] for
     virtual channel 2 in the positive direction of dimension 1 leaving node
     (0,1). *)
-
-val pp : Format.formatter -> t -> unit

@@ -46,7 +46,6 @@ let enable () =
        })
 
 let disable () = Atomic.set state None
-let enabled () = Atomic.get state <> None
 
 (* Nesting depth is tracked per domain: spans recorded inside a spawned
    worker nest relative to that worker, not to the spawning domain. *)

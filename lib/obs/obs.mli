@@ -45,8 +45,6 @@ val disable : unit -> unit
 (** Remove the collector; probes become no-ops again.  Recorded data is
     dropped, so export before disabling. *)
 
-val enabled : unit -> bool
-
 val span : string -> (unit -> 'a) -> 'a
 (** [span name f] runs [f ()], recording a completed-duration event when
     a collector is installed.  The event is recorded (and the nesting

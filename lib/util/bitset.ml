@@ -18,7 +18,6 @@ let add i s = s lor singleton i
 let remove i s = s land lnot (singleton i)
 let union a b = a lor b
 let inter a b = a land b
-let diff a b = a land lnot b
 
 let cardinal s =
   let rec go acc s = if s = 0 then acc else go (acc + 1) (s land (s - 1)) in
@@ -44,7 +43,6 @@ let fold f s init =
   in
   go init s
 
-let iter f s = fold (fun i () -> f i) s ()
 let elements s = List.rev (fold (fun i acc -> i :: acc) s [])
 let of_list l = List.fold_left (fun s i -> add i s) empty l
 
@@ -60,13 +58,6 @@ let subsets s =
     if sub = s then List.rev acc else go acc ((sub - s) land s)
   in
   go [] 0
-
-let pp fmt s =
-  Format.fprintf fmt "{%a}"
-    (Format.pp_print_list
-       ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ",")
-       Format.pp_print_int)
-    (elements s)
 
 (* Append-only rows over [0, len), each stored by its density.  The BWG
    builder's per-destination closure pass is the client: on large sparse

@@ -14,7 +14,6 @@ val add : int -> t -> t
 val remove : int -> t -> t
 val union : t -> t -> t
 val inter : t -> t -> t
-val diff : t -> t -> t
 val cardinal : t -> int
 
 val min_elt : t -> int
@@ -26,7 +25,6 @@ val max_elt : t -> int
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 (** Fold over members in increasing order. *)
 
-val iter : (int -> unit) -> t -> unit
 val elements : t -> int list
 val of_list : int list -> t
 val full : int -> t
@@ -34,8 +32,6 @@ val full : int -> t
 
 val subsets : t -> t list
 (** All subsets, the empty set first.  Cardinal must be at most 16. *)
-
-val pp : Format.formatter -> t -> unit
 
 (** Rows over [[0, len)] appended to one flat array, each stored by its
     density: a sorted run of at most [⌈len/62⌉] elements, or [⌈len/62⌉]
