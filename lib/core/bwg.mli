@@ -98,23 +98,25 @@ val replay :
     the list cut.  If [f] emits, for each destination in ascending order,
     exactly the sequence {!dest_edges} produces for that destination, the
     result must equal [build space] — same adjacency rows, same witness
-    lists and flags, same capped count.  This is the test reference for {!build} and {!Session.bwg},
-    which keep no witness cells; nothing else calls it. *)
+    lists and flags, same capped count.  This is the test reference for
+    {!build} and {!Session.bwg}, which keep no witness cells; nothing
+    else calls it. *)
 
 val space : t -> State_space.t
 val graph : t -> Dfr_graph.Digraph.t
 
 val witnesses : t -> int -> int -> witness list * bool
-(** Witnesses of edge [q1 -> q2] ([[]] if absent), and whether the list
-    holds them all: destinations ascending; in each, [q1]'s groups,
-    heads ascending, one witness per emission of [q2] by the group's
-    head; the first [witness_cap].  The flag is [false] only when an
-    emission past the cap exists, never merely because the list reached
-    it: the walk that derives the list looks one emission further, as
-    {!Cycle_class.simple_paths} does for paths.  Derived from the kept
-    groups on every read.  Any domain may read it while nothing writes
-    those groups and wait sets: always for a {!build}, and between a
-    {!Session.bwg} and the session's next change or read. *)
+(** Witnesses of edge [q1 -> q2], and whether the list holds them all
+    ([([], true)] if the edge is absent): destinations ascending; in
+    each, [q1]'s groups, heads ascending, one witness per emission of
+    [q2] by the group's head; the first [witness_cap].  The flag is
+    [false] only when an emission past the cap exists, never merely
+    because the list reached it: the walk that derives the list looks
+    one emission further, as {!Cycle_class.simple_paths} does for paths.
+    Derived from the kept groups on every read.  Any domain may read it
+    while nothing writes those groups and wait sets: always for a
+    {!build}, and between a {!Session.bwg} and the session's next change
+    or read. *)
 
 val is_acyclic : t -> bool
 (** A Kahn pass over the graph for a {!build} or {!replay}; a

@@ -80,8 +80,9 @@ let verify_hint ?cycle_limits space =
    remove a state's last live wait, which no wait-connected BWG' does.
    The preferred moves are edge cuts: remove every live entry generating
    one cycle edge ([Bwg.Session.emitters]), edges in cycle order.  The
-   assignment mirrors the session's live sets, so both rules count a
-   state's live entries off its own range of variables. *)
+   assignment mirrors the session's live sets, so the last-wait guard
+   and the cut filter count a state's live entries off its own range of
+   variables. *)
 let search ?cycle_limits ?(budget = 2000) ?domains space =
   Obs.span "reduction.search" @@ fun () ->
   let num_nodes = State_space.num_nodes space in

@@ -78,11 +78,14 @@ val search :
     [reduction.attempts]; [budget], default 2000, caps them), and runs
     the streaming {!true_cycle_status}.  At a True Cycle it first tries
     the edge cuts, edges in cycle order, each removing every live entry
-    that generates the edge (destinations ascending) and allowed only if
-    every state it touches keeps a wait; then the cycle's witness
-    entries one at a time, most active first.  [Reduced]'s removals are in
-    decision order.  A probe that hits a cap is backtracked over, and the
-    search then ends in [Gave_up], never [Impossible].  [domains]
-    parallelizes the session's first derivation.  The session is the
-    search's own and goes with it: a caller that wants the BWG' reads a
-    session of its own with [Reduced]'s entries removed. *)
+    that generates the edge ({!Bwg.Session.emitters}: destinations
+    ascending, then heads ascending, one entry per (destination, head))
+    and allowed only if every state it touches keeps a wait; each cut is
+    derived under a [reduction.cuts] span.  Then it tries the cycle's
+    witness entries one at a time, most active first.  [Reduced]'s
+    removals are in decision order.  A probe that hits a cap is
+    backtracked over, and the search then ends in [Gave_up], never
+    [Impossible].  [domains] parallelizes the session's first
+    derivation.  The session is the search's own and goes with it: a
+    caller that wants the BWG' reads a session of its own with
+    [Reduced]'s entries removed. *)

@@ -1429,17 +1429,9 @@ let test_length_cap_truncates () =
           (Format.asprintf "%a" (Checker.pp_verdict net) v))
     [ 2; 3 ]
 
-(* The first [n] cycles of [bwg], as lists *)
-let first_cycles n bwg =
-  let (_, cycles), _ =
-    Bwg.fold_cycles bwg
-      (fun p (k, acc) ->
-        let acc = Dfr_graph.Cycles.path_to_list p :: acc in
-        if k + 1 >= n then Dfr_graph.Cycles.Stop (k + 1, acc)
-        else Dfr_graph.Cycles.Continue (k + 1, acc))
-      (0, [])
-  in
-  List.rev cycles
+(* The first 300 cycles of [bwg] *)
+let first_cycles bwg =
+  fst (Bwg.cycles ~limits:{ Dfr_graph.Cycles.default_limits with max_cycles = 300 } bwg)
 
 let exhaustive_false = function
   | Cycle_class.False_resource_cycle { exhaustive } -> exhaustive
@@ -1470,7 +1462,7 @@ let test_cut_witnesses_not_exhaustive () =
             Alcotest.failf "%s: a True Cycle of length %d is exhaustively False at cap 1"
               case.Dfr_fuzz.Case.name (List.length c);
           incr hidden)
-    (first_cycles 300 full);
+    (first_cycles full);
   check Alcotest.bool "some True Cycle needs a witness past cap 1" true (!hidden > 0)
 
 (* A False verdict exhaustive at witness caps 1 and 2 rests on uncut
@@ -1488,7 +1480,7 @@ let prop_cut_witnesses =
         (fun c ->
           (not (List.exists (fun b -> exhaustive_false (Cycle_class.classify b c)) capped))
           || not (is_true (Cycle_class.classify full c)))
-        (first_cycles 300 full))
+        (first_cycles full))
 
 let suite =
   suite
