@@ -244,8 +244,8 @@ module Session : sig
       {!witnesses}, one record per group rather than per emission, so in
       the same order (destinations ascending, then heads ascending).
       [q1] and [q2] must be buffers of the space.  Reads the groups and
-      the live sets as they are now, with no count work; the first call
-      runs the first read's closures if no read has. *)
+      the live sets as they are now, with no count work, except that a
+      call before any read makes the session's first read. *)
 
   val bwg : t -> bwg
   (** A live view of the BWG' of the live wait sets.  Its edge set and
