@@ -927,7 +927,7 @@ let synth_report ~label ~mode ~certify ~json ~output ~metrics net
     in
     if not certify then finish (doc []) spec_code
     else
-      match Synth.certify s.Synth.space ~removed:s.Synth.removed with
+      match Synth.certify s with
       | Synth.Cert_unknown reason ->
         if not json then
           Printf.printf "  certification inconclusive: %s\n" reason;

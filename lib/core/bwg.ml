@@ -4,8 +4,11 @@ module Obs = Dfr_obs.Obs
 module Arena = Dfr_util.Bitset.Arena
 module Count_table = Dfr_util.Count_table
 
-type wait_sets = buf:int -> dest:int -> int list
 type witness = { dest : int; head : int }
+
+(* the session a live view reads ([Session.of_view]); Session adds its
+   one constructor *)
+type lender = ..
 
 type t = {
   space : State_space.t;
@@ -18,6 +21,7 @@ type t = {
   unconnected : int -> (int * int) list;
       (* over [domains]: the state table's wait-less record, or a scan of
          a session's live sets *)
+  lender : lender option;
 }
 
 let space t = t.space
@@ -27,25 +31,14 @@ let witnesses t q1 q2 =
   let n = Digraph.num_vertices t.graph in
   if q1 < 0 || q1 >= n || q2 < 0 || q2 >= n then ([], true) else t.witnesses q1 q2
 
-(* A waiting rule is one set of rows per destination over its slice's
-   positions ([State_space.rows], buffer ids in rule order): the slice's
-   own wait rows for the algorithm's rule, or its hint rows for the
-   hint, so reading either allocates nothing.  A session narrows a rule by one flag per entry; [all_live]
-   stands for every entry live, so a destination none of whose entries
-   changed has no flags at all. *)
+(* The waiting rule is the algorithm's, one set of rows per destination
+   over its slice's positions: the slice's own wait rows
+   ([State_space.rows], buffer ids in rule order), so reading it
+   allocates nothing.  A session narrows it by one flag per entry;
+   [all_live] stands for every entry live, so a destination none of
+   whose entries changed has no flags at all. *)
 let all_live = Bytes.empty
 let live_at flags p = Bytes.length flags = 0 || Bytes.unsafe_get flags p <> '\000'
-
-(* [ws] over destination [dest]'s states, as rows *)
-let rows_of_sets (ws : wait_sets) space dest =
-  let bufs = (State_space.dest_view space ~dest).State_space.view_bufs in
-  let k = Array.length bufs in
-  let sets = Array.map (fun buf -> ws ~buf ~dest) bufs in
-  let first = Array.make (k + 1) 0 in
-  Array.iteri (fun i l -> first.(i + 1) <- first.(i) + List.length l) sets;
-  let items = Array.make first.(k) 0 in
-  Array.iteri (fun i l -> List.iteri (fun j w -> items.(first.(i) + j) <- w) l) sets;
-  { State_space.first; items }
 
 (* [f w] for every live entry of row [h] *)
 let iter_live (rule : State_space.rows) flags h f =
@@ -359,16 +352,10 @@ let derive ~witness_cap space groups rules live q1 q2 =
 
 (* One destination's groups as an emission stream: each group's head's
    waits, in rule order, emitted for its occupied buffer with one witness
-   record per group.  [wait_sets = None] reads the algorithm's waiting
-   sets straight off the slice. *)
-let dest_edges ?wait_sets ?(dense_closures = false) space ~dest ~emit =
+   record per group. *)
+let dest_edges ?(dense_closures = false) space ~dest ~emit =
   let v = State_space.dest_view space ~dest in
-  let bufs = v.State_space.view_bufs in
-  let rule =
-    match wait_sets with
-    | None -> v.State_space.view_wts
-    | Some ws -> rows_of_sets ws space dest
-  in
+  let bufs = v.State_space.view_bufs and rule = v.State_space.view_wts in
   let wormhole = Net.switching (State_space.net space) = Net.Wormhole in
   iter_dest_groups space dest (capture space ~wormhole ~dense_closures rule dest)
     (fun q1 h ->
@@ -425,7 +412,7 @@ type wcell = { mutable count : int; mutable ws : witness list; mutable cut : boo
    index in O(1), doubles as the duplicate-edge check, so only the first
    witness of an edge touches the adjacency structure.  Tests hold the
    edge pass and the derived witnesses to it. *)
-let replay ?wait_sets ?(witness_cap = 32) space f =
+let replay ?(witness_cap = 32) space f =
   let n = State_space.num_buffers space in
   let graph = Digraph.create n in
   let cells = Hashtbl.create 1024 in
@@ -449,14 +436,14 @@ let replay ?wait_sets ?(witness_cap = 32) space f =
     | Some cell -> (List.rev cell.ws, not cell.cut)
     | None -> ([], true)
   in
-  let unconnected domains =
-    match wait_sets with
-    | None -> State_space.waitless_states space
-    | Some ws ->
-      State_space.filter_reachable ~domains space (fun ~buf ~dest ->
-          (not (State_space.arrived space ~buf ~dest)) && ws ~buf ~dest = [])
-  in
-  { space; graph; witnesses; acyclic = kahn_acyclic graph; unconnected }
+  {
+    space;
+    graph;
+    witnesses;
+    acyclic = kahn_acyclic graph;
+    unconnected = (fun _ -> State_space.waitless_states space);
+    lender = None;
+  }
 
 (* [f d] for every destination, over [domains] pool workers when there
    is more than one.  Work items are single destinations claimed off an
@@ -512,6 +499,7 @@ let build ?(witness_cap = 32) ?(indirect = true) ?(domains = 1)
     witnesses = derive ~witness_cap space groups rules live;
     acyclic = kahn_acyclic graph;
     unconnected = (fun _ -> State_space.waitless_states space);
+    lender = None;
   }
 
 let is_acyclic t = t.acyclic ()
@@ -565,14 +553,11 @@ let to_dot t =
 module Session = struct
   type bwg = t
 
-  type rule = Waits | Hint | Sets of wait_sets
-
   type t = {
     mutable space : State_space.t;
     witness_cap : int;
     domains : int;
-    rule : rule;
-    base : State_space.rows array; (* per dest: the rule's rows *)
+    base : State_space.rows array; (* per dest: the slice's wait rows *)
     live : Bytes.t array;
         (* per dest: a flag per entry of [base], or [all_live] until one
            of its entries first changes *)
@@ -589,22 +574,17 @@ module Session = struct
     mutable moves : int; (* count moves since the last flush to bwg.session.moves *)
   }
 
-  let rule_of rule space dest =
-    let v = State_space.dest_view space ~dest in
-    match (rule, v.State_space.view_hint) with
-    | Waits, _ -> v.State_space.view_wts
-    | Hint, Some rows -> rows
-    | Hint, None -> invalid_arg "Bwg.Session: the space carries no reduced_waits hint"
-    | Sets ws, _ -> rows_of_sets ws space dest
+  type lender += Lent of t
 
-  let create ?(witness_cap = 32) ?(rule = Waits) ?(domains = 1) space =
+  let wait_rows space dest = (State_space.dest_view space ~dest).State_space.view_wts
+
+  let create ?(witness_cap = 32) ?(domains = 1) space =
     let n = State_space.num_nodes space in
     {
       space;
       witness_cap = max 1 witness_cap;
       domains;
-      rule;
-      base = Array.init n (rule_of rule space);
+      base = Array.init n (wait_rows space);
       live = Array.make n all_live;
       groups = Array.make n no_groups;
       captured = false;
@@ -830,7 +810,10 @@ module Session = struct
       witnesses = derive s;
       acyclic = (fun () -> Option.is_some (rank s));
       unconnected = unconnected s;
+      lender = Some (Lent s);
     }
+
+  let of_view (b : bwg) = match b.lender with Some (Lent s) -> Some s | _ -> None
 
   (* Incr's quick-path rule: a destination keeps its groups when its
      routes, and with them its states, move graph and closures, are
@@ -857,7 +840,7 @@ module Session = struct
     let plan =
       List.map
         (fun d ->
-          let rule = rule_of s.rule space d in
+          let rule = wait_rows space d in
           let keep =
             s.captured
             && keeps_groups (State_space.dest_view s.space ~dest:d) s.base.(d)

@@ -15,10 +15,6 @@
     creates it; the cycle classifier reconstructs the occupied paths from
     them. *)
 
-type wait_sets = buf:int -> dest:int -> int list
-(** A waiting rule: the algorithm's full [waits], or a reduced BWG'
-    candidate ({!Session}). *)
-
 type witness = { dest : int; head : int }
 (** A packet destined [dest] can sit with [q1] occupied and its header
     blocked in buffer [head], whose waiting set contains the edge target. *)
@@ -69,7 +65,6 @@ val build :
     layouts. *)
 
 val dest_edges :
-  ?wait_sets:wait_sets ->
   ?dense_closures:bool ->
   State_space.t ->
   dest:int ->
@@ -85,7 +80,6 @@ val dest_edges :
     is always applied (there is no [indirect] ablation knob here). *)
 
 val replay :
-  ?wait_sets:wait_sets ->
   ?witness_cap:int ->
   State_space.t ->
   ((int -> int -> witness -> unit) -> unit) ->
@@ -100,7 +94,8 @@ val replay :
     result must equal [build space] — same adjacency rows, same witness
     lists and flags, same capped count.  This is the test reference for
     {!build} and {!Session.bwg}, which keep no witness cells; nothing
-    else calls it. *)
+    else calls it.  A test wanting the reference of a BWG' replays the
+    space of the narrowed algorithm ({!Dfr_routing.Algo.with_waits}). *)
 
 val space : t -> State_space.t
 val graph : t -> Dfr_graph.Digraph.t
@@ -145,13 +140,12 @@ val unconnected_states : ?domains:int -> t -> (int * int) list
 (** Reachable, unarrived states whose waiting set in this graph is
     empty, in {!State_space.iter_reachable} order.  The algorithm is
     wait-connected for this graph iff the list is empty (§3: every
-    loss-less algorithm must be).  A {!build}'s wait sets are the
-    algorithm's, so it reads the state table's wait-less record
-    ({!State_space.waitless_states}, O(nodes)) and scans nothing, as
-    does a {!replay} without [wait_sets].  A {!Session.bwg}, whose live
-    sets may have lost entries, and a {!replay} under a custom rule scan
-    their wait sets; [domains] parallelizes that scan over the shared
-    pool, and the list is identical to the serial scan's
+    loss-less algorithm must be).  A {!build}'s and a {!replay}'s wait
+    sets are the algorithm's, so they read the state table's wait-less
+    record ({!State_space.waitless_states}, O(nodes)) and scan nothing.
+    A {!Session.bwg}, whose live sets may have lost entries, scans them;
+    [domains] parallelizes that scan over the shared pool, and the list
+    is identical to the serial scan's
     ({!State_space.filter_reachable}). *)
 
 val is_wait_connected : t -> bool
@@ -166,11 +160,12 @@ val to_dot : t -> string
     sequence of BWGs, each a few destinations' slices away from the last.
     A session serves both.  It owns the live wait sets of one state
     space: {!Session.remove} and {!Session.restore} change single entries
-    and {!Session.update} replaces whole destinations' slices.  The rule
-    is kept as rows over each slice's positions (for the algorithm's
-    rule, the slice's own wait rows) and the live sets as one flag per
-    rule entry, in rule order; a destination gets its flags when one of
-    its entries first changes, so a session that changes none allocates
+    and {!Session.update} replaces whole destinations' slices.  Its one
+    rule is the algorithm's, the slices' own wait rows; every other rule
+    (the [reduced_waits] hint, a search candidate, a synthesized BWG') is
+    that rule with entries removed.  The live sets are one flag per rule
+    entry, in rule order; a destination gets its flags when one of its
+    entries first changes, so a session that changes none allocates
     nothing per state for them.
 
     The continuation closures run once per destination, on the first
@@ -193,19 +188,11 @@ module Session : sig
   type bwg := t
   type t
 
-  (** A session's waiting rule, read per destination as rows. *)
-  type rule =
-    | Waits  (** the algorithm's waiting sets: the slices' wait rows *)
-    | Hint
-        (** the algorithm's [reduced_waits] hint: the slices' hint rows,
-            which a space built without a hint lacks ([Invalid_argument]) *)
-    | Sets of wait_sets  (** any other rule, turned into rows *)
-
-  val create : ?witness_cap:int -> ?rule:rule -> ?domains:int -> State_space.t -> t
-  (** A session over the waiting rule [rule] (default [Waits]), every
-      entry live.  Cheap: nothing is derived before the first read, whose
-      closures [domains] fans out over the pool as {!build} does.
-      [witness_cap] as for {!build}. *)
+  val create : ?witness_cap:int -> ?domains:int -> State_space.t -> t
+  (** A session over the algorithm's waiting rule, every entry live.
+      Cheap: nothing is derived before the first read, whose closures
+      [domains] fans out over the pool as {!build} does; removals made
+      before it only set flags.  [witness_cap] as for {!build}. *)
 
   val space : t -> State_space.t
   (** The current state space: the one given to {!create} or the last
@@ -262,6 +249,11 @@ module Session : sig
       this read and the next change or read, so {!Checker.decide}'s
       classification may read the view's witnesses from pool workers at
       [--domains] > 1. *)
+
+  val of_view : bwg -> t option
+  (** The session whose live view ({!bwg}) this is, or [None] for a
+      {!build} or {!replay}: how {!Checker.decide} learns it may probe
+      the caller's session. *)
 
   val rank : t -> int array option
   (** Theorem 1's certificate for the live BWG': [Some rank] with

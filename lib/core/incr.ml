@@ -59,6 +59,7 @@ type t = {
 let net t = t.net
 let algo t = t.algo
 let space t = Bwg.Session.space t.session
+let session t = t.session
 
 let counters t =
   {

@@ -81,4 +81,8 @@ val algo : t -> Algo.t
 val space : t -> State_space.t
 (** The session's current state space (updated in place by {!update}). *)
 
+val session : t -> Bwg.Session.t
+(** The session the verdicts read, every entry live between updates: a
+    Theorem-3 verdict probes it and puts back what it removed. *)
+
 val counters : t -> counters

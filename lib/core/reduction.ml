@@ -51,26 +51,107 @@ let true_cycle_status ?cycle_limits ?class_limits ?(shortest_first = false) bwg
     | Some reason -> Error reason
     | None -> Ok None)
 
-let verify_hint ?cycle_limits space =
+(* occurrences of [w] in row [i] of [r] before position [stop] *)
+let copies (r : State_space.rows) i w stop =
+  let n = ref 0 in
+  for p = r.State_space.first.(i) to stop - 1 do
+    if r.State_space.items.(p) = w then incr n
+  done;
+  !n
+
+(* The hint is the full rule narrowed: every wait entry its hint row does
+   not match, copy for copy (a waits row's first copies of a target are
+   the ones kept), is removed from the caller's session, which is probed
+   and gets the removals back.  Slices are walked as rows, so on a
+   session not yet read the removals only set flags and its first read
+   takes the hint's edges. *)
+let verify_hint ?cycle_limits session =
+  let space = Bwg.Session.space session in
   match (State_space.algo space).Dfr_routing.Algo.reduced_waits with
   | None -> None
   | Some _ ->
     Obs.span "reduction.verify-hint" @@ fun () ->
-    let bwg = Bwg.Session.bwg (Bwg.Session.create ~rule:Bwg.Session.Hint space) in
-    if not (Bwg.is_wait_connected bwg) then
-      Some (Gave_up "reduced-waits hint is not wait-connected")
-    else (
-      match true_cycle_status ?cycle_limits bwg with
-      | Ok None -> Some (Reduced [])
-      | Ok (Some _) -> Some (Gave_up "reduced-waits hint still has a True Cycle")
-      | Error reason -> Some (Gave_up ("hint verification: " ^ reason)))
+    let removed = ref [] in
+    for dest = 0 to State_space.num_nodes space - 1 do
+      let v = State_space.dest_view space ~dest in
+      let wts = v.State_space.view_wts and hint = Option.get v.State_space.view_hint in
+      Array.iteri
+        (fun i buf ->
+          for p = wts.State_space.first.(i) to wts.State_space.first.(i + 1) - 1 do
+            let w = wts.State_space.items.(p) in
+            if copies wts i w (p + 1) > copies hint i w hint.State_space.first.(i + 1)
+            then begin
+              Bwg.Session.remove session ~buf ~dest w;
+              removed := (buf, dest, w) :: !removed
+            end
+          done)
+        v.State_space.view_bufs
+    done;
+    let bwg = Bwg.Session.bwg session in
+    let verdict =
+      if not (Bwg.is_wait_connected bwg) then
+        Gave_up "reduced-waits hint is not wait-connected"
+      else
+        match true_cycle_status ?cycle_limits bwg with
+        | Ok None -> Reduced []
+        | Ok (Some _) -> Gave_up "reduced-waits hint still has a True Cycle"
+        | Error reason -> Gave_up ("hint verification: " ^ reason)
+    in
+    List.iter (fun (buf, dest, w) -> Bwg.Session.restore session ~buf ~dest w) !removed;
+    Some verdict
 
-(* Theorem 3 as a Clause_search problem: one variable per wait entry of a
-   reachable state, 0 live and 1 removed, numbered in [iter_reachable]
-   order and, within a state, in rule order.  [assign] removes or
-   restores the entry in one wait-set session, and the probe reads the
-   session's BWG', which re-derives only the destinations touched since
-   the last probe.
+(* The search's variables, one per wait entry of a reachable state:
+   state [s], the [s]-th in [iter_reachable] order, owns variables
+   [first.(s)] .. [first.(s + 1) - 1], its wait row's entries in rule
+   order, so states without waits own none. *)
+type vars = {
+  first : int array;
+  buf_of : int array; (* per state *)
+  dest_of : int array;
+  slot : int array array; (* per destination and slice position: the state *)
+  target : int array; (* per variable *)
+  owner : int array;
+}
+
+(* One pass over [iter_reachable], which visits each destination's
+   states buffers ascending, as its slice lists them, so a cursor per
+   destination is the state's slice position. *)
+let variables space =
+  let nodes = State_space.num_nodes space and states = State_space.num_states space in
+  let rows =
+    Array.init nodes (fun dest -> (State_space.dest_view space ~dest).State_space.view_wts)
+  in
+  let n = Array.fold_left (fun n r -> n + Array.length r.State_space.items) 0 rows in
+  let t =
+    {
+      first = Array.make (states + 1) 0;
+      buf_of = Array.make states 0;
+      dest_of = Array.make states 0;
+      slot = Array.map (fun r -> Array.make (Array.length r.State_space.first - 1) 0) rows;
+      target = Array.make n 0;
+      owner = Array.make n 0;
+    }
+  in
+  let cursor = Array.make nodes 0 and s = ref 0 in
+  State_space.iter_reachable space (fun ~buf ~dest ->
+      let i = cursor.(dest) and { State_space.first = row; items } = rows.(dest) in
+      cursor.(dest) <- i + 1;
+      let v0 = t.first.(!s) - row.(i) in
+      for p = row.(i) to row.(i + 1) - 1 do
+        t.target.(v0 + p) <- items.(p);
+        t.owner.(v0 + p) <- !s
+      done;
+      t.first.(!s + 1) <- v0 + row.(i + 1);
+      t.buf_of.(!s) <- buf;
+      t.dest_of.(!s) <- dest;
+      t.slot.(dest).(i) <- !s;
+      incr s);
+  t
+
+(* Theorem 3 as a Clause_search problem over [variables], 0 live and 1
+   removed.  [assign] removes or restores the entry in the caller's
+   session, and the probe reads the session's BWG', which re-derives only
+   the destinations touched since the last probe.
 
    A conflict is a True Cycle.  Its witness packets name the wait entries
    generating its edges; with routes fixed, the same packets realize the
@@ -83,50 +164,19 @@ let verify_hint ?cycle_limits space =
    assignment mirrors the session's live sets, so the last-wait guard
    and the cut filter count a state's live entries off its own range of
    variables. *)
-let search ?cycle_limits ?(budget = 2000) ?domains space =
+let search ?cycle_limits ?(budget = 2000) session =
   Obs.span "reduction.search" @@ fun () ->
-  let num_nodes = State_space.num_nodes space in
-  let key buf dest = (buf * num_nodes) + dest in
-  let session = Bwg.Session.create ?domains space in
-  let keys = ref [] and sizes = ref [] and targets = ref [] in
-  State_space.iter_reachable space (fun ~buf ~dest ->
-      let { State_space.first; items } =
-        (State_space.dest_view space ~dest).State_space.view_wts
-      in
-      let i = State_space.index space ~buf ~dest in
-      if first.(i) < first.(i + 1) then begin
-        keys := key buf dest :: !keys;
-        sizes := (first.(i + 1) - first.(i)) :: !sizes;
-        for p = first.(i) to first.(i + 1) - 1 do
-          targets := items.(p) :: !targets
-        done
-      end);
-  (* the states with waits, keys ascending *)
-  let keys = Array.of_list (List.rev !keys) in
-  (* the entries, states in key order and each in rule order *)
-  let target = Array.of_list (List.rev !targets) in
-  (* state s owns entries first.(s) .. first.(s + 1) - 1 *)
-  let first = Array.make (Array.length keys + 1) 0 in
-  List.iteri (fun s size -> first.(s + 1) <- first.(s) + size) (List.rev !sizes);
-  let n = Array.length target in
-  let owner = Array.make n 0 in
-  for s = 0 to Array.length keys - 1 do
-    Array.fill owner first.(s) (first.(s + 1) - first.(s)) s
-  done;
-  (* the search's assignment: 0 live, 1 removed *)
-  let value = Array.make n 0 in
-  let live v = value.(v) = 0 in
-  let state buf dest =
-    let k = key buf dest in
-    let rec go lo hi =
-      let mid = (lo + hi) / 2 in
-      if keys.(mid) < k then go (mid + 1) hi else if keys.(mid) > k then go lo mid else mid
-    in
-    go 0 (Array.length keys)
+  let space = Bwg.Session.space session in
+  let { first; buf_of; dest_of; slot; target; owner } =
+    Obs.span "reduction.setup" (fun () -> variables space)
   in
+  let state buf dest = slot.(dest).(State_space.index space ~buf ~dest) in
+  (* the search's assignment: 0 live, 1 removed *)
+  let value = Array.make (Array.length target) 0 in
+  let live v = value.(v) = 0 in
   let entry v =
     let s = owner.(v) in
-    { head = keys.(s) / num_nodes; dest = keys.(s) mod num_nodes; target = target.(v) }
+    { head = buf_of.(s); dest = dest_of.(s); target = target.(v) }
   in
   (* state [s]'s live entries *)
   let live_count s =
@@ -166,7 +216,8 @@ let search ?cycle_limits ?(budget = 2000) ?domains space =
   in
   let probe () =
     Obs.count "reduction.attempts" 1;
-    true_cycle_status ?cycle_limits (Bwg.Session.bwg session)
+    Obs.span "reduction.probe" (fun () ->
+        true_cycle_status ?cycle_limits (Bwg.Session.bwg session))
   in
   let clause (_, packets) =
     ( List.map
@@ -205,4 +256,14 @@ let search ?cycle_limits ?(budget = 2000) ?domains space =
     | Clause_search.Exhausted -> Impossible
     | Clause_search.Gave_up reason -> Gave_up reason
   in
+  (* only [Reduced] keeps its removals; a budget or decision-limit stop
+     leaves the last assignment's *)
+  (match result with
+  | Reduced _ -> ()
+  | Impossible | Gave_up _ ->
+    List.iter
+      (fun v ->
+        let { head = buf; dest; target } = entry v in
+        Bwg.Session.restore session ~buf ~dest target)
+      !removals);
   (result, stats)

@@ -37,7 +37,7 @@ type stats = {
 
 type success = {
   space : State_space.t;
-  bwg : Bwg.t Lazy.t;
+  bwg : Bwg.t;
   algo : Algo.t;
   removed : Reduction.removed list;
   widened : int;
@@ -83,12 +83,6 @@ let remove session { Reduction.head; dest; target } =
 let restore session { Reduction.head; dest; target } =
   Bwg.Session.restore session ~buf:head ~dest target
 
-(* a wait-set session with [removed] taken out of the full rule *)
-let session_without ~domains space removed =
-  let session = Bwg.Session.create ~domains space in
-  List.iter (remove session) removed;
-  session
-
 (* ------------------------------------------------------------------ *)
 (* mode 1: BWG' synthesis (waits shrink, routes fixed)                 *)
 
@@ -129,7 +123,8 @@ let synthesize ?(budget = 4000) ?(domains = 1) ?(minimize = false) space =
       "a deadlocked single-buffer configuration (knot) exists: every \
        wait-connected BWG' keeps a True Cycle"
   else
-    let outcome, s = Reduction.search ~budget ~domains space in
+    let session = Bwg.Session.create ~domains space in
+    let outcome, s = Reduction.search ~budget session in
     match outcome with
     | Reduction.Gave_up msg ->
       emit (stats_of s ~extra:0 ~restored:0);
@@ -141,8 +136,7 @@ let synthesize ?(budget = 4000) ?(domains = 1) ?(minimize = false) space =
          (Theorem 3 necessity)"
     | Reduction.Reduced removed ->
       let found = List.sort compare removed in
-      (* the result's session: nothing changes it after [minimize] *)
-      let session = session_without ~domains space found in
+      (* the search left [found] removed: the session is the result's *)
       let removed = if minimize then minimize_pass session found else found in
       let algo' =
         Algo.with_waits algo (fun net b ~dest ->
@@ -159,7 +153,7 @@ let synthesize ?(budget = 4000) ?(domains = 1) ?(minimize = false) space =
       Synthesized
         {
           space;
-          bwg = lazy (Bwg.Session.bwg session);
+          bwg = Bwg.Session.bwg session;
           algo = algo';
           removed;
           widened = 0;
@@ -497,7 +491,7 @@ let repair_search ~budget ~domains net algo =
       Synthesized
         {
           space = report.Checker.space;
-          bwg = Lazy.from_val report.Checker.bwg;
+          bwg = report.Checker.bwg;
           algo = final;
           removed = removed_entries ();
           widened = !widened_delta;
@@ -538,11 +532,16 @@ type certification =
   | Relaxable of Reduction.removed list
   | Cert_unknown of string
 
-(* Both passes run on one session holding [removed]: each certificate
-   restores its entry, probes, and takes it out again. *)
-let certify ?(domains = 1) space ~removed =
+(* On the result's own session: each certificate restores its entry,
+   probes, and takes it out again; a last read hands [s.bwg] back at the
+   BWG'. *)
+let certify s =
   Obs.span "synth.certify" @@ fun () ->
-  let session = session_without ~domains space removed in
+  let session =
+    match Bwg.Session.of_view s.bwg with
+    | Some session -> session
+    | None -> invalid_arg "Synth.certify: not a synthesized BWG'"
+  in
   let rec go items relaxable = function
     | [] ->
       if relaxable = [] then Maximal (List.rev items)
@@ -559,10 +558,13 @@ let certify ?(domains = 1) space ~removed =
       | Ok (Some (cycle, packets)) ->
         go ({ relaxed = r; cycle; packets } :: items) relaxable rest)
   in
-  go [] [] removed
+  let result = go [] [] s.removed in
+  ignore (Bwg.Session.bwg session : Bwg.t);
+  result
 
 let replay ?(domains = 1) space ~removed items =
-  let session = session_without ~domains space removed in
+  let session = Bwg.Session.create ~domains space in
+  List.iter (remove session) removed;
   List.map
     (fun item ->
       restore session item.relaxed;
@@ -596,7 +598,7 @@ let replay ?(domains = 1) space ~removed items =
 let bwg_prime_dot s =
   let net = State_space.net s.space in
   let fg = Bwg.graph (Bwg.build s.space) in
-  let rg = Bwg.graph (Lazy.force s.bwg) in
+  let rg = Bwg.graph s.bwg in
   let touched = Array.make (Digraph.num_vertices fg) false in
   Digraph.iter_edges
     (fun u v ->

@@ -52,11 +52,11 @@ type success = {
   space : State_space.t;
       (** the candidate's state space — {!repair} rebuilds it from the
           repaired relation; {!synthesize} passes the input through *)
-  bwg : Bwg.t Lazy.t;
+  bwg : Bwg.t;
       (** the final candidate BWG: wait-connected, no True Cycle found
           (exhaustively, for the verified paths).  {!synthesize} gives a
-          live view ({!Bwg.Session.bwg}) of a session private to the
-          result, read (every closure run) only when forced; {!repair},
+          live view ({!Bwg.Session.bwg}) of the session its search ran
+          on, holding [removed] ({!certify} probes it too); {!repair},
           the checker's cold build of the repaired relation *)
   algo : Algo.t;  (** the input algorithm with the synthesized rule wired
                       in via {!Algo.with_waits} / {!Algo.with_relation} *)
@@ -92,8 +92,10 @@ val synthesize :
 (** Find a BWG' for the algorithm of [space].  Stuck states, a state
     with no wait under the full rule, and a knot ({!Deadlock_config})
     answer [Unsat] at once; otherwise {!Reduction.search} runs with
-    [budget] probes (default 4000).  [minimize] (default false)
-    runs a greedy restore pass so the removed set is 1-minimal — the form
+    [budget] probes (default 4000) on a session whose first read
+    [domains] fans out, and that session, left holding the search's
+    removals, becomes the result's.  [minimize] (default false) runs a
+    greedy restore pass on it so the removed set is 1-minimal — the form
     {!certify} expects.  An algorithm whose full BWG is already
     True-Cycle-free synthesizes with [removed = \[\]]. *)
 
@@ -137,15 +139,14 @@ type certification =
           leaves the BWG' True-Cycle-free *)
   | Cert_unknown of string  (** a classification cap hit *)
 
-val certify :
-  ?domains:int ->
-  State_space.t ->
-  removed:Reduction.removed list ->
-  certification
-(** Theorem-6-style maximality: for each entry of [removed], probe the
-    BWG' with that single entry restored and demand a True Cycle.  The
-    probes are single-entry deltas of one {!Bwg.Session}.  Run it on a
-    minimized {!synthesize} result. *)
+val certify : success -> certification
+(** Theorem-6-style maximality: for each entry of the result's [removed],
+    probe the BWG' with that single entry restored and demand a True
+    Cycle.  The probes are single-entry deltas of the result's own
+    session, which runs no closure again and is handed back at the BWG'
+    ([bwg] reads it).  Run it on a minimized {!synthesize} result;
+    a {!repair} result, which has no session, raises
+    [Invalid_argument]. *)
 
 val replay :
   ?domains:int ->
@@ -154,7 +155,7 @@ val replay :
   cert_item list ->
   bool list
 (** Independent check of certificates, one verdict per item: a fresh
-    {!Bwg.Session} over [removed] restores each item's entry in turn,
+    {!Bwg.Session}, [removed] removed, restores each item's entry in turn,
     confirms every consecutive pair of [cycle] is an edge of that BWG',
     and re-classifies the cycle through {!Cycle_class.classify} — the
     same machinery the checker trusts.  [removed] must be the

@@ -106,7 +106,9 @@ let with_cap n f =
    domains with hybrid and dense closure rows, and under any rule
    [Bwg.replay] of the reference emissions, must give the reference's
    rows in order, every witness list and the capped count; a session's
-   live BWG', rows as sets and every witness list.  [~indirect:false]
+   live BWG', narrowed to the rule with [Bwg.Session.remove], rows as
+   sets and every witness list.  [Bwg.dest_edges] reads the space of the
+   algorithm narrowed to the rule ([Cold.narrowed]).  [~indirect:false]
    checks the build's ablation against the direct reference, which
    nothing else builds. *)
 let agree ~label ?wait_sets ?(indirect = true) space =
@@ -115,13 +117,18 @@ let agree ~label ?wait_sets ?(indirect = true) space =
     | Some w -> w
     | None -> fun ~buf ~dest -> Slice_lists.waits space ~buf ~dest
   in
+  let narrowed =
+    match wait_sets with
+    | Some wait_sets -> Cold.narrowed ~wait_sets space
+    | None -> space
+  in
   let num_bufs = State_space.num_buffers space in
   let per_dest =
     List.init (State_space.num_nodes space) (fun dest ->
         let want = reference_dest_edges ~indirect ~wait_sets:rules space ~dest in
         if indirect then begin
           let got = ref [] in
-          Bwg.dest_edges ?wait_sets space ~dest ~emit:(fun q1 q2 w ->
+          Bwg.dest_edges narrowed ~dest ~emit:(fun q1 q2 w ->
               got := (q1, q2, w) :: !got);
           let got = List.rev !got in
           if got <> want then
@@ -156,15 +163,11 @@ let agree ~label ?wait_sets ?(indirect = true) space =
       in
       (* the session's live BWG' may order a row differently *)
       let live =
-        if indirect then
-          [
-            ( "session",
-              Bwg.Session.bwg
-                (Bwg.Session.create ~witness_cap:cap
-                   ?rule:(Option.map (fun ws -> Bwg.Session.Sets ws) wait_sets)
-                   space),
-              false );
-          ]
+        if indirect then begin
+          let session = Bwg.Session.create ~witness_cap:cap space in
+          Cold.narrow session ~wait_sets:rules;
+          [ ("session", Bwg.Session.bwg session, false) ]
+        end
         else []
       in
       List.iter
@@ -196,8 +199,8 @@ let agree ~label ?wait_sets ?(indirect = true) space =
         (("replay", replayed) :: cold))
     [ 0; 1; 2; 32 ]
 
-(* a custom waiting rule exercises [?wait_sets] and the session's
-   [?waits]: keep the first waiting buffer of every state *)
+(* a custom waiting rule exercises narrowed spaces and sessions: keep
+   the first waiting buffer of every state *)
 let first_wait space ~buf ~dest =
   match Slice_lists.waits space ~buf ~dest with [] -> [] | w :: _ -> [ w ]
 

@@ -8,6 +8,7 @@
 
 open Dfr_routing
 open Dfr_core
+module Obs = Dfr_obs.Obs
 module Synth = Dfr_synth.Synth
 
 let check = Alcotest.check
@@ -62,7 +63,7 @@ let bwg_prime_is_cold name (s : Synth.success) =
           (fun target -> not (List.mem { Reduction.head = buf; dest; target } s.Synth.removed))
           (Slice_lists.waits space ~buf ~dest))
   in
-  Option.iter (Alcotest.failf "%s: BWG' vs cold: %s" name) (Cold.diff ~want ~got:(Lazy.force s.Synth.bwg))
+  Option.iter (Alcotest.failf "%s: BWG' vs cold: %s" name) (Cold.diff ~want ~got:s.Synth.bwg)
 
 let test_two_buffer_bwg () =
   let net, space = space_of (entry "two-buffer") in
@@ -179,12 +180,25 @@ let test_repair_already_free () =
 
 (* Theorem-6-style maximality on a minimized result: every removed wait
    gets a True-Cycle witness, and every witness replays on a fresh
-   session. *)
+   session.  Search, minimization and certification probe one session,
+   which captures each destination's closures once and is handed back
+   at the BWG'. *)
 let test_certify_and_replay () =
   let _, space = space_of (entry "two-buffer") in
-  let s = synthesized (Synth.synthesize ~minimize:true space) in
+  Obs.enable ();
+  let s, certified =
+    Fun.protect ~finally:Obs.disable (fun () ->
+        let s = synthesized (Synth.synthesize ~minimize:true space) in
+        let certified = Synth.certify s in
+        check Alcotest.int "one capture per destination" (State_space.num_nodes space)
+          (match List.assoc_opt "bwg.closure" (Obs.span_totals ()) with
+          | Some (n, _) -> n
+          | None -> 0);
+        (s, certified))
+  in
+  bwg_prime_is_cold "two-buffer after certify" s;
   let removed = s.Synth.removed in
-  match Synth.certify space ~removed with
+  match certified with
   | Synth.Maximal items ->
     check Alcotest.int "one witness per removed entry" (List.length removed)
       (List.length items);
