@@ -18,9 +18,8 @@ type t = {
          over kept groups, or the reference recorder's cell *)
   acyclic : unit -> bool;
       (* the Kahn pass over [graph], or a session's kept rank *)
-  unconnected : int -> (int * int) list;
-      (* over [domains]: the state table's wait-less record, or a scan of
-         a session's live sets *)
+  unconnected : unit -> (int * int) list;
+      (* the state table's wait-less record, or a session's live sets *)
   lender : lender option;
 }
 
@@ -441,7 +440,7 @@ let replay ?(witness_cap = 32) space f =
     graph;
     witnesses;
     acyclic = kahn_acyclic graph;
-    unconnected = (fun _ -> State_space.waitless_states space);
+    unconnected = (fun () -> State_space.waitless_states space);
     lender = None;
   }
 
@@ -498,7 +497,7 @@ let build ?(witness_cap = 32) ?(indirect = true) ?(domains = 1)
     graph;
     witnesses = derive ~witness_cap space groups rules live;
     acyclic = kahn_acyclic graph;
-    unconnected = (fun _ -> State_space.waitless_states space);
+    unconnected = (fun () -> State_space.waitless_states space);
     lender = None;
   }
 
@@ -523,7 +522,7 @@ let cycles ?limits t =
   in
   (List.rev cs, exhaustive)
 
-let unconnected_states ?(domains = 1) t = t.unconnected domains
+let unconnected_states t = t.unconnected ()
 
 let is_wait_connected t = unconnected_states t = []
 
@@ -605,10 +604,6 @@ module Session = struct
     let acc = ref [] in
     iter_live s.base.(d) s.live.(d) i (fun w -> acc := w :: !acc);
     List.rev !acc
-
-  let waits s ~buf ~dest =
-    let i = find s ~buf ~dest in
-    if i < 0 then [] else live_list s dest i
 
   (* the first entry of destination [d]'s row [i] that is [target] and
      whose liveness is [live], or -1 *)
@@ -798,9 +793,29 @@ module Session = struct
     s.rank
 
   (* the reachable states with no live entry, scanned *)
-  let unconnected s domains =
-    State_space.filter_reachable ~domains s.space (fun ~buf ~dest ->
-        (not (State_space.arrived s.space ~buf ~dest)) && waits s ~buf ~dest = [])
+  (* The reachable states with no live entry, in [iter_reachable]
+     order.  Removals only empty states, so a destination none of whose
+     entries changed reads its slice's wait-less record, and only the
+     others scan their rows. *)
+  let unconnected s () =
+    let nn = State_space.num_nodes s.space in
+    let keys = ref [] in
+    for d = 0 to nn - 1 do
+      let v = State_space.dest_view s.space ~dest:d and flags = s.live.(d) in
+      let add buf = keys := ((buf * nn) + d) :: !keys in
+      if Bytes.length flags = 0 then Array.iter add v.State_space.view_waitless
+      else
+        let { State_space.first; _ } = s.base.(d) in
+        Array.iteri
+          (fun i buf ->
+            let p = ref first.(i) in
+            while !p < first.(i + 1) && not (live_at flags !p) do
+              incr p
+            done;
+            if !p = first.(i + 1) && not (State_space.arrived s.space ~buf ~dest:d) then add buf)
+          v.State_space.view_bufs
+    done;
+    List.map (fun k -> (k / nn, k mod nn)) (List.sort Int.compare !keys)
 
   let bwg s : bwg =
     sync s;

@@ -136,17 +136,15 @@ val fold_cycles :
 val cycles : ?limits:Dfr_graph.Cycles.limits -> t -> int list list * bool
 (** The cycles of {!fold_cycles}, in the same order, copied to lists. *)
 
-val unconnected_states : ?domains:int -> t -> (int * int) list
+val unconnected_states : t -> (int * int) list
 (** Reachable, unarrived states whose waiting set in this graph is
     empty, in {!State_space.iter_reachable} order.  The algorithm is
     wait-connected for this graph iff the list is empty (§3: every
     loss-less algorithm must be).  A {!build}'s and a {!replay}'s wait
     sets are the algorithm's, so they read the state table's wait-less
     record ({!State_space.waitless_states}, O(nodes)) and scan nothing.
-    A {!Session.bwg}, whose live sets may have lost entries, scans them;
-    [domains] parallelizes that scan over the shared pool, and the list
-    is identical to the serial scan's
-    ({!State_space.filter_reachable}). *)
+    A {!Session.bwg} reads the same record for every destination none of
+    whose entries changed, and scans the live rows of the others. *)
 
 val is_wait_connected : t -> bool
 

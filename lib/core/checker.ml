@@ -100,7 +100,8 @@ let decide ?cycle_limits ?(domains = 1) ~stuck ~unconnected space bwg =
                 match lent with Some s -> s | None -> Bwg.Session.create ~domains space
               in
               let reduced via_hint removed =
-                Deadlock_free (Reduced_bwg { via_hint; removed; full_bwg_cycles = enumerated })
+                Deadlock_free
+                  (Reduced_bwg { via_hint; removed; full_bwg_cycles = enumerated })
               in
               let verdict =
                 match Reduction.verify_hint ?cycle_limits session with
@@ -146,7 +147,7 @@ let check ?cycle_limits ?(domains = 1) net algo =
   let bwg = Bwg.build ~domains space in
   let stuck = State_space.stuck_states space in
   let unconnected =
-    if stuck = [] then Bwg.unconnected_states ~domains bwg else []
+    if stuck = [] then Bwg.unconnected_states bwg else []
   in
   decide ?cycle_limits ~domains ~stuck ~unconnected space bwg
 

@@ -119,7 +119,8 @@ type vars = {
 let variables space =
   let nodes = State_space.num_nodes space and states = State_space.num_states space in
   let rows =
-    Array.init nodes (fun dest -> (State_space.dest_view space ~dest).State_space.view_wts)
+    Array.init nodes (fun dest ->
+        (State_space.dest_view space ~dest).State_space.view_wts)
   in
   let n = Array.fold_left (fun n r -> n + Array.length r.State_space.items) 0 rows in
   let t =
@@ -127,7 +128,8 @@ let variables space =
       first = Array.make (states + 1) 0;
       buf_of = Array.make states 0;
       dest_of = Array.make states 0;
-      slot = Array.map (fun r -> Array.make (Array.length r.State_space.first - 1) 0) rows;
+      slot =
+        Array.map (fun r -> Array.make (Array.length r.State_space.first - 1) 0) rows;
       target = Array.make n 0;
       owner = Array.make n 0;
     }

@@ -426,28 +426,6 @@ let with_updated_dests t algo ~dests =
   refuse_malformed ~num_nodes:t.num_nodes problems;
   { t with algo; slices }
 
-(* Filter scan over the reachable states, chunked by destination over
-   the shared pool (a destination's states never depend on another's);
-   a final sort on the (buf, dest) key puts the survivors in
-   [iter_reachable] order — they are few (usually none), so the sort
-   costs nothing and the output is domain-count-invariant. *)
-let filter_reachable ?(domains = 1) t pred =
-  let per = Array.make t.num_nodes [] in
-  let n_dom = max 1 (min domains t.num_nodes) in
-  Dfr_util.Domain_pool.parallel ~domains:n_dom (fun k ->
-      let lo, hi = Dfr_util.Domain_pool.chunk ~n:t.num_nodes ~domains:n_dom k in
-      for dest = lo to hi - 1 do
-        let acc = ref [] in
-        Array.iter
-          (fun buf -> if pred ~buf ~dest then acc := (buf, dest) :: !acc)
-          t.slices.(dest).view_bufs;
-        per.(dest) <- List.rev !acc
-      done);
-  List.sort
-    (fun (b1, d1) (b2, d2) ->
-      compare ((b1 * t.num_nodes) + d1) ((b2 * t.num_nodes) + d2))
-    (List.concat (Array.to_list per))
-
 (* The states a record names, in [iter_reachable] order: few (usually
    none), so sorting them costs nothing *)
 let recorded t pick =

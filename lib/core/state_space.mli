@@ -129,15 +129,6 @@ val with_updated_dests : t -> Algo.t -> dests:int list -> t
     hint and [t] was built without one (the clean destinations' hint
     tables cannot be filled in retroactively). *)
 
-val filter_reachable :
-  ?domains:int -> t -> (buf:int -> dest:int -> bool) -> (int * int) list
-(** The reachable states satisfying a predicate, in [iter_reachable]
-    order.  With [domains > 1] the scan chunks by destination over the
-    shared {!Dfr_util.Domain_pool} and the merged result is identical to
-    the serial scan's (the predicate is then called from several domains
-    concurrently — safe for table reads, which is all the scan
-    predicates do). *)
-
 val stuck_states : t -> (int * int) list
 (** Reachable states that are neither arrived nor have any output: the
     routing relation dead-ends there (a malformed algorithm).  Read off
