@@ -792,7 +792,6 @@ module Session = struct
     if s.rank = None then s.rank <- topo_rank s.graph;
     s.rank
 
-  (* the reachable states with no live entry, scanned *)
   (* The reachable states with no live entry, in [iter_reachable]
      order.  Removals only empty states, so a destination none of whose
      entries changed reads its slice's wait-less record, and only the
@@ -812,7 +811,8 @@ module Session = struct
             while !p < first.(i + 1) && not (live_at flags !p) do
               incr p
             done;
-            if !p = first.(i + 1) && not (State_space.arrived s.space ~buf ~dest:d) then add buf)
+            if !p = first.(i + 1) && not (State_space.arrived s.space ~buf ~dest:d)
+            then add buf)
           v.State_space.view_bufs
     done;
     List.map (fun k -> (k / nn, k mod nn)) (List.sort Int.compare !keys)

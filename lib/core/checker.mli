@@ -62,8 +62,8 @@ val check :
   Algo.t ->
   report
 (** [domains] parallelizes the BWG constructions (the full BWG and the
-    first derivation of {!Reduction.search}'s wait-set session) and the
-    cycle classification scan over OCaml 5 domains (default 1; see
+    first read of the Theorem-3 session {!decide} opens) and the cycle
+    classification scan over OCaml 5 domains (default 1; see
     {!Bwg.build}).  Verdicts are bit-for-bit identical to the serial run:
     the classification fan-out still reports the True Cycle of minimal
     index in the shortest-first order.  [cycle_limits] caps the cycle
@@ -93,7 +93,16 @@ val decide :
     [unconnected] must be what {!State_space.stuck_states} and
     {!Bwg.unconnected_states} would return (reachable-iteration order);
     [unconnected] is only consulted when [stuck] is empty, so callers
-    holding stuck states may pass [[]]. *)
+    holding stuck states may pass [[]].
+
+    Theorem 3 (a True Cycle under [Any_wait]) runs the hint check and
+    then the search on one {!Bwg.Session}, each narrowing it by
+    removals: when [bwg] is a session's live view
+    ({!Bwg.Session.of_view}) that session is probed, every entry of
+    which must be live, and it is handed back with [Reduced]'s removals
+    put back and read, so the view in the report is the full BWG again;
+    otherwise a fresh session over [space] is opened, its first read
+    fanned out over [domains]. *)
 
 val verdict :
   ?cycle_limits:Dfr_graph.Cycles.limits ->
