@@ -30,14 +30,14 @@ let witnesses t q1 q2 =
   let n = Digraph.num_vertices t.graph in
   if q1 < 0 || q1 >= n || q2 < 0 || q2 >= n then ([], true) else t.witnesses q1 q2
 
-(* The waiting rule is the algorithm's, one set of rows per destination
-   over its slice's positions: the slice's own wait rows
-   ([State_space.rows], buffer ids in rule order), so reading it
-   allocates nothing.  A session narrows it by one flag per entry;
-   [all_live] stands for every entry live, so a destination none of
-   whose entries changed has no flags at all. *)
+(* The waiting rule is the algorithm's: each slice's own wait rows
+   ([State_space.rows], buffer ids in rule order), read in place.  A
+   session narrows it by one flag per entry; [all_live] stands for every
+   entry live, so a destination none of whose entries changed has no
+   flags at all. *)
 let all_live = Bytes.empty
 let live_at flags p = Bytes.length flags = 0 || Bytes.unsafe_get flags p <> '\000'
+let wait_rows space d = (State_space.dest_view space ~dest:d).State_space.view_wts
 
 (* [f w] for every live entry of row [h] *)
 let iter_live (rule : State_space.rows) flags h f =
@@ -159,7 +159,7 @@ let components s g k =
     count
   end
 
-(* destination [d]'s groups under [rule] (its waits per local state).
+(* destination [d]'s groups under its wait rows.
 
    For wormhole switching the heads of a packet occupying state [i] are
    the waiting states of [i]'s reachability closure.  States in one
@@ -168,8 +168,9 @@ let components s g k =
    waiting members and the finished rows of its successor components
    (keeping only states with waits commutes with the union).  The rows go to
    the domain's arena, one each, and the groups are read off them. *)
-let capture space ~wormhole ~dense_closures (rule : State_space.rows) d =
+let capture space ~wormhole ~dense_closures d =
   Obs.span "bwg.closure" @@ fun () ->
+  let rule = wait_rows space d in
   let k = Array.length rule.State_space.first - 1 in
   let waits v = rule.State_space.first.(v) < rule.State_space.first.(v + 1) in
   let first = Array.make (k + 1) 0 in
@@ -235,7 +236,7 @@ let iter_dest_groups space d { first; heads } f =
     done
   done
 
-(* The edge pass over every destination's groups, [rules.(d)] narrowed
+(* The edge pass over every destination's groups, its wait rows narrowed
    by [live.(d)] giving destination [d]'s heads' waits, into the empty
    [graph]: a stable counting sort of the emission targets by q1
    (destinations ascending, then emission order), then one walk per q1
@@ -245,7 +246,7 @@ let iter_dest_groups space d { first; heads } f =
    bucket's j-th slot, already read.  Returns the emissions, those past
    their edge's first [witness_cap] (what the recorder drops), and
    [iter_counts f], [f q1 q2 n] on every edge. *)
-let edge_pass ~witness_cap graph space groups (rules : State_space.rows array) live =
+let edge_pass ~witness_cap graph space groups live =
   let nb = State_space.num_buffers space in
   (* [f q1 w] for every live emission, in emission order, allocating
      nothing per group *)
@@ -253,7 +254,7 @@ let edge_pass ~witness_cap graph space groups (rules : State_space.rows array) l
     for d = 0 to Array.length groups - 1 do
       let { first; heads } = groups.(d) in
       let bufs = (State_space.dest_view space ~dest:d).State_space.view_bufs in
-      let { State_space.first = row; items } = rules.(d) and flags = live.(d) in
+      let { State_space.first = row; items } = wait_rows space d and flags = live.(d) in
       for i = 0 to Array.length first - 2 do
         let q1 = bufs.(i) in
         for j = first.(i) to first.(i + 1) - 1 do
@@ -309,14 +310,14 @@ let edge_pass ~witness_cap graph space groups (rules : State_space.rows array) l
   in
   (start.(nb), !capped, iter_counts)
 
-(* The one walk over the emitters of edge q1 -> q2 under [rules]
+(* The one walk over the emitters of edge q1 -> q2 under the wait rows
    narrowed by [live]: destinations ascending; in each, q1's groups,
    heads ascending; [f dest head n] for each group whose head's live row
    holds q2 [n] > 0 times ([head] a buffer id), until [f] answers false.
    Reads only its arguments, so any domain may walk while nothing writes
    them: a cold build's never change, a session's only on a change or a
    read. *)
-let walk_emitters space groups (rules : State_space.rows array) live q1 q2 f =
+let walk_emitters space groups live q1 q2 f =
   let go = ref true and dest = ref 0 in
   while !go && !dest < Array.length groups do
     let d = !dest in
@@ -327,7 +328,7 @@ let walk_emitters space groups (rules : State_space.rows array) live q1 q2 f =
       let j = ref first.(i) in
       while !go && !j < first.(i + 1) do
         let h = heads.(!j) and n = ref 0 in
-        iter_live rules.(d) live.(d) h (fun w -> if w = q2 then incr n);
+        iter_live (wait_rows space d) live.(d) h (fun w -> if w = q2 then incr n);
         if !n > 0 then go := f d bufs.(h) !n;
         incr j
       done
@@ -338,9 +339,9 @@ let walk_emitters space groups (rules : State_space.rows array) live q1 q2 f =
 (* The witnesses the reference recorder keeps for q1 -> q2: a witness
    per emission, the first [witness_cap], and whether they are all of
    them.  The walk goes one emission past the cap to tell. *)
-let derive ~witness_cap space groups rules live q1 q2 =
+let derive ~witness_cap space groups live q1 q2 =
   let acc = ref [] and kept = ref 0 and seen = ref 0 in
-  walk_emitters space groups rules live q1 q2 (fun dest head n ->
+  walk_emitters space groups live q1 q2 (fun dest head n ->
       seen := !seen + n;
       while !kept < min !seen witness_cap do
         acc := { dest; head } :: !acc;
@@ -356,7 +357,7 @@ let dest_edges ?(dense_closures = false) space ~dest ~emit =
   let v = State_space.dest_view space ~dest in
   let bufs = v.State_space.view_bufs and rule = v.State_space.view_wts in
   let wormhole = Net.switching (State_space.net space) = Net.Wormhole in
-  iter_dest_groups space dest (capture space ~wormhole ~dense_closures rule dest)
+  iter_dest_groups space dest (capture space ~wormhole ~dense_closures dest)
     (fun q1 h ->
       let wit = { dest; head = bufs.(h) } in
       iter_live rule all_live h (fun w -> emit q1 w wit))
@@ -475,17 +476,13 @@ let build ?(witness_cap = 32) ?(indirect = true) ?(domains = 1)
   let witness_cap = max 1 witness_cap in
   let num_nodes = State_space.num_nodes space in
   let wormhole = indirect && Net.switching (State_space.net space) = Net.Wormhole in
-  let rules =
-    Array.init num_nodes (fun dest ->
-        (State_space.dest_view space ~dest).State_space.view_wts)
-  in
   let live = Array.make num_nodes all_live in
   let groups = Array.make num_nodes no_groups in
   each_dest ~domains num_nodes (fun d ->
-      groups.(d) <- capture space ~wormhole ~dense_closures rules.(d) d);
+      groups.(d) <- capture space ~wormhole ~dense_closures d);
   let graph = Digraph.create (State_space.num_buffers space) in
   Obs.span "bwg.bucket" (fun () ->
-      let emissions, capped, _ = edge_pass ~witness_cap graph space groups rules live in
+      let emissions, capped, _ = edge_pass ~witness_cap graph space groups live in
       Obs.count "bwg.emissions" emissions;
       if capped > 0 then Obs.count "bwg.witnesses.capped" capped);
   (* only the full BWG reports its size: a BWG' of the same instance
@@ -495,7 +492,7 @@ let build ?(witness_cap = 32) ?(indirect = true) ?(domains = 1)
   {
     space;
     graph;
-    witnesses = derive ~witness_cap space groups rules live;
+    witnesses = derive ~witness_cap space groups live;
     acyclic = kahn_acyclic graph;
     unconnected = (fun () -> State_space.waitless_states space);
     lender = None;
@@ -556,10 +553,9 @@ module Session = struct
     mutable space : State_space.t;
     witness_cap : int;
     domains : int;
-    base : State_space.rows array; (* per dest: the slice's wait rows *)
     live : Bytes.t array;
-        (* per dest: a flag per entry of [base], or [all_live] until one
-           of its entries first changes *)
+        (* per dest: a flag per entry of its wait rows, or [all_live]
+           until one of its entries first changes *)
     groups : groups array; (* per dest, from the first read on *)
     mutable captured : bool;
     mutable counts : Count_table.t; (* q1 * num_buffers + q2 -> live emissions *)
@@ -575,15 +571,12 @@ module Session = struct
 
   type lender += Lent of t
 
-  let wait_rows space dest = (State_space.dest_view space ~dest).State_space.view_wts
-
   let create ?(witness_cap = 32) ?(domains = 1) space =
     let n = State_space.num_nodes space in
     {
       space;
       witness_cap = max 1 witness_cap;
       domains;
-      base = Array.init n (wait_rows space);
       live = Array.make n all_live;
       groups = Array.make n no_groups;
       captured = false;
@@ -602,13 +595,13 @@ module Session = struct
   (* destination [d]'s live entries of local state [i], in rule order *)
   let live_list s d i =
     let acc = ref [] in
-    iter_live s.base.(d) s.live.(d) i (fun w -> acc := w :: !acc);
+    iter_live (wait_rows s.space d) s.live.(d) i (fun w -> acc := w :: !acc);
     List.rev !acc
 
   (* the first entry of destination [d]'s row [i] that is [target] and
      whose liveness is [live], or -1 *)
   let entry s d i target ~live =
-    let { State_space.first; items } = s.base.(d) and flags = s.live.(d) in
+    let { State_space.first; items } = wait_rows s.space d and flags = s.live.(d) in
     let p = ref first.(i) and found = ref (-1) in
     while !found < 0 && !p < first.(i + 1) do
       if items.(!p) = target && live_at flags !p = live then found := !p;
@@ -633,7 +626,7 @@ module Session = struct
         ("Bwg.Session." ^ what
         ^ if live then ": not a live wait entry" else ": not a removed wait entry");
     if Bytes.length s.live.(dest) = 0 then
-      s.live.(dest) <- Bytes.make (Array.length s.base.(dest).State_space.items) '\001';
+      s.live.(dest) <- Bytes.make (Array.length (wait_rows s.space dest).State_space.items) '\001';
     Bytes.set s.live.(dest) p (if live then '\000' else '\001');
     if s.captured then begin
       if s.changed.(dest) = [] then s.dirty <- dest :: s.dirty;
@@ -670,7 +663,7 @@ module Session = struct
 
   (* [delta] on every live emission of destination [d] *)
   let bump_dest s d delta =
-    let rule = s.base.(d) and flags = s.live.(d) in
+    let rule = wait_rows s.space d and flags = s.live.(d) in
     iter_dest_groups s.space d s.groups.(d) (fun q1 h ->
         iter_live rule flags h (fun w -> bump s q1 w delta))
 
@@ -690,7 +683,7 @@ module Session = struct
   (* destination [d]'s live entries of local state [h] are row [h] of
      [rule], entry for entry *)
   let same_live s d h (rule : State_space.rows) =
-    let { State_space.first; items } = s.base.(d) and flags = s.live.(d) in
+    let { State_space.first; items } = wait_rows s.space d and flags = s.live.(d) in
     let q = ref rule.State_space.first.(h) and same = ref true in
     for p = first.(h) to first.(h + 1) - 1 do
       if !same && live_at flags p then
@@ -737,7 +730,7 @@ module Session = struct
   let capture s d =
     capture s.space
       ~wormhole:(Net.switching (State_space.net s.space) = Net.Wormhole)
-      ~dense_closures:false s.base.(d) d
+      ~dense_closures:false d
 
   (* Bring the counts up to the live sets.  The first read captures every
      destination's groups (over the pool with [domains] > 1) and runs the
@@ -751,8 +744,7 @@ module Session = struct
         s.captured <- true;
         Obs.span "bwg.patch" (fun () ->
             let _, _, iter_counts =
-              edge_pass ~witness_cap:s.witness_cap s.graph s.space s.groups s.base
-                s.live
+              edge_pass ~witness_cap:s.witness_cap s.graph s.space s.groups s.live
             in
             let nb = Digraph.num_vertices s.graph in
             s.counts <- Count_table.create (Digraph.num_edges s.graph);
@@ -777,12 +769,12 @@ module Session = struct
   let derive s q1 q2 =
     let key = (q1 * Digraph.num_vertices s.graph) + q2 in
     if Count_table.find s.counts key = Count_table.absent then ([], true)
-    else derive ~witness_cap:s.witness_cap s.space s.groups s.base s.live q1 q2
+    else derive ~witness_cap:s.witness_cap s.space s.groups s.live q1 q2
 
   let emitters s q1 q2 =
     if not s.captured then sync s;
     let acc = ref [] in
-    walk_emitters s.space s.groups s.base s.live q1 q2 (fun dest head _ ->
+    walk_emitters s.space s.groups s.live q1 q2 (fun dest head _ ->
         acc := { dest; head } :: !acc;
         true);
     List.rev !acc
@@ -792,28 +784,19 @@ module Session = struct
     if s.rank = None then s.rank <- topo_rank s.graph;
     s.rank
 
-  (* The reachable states with no live entry, in [iter_reachable]
-     order.  Removals only empty states, so a destination none of whose
-     entries changed reads its slice's wait-less record, and only the
-     others scan their rows. *)
+  (* the reachable states with no live entry, in [iter_reachable] order *)
   let unconnected s () =
     let nn = State_space.num_nodes s.space in
     let keys = ref [] in
     for d = 0 to nn - 1 do
-      let v = State_space.dest_view s.space ~dest:d and flags = s.live.(d) in
-      let add buf = keys := ((buf * nn) + d) :: !keys in
-      if Bytes.length flags = 0 then Array.iter add v.State_space.view_waitless
-      else
-        let { State_space.first; _ } = s.base.(d) in
-        Array.iteri
-          (fun i buf ->
-            let p = ref first.(i) in
-            while !p < first.(i + 1) && not (live_at flags !p) do
-              incr p
-            done;
-            if !p = first.(i + 1) && not (State_space.arrived s.space ~buf ~dest:d)
-            then add buf)
-          v.State_space.view_bufs
+      let rule = wait_rows s.space d in
+      Array.iteri
+        (fun i buf ->
+          let live = ref false in
+          iter_live rule s.live.(d) i (fun _ -> live := true);
+          if not (!live || State_space.arrived s.space ~buf ~dest:d) then
+            keys := ((buf * nn) + d) :: !keys)
+        (State_space.dest_view s.space ~dest:d).State_space.view_bufs
     done;
     List.map (fun k -> (k / nn, k mod nn)) (List.sort Int.compare !keys)
 
@@ -835,15 +818,17 @@ module Session = struct
      unchanged and no head with an empty rule gains entries (its groups
      would have to be inserted).  Kept groups emit the new rule's waits,
      a newly emptied head nothing. *)
-  let keeps_groups (oldv : State_space.dest_view) (old_rule : State_space.rows)
-      (newv : State_space.dest_view) (new_rule : State_space.rows) =
-    let waits (r : State_space.rows) h = r.State_space.first.(h) < r.State_space.first.(h + 1) in
+  let keeps_groups (oldv : State_space.dest_view) (newv : State_space.dest_view) =
+    let waits (v : State_space.dest_view) h =
+      v.State_space.view_wts.State_space.first.(h)
+      < v.State_space.view_wts.State_space.first.(h + 1)
+    in
     oldv.State_space.view_bufs = newv.State_space.view_bufs
     && oldv.State_space.view_outs = newv.State_space.view_outs
     &&
     let keep = ref true in
     for h = 0 to Array.length oldv.State_space.view_bufs - 1 do
-      if waits new_rule h && not (waits old_rule h) then keep := false
+      if waits newv h && not (waits oldv h) then keep := false
     done;
     !keep
 
@@ -855,39 +840,37 @@ module Session = struct
     let plan =
       List.map
         (fun d ->
-          let rule = wait_rows space d in
           let keep =
             s.captured
-            && keeps_groups (State_space.dest_view s.space ~dest:d) s.base.(d)
-                 (State_space.dest_view space ~dest:d) rule
+            && keeps_groups (State_space.dest_view s.space ~dest:d)
+                 (State_space.dest_view space ~dest:d)
           in
-          (d, rule, keep))
+          (d, keep))
         dests
     in
     if s.captured then begin
       sync s;
       Obs.span "bwg.patch" (fun () ->
           List.iter
-            (fun (d, rule, keep) ->
+            (fun (d, keep) ->
               if not keep then bump_dest s d (-1)
               else
-                match rule_changes s d rule with
+                match rule_changes s d (wait_rows space d) with
                 | [] -> ()
                 | changes -> apply_changes s d changes)
             plan)
     end;
     s.space <- space;
     List.iter
-      (fun (d, rule, keep) ->
-        s.base.(d) <- rule;
+      (fun (d, keep) ->
         s.live.(d) <- all_live;
         if s.captured && not keep then s.groups.(d) <- capture s d)
       plan;
     if s.captured then begin
       Obs.span "bwg.patch" (fun () ->
-          List.iter (fun (d, _, keep) -> if not keep then bump_dest s d 1) plan;
+          List.iter (fun (d, keep) -> if not keep then bump_dest s d 1) plan;
           sweep s);
       flush_moves s
     end;
-    List.length (List.filter (fun (_, _, keep) -> keep) plan)
+    List.length (List.filter snd plan)
 end

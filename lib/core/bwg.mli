@@ -94,8 +94,7 @@ val replay :
     result must equal [build space] — same adjacency rows, same witness
     lists and flags, same capped count.  This is the test reference for
     {!build} and {!Session.bwg}, which keep no witness cells; nothing
-    else calls it.  A test wanting the reference of a BWG' replays the
-    space of the narrowed algorithm ({!Dfr_routing.Algo.with_waits}). *)
+    else calls it. *)
 
 val space : t -> State_space.t
 val graph : t -> Dfr_graph.Digraph.t
@@ -143,8 +142,7 @@ val unconnected_states : t -> (int * int) list
     loss-less algorithm must be).  A {!build}'s and a {!replay}'s wait
     sets are the algorithm's, so they read the state table's wait-less
     record ({!State_space.waitless_states}, O(nodes)) and scan nothing.
-    A {!Session.bwg} reads the same record for every destination none of
-    whose entries changed, and scans the live rows of the others. *)
+    A {!Session.bwg} scans its live rows. *)
 
 val is_wait_connected : t -> bool
 
@@ -235,7 +233,8 @@ module Session : sig
   val bwg : t -> bwg
   (** A live view of the BWG' of the live wait sets.  Its edge set and
       every edge's witness list read exactly as the reference's
-      ({!replay} over {!dest_edges} with these wait sets; tested), its
+      ({!replay} over {!dest_edges} of the algorithm narrowed to these
+      wait sets; tested), its
       wait sets are the live ones, and {!is_acyclic} reads {!rank}.  The
       graph is patched in place by the next read after a change, and its
       adjacency rows may list successors in another order than a cold
@@ -249,9 +248,8 @@ module Session : sig
       [--domains] > 1. *)
 
   val of_view : bwg -> t option
-  (** The session whose live view ({!bwg}) this is, or [None] for a
-      {!build} or {!replay}: how {!Checker.decide} learns it may probe
-      the caller's session. *)
+  (** The session whose live view ({!bwg}) this is; [None] for a {!build}
+      or a {!replay}. *)
 
   val rank : t -> int array option
   (** Theorem 1's certificate for the live BWG': [Some rank] with

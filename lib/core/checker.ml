@@ -91,43 +91,40 @@ let decide ?cycle_limits ?(domains = 1) ~stuck ~unconnected space bwg =
             | Algo.Specific_wait ->
               (* Theorem 2 necessity: the witness is a deadlock. *)
               finish (Deadlock_possible (True_cycle { cycle; packets }))
-            | Algo.Any_wait ->
-              (* Theorem 3: look for a BWG', the hint's and then the
-                 search's, on one session: the view's own when [bwg] is
-                 a session's live view, else a fresh one *)
+            | Algo.Any_wait -> (
+              (* Theorem 3 on one session, narrowed by removals: the
+                 view's own when [bwg] is a live view, which gets back
+                 [Reduced]'s removals and is read, so the report's view
+                 is the full BWG again; else a fresh one *)
               let lent = Bwg.Session.of_view bwg in
               let session =
                 match lent with Some s -> s | None -> Bwg.Session.create ~domains space
               in
-              let reduced via_hint removed =
-                Deadlock_free
-                  (Reduced_bwg { via_hint; removed; full_bwg_cycles = enumerated })
-              in
-              let verdict =
-                match Reduction.verify_hint ?cycle_limits session with
-                | Some (Reduction.Reduced removed) -> reduced true removed
-                | _ -> (
-                  match fst (Reduction.search ?cycle_limits session) with
-                  | Reduction.Reduced removed -> reduced false removed
-                  | Reduction.Impossible ->
-                    (* exact: the search refuted every wait-connected BWG' *)
-                    Deadlock_possible (No_reduction { cycle; packets })
-                  | Reduction.Gave_up reason -> Unknown reason)
-              in
-              (* a lent session goes back to the full rule, read, so the
-                 view in the report is the full BWG again *)
-              Option.iter
-                (fun s ->
-                  (match verdict with
-                  | Deadlock_free (Reduced_bwg { removed; _ }) ->
+              let handed_back removed verdict =
+                Option.iter
+                  (fun s ->
                     List.iter
                       (fun { Reduction.head; dest; target } ->
                         Bwg.Session.restore s ~buf:head ~dest target)
-                      removed
-                  | _ -> ());
-                  ignore (Bwg.Session.bwg s : Bwg.t))
-                lent;
-              finish verdict)
+                      removed;
+                    ignore (Bwg.Session.bwg s : Bwg.t))
+                  lent;
+                finish verdict
+              in
+              let reduced via_hint removed =
+                handed_back removed
+                  (Deadlock_free
+                     (Reduced_bwg { via_hint; removed; full_bwg_cycles = enumerated }))
+              in
+              match Reduction.verify_hint ?cycle_limits session with
+              | Some (Reduction.Reduced removed) -> reduced true removed
+              | _ -> (
+                match fst (Reduction.search ?cycle_limits session) with
+                | Reduction.Reduced removed -> reduced false removed
+                | Reduction.Impossible ->
+                  (* exact: the search refuted every wait-connected BWG' *)
+                  handed_back [] (Deadlock_possible (No_reduction { cycle; packets }))
+                | Reduction.Gave_up reason -> handed_back [] (Unknown reason))))
           | None -> (
             match
               Cycle_class.inconclusive ~cycles_exhaustive

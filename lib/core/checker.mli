@@ -95,14 +95,9 @@ val decide :
     [unconnected] is only consulted when [stuck] is empty, so callers
     holding stuck states may pass [[]].
 
-    Theorem 3 (a True Cycle under [Any_wait]) runs the hint check and
-    then the search on one {!Bwg.Session}, each narrowing it by
-    removals: when [bwg] is a session's live view
-    ({!Bwg.Session.of_view}) that session is probed, every entry of
-    which must be live, and it is handed back with [Reduced]'s removals
-    put back and read, so the view in the report is the full BWG again;
-    otherwise a fresh session over [space] is opened, its first read
-    fanned out over [domains]. *)
+    Theorem 3 runs the hint check and the search on one {!Bwg.Session}:
+    the one behind [bwg] when it is a live view ({!Bwg.Session.of_view}),
+    handed back with every entry live and read, else a fresh one. *)
 
 val verdict :
   ?cycle_limits:Dfr_graph.Cycles.limits ->

@@ -60,11 +60,9 @@ let copies (r : State_space.rows) i w stop =
   !n
 
 (* The hint is the full rule narrowed: every wait entry its hint row does
-   not match, copy for copy (a waits row's first copies of a target are
-   the ones kept), is removed from the caller's session, which is probed
-   and gets the removals back.  Slices are walked as rows, so on a
-   session not yet read the removals only set flags and its first read
-   takes the hint's edges. *)
+   not match, copy for copy, is removed from the caller's session, which
+   is probed and gets the removals back.  On a session not yet read the
+   removals only set flags. *)
 let verify_hint ?cycle_limits session =
   let space = Bwg.Session.space session in
   match (State_space.algo space).Dfr_routing.Algo.reduced_waits with
@@ -100,22 +98,12 @@ let verify_hint ?cycle_limits session =
     List.iter (fun (buf, dest, w) -> Bwg.Session.restore session ~buf ~dest w) !removed;
     Some verdict
 
-(* The search's variables, one per wait entry of a reachable state:
-   state [s], the [s]-th in [iter_reachable] order, owns variables
-   [first.(s)] .. [first.(s + 1) - 1], its wait row's entries in rule
-   order, so states without waits own none. *)
-type vars = {
-  first : int array;
-  buf_of : int array; (* per state *)
-  dest_of : int array;
-  slot : int array array; (* per destination and slice position: the state *)
-  target : int array; (* per variable *)
-  owner : int array;
-}
-
-(* One pass over [iter_reachable], which visits each destination's
-   states buffers ascending, as its slice lists them, so a cursor per
-   destination is the state's slice position. *)
+(* The search's variables, one per wait entry: state [s], the [s]-th in
+   [iter_reachable] order, owns [first.(s)] .. [first.(s + 1) - 1] in
+   rule order, and [key.(s)] is [buf * nodes + dest].  The pass visits a
+   destination's states buffers ascending, as its slice lists them, so a
+   cursor per destination is the slice position [i]; [slot.(dest).(i)]
+   is the state there. *)
 let variables space =
   let nodes = State_space.num_nodes space and states = State_space.num_states space in
   let rows =
@@ -123,32 +111,23 @@ let variables space =
         (State_space.dest_view space ~dest).State_space.view_wts)
   in
   let n = Array.fold_left (fun n r -> n + Array.length r.State_space.items) 0 rows in
-  let t =
-    {
-      first = Array.make (states + 1) 0;
-      buf_of = Array.make states 0;
-      dest_of = Array.make states 0;
-      slot =
-        Array.map (fun r -> Array.make (Array.length r.State_space.first - 1) 0) rows;
-      target = Array.make n 0;
-      owner = Array.make n 0;
-    }
-  in
+  let first = Array.make (states + 1) 0 and key = Array.make states 0 in
+  let slot = Array.map (fun r -> Array.make (Array.length r.State_space.first - 1) 0) rows in
+  let target = Array.make n 0 and owner = Array.make n 0 in
   let cursor = Array.make nodes 0 and s = ref 0 in
   State_space.iter_reachable space (fun ~buf ~dest ->
       let i = cursor.(dest) and { State_space.first = row; items } = rows.(dest) in
       cursor.(dest) <- i + 1;
-      let v0 = t.first.(!s) - row.(i) in
+      let v0 = first.(!s) - row.(i) in
       for p = row.(i) to row.(i + 1) - 1 do
-        t.target.(v0 + p) <- items.(p);
-        t.owner.(v0 + p) <- !s
+        target.(v0 + p) <- items.(p);
+        owner.(v0 + p) <- !s
       done;
-      t.first.(!s + 1) <- v0 + row.(i + 1);
-      t.buf_of.(!s) <- buf;
-      t.dest_of.(!s) <- dest;
-      t.slot.(dest).(i) <- !s;
+      first.(!s + 1) <- v0 + row.(i + 1);
+      key.(!s) <- (buf * nodes) + dest;
+      slot.(dest).(i) <- !s;
       incr s);
-  t
+  (first, key, slot, target, owner)
 
 (* Theorem 3 as a Clause_search problem over [variables], 0 live and 1
    removed.  [assign] removes or restores the entry in the caller's
@@ -169,7 +148,8 @@ let variables space =
 let search ?cycle_limits ?(budget = 2000) session =
   Obs.span "reduction.search" @@ fun () ->
   let space = Bwg.Session.space session in
-  let { first; buf_of; dest_of; slot; target; owner } =
+  let nodes = State_space.num_nodes space in
+  let first, key, slot, target, owner =
     Obs.span "reduction.setup" (fun () -> variables space)
   in
   let state buf dest = slot.(dest).(State_space.index space ~buf ~dest) in
@@ -177,8 +157,8 @@ let search ?cycle_limits ?(budget = 2000) session =
   let value = Array.make (Array.length target) 0 in
   let live v = value.(v) = 0 in
   let entry v =
-    let s = owner.(v) in
-    { head = buf_of.(s); dest = dest_of.(s); target = target.(v) }
+    let k = key.(owner.(v)) in
+    { head = k / nodes; dest = k mod nodes; target = target.(v) }
   in
   (* state [s]'s live entries *)
   let live_count s =
@@ -252,20 +232,14 @@ let search ?cycle_limits ?(budget = 2000) session =
   let outcome, stats =
     Clause_search.run ~budget ~arity:(fun _ -> 2) value { probe; clause; moves; assign }
   in
+  (* only [Reduced] keeps its removals: a budget or decision-limit stop
+     leaves the last assignment's *)
+  if outcome <> Clause_search.Found then
+    List.iter (fun v -> ignore (assign v 0 : bool)) !removals;
   let result =
     match outcome with
     | Clause_search.Found -> Reduced (List.rev_map entry !removals)
     | Clause_search.Exhausted -> Impossible
     | Clause_search.Gave_up reason -> Gave_up reason
   in
-  (* only [Reduced] keeps its removals; a budget or decision-limit stop
-     leaves the last assignment's *)
-  (match result with
-  | Reduced _ -> ()
-  | Impossible | Gave_up _ ->
-    List.iter
-      (fun v ->
-        let { head = buf; dest; target } = entry v in
-        Bwg.Session.restore session ~buf ~dest target)
-      !removals);
   (result, stats)

@@ -60,16 +60,13 @@ val verify_hint :
   Bwg.Session.t ->
   outcome option
 (** Checks the algorithm's declarative [reduced_waits] hint, if present,
-    on the caller's session, which must hold every entry live.  The hint
-    is the full rule narrowed: every wait entry its hint row does not
-    match, copy for copy, is removed, the BWG' is probed, and every
-    removal is put back (the session's next read applies them).  A hint
-    row repeating a target beyond its waits row's copies narrows to the
-    waits row's copies, which can change witness multiplicity, never an
-    edge.  [Some (Reduced \[\])] when the hint is sound; [Some (Gave_up _)]
+    as the full rule narrowed: every wait entry its hint row does not
+    match, copy for copy, is removed from the session (every entry live
+    on entry), the BWG' is probed, and the removals are put back.
+    [Some (Reduced \[\])] when the hint is sound; [Some (Gave_up _)]
     when it is wait-connected but cycles could not be ruled out
-    exhaustively; [Some Impossible] is never returned.  A broken hint
-    yields [Some (Gave_up reason)].  Runs under [reduction.verify-hint]. *)
+    exhaustively; [Some Impossible] is never returned. A broken hint
+    yields [Some (Gave_up reason)]. *)
 
 val search :
   ?cycle_limits:Dfr_graph.Cycles.limits ->
@@ -77,24 +74,19 @@ val search :
   Bwg.Session.t ->
   outcome * Clause_search.stats
 (** Automatic search from the full waiting rule, over the wait entries of
-    the reachable states, on the caller's session, which must hold every
-    entry live.  Each probe reads the candidate BWG' off that session,
+    the reachable states, on the session (every entry live on entry).
+    Each probe, under [reduction.probe], reads the candidate BWG' off it,
     which re-derives only the destinations whose entries changed since
-    the previous probe (probes are counted as [reduction.attempts] and
-    run under [reduction.probe]; [budget], default 2000, caps them), and
-    runs the streaming {!true_cycle_status}.  The variables (one per
-    wait entry, states in {!State_space.iter_reachable} order, each in
-    rule order) are built from the slices' wait rows under
-    [reduction.setup].  At a True Cycle it first tries the edge cuts,
+    the previous probe (probes are counted as [reduction.attempts];
+    [budget], default 2000, caps them), and runs the streaming
+    {!true_cycle_status}.  At a True Cycle it first tries the edge cuts,
     edges in cycle order, each removing every live entry that generates
     the edge ({!Bwg.Session.emitters}: destinations ascending, then heads
     ascending, one entry per (destination, head)) and allowed only if
     every state it touches keeps a wait; each cut is derived under a
     [reduction.cuts] span.  Then it tries the cycle's witness entries
     one at a time, most active first.  [Reduced]'s removals are in
-    decision order.  A probe that hits a cap is backtracked over, and
-    the search then ends in [Gave_up], never [Impossible].  The session
-    is handed back with only [Reduced]'s removals in place, so it reads
-    as the BWG' it found; [Impossible] and [Gave_up] (a budget or
-    decision-limit stop included) put every removal back, which the
-    session's next read applies. *)
+    decision order, and only they stay removed: [Impossible] and
+    [Gave_up] put every removal back.  A probe that hits a cap is
+    backtracked over, and the search then ends in [Gave_up], never
+    [Impossible].  The variables are built under [reduction.setup]. *)

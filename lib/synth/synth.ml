@@ -562,8 +562,8 @@ let certify s =
   ignore (Bwg.Session.bwg session : Bwg.t);
   result
 
-let replay ?(domains = 1) space ~removed items =
-  let session = Bwg.Session.create ~domains space in
+let replay space ~removed items =
+  let session = Bwg.Session.create space in
   List.iter (remove session) removed;
   List.map
     (fun item ->

@@ -92,12 +92,11 @@ val synthesize :
 (** Find a BWG' for the algorithm of [space].  Stuck states, a state
     with no wait under the full rule, and a knot ({!Deadlock_config})
     answer [Unsat] at once; otherwise {!Reduction.search} runs with
-    [budget] probes (default 4000) on a session whose first read
-    [domains] fans out, and that session, left holding the search's
-    removals, becomes the result's.  [minimize] (default false) runs a
-    greedy restore pass on it so the removed set is 1-minimal — the form
-    {!certify} expects.  An algorithm whose full BWG is already
-    True-Cycle-free synthesizes with [removed = \[\]]. *)
+    [budget] probes (default 4000) on a session that becomes the
+    result's.  [minimize] (default false) runs a greedy restore pass on
+    it so the removed set is 1-minimal — the form {!certify} expects.
+    An algorithm whose full BWG is already True-Cycle-free synthesizes
+    with [removed = \[\]]. *)
 
 val repair :
   ?budget:int ->
@@ -149,7 +148,6 @@ val certify : success -> certification
     [Invalid_argument]. *)
 
 val replay :
-  ?domains:int ->
   State_space.t ->
   removed:Reduction.removed list ->
   cert_item list ->

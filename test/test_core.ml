@@ -462,6 +462,40 @@ let test_theorem3_search_without_hint () =
     check Alcotest.bool "removed some waits" true (removed <> [])
   | v -> Alcotest.failf "expected search-found BWG', got %a" (Checker.pp_verdict net) v
 
+(* The hint check and a stopped search hand the caller's session back
+   with every entry live, reading the full BWG's edges, whether or not
+   it was read before: a one-probe search on the hintless two-buffer
+   gives up mid-branch, and the catalogue's hint verifies. *)
+let test_theorem3_hands_back_session () =
+  let bare = { Mesh_saf.two_buffer with Algo.reduced_waits = None } in
+  let handed_back name algo run =
+    let space = State_space.build saf33 algo in
+    let full = Bwg.graph (Bwg.build space) in
+    List.iter
+      (fun read_first ->
+        let name = Printf.sprintf "%s (read first: %b)" name read_first in
+        let session = Bwg.Session.create space in
+        if read_first then ignore (Bwg.Session.bwg session : Bwg.t);
+        run name session;
+        State_space.iter_reachable space (fun ~buf ~dest ->
+            List.iter
+              (fun w ->
+                if not (Bwg.Session.is_live session ~buf ~dest w) then
+                  Alcotest.failf "%s: entry (%d, %d) -> %d left removed" name buf dest w)
+              (Slice_lists.waits space ~buf ~dest));
+        check Alcotest.bool (name ^ ": the full BWG's edges") true
+          (Dfr_graph.Digraph.equal full (Bwg.graph (Bwg.Session.bwg session))))
+      [ false; true ]
+  in
+  handed_back "search ~budget:1" bare (fun name session ->
+      match fst (Reduction.search ~budget:1 session) with
+      | Reduction.Gave_up _ -> ()
+      | _ -> Alcotest.failf "%s: a one-probe search did not give up" name);
+  handed_back "verify_hint" Mesh_saf.two_buffer (fun name session ->
+      match Reduction.verify_hint session with
+      | Some (Reduction.Reduced []) -> ()
+      | _ -> Alcotest.failf "%s: the hint did not verify" name)
+
 let test_theorem6_relaxation_deadlocks () =
   match Checker.verdict cube2 Hypercube_wormhole.efa_relaxed with
   | Checker.Deadlock_possible _ -> ()
@@ -615,6 +649,8 @@ let suite =
     Alcotest.test_case "Theorem 1 proofs" `Quick test_theorem1_proofs;
     Alcotest.test_case "Theorem 3 via hint (Thm 4)" `Quick test_theorem3_two_buffer;
     Alcotest.test_case "Theorem 3 via search" `Quick test_theorem3_search_without_hint;
+    Alcotest.test_case "Theorem 3 hands the session back" `Quick
+      test_theorem3_hands_back_session;
     Alcotest.test_case "Theorem 6 relaxation deadlocks" `Quick
       test_theorem6_relaxation_deadlocks;
     Alcotest.test_case "checker flags missing waits" `Quick test_checker_flags_broken_algorithm;

@@ -12,6 +12,7 @@ open Dfr_network
 open Dfr_routing
 open Dfr_core
 open Dfr_spec
+module Obs = Dfr_obs.Obs
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -357,9 +358,23 @@ let test_replay_path_deadlock () =
     (Dfr_util.Json.to_string res.Incr.report);
   check Alcotest.int "no dirty dests" 0 res.Incr.dirty_dests
 
+(* every wait entry of the session's space reads live *)
+let all_live session =
+  let live = ref true in
+  let space = Incr.space session in
+  State_space.iter_reachable space (fun ~buf ~dest ->
+      let v = State_space.dest_view space ~dest in
+      List.iter
+        (fun w -> live := !live && Bwg.Session.is_live (Incr.session session) ~buf ~dest w)
+        (State_space.row v.State_space.view_wts (State_space.index space ~buf ~dest)));
+  !live
+
 (* a Theorem-3 instance: the hintless two-buffer design is decided by
    the search on the replay path, before and after a wait edit, on the
-   session's live BWG, and renders the cold bytes both times *)
+   session's live BWG, and renders the cold bytes both times.  The
+   search probes that session, so the edit runs no closure beyond the
+   destinations it captures again (a wait narrowing keeps its groups),
+   and hands it back with every entry live. *)
 let test_replay_path_reduced () =
   let e = Option.get (Registry.find "two-buffer") in
   let net = Registry.network_for e (Registry.default_topology e) in
@@ -380,7 +395,17 @@ let test_replay_path_reduced () =
         let ws = algo.Algo.waits net b ~dest:d in
         if Buf.id b = buf && d = dest then [ List.hd ws ] else ws)
   in
-  let res = Incr.update session algo' ~dirty:[ dest ] in
+  check Alcotest.bool "create leaves every entry live" true (all_live session);
+  Obs.enable ();
+  let res, closures =
+    Fun.protect ~finally:Obs.disable (fun () ->
+        let res = Incr.update session algo' ~dirty:[ dest ] in
+        (res, List.assoc_opt "bwg.closure" (Obs.span_totals ())))
+  in
+  check Alcotest.int "the edit captures only the destinations it re-emits"
+    (Incr.counters session).Incr.reemitted_dests
+    (match closures with Some (n, _) -> n | None -> 0);
+  check Alcotest.bool "the edit leaves every entry live" true (all_live session);
   check Alcotest.bool "edited cold verdict is a searched BWG'" true (searched algo');
   check Alcotest.bool "edit is replay" true (res.Incr.path = Incr.Replay);
   let cold_s, cold_c = cold net algo' in
