@@ -168,18 +168,49 @@ let link_plan =
       ];
   }
 
+(* Theorem-3 inputs: the hinted two-buffer, whose baseline checks the
+   hint on the incremental session (no node-buffer kill keeps it off the
+   fast path), and a hintless wormhole spec whose storm steps search on
+   it *)
+let node_buffer_plan =
+  {
+    Fault.name = Some "node buffers";
+    seed = 1;
+    steps =
+      List.mapi (fun at b -> { Fault.at; fault = Fault.Kill_buffer b }) [ 33; 40; 55 ];
+  }
+
+let storm_plan =
+  {
+    Fault.name = Some "storm";
+    seed = 42;
+    steps = [ { Fault.at = 0; fault = Fault.Storm { count = 4; seed = None } } ];
+  }
+
+let duato_mesh_any () =
+  let dir = if Sys.file_exists "golden" then "golden" else "test/golden" in
+  match Dfr_spec.Spec.load_file (Filename.concat dir "consumers/duato-mesh-any@mesh_2x3.dfr") with
+  | Ok spec -> (spec.Dfr_spec.Spec.net, spec.Dfr_spec.Spec.algo)
+  | Error e -> Alcotest.fail (Dfr_spec.Spec.error_to_string e)
+
 let test_campaign_bytes_across_paths () =
-  let net, algo = instance "dimension-order" "mesh:3x3" in
   List.iter
-    (fun mode ->
-      let base = bytes (run ~mode net algo link_plan) in
-      check Alcotest.string "cold = incremental" base
-        (bytes (run ~cold:true ~mode net algo link_plan));
-      (* satellite: the stuck/wait-connectivity scans chunk over the
-         domain pool; the merged lists — hence the bytes — must not move *)
-      check Alcotest.string "domains 4 = domains 1" base
-        (bytes (run ~domains:4 ~mode net algo link_plan)))
-    [ `Sweep; `Sequence ]
+    (fun (label, (net, algo), plan) ->
+      List.iter
+        (fun mode ->
+          let base = bytes (run ~mode net algo plan) in
+          check Alcotest.string (label ^ ": cold = incremental") base
+            (bytes (run ~cold:true ~mode net algo plan));
+          (* satellite: the stuck/wait-connectivity scans chunk over the
+             domain pool; the merged lists — hence the bytes — must not move *)
+          check Alcotest.string (label ^ ": domains 4 = domains 1") base
+            (bytes (run ~domains:4 ~mode net algo plan)))
+        [ `Sweep; `Sequence ])
+    [
+      ("dimension-order", instance "dimension-order" "mesh:3x3", link_plan);
+      ("two-buffer", instance "two-buffer" "mesh:4x4", node_buffer_plan);
+      ("duato-mesh-any", duato_mesh_any (), storm_plan);
+    ]
 
 (* Storm sweeps whose steps keep a cyclic BWG', so the incremental side
    decides past the acyclicity test on the session's live BWG: knots and
