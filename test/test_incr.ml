@@ -360,13 +360,11 @@ let test_replay_path_deadlock () =
 
 (* every wait entry of the session's space reads live *)
 let all_live session =
-  let live = ref true in
-  let space = Incr.space session in
+  let space = Incr.space session and live = ref true in
   State_space.iter_reachable space (fun ~buf ~dest ->
-      let v = State_space.dest_view space ~dest in
       List.iter
         (fun w -> live := !live && Bwg.Session.is_live (Incr.session session) ~buf ~dest w)
-        (State_space.row v.State_space.view_wts (State_space.index space ~buf ~dest)));
+        (Slice_lists.waits space ~buf ~dest));
   !live
 
 (* a Theorem-3 instance: the hintless two-buffer design is decided by
