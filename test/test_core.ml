@@ -649,8 +649,6 @@ let suite =
     Alcotest.test_case "Theorem 1 proofs" `Quick test_theorem1_proofs;
     Alcotest.test_case "Theorem 3 via hint (Thm 4)" `Quick test_theorem3_two_buffer;
     Alcotest.test_case "Theorem 3 via search" `Quick test_theorem3_search_without_hint;
-    Alcotest.test_case "Theorem 3 hands the session back" `Quick
-      test_theorem3_hands_back_session;
     Alcotest.test_case "Theorem 6 relaxation deadlocks" `Quick
       test_theorem6_relaxation_deadlocks;
     Alcotest.test_case "checker flags missing waits" `Quick test_checker_flags_broken_algorithm;
@@ -1523,4 +1521,6 @@ let suite =
       Alcotest.test_case "a witness list cut at cap 1 makes False non-exhaustive" `Quick
         test_cut_witnesses_not_exhaustive;
       QCheck_alcotest.to_alcotest prop_cut_witnesses;
+      Alcotest.test_case "Theorem 3 hands the session back" `Quick
+        test_theorem3_hands_back_session;
     ]
