@@ -51,13 +51,10 @@ let () =
   (* contrast: plain shortest-path adaptive routing on the same graph has
      wait cycles around the fabric's loops *)
   let shortest =
-    let g = Dfr_graph.Digraph.create 11 in
-    List.iter
-      (fun (u, v) ->
-        Dfr_graph.Digraph.add_edge g u v;
-        Dfr_graph.Digraph.add_edge g v u)
-      edges;
-    let dist = Array.init 11 (fun s -> Dfr_graph.Traversal.bfs_distances g s) in
+    (* hop distances: the BFS levels of the fabric rooted at each node *)
+    let dist =
+      Array.init 11 (fun root -> (Updown.make ~num_nodes:11 ~edges ~root).Updown.levels)
+    in
     Algo.make ~name:"shortest-path" ~wait:Algo.Any_wait
       ~route:(fun net b ~dest ->
         let head = Buf.head_node b in

@@ -6,30 +6,6 @@ module Count_table = Dfr_util.Count_table
 
 type witness = { dest : int; head : int }
 
-(* the session a live view reads ([Session.of_view]); Session adds its
-   one constructor *)
-type lender = ..
-
-type t = {
-  space : State_space.t;
-  graph : Digraph.t;
-  witnesses : int -> int -> witness list * bool;
-      (* of q1 -> q2, both in range, and whether none was cut: [derive]
-         over kept groups, or the reference recorder's cell *)
-  acyclic : unit -> bool;
-      (* the Kahn pass over [graph], or a session's kept rank *)
-  unconnected : unit -> (int * int) list;
-      (* the state table's wait-less record, or a session's live sets *)
-  lender : lender option;
-}
-
-let space t = t.space
-let graph t = t.graph
-
-let witnesses t q1 q2 =
-  let n = Digraph.num_vertices t.graph in
-  if q1 < 0 || q1 >= n || q2 < 0 || q2 >= n then ([], true) else t.witnesses q1 q2
-
 (* The waiting rule is the algorithm's: each slice's own wait rows
    ([State_space.rows], buffer ids in rule order), read in place.  A
    session narrows it by one flag per entry; [all_live] stands for every
@@ -237,16 +213,14 @@ let iter_dest_groups space d { first; heads } f =
   done
 
 (* The edge pass over every destination's groups, its wait rows narrowed
-   by [live.(d)] giving destination [d]'s heads' waits, into the empty
-   [graph]: a stable counting sort of the emission targets by q1
-   (destinations ascending, then emission order), then one walk per q1
-   bucket with a stamp array over q2.  An edge enters the adjacency at
-   its first emission, so rows come out in the order the reference
-   recorder gives them.  The walk counts a row's j-th edge in its
-   bucket's j-th slot, already read.  Returns the emissions, those past
-   their edge's first [witness_cap] (what the recorder drops), and
-   [iter_counts f], [f q1 q2 n] on every edge. *)
-let edge_pass ~witness_cap graph space groups live =
+   by [live.(d)] giving destination [d]'s heads' waits: a stable counting
+   sort of the emission targets by q1 (destinations ascending, then
+   emission order), then one walk per q1 bucket with a stamp array over
+   q2, which hands [f q1 q2 n] each distinct edge with its [n]
+   emissions, a row's edges in first-emission order: the order the
+   tests' reference recorder (test/test_closure.ml) enters them in.
+   Returns the emissions. *)
+let edge_pass space groups live f =
   let nb = State_space.num_buffers space in
   (* [f q1 w] for every live emission, in emission order, allocating
      nothing per group *)
@@ -276,47 +250,35 @@ let edge_pass ~witness_cap graph space groups live =
   iter_emitting (fun q1 w ->
       targets.(next.(q1)) <- w;
       next.(q1) <- next.(q1) + 1);
-  (* stamp.(q2) = q1 while q1's bucket has seen q2, counted in slot
-     at.(q2) *)
-  let stamp = Array.make nb (-1) and at = Array.make nb 0 in
-  let capped = ref 0 in
+  (* stamp.(q2) = q1 while q1's bucket has seen q2, the at.(q2)-th edge
+     of its row: the row's j-th target goes to the bucket's j-th slot,
+     already read, and its emissions to count.(j) ([next], spent) *)
+  let stamp = Array.make nb (-1) and at = Array.make nb 0 and count = next in
   for q1 = 0 to nb - 1 do
-    let slot = ref start.(q1) in
-    for p = start.(q1) to start.(q1 + 1) - 1 do
+    let row = start.(q1) and len = ref 0 in
+    for p = row to start.(q1 + 1) - 1 do
       let q2 = targets.(p) in
       if stamp.(q2) <> q1 then begin
         stamp.(q2) <- q1;
-        at.(q2) <- !slot;
-        targets.(!slot) <- 1;
-        incr slot;
-        Digraph.unsafe_add_edge graph q1 q2
+        at.(q2) <- !len;
+        targets.(row + !len) <- q2;
+        count.(!len) <- 1;
+        incr len
       end
-      else begin
-        let n = targets.(at.(q2)) + 1 in
-        targets.(at.(q2)) <- n;
-        if n > witness_cap then incr capped
-      end
+      else count.(at.(q2)) <- count.(at.(q2)) + 1
+    done;
+    for j = 0 to !len - 1 do
+      f q1 targets.(row + j) count.(j)
     done
   done;
-  let iter_counts f =
-    for q1 = 0 to nb - 1 do
-      let slot = ref start.(q1) in
-      Digraph.iter_succ
-        (fun q2 ->
-          f q1 q2 targets.(!slot);
-          incr slot)
-        graph q1
-    done
-  in
-  (start.(nb), !capped, iter_counts)
+  start.(nb)
 
 (* The one walk over the emitters of edge q1 -> q2 under the wait rows
    narrowed by [live]: destinations ascending; in each, q1's groups,
    heads ascending; [f dest head n] for each group whose head's live row
    holds q2 [n] > 0 times ([head] a buffer id), until [f] answers false.
    Reads only its arguments, so any domain may walk while nothing writes
-   them: a cold build's never change, a session's only on a change or a
-   read. *)
+   them: only a session's changes and reads do. *)
 let walk_emitters space groups live q1 q2 f =
   let go = ref true and dest = ref 0 in
   while !go && !dest < Array.length groups do
@@ -364,8 +326,7 @@ let dest_edges ?(dense_closures = false) space ~dest ~emit =
 
 (* Kahn's pass over the adjacency directly (no frozen CSR): [Some rank],
    rank.(v) the position of [v] in a topological order, when the graph is
-   acyclic.  It decides a cold build's [is_acyclic] and renews a
-   session's certificate. *)
+   acyclic.  [is_acyclic] keeps it as the session's certificate. *)
 let topo_rank g =
   let n = Digraph.num_vertices g in
   let indeg = Array.make n 0 in
@@ -400,51 +361,6 @@ let topo_rank g =
     Some indeg
   end
 
-let kahn_acyclic g () = Option.is_some (topo_rank g)
-
-(* The reference recorder's witness cell.  Witness lists are capped; the
-   insertion count rides along so the cap check is O(1) instead of an
-   O(cap) List.length per recorded edge, and [cut] records an emission
-   past the cap. *)
-type wcell = { mutable count : int; mutable ws : witness list; mutable cut : bool }
-
-(* The reference recorder: the witness cell, found through the (q1, q2)
-   index in O(1), doubles as the duplicate-edge check, so only the first
-   witness of an edge touches the adjacency structure.  Tests hold the
-   edge pass and the derived witnesses to it. *)
-let replay ?(witness_cap = 32) space f =
-  let n = State_space.num_buffers space in
-  let graph = Digraph.create n in
-  let cells = Hashtbl.create 1024 in
-  f (fun q1 q2 w ->
-      let key = (q1 * n) + q2 in
-      match Hashtbl.find_opt cells key with
-      | Some cell ->
-        if cell.count < witness_cap then begin
-          cell.ws <- w :: cell.ws;
-          cell.count <- cell.count + 1
-        end
-        else begin
-          cell.cut <- true;
-          Obs.count "bwg.witnesses.capped" 1
-        end
-      | None ->
-        Hashtbl.add cells key { count = 1; ws = [ w ]; cut = false };
-        Digraph.unsafe_add_edge graph q1 q2);
-  let witnesses q1 q2 =
-    match Hashtbl.find_opt cells ((q1 * n) + q2) with
-    | Some cell -> (List.rev cell.ws, not cell.cut)
-    | None -> ([], true)
-  in
-  {
-    space;
-    graph;
-    witnesses;
-    acyclic = kahn_acyclic graph;
-    unconnected = (fun () -> State_space.waitless_states space);
-    lender = None;
-  }
-
 (* [f d] for every destination, over [domains] pool workers when there
    is more than one.  Work items are single destinations claimed off an
    atomic ticket, not static chunks, so an expensive destination never
@@ -464,6 +380,45 @@ let each_dest ~domains num_nodes f =
           if d >= num_nodes then continue := false else f d
         done)
 
+(* A BWG is the live view of its session, which keeps it up to date
+   under wait-entry removals and restorations and under slice
+   replacements (DESIGN.md §9).
+
+   With routes fixed, a destination's emission sequence under any subset
+   of its waiting rule is its groups under the full rule with each head's
+   waits narrowed to its live entries (a head whose entries are all
+   removed emits nothing), so the closures run once per destination, in
+   [build].  The first change makes a count table from the live sets the
+   last read left: per edge, the number of live emissions, keyed
+   q1 * num_buffers + q2, the edge existing while it is positive.  A
+   changed entry (head, dest, target) moves by one the count of
+   q1 -> target for each of [dest]'s groups headed by [head]; a read
+   applies the changes noted since the last one.  No witness list is
+   stored: a read derives an edge's from the groups ([derive]).  Edges
+   enter the adjacency in cold order in [build]; later ones append, so
+   rows may drift from it, which nothing that decides a verdict reads
+   (DESIGN.md §9). *)
+type t = {
+  mutable space : State_space.t;
+  witness_cap : int;
+  wormhole : bool; (* captures close over the move graph ([build ~indirect]) *)
+  dense_closures : bool;
+  live : Bytes.t array;
+      (* per dest: a flag per entry of its wait rows, or [all_live]
+         until one of its entries first changes *)
+  groups : groups array;
+  graph : Digraph.t;
+  mutable counts : Count_table.t option;
+      (* q1 * num_buffers + q2 -> live emissions, from the first change on *)
+  mutable zeroed : int list; (* keys whose count reached 0 since the last sweep *)
+  mutable rank : int array option; (* a valid topological rank, if known *)
+  changed : (int * int * int) list array;
+      (* per dest: (local state, target, +1 or -1) since the last read,
+         newest first *)
+  mutable dirty : int list; (* the destinations with changes *)
+  mutable moves : int; (* count moves since the last flush to bwg.session.moves *)
+}
+
 (* Capture every destination's groups, over the pool with [domains] > 1
    (each worker writes only its own destinations' slots, and the pool's
    join publishes them), then one serial edge pass: the result does not
@@ -482,23 +437,43 @@ let build ?(witness_cap = 32) ?(indirect = true) ?(domains = 1)
       groups.(d) <- capture space ~wormhole ~dense_closures d);
   let graph = Digraph.create (State_space.num_buffers space) in
   Obs.span "bwg.bucket" (fun () ->
-      let emissions, capped, _ = edge_pass ~witness_cap graph space groups live in
+      let capped = ref 0 in
+      let emissions =
+        edge_pass space groups live (fun q1 q2 n ->
+            Digraph.unsafe_add_edge graph q1 q2;
+            if n > witness_cap then capped := !capped + n - witness_cap)
+      in
       Obs.count "bwg.emissions" emissions;
-      if capped > 0 then Obs.count "bwg.witnesses.capped" capped);
-  (* only the full BWG reports its size: a BWG' of the same instance
-     would overwrite the figure the report prints *)
+      if !capped > 0 then Obs.count "bwg.witnesses.capped" !capped);
+  (* only the full BWG reports its size: a BWG' read later would
+     overwrite the figure the report prints *)
   Obs.gauge "bwg.vertices" (float_of_int (State_space.num_buffers space));
   Obs.gauge "bwg.edges" (float_of_int (Digraph.num_edges graph));
   {
     space;
+    witness_cap;
+    wormhole;
+    dense_closures;
+    live;
+    groups;
     graph;
-    witnesses = derive ~witness_cap space groups live;
-    acyclic = kahn_acyclic graph;
-    unconnected = (fun () -> State_space.waitless_states space);
-    lender = None;
+    counts = None;
+    zeroed = [];
+    rank = None;
+    changed = Array.make num_nodes [];
+    dirty = [];
+    moves = 0;
   }
 
-let is_acyclic t = t.acyclic ()
+let space t = t.space
+let graph t = t.graph
+
+(* a non-edge has no emission to look for *)
+let witnesses t q1 q2 =
+  let n = Digraph.num_vertices t.graph in
+  if q1 < 0 || q1 >= n || q2 < 0 || q2 >= n || not (Digraph.mem_edge t.graph q1 q2)
+  then ([], true)
+  else derive ~witness_cap:t.witness_cap t.space t.groups t.live q1 q2
 
 (* Only the Theorem-1 certificate needs a materialized order; freeze a
    transient CSR so the output is byte-identical to the historical frozen
@@ -519,7 +494,26 @@ let cycles ?limits t =
   in
   (List.rev cs, exhaustive)
 
-let unconnected_states t = t.unconnected ()
+(* The reachable states with no live entry, in [iter_reachable] order:
+   the state table's wait-less record while no entry has a flag *)
+let unconnected_states t =
+  if Array.for_all (fun flags -> Bytes.length flags = 0) t.live then
+    State_space.waitless_states t.space
+  else begin
+    let nn = State_space.num_nodes t.space in
+    let keys = ref [] in
+    for d = 0 to nn - 1 do
+      let rule = wait_rows t.space d in
+      Array.iteri
+        (fun i buf ->
+          let live = ref false in
+          iter_live rule t.live.(d) i (fun _ -> live := true);
+          if not (!live || State_space.arrived t.space ~buf ~dest:d) then
+            keys := ((buf * nn) + d) :: !keys)
+        (State_space.dest_view t.space ~dest:d).State_space.view_bufs
+    done;
+    List.map (fun k -> (k / nn, k mod nn)) (List.sort Int.compare !keys)
+  end
 
 let is_wait_connected t = unconnected_states t = []
 
@@ -529,65 +523,8 @@ let to_dot t =
     ~vertex_label:(fun v -> Net.describe_buffer net v)
     t.graph
 
-(* A session keeps one BWG' up to date under wait-entry removals and
-   restorations and under slice replacements (DESIGN.md §9).
-
-   With routes fixed, a destination's emission sequence under any subset
-   of its waiting rule is its groups under the full rule with each head's
-   waits narrowed to its live entries (a head whose entries are all
-   removed emits nothing), so the closures run once per destination, on
-   the first read.  The session keeps those groups and, per edge, the
-   number of live emissions, keyed q1 * num_buffers + q2: the edge
-   exists while its count is positive.  A changed entry (head, dest,
-   target) moves by one the count of q1 -> target for each of [dest]'s
-   groups headed by [head]; a read applies the changes noted since the
-   last one.  No witness list is stored: a read derives an edge's from
-   the groups ([derive], as a cold build does).  Edges enter the
-   adjacency in cold order on the first read; later ones append, so rows
-   may drift from it, which nothing that decides a verdict reads
-   (DESIGN.md §9). *)
 module Session = struct
-  type bwg = t
-
-  type t = {
-    mutable space : State_space.t;
-    witness_cap : int;
-    domains : int;
-    live : Bytes.t array;
-        (* per dest: a flag per entry of its wait rows, or [all_live]
-           until one of its entries first changes *)
-    groups : groups array; (* per dest, from the first read on *)
-    mutable captured : bool;
-    mutable counts : Count_table.t; (* q1 * num_buffers + q2 -> live emissions *)
-    graph : Digraph.t;
-    mutable zeroed : int list; (* keys whose count reached 0 since the last sweep *)
-    mutable rank : int array option; (* a valid topological rank, if known *)
-    changed : (int * int * int) list array;
-        (* per dest: (local state, target, +1 or -1) since the last read,
-           newest first *)
-    mutable dirty : int list; (* the destinations with changes *)
-    mutable moves : int; (* count moves since the last flush to bwg.session.moves *)
-  }
-
-  type lender += Lent of t
-
-  let create ?(witness_cap = 32) ?(domains = 1) space =
-    let n = State_space.num_nodes space in
-    {
-      space;
-      witness_cap = max 1 witness_cap;
-      domains;
-      live = Array.make n all_live;
-      groups = Array.make n no_groups;
-      captured = false;
-      counts = Count_table.create 0;
-      graph = Digraph.create (State_space.num_buffers space);
-      zeroed = [];
-      rank = None;
-      changed = Array.make n [];
-      dirty = [];
-      moves = 0;
-    }
+  type nonrec t = t
 
   let space s = s.space
   let find s ~buf ~dest = State_space.index s.space ~buf ~dest
@@ -613,10 +550,22 @@ module Session = struct
     let i = find s ~buf ~dest in
     i < 0 || entry s dest i target ~live:true >= 0 || entry s dest i target ~live:false < 0
 
+  (* The count table from the live sets the last read left, whose edges
+     the graph holds: [build]'s edge pass over them enters each edge
+     once, with its count. *)
+  let fill_counts s =
+    let nb = Digraph.num_vertices s.graph in
+    let counts = Count_table.create (Digraph.num_edges s.graph) in
+    ignore
+      (edge_pass s.space s.groups s.live (fun q1 q2 n ->
+           ignore (Count_table.add counts ((q1 * nb) + q2) n : int))
+        : int);
+    s.counts <- Some counts
+
   (* Flip the first entry [target] of a reachable state whose liveness
      is [~live] (rule order, so with a repeated entry a removal takes its
-     first live copy and a restoration its first removed one), noting the
-     change once there are counts to move. *)
+     first live copy and a restoration its first removed one), and note
+     the change; the first change makes the count table. *)
   let change s ~buf ~dest target ~live what =
     let i = find s ~buf ~dest in
     if i < 0 then invalid_arg ("Bwg.Session." ^ what ^ ": unreachable state");
@@ -625,13 +574,12 @@ module Session = struct
       invalid_arg
         ("Bwg.Session." ^ what
         ^ if live then ": not a live wait entry" else ": not a removed wait entry");
+    if Option.is_none s.counts then Obs.span "bwg.patch" (fun () -> fill_counts s);
     if Bytes.length s.live.(dest) = 0 then
       s.live.(dest) <- Bytes.make (Array.length (wait_rows s.space dest).State_space.items) '\001';
     Bytes.set s.live.(dest) p (if live then '\000' else '\001');
-    if s.captured then begin
-      if s.changed.(dest) = [] then s.dirty <- dest :: s.dirty;
-      s.changed.(dest) <- (i, target, if live then -1 else 1) :: s.changed.(dest)
-    end
+    if s.changed.(dest) = [] then s.dirty <- dest :: s.dirty;
+    s.changed.(dest) <- (i, target, if live then -1 else 1) :: s.changed.(dest)
 
   let remove s ~buf ~dest target = change s ~buf ~dest target ~live:true "remove"
   let restore s ~buf ~dest target = change s ~buf ~dest target ~live:false "restore"
@@ -643,7 +591,7 @@ module Session = struct
   let bump s q1 q2 delta =
     s.moves <- s.moves + 1;
     let key = (q1 * Digraph.num_vertices s.graph) + q2 in
-    let before = Count_table.add s.counts key delta in
+    let before = Count_table.add (Option.get s.counts) key delta in
     if before = Count_table.absent then begin
       Digraph.unsafe_add_edge s.graph q1 q2;
       match s.rank with Some r when r.(q1) >= r.(q2) -> s.rank <- None | _ -> ()
@@ -651,15 +599,18 @@ module Session = struct
     else if before + delta = 0 then s.zeroed <- key :: s.zeroed
 
   let sweep s =
-    let nb = Digraph.num_vertices s.graph in
-    List.iter
-      (fun key ->
-        if Count_table.find s.counts key = 0 then begin
-          Count_table.remove s.counts key;
-          Digraph.remove_edge s.graph (key / nb) (key mod nb)
-        end)
-      s.zeroed;
-    s.zeroed <- []
+    match s.counts with
+    | None -> ()
+    | Some counts ->
+      let nb = Digraph.num_vertices s.graph in
+      List.iter
+        (fun key ->
+          if Count_table.find counts key = 0 then begin
+            Count_table.remove counts key;
+            Digraph.remove_edge s.graph (key / nb) (key mod nb)
+          end)
+        s.zeroed;
+      s.zeroed <- []
 
   (* [delta] on every live emission of destination [d] *)
   let bump_dest s d delta =
@@ -726,53 +677,22 @@ module Session = struct
         | Some ts -> List.iter (fun (t, delta) -> bump s q1 t delta) ts
         | None -> ())
 
-  (* destination [d]'s groups under its rule: the closures *)
-  let capture s d =
-    capture s.space
-      ~wormhole:(Net.switching (State_space.net s.space) = Net.Wormhole)
-      ~dense_closures:false d
+  (* Bring the counts up to the live sets: apply the changes noted since
+     the last read *)
+  let apply_pending s =
+    let dirty = List.sort Int.compare s.dirty in
+    Obs.span "bwg.patch" (fun () ->
+        List.iter (fun d -> apply_changes s d s.changed.(d)) dirty;
+        sweep s);
+    flush_moves s;
+    List.iter (fun d -> s.changed.(d) <- []) dirty;
+    s.dirty <- [];
+    Obs.count "bwg.session.rederived" (List.length dirty)
 
-  (* Bring the counts up to the live sets.  The first read captures every
-     destination's groups (over the pool with [domains] > 1) and runs the
-     edge pass over the live sets, so edges enter the adjacency in cold
-     order; later reads apply the noted changes. *)
-  let sync s =
-    let rederived =
-      if not s.captured then begin
-        let n = Array.length s.groups in
-        each_dest ~domains:s.domains n (fun d -> s.groups.(d) <- capture s d);
-        s.captured <- true;
-        Obs.span "bwg.patch" (fun () ->
-            let _, _, iter_counts =
-              edge_pass ~witness_cap:s.witness_cap s.graph s.space s.groups s.live
-            in
-            let nb = Digraph.num_vertices s.graph in
-            s.counts <- Count_table.create (Digraph.num_edges s.graph);
-            iter_counts (fun q1 q2 c ->
-                ignore (Count_table.add s.counts ((q1 * nb) + q2) c : int)));
-        n
-      end
-      else begin
-        let dirty = List.sort Int.compare s.dirty in
-        Obs.span "bwg.patch" (fun () ->
-            List.iter (fun d -> apply_changes s d s.changed.(d)) dirty;
-            sweep s);
-        flush_moves s;
-        List.iter (fun d -> s.changed.(d) <- []) dirty;
-        s.dirty <- [];
-        List.length dirty
-      end
-    in
-    Obs.count "bwg.session.rederived" rederived
-
-  (* a non-edge has no emission to look for *)
-  let derive s q1 q2 =
-    let key = (q1 * Digraph.num_vertices s.graph) + q2 in
-    if Count_table.find s.counts key = Count_table.absent then ([], true)
-    else derive ~witness_cap:s.witness_cap s.space s.groups s.live q1 q2
+  (* a read with no change pending opens no span *)
+  let sync s = if s.dirty <> [] then apply_pending s
 
   let emitters s q1 q2 =
-    if not s.captured then sync s;
     let acc = ref [] in
     walk_emitters s.space s.groups s.live q1 q2 (fun dest head _ ->
         acc := { dest; head } :: !acc;
@@ -784,34 +704,9 @@ module Session = struct
     if s.rank = None then s.rank <- topo_rank s.graph;
     s.rank
 
-  (* the reachable states with no live entry, in [iter_reachable] order *)
-  let unconnected s () =
-    let nn = State_space.num_nodes s.space in
-    let keys = ref [] in
-    for d = 0 to nn - 1 do
-      let rule = wait_rows s.space d in
-      Array.iteri
-        (fun i buf ->
-          let live = ref false in
-          iter_live rule s.live.(d) i (fun _ -> live := true);
-          if not (!live || State_space.arrived s.space ~buf ~dest:d) then
-            keys := ((buf * nn) + d) :: !keys)
-        (State_space.dest_view s.space ~dest:d).State_space.view_bufs
-    done;
-    List.map (fun k -> (k / nn, k mod nn)) (List.sort Int.compare !keys)
-
-  let bwg s : bwg =
+  let bwg s =
     sync s;
-    {
-      space = s.space;
-      graph = s.graph;
-      witnesses = derive s;
-      acyclic = (fun () -> Option.is_some (rank s));
-      unconnected = unconnected s;
-      lender = Some (Lent s);
-    }
-
-  let of_view (b : bwg) = match b.lender with Some (Lent s) -> Some s | _ -> None
+    s
 
   (* Incr's quick-path rule: a destination keeps its groups when its
      routes, and with them its states, move graph and closures, are
@@ -834,43 +729,51 @@ module Session = struct
 
   (* Old emissions leave under the old space and new ones enter under
      the new; a kept destination's groups are the same in both, so only
-     its changed heads move, under the old. *)
+     its changed heads move, under the old.  An update reads the session
+     first, under its own span even with nothing pending, and the first
+     one that moves a count makes the table before any move. *)
   let update s space ~dests =
     let dests = List.sort_uniq Int.compare dests in
+    apply_pending s;
+    (* per destination: [Some] the entry changes that take its live waits
+       to the new rule when it keeps its groups, else [None] *)
     let plan =
-      List.map
-        (fun d ->
-          let keep =
-            s.captured
-            && keeps_groups (State_space.dest_view s.space ~dest:d)
-                 (State_space.dest_view space ~dest:d)
-          in
-          (d, keep))
-        dests
-    in
-    if s.captured then begin
-      sync s;
       Obs.span "bwg.patch" (fun () ->
+          let plan =
+            List.map
+              (fun d ->
+                if
+                  keeps_groups (State_space.dest_view s.space ~dest:d)
+                    (State_space.dest_view space ~dest:d)
+                then (d, Some (rule_changes s d (wait_rows space d)))
+                else (d, None))
+              dests
+          in
+          if Option.is_none s.counts && List.exists (fun (_, c) -> c <> Some []) plan then
+            fill_counts s;
           List.iter
-            (fun (d, keep) ->
-              if not keep then bump_dest s d (-1)
-              else
-                match rule_changes s d (wait_rows space d) with
-                | [] -> ()
-                | changes -> apply_changes s d changes)
-            plan)
-    end;
+            (fun (d, changes) ->
+              match changes with
+              | None -> bump_dest s d (-1)
+              | Some [] -> ()
+              | Some changes -> apply_changes s d changes)
+            plan;
+          plan)
+    in
     s.space <- space;
     List.iter
-      (fun (d, keep) ->
+      (fun (d, changes) ->
         s.live.(d) <- all_live;
-        if s.captured && not keep then s.groups.(d) <- capture s d)
+        if changes = None then
+          s.groups.(d) <-
+            capture space ~wormhole:s.wormhole ~dense_closures:s.dense_closures d)
       plan;
-    if s.captured then begin
-      Obs.span "bwg.patch" (fun () ->
-          List.iter (fun (d, keep) -> if not keep then bump_dest s d 1) plan;
-          sweep s);
-      flush_moves s
-    end;
-    List.length (List.filter snd plan)
+    Obs.span "bwg.patch" (fun () ->
+        List.iter (fun (d, changes) -> if changes = None then bump_dest s d 1) plan;
+        sweep s);
+    flush_moves s;
+    List.length (List.filter (fun (_, changes) -> changes <> None) plan)
 end
+
+let session t = t
+let is_acyclic t = Option.is_some (Session.rank t)

@@ -28,21 +28,22 @@ val build :
   ?dense_closures:bool ->
   State_space.t ->
   t
-(** Each destination's continuation closures are computed over that
+(** Opens the session ({!Session}) whose live view the result is, under
+    the algorithm's whole waiting rule: this is the only way to make a
+    BWG.  Each destination's continuation closures are computed over that
     destination's own reachable buffers, so per-destination work is sized
     by its states rather than by the network.  They yield the
-    destination's (occupied buffer, waiting head) groups, which the build
-    keeps; one pass then buckets every group's emissions by occupied
-    buffer and de-duplicates each bucket, so edges enter each adjacency
-    row in first-emission order (DESIGN.md §3).  No witness list is
-    stored: {!witnesses} derives one from the groups when read.  This is
-    the full BWG, under the algorithm's whole waiting rule; it alone sets
-    the [bwg.edges] and [bwg.vertices] gauges.  A BWG' is a {!Session}'s
-    live view.  Captures run under [bwg.closure] and the pass under
+    destination's (occupied buffer, waiting head) groups, which the
+    session keeps; one pass then buckets every group's emissions by
+    occupied buffer and de-duplicates each bucket, so edges enter each
+    adjacency row in first-emission order (DESIGN.md §3).  No witness
+    list is stored: {!witnesses} derives one from the groups when read.
+    Only the build sets the [bwg.edges] and [bwg.vertices] gauges, the
+    full BWG's.  Captures run under [bwg.closure] and the pass under
     [bwg.bucket], which counts [bwg.emissions] (before de-duplication)
     and [bwg.witnesses.capped], so these count full builds only.
     [witness_cap] bounds the witnesses per edge (default 32); every
-    edge keeps its first, as {!replay} does, so a cap below 1 acts as 1.
+    edge keeps its first, so a cap below 1 acts as 1.
     A list the cap cut says so ({!witnesses}), and a classification that
     read it is not exhaustive ({!Cycle_class.classify}): a True Cycle may
     need a witness past the cap.
@@ -62,7 +63,9 @@ val build :
     [bwg.closure.words] and [bwg.closure.dense-rows] measure.  The
     resulting graph is identical (tested); the flag exists so the
     equivalence tests and the memory benches can compare the two
-    layouts. *)
+    layouts.  The session keeps all three: its witness lists stay under
+    [witness_cap], and {!Session.update} captures again with [indirect]
+    and [dense_closures]. *)
 
 val dest_edges :
   ?dense_closures:bool ->
@@ -79,23 +82,6 @@ val dest_edges :
     at a time.  For wormhole networks the indirect continuation closure
     is always applied (there is no [indirect] ablation knob here). *)
 
-val replay :
-  ?witness_cap:int ->
-  State_space.t ->
-  ((int -> int -> witness -> unit) -> unit) ->
-  t
-(** [replay space f] constructs a BWG by handing [f] the reference edge
-    recorder and letting the caller drive every emission: an edge enters
-    its adjacency row at its first emission and keeps, in a witness cell
-    found through a [(q1, q2)] hash index, its first [witness_cap]
-    witnesses; every later one counts in [bwg.witnesses.capped] and marks
-    the list cut.  If [f] emits, for each destination in ascending order,
-    exactly the sequence {!dest_edges} produces for that destination, the
-    result must equal [build space] — same adjacency rows, same witness
-    lists and flags, same capped count.  This is the test reference for
-    {!build} and {!Session.bwg}, which keep no witness cells; nothing
-    else calls it. *)
-
 val space : t -> State_space.t
 val graph : t -> Dfr_graph.Digraph.t
 
@@ -108,13 +94,11 @@ val witnesses : t -> int -> int -> witness list * bool
     because the list reached it: the walk that derives the list looks
     one emission further, as {!Cycle_class.simple_paths} does for paths.
     Derived from the kept groups on every read.  Any domain may read it
-    while nothing writes those groups and wait sets: always for a
-    {!build}, and between a {!Session.bwg} and the session's next change
-    or read. *)
+    while nothing writes those groups and wait sets: between a read
+    ({!build}, {!Session.bwg}) and the session's next change or read. *)
 
 val is_acyclic : t -> bool
-(** A Kahn pass over the graph for a {!build} or {!replay}; a
-    {!Session.bwg} answers from {!Session.rank}. *)
+(** Whether {!Session.rank} of the BWG's session is [Some]. *)
 
 val topological_order : t -> int list option
 (** A linear buffer ordering proving acyclicity (Theorem 1's certificate),
@@ -139,10 +123,10 @@ val unconnected_states : t -> (int * int) list
 (** Reachable, unarrived states whose waiting set in this graph is
     empty, in {!State_space.iter_reachable} order.  The algorithm is
     wait-connected for this graph iff the list is empty (§3: every
-    loss-less algorithm must be).  A {!build}'s and a {!replay}'s wait
-    sets are the algorithm's, so they read the state table's wait-less
-    record ({!State_space.waitless_states}, O(nodes)) and scan nothing.
-    A {!Session.bwg} scans its live rows. *)
+    loss-less algorithm must be).  While no entry of the session has been
+    removed or restored, its wait sets are the algorithm's, so this reads
+    the state table's wait-less record ({!State_space.waitless_states},
+    O(nodes)) and scans nothing; after that it scans the live rows. *)
 
 val is_wait_connected : t -> bool
 
@@ -154,7 +138,8 @@ val to_dot : t -> string
     A Theorem-3 search probes a sequence of BWG's, each a few wait entries
     away from the last, and the incremental re-checker ({!Incr}) a
     sequence of BWGs, each a few destinations' slices away from the last.
-    A session serves both.  It owns the live wait sets of one state
+    A session serves both, and every BWG is the live view of one: the
+    session {!build} opened.  It owns the live wait sets of one state
     space: {!Session.remove} and {!Session.restore} change single entries
     and {!Session.update} replaces whole destinations' slices.  Its one
     rule is the algorithm's, the slices' own wait rows; every other rule
@@ -164,34 +149,32 @@ val to_dot : t -> string
     entries first changes, so a session that changes none allocates
     nothing per state for them.
 
-    The continuation closures run once per destination, on the first
-    read: routes are fixed between slice replacements, so a destination's
+    The continuation closures run once per destination, in {!build}:
+    routes are fixed between slice replacements, so a destination's
     emissions under any subset of its rule are its (occupied buffer,
     waiting head) groups under the full rule with each head's waits
-    narrowed to its live entries.  Per edge the session keeps only the
-    number of live emissions, the edge existing while it is positive, in
-    a flat table ({!Dfr_util.Count_table}).  The first read runs
-    {!build}'s edge pass over the live wait sets and enters each edge
+    narrowed to its live entries.  Per edge a session that has changed
+    keeps only the number of live emissions, the edge existing while it
+    is positive, in a flat table ({!Dfr_util.Count_table}).  The first
+    change (a {!Session.remove}, a {!Session.restore}, or a
+    {!Session.update} that moves counts) makes that table from the live
+    sets the last read left, by {!build}'s edge pass, entering each edge
     once with its count; later, a change moves the counts of the edges
-    it generates.  Witness lists are derived from the groups when read.
+    it generates.  No read makes the table, so a session that never
+    changes (a Theorem-1 or knot check) does no more than {!build}.
+    Witness lists are derived from the groups when read.
 
-    Captures run under the [bwg.closure] span and count updates, the
-    first read's pass and {!Session.update}'s included, under [bwg.patch];
-    [bwg.session.rederived] counts the destinations a read captured or
-    brought up to date (all of them on the first read).  Witnesses are
-    derived as {!build}'s are, by one function. *)
+    Captures run under the [bwg.closure] span and count work under
+    [bwg.patch]: the table's making, a read's moves and
+    {!Session.update}'s.  A read with no change pending opens no
+    [bwg.patch] span; [bwg.session.rederived] counts the destinations a
+    read brought up to date. *)
 module Session : sig
   type bwg := t
   type t
 
-  val create : ?witness_cap:int -> ?domains:int -> State_space.t -> t
-  (** A session over the algorithm's waiting rule, every entry live.
-      Cheap: nothing is derived before the first read, whose closures
-      [domains] fans out over the pool as {!build} does; removals made
-      before it only set flags.  [witness_cap] as for {!build}. *)
-
   val space : t -> State_space.t
-  (** The current state space: the one given to {!create} or the last
+  (** The current state space: the one given to {!build} or the last
       {!update}. *)
 
   val is_live : t -> buf:int -> dest:int -> int -> bool
@@ -218,8 +201,7 @@ module Session : sig
       {!remove} and {!restore}; otherwise its closures run again and all
       its emissions move out and back in.  [bwg.session.moves] counts
       the ±1 moves of an update or a read.  Returns how many of [dests]
-      kept their groups (none before the first read, which has none to
-      keep). *)
+      kept their groups. *)
 
   val emitters : t -> int -> int -> witness list
   (** [emitters s q1 q2]: every distinct [(dest, head)] whose live waits
@@ -227,34 +209,30 @@ module Session : sig
       {!witnesses}, one record per group rather than per emission, so in
       the same order (destinations ascending, then heads ascending).
       [q1] and [q2] must be buffers of the space.  Reads the groups and
-      the live sets as they are now, with no count work, except that a
-      call before any read makes the session's first read. *)
+      the live sets as they are now, with no count work. *)
 
   val bwg : t -> bwg
-  (** A live view of the BWG' of the live wait sets.  Its edge set and
-      every edge's witness list read exactly as the reference's
-      ({!replay} over {!dest_edges} of the algorithm narrowed to these
-      wait sets; tested), its
-      wait sets are the live ones, and {!is_acyclic} reads {!rank}.  The
-      graph is patched in place by the next read after a change, and its
-      adjacency rows may list successors in another order than a cold
-      build's, which no verdict reads: cycle queries sort rows,
-      classification asks {!Dfr_graph.Digraph.mem_edge} and {!witnesses},
-      reports count edges (DESIGN.md §9).  Witnesses are derived from the
-      session's groups and live sets when read, so read them before the
-      next change.  Nothing writes those, nor the count table, between
-      this read and the next change or read, so {!Checker.decide}'s
-      classification may read the view's witnesses from pool workers at
-      [--domains] > 1. *)
-
-  val of_view : bwg -> t option
-  (** The session whose live view ({!bwg}) this is; [None] for a {!build}
-      or a {!replay}. *)
+  (** Reads the session: the live view of the BWG' of the live wait sets,
+      brought up to date.  Its edge set and every edge's witness list
+      read exactly as a {!build} of the algorithm narrowed to these wait
+      sets (tested), its wait sets are the live ones, and {!is_acyclic}
+      reads {!rank}.  The graph is patched in place by the next read
+      after a change, and its adjacency rows may list successors in
+      another order than a cold build's, which no verdict reads: cycle
+      queries sort rows, classification asks
+      {!Dfr_graph.Digraph.mem_edge} and {!witnesses}, reports count edges
+      (DESIGN.md §9).  Witnesses are derived from the session's groups
+      and live sets when read, so read them before the next change.
+      Nothing writes those, nor the graph, between this read and the
+      next change or read, so {!Checker.decide}'s classification may read
+      the view's witnesses from pool workers at [--domains] > 1. *)
 
   val rank : t -> int array option
   (** Theorem 1's certificate for the live BWG': [Some rank] with
       [rank.(q1) < rank.(q2)] on every edge [q1 -> q2], or [None] when it
       has a cycle.  A rank survives edge removals and rank-forward
-      additions; otherwise it is recomputed by the Kahn pass behind a
-      cold build's {!is_acyclic}. *)
+      additions; otherwise a Kahn pass over the graph recomputes it. *)
 end
+
+val session : t -> Session.t
+(** The session whose live view this BWG is. *)

@@ -92,23 +92,16 @@ let decide ?cycle_limits ?(domains = 1) ~stuck ~unconnected space bwg =
               (* Theorem 2 necessity: the witness is a deadlock. *)
               finish (Deadlock_possible (True_cycle { cycle; packets }))
             | Algo.Any_wait -> (
-              (* Theorem 3 on one session, narrowed by removals: the
-                 view's own when [bwg] is a live view, which gets back
-                 [Reduced]'s removals and is read, so the report's view
-                 is the full BWG again; else a fresh one *)
-              let lent = Bwg.Session.of_view bwg in
-              let session =
-                match lent with Some s -> s | None -> Bwg.Session.create ~domains space
-              in
+              (* Theorem 3 on [bwg]'s own session, narrowed by removals:
+                 it gets back [Reduced]'s removals and is read, so the
+                 report's BWG is the full BWG again *)
+              let session = Bwg.session bwg in
               let handed_back removed verdict =
-                Option.iter
-                  (fun s ->
-                    List.iter
-                      (fun { Reduction.head; dest; target } ->
-                        Bwg.Session.restore s ~buf:head ~dest target)
-                      removed;
-                    ignore (Bwg.Session.bwg s : Bwg.t))
-                  lent;
+                List.iter
+                  (fun { Reduction.head; dest; target } ->
+                    Bwg.Session.restore session ~buf:head ~dest target)
+                  removed;
+                ignore (Bwg.Session.bwg session : Bwg.t);
                 finish verdict
               in
               let reduced via_hint removed =

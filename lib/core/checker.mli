@@ -49,7 +49,7 @@ type verdict =
 type report = {
   verdict : verdict;
   space : State_space.t;
-  bwg : Bwg.t;  (** built from the full waiting rule *)
+  bwg : Bwg.t;  (** the full BWG, under the whole waiting rule *)
   bwg_cycles : int option;
       (** cycles found in the full BWG (capped); [None] when the verdict
           was reached without enumerating them *)
@@ -61,8 +61,7 @@ val check :
   Net.t ->
   Algo.t ->
   report
-(** [domains] parallelizes the BWG constructions (the full BWG and the
-    first read of the Theorem-3 session {!decide} opens) and the cycle
+(** [domains] parallelizes the BWG construction and the cycle
     classification scan over OCaml 5 domains (default 1; see
     {!Bwg.build}).  Verdicts are bit-for-bit identical to the serial run:
     the classification fan-out still reports the True Cycle of minimal
@@ -95,9 +94,9 @@ val decide :
     [unconnected] is only consulted when [stuck] is empty, so callers
     holding stuck states may pass [[]].
 
-    Theorem 3 runs the hint check and the search on one {!Bwg.Session}:
-    the one behind [bwg] when it is a live view ({!Bwg.Session.of_view}),
-    handed back with every entry live and read, else a fresh one. *)
+    Theorem 3 runs the hint check and the search on [bwg]'s own session
+    ({!Bwg.session}), which must come with every entry live, and hands it
+    back that way, read, so the report's BWG is the full BWG. *)
 
 val verdict :
   ?cycle_limits:Dfr_graph.Cycles.limits ->

@@ -7,8 +7,9 @@ module Obs = Dfr_obs.Obs
    The BWG's edge multiset is the union of independent per-destination
    emissions (Bwg.dest_edges), and a destination's emissions are a pure
    function of (net, algo restricted to that destination).  One
-   Bwg.Session holds them: each destination's (q1, head) groups, a count
-   of live emissions per edge, the merged graph and its Theorem-1 rank.
+   Bwg.Session, opened by Bwg.build, holds them: each destination's
+   (q1, head) groups, the merged graph and its Theorem-1 rank, and, from
+   the first edit that moves one, a count of live emissions per edge.
    An edit whose dirty frontier is known (Diff.diff for spec edits, the
    caller's warrant for programmatic ones) replaces only the dirty
    destinations' slices (State_space.with_updated_dests, then
@@ -110,7 +111,7 @@ let create ?(domains = 1) net algo =
     {
       net;
       algo;
-      session = Bwg.Session.create ~domains space;
+      session = Bwg.session (Bwg.build ~domains space);
       domains;
       n_updates = 0;
       n_fast = 0;

@@ -1,8 +1,9 @@
 (** Incremental re-checking sessions for edit-heavy traffic.
 
-    A session holds one {!Bwg.Session} over the checked instance — each
-    destination's (occupied buffer, waiting head) groups, a count of live
-    emissions per BWG edge, and the Theorem-1 rank certificate — over
+    A session holds one {!Bwg.Session}, opened by {!Bwg.build}, over the
+    checked instance — each destination's (occupied buffer, waiting
+    head) groups, the Theorem-1 rank certificate and, from the first
+    edit that moves one, a count of live emissions per BWG edge — over
     its state table, whose slices record their stuck and wait-less
     states.  An edit with a known dirty destination frontier
     ({!Dfr_spec.Diff} for spec edits) replaces only those destinations'
@@ -52,9 +53,9 @@ type counters = {
 }
 
 val create : ?domains:int -> Net.t -> Algo.t -> t * result
-(** Cold-build a session: state space, one group capture per
-    destination (over [domains] pool workers), merged graph, and the
-    initial verdict.  Every verdict runs the pipeline under a cold
+(** Cold-build a session: state space, {!Bwg.build} (one group capture
+    per destination over [domains] pool workers, and the merged graph),
+    and the initial verdict.  Every verdict runs the pipeline under a cold
     {!Checker.check}'s default caps.
     Raises [Invalid_argument] when {!State_space.build} refuses the
     pair. *)

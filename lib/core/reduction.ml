@@ -61,8 +61,7 @@ let copies (r : State_space.rows) i w stop =
 
 (* The hint is the full rule narrowed: every wait entry its hint row does
    not match, copy for copy, is removed from the caller's session, which
-   is probed and gets the removals back.  On a session not yet read the
-   removals only set flags. *)
+   is probed and gets the removals back, noted for its next read. *)
 let verify_hint ?cycle_limits session =
   let space = Bwg.Session.space session in
   match (State_space.algo space).Dfr_routing.Algo.reduced_waits with

@@ -62,7 +62,10 @@ val verify_hint :
 (** Checks the algorithm's declarative [reduced_waits] hint, if present,
     as the full rule narrowed: every wait entry its hint row does not
     match, copy for copy, is removed from the session (every entry live
-    on entry), the BWG' is probed, and the removals are put back.
+    on entry), the BWG' is probed, and the removals are put back: the
+    session's next read ({!Bwg.Session.bwg}) is the full BWG again.  On a
+    session that had not changed, the first removal makes its count
+    table.
     [Some (Reduced \[\])] when the hint is sound; [Some (Gave_up _)]
     when it is wait-connected but cycles could not be ruled out
     exhaustively; [Some Impossible] is never returned. A broken hint

@@ -69,13 +69,6 @@ let of_edges n es =
   List.iter (fun (u, v) -> add_edge g u v) es;
   g
 
-let copy g = { n = g.n; adj = Array.copy g.adj; m = g.m }
-
-let transpose g =
-  let t = create g.n in
-  iter_edges (fun u v -> add_edge t v u) g;
-  t
-
 let induced g ~keep =
   let h = create g.n in
   iter_edges (fun u v -> if keep u && keep v then add_edge h u v) g;

@@ -41,8 +41,6 @@ val fold_edges : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a
 val edges : t -> (int * int) list
 
 val of_edges : int -> (int * int) list -> t
-val copy : t -> t
-val transpose : t -> t
 
 val induced : t -> keep:(int -> bool) -> t
 (** [induced g ~keep] is a same-vertex-set graph retaining only edges whose

@@ -17,25 +17,6 @@ let reachable_csr g sources =
   visit init;
   seen
 
-let bfs_distances_csr g src =
-  let n = Csr.num_vertices g in
-  let dist = Array.make n max_int in
-  let q = Queue.create () in
-  dist.(src) <- 0;
-  Queue.add src q;
-  while not (Queue.is_empty q) do
-    let u = Queue.pop q in
-    let du = dist.(u) in
-    Csr.iter_succ
-      (fun v ->
-        if dist.(v) = max_int then begin
-          dist.(v) <- du + 1;
-          Queue.add v q
-        end)
-      g u
-  done;
-  dist
-
 let topological_sort_csr g =
   let n = Csr.num_vertices g in
   let indeg = Array.make n 0 in
@@ -95,34 +76,7 @@ let find_cycle_csr g =
   scan 0;
   !result
 
-let path_csr g src dst =
-  let n = Csr.num_vertices g in
-  let prev = Array.make n (-1) in
-  let seen = Array.make n false in
-  let q = Queue.create () in
-  seen.(src) <- true;
-  Queue.add src q;
-  let found = ref (src = dst) in
-  while (not !found) && not (Queue.is_empty q) do
-    let u = Queue.pop q in
-    Csr.iter_succ
-      (fun v ->
-        if (not !found) && not seen.(v) then begin
-          seen.(v) <- true;
-          prev.(v) <- u;
-          if v = dst then found := true else Queue.add v q
-        end)
-      g u
-  done;
-  if not !found then None
-  else begin
-    let rec build acc v = if v = src then v :: acc else build (v :: acc) prev.(v) in
-    Some (build [] dst)
-  end
-
 let reachable g sources = reachable_csr (Digraph.freeze g) sources
-let bfs_distances g src = bfs_distances_csr (Digraph.freeze g) src
 let topological_sort g = topological_sort_csr (Digraph.freeze g)
 let is_acyclic g = is_acyclic_csr (Digraph.freeze g)
 let find_cycle g = find_cycle_csr (Digraph.freeze g)
-let path g src dst = path_csr (Digraph.freeze g) src dst

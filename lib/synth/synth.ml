@@ -123,7 +123,7 @@ let synthesize ?(budget = 4000) ?(domains = 1) ?(minimize = false) space =
       "a deadlocked single-buffer configuration (knot) exists: every \
        wait-connected BWG' keeps a True Cycle"
   else
-    let session = Bwg.Session.create ~domains space in
+    let session = Bwg.session (Bwg.build ~domains space) in
     let outcome, s = Reduction.search ~budget session in
     match outcome with
     | Reduction.Gave_up msg ->
@@ -537,11 +537,7 @@ type certification =
    BWG'. *)
 let certify s =
   Obs.span "synth.certify" @@ fun () ->
-  let session =
-    match Bwg.Session.of_view s.bwg with
-    | Some session -> session
-    | None -> invalid_arg "Synth.certify: not a synthesized BWG'"
-  in
+  let session = Bwg.session s.bwg in
   let rec go items relaxable = function
     | [] ->
       if relaxable = [] then Maximal (List.rev items)
@@ -563,7 +559,7 @@ let certify s =
   result
 
 let replay space ~removed items =
-  let session = Bwg.Session.create space in
+  let session = Bwg.session (Bwg.build space) in
   List.iter (remove session) removed;
   List.map
     (fun item ->

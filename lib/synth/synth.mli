@@ -57,7 +57,8 @@ type success = {
           (exhaustively, for the verified paths).  {!synthesize} gives a
           live view ({!Bwg.Session.bwg}) of the session its search ran
           on, holding [removed] ({!certify} probes it too); {!repair},
-          the checker's cold build of the repaired relation *)
+          the report's BWG of the checker's re-verification, the full
+          BWG of the repaired relation *)
   algo : Algo.t;  (** the input algorithm with the synthesized rule wired
                       in via {!Algo.with_waits} / {!Algo.with_relation} *)
   removed : Reduction.removed list;
@@ -143,18 +144,20 @@ val certify : success -> certification
     probe the BWG' with that single entry restored and demand a True
     Cycle.  The probes are single-entry deltas of the result's own
     session, which runs no closure again and is handed back at the BWG'
-    ([bwg] reads it).  Run it on a minimized {!synthesize} result;
-    a {!repair} result, which has no session, raises
-    [Invalid_argument]. *)
+    ([bwg] reads it).  Run it on a minimized {!synthesize} result.  A
+    {!repair} result's removals are route entries, not removed wait
+    entries of its session, so it raises [Invalid_argument]
+    ({!Bwg.Session.restore}) unless it removed nothing. *)
 
 val replay :
   State_space.t ->
   removed:Reduction.removed list ->
   cert_item list ->
   bool list
-(** Independent check of certificates, one verdict per item: a fresh
-    {!Bwg.Session}, [removed] removed, restores each item's entry in turn,
-    confirms every consecutive pair of [cycle] is an edge of that BWG',
+(** Independent check of certificates, one verdict per item: the
+    session of a fresh {!Bwg.build}, [removed] removed, restores each
+    item's entry in turn, confirms every consecutive pair of [cycle] is
+    an edge of that BWG',
     and re-classifies the cycle through {!Cycle_class.classify} — the
     same machinery the checker trusts.  [removed] must be the
     certification's removed set. *)

@@ -1,9 +1,9 @@
 (* The cold reference for a BWG' under a custom waiting rule: the
    algorithm narrowed to [wait_sets] ([Algo.with_waits]), its state space
-   built afresh, and every destination's emissions ([Bwg.dest_edges])
-   replayed, destinations ascending, through the recorder [Bwg.build]
-   uses.  No session takes part, so tests compare sessions narrowed with
-   [Bwg.Session.remove] ([narrow]), and search results, with it. *)
+   built afresh, and [Bwg.build] of it.  It is narrowed through the
+   algorithm, while the sessions under test are narrowed with
+   [Bwg.Session.remove] ([narrow]), so tests compare those sessions, and
+   search results, with it. *)
 
 open Dfr_network
 open Dfr_routing
@@ -16,12 +16,7 @@ let narrowed ~wait_sets space =
     (Algo.with_waits (State_space.algo space) (fun _ b ~dest ->
          wait_sets ~buf:(Buf.id b) ~dest))
 
-let bwg ?witness_cap ~wait_sets space =
-  let space = narrowed ~wait_sets space in
-  Bwg.replay ?witness_cap space (fun emit ->
-      for dest = 0 to State_space.num_nodes space - 1 do
-        Bwg.dest_edges space ~dest ~emit
-      done)
+let bwg ?witness_cap ~wait_sets space = Bwg.build ?witness_cap (narrowed ~wait_sets space)
 
 (* [session], every entry live, narrowed to [wait_sets] with
    [Bwg.Session.remove]: each state's waits less those of [wait_sets],

@@ -5,16 +5,16 @@
    full move graph finds every buffer the header can block in, and each
    such head contributes its waiting set, in rule order.  Bwg.dest_edges
    computes the same relation through destination-local SCC closures,
-   and Bwg.build and a wait-set session (Bwg.Session) bucket the groups
-   of those closures by occupied buffer and derive witness lists from
-   them; they must agree with the reference on the emission sequence of
-   every destination (the groups a session keeps), on the edge set and
-   its first-emission order (a session's live BWG' on the set only), on
-   every edge's witness list, and on how many witnesses the cap dropped,
-   at every witness cap, domain count and closure layout.  Bwg.replay,
-   the hash-indexed recorder, must agree with the same reference.  A
-   live BWG' whose rows have drifted from cold order must still decide
-   as the cold build does. *)
+   and Bwg.build buckets the groups of those closures by occupied buffer
+   and derives witness lists from them; its session (Bwg.Session) keeps
+   them under removals.  Fed through a reference recorder (a witness
+   cell per edge, found through a hash index), the reference emissions
+   fix the emission sequence of every destination (the groups a session
+   keeps), the edge set and its first-emission order (a session's live
+   BWG' on the set only), every edge's witness list and how many
+   witnesses the cap dropped, at every witness cap, domain count and
+   closure layout.  A live BWG' whose rows have drifted from cold order
+   must still decide as the cold build does. *)
 
 open Dfr_network
 open Dfr_routing
@@ -59,27 +59,43 @@ let reference_dest_edges ?(indirect = true) ~wait_sets space ~dest : emission li
     (Array.to_list (State_space.dest_view space ~dest).State_space.view_bufs);
   List.rev !acc
 
-(* The reference recorder: an edge enters on its first emission, keeps at
-   most [cap] witnesses in emission order, and every later witness is a
-   cap drop that marks the list cut ([false]: not all of them). *)
-let reference_record ~cap num_bufs (emissions : emission list) =
-  let wits = Hashtbl.create 64 in
-  let succ = Array.make num_bufs [] in
-  let capped = ref 0 in
+(* The reference recorder's witness cell: the insertion count rides
+   along so the cap check is O(1), and [cut] records an emission past
+   the cap. *)
+type cell = { mutable count : int; mutable ws : Bwg.witness list; mutable cut : bool }
+
+(* The reference recorder: the witness cell, found through the (q1, q2)
+   index, doubles as the duplicate-edge check, so an edge enters its
+   adjacency row on its first emission; a cell keeps the first [cap]
+   witnesses (at least one) in emission order, and every later witness
+   is a cap drop that marks the list cut ([false]: not all of them).
+   Returns the graph, every edge's witness list and the drops. *)
+let record ~cap num_bufs (emissions : emission list) =
+  let graph = Dfr_graph.Digraph.create num_bufs in
+  let cells = Hashtbl.create 1024 and capped = ref 0 in
   List.iter
     (fun (q1, q2, w) ->
-      match Hashtbl.find_opt wits (q1, q2) with
-      | None ->
-        Hashtbl.replace wits (q1, q2) ([ w ], true);
-        succ.(q1) <- q2 :: succ.(q1)
-      | Some (ws, _) ->
-        if List.length ws < cap then Hashtbl.replace wits (q1, q2) (ws @ [ w ], true)
+      let key = (q1 * num_bufs) + q2 in
+      match Hashtbl.find_opt cells key with
+      | Some cell ->
+        if cell.count < cap then begin
+          cell.ws <- w :: cell.ws;
+          cell.count <- cell.count + 1
+        end
         else begin
-          Hashtbl.replace wits (q1, q2) (ws, false);
+          cell.cut <- true;
           incr capped
-        end)
+        end
+      | None ->
+        Hashtbl.add cells key { count = 1; ws = [ w ]; cut = false };
+        Dfr_graph.Digraph.unsafe_add_edge graph q1 q2)
     emissions;
-  (Array.map List.rev succ, wits, !capped)
+  let witnesses q1 q2 =
+    match Hashtbl.find_opt cells ((q1 * num_bufs) + q2) with
+    | Some cell -> (List.rev cell.ws, not cell.cut)
+    | None -> ([], true)
+  in
+  (graph, witnesses, !capped)
 
 (* [f ()] and the witnesses it dropped at the cap *)
 let with_capped f =
@@ -100,17 +116,16 @@ let with_cap n f =
   Fun.protect ~finally:(fun () -> Dfr_util.Domain_pool.set_cap None) f
 
 (* Every BWG of [space] under [wait_sets] (default: the algorithm's
-   rule) against [reference_record] of the reference emissions, at
-   witness caps 1, 2 and 32, and 0, where the recorder still keeps each
-   edge's first witness.  Under the full rule [Bwg.build], at 1 and 4
-   domains with hybrid and dense closure rows, and under any rule
-   [Bwg.replay] of the reference emissions, must give the reference's
-   rows in order, every witness list and the capped count; a session's
-   live BWG', narrowed to the rule with [Bwg.Session.remove], rows as
-   sets and every witness list.  [Bwg.dest_edges] reads the space of the
-   algorithm narrowed to the rule ([Cold.narrowed]).  [~indirect:false]
-   checks the build's ablation against the direct reference, which
-   nothing else builds. *)
+   rule) against [record] of the reference emissions, at witness caps 1,
+   2 and 32, and 0, where the recorder still keeps each edge's first
+   witness.  Under the full rule [Bwg.build], at 1 and 4 domains with
+   hybrid and dense closure rows, must give the recorder's rows in
+   order, every witness list and the capped count; under any rule a
+   session's live BWG', narrowed to the rule with [Bwg.Session.remove],
+   rows as sets and every witness list.  [Bwg.dest_edges] reads the
+   space of the algorithm narrowed to the rule ([Cold.narrowed]).
+   [~indirect:false] checks the build's ablation against the direct
+   reference, which nothing else builds. *)
 let agree ~label ?wait_sets ?(indirect = true) space =
   let rules =
     match wait_sets with
@@ -141,7 +156,7 @@ let agree ~label ?wait_sets ?(indirect = true) space =
   let emissions = List.concat per_dest in
   List.iter
     (fun cap ->
-      let succ, wits, want_capped = reference_record ~cap num_bufs emissions in
+      let reference, wits, want_capped = record ~cap num_bufs emissions in
       let cold =
         if Option.is_some wait_sets then []
         else
@@ -156,15 +171,10 @@ let agree ~label ?wait_sets ?(indirect = true) space =
               ))
             [ (1, false); (4, false); (1, true); (4, true) ]
       in
-      let replayed =
-        with_capped (fun () ->
-            Bwg.replay ~witness_cap:cap space (fun emit ->
-                List.iter (fun (q1, q2, w) -> emit q1 q2 w) emissions))
-      in
       (* the session's live BWG' may order a row differently *)
       let live =
         if indirect then begin
-          let session = Bwg.Session.create ~witness_cap:cap space in
+          let session = Bwg.session (Bwg.build ~witness_cap:cap space) in
           Cold.narrow session ~wait_sets:rules;
           [ ("session", Bwg.Session.bwg session, false) ]
         end
@@ -175,28 +185,27 @@ let agree ~label ?wait_sets ?(indirect = true) space =
           let g = Bwg.graph b in
           for q1 = 0 to num_bufs - 1 do
             let got = Dfr_graph.Digraph.succ g q1 in
+            let want = Dfr_graph.Digraph.succ reference q1 in
             let got, want =
-              if ordered then (got, succ.(q1))
-              else (List.sort compare got, List.sort compare succ.(q1))
+              if ordered then (got, want) else (List.sort compare got, List.sort compare want)
             in
             if got <> want then
               Alcotest.failf "%s (%s, cap %d): successors of %d differ" label name
                 cap q1;
             List.iter
               (fun q2 ->
-                if Bwg.witnesses b q1 q2 <> Hashtbl.find wits (q1, q2) then
+                if Bwg.witnesses b q1 q2 <> wits q1 q2 then
                   Alcotest.failf "%s (%s, cap %d): witnesses of %d->%d differ"
                     label name cap q1 q2)
-              succ.(q1)
+              want
           done)
-        (List.map (fun (name, (b, _)) -> (name, b, true)) (("replay", replayed) :: cold)
-        @ live);
+        (List.map (fun (name, (b, _)) -> (name, b, true)) cold @ live);
       List.iter
         (fun (name, (_, capped)) ->
           check Alcotest.int
             (Printf.sprintf "%s (%s): capped witnesses at cap %d" label name cap)
             want_capped capped)
-        (("replay", replayed) :: cold))
+        cold)
     [ 0; 1; 2; 32 ]
 
 (* a custom waiting rule exercises narrowed spaces and sessions: keep
@@ -362,7 +371,7 @@ let session_walk ?case ~label ~cap rng space =
           (Slice_lists.waits !space ~buf ~dest));
     List.rev !acc
   in
-  let session = Bwg.Session.create ~witness_cap:cap !space in
+  let session = Bwg.session (Bwg.build ~witness_cap:cap !space) in
   let agree step got =
     let want = Cold.bwg ~witness_cap:cap ~wait_sets !space in
     let fail fmt = Alcotest.failf ("%s (cap %d, step %d): " ^^ fmt) label cap step in
@@ -440,7 +449,7 @@ let prop_emitters_ref =
       let net, algo = Case.to_net_algo case in
       let space = State_space.build net algo in
       let full = Bwg.graph (Bwg.build space) in
-      let session = Bwg.Session.create space in
+      let session = Bwg.session (Bwg.build space) in
       let rng = Dfr_util.Prng.create (seed + 29) in
       let removed = Hashtbl.create 64 in
       let current ~buf ~dest =
@@ -531,7 +540,7 @@ let test_session_reprints () =
    the old second and third, as a cold build does. *)
 let test_session_promotes () =
   let space = reprint "two-buffer" in
-  let session = Bwg.Session.create ~witness_cap:2 space in
+  let session = Bwg.session (Bwg.build ~witness_cap:2 space) in
   let full = Bwg.build ~witness_cap:32 space in
   let q1, q2, ws =
     Dfr_graph.Digraph.fold_edges
@@ -553,12 +562,13 @@ let test_session_promotes () =
   check Alcotest.bool "restored first witness leads again" true
     (fst (Bwg.witnesses (Bwg.Session.bwg session) q1 q2) = [ w1; List.nth ws 1 ])
 
-(* A session's first read runs the edge pass of a cold build over its
-   live sets.  With every entry live, its rows are [Bwg.build]'s, in
-   order.  After removals made before it, they are the cold reference's
-   of the same wait sets ([Cold.bwg]), in order, with every witness list;
-   and once a different set of entries is removed, the counts it entered
-   must still give the cold BWG'. *)
+(* A session's first read is its build: with every entry live, its
+   rows are those of a [Bwg.build], in order.  Its first removal makes
+   the count table, from the live sets of that read, and must leave the
+   rows as they were; once the removals are read, and again once a
+   different set of entries is removed, the counts the table entered
+   must give the cold reference of the same wait sets ([Cold.bwg]),
+   with every witness list. *)
 let first_read_is_cold ~label rng space =
   let num_bufs = State_space.num_buffers space in
   let same_rows what want got =
@@ -567,13 +577,13 @@ let first_read_is_cold ~label rng space =
       then Alcotest.failf "%s: %s: row %d out of cold order" label what q
     done
   in
-  same_rows "full rule" (Bwg.build space) (Bwg.Session.bwg (Bwg.Session.create space));
   let entries = ref [] in
   State_space.iter_reachable space (fun ~buf ~dest ->
       List.iter
         (fun t -> entries := (buf, dest, t) :: !entries)
         (Slice_lists.waits space ~buf ~dest));
-  let session = Bwg.Session.create space in
+  let bwg = Bwg.build space in
+  let session = Bwg.session bwg in
   let removed = Hashtbl.create 64 in
   let wait_sets ~buf ~dest =
     List.filter
@@ -595,13 +605,13 @@ let first_read_is_cold ~label rng space =
   in
   let agree what =
     let want = Cold.bwg ~wait_sets space and got = Bwg.Session.bwg session in
-    Option.iter (Alcotest.failf "%s: %s: %s" label what) (Cold.diff ~want ~got);
-    want
+    Option.iter (Alcotest.failf "%s: %s: %s" label what) (Cold.diff ~want ~got)
   in
   toggle_some ();
-  same_rows "removals before the first read" (agree "first read") (Bwg.Session.bwg session);
+  same_rows "full rule, count table made" (Bwg.build space) bwg;
+  agree "first read after removals";
   toggle_some ();
-  ignore (agree "a later read" : Bwg.t)
+  agree "a later read"
 
 let test_first_read_cold () =
   List.iter
@@ -624,9 +634,10 @@ let test_first_read_cold () =
    leaves the adjacency and re-enters at the end of its row, so that
    row, at least, now lists its successors in another order than
    [Bwg.build]'s.  [Checker.decide] on the live BWG must still render
-   the cold build's report, at 1 and 4 domains (the classification
-   fan-out reads the live view's witnesses from pool workers).  [false]
-   when no cold row has two successors, so no row can drift. *)
+   the report it renders on a fresh build, at 1 and 4 domains (the
+   classification fan-out reads the live view's witnesses from pool
+   workers).  [false] when no cold row has two successors, so no row can
+   drift. *)
 let live_decides_as_cold ~label rng space =
   let cold = Bwg.build space in
   let g = Bwg.graph cold in
@@ -651,17 +662,17 @@ let live_decides_as_cold ~label rng space =
       (Report_json.of_outcome (State_space.net space) (State_space.algo space)
          (with_cap 4 (fun () -> Checker.decide ~domains ~stuck ~unconnected space bwg)))
   in
-  let want = render 1 cold in
+  (* a Theorem-3 decision narrows its BWG and hands it back: not [cold] *)
+  let want = render 1 (Bwg.build space) in
   List.iter
     (fun domains ->
-      let session = Bwg.Session.create ~domains space in
+      let session = Bwg.session (Bwg.build ~domains space) in
       let round picked =
         List.iter (fun (buf, dest, t) -> Bwg.Session.remove session ~buf ~dest t) picked;
         ignore (Bwg.Session.bwg session : Bwg.t);
         List.iter (fun (buf, dest, t) -> Bwg.Session.restore session ~buf ~dest t) picked;
         ignore (Bwg.Session.bwg session : Bwg.t)
       in
-      ignore (Bwg.Session.bwg session : Bwg.t);
       for _ = 1 to Dfr_util.Prng.int rng 3 do
         let n = 1 + Dfr_util.Prng.int rng 4 in
         round

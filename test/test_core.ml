@@ -241,7 +241,7 @@ let test_bwg_reduced_wait_sets () =
     (* the full rule with every entry outside the hint removed, as
        [Reduction.verify_hint] narrows it, against the cold BWG' of the
        algorithm whose waits are the hint *)
-    let cut = Bwg.Session.create space in
+    let cut = Bwg.session (Bwg.build space) in
     Cold.narrow cut ~wait_sets:ws;
     let bwg' = Bwg.Session.bwg cut in
     check Alcotest.(option string) "cut BWG' = cold BWG'" None
@@ -463,29 +463,24 @@ let test_theorem3_search_without_hint () =
   | v -> Alcotest.failf "expected search-found BWG', got %a" (Checker.pp_verdict net) v
 
 (* The hint check and a stopped search hand the caller's session back
-   with every entry live, reading the full BWG's edges, whether or not
-   it was read before: a one-probe search on the hintless two-buffer
-   gives up mid-branch, and the catalogue's hint verifies. *)
+   with every entry live, reading the full BWG's edges: a one-probe
+   search on the hintless two-buffer gives up mid-branch, and the
+   catalogue's hint verifies. *)
 let test_theorem3_hands_back_session () =
   let bare = { Mesh_saf.two_buffer with Algo.reduced_waits = None } in
   let handed_back name algo run =
     let space = State_space.build saf33 algo in
     let full = Bwg.graph (Bwg.build space) in
-    List.iter
-      (fun read_first ->
-        let name = Printf.sprintf "%s (read first: %b)" name read_first in
-        let session = Bwg.Session.create space in
-        if read_first then ignore (Bwg.Session.bwg session : Bwg.t);
-        run name session;
-        State_space.iter_reachable space (fun ~buf ~dest ->
-            List.iter
-              (fun w ->
-                if not (Bwg.Session.is_live session ~buf ~dest w) then
-                  Alcotest.failf "%s: entry (%d, %d) -> %d left removed" name buf dest w)
-              (Slice_lists.waits space ~buf ~dest));
-        check Alcotest.bool (name ^ ": the full BWG's edges") true
-          (Dfr_graph.Digraph.equal full (Bwg.graph (Bwg.Session.bwg session))))
-      [ false; true ]
+    let session = Bwg.session (Bwg.build space) in
+    run name session;
+    State_space.iter_reachable space (fun ~buf ~dest ->
+        List.iter
+          (fun w ->
+            if not (Bwg.Session.is_live session ~buf ~dest w) then
+              Alcotest.failf "%s: entry (%d, %d) -> %d left removed" name buf dest w)
+          (Slice_lists.waits space ~buf ~dest));
+    check Alcotest.bool (name ^ ": the full BWG's edges") true
+      (Dfr_graph.Digraph.equal full (Bwg.graph (Bwg.Session.bwg session)))
   in
   handed_back "search ~budget:1" bare (fun name session ->
       match fst (Reduction.search ~budget:1 session) with
@@ -1470,14 +1465,14 @@ let is_true = function Cycle_class.True_cycle _ -> true | _ -> false
    assignment needs, so a False verdict that read one is not exhaustive.
    [Gen.case (Prng.create 1_000_028) ~max_nodes:9] (a 2x4 wormhole mesh)
    has cycles among its first 300 that are True with every witness and
-   False with one per edge: a session at cap 1 must call them False only
+   False with one per edge: a BWG at cap 1 must call them False only
    within its caps. *)
 let test_cut_witnesses_not_exhaustive () =
   let case = Dfr_fuzz.Gen.case (Dfr_util.Prng.create 1_000_028) ~max_nodes:9 in
   let net, algo = Dfr_fuzz.Case.to_net_algo case in
   let space = State_space.build net algo in
   let full = Bwg.build space in
-  let capped = Bwg.Session.bwg (Bwg.Session.create ~witness_cap:1 space) in
+  let capped = Bwg.build ~witness_cap:1 space in
   let hidden = ref 0 in
   List.iter
     (fun c ->

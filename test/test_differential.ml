@@ -923,7 +923,7 @@ let prop_search_exact =
       | None -> true
       | Some (space, entries) -> (
         let exists = brute_force_free space entries in
-        match fst (Reduction.search (Bwg.Session.create space)) with
+        match fst (Reduction.search (Bwg.session (Bwg.build space))) with
         | Reduction.Reduced removed ->
           let rebuilt =
             Cold.bwg space ~wait_sets:(fun ~buf ~dest ->

@@ -41,25 +41,12 @@ let test_digraph_bounds () =
   Alcotest.check_raises "out of range" (Invalid_argument "Digraph: vertex out of range")
     (fun () -> Digraph.add_edge g 0 2)
 
-let test_digraph_transpose () =
-  let g = Digraph.of_edges 3 [ (0, 1); (1, 2); (2, 0) ] in
-  let t = Digraph.transpose g in
-  check Alcotest.bool "1->0 in transpose" true (Digraph.mem_edge t 1 0);
-  check Alcotest.bool "transpose twice = original" true
-    (Digraph.equal g (Digraph.transpose t))
-
 let test_digraph_induced () =
   let g = Digraph.of_edges 4 [ (0, 1); (1, 2); (2, 3); (3, 0) ] in
   let h = Digraph.induced g ~keep:(fun v -> v < 3) in
   check Alcotest.int "induced edges" 2 (Digraph.num_edges h);
   check Alcotest.bool "kept" true (Digraph.mem_edge h 0 1);
   check Alcotest.bool "dropped" false (Digraph.mem_edge h 2 3)
-
-let test_digraph_copy_isolated () =
-  let g = Digraph.of_edges 3 [ (0, 1) ] in
-  let h = Digraph.copy g in
-  Digraph.add_edge h 1 2;
-  check Alcotest.bool "copy isolated" false (Digraph.mem_edge g 1 2)
 
 let prop_edges_roundtrip =
   QCheck.Test.make ~name:"of_edges/edges roundtrip" ~count:200 arbitrary_digraph
@@ -80,12 +67,6 @@ let test_reachable () =
   let r1 = Traversal.reachable diamond [ 1 ] in
   check Alcotest.bool "4 unreachable" false r1.(4);
   check Alcotest.bool "2 unreachable from 1" false r1.(2)
-
-let test_bfs_distances () =
-  let d = Traversal.bfs_distances diamond 0 in
-  check Alcotest.int "d(0)" 0 d.(0);
-  check Alcotest.int "d(3)" 2 d.(3);
-  check Alcotest.int "d(4) unreachable" max_int d.(4)
 
 let test_topological_sort () =
   match Traversal.topological_sort diamond with
@@ -118,17 +99,6 @@ let test_find_cycle () =
   match Traversal.find_cycle (Digraph.of_edges 2 [ (0, 0) ]) with
   | Some [ 0 ] -> ()
   | _ -> Alcotest.fail "self loop is a singleton cycle"
-
-let test_path () =
-  (match Traversal.path diamond 0 3 with
-  | Some p ->
-    check Alcotest.int "length 3" 3 (List.length p);
-    check Alcotest.int "starts at src" 0 (List.hd p)
-  | None -> Alcotest.fail "path exists");
-  check Alcotest.bool "no path" true (Traversal.path diamond 3 0 = None);
-  match Traversal.path diamond 2 2 with
-  | Some [ 2 ] -> ()
-  | _ -> Alcotest.fail "trivial path"
 
 let prop_topo_sound =
   QCheck.Test.make ~name:"topological sort is a witness of acyclicity" ~count:200
@@ -394,15 +364,11 @@ let suite =
   [
     Alcotest.test_case "digraph basics" `Quick test_digraph_basic;
     Alcotest.test_case "digraph bounds" `Quick test_digraph_bounds;
-    Alcotest.test_case "digraph transpose" `Quick test_digraph_transpose;
     Alcotest.test_case "digraph induced" `Quick test_digraph_induced;
-    Alcotest.test_case "digraph copy isolated" `Quick test_digraph_copy_isolated;
     Alcotest.test_case "reachable" `Quick test_reachable;
-    Alcotest.test_case "bfs distances" `Quick test_bfs_distances;
     Alcotest.test_case "topological sort" `Quick test_topological_sort;
     Alcotest.test_case "topo rejects cycles" `Quick test_topo_rejects_cycle;
     Alcotest.test_case "find cycle" `Quick test_find_cycle;
-    Alcotest.test_case "bfs path" `Quick test_path;
     Alcotest.test_case "scc two components" `Quick test_scc_two_components;
     Alcotest.test_case "scc condensation" `Quick test_scc_condensation_acyclic;
     Alcotest.test_case "scc nontrivial" `Quick test_scc_nontrivial;
@@ -442,34 +408,10 @@ let test_dot_to_file () =
       close_in ic;
       check Alcotest.bool "file written" true (n > 20))
 
-let prop_bfs_path_valid =
-  QCheck.Test.make ~name:"BFS paths are valid and shortest" ~count:100
-    arbitrary_digraph (fun (n, es) ->
-      let g = Digraph.of_edges n es in
-      let ok = ref true in
-      for src = 0 to n - 1 do
-        let dist = Traversal.bfs_distances g src in
-        for dst = 0 to n - 1 do
-          match Traversal.path g src dst with
-          | None -> if dist.(dst) <> max_int then ok := false
-          | Some p ->
-            if List.length p <> dist.(dst) + 1 then ok := false;
-            if List.hd p <> src || List.nth p (List.length p - 1) <> dst then
-              ok := false;
-            let rec edges_ok = function
-              | a :: (b :: _ as rest) -> Digraph.mem_edge g a b && edges_ok rest
-              | _ -> true
-            in
-            if not (edges_ok p) then ok := false
-        done
-      done;
-      !ok)
-
 let suite =
   suite
   @ [
       Alcotest.test_case "dot to_file" `Quick test_dot_to_file;
-      qtest prop_bfs_path_valid;
     ]
 
 (* ---------------- DOT escaping ---------------- *)

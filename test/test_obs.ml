@@ -471,6 +471,63 @@ let test_gauges_full_bwg () =
         vertices)
     [ ("hint", e.Registry.algo, true); ("search", reprint, false) ]
 
+(* how many [name] spans [f] records *)
+let spans_of name f =
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable (fun () ->
+      f ();
+      match List.assoc_opt name (Obs.span_totals ()) with Some (n, _) -> n | None -> 0)
+
+(* A cold Theorem-3 check probes the session its build opened, so it
+   captures each destination once: the hint check of two-buffer on its
+   default mesh:4x4, and the search on the hintless reprint. *)
+let test_theorem3_captures_once () =
+  let e = Option.get (Registry.find "two-buffer") in
+  let net = Registry.network_for e None in
+  let reprint =
+    let text = Result.get_ok (Dfr_spec.Printer.to_string net e.Registry.algo) in
+    (Result.get_ok (Dfr_spec.Spec.compile_string text)).Dfr_spec.Spec.algo
+  in
+  List.iter
+    (fun (label, algo, via_hint) ->
+      let closures =
+        spans_of "bwg.closure" (fun () ->
+            match (Checker.check net algo).Checker.verdict with
+            | Checker.Deadlock_free (Checker.Reduced_bwg r) ->
+              check Alcotest.bool (label ^ ": path") via_hint r.via_hint
+            | _ -> Alcotest.failf "%s: expected a Theorem-3 verdict" label)
+      in
+      check Alcotest.int
+        (label ^ ": one capture per destination")
+        (Dfr_network.Net.num_nodes net) closures)
+    [ ("hint", e.Registry.algo, true); ("search", reprint, false) ]
+
+(* No read makes a session's count table: a Theorem-1 check, a knot
+   check and an Incr session's first verdict change no wait entry, so
+   they record no bwg.patch span. *)
+let test_no_count_table_unchanged () =
+  let entry name =
+    let e = Option.get (Registry.find name) in
+    (Registry.network_for e None, e.Registry.algo)
+  in
+  List.iter
+    (fun (name, proof) ->
+      let net, algo = entry name in
+      let patches =
+        spans_of "bwg.patch" (fun () ->
+            let verdict = (Checker.check net algo).Checker.verdict in
+            check Alcotest.bool (name ^ ": verdict") true (proof verdict))
+      in
+      check Alcotest.int (name ^ ": no bwg.patch span") 0 patches)
+    [
+      ("dragonfly-minimal", ( = ) (Checker.Deadlock_free Checker.Acyclic_bwg));
+      ( "single-buffer",
+        function Checker.Deadlock_possible (Checker.Knot _) -> true | _ -> false );
+    ];
+  let net, algo = entry "ecube" in
+  check Alcotest.int "ecube Incr.create: no bwg.patch span" 0
+    (spans_of "bwg.patch" (fun () -> ignore (Incr.create net algo : Incr.t * Incr.result)))
+
 let suite =
   [
     Alcotest.test_case "span nesting and depth" `Quick test_span_nesting;
@@ -498,4 +555,8 @@ let suite =
       test_kept_dest_moves;
     Alcotest.test_case "checker.check's stages cover 95 % of it" `Quick
       test_check_covered_by_stages;
+    Alcotest.test_case "a cold Theorem-3 check captures each destination once"
+      `Quick test_theorem3_captures_once;
+    Alcotest.test_case "no count table without a wait-entry change" `Quick
+      test_no_count_table_unchanged;
   ]

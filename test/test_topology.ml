@@ -139,6 +139,24 @@ let prop_minimal_moves_decrease_distance =
              | Some v -> Topology.distance t v dst = Topology.distance t src dst - 1)
            (Topology.minimal_moves t ~src ~dst))
 
+(* hop distances from [src] over [g]'s edges, [max_int] where unreachable *)
+let bfs_distances g src =
+  let dist = Array.make (Dfr_graph.Digraph.num_vertices g) max_int in
+  let q = Queue.create () in
+  dist.(src) <- 0;
+  Queue.add src q;
+  while not (Queue.is_empty q) do
+    let u = Queue.pop q in
+    Dfr_graph.Digraph.iter_succ
+      (fun v ->
+        if dist.(v) = max_int then begin
+          dist.(v) <- dist.(u) + 1;
+          Queue.add v q
+        end)
+      g u
+  done;
+  dist
+
 let prop_distance_matches_bfs =
   QCheck.Test.make ~name:"distance agrees with BFS over channels" ~count:60
     QCheck.(pair any_topology small_nat)
@@ -146,7 +164,7 @@ let prop_distance_matches_bfs =
       let n = Topology.num_nodes t in
       let src = a mod n in
       let g = Topology.to_digraph t in
-      let d = Dfr_graph.Traversal.bfs_distances g src in
+      let d = bfs_distances g src in
       let ok = ref true in
       for v = 0 to n - 1 do
         if d.(v) <> Topology.distance t src v then ok := false
