@@ -17,13 +17,20 @@ type input = Text of string | File of string
 type source = Named of { algo : string; topology : string option } | Spec of input
 type instance = { net : Net.t; algo : Algo.t }
 
+(* A network the spec declares but [Net.custom] refuses to build (a
+   buffer count past the array limit) is a spec error too. *)
 let compile input =
-  let compiled, file =
+  let file = match input with Text _ -> None | File f -> Some f in
+  match
     match input with
-    | Text src -> (Dfr_spec.Spec.compile_string src, None)
-    | File f -> (Dfr_spec.Spec.load_file f, Some f)
-  in
-  Result.map_error (fun e -> Bad_spec (Dfr_spec.Spec.error_to_string ?file e)) compiled
+    | Text src -> Dfr_spec.Spec.compile_string src
+    | File f -> Dfr_spec.Spec.load_file f
+  with
+  | Ok s -> Ok s
+  | Error e -> Error (Bad_spec (Dfr_spec.Spec.error_to_string ?file e))
+  | exception Invalid_argument msg ->
+    let where = match file with Some f -> f ^ ": " | None -> "" in
+    Error (Bad_spec (Printf.sprintf "%scannot build the network: %s" where msg))
 
 let instance = function
   | Spec input ->

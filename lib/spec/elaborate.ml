@@ -12,10 +12,8 @@
 open Dfr_topology
 open Dfr_network
 open Dfr_routing
-
-exception Error of Ast.pos * string
-
-let error pos fmt = Printf.ksprintf (fun msg -> raise (Error (pos, msg))) fmt
+open Table
+module Count_table = Dfr_util.Count_table
 
 type channel_info = {
   ch_name : string;
@@ -32,111 +30,134 @@ type t = {
   channel_infos : channel_info list;  (* declaration order *)
 }
 
-let build_net (s : Validate.t) =
-  Net.custom ~name:s.Validate.name ~switching:s.Validate.switching
-    ~num_nodes:s.Validate.num_nodes
+let build_net s =
+  Net.custom ~name:(Validate.name s) ~switching:(Validate.switching s)
+    ~num_nodes:(Validate.num_nodes s)
     ~channels:
-      (Array.to_list s.Validate.channels
-      |> List.map (fun c -> (c.Validate.csrc, c.Validate.cdst, c.Validate.cvc)))
+      (Array.to_list (Validate.channels s)
+      |> List.map (fun (c : Validate.channel) -> (c.Validate.csrc, c.Validate.cdst, c.Validate.cvc)))
 
 (* buffer id of each declared channel *)
-let buffer_ids (s : Validate.t) net =
+let buffer_ids s net =
   Array.map
     (fun (c : Validate.channel) ->
-      match s.Validate.switching with
+      match Validate.switching s with
       | Net.Wormhole ->
-        Buf.id (Net.find_custom_channel net ~src:c.Validate.csrc ~dst:c.Validate.cdst ~vc:c.Validate.cvc)
+        Buf.id
+          (Net.find_custom_channel net ~src:c.Validate.csrc ~dst:c.Validate.cdst ~vc:c.Validate.cvc)
       | Net.Store_and_forward | Net.Virtual_cut_through ->
         Buf.id (Net.node_buffer net ~node:c.Validate.cdst ~cls:c.Validate.cvc))
-    s.Validate.channels
-
-let sel_matches buf_of_channel b = function
-  | Validate.At_all -> true
-  | Validate.At n -> Buf.head_node b = n
-  | Validate.In ci -> Buf.id b = buf_of_channel.(ci)
-  | Validate.Inj n -> ( match Buf.kind b with Buf.Injection m -> m = n | _ -> false)
+    (Validate.channels s)
 
 (* First-match resolution: a rule applies to state (b, dest) when its
    selector matches b and its [to] clause, if any, names dest; the first
-   such rule in declaration order wins.  [Indexed] answers each state in
-   O(1) from an index built once in O(rules): every rule is filed under
-   its selector's target (the one buffer of [in C] or [inj N], the node
-   of [at N], one shared slot for [at *]) and its [to] node or "any",
-   and each (slot, key) keeps only its earliest rule.  The first match of
-   (b, dest) is then the earliest of six entries: b's own slot, its head
-   node's slot and the shared slot, each under dest and under "any".
-   [Linear] scans every rule per state; it is the reference the
+   such rule of the kind in declaration order wins.  [Indexed] answers
+   each state from an index built once in O(rules): every rule is filed
+   under an int key made of its kind, its selector's target (the one
+   buffer of [in C] or [inj N], the node of [at N], one shared slot for
+   [at *]) and its [to] node or "any", and each key keeps only its
+   earliest rule.  The first match of (b, dest) is then the earliest of
+   six entries: b's own slot, its head node's slot and the shared slot,
+   each under dest and under "any".  The "any" entries are looked up once
+   per buffer, and a slot no rule names under a destination is not
+   probed.  [Linear] scans every rule per state; it is the reference the
    differential tests compare the index against. *)
 type resolution = Indexed | Linear
 
-let resolver resolution net buf_of_channel rules =
-  let rules = Array.of_list rules in
+let sel_matches tb buf_of_channel b r =
+  let sel = rule tb r r_sel and arg = rule tb r r_sel_arg in
+  if sel = sel_all then true
+  else if sel = sel_at then Buf.head_node b = arg
+  else if sel = sel_in then Buf.id b = buf_of_channel.(arg)
+  else match Buf.kind b with Buf.Injection m -> m = arg | _ -> false
+
+(* [resolver ... kind b dest]: the index of the rule of [kind] that
+   decides state (b, dest), or -1 *)
+let resolver resolution tb net buf_of_channel =
   match resolution with
   | Linear ->
-    fun b dest ->
-      Array.find_opt
-        (fun (r : Validate.rule) ->
-          sel_matches buf_of_channel b r.Validate.sel
-          && match r.Validate.dst with None -> true | Some d -> d = dest)
-        rules
+    fun kind b dest ->
+      let rec scan r =
+        if r = tb.num_rules then -1
+        else if
+          rule tb r r_kind = kind
+          && sel_matches tb buf_of_channel b r
+          && (let d = rule tb r r_dst in
+              d < 0 || d = dest)
+        then r
+        else scan (r + 1)
+      in
+      scan 0
   | Indexed ->
     let num_buffers = Net.num_buffers net and num_nodes = Net.num_nodes net in
-    (* slots: buffer ids, then one per node, then [at *]; key -1 = any *)
+    (* slots: buffer ids, then one per node, then [at *]; dest -1 = any *)
     let node_slot n = num_buffers + n and all_slot = num_buffers + num_nodes in
-    let key slot dest = (slot * (num_nodes + 1)) + dest + 1 in
-    let first = Hashtbl.create (Array.length rules) in
-    Array.iteri
-      (fun i (r : Validate.rule) ->
-        let slot =
-          match r.Validate.sel with
-          | Validate.In ci -> buf_of_channel.(ci)
-          | Validate.Inj n -> Buf.id (Net.injection net n)
-          | Validate.At n -> node_slot n
-          | Validate.At_all -> all_slot
-        in
-        let k = key slot (Option.value r.Validate.dst ~default:(-1)) in
-        if not (Hashtbl.mem first k) then Hashtbl.add first k i)
-      rules;
-    fun b dest ->
-      let best = ref max_int in
-      let probe slot =
-        List.iter
-          (fun d ->
-            match Hashtbl.find_opt first (key slot d) with
-            | Some i when i < !best -> best := i
-            | _ -> ())
-          [ dest; -1 ]
+    let key kind slot dest = (((slot * (num_nodes + 1)) + dest + 1) * 2) + kind in
+    let first = Count_table.create (max 1 tb.num_rules) in
+    (* [named.(2 * slot + kind)]: some rule of [kind] at [slot] names a
+       destination *)
+    let named = Bytes.make (2 * (all_slot + 1)) '\000' in
+    for r = 0 to tb.num_rules - 1 do
+      let arg = rule tb r r_sel_arg and sel = rule tb r r_sel and kind = rule tb r r_kind in
+      let slot =
+        if sel = sel_in then buf_of_channel.(arg)
+        else if sel = sel_inj then Buf.id (Net.injection net arg)
+        else if sel = sel_at then node_slot arg
+        else all_slot
       in
-      probe (Buf.id b);
-      probe (node_slot (Buf.head_node b));
-      probe all_slot;
-      if !best = max_int then None else Some rules.(!best)
+      let dest = rule tb r r_dst in
+      let k = key kind slot dest in
+      if Count_table.find first k = Count_table.absent then ignore (Count_table.add first k r);
+      if dest >= 0 then Bytes.set named ((2 * slot) + kind) '\001'
+    done;
+    let lookup kind slot dest best =
+      let r = Count_table.find first (key kind slot dest) in
+      if r <> Count_table.absent && r < best then r else best
+    in
+    (* the "any" entries of the last buffer asked about, per kind *)
+    let any_buf = [| -1; -1 |] and any_best = [| max_int; max_int |] in
+    fun kind b dest ->
+      let id = Buf.id b and node = node_slot (Buf.head_node b) in
+      if any_buf.(kind) <> id then begin
+        any_buf.(kind) <- id;
+        any_best.(kind) <-
+          lookup kind id (-1) (lookup kind node (-1) (lookup kind all_slot (-1) max_int))
+      end;
+      let probe slot best =
+        if Bytes.get named ((2 * slot) + kind) = '\000' then best else lookup kind slot dest best
+      in
+      let best = probe id (probe node (probe all_slot any_best.(kind))) in
+      if best = max_int then -1 else best
 
 let describe_state net b dest =
   Printf.sprintf "%s dest %d" (Net.describe_buffer net (Buf.id b)) dest
 
-(* outputs of a matched rule at a concrete (buffer, dest) state *)
-let rule_outputs (s : Validate.t) net buf_of_channel triple_index (r : Validate.rule) b dest =
+(* outputs of rule [r] at the concrete (buffer, dest) state *)
+let rule_outputs s net buf_of_channel triple_index r b dest =
+  let tb = Validate.table s in
   let head = Buf.head_node b in
-  match r.Validate.outs with
-  | Validate.Empty -> []
-  | Validate.Explicit outs ->
-    List.map
-      (fun (ci, opos) ->
-        let c = s.Validate.channels.(ci) in
-        (match s.Validate.switching with
-        | Net.Wormhole when c.Validate.csrc <> head ->
-          error opos "channel %S starts at node %d, not at the packet's head node %d (state %s)"
+  let outs = rule tb r r_outs in
+  if outs = outs_none then []
+  else if outs = outs_list then begin
+    let first = rule tb r r_outs_arg and len = rule tb r r_outs_len in
+    let channels = Validate.channels s in
+    if Validate.switching s = Net.Wormhole then
+      for o = first to first + len - 1 do
+        let c = channels.(tb.outs.(2 * o)) in
+        if c.Validate.csrc <> head then
+          Lexer.error tb.outs.((2 * o) + 1)
+            "channel %S starts at node %d, not at the packet's head node %d (state %s)"
             c.Validate.cname c.Validate.csrc head (describe_state net b dest)
-        | _ -> ());
-        buf_of_channel.(ci))
-      outs
-  | Validate.Min vc_filter ->
-    let topo =
-      match s.Validate.topology with
-      | Some t -> t
-      | None -> assert false (* ruled out in Validate *)
+      done;
+    let rec collect o acc =
+      if o < first then acc else collect (o - 1) (buf_of_channel.(tb.outs.(2 * o)) :: acc)
     in
+    collect (first + len - 1) []
+  end
+  else begin
+    let topo = Option.get (Validate.topology s) (* ruled out in Validate *) in
+    let vcs = Validate.vcs s and vc_filter = rule tb r r_outs_arg in
+    let n = Validate.num_nodes s in
     List.concat_map
       (fun (dim, dir) ->
         match Topology.neighbor topo head dim dir with
@@ -144,51 +165,57 @@ let rule_outputs (s : Validate.t) net buf_of_channel triple_index (r : Validate.
         | Some v ->
           List.filter_map
             (fun k ->
-              match vc_filter with
-              | Some f when f <> k -> None
-              | _ -> Some (Hashtbl.find triple_index (head, v, k)))
-            (List.init s.Validate.vcs Fun.id))
+              if vc_filter >= 0 && vc_filter <> k then None
+              else Some (Count_table.find triple_index ((((head * n) + v) * vcs) + k)))
+            (List.init vcs Fun.id))
       (Topology.minimal_moves topo ~src:head ~dst:dest)
+  end
 
-let run ?(resolution = Indexed) (s : Validate.t) =
+let run ?(resolution = Indexed) s =
+  let tb = Validate.table s in
   let net = build_net s in
   let buf_of_channel = buffer_ids s net in
-  let triple_index = Hashtbl.create 64 in
-  Array.iteri
-    (fun i (c : Validate.channel) ->
-      let key = (c.Validate.csrc, c.Validate.cdst, c.Validate.cvc) in
-      if not (Hashtbl.mem triple_index key) then Hashtbl.add triple_index key buf_of_channel.(i))
-    s.Validate.channels;
   let num_buffers = Net.num_buffers net in
   let num_nodes = Net.num_nodes net in
+  (* [minimal]'s outputs by (src, dst, vc), topology channels first *)
+  let triple_index =
+    let vcs = Validate.vcs s in
+    let tbl = Count_table.create (if Validate.topology s = None then 1 else num_buffers) in
+    if Validate.topology s <> None then
+      Array.iteri
+        (fun i (c : Validate.channel) ->
+          if c.Validate.cvc < vcs then begin
+            let key = (((c.Validate.csrc * num_nodes) + c.Validate.cdst) * vcs) + c.Validate.cvc in
+            if Count_table.find tbl key = Count_table.absent then
+              ignore (Count_table.add tbl key buf_of_channel.(i))
+          end)
+        (Validate.channels s);
+    tbl
+  in
   let route_tbl = Array.make_matrix num_buffers num_nodes [] in
   let wait_tbl = Array.make_matrix num_buffers num_nodes [] in
-  let first_match kind =
-    resolver resolution net buf_of_channel
-      (List.filter (fun r -> r.Validate.kind = kind) s.Validate.rules)
-  in
-  let route_rule = first_match Ast.Route and wait_rule = first_match Ast.Wait in
+  let first_match = resolver resolution tb net buf_of_channel in
   Array.iter
     (fun b ->
       if not (Buf.is_delivery b) then
         for dest = 0 to num_nodes - 1 do
           if Buf.head_node b <> dest then begin
             let route =
-              match route_rule b dest with
-              | Some r -> rule_outputs s net buf_of_channel triple_index r b dest
-              | None -> []
+              match first_match Table.route b dest with
+              | -1 -> []
+              | r -> rule_outputs s net buf_of_channel triple_index r b dest
             in
             route_tbl.(Buf.id b).(dest) <- route;
-            match wait_rule b dest with
-            | None -> wait_tbl.(Buf.id b).(dest) <- route
-            | Some r ->
+            match first_match Table.wait b dest with
+            | -1 -> wait_tbl.(Buf.id b).(dest) <- route
+            | r ->
               let waits = rule_outputs s net buf_of_channel triple_index r b dest in
               List.iter
                 (fun w ->
                   if not (List.mem w route) then
-                    error r.Validate.rpos
-                      "wait buffer %s is not among the permitted outputs of state %s \
-                       (wait sets must be subsets of route sets)"
+                    Lexer.error (rule tb r r_off)
+                      "wait buffer %s is not among the permitted outputs of state %s (wait sets \
+                       must be subsets of route sets)"
                       (Net.describe_buffer net w) (describe_state net b dest))
                 waits;
               wait_tbl.(Buf.id b).(dest) <- waits
@@ -237,14 +264,13 @@ let run ?(resolution = Indexed) (s : Validate.t) =
   | pairs ->
     let show (s', d) = Printf.sprintf "%d -> %d" s' d in
     let shown = List.filteri (fun i _ -> i < 5) pairs in
-    error s.Validate.size_pos
-      "routing cannot deliver %d source/destination pair%s: %s%s"
+    Lexer.error (Validate.size_pos s) "routing cannot deliver %d source/destination pair%s: %s%s"
       (List.length pairs)
       (if List.length pairs = 1 then "" else "s")
       (String.concat ", " (List.map show shown))
       (if List.length pairs > 5 then ", ..." else ""));
   let algo =
-    Algo.make ~name:s.Validate.name ~wait:s.Validate.waiting
+    Algo.make ~name:(Validate.name s) ~wait:(Validate.waiting s)
       ~route:(fun _ b ~dest -> route_tbl.(Buf.id b).(dest))
       ~waits:(fun _ b ~dest -> wait_tbl.(Buf.id b).(dest))
       ()
@@ -260,9 +286,8 @@ let run ?(resolution = Indexed) (s : Validate.t) =
              ch_vc = c.Validate.cvc;
              ch_buffer = buf_of_channel.(i);
            })
-         s.Validate.channels)
+         (Validate.channels s))
   in
   { spec = s; net; algo; channel_infos }
 
-let check ?resolution s =
-  try Ok (run ?resolution s) with Error (pos, msg) -> Error (pos, msg)
+let check ?resolution s = try Ok (run ?resolution s) with Lexer.Error (pos, msg) -> Error (pos, msg)

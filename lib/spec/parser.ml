@@ -1,4 +1,5 @@
-(* Recursive-descent parser for .dfr specifications.
+(* Recursive-descent parser for .dfr specifications, writing the flat
+   rows of a {!Table.t} as it goes: no tree is built.
 
    One declaration per line.  The grammar (see DESIGN.md for the full
    reference):
@@ -14,200 +15,195 @@
                | ("route" | "wait") selector "to" dest ":" outputs
      selector := "at" (INT | "*") | "in" IDENT | "inj" INT
      dest     := INT | "*"
-     outputs  := "none" | "minimal" [ "vc" INT ] | IDENT+ *)
+     outputs  := "none" | "minimal" [ "vc" INT ] | IDENT+
 
-exception Error of Ast.pos * string
+   A repeated header declaration (network, switching, waiting, nodes,
+   topology, vcs) is not a parse error: the first one is recorded and
+   {!Validate} reports it, after every parse error. *)
 
-type t = {
-  lx : Lexer.t;
-  mutable tok : Lexer.token;
-  mutable tok_pos : Ast.pos;
-}
+open Lexer
 
-let error pos fmt = Printf.ksprintf (fun msg -> raise (Error (pos, msg))) fmt
+let expect_int lx ~what =
+  match lx.tok with
+  | Int ->
+    let n = lx.value in
+    next lx;
+    n
+  | _ -> error lx.start "expected %s (an integer), found %s" what (describe lx)
 
-let advance p =
-  let tok, pos = Lexer.next p.lx in
-  p.tok <- tok;
-  p.tok_pos <- pos
+let expect_ident lx ~what =
+  match lx.tok with
+  | Ident ->
+    let id = lx.value in
+    next lx;
+    id
+  | _ -> error lx.start "expected %s, found %s" what (describe lx)
 
-let make src =
-  let lx = Lexer.create src in
-  let p = { lx; tok = Lexer.EOF; tok_pos = { Ast.line = 1; col = 1 } } in
-  advance p;
-  p
+let expect_tok lx want ~what =
+  if lx.tok = want then next lx else error lx.start "expected %s, found %s" what (describe lx)
 
-let expect_int p ~what =
-  match p.tok with
-  | Lexer.INT n ->
-    let pos = p.tok_pos in
-    advance p;
-    (n, pos)
-  | tok -> error p.tok_pos "expected %s (an integer), found %s" what (Lexer.describe tok)
+let is_kw lx kw = match lx.tok with Ident -> lx.value = kw | _ -> false
 
-let expect_ident p ~what =
-  match p.tok with
-  | Lexer.IDENT s ->
-    let pos = p.tok_pos in
-    advance p;
-    (s, pos)
-  | tok -> error p.tok_pos "expected %s, found %s" what (Lexer.describe tok)
+(* [vc N] suffix: N, or [default] *)
+let opt_vc lx ~default =
+  if is_kw lx kw_vc then begin
+    next lx;
+    expect_int lx ~what:"a virtual-channel index after 'vc'"
+  end
+  else default
 
-let expect_tok p want ~what =
-  if p.tok = want then advance p
-  else error p.tok_pos "expected %s, found %s" what (Lexer.describe p.tok)
+let parse_rule t lx kind off =
+  let sel_off = lx.start in
+  let sel = ref Table.sel_all and sel_arg = ref 0 in
+  if is_kw lx kw_at then begin
+    next lx;
+    match lx.tok with
+    | Star -> next lx
+    | Int ->
+      sel := Table.sel_at;
+      sel_arg := lx.value;
+      next lx
+    | _ -> error lx.start "expected a node number or '*' after 'at', found %s" (describe lx)
+  end
+  else if is_kw lx kw_in then begin
+    next lx;
+    sel := Table.sel_in;
+    sel_arg := expect_ident lx ~what:"a channel name after 'in'"
+  end
+  else if is_kw lx kw_inj then begin
+    next lx;
+    sel := Table.sel_inj;
+    sel_arg := expect_int lx ~what:"a node number after 'inj'"
+  end
+  else
+    error sel_off "expected a selector ('at N', 'at *', 'in CHANNEL' or 'inj N'), found %s"
+      (describe lx);
+  if is_kw lx kw_to then next lx
+  else error lx.start "expected 'to' after the selector, found %s" (describe lx);
+  let dst_off = lx.start in
+  let dst =
+    match lx.tok with
+    | Star ->
+      next lx;
+      -1
+    | Int ->
+      let d = lx.value in
+      next lx;
+      d
+    | _ -> error dst_off "expected a destination node or '*', found %s" (describe lx)
+  in
+  expect_tok lx Colon ~what:"':' before the output list";
+  let outs_off = lx.start in
+  let outs = ref Table.outs_list and outs_arg = ref t.Table.num_outs in
+  if is_kw lx kw_none then begin
+    next lx;
+    outs := Table.outs_none;
+    outs_arg := 0
+  end
+  else if is_kw lx kw_minimal then begin
+    next lx;
+    outs := Table.outs_min;
+    outs_arg := opt_vc lx ~default:(-1)
+  end
+  else if lx.tok = Ident then
+    (* every identifier up to the end of the declaration is a channel
+       name, keywords included *)
+    while lx.tok = Ident do
+      Table.push_out t lx.value lx.start;
+      next lx
+    done
+  else
+    error outs_off "expected output buffers ('none', 'minimal' or channel names), found %s"
+      (describe lx);
+  let outs_len = if !outs = Table.outs_list then t.Table.num_outs - !outs_arg else 0 in
+  Table.push_rule t ~kind ~off ~sel:!sel ~sel_arg:!sel_arg ~sel_off ~dst ~dst_off ~outs:!outs
+    ~outs_arg:!outs_arg ~outs_len ~outs_off
 
-let end_of_decl p =
-  match p.tok with
-  | Lexer.NEWLINE -> advance p
-  | Lexer.EOF -> ()
-  | tok -> error p.tok_pos "trailing %s at end of declaration" (Lexer.describe tok)
+(* a header declaration's value; only its first occurrence is kept *)
+let header (t : Table.t) kw pos v =
+  if t.head_off.(kw) < 0 then begin
+    t.head_off.(kw) <- pos;
+    t.head_val.(kw) <- v
+  end
+  else if t.dup < 0 then begin
+    t.dup <- pos;
+    t.dup_kw <- kw
+  end
 
-(* [vc N] suffix, defaulting *)
-let opt_vc p =
-  match p.tok with
-  | Lexer.IDENT "vc" ->
-    advance p;
-    let n, _ = expect_int p ~what:"a virtual-channel index after 'vc'" in
-    Some n
-  | _ -> None
-
-let parse_selector p =
-  let pos = p.tok_pos in
-  match p.tok with
-  | Lexer.IDENT "at" -> (
-    advance p;
-    match p.tok with
-    | Lexer.STAR ->
-      advance p;
-      { Ast.v = Ast.At_any; pos }
-    | Lexer.INT n ->
-      advance p;
-      { Ast.v = Ast.At_node n; pos }
-    | tok -> error p.tok_pos "expected a node number or '*' after 'at', found %s" (Lexer.describe tok))
-  | Lexer.IDENT "in" ->
-    advance p;
-    let name, _ = expect_ident p ~what:"a channel name after 'in'" in
-    { Ast.v = Ast.In_channel name; pos }
-  | Lexer.IDENT "inj" ->
-    advance p;
-    let n, _ = expect_int p ~what:"a node number after 'inj'" in
-    { Ast.v = Ast.Inj n; pos }
-  | tok ->
-    error pos "expected a selector ('at N', 'at *', 'in CHANNEL' or 'inj N'), found %s"
-      (Lexer.describe tok)
-
-let parse_dest p =
-  let pos = p.tok_pos in
-  match p.tok with
-  | Lexer.STAR ->
-    advance p;
-    { Ast.v = Ast.Any_dest; pos }
-  | Lexer.INT n ->
-    advance p;
-    { Ast.v = Ast.Dest n; pos }
-  | tok -> error pos "expected a destination node or '*', found %s" (Lexer.describe tok)
-
-let parse_outputs p =
-  let pos = p.tok_pos in
-  match p.tok with
-  | Lexer.IDENT "none" ->
-    advance p;
-    { Ast.v = Ast.No_outputs; pos }
-  | Lexer.IDENT "minimal" ->
-    advance p;
-    let vc = opt_vc p in
-    { Ast.v = Ast.Minimal vc; pos }
-  | Lexer.IDENT _ ->
-    let rec names acc =
-      match p.tok with
-      | Lexer.IDENT s ->
-        let npos = p.tok_pos in
-        advance p;
-        names ({ Ast.v = s; pos = npos } :: acc)
-      | _ -> List.rev acc
-    in
-    { Ast.v = Ast.Chans (names []); pos }
-  | tok ->
-    error pos "expected output buffers ('none', 'minimal' or channel names), found %s"
-      (Lexer.describe tok)
-
-let parse_rule p kind pos =
-  let sel = parse_selector p in
-  (match p.tok with
-  | Lexer.IDENT "to" -> advance p
-  | tok -> error p.tok_pos "expected 'to' after the selector, found %s" (Lexer.describe tok));
-  let dst = parse_dest p in
-  expect_tok p Lexer.COLON ~what:"':' before the output list";
-  let outs = parse_outputs p in
-  { Ast.v = Ast.Rule { Ast.rule_kind = kind; sel; dst; outs }; Ast.pos }
-
-let parse_decl p pos = function
-  | "network" ->
-    let name, _ = expect_ident p ~what:"a network name" in
-    { Ast.v = Ast.Network name; pos }
-  | "switching" -> (
-    let kw, kpos = expect_ident p ~what:"a switching mode (wormhole, saf or vct)" in
-    match kw with
-    | "wormhole" -> { Ast.v = Ast.Switching Ast.Wormhole; pos }
-    | "saf" | "store-and-forward" -> { Ast.v = Ast.Switching Ast.Saf; pos }
-    | "vct" | "virtual-cut-through" -> { Ast.v = Ast.Switching Ast.Vct; pos }
-    | other -> error kpos "unknown switching mode %S (expected wormhole, saf or vct)" other)
-  | "waiting" -> (
-    let kw, kpos = expect_ident p ~what:"a waiting discipline (specific or any)" in
-    match kw with
-    | "specific" -> { Ast.v = Ast.Waiting Ast.Specific; pos }
-    | "any" -> { Ast.v = Ast.Waiting Ast.Any; pos }
-    | other -> error kpos "unknown waiting discipline %S (expected specific or any)" other)
-  | "nodes" ->
-    let n, _ = expect_int p ~what:"the number of nodes" in
-    { Ast.v = Ast.Nodes n; pos }
-  | "vcs" ->
-    let n, _ = expect_int p ~what:"the number of virtual channels" in
-    { Ast.v = Ast.Vcs n; pos }
-  | "topology" ->
-    (* the lookahead already sits on the first clause token; recapture the
-       raw line from there and re-lex the shorthand separately *)
-    let rpos = p.tok_pos in
-    let raw = Lexer.capture_line_from_last p.lx in
-    advance p;
-    (* the lookahead is now the NEWLINE (or EOF) ending the clause *)
+let parse_decl (t : Table.t) lx pos kw =
+  if kw = kw_network then header t kw pos (expect_ident lx ~what:"a network name")
+  else if kw = kw_switching then begin
+    let kpos = lx.start in
+    let m = expect_ident lx ~what:"a switching mode (wormhole, saf or vct)" in
+    if m = kw_wormhole || m = kw_saf || m = kw_store_and_forward || m = kw_vct
+       || m = kw_virtual_cut_through
+    then header t kw pos m
+    else
+      error kpos "unknown switching mode %S (expected wormhole, saf or vct)"
+        (Table.spelling t m)
+  end
+  else if kw = kw_waiting then begin
+    let kpos = lx.start in
+    let w = expect_ident lx ~what:"a waiting discipline (specific or any)" in
+    if w = kw_specific || w = kw_any then header t kw pos w
+    else
+      error kpos "unknown waiting discipline %S (expected specific or any)"
+        (Table.spelling t w)
+  end
+  else if kw = kw_nodes then header t kw pos (expect_int lx ~what:"the number of nodes")
+  else if kw = kw_vcs then header t kw pos (expect_int lx ~what:"the number of virtual channels")
+  else if kw = kw_topology then begin
+    (* the current token is the clause's first; recapture the raw line
+       from there and let the shorthand be re-lexed separately *)
+    let rpos = lx.start in
+    let raw = rest_of_line lx in
+    next lx;
     if raw = "" then error rpos "expected a topology shorthand, e.g. 'mesh 4 4' or 'mesh:4x4'";
-    { Ast.v = Ast.Topology raw; pos }
-  | "channel" ->
-    let cname =
-      let name, npos = expect_ident p ~what:"a channel name" in
-      { Ast.v = name; Ast.pos = npos }
-    in
-    expect_tok p Lexer.COLON ~what:"':' after the channel name";
-    let src, _ = expect_int p ~what:"the source node" in
-    expect_tok p Lexer.ARROW ~what:"'->' between the channel endpoints";
-    let dst, _ = expect_int p ~what:"the destination node" in
-    let vc = Option.value (opt_vc p) ~default:0 in
-    { Ast.v = Ast.Channel { cname; src; dst; vc }; pos }
-  | "route" -> parse_rule p Ast.Route pos
-  | "wait" -> parse_rule p Ast.Wait pos
-  | other ->
+    if t.head_off.(kw) < 0 then t.topology <- raw;
+    header t kw pos 0
+  end
+  else if kw = kw_channel then begin
+    let name_off = lx.start in
+    let name = expect_ident lx ~what:"a channel name" in
+    expect_tok lx Colon ~what:"':' after the channel name";
+    let src = expect_int lx ~what:"the source node" in
+    expect_tok lx Arrow ~what:"'->' between the channel endpoints";
+    let dst = expect_int lx ~what:"the destination node" in
+    let vc = opt_vc lx ~default:0 in
+    Table.push_chan t ~name ~name_off ~src ~dst ~vc ~off:pos
+  end
+  else if kw = kw_route then parse_rule t lx Table.route pos
+  else if kw = kw_wait then parse_rule t lx Table.wait pos
+  else
     error pos
       "unknown declaration %S (expected network, switching, waiting, nodes, topology, vcs, \
        channel, route or wait)"
-      other
+      (Table.spelling t kw)
 
 let parse_string src =
-  let p = make src in
-  let rec loop acc =
-    match p.tok with
-    | Lexer.NEWLINE ->
-      advance p;
-      loop acc
-    | Lexer.EOF -> List.rev acc
-    | Lexer.IDENT kw ->
-      let pos = p.tok_pos in
-      advance p;
-      let decl = parse_decl p pos kw in
-      end_of_decl p;
-      loop (decl :: acc)
-    | tok -> error p.tok_pos "expected a declaration keyword, found %s" (Lexer.describe tok)
+  let t = Table.create src in
+  let lx = Lexer.create src t.Table.names in
+  let rec loop () =
+    match lx.tok with
+    | Newline ->
+      next lx;
+      loop ()
+    | Eof -> ()
+    | Ident ->
+      let pos = lx.start and kw = lx.value in
+      if t.first_decl < 0 then t.first_decl <- pos;
+      next lx;
+      parse_decl t lx pos kw;
+      (match lx.tok with
+      | Newline -> next lx
+      | Eof -> ()
+      | _ -> error lx.start "trailing %s at end of declaration" (describe lx));
+      loop ()
+    | _ -> error lx.start "expected a declaration keyword, found %s" (describe lx)
   in
-  try Ok (loop []) with
-  | Error (pos, msg) | Lexer.Error (pos, msg) -> (Error (pos, msg) : (Ast.t, _) result)
+  match
+    next lx;
+    loop ()
+  with
+  | () -> Ok t
+  | exception Error (pos, msg) -> Error (pos, msg)

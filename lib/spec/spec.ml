@@ -5,7 +5,8 @@ open Dfr_network
 open Dfr_routing
 module Obs = Dfr_obs.Obs
 
-type error = { pos : Ast.pos; msg : string }
+type pos = { line : int; col : int }
+type error = { pos : pos; msg : string }
 
 type t = {
   name : string;
@@ -16,18 +17,23 @@ type t = {
 
 let error_to_string ?file { pos; msg } =
   match file with
-  | Some f -> Printf.sprintf "%s:%d:%d: %s" f pos.Ast.line pos.Ast.col msg
-  | None -> Printf.sprintf "%d:%d: %s" pos.Ast.line pos.Ast.col msg
-
-let ( let* ) r f = match r with Ok v -> f v | Error (pos, msg) -> Error { pos; msg }
+  | Some f -> Printf.sprintf "%s:%d:%d: %s" f pos.line pos.col msg
+  | None -> Printf.sprintf "%d:%d: %s" pos.line pos.col msg
 
 let compile_string src =
-  let* ast = Obs.span "spec.parse" (fun () -> Parser.parse_string src) in
-  let* resolved = Obs.span "spec.validate" (fun () -> Validate.check ast) in
+  let ( let* ) r f =
+    match r with
+    | Ok v -> f v
+    | Error (off, msg) ->
+      let line, col = Lexer.line_col src off in
+      Error { pos = { line; col }; msg }
+  in
+  let* table = Obs.span "spec.parse" (fun () -> Parser.parse_string src) in
+  let* resolved = Obs.span "spec.validate" (fun () -> Validate.check table) in
   let* elaborated = Obs.span "spec.elaborate" (fun () -> Elaborate.check resolved) in
   Ok
     {
-      name = resolved.Validate.name;
+      name = Validate.name resolved;
       net = elaborated.Elaborate.net;
       algo = elaborated.Elaborate.algo;
       elaborated;
@@ -41,7 +47,7 @@ let read_file path =
 
 let load_file path =
   match read_file path with
-  | exception Sys_error msg -> Error { pos = { Ast.line = 1; col = 1 }; msg }
+  | exception Sys_error msg -> Error { pos = { line = 1; col = 1 }; msg }
   | src -> compile_string src
 
 (* The spec's network as Graphviz DOT: one node per processing node, one

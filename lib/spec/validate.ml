@@ -1,39 +1,21 @@
-(* Validation: from a located AST to a resolved spec, or the first error
+(* Validation: from a parsed table to a resolved spec, or the first error
    with its source position.
 
    Everything that can be checked without building the network happens
    here: declaration well-formedness, the topology shorthand, channel
    table construction (including the channels a topology clause
-   generates), name resolution and range checks.  Whole-network semantic
-   checks (wait ⊆ route, adjacency, destination reachability) live in
-   {!Elaborate}, which owns the routing tables. *)
+   generates), name resolution and range checks.  Rule rows are resolved
+   in place: a [in C] selector and each explicit output change from a
+   name id to a channel index, through one name-id-indexed array.
+   Whole-network semantic checks (wait ⊆ route, adjacency, destination
+   reachability) live in {!Elaborate}, which owns the routing tables. *)
 
 open Dfr_topology
 open Dfr_network
 open Dfr_routing
+open Table
 
-type channel = {
-  cname : string;
-  csrc : int;
-  cdst : int;
-  cvc : int;
-  cpos : Ast.pos;
-}
-
-type sel = At of int | At_all | In of int | Inj of int
-
-type outs =
-  | Explicit of (int * Ast.pos) list  (* channel indices *)
-  | Empty
-  | Min of int option
-
-type rule = {
-  kind : Ast.rule_kind;
-  sel : sel;
-  dst : int option;  (* [None] is the wildcard *)
-  outs : outs;
-  rpos : Ast.pos;
-}
+type channel = { cname : string; csrc : int; cdst : int; cvc : int; cpos : int }
 
 type t = {
   name : string;
@@ -43,13 +25,19 @@ type t = {
   topology : Topology.t option;
   vcs : int;
   channels : channel array;  (* declaration order = buffer creation order *)
-  rules : rule list;
-  size_pos : Ast.pos;  (* the nodes/topology clause, anchor for global errors *)
+  table : Table.t;
+  size_pos : int;  (* the nodes/topology clause, anchor for global errors *)
 }
 
-exception Error of Ast.pos * string
-
-let error pos fmt = Printf.ksprintf (fun msg -> raise (Error (pos, msg))) fmt
+let name t = t.name
+let switching t = t.switching
+let waiting t = t.waiting
+let num_nodes t = t.num_nodes
+let topology t = t.topology
+let vcs t = t.vcs
+let channels t = t.channels
+let size_pos t = t.size_pos
+let table t = t.table
 
 let generated_channel_name ~src ~dst ~vc = Printf.sprintf "c%d_%d_%d" src dst vc
 
@@ -65,78 +53,63 @@ let canonical_topology raw =
   | [ w ] -> w
   | kind :: dims -> kind ^ ":" ^ String.concat "x" dims
 
-let run (decls : Ast.t) =
-  let name = ref None
-  and switching = ref None
-  and waiting = ref None
-  and nodes = ref None
-  and topo_raw = ref None
-  and vcs = ref None in
-  let channels = ref [] (* reversed *) in
-  let rules_raw = ref [] (* reversed *) in
-  let once what slot pos v =
-    match !slot with
-    | Some (_, first) ->
-      error pos "duplicate %s declaration (first at %d:%d)" what first.Ast.line first.Ast.col
-    | None -> slot := Some (v, pos)
+let run (tb : Table.t) =
+  let at off =
+    let line, col = Lexer.line_col tb.src off in
+    Printf.sprintf "%d:%d" line col
   in
-  List.iter
-    (fun { Ast.v; pos } ->
-      match v with
-      | Ast.Network n -> once "network" name pos n
-      | Ast.Switching s -> once "switching" switching pos s
-      | Ast.Waiting w -> once "waiting" waiting pos w
-      | Ast.Nodes n -> once "nodes" nodes pos n
-      | Ast.Topology raw -> once "topology" topo_raw pos raw
-      | Ast.Vcs n -> once "vcs" vcs pos n
-      | Ast.Channel { cname; src; dst; vc } -> channels := ((cname, src, dst, vc), pos) :: !channels
-      | Ast.Rule r -> rules_raw := (r, pos) :: !rules_raw)
-    decls;
-  let channels = List.rev !channels and rules_raw = List.rev !rules_raw in
+  if tb.dup >= 0 then
+    Lexer.error tb.dup "duplicate %s declaration (first at %s)" Lexer.keywords.(tb.dup_kw)
+      (at tb.head_off.(tb.dup_kw));
+  let declared kw = tb.head_off.(kw) >= 0 in
   let switching =
-    match !switching with
-    | Some (Ast.Wormhole, _) | None -> Net.Wormhole
-    | Some (Ast.Saf, _) -> Net.Store_and_forward
-    | Some (Ast.Vct, _) -> Net.Virtual_cut_through
+    let m = tb.head_val.(Lexer.kw_switching) in
+    if not (declared Lexer.kw_switching) || m = Lexer.kw_wormhole then Net.Wormhole
+    else if m = Lexer.kw_saf || m = Lexer.kw_store_and_forward then Net.Store_and_forward
+    else Net.Virtual_cut_through
   in
   let waiting =
-    match !waiting with
-    | Some (Ast.Specific, _) -> Algo.Specific_wait
-    | Some (Ast.Any, _) | None -> Algo.Any_wait
+    if declared Lexer.kw_waiting && tb.head_val.(Lexer.kw_waiting) = Lexer.kw_specific then Algo.Specific_wait
+    else Algo.Any_wait
   in
   (* network size: exactly one of `nodes' and `topology' *)
+  let npos = tb.head_off.(Lexer.kw_nodes) and tpos = tb.head_off.(Lexer.kw_topology) in
   let num_nodes, topology, size_pos =
-    match (!nodes, !topo_raw) with
-    | Some (_, npos), Some (_, tpos) ->
-      error (if npos.Ast.line > tpos.Ast.line then npos else tpos)
+    match (npos >= 0, tpos >= 0) with
+    | true, true ->
+      Lexer.error (max npos tpos)
         "'nodes' and 'topology' cannot both be declared; a topology fixes the node count"
-    | Some (n, pos), None ->
-      if n < 1 then error pos "nodes must be >= 1, got %d" n;
-      (n, None, pos)
-    | None, Some (raw, pos) -> (
-      match Topology.of_string (canonical_topology raw) with
-      | Ok t -> (Topology.num_nodes t, Some t, pos)
-      | Error msg -> error pos "bad topology shorthand: %s" msg)
-    | None, None -> (
-      match decls with
-      | [] -> error { Ast.line = 1; col = 1 } "empty specification: declare 'nodes N' or 'topology ...'"
-      | { Ast.pos; _ } :: _ -> error pos "missing 'nodes N' or 'topology ...' declaration")
+    | true, false ->
+      let n = tb.head_val.(Lexer.kw_nodes) in
+      if n < 1 then Lexer.error npos "nodes must be >= 1, got %d" n;
+      (n, None, npos)
+    | false, true -> (
+      match Topology.of_string (canonical_topology tb.topology) with
+      | Ok t -> (Topology.num_nodes t, Some t, tpos)
+      | Error msg -> Lexer.error tpos "bad topology shorthand: %s" msg)
+    | false, false ->
+      if tb.first_decl < 0 then
+        Lexer.error 0 "empty specification: declare 'nodes N' or 'topology ...'"
+      else Lexer.error tb.first_decl "missing 'nodes N' or 'topology ...' declaration"
   in
   let vcs =
-    match (!vcs, topology) with
-    | Some (_, pos), None ->
-      error pos "'vcs' only applies to topology specs; explicit channels carry their own 'vc N'"
-    | Some (n, pos), Some _ ->
-      if n < 1 then error pos "vcs must be >= 1, got %d" n;
+    let pos = tb.head_off.(Lexer.kw_vcs) in
+    match topology with
+    | _ when pos < 0 -> 1
+    | None ->
+      Lexer.error pos "'vcs' only applies to topology specs; explicit channels carry their own 'vc N'"
+    | Some _ ->
+      let n = tb.head_val.(Lexer.kw_vcs) in
+      if n < 1 then Lexer.error pos "vcs must be >= 1, got %d" n;
       n
-    | None, _ -> 1
   in
   (match (topology, switching) with
   | Some _, (Net.Store_and_forward | Net.Virtual_cut_through) ->
-    error size_pos
+    Lexer.error size_pos
       "topology shorthands are wormhole-only; declare saf/vct networks with explicit channels"
   | _ -> ());
-  (* channel table: topology-generated channels first, then explicit ones *)
+  (* channel table: topology-generated channels first, then explicit ones;
+     a generated channel's name is interned so rules can resolve it *)
   let generated =
     match topology with
     | None -> []
@@ -144,39 +117,37 @@ let run (decls : Ast.t) =
       List.concat_map
         (fun (u, v) ->
           List.init vcs (fun k ->
-              {
-                cname = generated_channel_name ~src:u ~dst:v ~vc:k;
-                csrc = u;
-                cdst = v;
-                cvc = k;
-                cpos = size_pos;
-              }))
+              let cname = generated_channel_name ~src:u ~dst:v ~vc:k in
+              ( Lexer.intern tb.names cname 0 (String.length cname),
+                { cname; csrc = u; cdst = v; cvc = k; cpos = size_pos } )))
         (Topology.channels t)
   in
   let explicit =
-    List.map
-      (fun ((cname, src, dst, vc), pos) ->
-        if src < 0 || src >= num_nodes then
-          error pos "channel %S: source node %d out of range 0..%d" cname.Ast.v src (num_nodes - 1);
-        if dst < 0 || dst >= num_nodes then
-          error pos "channel %S: destination node %d out of range 0..%d" cname.Ast.v dst
+    List.init tb.num_chans (fun c ->
+        let id = chan tb c c_name and src = chan tb c c_src and dst = chan tb c c_dst in
+        let pos = chan tb c c_off in
+        let cname = spelling tb id in
+        if src >= num_nodes then
+          Lexer.error pos "channel %S: source node %d out of range 0..%d" cname src (num_nodes - 1);
+        if dst >= num_nodes then
+          Lexer.error pos "channel %S: destination node %d out of range 0..%d" cname dst
             (num_nodes - 1);
-        if vc < 0 then error pos "channel %S: vc must be >= 0, got %d" cname.Ast.v vc;
-        { cname = cname.Ast.v; csrc = src; cdst = dst; cvc = vc; cpos = cname.Ast.pos })
-      channels
+        (id, { cname; csrc = src; cdst = dst; cvc = chan tb c c_vc; cpos = chan tb c c_name_off }))
   in
-  let channels = Array.of_list (generated @ explicit) in
-  (* duplicate names and duplicate physical keys *)
-  let by_name = Hashtbl.create 64 in
+  let named = Array.of_list (generated @ explicit) in
+  let channels = Array.map snd named in
+  (* duplicate names and duplicate physical keys; [by_name] is the one
+     array rules resolve names through *)
+  let by_name = Array.make tb.names.Lexer.count (-1) in
   let by_key = Hashtbl.create 64 in
   Array.iteri
-    (fun i c ->
-      (match Hashtbl.find_opt by_name c.cname with
-      | Some j ->
-        let first = channels.(j) in
-        error c.cpos "duplicate channel name %S (first declared at %d:%d)" c.cname
-          first.cpos.Ast.line first.cpos.Ast.col
-      | None -> Hashtbl.add by_name c.cname i);
+    (fun i (id, c) ->
+      let first j = channels.(j) in
+      let j = by_name.(id) in
+      if j >= 0 then
+        Lexer.error c.cpos "duplicate channel name %S (first declared at %s)" c.cname
+          (at (first j).cpos);
+      by_name.(id) <- i;
       let key =
         match switching with
         | Net.Wormhole -> (c.csrc, c.cdst, c.cvc)
@@ -186,83 +157,98 @@ let run (decls : Ast.t) =
           (-1, c.cdst, c.cvc)
       in
       match Hashtbl.find_opt by_key key with
-      | Some j ->
-        let first = channels.(j) in
-        (match switching with
+      | Some j -> (
+        let f = first j in
+        match switching with
         | Net.Wormhole ->
-          error c.cpos "duplicate channel %d -> %d vc %d (first declared as %S at %d:%d)" c.csrc
-            c.cdst c.cvc first.cname first.cpos.Ast.line first.cpos.Ast.col
+          Lexer.error c.cpos "duplicate channel %d -> %d vc %d (first declared as %S at %s)" c.csrc
+            c.cdst c.cvc f.cname (at f.cpos)
         | _ ->
-          error c.cpos
-            "duplicate saf/vct buffer: node %d class %d already declared as %S at %d:%d \
-             (under saf/vct a channel names the whole-packet buffer (dst, vc))"
-            c.cdst c.cvc first.cname first.cpos.Ast.line first.cpos.Ast.col)
+          Lexer.error c.cpos
+            "duplicate saf/vct buffer: node %d class %d already declared as %S at %s (under \
+             saf/vct a channel names the whole-packet buffer (dst, vc))"
+            c.cdst c.cvc f.cname (at f.cpos))
       | None -> Hashtbl.add by_key key i)
-    channels;
-  (* rules: name resolution and range checks *)
+    named;
+  (* rules: range checks, and names resolved to channel indices in place *)
   let node_in_range pos what n =
-    if n < 0 || n >= num_nodes then error pos "%s %d out of range 0..%d" what n (num_nodes - 1)
+    if n >= num_nodes then Lexer.error pos "%s %d out of range 0..%d" what n (num_nodes - 1)
   in
-  let resolve_channel { Ast.v = cname; pos } =
-    match Hashtbl.find_opt by_name cname with
-    | Some i -> i
-    | None -> error pos "unknown channel %S" cname
+  let resolve pos id =
+    let i = by_name.(id) in
+    if i < 0 then Lexer.error pos "unknown channel %S" (spelling tb id);
+    i
   in
-  let rules =
-    List.map
-      (fun ((r : Ast.rule), pos) ->
-        let sel =
-          match r.Ast.sel.Ast.v with
-          | Ast.At_any -> At_all
-          | Ast.At_node n ->
-            node_in_range r.Ast.sel.Ast.pos "selector node" n;
-            At n
-          | Ast.In_channel cname -> In (resolve_channel { Ast.v = cname; pos = r.Ast.sel.Ast.pos })
-          | Ast.Inj n ->
-            node_in_range r.Ast.sel.Ast.pos "selector node" n;
-            Inj n
-        in
-        let dst =
-          match r.Ast.dst.Ast.v with
-          | Ast.Any_dest -> None
-          | Ast.Dest d ->
-            node_in_range r.Ast.dst.Ast.pos "destination node" d;
-            Some d
-        in
-        let outs =
-          match r.Ast.outs.Ast.v with
-          | Ast.No_outputs -> Empty
-          | Ast.Minimal vcf -> (
-            match topology with
-            | None ->
-              error r.Ast.outs.Ast.pos
-                "'minimal' requires a topology clause (explicit-channel specs must list outputs)"
-            | Some t ->
-              if not (Topology.is_grid t) then
-                error r.Ast.outs.Ast.pos
-                  "'minimal' requires a grid topology (mesh/torus/hypercube); \
-                   %s needs explicit output channels"
-                  (Topology.name t);
-              (match vcf with
-              | Some k when k < 0 || k >= vcs ->
-                error r.Ast.outs.Ast.pos "minimal vc %d out of range 0..%d" k (vcs - 1)
-              | _ -> ());
-              Min vcf)
-          | Ast.Chans names ->
-            let resolved = List.map (fun n -> (resolve_channel n, n.Ast.pos)) names in
-            let seen = Hashtbl.create 8 in
-            List.iter
-              (fun (i, npos) ->
-                if Hashtbl.mem seen i then
-                  error npos "channel %S repeated in the output list" channels.(i).cname
-                else Hashtbl.add seen i ())
-              resolved;
-            Explicit resolved
-        in
-        { kind = r.Ast.rule_kind; sel; dst; outs; rpos = pos })
-      rules_raw
+  let seen = Array.make (Array.length channels) (-1) in
+  for r = 0 to tb.num_rules - 1 do
+    let sel_pos = rule tb r r_sel_off and arg = rule tb r r_sel_arg in
+    let sel = rule tb r r_sel in
+    if sel = sel_in then set_rule tb r r_sel_arg (resolve sel_pos arg)
+    else if sel <> sel_all then node_in_range sel_pos "selector node" arg;
+    let d = rule tb r r_dst in
+    if d >= 0 then node_in_range (rule tb r r_dst_off) "destination node" d;
+    let outs_pos = rule tb r r_outs_off in
+    let outs = rule tb r r_outs in
+    if outs = outs_min then begin
+      match topology with
+      | None ->
+        Lexer.error outs_pos
+          "'minimal' requires a topology clause (explicit-channel specs must list outputs)"
+      | Some t ->
+        if not (Topology.is_grid t) then
+          Lexer.error outs_pos
+            "'minimal' requires a grid topology (mesh/torus/hypercube); %s needs explicit \
+             output channels"
+            (Topology.name t);
+        let k = rule tb r r_outs_arg in
+        if k >= vcs then Lexer.error outs_pos "minimal vc %d out of range 0..%d" k (vcs - 1)
+    end
+    else if outs = outs_list then begin
+      let first = rule tb r r_outs_arg and len = rule tb r r_outs_len in
+      for o = first to first + len - 1 do
+        tb.outs.(2 * o) <- resolve tb.outs.((2 * o) + 1) tb.outs.(2 * o)
+      done;
+      for o = first to first + len - 1 do
+        let i = tb.outs.(2 * o) in
+        if seen.(i) = r then
+          Lexer.error tb.outs.((2 * o) + 1) "channel %S repeated in the output list" channels.(i).cname;
+        seen.(i) <- r
+      done
+    end
+  done;
+  let name =
+    if declared Lexer.kw_network then spelling tb tb.head_val.(Lexer.kw_network) else "spec"
   in
-  let name = match !name with Some (n, _) -> n | None -> "spec" in
-  { name; switching; waiting; num_nodes; topology; vcs; channels; rules; size_pos }
+  { name; switching; waiting; num_nodes; topology; vcs; channels; table = tb; size_pos }
 
-let check decls = try Ok (run decls) with Error (pos, msg) -> Error (pos, msg)
+let check tb = try Ok (run tb) with Lexer.Error (pos, msg) -> Error (pos, msg)
+
+(* ---------------- the reference view ---------------- *)
+
+type kind = Route | Wait
+type sel = At of int | At_all | In of int | Inj of int
+type outs = Explicit of int list | Empty | Min of int option
+type rule = { kind : kind; sel : sel; dst : int option; outs : outs }
+
+let rules t =
+  let tb = t.table in
+  List.init tb.num_rules (fun r ->
+      let arg = rule tb r r_sel_arg in
+      let sel = rule tb r r_sel in
+      let outs = rule tb r r_outs in
+      {
+        kind = (if rule tb r r_kind = Table.route then Route else Wait);
+        sel =
+          (if sel = sel_at then At arg
+           else if sel = sel_all then At_all
+           else if sel = sel_in then In arg
+           else Inj arg);
+        dst = (match rule tb r r_dst with -1 -> None | d -> Some d);
+        outs =
+          (if outs = outs_none then Empty
+           else if outs = outs_min then
+             Min (match rule tb r r_outs_arg with -1 -> None | k -> Some k)
+           else
+             let first = rule tb r r_outs_arg in
+             Explicit (List.init (rule tb r r_outs_len) (fun o -> tb.outs.(2 * (first + o)))));
+      })

@@ -41,6 +41,20 @@ expect 2 no-such-subcommand
 expect 2 check -a efa --no-such-flag
 expect 2 spec check /dev/null
 
+# an integer literal past max_int is a positioned spec error at its
+# first digit, not an uncaught int_of_string failure
+big=$(mktemp)
+printf 'nodes 2\nchannel a : 0 -> 1 vc 99999999999999999999\n' > "$big"
+msg=$("$dfcheck" spec check "$big" 2>&1 >/dev/null)
+got=$?
+if [ "$got" -eq 2 ] && [ "$msg" = "$big:2:23: integer literal out of range" ]; then
+  echo "ok: dfcheck spec check (oversized literal) -> $got, positioned"
+else
+  echo "FAIL: dfcheck spec check (oversized literal) -> exit $got, message: $msg"
+  fail=1
+fi
+rm -f "$big"
+
 # hop-class takes one buffer class per hop, so larger meshes get more
 # classes instead of a routing-time crash
 expect 0 check -a hop-class -t mesh:5x4

@@ -1487,6 +1487,36 @@ let test_cut_witnesses_not_exhaustive () =
     (first_cycles full);
   check Alcotest.bool "some True Cycle needs a witness past cap 1" true (!hidden > 0)
 
+(* A path enumeration cut by a cap can hide the path every disjoint
+   assignment needs, so a False verdict that read one is not exhaustive.
+   On the case above, path length caps 1 and 2 (passed through
+   [classify ~limits]) turn 256 and 42 of its True Cycles False: only
+   within their caps.  ([max_paths_per_edge] 1 hides none there.) *)
+let test_cut_paths_not_exhaustive () =
+  let case = Dfr_fuzz.Gen.case (Dfr_util.Prng.create 1_000_028) ~max_nodes:9 in
+  let net, algo = Dfr_fuzz.Case.to_net_algo case in
+  let full = Bwg.build (State_space.build net algo) in
+  let cycles = first_cycles full in
+  List.iter
+    (fun (what, limits) ->
+      let hidden = ref 0 in
+      List.iter
+        (fun c ->
+          if is_true (Cycle_class.classify full c) then
+            match Cycle_class.classify ~limits full c with
+            | Cycle_class.True_cycle _ -> ()
+            | Cycle_class.False_resource_cycle { exhaustive } ->
+              if exhaustive then
+                Alcotest.failf "%s: a True Cycle of length %d is exhaustively False" what
+                  (List.length c);
+              incr hidden)
+        cycles;
+      check Alcotest.bool (what ^ " hides some True Cycle") true (!hidden > 0))
+    [
+      ("path length cap 1", { Cycle_class.default_limits with Cycle_class.max_path_length = 1 });
+      ("path length cap 2", { Cycle_class.default_limits with Cycle_class.max_path_length = 2 });
+    ]
+
 (* A False verdict exhaustive at witness caps 1 and 2 rests on uncut
    lists, so the default cap must agree. *)
 let prop_cut_witnesses =
@@ -1518,4 +1548,6 @@ let suite =
       QCheck_alcotest.to_alcotest prop_cut_witnesses;
       Alcotest.test_case "Theorem 3 hands the session back" `Quick
         test_theorem3_hands_back_session;
+      Alcotest.test_case "a path enumeration cut by a cap makes False non-exhaustive" `Quick
+        test_cut_paths_not_exhaustive;
     ]

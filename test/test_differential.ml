@@ -298,9 +298,7 @@ let same_elaboration what text =
     true
   | Error (pa, ma), Error (pb, mb) ->
     if (pa, ma) <> (pb, mb) then
-      Alcotest.failf "%s: first errors differ: %d:%d %s / %d:%d %s" what
-        pa.Dfr_spec.Ast.line pa.Dfr_spec.Ast.col ma pb.Dfr_spec.Ast.line
-        pb.Dfr_spec.Ast.col mb;
+      Alcotest.failf "%s: first errors differ: at byte %d %s / at byte %d %s" what pa ma pb mb;
     false
   | Ok _, Error (_, m) | Error (_, m), Ok _ ->
     Alcotest.failf "%s: only one resolution failed: %s" what m
@@ -357,8 +355,8 @@ let random_rules_spec rng ~topology =
       | Error (_, m) -> Alcotest.failf "base does not validate: %s" m)
     | Error (_, m) -> Alcotest.failf "base does not parse: %s" m
   in
-  let n = v.Dfr_spec.Validate.num_nodes in
-  let chans = Array.to_list v.Dfr_spec.Validate.channels in
+  let n = Dfr_spec.Validate.num_nodes v in
+  let chans = Array.to_list (Dfr_spec.Validate.channels v) in
   let from node =
     List.filter (fun (c : Dfr_spec.Validate.channel) -> c.Dfr_spec.Validate.csrc = node) chans
   in

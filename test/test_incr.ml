@@ -477,6 +477,106 @@ let test_refused_edit_untouched () =
   check Alcotest.int "one update counted" (before.Incr.updates + 1)
     (Incr.counters session).Incr.updates
 
+(* ---------------- one-pass diff vs the all-pairs reference ---------------- *)
+
+(* The frontier as Diff computed it before it went one pass: for every
+   destination, filter all the rules of each side down to those
+   applicable to it and compare the two key lists. *)
+let reference_diff base edit =
+  match Diff.diff base edit with
+  | Diff.Incompatible _ as skeleton -> skeleton
+  | Diff.Frontier { total; _ } ->
+    let applicable ~dest v =
+      List.filter_map
+        (fun (r : Validate.rule) ->
+          match r.Validate.dst with
+          | Some d when d <> dest -> None
+          | _ -> Some (r.Validate.kind, r.Validate.sel, r.Validate.outs))
+        (Validate.rules v)
+    in
+    Diff.Frontier
+      {
+        dirty =
+          List.filter
+            (fun dest -> applicable ~dest base <> applicable ~dest edit)
+            (List.init total Fun.id);
+        total;
+      }
+
+(* One line edit of a corpus spec as written, wildcard rules included:
+   drop, repeat or move a rule line, or turn its [to] clause from one
+   destination to [*] or back. *)
+let rule_line_edit rng lines =
+  let module P = Dfr_util.Prng in
+  let arr = Array.of_list lines in
+  let rules =
+    List.filter
+      (fun i -> starts_with "route " arr.(i) || starts_with "wait " arr.(i))
+      (List.init (Array.length arr) Fun.id)
+  in
+  if rules = [] then lines
+  else
+    let i = P.pick rng rules in
+    let without = List.filteri (fun j _ -> j <> i) lines in
+    match P.int rng 4 with
+    | 0 -> without
+    | 1 -> List.concat (List.mapi (fun j l -> if j = i then [ l; l ] else [ l ]) lines)
+    | 2 ->
+      let k = P.int rng (List.length without + 1) in
+      List.filteri (fun j _ -> j < k) without @ (arr.(i) :: List.filteri (fun j _ -> j >= k) without)
+    | _ -> (
+      match String.split_on_char ' ' arr.(i) with
+      | kind :: sel :: arg :: "to" :: dest :: rest ->
+        let dest = if dest = "*" then string_of_int (P.int rng 4) else "*" in
+        List.mapi
+          (fun j l -> if j = i then String.concat " " (kind :: sel :: arg :: "to" :: dest :: rest) else l)
+          lines
+      | _ -> without)
+
+let test_diff_matches_reference () =
+  let compared = ref 0 and dirtied = ref 0 in
+  let same what base edit =
+    let show = function
+      | Diff.Incompatible w -> "incompatible: " ^ w
+      | Diff.Frontier { dirty; total } ->
+        Printf.sprintf "%d of %d: %s" (List.length dirty) total
+          (String.concat " " (List.map string_of_int dirty))
+    in
+    let got = Diff.diff (validated base) (validated edit)
+    and want = reference_diff (validated base) (validated edit) in
+    if got <> want then Alcotest.failf "%s: one-pass %s, reference %s" what (show got) (show want);
+    incr compared;
+    match got with Diff.Frontier { dirty = _ :: _; _ } -> incr dirtied | _ -> ()
+  in
+  for seed = 0 to 59 do
+    let rng = Dfr_util.Prng.create seed in
+    let name = Dfr_util.Prng.pick rng corpus in
+    (* the reprint edit chains of the replay property, one pair per step *)
+    let cur = ref (load_canonical name) in
+    for step = 1 to 3 do
+      let lines = String.split_on_char '\n' (print_spec !cur.Spec.net !cur.Spec.algo) in
+      match try_edit rng lines with
+      | None -> ()
+      | Some ls -> (
+        match Spec.compile_string (String.concat "\n" ls) with
+        | Error _ -> ()
+        | Ok edited ->
+          same (Printf.sprintf "seed %d step %d (%s reprint)" seed step name) !cur edited;
+          cur := edited)
+    done;
+    (* the spec as written, whose wildcard rules merge into every
+       destination's sequence *)
+    let text = In_channel.with_open_bin (Filename.concat spec_dir name) In_channel.input_all in
+    let base = load name in
+    let lines = rule_line_edit rng (String.split_on_char '\n' text) in
+    let lines = if Dfr_util.Prng.bool rng then rule_line_edit rng lines else lines in
+    match Spec.compile_string (String.concat "\n" lines) with
+    | Error _ -> ()
+    | Ok edited -> same (Printf.sprintf "seed %d (%s as written)" seed name) base edited
+  done;
+  check Alcotest.bool "the corpus dirties some destinations" true (!dirtied > 0);
+  check Alcotest.bool "most pairs compile" true (!compared > 60)
+
 let suite =
   [
     Alcotest.test_case "diff identity" `Quick test_diff_identity;
@@ -490,4 +590,5 @@ let suite =
     Alcotest.test_case "refused edit leaves the session untouched" `Quick
       test_refused_edit_untouched;
     qtest edit_replay;
+    Alcotest.test_case "one-pass diff = all-pairs reference" `Quick test_diff_matches_reference;
   ]

@@ -288,9 +288,16 @@ let test_engine_malformed_isolated () =
             (* the routing function refuses the network it is given *)
             "{\"op\":\"check\",\"algo\":\"efa\",\"topology\":\"mesh:3x3\"}";
             "{\"op\":\"ping\",\"id\":10}";
+            (* an integer literal past max_int, then a vc whose buffer
+               count overflows when the network is built *)
+            "{\"op\":\"check\",\"spec\":\"nodes 99999999999999999999\\n\"}";
+            "{\"op\":\"ping\",\"id\":11}";
+            "{\"op\":\"check\",\"spec\":\"switching saf\\nnodes 2\\nchannel a : 0 -> 1 vc \
+             4611686018427387902\\n\"}";
+            "{\"op\":\"ping\",\"id\":12}";
           ]
       with
-      | [ r1; r2; r3; r4; r6; r5 ] ->
+      | [ r1; r2; r3; r4; r6; r5; big; p11; vc; p12 ] ->
         check Alcotest.string "garbage -> parse" "parse" (error_kind r1);
         check Alcotest.string "unknown op -> parse" "parse" (error_kind r2);
         check Alcotest.string "id recovered" "9" (J.to_string (member "id" r2));
@@ -298,8 +305,16 @@ let test_engine_malformed_isolated () =
         check Alcotest.string "unknown algo -> bad_request" "bad_request"
           (error_kind r4);
         check Alcotest.string "refused topology -> check" "check" (error_kind r6);
-        check Alcotest.bool "server survives it all" true (is_ok r5)
-      | _ -> Alcotest.fail "six responses expected")
+        check Alcotest.bool "server survives it all" true (is_ok r5);
+        check Alcotest.string "oversized literal -> spec" "spec" (error_kind big);
+        check Alcotest.string "positioned" "1:7: integer literal out of range"
+          (match J.member "message" (member "error" big) with
+          | Some (J.String m) -> m
+          | _ -> "");
+        check Alcotest.bool "ping after the literal" true (is_ok p11);
+        check Alcotest.string "overflowing vc -> spec" "spec" (error_kind vc);
+        check Alcotest.bool "ping after the vc" true (is_ok p12)
+      | _ -> Alcotest.fail "ten responses expected")
 
 let test_engine_queue_full () =
   let config = { Engine.default_config with Engine.capacity = 1 } in

@@ -223,8 +223,31 @@ let test_error_unreachable_destination () =
 
 let test_error_lexer_position () =
   let e = compile_err "nodes 2\nchannel ? : 0 -> 1\n" in
-  check Alcotest.int "line" 2 e.Spec.pos.Ast.line;
-  check Alcotest.int "col" 9 e.Spec.pos.Ast.col
+  check Alcotest.int "line" 2 e.Spec.pos.Spec.line;
+  check Alcotest.int "col" 9 e.Spec.pos.Spec.col
+
+(* an integer literal past max_int is reported at its first digit, in
+   every place an integer is read *)
+let test_error_oversized_integer () =
+  let big = "99999999999999999999" in
+  List.iter
+    (fun (src, line, col) ->
+      expect_err (Printf.sprintf src big) ~line ~col ~substr:"integer literal out of range")
+    [
+      ("nodes %s\n", 1, 7);
+      ("topology mesh 2 2\nvcs %s\n", 2, 5);
+      ("nodes 2\nchannel a : 0 -> %s\n", 2, 18);
+      ("nodes 2\nchannel a : 0 -> 1 vc %s\n", 2, 23);
+      ("nodes 2\nroute at %s to * : none\n", 2, 10);
+      ("nodes 2\nroute inj %s to * : none\n", 2, 11);
+      ("nodes 2\nroute at 0 to %s : none\n", 2, 15);
+      ("topology mesh 2 2\nroute at * to * : minimal vc %s\n", 2, 30);
+    ];
+  (* max_int itself is a literal; one more is not *)
+  expect_err "nodes 2\nchannel a : 0 -> 1 vc 4611686018427387904\n" ~line:2 ~col:23
+    ~substr:"out of range";
+  expect_err "nodes 4611686018427387903\nchannel a : 0 -> 4611686018427387903\n" ~line:2
+    ~col:1 ~substr:"destination node 4611686018427387903 out of range"
 
 let suite =
   [
@@ -247,6 +270,7 @@ let suite =
     Alcotest.test_case "error: unreachable destination" `Quick
       test_error_unreachable_destination;
     Alcotest.test_case "error: lexer position" `Quick test_error_lexer_position;
+    Alcotest.test_case "error: oversized integer literal" `Quick test_error_oversized_integer;
   ]
 
 (* ---------------- search-path goldens ---------------- *)
@@ -304,3 +328,90 @@ let test_search_goldens () =
 let suite =
   suite
   @ [ Alcotest.test_case "search-path goldens (hintless reprints)" `Quick test_search_goldens ]
+
+(* ---------------- error golden over byte-level mutants ---------------- *)
+
+(* 300 seeded mutants of the example specs and of the two-buffer
+   [mesh:4x4] reprint: one byte replaced, deleted or inserted, or one
+   line duplicated or two lines swapped.  Each compiles to one line,
+   [error L:C: message] or [ok] and the mutant's Printer digest, and the
+   lines must equal golden/spec-mutants.txt.  On a mismatch this build's
+   lines are written next to the test binary as spec-mutants.actual.txt. *)
+let mutants_golden = Filename.concat "golden" "spec-mutants.txt"
+
+let mutant_sources () =
+  let examples =
+    List.sort compare
+      (List.filter
+         (fun f -> Filename.check_suffix f ".dfr")
+         (Array.to_list (Sys.readdir spec_dir)))
+  in
+  let read f = In_channel.with_open_bin (spec_path f) In_channel.input_all in
+  let reprint =
+    let e = Option.get (Registry.find "two-buffer") in
+    let topo = Result.get_ok (Dfr_topology.Topology.of_string "mesh:4x4") in
+    Result.get_ok (Printer.to_string (Registry.network_for e (Some topo)) e.Registry.algo)
+  in
+  Array.of_list (List.map (fun f -> (f, read f)) examples @ [ ("two-buffer@mesh_4x4", reprint) ])
+
+let mutate rng text =
+  let module P = Dfr_util.Prng in
+  let n = String.length text in
+  let bytes = "abcmnz019_-:>*# \n\t?" in
+  let byte () =
+    if P.bernoulli rng 0.1 then Char.chr (P.int rng 256) else bytes.[P.int rng (String.length bytes)]
+  in
+  let lines () = Array.of_list (String.split_on_char '\n' text) in
+  let join ls = String.concat "\n" (Array.to_list ls) in
+  match P.int rng 5 with
+  | 0 ->
+    let i = P.int rng n in
+    (Printf.sprintf "replace@%d" i, String.mapi (fun j c -> if j = i then byte () else c) text)
+  | 1 ->
+    let i = P.int rng n in
+    (Printf.sprintf "delete@%d" i, String.sub text 0 i ^ String.sub text (i + 1) (n - i - 1))
+  | 2 ->
+    let i = P.int rng (n + 1) in
+    ( Printf.sprintf "insert@%d" i,
+      String.sub text 0 i ^ String.make 1 (byte ()) ^ String.sub text i (n - i) )
+  | 3 ->
+    let ls = lines () in
+    let i = P.int rng (Array.length ls) in
+    ( Printf.sprintf "dup-line %d" (i + 1),
+      join (Array.concat [ Array.sub ls 0 (i + 1); [| ls.(i) |]; Array.sub ls (i + 1) (Array.length ls - i - 1) ]) )
+  | _ ->
+    let ls = lines () in
+    let i = P.int rng (Array.length ls) and j = P.int rng (Array.length ls) in
+    let a = ls.(i) in
+    ls.(i) <- ls.(j);
+    ls.(j) <- a;
+    (Printf.sprintf "swap-lines %d %d" (i + 1) (j + 1), join ls)
+
+let compile_line text =
+  match Spec.compile_string text with
+  | Error e -> "error " ^ Spec.error_to_string e
+  | Ok s -> (
+    match Printer.digest s.Spec.net s.Spec.algo with
+    | Ok d -> "ok " ^ d
+    | Error msg -> "ok unprintable: " ^ msg)
+  | exception e -> "exception " ^ Printexc.to_string e
+
+let test_mutant_errors () =
+  let sources = mutant_sources () in
+  let got =
+    List.init 300 (fun k ->
+        (* every other mutant is of the reprint, which has no comments *)
+        let n = Array.length sources in
+        let name, text = sources.(if k mod 2 = 0 then n - 1 else k / 2 mod (n - 1)) in
+        let how, mutant = mutate (Dfr_util.Prng.create (90_000 + k)) text in
+        Printf.sprintf "%03d %s %s: %s" k name how (compile_line mutant))
+  in
+  let got = String.concat "\n" got ^ "\n" in
+  let want = In_channel.with_open_bin mutants_golden In_channel.input_all in
+  if got <> want then begin
+    Out_channel.with_open_bin "spec-mutants.actual.txt" (fun oc -> output_string oc got);
+    Alcotest.fail "mutant lines differ from the golden (this build's are in spec-mutants.actual.txt)"
+  end
+
+let suite =
+  suite @ [ Alcotest.test_case "error golden over byte-level mutants" `Quick test_mutant_errors ]
