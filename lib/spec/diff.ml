@@ -54,16 +54,14 @@ let skeleton_mismatch a b =
    selector and outputs ([to] aside). *)
 let same_rule ta i tb j =
   let f k = rule ta i k = rule tb j k in
-  f r_kind && f r_sel && f r_sel_arg && f r_outs
+  f r_flags && f r_sel_arg
   &&
-  if rule ta i r_outs <> outs_list then f r_outs_arg
+  if outs ta i <> outs_list then f r_outs_arg
   else
     f r_outs_len
     &&
     let oa = rule ta i r_outs_arg and ob = rule tb j r_outs_arg in
-    let rec go k =
-      k = rule ta i r_outs_len || (ta.outs.(2 * (oa + k)) = tb.outs.(2 * (ob + k)) && go (k + 1))
-    in
+    let rec go k = k = rule ta i r_outs_len || (ta.outs.(oa + k) = tb.outs.(ob + k) && go (k + 1)) in
     go 0
 
 (* Rule indices grouped by destination, each group ascending: group

@@ -65,7 +65,7 @@ let buffer_ids s net =
 type resolution = Indexed | Linear
 
 let sel_matches tb buf_of_channel b r =
-  let sel = rule tb r r_sel and arg = rule tb r r_sel_arg in
+  let sel = sel tb r and arg = rule tb r r_sel_arg in
   if sel = sel_all then true
   else if sel = sel_at then Buf.head_node b = arg
   else if sel = sel_in then Buf.id b = buf_of_channel.(arg)
@@ -80,7 +80,7 @@ let resolver resolution tb net buf_of_channel =
       let rec scan r =
         if r = tb.num_rules then -1
         else if
-          rule tb r r_kind = kind
+          Table.kind tb r = kind
           && sel_matches tb buf_of_channel b r
           && (let d = rule tb r r_dst in
               d < 0 || d = dest)
@@ -98,7 +98,7 @@ let resolver resolution tb net buf_of_channel =
        destination *)
     let named = Bytes.make (2 * (all_slot + 1)) '\000' in
     for r = 0 to tb.num_rules - 1 do
-      let arg = rule tb r r_sel_arg and sel = rule tb r r_sel and kind = rule tb r r_kind in
+      let arg = rule tb r r_sel_arg and sel = sel tb r and kind = Table.kind tb r in
       let slot =
         if sel = sel_in then buf_of_channel.(arg)
         else if sel = sel_inj then Buf.id (Net.injection net arg)
@@ -114,6 +114,9 @@ let resolver resolution tb net buf_of_channel =
       let r = Count_table.find first (key kind slot dest) in
       if r <> Count_table.absent && r < best then r else best
     in
+    let probe kind slot dest best =
+      if Bytes.get named ((2 * slot) + kind) = '\000' then best else lookup kind slot dest best
+    in
     (* the "any" entries of the last buffer asked about, per kind *)
     let any_buf = [| -1; -1 |] and any_best = [| max_int; max_int |] in
     fun kind b dest ->
@@ -123,10 +126,9 @@ let resolver resolution tb net buf_of_channel =
         any_best.(kind) <-
           lookup kind id (-1) (lookup kind node (-1) (lookup kind all_slot (-1) max_int))
       end;
-      let probe slot best =
-        if Bytes.get named ((2 * slot) + kind) = '\000' then best else lookup kind slot dest best
+      let best =
+        probe kind id dest (probe kind node dest (probe kind all_slot dest any_best.(kind)))
       in
-      let best = probe id (probe node (probe all_slot any_best.(kind))) in
       if best = max_int then -1 else best
 
 let describe_state net b dest =
@@ -136,21 +138,21 @@ let describe_state net b dest =
 let rule_outputs s net buf_of_channel triple_index r b dest =
   let tb = Validate.table s in
   let head = Buf.head_node b in
-  let outs = rule tb r r_outs in
+  let outs = outs tb r in
   if outs = outs_none then []
   else if outs = outs_list then begin
     let first = rule tb r r_outs_arg and len = rule tb r r_outs_len in
     let channels = Validate.channels s in
     if Validate.switching s = Net.Wormhole then
       for o = first to first + len - 1 do
-        let c = channels.(tb.outs.(2 * o)) in
+        let c = channels.(tb.outs.(o)) in
         if c.Validate.csrc <> head then
-          Lexer.error tb.outs.((2 * o) + 1)
+          Lexer.error (out_off tb r (o - first))
             "channel %S starts at node %d, not at the packet's head node %d (state %s)"
             c.Validate.cname c.Validate.csrc head (describe_state net b dest)
       done;
     let rec collect o acc =
-      if o < first then acc else collect (o - 1) (buf_of_channel.(tb.outs.(2 * o)) :: acc)
+      if o < first then acc else collect (o - 1) (buf_of_channel.(tb.outs.(o)) :: acc)
     in
     collect (first + len - 1) []
   end

@@ -261,3 +261,11 @@ let rest_of_line t =
   let rec uncommented i = if i < stop && t.src.[i] <> '#' then uncommented (i + 1) else i in
   let stop = uncommented start in
   String.trim (String.sub t.src start (stop - start))
+
+(* the offset of the [n]th token (0: the first) from [off], lexed again *)
+let token_start src names off n =
+  let t = { (create src names) with pos = off } in
+  for _ = 0 to n do
+    next t
+  done;
+  t.start

@@ -53,7 +53,6 @@ let opt_vc lx ~default =
   else default
 
 let parse_rule t lx kind off =
-  let sel_off = lx.start in
   let sel = ref Table.sel_all and sel_arg = ref 0 in
   if is_kw lx kw_at then begin
     next lx;
@@ -76,11 +75,10 @@ let parse_rule t lx kind off =
     sel_arg := expect_int lx ~what:"a node number after 'inj'"
   end
   else
-    error sel_off "expected a selector ('at N', 'at *', 'in CHANNEL' or 'inj N'), found %s"
+    error lx.start "expected a selector ('at N', 'at *', 'in CHANNEL' or 'inj N'), found %s"
       (describe lx);
   if is_kw lx kw_to then next lx
   else error lx.start "expected 'to' after the selector, found %s" (describe lx);
-  let dst_off = lx.start in
   let dst =
     match lx.tok with
     | Star ->
@@ -90,10 +88,9 @@ let parse_rule t lx kind off =
       let d = lx.value in
       next lx;
       d
-    | _ -> error dst_off "expected a destination node or '*', found %s" (describe lx)
+    | _ -> error lx.start "expected a destination node or '*', found %s" (describe lx)
   in
   expect_tok lx Colon ~what:"':' before the output list";
-  let outs_off = lx.start in
   let outs = ref Table.outs_list and outs_arg = ref t.Table.num_outs in
   if is_kw lx kw_none then begin
     next lx;
@@ -109,15 +106,15 @@ let parse_rule t lx kind off =
     (* every identifier up to the end of the declaration is a channel
        name, keywords included *)
     while lx.tok = Ident do
-      Table.push_out t lx.value lx.start;
+      Table.push_out t lx.value;
       next lx
     done
   else
-    error outs_off "expected output buffers ('none', 'minimal' or channel names), found %s"
+    error lx.start "expected output buffers ('none', 'minimal' or channel names), found %s"
       (describe lx);
   let outs_len = if !outs = Table.outs_list then t.Table.num_outs - !outs_arg else 0 in
-  Table.push_rule t ~kind ~off ~sel:!sel ~sel_arg:!sel_arg ~sel_off ~dst ~dst_off ~outs:!outs
-    ~outs_arg:!outs_arg ~outs_len ~outs_off
+  Table.push_rule t ~kind ~off ~sel:!sel ~sel_arg:!sel_arg ~dst ~outs:!outs ~outs_arg:!outs_arg
+    ~outs_len
 
 (* a header declaration's value; only its first occurrence is kept *)
 let header (t : Table.t) kw pos v =

@@ -22,24 +22,25 @@ let c_vc = 4
 let c_off = 5 (* the declaration *)
 
 (* rule rows *)
-let rule_width = 11
-let r_kind = 0 (* 0 route, 1 wait *)
+let rule_width = 6
+let r_flags = 0 (* kind lor (sel lsl 1) lor (outs lsl 3) *)
 let r_off = 1 (* the declaration *)
-let r_sel = 2 (* sel_at, sel_all, sel_in or sel_inj *)
-let r_sel_arg = 3 (* a node; for sel_in a name id, a channel index once validated; 0 for sel_all *)
-let r_sel_off = 4
-let r_dst = 5 (* a node, or -1 for [to *] *)
-let r_dst_off = 6
-let r_outs = 7 (* outs_list, outs_none or outs_min *)
-let r_outs_arg = 8 (* outs_list: first entry in [outs]; outs_min: the vc, or -1 for all *)
-let r_outs_len = 9 (* outs_list: entry count; otherwise 0 *)
-let r_outs_off = 10
+let r_sel_arg = 2 (* a node; for sel_in a name id, a channel index once validated; 0 for sel_all *)
+let r_dst = 3 (* a node, or -1 for [to *] *)
+let r_outs_arg = 4 (* outs_list: first entry in [outs]; outs_min: the vc, or -1 for all *)
+let r_outs_len = 5 (* outs_list: entry count; otherwise 0 *)
+
+(* kinds *)
 let route = 0
 let wait = 1
+
+(* selectors *)
 let sel_at = 0
 let sel_all = 1
 let sel_in = 2
 let sel_inj = 3
+
+(* output forms *)
 let outs_list = 0
 let outs_none = 1
 let outs_min = 2
@@ -57,7 +58,7 @@ type t = {
   mutable num_chans : int;
   mutable rules : int array;
   mutable num_rules : int;
-  mutable outs : int array;  (* explicit outputs: (name id or channel index, offset) pairs *)
+  mutable outs : int array;  (* explicit outputs: a name id each, a channel index once validated *)
   mutable num_outs : int;
 }
 
@@ -73,9 +74,10 @@ let create src =
     first_decl = -1;
     chans = Array.make (16 * chan_width) 0;
     num_chans = 0;
+    (* sized for one declaration per 24 bytes, so a reprint rarely grows *)
     rules = Array.make (max 64 (String.length src / 24) * rule_width) 0;
     num_rules = 0;
-    outs = Array.make 256 0;
+    outs = Array.make (max 64 (String.length src / 24)) 0;
     num_outs = 0;
   }
 
@@ -101,31 +103,36 @@ let push_chan t ~name ~name_off ~src ~dst ~vc ~off =
   t.chans <- a;
   t.num_chans <- t.num_chans + 1
 
-let push_rule t ~kind ~off ~sel ~sel_arg ~sel_off ~dst ~dst_off ~outs ~outs_arg ~outs_len
-    ~outs_off =
+let push_rule t ~kind ~off ~sel ~sel_arg ~dst ~outs ~outs_arg ~outs_len =
   let a = reserve t.rules ((t.num_rules + 1) * rule_width) in
   let b = t.num_rules * rule_width in
-  a.(b + r_kind) <- kind;
+  a.(b + r_flags) <- kind lor (sel lsl 1) lor (outs lsl 3);
   a.(b + r_off) <- off;
-  a.(b + r_sel) <- sel;
   a.(b + r_sel_arg) <- sel_arg;
-  a.(b + r_sel_off) <- sel_off;
   a.(b + r_dst) <- dst;
-  a.(b + r_dst_off) <- dst_off;
-  a.(b + r_outs) <- outs;
   a.(b + r_outs_arg) <- outs_arg;
   a.(b + r_outs_len) <- outs_len;
-  a.(b + r_outs_off) <- outs_off;
   t.rules <- a;
   t.num_rules <- t.num_rules + 1
 
-let push_out t id off =
-  t.outs <- reserve t.outs ((2 * t.num_outs) + 2);
-  t.outs.(2 * t.num_outs) <- id;
-  t.outs.((2 * t.num_outs) + 1) <- off;
+let push_out t id =
+  t.outs <- reserve t.outs (t.num_outs + 1);
+  t.outs.(t.num_outs) <- id;
   t.num_outs <- t.num_outs + 1
 
 let chan t i f = t.chans.((i * chan_width) + f)
 let rule t i f = t.rules.((i * rule_width) + f)
 let set_rule t i f v = t.rules.((i * rule_width) + f) <- v
+let kind t i = rule t i r_flags land 1
+let sel t i = (rule t i r_flags lsr 1) land 3
+let outs t i = rule t i r_flags lsr 3
 let spelling t id = t.names.Lexer.spell.(id)
+
+(* Offsets inside a rule are not stored: the rule is lexed again from
+   its start when an error needs one.  Its selector is its token 1, its
+   destination token 4, its outputs token 6 and output [k] token 6 + k. *)
+let token t i n = Lexer.token_start t.src t.names (rule t i r_off) n
+let sel_off t i = token t i 1
+let dst_off t i = token t i 4
+let outs_off t i = token t i 6
+let out_off t i k = token t i (6 + k)

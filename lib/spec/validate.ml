@@ -171,47 +171,49 @@ let run (tb : Table.t) =
       | None -> Hashtbl.add by_key key i)
     named;
   (* rules: range checks, and names resolved to channel indices in place *)
-  let node_in_range pos what n =
-    if n >= num_nodes then Lexer.error pos "%s %d out of range 0..%d" what n (num_nodes - 1)
+  (* an error's offset inside a rule is found by lexing the rule again,
+     so it is asked for only once the error is certain *)
+  let out_of_range pos what n =
+    Lexer.error pos "%s %d out of range 0..%d" what n (num_nodes - 1)
   in
-  let resolve pos id =
-    let i = by_name.(id) in
-    if i < 0 then Lexer.error pos "unknown channel %S" (spelling tb id);
-    i
-  in
+  let unknown pos id = Lexer.error pos "unknown channel %S" (spelling tb id) in
   let seen = Array.make (Array.length channels) (-1) in
   for r = 0 to tb.num_rules - 1 do
-    let sel_pos = rule tb r r_sel_off and arg = rule tb r r_sel_arg in
-    let sel = rule tb r r_sel in
-    if sel = sel_in then set_rule tb r r_sel_arg (resolve sel_pos arg)
-    else if sel <> sel_all then node_in_range sel_pos "selector node" arg;
+    let arg = rule tb r r_sel_arg and sel = sel tb r in
+    if sel = sel_in then begin
+      if by_name.(arg) < 0 then unknown (sel_off tb r) arg;
+      set_rule tb r r_sel_arg by_name.(arg)
+    end
+    else if sel <> sel_all && arg >= num_nodes then out_of_range (sel_off tb r) "selector node" arg;
     let d = rule tb r r_dst in
-    if d >= 0 then node_in_range (rule tb r r_dst_off) "destination node" d;
-    let outs_pos = rule tb r r_outs_off in
-    let outs = rule tb r r_outs in
+    if d >= num_nodes then out_of_range (dst_off tb r) "destination node" d;
+    let outs = outs tb r in
     if outs = outs_min then begin
       match topology with
       | None ->
-        Lexer.error outs_pos
+        Lexer.error (outs_off tb r)
           "'minimal' requires a topology clause (explicit-channel specs must list outputs)"
       | Some t ->
         if not (Topology.is_grid t) then
-          Lexer.error outs_pos
+          Lexer.error (outs_off tb r)
             "'minimal' requires a grid topology (mesh/torus/hypercube); %s needs explicit \
              output channels"
             (Topology.name t);
         let k = rule tb r r_outs_arg in
-        if k >= vcs then Lexer.error outs_pos "minimal vc %d out of range 0..%d" k (vcs - 1)
+        if k >= vcs then Lexer.error (outs_off tb r) "minimal vc %d out of range 0..%d" k (vcs - 1)
     end
     else if outs = outs_list then begin
       let first = rule tb r r_outs_arg and len = rule tb r r_outs_len in
       for o = first to first + len - 1 do
-        tb.outs.(2 * o) <- resolve tb.outs.((2 * o) + 1) tb.outs.(2 * o)
+        let id = tb.outs.(o) in
+        if by_name.(id) < 0 then unknown (out_off tb r (o - first)) id;
+        tb.outs.(o) <- by_name.(id)
       done;
       for o = first to first + len - 1 do
-        let i = tb.outs.(2 * o) in
+        let i = tb.outs.(o) in
         if seen.(i) = r then
-          Lexer.error tb.outs.((2 * o) + 1) "channel %S repeated in the output list" channels.(i).cname;
+          Lexer.error (out_off tb r (o - first)) "channel %S repeated in the output list"
+            channels.(i).cname;
         seen.(i) <- r
       done
     end
@@ -234,10 +236,10 @@ let rules t =
   let tb = t.table in
   List.init tb.num_rules (fun r ->
       let arg = rule tb r r_sel_arg in
-      let sel = rule tb r r_sel in
-      let outs = rule tb r r_outs in
+      let sel = sel tb r in
+      let outs = outs tb r in
       {
-        kind = (if rule tb r r_kind = Table.route then Route else Wait);
+        kind = (if kind tb r = Table.route then Route else Wait);
         sel =
           (if sel = sel_at then At arg
            else if sel = sel_all then At_all
@@ -250,5 +252,5 @@ let rules t =
              Min (match rule tb r r_outs_arg with -1 -> None | k -> Some k)
            else
              let first = rule tb r r_outs_arg in
-             Explicit (List.init (rule tb r r_outs_len) (fun o -> tb.outs.(2 * (first + o)))));
+             Explicit (List.init (rule tb r r_outs_len) (fun o -> tb.outs.(first + o))));
       })
