@@ -10,8 +10,6 @@
    {!Elaborate} and {!Diff} read.  Library-internal: the layout below is
    not part of any public interface. *)
 
-(* ---------------- rows ---------------- *)
-
 (* channel rows *)
 let chan_width = 6
 let c_name = 0 (* name id *)
