@@ -5,11 +5,7 @@ module Obs = Dfr_obs.Obs
 type proof =
   | Acyclic_bwg
   | No_true_cycles of { cycles_examined : int }
-  | Reduced_bwg of {
-      via_hint : bool;
-      removed : Reduction.removed list;
-      full_bwg_cycles : int;
-    }
+  | Reduced_bwg of { via_hint : bool; removed : Reduction.removed list }
 
 type failure =
   | Stuck_states of (int * int) list
@@ -81,44 +77,50 @@ let decide ?cycle_limits ?(domains = 1) ~stuck ~unconnected space bwg =
         | None -> (
           ran_scan := true;
           ran_classify := true;
+          (* Theorem 2's witness is the shortest True Cycle, so a
+             specific-wait scan stores every cycle and sorts them; by
+             Theorem 3 the full BWG's cycles are no part of a multi-wait
+             answer, so its scan streams and stops at the first True
+             one *)
           let { Cycle_class.enumerated; cycles_exhaustive; scan } =
-            Cycle_class.shortest_first_scan ?cycle_limits ~domains ~obs:"checker" bwg
-          in
-          n_cycles := Some enumerated;
-          match scan.Cycle_class.found with
-          | Some (cycle, packets) -> (
             match algo.Algo.wait with
             | Algo.Specific_wait ->
-              (* Theorem 2 necessity: the witness is a deadlock. *)
-              finish (Deadlock_possible (True_cycle { cycle; packets }))
-            | Algo.Any_wait -> (
-              (* Theorem 3 on [bwg]'s own session, narrowed by removals:
-                 it gets back [Reduced]'s removals and is read, so the
-                 report's BWG is the full BWG again *)
-              let session = Bwg.session bwg in
-              let handed_back removed verdict =
-                List.iter
-                  (fun { Reduction.head; dest; target } ->
-                    Bwg.Session.restore session ~buf:head ~dest target)
-                  removed;
-                ignore (Bwg.Session.bwg session : Bwg.t);
-                finish verdict
-              in
-              let reduced via_hint removed =
-                handed_back removed
-                  (Deadlock_free
-                     (Reduced_bwg { via_hint; removed; full_bwg_cycles = enumerated }))
-              in
-              match Reduction.verify_hint ?cycle_limits session with
-              | Some (Reduction.Reduced removed) -> reduced true removed
-              | _ -> (
-                match fst (Reduction.search ?cycle_limits session) with
-                | Reduction.Reduced removed -> reduced false removed
-                | Reduction.Impossible ->
-                  (* exact: the search refuted every wait-connected BWG' *)
-                  handed_back [] (Deadlock_possible (No_reduction { cycle; packets }))
-                | Reduction.Gave_up reason -> handed_back [] (Unknown reason))))
-          | None -> (
+              Cycle_class.shortest_first_scan ?cycle_limits ~domains ~obs:"checker" bwg
+            | Algo.Any_wait -> Cycle_class.streaming_scan ?cycle_limits ~obs:"checker" bwg
+          in
+          match (scan.Cycle_class.found, algo.Algo.wait) with
+          | Some (cycle, packets), Algo.Specific_wait ->
+            (* Theorem 2 necessity: the witness is a deadlock. *)
+            n_cycles := Some enumerated;
+            finish (Deadlock_possible (True_cycle { cycle; packets }))
+          | Some (cycle, packets), Algo.Any_wait -> (
+            (* Theorem 3 on [bwg]'s own session, narrowed by removals:
+               it gets back [Reduced]'s removals and is read, so the
+               report's BWG is the full BWG again.  The stream stopped
+               at its first True Cycle, so no cycle count is reported. *)
+            let session = Bwg.session bwg in
+            let handed_back removed verdict =
+              List.iter
+                (fun { Reduction.head; dest; target } ->
+                  Bwg.Session.restore session ~buf:head ~dest target)
+                removed;
+              ignore (Bwg.Session.bwg session : Bwg.t);
+              finish verdict
+            in
+            let reduced via_hint removed =
+              handed_back removed (Deadlock_free (Reduced_bwg { via_hint; removed }))
+            in
+            match Reduction.verify_hint ?cycle_limits session with
+            | Some (Reduction.Reduced removed) -> reduced true removed
+            | _ -> (
+              match fst (Reduction.search ?cycle_limits session) with
+              | Reduction.Reduced removed -> reduced false removed
+              | Reduction.Impossible ->
+                (* exact: the search refuted every wait-connected BWG' *)
+                handed_back [] (Deadlock_possible (No_reduction { cycle; packets }))
+              | Reduction.Gave_up reason -> handed_back [] (Unknown reason)))
+          | None, _ -> (
+            n_cycles := Some enumerated;
             match
               Cycle_class.inconclusive ~cycles_exhaustive
                 ~uncertain:scan.Cycle_class.uncertain
@@ -184,13 +186,12 @@ let pp_verdict net fmt = function
     Format.fprintf fmt
       "deadlock-free (Theorem 2/3: %d BWG cycle(s), all False Resource Cycles)"
       cycles_examined
-  | Deadlock_free (Reduced_bwg { via_hint; removed; full_bwg_cycles }) ->
+  | Deadlock_free (Reduced_bwg { via_hint; removed }) ->
     Format.fprintf fmt
-      "deadlock-free (Theorem 3: BWG' %s, %d wait entr%s removed, full BWG had %d cycle(s))"
+      "deadlock-free (Theorem 3: BWG' %s, %d wait entr%s removed)"
       (if via_hint then "verified from hint" else "found by search")
       (List.length removed)
       (if List.length removed = 1 then "y" else "ies")
-      full_bwg_cycles
   | Deadlock_possible (Stuck_states states) ->
     Format.fprintf fmt "broken: states with no permitted output: %a" (pp_states net)
       states

@@ -9,9 +9,10 @@
       no True Cycle — a True Cycle yields the witness deadlock
       configuration of the necessity proof;
     - {b Theorem 3} (multi-wait): deadlock-free ⇔ some wait-connected
-      BWG' has no True Cycle — tried first with the algorithm's verified
-      hint, then by automatic reduction search; an exhaustive failed search
-      is a deadlock verdict by the theorem's necessity direction.
+      BWG' has no True Cycle — the full BWG first, its cycles streamed to
+      the first True one, then the algorithm's verified hint, then
+      automatic reduction search; an exhaustive failed search is a
+      deadlock verdict by the theorem's necessity direction.
 
     Because enumeration and classification are worst-case exponential, the
     checker can also return [Unknown] with the cap that was hit. *)
@@ -22,11 +23,9 @@ open Dfr_routing
 type proof =
   | Acyclic_bwg  (** Theorem 1 *)
   | No_true_cycles of { cycles_examined : int }  (** Theorem 2 *)
-  | Reduced_bwg of {
-      via_hint : bool;
-      removed : Reduction.removed list;
-      full_bwg_cycles : int;
-    }  (** Theorem 3 *)
+  | Reduced_bwg of { via_hint : bool; removed : Reduction.removed list }
+      (** Theorem 3: the full BWG has a True Cycle, and removing these wait
+          entries leaves a wait-connected BWG' with none *)
 
 type failure =
   | Stuck_states of (int * int) list
@@ -39,7 +38,8 @@ type failure =
   | True_cycle of { cycle : int list; packets : Cycle_class.packet list }
   | No_reduction of { cycle : int list; packets : Cycle_class.packet list }
       (** every wait-connected BWG' keeps a True Cycle (Theorem 3
-          necessity); a witness from the full BWG is attached *)
+          necessity); the witness is the full BWG's first True Cycle in
+          enumeration order *)
 
 type verdict =
   | Deadlock_free of proof
@@ -51,8 +51,11 @@ type report = {
   space : State_space.t;
   bwg : Bwg.t;  (** the full BWG, under the whole waiting rule *)
   bwg_cycles : int option;
-      (** cycles found in the full BWG (capped); [None] when the verdict
-          was reached without enumerating them *)
+      (** cycles found in the full BWG (capped), when a verdict rests on
+          all of them: [No_true_cycles], a specific-wait [True_cycle], or
+          an [Unknown] from the scan's caps.  [None] when the verdict was
+          reached without enumerating them: before the scan, or after a
+          multi-wait scan that stopped at its first True Cycle *)
 }
 
 val check :
@@ -61,11 +64,13 @@ val check :
   Net.t ->
   Algo.t ->
   report
-(** [domains] parallelizes the BWG construction and the cycle
-    classification scan over OCaml 5 domains (default 1; see
-    {!Bwg.build}).  Verdicts are bit-for-bit identical to the serial run:
-    the classification fan-out still reports the True Cycle of minimal
-    index in the shortest-first order.  [cycle_limits] caps the cycle
+(** [domains] parallelizes the BWG construction over OCaml 5 domains
+    (default 1; see {!Bwg.build}), and a specific-wait check's cycle
+    classification, which fans the shortest-first scan out
+    ({!Cycle_class.first_true_cycle}).  A multi-wait check's stream and
+    search run serially.  Verdicts are bit-for-bit identical to the
+    serial run: the fan-out still reports the True Cycle of minimal index
+    in the shortest-first order.  [cycle_limits] caps the cycle
     enumerations; classification runs under {!Cycle_class}'s default
     caps and the Theorem-3 search under {!Reduction.search}'s default
     budget. *)
@@ -94,6 +99,11 @@ val decide :
     [unconnected] is only consulted when [stuck] is empty, so callers
     holding stuck states may pass [[]].
 
+    The scan stage is {!Cycle_class.shortest_first_scan} for a
+    specific-wait algorithm, whose witness is the shortest True Cycle,
+    and {!Cycle_class.streaming_scan} for a multi-wait one, which needs
+    only whether the full BWG has a True Cycle; both record their
+    [checker.cycle-scan] and [checker.classify] spans.  At a True Cycle,
     Theorem 3 runs the hint check and the search on [bwg]'s own session
     ({!Bwg.session}), which must come with every entry live, and hands it
     back that way, read, so the report's BWG is the full BWG. *)

@@ -273,6 +273,34 @@ let shortest_first_scan ?cycle_limits ?limits ?(domains = 1) ~obs bwg =
   in
   { enumerated; cycles_exhaustive; scan }
 
+(* Each cycle is classified the moment Johnson's search closes it, and
+   the search ends at the first True one: a caller that needs only
+   whether a True Cycle exists stores none of the cycles. *)
+let streaming_scan ?cycle_limits ?limits ~obs bwg =
+  let classify_span = obs ^ ".classify" in
+  let enumerated = ref 0 in
+  let (found, uncertain), cycles_exhaustive =
+    Obs.span (obs ^ ".cycle-scan") @@ fun () ->
+    Bwg.fold_cycles ?limits:cycle_limits bwg
+      (fun p (_, uncertain) ->
+        incr enumerated;
+        let c = Dfr_graph.Cycles.path_to_list p in
+        match Obs.span classify_span (fun () -> classify ?limits bwg c) with
+        | True_cycle packets -> Dfr_graph.Cycles.Stop (Some (c, packets), uncertain)
+        | False_resource_cycle { exhaustive } ->
+          Dfr_graph.Cycles.Continue (None, uncertain || not exhaustive))
+      (None, false)
+  in
+  (* a scan that met no cycle still records its classify stage *)
+  if !enumerated = 0 then Obs.span classify_span ignore;
+  Obs.count (obs ^ ".cycles.enumerated") !enumerated;
+  Obs.count (obs ^ ".cycles.classified") !enumerated;
+  {
+    enumerated = !enumerated;
+    cycles_exhaustive;
+    scan = { found; classified = !enumerated; uncertain };
+  }
+
 let inconclusive ~cycles_exhaustive ~uncertain =
   if not cycles_exhaustive then Some "cycle enumeration truncated"
   else if uncertain then Some "cycle classification hit its caps"

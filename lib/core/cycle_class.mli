@@ -84,7 +84,10 @@ val first_true_cycle :
     result is identical at every [domains]. *)
 
 type full_scan = {
-  enumerated : int;  (** cycles the enumeration stored *)
+  enumerated : int;
+      (** cycles the enumeration handed over: all of them up to the caps
+          for {!shortest_first_scan}, those up to the first True one for
+          {!streaming_scan} *)
   cycles_exhaustive : bool;  (** as {!Bwg.fold_cycles} reports it *)
   scan : scan;
 }
@@ -96,8 +99,8 @@ val shortest_first_scan :
   obs:string ->
   Bwg.t ->
   full_scan
-(** The eager scan both {!Checker.decide} and a shortest-first
-    {!Reduction.true_cycle_status} run: every cycle up to
+(** The eager scan of a specific-wait {!Checker.decide} and of a
+    shortest-first {!Reduction.true_cycle_status}: every cycle up to
     [cycle_limits], each stored once as an [int array] of its length,
     then {!first_true_cycle} over them shortest first (a stable counting
     sort: equal lengths in enumeration order).  Short cycles are the
@@ -106,6 +109,25 @@ val shortest_first_scan :
     runs under a [p.cycle-scan] span and the classification under
     [p.classify], and the counters [p.cycles.enumerated] and
     [p.cycles.classified] record the stored and the classified cycles. *)
+
+val streaming_scan :
+  ?cycle_limits:Dfr_graph.Cycles.limits ->
+  ?limits:limits ->
+  obs:string ->
+  Bwg.t ->
+  full_scan
+(** The scan of a multi-wait {!Checker.decide} and of every default
+    {!Reduction.true_cycle_status} probe: each cycle is classified in
+    enumeration order the moment {!Bwg.fold_cycles} closes it, and the
+    enumeration ends at the first True Cycle, so no cycle is stored and
+    [classified] equals [enumerated].  With no True Cycle it has seen
+    every cycle up to [cycle_limits], and its answer is
+    {!shortest_first_scan}'s: [found] is [None] for both, with the same
+    counts and the same [uncertain].  With [obs] = ["p"], the stream runs
+    under a [p.cycle-scan] span and each classification under a nested
+    [p.classify] span (one zero-duration one when no cycle closes), and
+    the counters [p.cycles.enumerated] and [p.cycles.classified] record
+    the cycles it met. *)
 
 val inconclusive : cycles_exhaustive:bool -> uncertain:bool -> string option
 (** Why a scan that found no True Cycle proves nothing, or [None] when it

@@ -9,42 +9,19 @@ type outcome =
 
 (* No True Cycles in [bwg]?  Returns [Ok (Some witness)] when a True Cycle
    exists, [Ok None] when provably none does, [Error reason] when a cap was
-   hit, with [Checker.decide]'s reason. *)
+   hit, with [Checker.decide]'s reason.  A probe needs only the first True
+   Cycle, so it streams; a caller learning blocking clauses from the
+   witness sorts shortest first, which gets the tightest clause. *)
 let true_cycle_status ?cycle_limits ?class_limits ?(shortest_first = false) bwg
     =
-  let (witness, uncertain), cycles_exhaustive =
-    if shortest_first then begin
-      (* a caller learning blocking clauses from the witness gets the
-         tightest clause; sorting needs every cycle *)
-      let { Cycle_class.scan; cycles_exhaustive; _ } =
-        Cycle_class.shortest_first_scan ?cycle_limits ?limits:class_limits
-          ~obs:"reduction" bwg
-      in
-      ((scan.Cycle_class.found, scan.Cycle_class.uncertain), cycles_exhaustive)
-    end
-    else begin
-      (* enumeration order: classify each cycle as Johnson's search
-         closes it and end the search at the first True Cycle, which is
-         all a Theorem-3 probe needs; a False verdict reached only within
-         the caps makes the answer uncertain *)
-      let enumerated = ref 0 in
-      let status =
-        Bwg.fold_cycles ?limits:cycle_limits bwg
-          (fun p (_, uncertain) ->
-            incr enumerated;
-            let c = Dfr_graph.Cycles.path_to_list p in
-            match Cycle_class.classify ?limits:class_limits bwg c with
-            | Cycle_class.True_cycle packets ->
-              Dfr_graph.Cycles.Stop (Some (c, packets), uncertain)
-            | Cycle_class.False_resource_cycle { exhaustive } ->
-              Dfr_graph.Cycles.Continue (None, uncertain || not exhaustive))
-          (None, false)
-      in
-      Obs.count "reduction.cycles.enumerated" !enumerated;
-      status
-    end
+  let { Cycle_class.scan = { Cycle_class.found; uncertain; _ }; cycles_exhaustive; _ } =
+    if shortest_first then
+      Cycle_class.shortest_first_scan ?cycle_limits ?limits:class_limits ~obs:"reduction"
+        bwg
+    else
+      Cycle_class.streaming_scan ?cycle_limits ?limits:class_limits ~obs:"reduction" bwg
   in
-  match witness with
+  match found with
   | Some w -> Ok (Some w)
   | None -> (
     match Cycle_class.inconclusive ~cycles_exhaustive ~uncertain with

@@ -44,16 +44,18 @@ val true_cycle_status :
     was exhaustively classified False; [Error reason] means a cap was hit
     before a verdict: ["cycle enumeration truncated"] when the cycle cap
     cut the enumeration short, otherwise ["cycle classification hit its
-    caps"].  By default cycles are classified in enumeration order as
-    they stream out of {!Bwg.fold_cycles}, and the enumeration stops at
-    the first True Cycle.  [shortest_first] enumerates them all and
-    classifies shortest cycles first, which gives callers that learn from
-    the witness the tightest one: it is
-    {!Cycle_class.shortest_first_scan} under the [reduction] prefix.
-    Either way the cycles enumerated are counted as
-    [reduction.cycles.enumerated].  {!search} and
-    {!verify_hint} use the streaming default; [synth --mode repair] and
-    maximality certificates sort shortest first. *)
+    caps"].  By default it is {!Cycle_class.streaming_scan}: cycles are
+    classified in enumeration order as they stream out of
+    {!Bwg.fold_cycles}, and the enumeration stops at the first True
+    Cycle.  [shortest_first] is {!Cycle_class.shortest_first_scan}: it
+    enumerates them all and classifies shortest cycles first, which
+    gives callers that learn from the witness the tightest one.  Either
+    runs under the [reduction] prefix, so each probe records a
+    [reduction.cycle-scan] span and [reduction.classify] spans, and
+    counts [reduction.cycles.enumerated].  {!search} and {!verify_hint} use the
+    streaming default, as does a multi-wait {!Checker.decide} on the
+    full BWG (under [checker]); [synth --mode repair] and maximality
+    certificates sort shortest first. *)
 
 val verify_hint :
   ?cycle_limits:Dfr_graph.Cycles.limits ->

@@ -22,11 +22,10 @@ let verdict_json net = function
       | Checker.Acyclic_bwg -> [ ("theorem", Json.Int 1) ]
       | Checker.No_true_cycles { cycles_examined } ->
         [ ("theorem", Json.Int 2); ("false_cycles", Json.Int cycles_examined) ]
-      | Checker.Reduced_bwg { via_hint; removed; full_bwg_cycles } ->
+      | Checker.Reduced_bwg { via_hint; removed } ->
         [
           ("theorem", Json.Int 3);
           ("via_hint", Json.Bool via_hint);
-          ("full_bwg_cycles", Json.Int full_bwg_cycles);
           ( "removed_waits",
             Json.List
               (List.map

@@ -9,7 +9,9 @@ val of_outcome :
 (** The single constructor of the report object, shared by [dfcheck
     check --json], [dfcheck spec check --json], the serving layer's cached
     verdicts and the incremental re-checker — the surfaces can never
-    drift.  The BWG contributes only its vertex and edge counts.  [metrics],
+    drift.  The BWG contributes its vertex and edge counts, and its cycle
+    count ({!Checker.report}'s [bwg_cycles]) or [null].  A Theorem-3
+    proof carries [via_hint] and [removed_waits] and no cycle count.  [metrics],
     when given, is appended as a final ["metrics"] field (the parser
     ignores unknown fields, so this is compatible with {!of_string}). *)
 
@@ -38,7 +40,10 @@ type summary = {
   buffers : int;
   bwg_vertices : int;
   bwg_edges : int;
-  bwg_cycles : int option;  (** [None] when cycle counting was skipped *)
+  bwg_cycles : int option;
+      (** [None] ([null] in the report) when the full BWG's cycles were not
+          all enumerated: a Theorem-1, knot or wait-connectivity verdict,
+          or a multi-wait one reached past a True Cycle *)
   result : string;  (** ["deadlock-free"], ["deadlock"] or ["unknown"] *)
   theorem : int option;  (** which of Theorems 1-3 proved freedom *)
   failure_kind : string option;  (** e.g. ["true-cycle"], ["knot"] *)

@@ -445,10 +445,11 @@ let test_theorem1_proofs () =
 
 let test_theorem3_two_buffer () =
   (* Theorem 4: Two-Buffer has a cyclic BWG but a verified BWG' *)
-  match Checker.verdict saf33 Mesh_saf.two_buffer with
-  | Checker.Deadlock_free (Checker.Reduced_bwg { via_hint; full_bwg_cycles; _ }) ->
+  let report = Checker.check saf33 Mesh_saf.two_buffer in
+  match report.Checker.verdict with
+  | Checker.Deadlock_free (Checker.Reduced_bwg { via_hint; _ }) ->
     check Alcotest.bool "via hint" true via_hint;
-    check Alcotest.bool "full BWG had cycles" true (full_bwg_cycles > 0)
+    check Alcotest.bool "full BWG is cyclic" false (Bwg.is_acyclic report.Checker.bwg)
   | v -> Alcotest.failf "expected Theorem 3 proof, got %a" (Checker.pp_verdict saf33) v
 
 let test_theorem3_search_without_hint () =

@@ -427,6 +427,116 @@ let suite =
         test_index_generated;
     ]
 
+(* ---------------- streaming multi-wait decide vs. the eager reference ---------------- *)
+
+let verdict_kind = function
+  | Checker.Deadlock_free Checker.Acyclic_bwg -> "theorem 1"
+  | Checker.Deadlock_free (Checker.No_true_cycles _) -> "no true cycles"
+  | Checker.Deadlock_free (Checker.Reduced_bwg _) -> "reduced"
+  | Checker.Deadlock_possible (Checker.Stuck_states _) -> "stuck"
+  | Checker.Deadlock_possible (Checker.Not_wait_connected _) -> "not wait-connected"
+  | Checker.Deadlock_possible (Checker.Knot _) -> "knot"
+  | Checker.Deadlock_possible (Checker.True_cycle _) -> "true cycle"
+  | Checker.Deadlock_possible (Checker.No_reduction _) -> "no reduction"
+  | Checker.Unknown _ -> "unknown"
+
+(* the report less its cycle count, and less a [No_reduction]'s witness,
+   which the stream may take from another True Cycle *)
+let without_counts net algo report =
+  let open Dfr_util.Json in
+  let drop keys = function
+    | Obj fields -> Obj (List.filter (fun (k, _) -> not (List.mem k keys)) fields)
+    | j -> j
+  in
+  let witness =
+    match report.Checker.verdict with
+    | Checker.Deadlock_possible (Checker.No_reduction _) -> [ "cycle"; "packets" ]
+    | _ -> []
+  in
+  match Report_json.of_report net algo report with
+  | Obj fields ->
+    to_string
+      (Obj
+         (List.map
+            (fun (k, v) ->
+              match k with
+              | "bwg" -> (k, drop [ "cycles" ] v)
+              | "verdict" -> (k, drop witness v)
+              | _ -> (k, v))
+            fields))
+  | j -> to_string j
+
+(* Counts of what the comparison met, so the corpus must show it covers
+   the branch: reduced and no-reduction verdicts, and moved witnesses. *)
+type tally = { mutable reduced : int; mutable no_reduction : int; mutable moved : int }
+
+let same_decision tally what net algo =
+  let reference =
+    match Decide_ref.check net algo with
+    | r -> Ok r
+    | exception (Invalid_argument msg | Failure msg) -> Error msg
+  in
+  match (Checker.check_result net algo, reference) with
+  | Error _, Error _ -> ()
+  | Error msg, Ok _ | Ok _, Error msg ->
+    Alcotest.failf "%s: only one side refused the case (%s)" what msg
+  | Ok got, Ok want -> (
+    let v = got.Checker.verdict and w = want.Checker.verdict in
+    if verdict_kind v <> verdict_kind w then
+      Alcotest.failf "%s: %s, the reference says %s" what (verdict_kind v) (verdict_kind w);
+    (match got.Checker.bwg_cycles with
+    | None -> ()
+    | Some _ ->
+      if got.Checker.bwg_cycles <> want.Checker.bwg_cycles then
+        Alcotest.failf "%s: a cycle count differs from the reference's" what);
+    if without_counts net algo got <> without_counts net algo want then
+      Alcotest.failf "%s: the report differs from the reference's beyond the counts" what;
+    match (v, w) with
+    | ( Checker.Deadlock_free (Checker.Reduced_bwg { removed; _ }),
+        Checker.Deadlock_free (Checker.Reduced_bwg { removed = removed'; _ }) ) ->
+      tally.reduced <- tally.reduced + 1;
+      if removed <> removed' then Alcotest.failf "%s: removed_waits differ" what
+    | ( Checker.Deadlock_possible (Checker.No_reduction { cycle; _ }),
+        Checker.Deadlock_possible (Checker.No_reduction { cycle = cycle'; _ }) ) -> (
+      tally.no_reduction <- tally.no_reduction + 1;
+      if cycle <> cycle' then tally.moved <- tally.moved + 1;
+      match Cycle_class.classify got.Checker.bwg cycle with
+      | Cycle_class.True_cycle _ -> ()
+      | Cycle_class.False_resource_cycle _ ->
+        Alcotest.failf "%s: the No_reduction witness is no True Cycle of the full BWG" what)
+    | _ -> ())
+
+let test_decide_ref_catalogue () =
+  let tally = { reduced = 0; no_reduction = 0; moved = 0 } in
+  List.iter
+    (fun (e : Registry.entry) ->
+      same_decision tally e.Registry.name (Registry.network_for e None) e.Registry.algo)
+    Registry.all;
+  check Alcotest.bool "the catalogue reaches a BWG'" true (tally.reduced > 0)
+
+(* The generated corpus: at 3,000 cases it holds searched BWG's, exact
+   No_reduction refutations, and witnesses the stream takes from another
+   True Cycle than the shortest. *)
+let test_decide_ref_generated () =
+  let tally = { reduced = 0; no_reduction = 0; moved = 0 } in
+  for i = 0 to 2999 do
+    let rng = Dfr_util.Prng.create (1_000_003 + i) in
+    let net, algo = Case.to_net_algo (Gen.case rng ~max_nodes:9) in
+    same_decision tally (Printf.sprintf "case %d" i) net algo
+  done;
+  check Alcotest.bool "some generated case reaches a BWG'" true (tally.reduced > 0);
+  check Alcotest.bool "some generated case has no BWG'" true (tally.no_reduction > 0);
+  check Alcotest.bool "some No_reduction witness moved" true (tally.moved > 0)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "streaming multi-wait decide = eager reference (catalogue)" `Quick
+        test_decide_ref_catalogue;
+      Alcotest.test_case "streaming multi-wait decide = eager reference (generated)" `Quick
+        test_decide_ref_generated;
+    ]
+
 (* ---------------- reachable-state validation vs. the all-pairs sweep ---------------- *)
 
 (* The checker validates only the states its BFS reaches (State_space.build

@@ -502,6 +502,37 @@ let test_theorem3_captures_once () =
         (Dfr_network.Net.num_nodes net) closures)
     [ ("hint", e.Registry.algo, true); ("search", reprint, false) ]
 
+(* A hintless Theorem-3 check streams the full BWG's cycles to the first
+   True Cycle and searches, and its trace still carries the cycle-scan and
+   classify stages.  On the two-buffer mesh:4x4 reprint the stream meets
+   one cycle, where the eager scan it replaced stored 98; the build's
+   counters count the one build, as they did then (E30): 660 emissions,
+   no capped witness list, one bucket pass. *)
+let test_theorem3_stream_skeleton () =
+  let e = Option.get (Registry.find "two-buffer") in
+  let net = Registry.network_for e None in
+  let reprint =
+    let text = Result.get_ok (Dfr_spec.Printer.to_string net e.Registry.algo) in
+    (Result.get_ok (Dfr_spec.Spec.compile_string text)).Dfr_spec.Spec.algo
+  in
+  Obs.enable ();
+  let verdict = (Checker.check net reprint).Checker.verdict in
+  let spans = Obs.span_totals () and counters = Obs.counters () in
+  Obs.disable ();
+  (match verdict with
+  | Checker.Deadlock_free (Checker.Reduced_bwg { via_hint = false; _ }) -> ()
+  | v -> Alcotest.failf "expected a searched BWG', got %a" (Checker.pp_verdict net) v);
+  let counter name = Option.value (List.assoc_opt name counters) ~default:0 in
+  let spans_named name = Option.fold ~none:0 ~some:fst (List.assoc_opt name spans) in
+  List.iter
+    (fun stage ->
+      check Alcotest.bool (stage ^ " in the trace") true (spans_named stage > 0))
+    [ "checker.cycle-scan"; "checker.classify" ];
+  check Alcotest.int "checker.cycles.enumerated" 1 (counter "checker.cycles.enumerated");
+  check Alcotest.int "bwg.emissions" 660 (counter "bwg.emissions");
+  check Alcotest.int "bwg.witnesses.capped" 0 (counter "bwg.witnesses.capped");
+  check Alcotest.int "bwg.bucket spans" 1 (spans_named "bwg.bucket")
+
 (* No read makes a session's count table: a Theorem-1 check, a knot
    check and an Incr session's first verdict change no wait entry, so
    they record no bwg.patch span. *)
@@ -559,4 +590,6 @@ let suite =
       `Quick test_theorem3_captures_once;
     Alcotest.test_case "no count table without a wait-entry change" `Quick
       test_no_count_table_unchanged;
+    Alcotest.test_case "a hintless Theorem-3 trace streams to its first True Cycle"
+      `Quick test_theorem3_stream_skeleton;
   ]
