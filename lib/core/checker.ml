@@ -81,46 +81,47 @@ let decide ?cycle_limits ?(domains = 1) ~stuck ~unconnected space bwg =
              specific-wait scan stores every cycle and sorts them; by
              Theorem 3 the full BWG's cycles are no part of a multi-wait
              answer, so its scan streams and stops at the first True
-             one *)
+             one, with no count of them *)
           let { Cycle_class.enumerated; cycles_exhaustive; scan } =
             match algo.Algo.wait with
             | Algo.Specific_wait ->
               Cycle_class.shortest_first_scan ?cycle_limits ~domains ~obs:"checker" bwg
             | Algo.Any_wait -> Cycle_class.streaming_scan ?cycle_limits ~obs:"checker" bwg
           in
-          match (scan.Cycle_class.found, algo.Algo.wait) with
-          | Some (cycle, packets), Algo.Specific_wait ->
-            (* Theorem 2 necessity: the witness is a deadlock. *)
-            n_cycles := Some enumerated;
-            finish (Deadlock_possible (True_cycle { cycle; packets }))
-          | Some (cycle, packets), Algo.Any_wait -> (
-            (* Theorem 3 on [bwg]'s own session, narrowed by removals:
-               it gets back [Reduced]'s removals and is read, so the
-               report's BWG is the full BWG again.  The stream stopped
-               at its first True Cycle, so no cycle count is reported. *)
-            let session = Bwg.session bwg in
-            let handed_back removed verdict =
-              List.iter
-                (fun { Reduction.head; dest; target } ->
-                  Bwg.Session.restore session ~buf:head ~dest target)
-                removed;
-              ignore (Bwg.Session.bwg session : Bwg.t);
-              finish verdict
-            in
-            let reduced via_hint removed =
-              handed_back removed (Deadlock_free (Reduced_bwg { via_hint; removed }))
-            in
-            match Reduction.verify_hint ?cycle_limits session with
-            | Some (Reduction.Reduced removed) -> reduced true removed
-            | _ -> (
-              match fst (Reduction.search ?cycle_limits session) with
-              | Reduction.Reduced removed -> reduced false removed
-              | Reduction.Impossible ->
-                (* exact: the search refuted every wait-connected BWG' *)
-                handed_back [] (Deadlock_possible (No_reduction { cycle; packets }))
-              | Reduction.Gave_up reason -> handed_back [] (Unknown reason)))
-          | None, _ -> (
-            n_cycles := Some enumerated;
+          if algo.Algo.wait = Algo.Specific_wait || Option.is_none scan.Cycle_class.found
+          then n_cycles := Some enumerated;
+          match scan.Cycle_class.found with
+          | Some (cycle, packets) -> (
+            match algo.Algo.wait with
+            | Algo.Specific_wait ->
+              (* Theorem 2 necessity: the witness is a deadlock. *)
+              finish (Deadlock_possible (True_cycle { cycle; packets }))
+            | Algo.Any_wait -> (
+              (* Theorem 3 on [bwg]'s own session, narrowed by removals:
+                 it gets back [Reduced]'s removals and is read, so the
+                 report's BWG is the full BWG again *)
+              let session = Bwg.session bwg in
+              let handed_back removed verdict =
+                List.iter
+                  (fun { Reduction.head; dest; target } ->
+                    Bwg.Session.restore session ~buf:head ~dest target)
+                  removed;
+                ignore (Bwg.Session.bwg session : Bwg.t);
+                finish verdict
+              in
+              let reduced via_hint removed =
+                handed_back removed (Deadlock_free (Reduced_bwg { via_hint; removed }))
+              in
+              match Reduction.verify_hint ?cycle_limits session with
+              | Some (Reduction.Reduced removed) -> reduced true removed
+              | _ -> (
+                match fst (Reduction.search ?cycle_limits session) with
+                | Reduction.Reduced removed -> reduced false removed
+                | Reduction.Impossible ->
+                  (* exact: the search refuted every wait-connected BWG' *)
+                  handed_back [] (Deadlock_possible (No_reduction { cycle; packets }))
+                | Reduction.Gave_up reason -> handed_back [] (Unknown reason))))
+          | None -> (
             match
               Cycle_class.inconclusive ~cycles_exhaustive
                 ~uncertain:scan.Cycle_class.uncertain

@@ -29,12 +29,17 @@ cleanup() {
 }
 trap cleanup EXIT
 
-# the first line of a failed run that names what failed: an Alcotest
-# case, a golden file a diff rule compared, or a script's FAIL line
+# the line of a failed run that names what failed: the first failing
+# Alcotest case, else a script's FAIL line, else the first golden file
+# a diff rule compared (dune also names test/dune when the suite fails)
 first_failure() {
-  sed 's/\x1b\[[0-9;]*m//g' "$1" |
-    grep -m1 -E '\[FAIL\]|^File "|^FAIL' |
-    sed -E 's/^[>│ ]*//; s/ *│ *$//; s/  +/ /g'
+  local log
+  log=$(sed 's/\x1b\[[0-9;]*m//g' "$1")
+  {
+    grep -m1 -E '\[FAIL\]' <<<"$log" || grep -m1 -E '^FAIL' <<<"$log" ||
+      grep -E '^File "' <<<"$log" | grep -m1 -v '^File "test/dune"' ||
+      grep -m1 -E '^File "' <<<"$log"
+  } | sed -E 's/^[>│ ]*//; s/ *│ *$//; s/  +/ /g'
 }
 
 status=0
